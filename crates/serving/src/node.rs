@@ -159,6 +159,8 @@ impl IngestReport {
 pub struct ServingNode {
     session: StreamSession,
     table: RoutingTable,
+    /// Serves [`Self::lookup`].
+    reader: RoutingReader,
     store: Option<SessionStore>,
     health: Health,
     retry: RetryPolicy,
@@ -183,6 +185,7 @@ impl ServingNode {
         table.publish_at(session.windows().len() as u64, session.placement().as_slice());
         Self {
             session,
+            reader: table.reader(),
             table,
             store: None,
             health: Health::Healthy,
@@ -400,9 +403,11 @@ impl ServingNode {
         self.table.reader()
     }
 
-    /// Convenience single lookup through a fresh reader.
+    /// Convenience single lookup, through a reader the node keeps (no
+    /// refcount traffic per call).
+    #[inline]
     pub fn lookup(&self, v: VertexId) -> Option<Lookup> {
-        self.table.reader().lookup(v)
+        self.reader.lookup(v)
     }
 
     /// The currently published routing epoch.

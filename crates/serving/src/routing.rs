@@ -16,6 +16,21 @@
 //! capacity (counted by [`RoutingTable::reallocs`], pinned in tests the
 //! same way the engine's `fabric_reallocs` is).
 //!
+//! # Hot paths
+//!
+//! A lookup returns one register-sized word: [`Lookup`] packs the epoch and
+//! the worker into a single `NonZeroU64` (`epoch << 16 | worker`), so
+//! `Option<Lookup>` is 8 bytes and comes back in a register. With
+//! [`RoutingReader::lookup`] inlined into the caller's loop, nothing goes
+//! through the stack between one lookup and the next, and independent
+//! lookups overlap their cache misses instead of queueing behind each other.
+//! Epochs are therefore limited to 48 bits (checked by
+//! [`RoutingTable::publish_at`]).
+//!
+//! A publish is a segment-wise fill: each segment's entry slice is zipped
+//! with the matching sub-slice of the new placement and stored in one pass,
+//! with no per-entry segment lookup.
+//!
 //! # Recovery epochs
 //!
 //! A worker-loss recovery (`ServingNode::report_worker_loss`) publishes its
@@ -31,6 +46,8 @@
 //! connection failure from a dead worker re-resolves at most one epoch
 //! later and lands on the replacement.
 
+use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::atomic::{fence, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -43,6 +60,10 @@ const LOG_BASE: u32 = 12;
 const BASE: usize = 1 << LOG_BASE;
 /// Segments 0..21 cover the full `VertexId` (u32) range.
 const MAX_SEGMENTS: usize = 21;
+/// Bits of a packed [`Lookup`] below the epoch, holding the worker.
+const WORKER_BITS: u32 = WorkerId::BITS;
+/// Epochs must stay below this to fit a [`Lookup`] beside the worker.
+const EPOCH_LIMIT: u64 = 1 << (u64::BITS - WORKER_BITS);
 
 /// Splits a flat index into its (segment, offset) coordinates.
 #[inline]
@@ -93,24 +114,41 @@ struct Shared {
 
 /// The result of a successful routing lookup: the worker hosting the
 /// vertex, tagged with the epoch the answer is consistent with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lookup {
-    worker: WorkerId,
-    epoch: u64,
-}
+///
+/// Packed as `epoch << 16 | worker` in one non-zero word (epochs start at
+/// 1), so `Option<Lookup>` is 8 bytes and returns in a register.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Lookup(NonZeroU64);
 
 impl Lookup {
+    /// Packs an answer; `None` only for epoch 0, which is never published.
+    #[inline]
+    fn pack(worker: WorkerId, epoch: u64) -> Option<Self> {
+        NonZeroU64::new(epoch << WORKER_BITS | u64::from(worker)).map(Self)
+    }
+
     /// The worker hosting the vertex at [`Self::epoch`].
+    #[inline]
     pub fn worker(&self) -> WorkerId {
-        self.worker
+        self.0.get() as WorkerId
     }
 
     /// The published epoch this answer belongs to. Staleness of the answer
     /// is `head − epoch`, and is at most 1 for a read that completes after
     /// a concurrent publish (the publish after that would have invalidated
     /// and retried the read).
+    #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.0.get() >> WORKER_BITS
+    }
+}
+
+impl fmt::Debug for Lookup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lookup")
+            .field("worker", &self.worker())
+            .field("epoch", &self.epoch())
+            .finish()
     }
 }
 
@@ -178,8 +216,15 @@ impl RoutingTable {
     /// Consecutive epochs (all [`Self::publish`] calls) always satisfy
     /// this; a same-parity jump past the head (e.g. head 2 → epoch 4)
     /// panics. From head 0 any starting epoch is fine.
+    ///
+    /// Epochs share a [`Lookup`] word with the worker, so `epoch` must be
+    /// below 2^48; a larger one panics.
     pub fn publish_at(&mut self, epoch: u64, workers: &[WorkerId]) {
         let head = self.shared.head.load(Ordering::Relaxed);
+        assert!(
+            epoch < EPOCH_LIMIT,
+            "epoch {epoch} does not fit a lookup: it must be below 2^48"
+        );
         assert!(epoch > head, "epoch {epoch} must exceed head {head}");
         assert!(
             head == 0 || (epoch ^ head) & 1 == 1,
@@ -194,10 +239,18 @@ impl RoutingTable {
         buf.version.store(2 * epoch - 1, Ordering::Relaxed);
         fence(Ordering::Release);
         self.ensure_capacity(buf, workers.len());
-        for (v, &w) in workers.iter().enumerate() {
-            let (seg, off) = locate(v);
-            let segment = buf.segments[seg].get().expect("capacity ensured");
-            segment[off].store(w, Ordering::Relaxed);
+        // Segment by segment: each one takes the next run of `workers`.
+        let mut rest = workers;
+        for segment in &buf.segments {
+            if rest.is_empty() {
+                break;
+            }
+            let segment = segment.get().expect("capacity ensured");
+            let (run, tail) = rest.split_at(rest.len().min(segment.len()));
+            for (slot, &w) in segment.iter().zip(run) {
+                slot.store(w, Ordering::Relaxed);
+            }
+            rest = tail;
         }
         buf.len.store(workers.len(), Ordering::Relaxed);
         // Stamp the buffer complete, then advance the head. Release on both
@@ -259,7 +312,9 @@ impl RoutingReader {
     ///
     /// O(1), lock-free, and allocation-free: the read validates a seqlock
     /// version around a single array load and retries only when a publish
-    /// overlapped it.
+    /// overlapped it. Inlined, so a caller's loop keeps the packed answer in
+    /// a register and overlaps the loads of consecutive lookups.
+    #[inline]
     pub fn lookup(&self, v: VertexId) -> Option<Lookup> {
         loop {
             let epoch = self.shared.head.load(Ordering::Acquire);
@@ -294,7 +349,7 @@ impl RoutingReader {
             // in between (versions only grow — no ABA).
             fence(Ordering::Acquire);
             if buf.version.load(Ordering::Relaxed) == 2 * epoch {
-                return worker.map(|worker| Lookup { worker, epoch });
+                return worker.and_then(|worker| Lookup::pack(worker, epoch));
             }
             self.shared.retries.fetch_add(1, Ordering::Relaxed);
             std::hint::spin_loop();
@@ -415,6 +470,79 @@ mod tests {
             table.publish(&workers);
         }
         assert_eq!(table.reallocs(), grows, "steady-state publish allocated");
+    }
+
+    #[test]
+    fn optional_lookup_is_one_word() {
+        assert_eq!(std::mem::size_of::<Option<Lookup>>(), 8);
+    }
+
+    #[test]
+    fn lookup_debug_names_worker_and_epoch() {
+        let hit = Lookup::pack(7, 42).expect("non-zero epoch");
+        assert_eq!(format!("{hit:?}"), "Lookup { worker: 7, epoch: 42 }");
+    }
+
+    #[test]
+    fn largest_epoch_round_trips() {
+        let mut table = RoutingTable::new();
+        let last = EPOCH_LIMIT - 1;
+        table.publish_at(last, &[WorkerId::MAX, 0]);
+        let hit = table.reader().lookup(0).expect("v0");
+        assert_eq!((hit.worker(), hit.epoch()), (WorkerId::MAX, last));
+        assert_eq!(table.reader().lookup(1).expect("v1").epoch(), last);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be below 2^48")]
+    fn epoch_beyond_48_bits_is_rejected() {
+        RoutingTable::new().publish_at(1 << 48, &[1]);
+    }
+
+    /// The worker epoch `epoch` publishes for vertex `v`: differs between
+    /// neighbouring epochs everywhere, so a stale entry cannot pass.
+    fn worker_at(epoch: u64, v: usize) -> WorkerId {
+        ((v as u64).wrapping_mul(31).wrapping_add(epoch * 7) % 65_521) as WorkerId
+    }
+
+    /// Publishes `len` entries as the next epoch and checks every entry on
+    /// either side of every segment boundary below `len`, the last entry,
+    /// and that `len` itself misses.
+    fn publish_and_check(table: &mut RoutingTable, len: usize) {
+        let next = table.head() + 1;
+        let workers: Vec<WorkerId> = (0..len).map(|v| worker_at(next, v)).collect();
+        assert_eq!(table.publish(&workers), next);
+        let reader = table.reader();
+        let starts = (0..MAX_SEGMENTS as u32).map(|s| BASE * ((1 << s) - 1));
+        let probes =
+            starts.take_while(|&b| b <= len).flat_map(|b| [b.wrapping_sub(1), b, b + 1]);
+        for v in probes.chain([len.wrapping_sub(1)]).filter(|&v| v < len) {
+            let hit = reader.lookup(v as VertexId).expect("published vertex");
+            assert_eq!(
+                (hit.worker(), hit.epoch()),
+                (worker_at(next, v), next),
+                "len {len} v {v}"
+            );
+        }
+        assert_eq!(reader.lookup(len as VertexId), None, "len {len}: one past the end");
+        assert_eq!(reader.len(), len);
+    }
+
+    #[test]
+    fn round_trip_at_every_segment_boundary() {
+        let mut table = RoutingTable::new();
+        let boundaries: Vec<usize> = (0..=10).map(|s| BASE * ((1 << s) - 1)).collect();
+        for &b in &boundaries {
+            for len in [b.checked_sub(1), Some(b), Some(b + 1)].into_iter().flatten() {
+                publish_and_check(&mut table, len);
+            }
+        }
+        // Shrink below the first boundary, then regrow past the last: the
+        // regrown entries must be the new epoch's, not leftovers.
+        let top = boundaries[boundaries.len() - 1] + 1;
+        for len in [BASE - 1, top, 1, top] {
+            publish_and_check(&mut table, len);
+        }
     }
 
     #[test]
