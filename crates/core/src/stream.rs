@@ -30,7 +30,7 @@ use crate::driver::{
 };
 use crate::program::{seeded_global, SpinnerProgram, AGG_LOADS};
 use crate::state::{EdgeState, Label, Phase, VertexState, NO_LABEL};
-use spinner_graph::conversion::from_undirected_edges;
+use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
 use spinner_pregel::engine::Engine;
@@ -542,8 +542,9 @@ impl StreamSession {
         let mut lost_flags: Vec<bool> = Vec::new();
         let labels = match &event {
             StreamEvent::Delta(delta) => {
-                self.graph = apply_delta(&self.graph, delta);
-                self.undirected = from_undirected_edges(&self.graph);
+                let next = apply_delta(&self.graph, delta);
+                self.undirected = patch_undirected_edges(&self.undirected, &next, delta);
+                self.graph = next;
                 incremental_labels(&self.undirected, &self.labels, self.cfg.k)
             }
             StreamEvent::Resize { k } => {
@@ -975,7 +976,7 @@ mod tests {
     use crate::driver::{adapt_with_delta, elastic, partition};
     use spinner_graph::generators::{planted_partition, SbmConfig};
     use spinner_graph::mutation::{sample_new_edges, sample_removed_edges};
-    use spinner_graph::{DeltaStream, DeltaStreamConfig};
+    use spinner_graph::{DeltaStream, DeltaStreamConfig, GraphBuilder};
 
     fn base(n: u32, seed: u64) -> DirectedGraph {
         planted_partition(SbmConfig {
@@ -1055,6 +1056,37 @@ mod tests {
         // Labels cover the grown vertex set.
         assert_eq!(session.labels().len(), session.undirected().num_vertices() as usize);
         assert!(session.labels().iter().all(|&l| l < session.k()));
+    }
+
+    /// `apply` patches the undirected view instead of re-converting it: after
+    /// every window of a churning stream the view equals a fresh conversion,
+    /// and both graphs hold exactly the capacity a fresh build allocates.
+    #[test]
+    fn patched_view_matches_fresh_conversion_every_window() {
+        let g0 = base(1500, 13);
+        let mut session = StreamSession::new(g0.clone(), cfg(6));
+        let stream = DeltaStream::new(
+            g0,
+            DeltaStreamConfig {
+                windows: 4,
+                remove_fraction: 0.02,
+                vertex_fraction: 0.01,
+                seed: 23,
+                ..DeltaStreamConfig::default()
+            },
+        );
+        for delta in stream {
+            assert!(!delta.removed_edges.is_empty() && delta.new_vertices > 0);
+            session.apply(StreamEvent::Delta(delta));
+            let graph = session.graph();
+            let rebuilt =
+                GraphBuilder::new(graph.num_vertices()).add_edges(graph.edges()).build();
+            let converted = from_undirected_edges(graph);
+            assert_eq!(graph, &rebuilt);
+            assert_eq!(session.undirected(), &converted);
+            assert_eq!(graph.memory_bytes(), rebuilt.memory_bytes());
+            assert_eq!(session.undirected().memory_bytes(), converted.memory_bytes());
+        }
     }
 
     /// The §V-F feedback loop: with the synchronous load view, re-placing

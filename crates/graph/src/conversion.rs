@@ -18,66 +18,31 @@
 //! fidelity, while this module provides the equivalent offline conversion
 //! used by default because it avoids materialising O(E) messages. Both paths
 //! are asserted equal in integration tests.
+//!
+//! The conversion is linear and sort-free: a counting transpose gives every
+//! vertex its in-neighbour list already sorted (sources are visited in
+//! ascending order), and the undirected row of `v` is one two-way merge of
+//! `out(v)` with `in(v)`, where an id found in both lists is a reciprocal
+//! pair. A first merge pass counts each row and a second fills it, so every
+//! array is allocated once at exactly its final size.
+//! [`patch_undirected_edges`] goes one step further for streams: it updates
+//! an existing unit-weight view by a delta's pairs alone.
 
 use crate::directed::DirectedGraph;
-use crate::ids::{sym_edge_key, unpack_edge_key, EdgeWeight, VertexId};
+use crate::ids::{EdgeWeight, VertexId};
+use crate::mutation::{merge_rows, GraphDelta};
 use crate::undirected::UndirectedGraph;
 
 /// Converts a directed graph into the weighted undirected graph of Eq. 3.
 pub fn to_weighted_undirected(g: &DirectedGraph) -> UndirectedGraph {
-    let n = g.num_vertices() as usize;
-
-    // 1. Canonical key per directed edge; sort + dedup yields each undirected
-    //    pair exactly once.
-    let mut pairs: Vec<u64> = Vec::with_capacity(g.num_edges() as usize);
-    for (u, v) in g.edges() {
-        pairs.push(sym_edge_key(u, v));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    // 2. Degree counting pass for the symmetric CSR.
-    let mut offsets = vec![0u64; n + 1];
-    for &key in &pairs {
-        let (a, b) = unpack_edge_key(key);
-        offsets[a as usize + 1] += 1;
-        offsets[b as usize + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-
-    // 3. Fill pass. `cursor` tracks the next free slot per vertex.
-    let mut cursor: Vec<u64> = offsets[..n].to_vec();
-    let total = *offsets.last().unwrap() as usize;
-    let mut targets = vec![0 as VertexId; total];
-    let mut weights = vec![0 as EdgeWeight; total];
-    for &key in &pairs {
-        let (a, b) = unpack_edge_key(key);
-        // Reciprocity test on the original CSR: both directions present?
-        let w: EdgeWeight = if g.has_edge(a, b) && g.has_edge(b, a) { 2 } else { 1 };
-        let ca = cursor[a as usize] as usize;
-        targets[ca] = b;
-        weights[ca] = w;
-        cursor[a as usize] += 1;
-        let cb = cursor[b as usize] as usize;
-        targets[cb] = a;
-        weights[cb] = w;
-        cursor[b as usize] += 1;
-    }
-    // Pairs were processed in ascending (a, b) order, and for a fixed vertex
-    // the counterpart ids arrive ascending too, so each adjacency run is
-    // already sorted.
-    UndirectedGraph::from_csr(offsets, targets, weights)
+    symmetrise(g, true)
 }
 
 /// Symmetrises a graph *without* weights (every edge weight 1), i.e. the
 /// "naive approach" the paper contrasts against in §III-A/Fig. 1. Used by the
 /// conversion ablation experiment.
 pub fn to_naive_undirected(g: &DirectedGraph) -> UndirectedGraph {
-    let weighted = to_weighted_undirected(g);
-    let (offsets, targets, weights) = weighted.as_csr();
-    UndirectedGraph::from_csr(offsets.to_vec(), targets.to_vec(), vec![1; weights.len()])
+    symmetrise(g, false)
 }
 
 /// Interprets an already-undirected edge list (each edge listed once in an
@@ -85,6 +50,161 @@ pub fn to_naive_undirected(g: &DirectedGraph) -> UndirectedGraph {
 /// datasets that are undirected at the source (Tuenti, Friendster).
 pub fn from_undirected_edges(g: &DirectedGraph) -> UndirectedGraph {
     to_naive_undirected(g)
+}
+
+/// Updates a unit-weight view by one delta window: given
+/// `prev = from_undirected_edges(g)` and `next = apply_delta(g, delta)`,
+/// returns exactly `from_undirected_edges(next)`.
+///
+/// Only the pairs `delta` names can change, so each is looked up before (in
+/// `prev`) and after (both directions in `next`); the pairs that appeared or
+/// vanished, in both orientations, are merged into `prev`'s rows by the same
+/// kernel as [`crate::mutation::apply_delta`]. Cost is
+/// `O(|V| + |E| + |Δ| log |Δ|)` with no conversion pass.
+pub fn patch_undirected_edges(
+    prev: &UndirectedGraph,
+    next: &DirectedGraph,
+    delta: &GraphDelta,
+) -> UndirectedGraph {
+    let (prev_n, n) = (prev.num_vertices(), next.num_vertices());
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    for &(u, v) in delta.added_edges.iter().chain(&delta.removed_edges) {
+        if u == v || u >= n || v >= n {
+            continue;
+        }
+        let before = u < prev_n && v < prev_n && prev.edge_weight(u, v).is_some();
+        let after = next.has_edge(u, v) || next.has_edge(v, u);
+        match (before, after) {
+            (false, true) => added.extend([(u, v), (v, u)]),
+            (true, false) => removed.extend([(u, v), (v, u)]),
+            _ => {}
+        }
+    }
+    for pairs in [&mut added, &mut removed] {
+        pairs.sort_unstable();
+        pairs.dedup();
+    }
+    let (offsets, targets, _) = prev.as_csr();
+    let (offsets, targets) = merge_rows((offsets, targets), n as usize, &added, &removed);
+    let weights = vec![1; targets.len()];
+    UndirectedGraph::from_csr(offsets, targets, weights)
+}
+
+/// The symmetric closure of `g`; with `weighted`, reciprocal pairs get
+/// weight 2 (Eq. 3), otherwise every edge has weight 1.
+fn symmetrise(g: &DirectedGraph, weighted: bool) -> UndirectedGraph {
+    let n = g.num_vertices();
+    let (in_offsets, sources) = transpose(g);
+    let in_neighbors =
+        |v: VertexId| &sources[in_offsets[v as usize]..in_offsets[v as usize + 1]];
+
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    offsets.push(0u64);
+    let mut total = 0u64;
+    for v in 0..n {
+        for_each_union(g.out_neighbors(v), in_neighbors(v), |_, _| total += 1);
+        offsets.push(total);
+    }
+
+    let mut targets = Vec::with_capacity(total as usize);
+    let mut weights: Vec<EdgeWeight> = Vec::with_capacity(total as usize);
+    for v in 0..n {
+        for_each_union(g.out_neighbors(v), in_neighbors(v), |t, both| {
+            targets.push(t);
+            weights.push(if both && weighted { 2 } else { 1 });
+        });
+    }
+    UndirectedGraph::from_csr(offsets, targets, weights)
+}
+
+/// The counting transpose of `g`: `sources[offsets[v]..offsets[v + 1]]` are
+/// the in-neighbours of `v`, sorted because sources are visited in order.
+fn transpose(g: &DirectedGraph) -> (Vec<usize>, Vec<VertexId>) {
+    let n = g.num_vertices() as usize;
+    let (out_offsets, targets) = g.as_csr();
+    let mut offsets = vec![0usize; n + 1];
+    for &t in targets {
+        offsets[t as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut sources = vec![0 as VertexId; targets.len()];
+    for (u, row) in out_offsets.windows(2).enumerate() {
+        for &t in &targets[row[0] as usize..row[1] as usize] {
+            sources[cursor[t as usize]] = u as VertexId;
+            cursor[t as usize] += 1;
+        }
+    }
+    (offsets, sources)
+}
+
+/// Visits the sorted union of two sorted, deduplicated lists, flagging the
+/// ids present in both.
+#[inline]
+fn for_each_union(a: &[VertexId], b: &[VertexId], mut visit: impl FnMut(VertexId, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        visit(x.min(y), x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&t| visit(t, false));
+}
+
+/// The sort-based conversion this module used before the counting
+/// transpose, kept as the oracle the linear one is compared against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::directed::DirectedGraph;
+    use crate::ids::{sym_edge_key, unpack_edge_key, EdgeWeight, VertexId};
+    use crate::undirected::UndirectedGraph;
+
+    /// Eq. 3 by sorting one canonical key per directed edge.
+    pub(crate) fn to_weighted_undirected(g: &DirectedGraph) -> UndirectedGraph {
+        let n = g.num_vertices() as usize;
+        let mut pairs: Vec<u64> = Vec::with_capacity(g.num_edges() as usize);
+        for (u, v) in g.edges() {
+            pairs.push(sym_edge_key(u, v));
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut offsets = vec![0u64; n + 1];
+        for &key in &pairs {
+            let (a, b) = unpack_edge_key(key);
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        let total = *offsets.last().unwrap() as usize;
+        let mut targets = vec![0 as VertexId; total];
+        let mut weights = vec![0 as EdgeWeight; total];
+        for &key in &pairs {
+            let (a, b) = unpack_edge_key(key);
+            let w: EdgeWeight = if g.has_edge(a, b) && g.has_edge(b, a) { 2 } else { 1 };
+            let ca = cursor[a as usize] as usize;
+            targets[ca] = b;
+            weights[ca] = w;
+            cursor[a as usize] += 1;
+            let cb = cursor[b as usize] as usize;
+            targets[cb] = a;
+            weights[cb] = w;
+            cursor[b as usize] += 1;
+        }
+        UndirectedGraph::from_csr(offsets, targets, weights)
+    }
+
+    /// The weighted conversion with its weights overwritten by 1.
+    pub(crate) fn to_naive_undirected(g: &DirectedGraph) -> UndirectedGraph {
+        let weighted = to_weighted_undirected(g);
+        let (offsets, targets, weights) = weighted.as_csr();
+        UndirectedGraph::from_csr(offsets.to_vec(), targets.to_vec(), vec![1; weights.len()])
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@ pub mod builder;
 pub mod conversion;
 pub mod datasets;
 pub mod directed;
+#[cfg(test)]
+mod equivalence;
 pub mod error;
 pub mod generators;
 pub mod ids;

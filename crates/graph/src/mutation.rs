@@ -7,7 +7,6 @@
 //! canonical social-network mechanism: most new edges close open triangles
 //! (friend-of-friend), the rest connect random pairs.
 
-use crate::builder::GraphBuilder;
 use crate::directed::DirectedGraph;
 use crate::ids::VertexId;
 use crate::rng::SplitMix64;
@@ -85,24 +84,135 @@ impl GraphDelta {
 
 /// Applies a delta, producing the updated graph.
 ///
-/// Cost is a full rebuild (`O(E log E)`); the paper's incremental story is
-/// about the *partitioning*, not the graph storage, so a rebuild is fine.
+/// Self-loop additions are dropped, an addition wins over a removal of the
+/// same edge, and removing an absent edge is a no-op. The result has
+/// `g.num_vertices() + delta.new_vertices` vertices, grown further to fit
+/// any addition whose endpoint lies past that range.
+///
+/// Cost is `O(|V| + |E| + |Δ| log |Δ|)`: only the delta is sorted, and each
+/// CSR row is written once, as a merge of the old row with that row's
+/// removals and additions (rows the delta does not touch are block copies).
 pub fn apply_delta(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
-    let n = g.num_vertices() + delta.new_vertices;
-    let mut removed: Vec<u64> =
-        delta.removed_edges.iter().map(|&(u, v)| crate::ids::edge_key(u, v)).collect();
+    let old_n = g.num_vertices();
+    let present = |&(u, v): &(VertexId, VertexId)| u < old_n && g.has_edge(u, v);
+    let mut added: Vec<(VertexId, VertexId)> =
+        delta.added_edges.iter().copied().filter(|&(u, v)| u != v).collect();
+    added.sort_unstable();
+    added.dedup();
+    let mut removed: Vec<(VertexId, VertexId)> = delta
+        .removed_edges
+        .iter()
+        .copied()
+        .filter(|e| present(e) && added.binary_search(e).is_err())
+        .collect();
     removed.sort_unstable();
-    let mut b = GraphBuilder::new(n)
-        .with_edge_capacity(g.num_edges() as usize + delta.added_edges.len());
-    for (u, v) in g.edges() {
-        if removed.binary_search(&crate::ids::edge_key(u, v)).is_err() {
-            b.add_edge(u, v);
+    removed.dedup();
+    let n = added.iter().fold(old_n + delta.new_vertices, |n, &(u, v)| n.max(u.max(v) + 1));
+    added.retain(|e| !present(e));
+    let (offsets, targets) = merge_rows(g.as_csr(), n as usize, &added, &removed);
+    DirectedGraph::from_csr(offsets, targets)
+}
+
+/// The row-merge kernel behind [`apply_delta`] and
+/// [`crate::conversion::patch_undirected_edges`]: rewrites the CSR
+/// `(offsets, targets)` over `n` rows (rows past the old range start empty),
+/// row `u` becoming its old row minus the removal run of `u` plus the
+/// addition run of `u`.
+///
+/// `added` and `removed` are sorted and deduplicated; every removed edge is
+/// present and every added edge absent, so the output length is known up
+/// front and both arrays are allocated once at exactly their final size.
+/// Runs of rows the delta does not touch are copied as one block.
+pub(crate) fn merge_rows(
+    (offsets, targets): (&[u64], &[VertexId]),
+    n: usize,
+    mut added: &[(VertexId, VertexId)],
+    mut removed: &[(VertexId, VertexId)],
+) -> (Vec<u64>, Vec<VertexId>) {
+    let old_n = offsets.len() - 1;
+    let m = targets.len() + added.len() - removed.len();
+    let mut out_offsets = Vec::with_capacity(n + 1);
+    let mut out_targets = Vec::with_capacity(m);
+    out_offsets.push(0);
+    let mut u = 0;
+    while u < n {
+        let src = |run: &[(VertexId, VertexId)]| run.first().map_or(n, |e| e.0 as usize);
+        let next = src(added).min(src(removed));
+        let copy_end = next.min(old_n).max(u);
+        if u < copy_end {
+            let (lo, base) = (offsets[u], out_targets.len() as u64);
+            out_offsets.extend(offsets[u + 1..=copy_end].iter().map(|&o| o - lo + base));
+            out_targets.extend_from_slice(&targets[lo as usize..offsets[copy_end] as usize]);
+        }
+        out_offsets.resize(next + 1, out_targets.len() as u64);
+        if next == n {
+            break;
+        }
+        let a = added.partition_point(|e| e.0 as usize == next);
+        let r = removed.partition_point(|e| e.0 as usize == next);
+        let old_row = match offsets.get(next..next + 2) {
+            Some(&[lo, hi]) => &targets[lo as usize..hi as usize],
+            _ => &[],
+        };
+        merge_row(old_row, &removed[..r], &added[..a], &mut out_targets);
+        out_offsets.push(out_targets.len() as u64);
+        (added, removed) = (&added[a..], &removed[r..]);
+        u = next + 1;
+    }
+    debug_assert_eq!(out_targets.len(), m, "an added edge was present or a removed one absent");
+    (out_offsets, out_targets)
+}
+
+/// Writes `(old \ removed) ∪ added` for one row, by target: `old` sorted,
+/// `removed ⊆ old` and `added` disjoint from `old`, both sorted.
+fn merge_row(
+    old: &[VertexId],
+    removed: &[(VertexId, VertexId)],
+    added: &[(VertexId, VertexId)],
+    out: &mut Vec<VertexId>,
+) {
+    let (mut r, mut a) = (0, 0);
+    for &t in old {
+        while a < added.len() && added[a].1 < t {
+            out.push(added[a].1);
+            a += 1;
+        }
+        if r < removed.len() && removed[r].1 == t {
+            r += 1;
+        } else {
+            out.push(t);
         }
     }
-    for &(u, v) in &delta.added_edges {
-        b.add_edge(u, v);
+    out.extend(added[a..].iter().map(|e| e.1));
+}
+
+/// The `GraphBuilder` rebuild `apply_delta` used before the row merge
+/// (`O(E log E)`), kept as the oracle the merge is compared against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::GraphDelta;
+    use crate::builder::GraphBuilder;
+    use crate::directed::DirectedGraph;
+    use crate::ids::edge_key;
+
+    /// Re-sorts every surviving edge plus the additions.
+    pub(crate) fn apply_delta(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
+        let n = g.num_vertices() + delta.new_vertices;
+        let mut removed: Vec<u64> =
+            delta.removed_edges.iter().map(|&(u, v)| edge_key(u, v)).collect();
+        removed.sort_unstable();
+        let mut b = GraphBuilder::new(n)
+            .with_edge_capacity(g.num_edges() as usize + delta.added_edges.len());
+        for (u, v) in g.edges() {
+            if removed.binary_search(&edge_key(u, v)).is_err() {
+                b.add_edge(u, v);
+            }
+        }
+        for &(u, v) in &delta.added_edges {
+            b.add_edge(u, v);
+        }
+        b.build()
     }
-    b.build()
 }
 
 /// Samples `count` plausible new friendship edges not present in `g`.
@@ -202,6 +312,7 @@ fn triadic_candidate(g: &DirectedGraph, rng: &mut SplitMix64) -> Option<(VertexI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::generators::{planted_partition, SbmConfig};
 
     fn graph() -> DirectedGraph {

@@ -74,6 +74,16 @@ impl WalRecord {
     pub fn apply_to(&self, state: &mut SessionState) -> Result<()> {
         match &self.event {
             StreamEvent::Delta(delta) => {
+                // The report states the post-window vertex count; checking
+                // the delta against it first keeps a corrupt id from
+                // sizing the rebuilt graph.
+                let n = u64::from(self.report.num_vertices);
+                let in_range = |&(u, v): &(VertexId, VertexId)| u64::from(u.max(v)) < n;
+                if u64::from(state.graph.num_vertices()) + u64::from(delta.new_vertices) > n
+                    || !delta.added_edges.iter().all(in_range)
+                {
+                    return Err(CorruptError { context: "wal delta vertex out of range" });
+                }
                 state.graph = apply_delta(&state.graph, delta);
             }
             StreamEvent::Resize { .. } => {}
@@ -296,8 +306,10 @@ fn read_edges(r: &mut ByteReader<'_>) -> Result<Vec<(VertexId, VertexId)>> {
     let len = r.varint("wal edge count")?;
     let mut edges = Vec::with_capacity(len.min(1 << 24) as usize);
     for _ in 0..len {
-        let src = r.varint("wal edge src")? as VertexId;
-        let dst = r.varint("wal edge dst")? as VertexId;
+        let mut id =
+            |context| u32::try_from(r.varint(context)?).map_err(|_| CorruptError { context });
+        let src = id("wal edge src")?;
+        let dst = id("wal edge dst")?;
         edges.push((src, dst));
     }
     Ok(edges)
@@ -348,6 +360,11 @@ mod tests {
     use spinner_graph::generators::{planted_partition, SbmConfig};
 
     fn record() -> WalRecord {
+        record_and_before().1
+    }
+
+    /// A one-delta-window record and the state it applies to.
+    fn record_and_before() -> (SessionState, WalRecord) {
         let graph = planted_partition(SbmConfig {
             n: 300,
             communities: 3,
@@ -366,7 +383,8 @@ mod tests {
             ..Default::default()
         });
         session.apply(event.clone());
-        WalRecord::diff(&before, &session.state(), event)
+        let record = WalRecord::diff(&before, &session.state(), event);
+        (before, record)
     }
 
     #[test]
@@ -401,6 +419,34 @@ mod tests {
         let scan = read_wal(&bytes);
         assert_eq!(scan.records.len(), 1);
         assert!(scan.truncated_tail);
+    }
+
+    #[test]
+    fn edge_ids_beyond_u32_are_corrupt_not_truncated() {
+        let mut w = ByteWriter::new();
+        w.put_varint(1);
+        w.put_varint(1 << 32);
+        w.put_varint(0);
+        let bytes = w.into_bytes();
+        let err = read_edges(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert_eq!(err.context, "wal edge src");
+    }
+
+    #[test]
+    fn replay_rejects_delta_vertices_past_the_report() {
+        let (before, record) = record_and_before();
+        let mut ok = before.clone();
+        record.apply_to(&mut ok).expect("the genuine record replays");
+        let n = record.report.num_vertices;
+        for delta in [
+            GraphDelta { added_edges: vec![(0, 4_000_000_000)], ..Default::default() },
+            GraphDelta { added_edges: vec![(n, 0)], ..Default::default() },
+            GraphDelta { new_vertices: u32::MAX, ..Default::default() },
+        ] {
+            let forged = WalRecord { event: StreamEvent::Delta(delta), ..record.clone() };
+            let err = forged.apply_to(&mut before.clone()).unwrap_err();
+            assert_eq!(err.context, "wal delta vertex out of range");
+        }
     }
 
     #[test]
