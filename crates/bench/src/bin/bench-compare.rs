@@ -1,66 +1,44 @@
 //! Compares a smoke-suite report against the committed baseline and fails
-//! on wall-clock regressions — the perf gate CI runs after the smoke suite.
+//! when a seeded metric regresses — the gate CI runs after the smoke suite.
 //!
 //! ```text
-//! bench-compare --baseline <path> --current <path>
-//!               [--max-regression <factor>] [--min-delta <seconds>]
-//!               [--max-quality-regression <fraction>]
-//!               [--max-timing-regression <fraction>] [--summary <path>]
+//! bench-compare --baseline <path> --current <path> [--summary <path>]
 //! ```
 //!
-//! Two gates run over the reports:
+//! The `metrics` an experiment reports (φ/ρ/migration trajectories, record
+//! counts, see `spinner_bench::emit_metric`) are seeded and exactly
+//! reproducible, so one tight gate covers them all: a higher-is-better
+//! metric (`phi*`, `local_share*` — the message-locality share of the
+//! placement in effect, `availability*` — lookups answered during fault
+//! recovery) regresses when it drops more than [`TOLERANCE`] below
+//! baseline; a lower-is-better one (`rho*`, `*migration*`, `*moved*`,
+//! `remote_records*` — the physical record traffic the broadcast fabric
+//! deduplicates) when it rises more than that above. Other metric names are
+//! reported but never gate. A failed experiment, an experiment missing from
+//! the current report and a metric missing from it fail too.
 //!
-//! - **Wall-clock**: an experiment regresses when `current > factor *
-//!   baseline` (default 2x) AND `current - baseline > min-delta` (default
-//!   0.5 s — sub-second smoke runs double on runner noise alone).
-//! - **Quality**: the `metrics` an experiment reported (φ/ρ/migration
-//!   trajectories, see `spinner_bench::emit_metric`) are seeded and exactly
-//!   reproducible, so they get a much tighter gate: a higher-is-better
-//!   metric (`phi*`, `local_share*` — the message-locality share of the
-//!   placement in effect, `availability*` — lookups answered during fault
-//!   recovery) regresses when it drops more than the quality
-//!   fraction (default 5%) below baseline; a lower-is-better one (`rho*`,
-//!   `*migration*`, `*moved*`, `remote_records*` — the physical record
-//!   traffic the broadcast fabric deduplicates) when it rises more than
-//!   that above. Other metric names are reported but never gate.
-//!
-//! Quality metrics split into two tolerance classes. *Deterministic*
-//! metrics (φ/ρ/migration/locality) are seeded and exactly reproducible, so
-//! they keep the tight default. *Timing-derived* metrics
-//! (`lookup_throughput*`, `p99_staleness*`) measure wall-clock behaviour of
-//! concurrent readers and inherit runner noise no seed can remove — a 5%
-//! gate flakes on an idle-core difference (observed: `lookup_throughput`
-//! grazing the gate at -1.7% on identical code). They gate against
-//! `--max-timing-regression` instead (default 25%).
+//! Wall-clock is not compared here: time is gated by the workloads of the
+//! repo benchmark (`benchmark/`), which pairs runs to bound their noise.
 //!
 //! A markdown delta table goes to stdout and, with `--summary`, is appended
 //! to the given file (pass `$GITHUB_STEP_SUMMARY` in CI). Exit code 1 on
-//! any regression or failed experiment, 2 on usage/IO errors.
+//! any failure, 2 on usage/IO errors.
 
 use spinner_bench::report::{parse_report, ExperimentOutcome};
 use std::io::Write;
 use std::process::ExitCode;
 
+/// Largest tolerated relative drift of a gated metric against baseline.
+const TOLERANCE: f64 = 0.05;
+
 struct Args {
     baseline: String,
     current: String,
-    max_regression: f64,
-    min_delta: f64,
-    max_quality_regression: f64,
-    max_timing_regression: f64,
     summary: Option<String>,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        baseline: String::new(),
-        current: String::new(),
-        max_regression: 2.0,
-        min_delta: 0.5,
-        max_quality_regression: 0.05,
-        max_timing_regression: 0.25,
-        summary: None,
-    };
+    let mut args = Args { baseline: String::new(), current: String::new(), summary: None };
     let mut it = std::env::args().skip(1);
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
         it.next().unwrap_or_else(|| {
@@ -72,25 +50,6 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--baseline" => args.baseline = value(&mut it, "--baseline"),
             "--current" => args.current = value(&mut it, "--current"),
-            "--max-regression" => {
-                args.max_regression = value(&mut it, "--max-regression")
-                    .parse()
-                    .expect("numeric --max-regression")
-            }
-            "--min-delta" => {
-                args.min_delta =
-                    value(&mut it, "--min-delta").parse().expect("numeric --min-delta")
-            }
-            "--max-quality-regression" => {
-                args.max_quality_regression = value(&mut it, "--max-quality-regression")
-                    .parse()
-                    .expect("numeric --max-quality-regression")
-            }
-            "--max-timing-regression" => {
-                args.max_timing_regression = value(&mut it, "--max-timing-regression")
-                    .parse()
-                    .expect("numeric --max-timing-regression")
-            }
             "--summary" => args.summary = Some(value(&mut it, "--summary")),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -99,12 +58,7 @@ fn parse_args() -> Args {
         }
     }
     if args.baseline.is_empty() || args.current.is_empty() {
-        eprintln!(
-            "usage: bench-compare --baseline <path> --current <path> \
-             [--max-regression <factor>] [--min-delta <seconds>] \
-             [--max-quality-regression <fraction>] \
-             [--max-timing-regression <fraction>] [--summary <path>]"
-        );
+        eprintln!("usage: bench-compare --baseline <path> --current <path> [--summary <path>]");
         std::process::exit(2);
     }
     args
@@ -121,20 +75,19 @@ fn load(path: &str) -> Vec<ExperimentOutcome> {
     })
 }
 
-/// Which way a quality metric is allowed to move, inferred from its name.
+/// Which way a metric is allowed to move, inferred from its name.
 enum Direction {
     /// `phi*` (edge locality), `local_share*` (worker-local message share
-    /// under the placement in effect), `lookup_throughput*` (serving
-    /// reads/sec), `availability*` (the share of lookups answered while a
-    /// fault recovery was in flight), `fold_ratio*` (sender-side combiner
-    /// folding) and `wire_compression*` (raw/compact frame-byte ratio) —
-    /// dropping below baseline is a regression.
+    /// under the placement in effect), `availability*` (the share of
+    /// lookups answered while a fault recovery was in flight),
+    /// `fold_ratio*` (sender-side combiner folding) and `wire_compression*`
+    /// (raw/compact frame-byte ratio) — dropping below baseline is a
+    /// regression.
     HigherBetter,
     /// `rho*`, `*migration*`, `*moved*` (balance/movement cost),
     /// `remote_records*` (physical cross-worker fabric records — what the
     /// broadcast lane deduplicates), `wire_bytes*` / `bytes_per_record*`
     /// (encoded frame traffic on the serialising transport),
-    /// `p99_staleness*` (routing epochs a served lookup lags behind head),
     /// `active_fraction*` (per-superstep compute cost of frontier-seeded
     /// windows), `retransmit_ratio*` (reliable-transport re-publishes per
     /// encoded frame) and `delivery_overhead*` (receive-side repair actions
@@ -150,7 +103,6 @@ fn direction(name: &str) -> Direction {
     // ratio), so a *drop* below baseline means the wire path regressed.
     if name.starts_with("phi")
         || name.starts_with("local_share")
-        || name.starts_with("lookup_throughput")
         || name.starts_with("availability")
         || name.starts_with("fold_ratio")
         || name.starts_with("wire_compression")
@@ -160,7 +112,6 @@ fn direction(name: &str) -> Direction {
         || name.starts_with("remote_records")
         || name.starts_with("wire_bytes")
         || name.starts_with("bytes_per_record")
-        || name.starts_with("p99_staleness")
         || name.starts_with("active_fraction")
         || name.starts_with("retransmit_ratio")
         || name.starts_with("delivery_overhead")
@@ -173,49 +124,33 @@ fn direction(name: &str) -> Direction {
     }
 }
 
-/// Whether a metric is timing-derived (gates against the wider
-/// `--max-timing-regression` tolerance) rather than seeded-deterministic.
-/// Throughput and staleness percentiles come from racing real threads
-/// against a wall clock, so identical code still jitters run to run.
-fn is_timing(name: &str) -> bool {
-    name.starts_with("lookup_throughput") || name.starts_with("p99_staleness")
-}
-
-/// Appends the quality-metric delta table (omitted when neither report
-/// carries metrics) and returns the number of quality failures.
-fn quality_table(
-    baseline: &[ExperimentOutcome],
-    current: &[ExperimentOutcome],
-    tolerance: f64,
-    timing_tolerance: f64,
-    table: &mut String,
-) -> usize {
-    if baseline.iter().all(|o| o.metrics.is_empty())
-        && current.iter().all(|o| o.metrics.is_empty())
-    {
-        return 0;
-    }
-    table.push_str("\n## Quality metrics (phi / rho / migration) vs baseline\n\n");
+/// Gates `current` against `baseline`: returns the markdown delta table and
+/// the number of failures (regressed metrics, failed experiments, and
+/// experiments or metrics missing from `current`).
+fn gate(baseline: &[ExperimentOutcome], current: &[ExperimentOutcome]) -> (String, usize) {
+    let mut table = String::from("## Seeded metrics vs baseline\n\n");
     table.push_str(&format!(
         "Regression gate: phi must not drop, and rho / migration fractions must \
-         not rise, by more than {:.0}% of baseline. Those metrics are seeded \
-         and thread-count-invariant, so any drift is a real behaviour change. \
-         Timing-derived metrics (throughput, staleness percentiles) carry \
-         runner noise and gate at {:.0}% instead.\n\n",
-        100.0 * tolerance,
-        100.0 * timing_tolerance
+         not rise, by more than {:.0}% of baseline. Those metrics are seeded and \
+         thread-count-invariant, so any drift is a real behaviour change. Failed \
+         or missing experiments and missing metrics fail too.\n\n",
+        100.0 * TOLERANCE
     ));
-    table.push_str("| experiment | metric | baseline | current | delta | gate | status |\n");
-    table.push_str("|---|---|---:|---:|---:|---:|---|\n");
+    table.push_str("| experiment | metric | baseline | current | delta | status |\n");
+    table.push_str("|---|---|---:|---:|---:|---|\n");
 
     let mut failures = 0usize;
     for cur in current {
+        if !cur.ok {
+            failures += 1;
+            table.push_str(&format!("| {} | — | — | — | — | FAILED |\n", cur.name));
+        }
         let base = baseline.iter().find(|b| b.name == cur.name);
         for (name, cur_value) in &cur.metrics {
             let cur_value = *cur_value;
             let Some(base_value) = base.and_then(|b| b.metric(name)) else {
                 table.push_str(&format!(
-                    "| {} | {} | — | {:.4} | — | — | new (no baseline) |\n",
+                    "| {} | {} | — | {:.4} | — | new (no baseline) |\n",
                     cur.name, name, cur_value
                 ));
                 continue;
@@ -225,27 +160,21 @@ fn quality_table(
             } else {
                 0.0
             };
-            let tol = if is_timing(name) { timing_tolerance } else { tolerance };
-            let regressed = match direction(name) {
-                Direction::HigherBetter => cur_value < base_value * (1.0 - tol),
-                Direction::LowerBetter => cur_value > base_value * (1.0 + tol),
-                Direction::Informational => false,
-            };
-            let gate = match direction(name) {
-                Direction::Informational => "—".to_string(),
-                _ => format!("{:.0}%", 100.0 * tol),
-            };
-            let status = if regressed {
-                failures += 1;
-                "REGRESSION"
-            } else if matches!(direction(name), Direction::Informational) {
-                "info"
-            } else {
-                "ok"
+            let status = match direction(name) {
+                Direction::Informational => "info",
+                Direction::HigherBetter if cur_value < base_value * (1.0 - TOLERANCE) => {
+                    failures += 1;
+                    "REGRESSION"
+                }
+                Direction::LowerBetter if cur_value > base_value * (1.0 + TOLERANCE) => {
+                    failures += 1;
+                    "REGRESSION"
+                }
+                _ => "ok",
             };
             table.push_str(&format!(
-                "| {} | {} | {:.4} | {:.4} | {:+.2}% | {} | {} |\n",
-                cur.name, name, base_value, cur_value, delta_pct, gate, status
+                "| {} | {} | {:.4} | {:.4} | {:+.2}% | {} |\n",
+                cur.name, name, base_value, cur_value, delta_pct, status
             ));
         }
         // Metrics that disappeared from an experiment still present in the
@@ -255,80 +184,25 @@ fn quality_table(
                 if cur.metric(name).is_none() {
                     failures += 1;
                     table.push_str(&format!(
-                        "| {} | {} | {:.4} | — | — | — | MISSING |\n",
+                        "| {} | {} | {:.4} | — | — | MISSING |\n",
                         cur.name, name, base_value
                     ));
                 }
             }
         }
     }
-    failures
+    for base in baseline {
+        if !current.iter().any(|c| c.name == base.name) {
+            failures += 1;
+            table.push_str(&format!("| {} | — | — | — | — | MISSING |\n", base.name));
+        }
+    }
+    (table, failures)
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let baseline = load(&args.baseline);
-    let current = load(&args.current);
-
-    let mut table = String::new();
-    table.push_str("## Smoke-suite wall-clock vs baseline\n\n");
-    table.push_str(&format!(
-        "Regression gate: fail when current > {:.1}x baseline and the difference \
-         exceeds {:.1} s.\n\n",
-        args.max_regression, args.min_delta
-    ));
-    table.push_str("| experiment | baseline (s) | current (s) | delta | status |\n");
-    table.push_str("|---|---:|---:|---:|---|\n");
-
-    let mut failures = 0usize;
-    for cur in &current {
-        let Some(base) = baseline.iter().find(|b| b.name == cur.name) else {
-            table.push_str(&format!(
-                "| {} | — | {:.3} | — | new (no baseline) |\n",
-                cur.name, cur.seconds
-            ));
-            continue;
-        };
-        let delta_pct = if base.seconds > 0.0 {
-            100.0 * (cur.seconds - base.seconds) / base.seconds
-        } else {
-            0.0
-        };
-        let status = if !cur.ok {
-            failures += 1;
-            "FAILED"
-        } else if cur.seconds > args.max_regression * base.seconds
-            && cur.seconds - base.seconds > args.min_delta
-        {
-            failures += 1;
-            "REGRESSION"
-        } else if delta_pct <= -10.0 {
-            "faster"
-        } else {
-            "ok"
-        };
-        table.push_str(&format!(
-            "| {} | {:.3} | {:.3} | {:+.1}% | {} |\n",
-            cur.name, base.seconds, cur.seconds, delta_pct, status
-        ));
-    }
-    for base in &baseline {
-        if !current.iter().any(|c| c.name == base.name) {
-            failures += 1;
-            table.push_str(&format!(
-                "| {} | {:.3} | — | — | MISSING |\n",
-                base.name, base.seconds
-            ));
-        }
-    }
-
-    failures += quality_table(
-        &baseline,
-        &current,
-        args.max_quality_regression,
-        args.max_timing_regression,
-        &mut table,
-    );
+    let (table, failures) = gate(&load(&args.baseline), &load(&args.current));
 
     println!("{table}");
     if let Some(path) = &args.summary {
@@ -343,7 +217,7 @@ fn main() -> ExitCode {
     }
 
     if failures > 0 {
-        eprintln!("{failures} experiment(s) regressed, failed, or went missing");
+        eprintln!("{failures} metric(s) or experiment(s) regressed, failed, or went missing");
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -358,117 +232,76 @@ mod tests {
         ExperimentOutcome { name: name.to_string(), seconds: 1.0, ok: true, metrics }
     }
 
-    #[test]
-    fn timing_metrics_are_classified() {
-        assert!(is_timing("lookup_throughput"));
-        assert!(is_timing("lookup_throughput_degraded"));
-        assert!(is_timing("p99_staleness_epochs"));
-        assert!(!is_timing("phi"));
-        assert!(!is_timing("rho"));
-        assert!(!is_timing("migration_fraction_w3"));
-        assert!(!is_timing("active_fraction_w5"));
+    fn failures(baseline: &[ExperimentOutcome], current: &[ExperimentOutcome]) -> usize {
+        gate(baseline, current).1
     }
 
     #[test]
-    fn timing_graze_passes_wide_gate_but_deterministic_drift_fails_tight() {
-        // The flake that motivated the split: lookup_throughput down 1.7%
-        // on identical code must pass; a deterministic phi down 1.7% has no
-        // noise excuse and must still trip the 5% gate only when it exceeds
-        // it — and a 6% phi drop must fail while a 6% throughput drop is
-        // inside the timing gate.
+    fn failed_experiment_fails() {
+        let baseline = vec![outcome("exp-table1", vec![])];
+        assert_eq!(failures(&baseline, &baseline), 0);
+        let failed = vec![ExperimentOutcome { ok: false, ..outcome("exp-table1", vec![]) }];
+        let (table, n) = gate(&baseline, &failed);
+        assert_eq!(n, 1);
+        assert!(table.contains("| exp-table1 | — | — | — | — | FAILED |"));
+    }
+
+    #[test]
+    fn experiment_missing_from_current_fails() {
+        let baseline = vec![outcome("exp-table1", vec![]), outcome("exp-fig3", vec![])];
+        let current = vec![outcome("exp-table1", vec![])];
+        let (table, n) = gate(&baseline, &current);
+        assert_eq!(n, 1);
+        assert!(table.contains("| exp-fig3 | — | — | — | — | MISSING |"));
+        // A new experiment with no baseline is reported, not failed.
+        assert_eq!(failures(&current, &baseline), 0);
+    }
+
+    #[test]
+    fn metric_missing_from_current_fails() {
         let baseline = vec![outcome(
-            "exp-serving",
-            vec![("lookup_throughput".into(), 1000.0), ("phi".into(), 0.80)],
+            "exp-stream",
+            vec![("phi_final".into(), 0.7), ("rho_max".into(), 1.1)],
         )];
+        let current = vec![outcome("exp-stream", vec![("phi_final".into(), 0.7)])];
+        let (table, n) = gate(&baseline, &current);
+        assert_eq!(n, 1);
+        assert!(table.contains("| exp-stream | rho_max | 1.1000 | — | — | MISSING |"));
+    }
 
-        let graze = vec![outcome(
-            "exp-serving",
-            vec![("lookup_throughput".into(), 983.0), ("phi".into(), 0.80)],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &graze, 0.05, 0.25, &mut table), 0);
-
-        let phi_drop = vec![outcome(
-            "exp-serving",
-            vec![("lookup_throughput".into(), 1000.0), ("phi".into(), 0.75)],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &phi_drop, 0.05, 0.25, &mut table), 1);
-
-        let throughput_drop = vec![outcome(
-            "exp-serving",
-            vec![("lookup_throughput".into(), 940.0), ("phi".into(), 0.80)],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &throughput_drop, 0.05, 0.25, &mut table), 0);
-
-        let throughput_crash = vec![outcome(
-            "exp-serving",
-            vec![("lookup_throughput".into(), 700.0), ("phi".into(), 0.80)],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &throughput_crash, 0.05, 0.25, &mut table), 1);
+    #[test]
+    fn deterministic_phi_drift_gates_at_five_percent() {
+        let phi = |v: f64| vec![outcome("exp-stream", vec![("phi_final".into(), v)])];
+        let baseline = phi(0.80);
+        assert_eq!(failures(&baseline, &phi(0.80)), 0);
+        // A 1.7 % drop is inside the gate; a 6 % drop is not.
+        assert_eq!(failures(&baseline, &phi(0.80 * (1.0 - 0.017))), 0);
+        assert_eq!(failures(&baseline, &phi(0.80 * (1.0 - 0.06))), 1);
+        // A rise of phi is an improvement, never a failure.
+        assert_eq!(failures(&baseline, &phi(0.90)), 0);
     }
 
     #[test]
     fn transport_resilience_metrics_gate_in_the_right_direction() {
         // `retransmit_ratio*` / `delivery_overhead*` are costs (rising is a
         // regression); `availability*` is a guarantee (dropping is one).
-        let baseline = vec![outcome(
-            "exp-transport-chaos",
-            vec![
-                ("retransmit_ratio_chaos".into(), 0.010),
-                ("delivery_overhead_chaos".into(), 0.020),
-                ("availability_transport_recovery".into(), 1.0),
-            ],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &baseline, 0.05, 0.25, &mut table), 0);
-
-        let ratio_up = vec![outcome(
-            "exp-transport-chaos",
-            vec![
-                ("retransmit_ratio_chaos".into(), 0.012),
-                ("delivery_overhead_chaos".into(), 0.020),
-                ("availability_transport_recovery".into(), 1.0),
-            ],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &ratio_up, 0.05, 0.25, &mut table), 1);
-
-        let overhead_up = vec![outcome(
-            "exp-transport-chaos",
-            vec![
-                ("retransmit_ratio_chaos".into(), 0.010),
-                ("delivery_overhead_chaos".into(), 0.030),
-                ("availability_transport_recovery".into(), 1.0),
-            ],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &overhead_up, 0.05, 0.25, &mut table), 1);
-
-        let availability_down = vec![outcome(
-            "exp-transport-chaos",
-            vec![
-                ("retransmit_ratio_chaos".into(), 0.010),
-                ("delivery_overhead_chaos".into(), 0.020),
-                ("availability_transport_recovery".into(), 0.90),
-            ],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &availability_down, 0.05, 0.25, &mut table), 1);
-
+        let chaos = |retransmit: f64, overhead: f64, availability: f64| {
+            vec![outcome(
+                "exp-transport-chaos",
+                vec![
+                    ("retransmit_ratio_chaos".into(), retransmit),
+                    ("delivery_overhead_chaos".into(), overhead),
+                    ("availability_transport_recovery".into(), availability),
+                ],
+            )]
+        };
+        let baseline = chaos(0.010, 0.020, 1.0);
+        assert_eq!(failures(&baseline, &baseline), 0);
+        assert_eq!(failures(&baseline, &chaos(0.012, 0.020, 1.0)), 1);
+        assert_eq!(failures(&baseline, &chaos(0.010, 0.030, 1.0)), 1);
+        assert_eq!(failures(&baseline, &chaos(0.010, 0.020, 0.90)), 1);
         // Both costs dropping (a cleaner wire) is an improvement, not a gate
         // trip.
-        let cleaner = vec![outcome(
-            "exp-transport-chaos",
-            vec![
-                ("retransmit_ratio_chaos".into(), 0.0),
-                ("delivery_overhead_chaos".into(), 0.0),
-                ("availability_transport_recovery".into(), 1.0),
-            ],
-        )];
-        let mut table = String::new();
-        assert_eq!(quality_table(&baseline, &cleaner, 0.05, 0.25, &mut table), 0);
+        assert_eq!(failures(&baseline, &chaos(0.0, 0.0, 1.0)), 0);
     }
 }

@@ -6,20 +6,22 @@
 //! that warm-starts from the snapshot + WAL store.
 //!
 //! Expected shape: lookups are wait-free, so churn costs the readers
-//! almost nothing (gated: < 10% throughput drop vs quiescent, with a
+//! almost nothing (measured as the throughput drop vs quiescent, with a
 //! stand-in spinner thread keeping the CPU pressure of the two phases
 //! equal); a served lookup is never more than one routing epoch behind
-//! head while a window publishes (gated: p99 staleness <= 1, exactly 0
-//! after quiesce); and the restarted node serves labels bit-identical to
-//! the one that "died". The binary **asserts** these criteria and exits
+//! head while a window publishes (p99 staleness <= 1, exactly 0 after
+//! quiesce); the lookup path never allocates; and the restarted node
+//! serves labels bit-identical to the one that "died". The binary
+//! **asserts** the staleness, allocation and restart criteria and exits
 //! non-zero on violation, so the CI smoke suite doubles as the serving
-//! quality gate.
+//! correctness gate. Throughput and restart time are wall-clock readings:
+//! they are printed and written to the report but never gated here (the
+//! repo benchmark's `serve_lookup` and `stream_churn` workloads gate
+//! serving time).
 //!
-//! Writes `bench-out/SERVING.json` (override with `SPINNER_SERVING_JSON`)
-//! and emits `METRIC lookup_throughput` (higher-is-better) and
-//! `METRIC p99_staleness_epochs` (lower-is-better) for `bench-compare`.
+//! Writes `bench-out/SERVING.json` (override with `SPINNER_SERVING_JSON`).
 
-use spinner_bench::{emit_metric, scale_from_env, threads_from_env, Table};
+use spinner_bench::{scale_from_env, threads_from_env, Table};
 use spinner_core::{SpinnerConfig, StreamEvent, StreamSession};
 use spinner_graph::{Dataset, DeltaStream, DeltaStreamConfig};
 use spinner_serving::{RoutingReader, ServingNode};
@@ -34,8 +36,6 @@ const READERS: usize = 4;
 const QUIESCENT_MS: u64 = 300;
 /// Delta windows ingested during the churn phase (plus one elastic resize).
 const DELTA_WINDOWS: u32 = 6;
-/// Tolerated lookup-throughput drop while ingest publishes epochs.
-const MAX_TPUT_DROP: f64 = 0.10;
 /// Staleness histogram width; anything deeper is clamped into the last
 /// bucket (and would fail the p99 gate anyway).
 const BUCKETS: usize = 8;
@@ -253,21 +253,8 @@ fn main() -> ExitCode {
 
     write_json(quiescent_tput, churn_tput, p99, restart_ms, &resume_stats, head);
 
-    emit_metric("lookup_throughput", quiescent_tput);
-    emit_metric("p99_staleness_epochs", p99 as f64);
-    emit_metric("serving_churn_throughput", churn_tput);
-    emit_metric("serving_restart_ms", restart_ms);
-
-    // ---- acceptance criteria ----
+    // ---- acceptance criteria (no wall-clock reading decides one) ----
     let mut violations: Vec<String> = Vec::new();
-    if churn_tput < (1.0 - MAX_TPUT_DROP) * quiescent_tput {
-        violations.push(format!(
-            "churn throughput {:.3e} dropped more than {:.0}% below quiescent {:.3e}",
-            churn_tput,
-            100.0 * MAX_TPUT_DROP,
-            quiescent_tput
-        ));
-    }
     if p99 > 1 {
         violations.push(format!("p99 lookup staleness {p99} epochs (want <= 1)"));
     }
@@ -295,10 +282,10 @@ fn main() -> ExitCode {
     }
     if violations.is_empty() {
         println!(
-            "serving gates hold: churn drop {:.1}% < {:.0}%, p99 staleness {p99} <= 1, \
-             quiesced staleness 0, restart bit-identical in {restart_ms:.1} ms",
-            100.0 * (1.0 - churn_tput / quiescent_tput),
-            100.0 * MAX_TPUT_DROP
+            "serving gates hold: p99 staleness {p99} <= 1, quiesced staleness 0, \
+             zero-allocation reads, restart bit-identical (churn drop {:.1}%, \
+             restart {restart_ms:.1} ms)",
+            100.0 * (1.0 - churn_tput / quiescent_tput)
         );
         ExitCode::SUCCESS
     } else {

@@ -10,16 +10,16 @@
 //! labels and history** between static and stealing before comparing
 //! wall-clock — any timing difference is pure scheduling, never a quality
 //! trade. Wall times use the min over repeats (the standard noise floor
-//! estimator); the speedup METRIC is deliberately named outside the gated
-//! classes because wall-clock on a shared CI runner is not reproducible —
-//! the deterministic `phi_skew` / `rho_skew` METRICs are what the
-//! regression gate pins.
+//! estimator). They and the stealing speedup are printed and written to
+//! the report but never gated: wall-clock on a shared CI runner is not
+//! reproducible, so the deterministic `phi_skew` / `rho_skew` METRICs are
+//! what the regression gate pins, and time is gated by the repo
+//! benchmark's workloads.
 //!
 //! Writes `bench-out/SKEW_POOL.json` (override with `SPINNER_SKEW_JSON`)
-//! and self-gates: identical results across arms, and stealing within
-//! `STEAL_SLACK` of static (it must never be catastrophically slower).
-//! Zero-realloc steady state is a *warm* property and is gated where warm
-//! engines live, in exp-stream / exp-locality.
+//! and self-gates on identical results across arms. Zero-realloc steady
+//! state is a *warm* property and is gated where warm engines live, in
+//! exp-stream / exp-locality.
 
 use spinner_bench::{emit_metric, f2, scale_from_env, threads_from_env, Table};
 use spinner_core::{partition_with_placement, PartitionResult, SpinnerConfig};
@@ -32,10 +32,6 @@ use std::time::Instant;
 
 /// Timing repeats per arm; the minimum is reported (least-noise estimator).
 const REPEATS: usize = 3;
-/// The stealing arm may not be slower than static by more than this factor
-/// — a lenient cap, because the point of the gate is "stealing never
-/// regresses the balanced case", not a CI-hostile speedup assertion.
-const STEAL_SLACK: f64 = 1.3;
 
 struct Arm {
     name: &'static str,
@@ -124,10 +120,9 @@ fn main() -> ExitCode {
     }
     println!("{t}");
 
-    // Deterministic quality METRICs (gated) + the informational speedup.
+    // Deterministic quality METRICs (gated); the speedup is printed only.
     emit_metric("phi_skew", static_arm.result.quality.phi);
     emit_metric("rho_skew", static_arm.result.quality.rho);
-    emit_metric("steal_speedup", static_arm.wall_s / stealing_arm.wall_s);
     write_json(&arms, scale, n, cfg.num_threads);
 
     let mut violations: Vec<String> = Vec::new();
@@ -137,15 +132,9 @@ fn main() -> ExitCode {
                 .push(format!("{}: labels/history diverged from the static scheduler", a.name));
         }
     }
-    if stealing_arm.wall_s > STEAL_SLACK * static_arm.wall_s {
-        violations.push(format!(
-            "stealing wall {:.3}s exceeds {STEAL_SLACK} x static {:.3}s",
-            stealing_arm.wall_s, static_arm.wall_s
-        ));
-    }
     if violations.is_empty() {
         println!(
-            "all gates passed: bit-identical across schedulers, stealing at {:.2}x static",
+            "all gates passed: bit-identical across schedulers (steal speedup {:.2}x)",
             static_arm.wall_s / stealing_arm.wall_s
         );
         ExitCode::SUCCESS

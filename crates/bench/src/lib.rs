@@ -74,7 +74,7 @@ pub fn load_dataset(d: Dataset, scale: Scale) -> UndirectedGraph {
 /// <value>`). `run-all` captures these lines into the JSON report's
 /// per-experiment `metrics` object, and `bench-compare` gates φ/ρ
 /// regressions on them — so only emit *deterministic* numbers (seeded runs,
-/// thread-count-invariant), never wall-clock.
+/// thread-count-invariant), never wall-clock: print those instead.
 pub fn emit_metric(name: &str, value: f64) {
     assert!(
         !name.is_empty()

@@ -3,11 +3,9 @@
 //! scalars, and a CRC-32 frame check. Dependency-free by construction (the
 //! build environment vendors no serde).
 //!
-//! This module began life in `spinner-serving` (the snapshot + WAL codec);
-//! it moved here so the message fabric's wire format ([`crate::wire`]) and
-//! the persistence layer share one implementation. `spinner_serving::codec`
-//! re-exports everything, so existing callers and the serving test suite
-//! pin the behaviour unchanged.
+//! The message fabric's wire format ([`crate::wire`]) and the persistence
+//! layer (`spinner_serving`'s snapshot and WAL) share this one
+//! implementation and import it from here.
 
 use std::fmt;
 

@@ -34,7 +34,6 @@
 
 #![deny(missing_docs)]
 
-pub mod codec;
 pub mod fault;
 pub mod node;
 pub mod persist;
@@ -42,10 +41,10 @@ pub mod routing;
 pub mod snapshot;
 pub mod wal;
 
-pub use codec::CorruptError;
 pub use fault::{DiskStorage, Fault, FaultPlan, FaultyStorage, MemStorage, Storage, StoreFile};
 pub use node::{Health, IngestReport, RetryPolicy, ServingNode};
 pub use persist::{PersistError, ResumeStats, SessionPersist, SessionStore};
 pub use routing::{Lookup, RoutingReader, RoutingTable};
 pub use snapshot::{decode_state, encode_state};
+pub use spinner_pregel::codec::CorruptError;
 pub use wal::{read_wal, WalRecord, WalScan};

@@ -6,8 +6,8 @@ use std::path::Path;
 use std::{fmt, io};
 
 use spinner_core::{SessionState, StreamSession};
+use spinner_pregel::codec::CorruptError;
 
-use crate::codec::CorruptError;
 use crate::fault::{DiskStorage, Storage, StoreFile};
 use crate::snapshot::{decode_state, encode_state};
 use crate::wal::{read_wal, WalRecord};
