@@ -3,11 +3,11 @@
 //!
 //! Three classic stages:
 //!
-//! 1. **Coarsening** ([`coarsen`]): repeated heavy-edge matching contracts
+//! 1. **Coarsening** (`coarsen`): repeated heavy-edge matching contracts
 //!    the graph until it is small enough to partition directly.
-//! 2. **Initial partitioning** ([`initial`]): balanced greedy assignment of
+//! 2. **Initial partitioning** (`initial`): balanced greedy assignment of
 //!    the coarsest graph.
-//! 3. **Uncoarsening + refinement** ([`refine`]): the partition is projected
+//! 3. **Uncoarsening + refinement** (`refine`): the partition is projected
 //!    back level by level, with FM-style boundary refinement at each level.
 //!
 //! Vertex weights default to weighted degree so balance is on *edges*,

@@ -10,7 +10,7 @@ pub enum BalanceObjective {
     /// Balance weighted-degree mass (messages) — the paper's default.
     #[default]
     Edges,
-    /// Balance vertex counts (the objective of Wang et al. [30]).
+    /// Balance vertex counts (the objective of Wang et al. \[30\]).
     Vertices,
 }
 

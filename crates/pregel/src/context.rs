@@ -2,7 +2,7 @@
 
 use crate::aggregate::AggValue;
 use crate::program::Program;
-use crate::types::WorkerId;
+use crate::types::{Batch, WorkerId, BROADCAST_MULTI};
 use spinner_graph::rng::SplitMix64;
 use spinner_graph::VertexId;
 
@@ -54,7 +54,7 @@ impl<'a, E> Edges<'a, E> {
 /// Message-sending handle; routes to the destination worker's outbox and
 /// keeps the local/remote traffic counters the evaluation relies on.
 ///
-/// Remote sends are double-buffered against the engine's [`OutboxGrid`]: the
+/// Remote sends are double-buffered against the engine's `OutboxGrid`: the
 /// buffer a send pushes into was drained (capacity intact) by the receiving
 /// worker two supersteps ago, so steady-state sends never allocate.
 ///
@@ -75,44 +75,31 @@ impl<'a, E> Edges<'a, E> {
 /// the `fabric_grid` tests; the unicast arm stays available through
 /// [`EngineConfig::broadcast_fabric`]).
 ///
-/// [`OutboxGrid`]: crate::types::OutboxGrid
 /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
 pub struct Mailer<'a, M> {
-    pub(crate) outboxes: &'a mut [Vec<(VertexId, M)>],
-    /// Sideband broadcast marks, parallel to `outboxes`: the positions of
-    /// broadcast records within each outbox, maintained only in sideband
-    /// mode (see `sideband`). Unused — and left empty — on the direct path.
-    pub(crate) outbox_marks: &'a mut [Vec<u32>],
+    /// Outboxes indexed by destination worker; broadcast records are
+    /// marked in each batch's marks, beside the records.
+    pub(crate) outboxes: &'a mut [Batch<M>],
     /// The worker-local queue (fast path for `worker_of[target] == my_worker`).
-    pub(crate) local: &'a mut Vec<(VertexId, M)>,
-    /// Sideband broadcast marks for the worker-local queue.
-    pub(crate) local_marks: &'a mut Vec<u32>,
+    pub(crate) local: &'a mut Batch<M>,
     pub(crate) worker_of: &'a [WorkerId],
     pub(crate) my_worker: WorkerId,
-    /// The sending vertex (tags its broadcast records).
+    /// The sending vertex (the id of its broadcast records).
     pub(crate) sender: VertexId,
     /// The sending vertex's full engine adjacency — the target set a
     /// broadcast implies, and the slice `send_to_all` compares against to
     /// recognise a full-adjacency send.
     pub(crate) adjacency: &'a [VertexId],
     /// Whether the broadcast lane may be used this superstep (config on,
-    /// ids taggable, and no graph mutation has stalled the fan-out index).
+    /// and no graph mutation has stalled the fan-out index).
     pub(crate) lane_open: bool,
-    /// Sideband broadcast tagging (the wire path): broadcast records carry
-    /// the *untagged* sender id and their queue positions are recorded in
-    /// the marks vectors instead of stealing the id's top bit — which is
-    /// what frees the wire path from the in-memory lane's 2³¹ id cap. The
-    /// direct path keeps the tag-bit scheme (`false`).
-    pub(crate) sideband: bool,
     /// The sender's broadcast plan, precomputed at load time: its
     /// adjacency's distinct destination workers in first-occurrence order
     /// (one fabric record each). Empty when the lane is closed.
     pub(crate) bcast_plan: &'a [WorkerId],
-    /// Parallel to `bcast_plan`: [`BROADCAST_MULTI`] for a fanned-out
+    /// Parallel to `bcast_plan`: `BROADCAST_MULTI` for a fanned-out
     /// record, or the lone neighbour's id where a plain unicast record is
-    /// cheaper (see [`BROADCAST_MULTI`]).
-    ///
-    /// [`BROADCAST_MULTI`]: crate::types::BROADCAST_MULTI
+    /// cheaper.
     pub(crate) bcast_single: &'a [VertexId],
     /// Worker-local neighbours of the sender (the logical local deliveries
     /// one broadcast implies), precomputed at load time.
@@ -139,11 +126,11 @@ impl<'a, M> Mailer<'a, M> {
         if w == self.my_worker {
             *self.sent_local += 1;
             *self.sent_local_records += 1;
-            self.local.push((target, msg));
+            self.local.push(false, target, msg);
         } else {
             *self.sent_remote += 1;
             *self.sent_remote_records += 1;
-            self.outboxes[w as usize].push((target, msg));
+            self.outboxes[w as usize].push(false, target, msg);
         }
     }
 }
@@ -161,9 +148,8 @@ impl<'a, M: Clone> Mailer<'a, M> {
     /// worker) pairs)`.
     ///
     /// Falls back to per-edge sends when the lane is closed: broadcast
-    /// disabled by [`EngineConfig::broadcast_fabric`], vertex ids beyond the
-    /// taggable 2³¹ range, or a graph mutation this run having outdated the
-    /// load-time fan-out index.
+    /// disabled by [`EngineConfig::broadcast_fabric`], or a graph mutation
+    /// this run having outdated the load-time fan-out index.
     ///
     /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
     pub fn broadcast(&mut self, msg: M) {
@@ -173,35 +159,20 @@ impl<'a, M: Clone> Mailer<'a, M> {
             }
             return;
         }
-        // Sideband mode (the wire path) records broadcast positions in the
-        // marks vectors and ships the sender id untagged, so ids ≥ 2³¹
-        // stay representable; the direct path steals the id top bit.
-        let tagged = if self.sideband {
-            self.sender
-        } else {
-            debug_assert_eq!(self.sender & crate::types::BROADCAST_TAG, 0);
-            self.sender | crate::types::BROADCAST_TAG
-        };
         // The load-time plan already deduplicated the destination workers
         // and counted the logical local/remote split, so a broadcast costs
         // O(distinct destination workers) — no per-edge scan at all.
         *self.sent_local += self.bcast_local as u64;
         *self.sent_remote += self.bcast_remote as u64;
         for (&w, &single) in self.bcast_plan.iter().zip(self.bcast_single) {
-            let multi = single == crate::types::BROADCAST_MULTI;
-            let id = if multi { tagged } else { single };
+            let multi = single == BROADCAST_MULTI;
+            let id = if multi { self.sender } else { single };
             if w == self.my_worker {
                 *self.sent_local_records += 1;
-                if multi && self.sideband {
-                    self.local_marks.push(self.local.len() as u32);
-                }
-                self.local.push((id, msg.clone()));
+                self.local.push(multi, id, msg.clone());
             } else {
                 *self.sent_remote_records += 1;
-                if multi && self.sideband {
-                    self.outbox_marks[w as usize].push(self.outboxes[w as usize].len() as u32);
-                }
-                self.outboxes[w as usize].push((id, msg.clone()));
+                self.outboxes[w as usize].push(multi, id, msg.clone());
             }
         }
     }

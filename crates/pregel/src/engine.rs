@@ -7,17 +7,21 @@
 //! 1. **Compute** — every active vertex runs [`Program::compute`] against
 //!    its slice of the worker's flat inbox; sends accumulate in per-
 //!    destination outboxes. At the end of the phase each worker *publishes*
-//!    its outboxes into the shared [`OutboxGrid`] by buffer swap.
-//! 2. **Delivery** — each worker drains its own *column* of the grid
-//!    (disjoint cells, so the phase is embarrassingly parallel and the
-//!    engine thread is not a transposition bottleneck), rebuilds its flat
-//!    inbox, wakes messaged vertices, and applies buffered graph mutations.
+//!    its outboxes: by buffer swap into the shared `OutboxGrid`, or as
+//!    encoded frames through the configured [`EngineConfig::transport`].
+//! 2. **Delivery** — each worker drains its own *column* of the fabric
+//!    (disjoint cells or lanes, so the phase is embarrassingly parallel and
+//!    the engine thread is not a transposition bottleneck), rebuilds its
+//!    flat inbox, wakes messaged vertices, and applies buffered graph
+//!    mutations.
 //! 3. **Epilogue** (engine thread) — aggregator merge in worker order,
 //!    metrics capture, master compute, halt decision.
 //!
-//! With more than one thread the phases execute on a persistent worker pool
-//! created once per [`Engine::run`]; a barrier-driven protocol replaces the
-//! per-superstep thread spawn/join of earlier versions. Within each phase
+//! The phases execute on a persistent worker pool created once per
+//! [`Engine::run`], whose first thread is the engine thread itself (so a
+//! run with [`EngineConfig::num_threads`] 1 spawns nothing); a
+//! barrier-driven protocol replaces the per-superstep thread
+//! spawn/join of earlier versions. Within each phase
 //! the logical workers are claimed through atomic tokens rather than
 //! statically partitioned, so idle threads steal work from skewed ones
 //! (see [`EngineConfig::work_stealing`]); compute itself walks each
@@ -35,9 +39,9 @@ use crate::reliable::ReliableTransport;
 use crate::transport::{
     RetryConfig, RingTransport, Transport, TransportError, TransportKind, TransportStats,
 };
-use crate::types::{OutboxGrid, WorkerId, BROADCAST_MULTI, BROADCAST_TAG};
+use crate::types::{OutboxGrid, WorkerId, BROADCAST_MULTI};
 use crate::wire::WireFormat;
-use crate::worker::Worker;
+use crate::worker::{Fabric, Worker};
 use crate::Placement;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,7 +92,7 @@ pub struct EngineConfig {
     pub dense_scan: bool,
     /// How cross-worker message batches move: [`TransportKind::Direct`]
     /// (the default) swaps outbox buffers through the in-memory
-    /// [`OutboxGrid`] with no serialization; [`TransportKind::Ring`]
+    /// `OutboxGrid` with no serialization; [`TransportKind::Ring`]
     /// encodes every batch into a [`crate::wire`] frame and moves it
     /// through an in-process [`RingTransport`] — the serialization
     /// boundary a distributed (TCP/UDS) backend plugs into. Results are
@@ -169,20 +173,15 @@ fn build_transport_stack(
 /// face of the engine's internal `lane_open` flag. Every closed state used
 /// to look identical from outside (broadcasts silently fell back to
 /// per-edge unicast); [`Engine::lane_status`] names the cause so the perf
-/// cliff of an oversized id space or a mid-run mutation shows up in
-/// diagnostics instead of only in throughput.
+/// cliff of a mid-run mutation shows up in diagnostics instead of only in
+/// throughput. The lane has no vertex-id cap and behaves the same on every
+/// transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneStatus {
     /// The lane is open: broadcasts ship one record per destination worker.
     Open,
     /// `EngineConfig::broadcast_fabric` is off (the verification arm).
     DisabledByConfig,
-    /// The vertex-id space does not fit beside [`BROADCAST_TAG`]
-    /// (more than 2³¹ vertices), so the fan-out index was never built and
-    /// every broadcast ships as per-edge unicast for this topology. Only
-    /// possible on the direct in-memory path: a serialising transport
-    /// carries the broadcast flag out of band and has no id cap.
-    IdSpaceExceeded,
     /// A graph mutation was applied mid-run, outdating the load-time
     /// fan-out index; the lane reopens at the next topology (re)load.
     ClosedByMutation,
@@ -266,12 +265,11 @@ pub struct Engine<P: Program> {
     /// Idle (every cell empty) when a serialising transport is configured.
     mail_grid: OutboxGrid<P::M>,
     /// The serialization boundary, when one is configured
-    /// ([`EngineConfig::transport`]): `None` keeps the zero-copy direct
-    /// path; `Some` routes every cross-worker batch through
-    /// [`Worker::publish_wire`] / [`Worker::deliver_and_build_wire`].
+    /// ([`EngineConfig::transport`]): `None` keeps the zero-copy grid;
+    /// `Some` frames every cross-worker batch (see [`Fabric`]).
     transport: Option<Box<dyn Transport>>,
     /// Whether the broadcast lane is currently usable: opened at (re)load
-    /// time (config on, vertex ids taggable) and closed — for the rest of
+    /// time (config on) and closed — for the rest of
     /// the run — by the first applied graph mutation, which outdates the
     /// load-time fan-out index. Workers snapshot it at each compute phase;
     /// the store happens in the delivery phase, so the superstep barrier
@@ -296,8 +294,8 @@ struct StepSlot {
     halted: u64,
     /// First typed transport failure this worker's publish phase raised
     /// (cleared by the engine thread each superstep). Kept separate from
-    /// the delivery error so error selection is phase-ordered and
-    /// deterministic, matching the serial loop exactly.
+    /// the delivery error so error selection is phase-ordered, then in
+    /// worker order — independent of the thread count and the schedule.
     publish_error: Option<TransportError>,
     /// First typed transport failure this worker's delivery phase raised.
     delivery_error: Option<TransportError>,
@@ -369,7 +367,7 @@ impl<P: Program> Engine<P> {
         let snapshot: Vec<AggValue> = specs.iter().map(|s| s.identity()).collect();
         let global = program.init_global();
         let mail_grid: OutboxGrid<P::M> =
-            (0..num_workers * num_workers).map(|_| Mutex::new(Vec::new())).collect();
+            (0..num_workers * num_workers).map(|_| Mutex::default()).collect();
         let transport = build_transport_stack(&config, num_workers);
         let mut engine = Self {
             program,
@@ -595,16 +593,7 @@ impl<P: Program> Engine<P> {
         // split into worker-local ones (served by the fast-path queue) and
         // the rest — and, with the broadcast lane on, counting each worker's
         // fan-out index entries per sender in the same sweep.
-        //
-        // The *direct* lane needs vertex ids to fit beside
-        // [`BROADCAST_TAG`]; larger graphs fall back to per-edge unicast
-        // there. The wire path carries the broadcast flag out of band
-        // (sideband marks in memory, section headers on the wire), so it
-        // has no id cap and the lane stays open at any size. Either way
-        // the fallback is *diagnosable*, not silent:
-        // [`Engine::lane_status`] reports `IdSpaceExceeded`.
-        let build_fanout =
-            fanout_allowed(self.config.broadcast_fabric, self.transport.is_some(), n as u64);
+        let build_fanout = self.config.broadcast_fabric;
         // The fan-out vectors move out of the workers for the build (two
         // simultaneous worker borrows otherwise: reading one worker's
         // adjacency while counting into another's index) and are handed
@@ -630,6 +619,10 @@ impl<P: Program> Engine<P> {
         let mut plan_stamp = vec![0u64; num_workers];
         let mut plan_pos = vec![0u32; num_workers];
         let mut plan_epoch = 0u64;
+        // `marks[src * W + dst]`: fanned-out broadcast records one superstep
+        // can send from `src` to `dst` (one per multi-neighbour plan entry),
+        // the bound that pre-reserves the broadcast marks.
+        let mut marks = vec![0usize; num_workers * num_workers];
         for w in &mut self.workers {
             let me = w.id as usize;
             let mut edge_count = 0usize;
@@ -667,8 +660,9 @@ impl<P: Program> Engine<P> {
                             // second one demotes the entry to a fanned-out
                             // broadcast record.
                             w.plan_single.push(t);
-                        } else {
+                        } else if w.plan_single[plan_pos[dst] as usize] != BROADCAST_MULTI {
                             w.plan_single[plan_pos[dst] as usize] = BROADCAST_MULTI;
+                            marks[me * num_workers + dst] += 1;
                         }
                     }
                 }
@@ -684,7 +678,20 @@ impl<P: Program> Engine<P> {
             w.reset_fabric();
             // The staging chains and flat inbox see every message; the
             // fast-path queue only the worker-local ones.
-            w.reserve_inbound(inb + self_inb, self_inb);
+            let me = w.id as usize;
+            w.reserve_inbound(
+                inb + self_inb,
+                self_inb,
+                &marks[me * num_workers..(me + 1) * num_workers],
+            );
+        }
+        // The grid cells hold the other half of each outbox's double buffer.
+        if self.transport.is_none() {
+            for (cell, &n) in self.mail_grid.iter_mut().zip(&marks) {
+                if let Ok(cell) = cell.get_mut() {
+                    cell.marks.reserve(n);
+                }
+            }
         }
         if build_fanout {
             // Prefix-sum the per-sender counts into CSR offsets, then fill
@@ -733,7 +740,7 @@ impl<P: Program> Engine<P> {
         // A finished run leaves every grid cell drained (delivery precedes
         // the halt decision), so the grid carries only capacity forward.
         debug_assert!(
-            self.mail_grid.iter().all(|c| c.lock().expect("grid lock").is_empty()),
+            self.mail_grid.iter_mut().all(|c| c.get_mut().map_or(true, |c| c.is_empty())),
             "mail grid not drained before topology reload"
         );
     }
@@ -760,16 +767,15 @@ impl<P: Program> Engine<P> {
 
     /// Current state of the broadcast lane, with the cause when closed —
     /// see [`LaneStatus`]. Derived, not stored: the engine keeps one
-    /// boolean and this method names why it is what it is. Precedence when
-    /// several causes hold: a disabled config wins over an oversized id
-    /// space (the lane would not have been built regardless of size).
+    /// boolean and this method names why it is what it is.
     pub fn lane_status(&self) -> LaneStatus {
-        derive_lane_status(
-            self.lane_open.load(Ordering::Acquire),
-            self.config.broadcast_fabric,
-            self.transport.is_some(),
-            self.num_vertices,
-        )
+        if self.lane_open.load(Ordering::Acquire) {
+            LaneStatus::Open
+        } else if !self.config.broadcast_fabric {
+            LaneStatus::DisabledByConfig
+        } else {
+            LaneStatus::ClosedByMutation
+        }
     }
 
     /// Installs (or replaces) a scripted transport fault plan and rebuilds
@@ -829,14 +835,17 @@ impl<P: Program> Engine<P> {
         if let Some(t) = &self.transport {
             t.reset();
         }
+        // The grid's analogue: a cell poisoned by a panicked peer (surfaced
+        // as `PeerPanicked`) is replaced, stranded records and all.
+        for cell in &mut self.mail_grid {
+            if cell.is_poisoned() {
+                *cell = Mutex::default();
+            }
+        }
         let num_workers = self.workers.len();
         let threads = self.config.num_threads.clamp(1, num_workers.max(1));
         let mut metrics: Vec<SuperstepMetrics> = Vec::new();
-        let halt = if threads <= 1 || num_workers <= 1 {
-            self.run_serial(&mut metrics)
-        } else {
-            self.run_pooled(threads, &mut metrics)
-        };
+        let halt = self.run_pooled(threads, &mut metrics);
         RunSummary {
             supersteps: metrics.len() as u64,
             halt,
@@ -845,103 +854,10 @@ impl<P: Program> Engine<P> {
         }
     }
 
-    /// Single-threaded superstep loop: same phase code as the pool, executed
-    /// inline in worker order (bit-identical results by construction).
-    fn run_serial(&mut self, metrics: &mut Vec<SuperstepMetrics>) -> HaltReason {
-        let num_workers = self.workers.len();
-        let sideband = self.transport.is_some();
-        for superstep in 0..self.config.max_supersteps {
-            let step_start = Instant::now();
-            let lane_open = self.lane_open.load(Ordering::Acquire);
-            // First publish-phase error (in worker order), else first
-            // delivery-phase error — the same phase-then-worker selection
-            // the pooled loop applies, so the surfaced failure is
-            // thread-count-invariant.
-            let mut publish_error: Option<TransportError> = None;
-            let mut delivery_error: Option<TransportError> = None;
-            for w in &mut self.workers {
-                w.compute_phase(
-                    &self.program,
-                    &self.global,
-                    &self.snapshot,
-                    &self.specs,
-                    &self.worker_of,
-                    superstep,
-                    self.config.seed,
-                    self.num_vertices,
-                    lane_open,
-                    self.config.dense_scan,
-                    sideband,
-                );
-                match self.transport.as_deref() {
-                    Some(t) => {
-                        if let Err(e) = w.publish_wire(
-                            &self.program,
-                            t,
-                            self.config.wire_format,
-                            self.config.sender_fold,
-                            num_workers,
-                        ) {
-                            publish_error.get_or_insert(e);
-                        }
-                    }
-                    None => w.publish_outboxes(&self.mail_grid, num_workers),
-                }
-            }
-            for w in &mut self.workers {
-                match self.transport.as_deref() {
-                    Some(t) => {
-                        if let Err(e) = w.deliver_and_build_wire(
-                            &self.program,
-                            t,
-                            &self.local_idx,
-                            num_workers,
-                        ) {
-                            delivery_error.get_or_insert(e);
-                        }
-                    }
-                    None => w.deliver_and_build(
-                        &self.program,
-                        &self.mail_grid,
-                        &self.local_idx,
-                        num_workers,
-                    ),
-                }
-                w.apply_mutations(&self.lane_open);
-            }
-
-            let per_worker: Vec<WorkerMetrics> =
-                self.workers.iter().map(|w| w.metrics.clone()).collect();
-            let halted: u64 = self.workers.iter().map(|w| w.halted_count()).sum();
-            let (step, reason) = superstep_epilogue(
-                &self.program,
-                &self.specs,
-                &mut self.snapshot,
-                &mut self.global,
-                superstep,
-                self.num_vertices,
-                step_start,
-                per_worker,
-                self.workers.iter().map(|w| w.partial_aggs.as_slice()),
-                halted,
-            );
-            metrics.push(step);
-            // Transport failure aborts after the metrics push — the failed
-            // superstep's traffic is accounted — and outranks any program-
-            // level halt decision taken on its partial state.
-            if let Some(e) = publish_error.or(delivery_error) {
-                return HaltReason::TransportFailed(e);
-            }
-            if let Some(reason) = reason {
-                return reason;
-            }
-        }
-        HaltReason::MaxSupersteps
-    }
-
-    /// Superstep loop on a persistent worker pool: `threads` scoped threads
-    /// advance through the compute and delivery phases via a barrier
-    /// protocol — no thread is spawned or joined between supersteps.
+    /// The superstep loop, on a persistent worker pool: the engine thread
+    /// plus `threads - 1` scoped threads advance through the compute and
+    /// delivery phases via a barrier protocol — no thread is spawned or
+    /// joined between supersteps, and a single-threaded run spawns none.
     ///
     /// Within each phase, logical workers are *claimed*, not statically
     /// assigned: `claims[w]` holds the next unclaimed phase token
@@ -956,7 +872,10 @@ impl<P: Program> Engine<P> {
     /// (a claim sweep completes before its thread's barrier wait, so every
     /// worker's phase has run when the barrier releases). All cross-worker
     /// merges happen in worker order on the engine thread, so the schedule
-    /// — static, stolen, or interleaved — never affects results.
+    /// — static, stolen, or interleaved — never affects results. Transport
+    /// errors are picked the same way (first publish-phase error in worker
+    /// order, else first delivery-phase error), so the failure a run
+    /// surfaces is independent of the thread count too.
     fn run_pooled(
         &mut self,
         threads: usize,
@@ -968,12 +887,16 @@ impl<P: Program> Engine<P> {
         let num_vertices = self.num_vertices;
         let dense_scan = self.config.dense_scan;
         let work_stealing = self.config.work_stealing;
-        // `Option<&dyn Transport>` is `Copy`, so each pool thread captures
-        // its own copy of the shared handle (the trait requires `Sync`).
-        let transport = self.transport.as_deref();
-        let wire_format = self.config.wire_format;
-        let sender_fold = self.config.sender_fold;
-        let sideband = transport.is_some();
+        // Shared by every pool thread (the grid and the transport are both
+        // `Sync`).
+        let fabric = match self.transport.as_deref() {
+            Some(transport) => Fabric::Wire {
+                transport,
+                format: self.config.wire_format,
+                fold: self.config.sender_fold,
+            },
+            None => Fabric::Grid(&self.mail_grid),
+        };
         let chunk = if self.config.steal_chunk == 0 {
             num_workers.div_ceil(threads)
         } else {
@@ -985,7 +908,6 @@ impl<P: Program> Engine<P> {
         let specs = self.specs.as_slice();
         let worker_of = self.worker_of.as_slice();
         let local_idx = self.local_idx.as_slice();
-        let grid = &self.mail_grid;
         let lane = &self.lane_open;
         let master =
             RwLock::new(MasterState { snapshot: &mut self.snapshot, global: &mut self.global });
@@ -998,121 +920,96 @@ impl<P: Program> Engine<P> {
             self.workers.iter_mut().map(Mutex::new).collect();
         let claims: Vec<AtomicU64> = (0..num_workers).map(|_| AtomicU64::new(0)).collect();
 
-        // Phase barrier across the pool plus the engine thread; three waits
-        // per superstep (start -> compute, mid -> deliver, end -> epilogue).
-        let barrier = Barrier::new(threads + 1);
+        // Phase barrier across the pool. The engine thread is pool thread 0,
+        // so a single-threaded run spawns nothing and never blocks. Three
+        // waits per superstep (start -> compute, mid -> deliver, end ->
+        // epilogue).
+        let barrier = Barrier::new(threads);
         let stop = AtomicBool::new(false);
+
+        // Pool thread `t`'s share of one superstep, up to the end barrier.
+        let step = |t: usize, superstep: u64| {
+            let claim = |w: usize, token: u64| {
+                claims[w]
+                    .compare_exchange(token, token + 1, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            };
+            // Walks this thread's preferred chunks, then (stealing on) the
+            // rest from the high end — farthest first from the low-indexed
+            // chunks the static schedule starts on.
+            let sweep = |token: u64, run: &mut dyn FnMut(usize)| {
+                let mut start = t * chunk;
+                while start < num_workers {
+                    for w in start..(start + chunk).min(num_workers) {
+                        if claim(w, token) {
+                            run(w);
+                        }
+                    }
+                    start += threads * chunk;
+                }
+                if work_stealing {
+                    for w in (0..num_workers).rev() {
+                        if claim(w, token) {
+                            run(w);
+                        }
+                    }
+                }
+            };
+            {
+                let guard = master.read().expect("master state");
+                let m = &*guard;
+                // Lane stores happen in the delivery phase, so the start
+                // barrier orders them before this load.
+                let lane_open = lane.load(Ordering::Acquire);
+                sweep(superstep * 2, &mut |wi| {
+                    let mut w = cells[wi].lock().expect("worker cell");
+                    w.compute_phase(
+                        program,
+                        &*m.global,
+                        m.snapshot,
+                        specs,
+                        worker_of,
+                        superstep,
+                        seed,
+                        num_vertices,
+                        lane_open,
+                        dense_scan,
+                    );
+                    if let Err(e) = w.publish(program, &fabric) {
+                        slots[wi].lock().expect("step slot").publish_error.get_or_insert(e);
+                    }
+                });
+            }
+            barrier.wait();
+            sweep(superstep * 2 + 1, &mut |wi| {
+                let mut w = cells[wi].lock().expect("worker cell");
+                let delivered = w.deliver(program, &fabric, local_idx);
+                w.apply_mutations(lane);
+                let mut slot = slots[wi].lock().expect("step slot");
+                if let Err(e) = delivered {
+                    slot.delivery_error.get_or_insert(e);
+                }
+                slot.metrics.clone_from(&w.metrics);
+                // Swap (not take): the stale vector handed back is reset in
+                // place next superstep, so the partials rotate without
+                // reallocating.
+                std::mem::swap(&mut slot.partials, &mut w.partial_aggs);
+                slot.halted = w.halted_count();
+            });
+        };
 
         let mut halt = HaltReason::MaxSupersteps;
         std::thread::scope(|s| {
-            for t in 0..threads {
-                let (barrier, stop, master, slots) = (&barrier, &stop, &master, &slots);
-                let (cells, claims) = (&cells, &claims);
+            for t in 1..threads {
+                let (barrier, stop, step) = (&barrier, &stop, &step);
                 s.spawn(move || {
-                    let claim = |w: usize, token: u64| {
-                        claims[w]
-                            .compare_exchange(
-                                token,
-                                token + 1,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                    };
-                    // Walks this thread's preferred chunks, then (stealing
-                    // on) the rest from the high end — farthest first from
-                    // the low-indexed chunks the static schedule starts on.
-                    let sweep = |token: u64, run: &mut dyn FnMut(usize)| {
-                        let mut start = t * chunk;
-                        while start < num_workers {
-                            for w in start..(start + chunk).min(num_workers) {
-                                if claim(w, token) {
-                                    run(w);
-                                }
-                            }
-                            start += threads * chunk;
-                        }
-                        if work_stealing {
-                            for w in (0..num_workers).rev() {
-                                if claim(w, token) {
-                                    run(w);
-                                }
-                            }
-                        }
-                    };
-                    let mut superstep = 0u64;
-                    loop {
+                    for superstep in 0u64.. {
                         barrier.wait();
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        {
-                            let guard = master.read().expect("master state");
-                            let m = &*guard;
-                            // Lane stores happen in the delivery phase, so
-                            // the start barrier orders them before this load.
-                            let lane_open = lane.load(Ordering::Acquire);
-                            sweep(superstep * 2, &mut |wi| {
-                                let mut w = cells[wi].lock().expect("worker cell");
-                                w.compute_phase(
-                                    program,
-                                    &*m.global,
-                                    m.snapshot,
-                                    specs,
-                                    worker_of,
-                                    superstep,
-                                    seed,
-                                    num_vertices,
-                                    lane_open,
-                                    dense_scan,
-                                    sideband,
-                                );
-                                match transport {
-                                    Some(t) => {
-                                        if let Err(e) = w.publish_wire(
-                                            program,
-                                            t,
-                                            wire_format,
-                                            sender_fold,
-                                            num_workers,
-                                        ) {
-                                            slots[wi]
-                                                .lock()
-                                                .expect("step slot")
-                                                .publish_error
-                                                .get_or_insert(e);
-                                        }
-                                    }
-                                    None => w.publish_outboxes(grid, num_workers),
-                                }
-                            });
-                        }
+                        step(t, superstep);
                         barrier.wait();
-                        sweep(superstep * 2 + 1, &mut |wi| {
-                            let mut w = cells[wi].lock().expect("worker cell");
-                            let delivered = match transport {
-                                Some(t) => {
-                                    w.deliver_and_build_wire(program, t, local_idx, num_workers)
-                                }
-                                None => {
-                                    w.deliver_and_build(program, grid, local_idx, num_workers);
-                                    Ok(())
-                                }
-                            };
-                            w.apply_mutations(lane);
-                            let mut slot = slots[wi].lock().expect("step slot");
-                            if let Err(e) = delivered {
-                                slot.delivery_error.get_or_insert(e);
-                            }
-                            slot.metrics.clone_from(&w.metrics);
-                            // Swap (not take): the stale vector handed back
-                            // is reset in place next superstep, so the
-                            // partials rotate without reallocating.
-                            std::mem::swap(&mut slot.partials, &mut w.partial_aggs);
-                            slot.halted = w.halted_count();
-                        });
-                        barrier.wait();
-                        superstep += 1;
                     }
                 });
             }
@@ -1123,9 +1020,9 @@ impl<P: Program> Engine<P> {
                 (0..num_workers).map(|_| Vec::new()).collect();
             for superstep in 0..max_supersteps {
                 let step_start = Instant::now();
-                barrier.wait(); // pool computes and publishes
-                barrier.wait(); // pool delivers and reports
-                barrier.wait(); // reports ready
+                barrier.wait(); // the pool starts the superstep
+                step(0, superstep);
+                barrier.wait(); // every worker has delivered and reported
                 let mut per_worker = Vec::with_capacity(num_workers);
                 let mut halted = 0u64;
                 let mut publish_error: Option<TransportError> = None;
@@ -1158,6 +1055,9 @@ impl<P: Program> Engine<P> {
                 );
                 drop(guard);
                 metrics.push(step);
+                // Transport failure aborts after the metrics push — the
+                // failed superstep's traffic is accounted — and outranks any
+                // program-level halt decision taken on its partial state.
                 if let Some(e) = publish_error.or(delivery_error) {
                     halt = HaltReason::TransportFailed(e);
                     break;
@@ -1246,66 +1146,4 @@ fn superstep_epilogue<'a, P: Program>(
         None
     };
     (step, reason)
-}
-
-/// Whether the load-time broadcast fan-out index should be built: the lane
-/// must be enabled, and on the direct path vertex ids must fit beside
-/// [`BROADCAST_TAG`]. The wire path carries the broadcast flag out of band
-/// (sideband marks in memory, section flags on the wire), so it is exempt
-/// from the id cap.
-pub(crate) fn fanout_allowed(broadcast_fabric: bool, wire: bool, num_vertices: u64) -> bool {
-    broadcast_fabric && (wire || num_vertices <= BROADCAST_TAG as u64)
-}
-
-/// Names why the broadcast lane is in its current state — the pure core of
-/// [`Engine::lane_status`]. Precedence when several causes hold: a disabled
-/// config wins over an oversized id space (the lane would not have been
-/// built regardless of size), and `IdSpaceExceeded` is only reported on the
-/// direct path — a serialising transport has no id cap, so a closed lane
-/// there can only mean a mutation.
-pub(crate) fn derive_lane_status(
-    lane_open: bool,
-    broadcast_fabric: bool,
-    wire: bool,
-    num_vertices: u64,
-) -> LaneStatus {
-    if lane_open {
-        LaneStatus::Open
-    } else if !broadcast_fabric {
-        LaneStatus::DisabledByConfig
-    } else if !wire && num_vertices > BROADCAST_TAG as u64 {
-        LaneStatus::IdSpaceExceeded
-    } else {
-        LaneStatus::ClosedByMutation
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const BIG: u64 = 3_000_000_000; // > 2^31 vertices
-
-    #[test]
-    fn fanout_gate_caps_only_the_direct_path() {
-        assert!(fanout_allowed(true, false, 1_000));
-        assert!(!fanout_allowed(true, false, BIG));
-        // The wire path keeps the lane at any size …
-        assert!(fanout_allowed(true, true, BIG));
-        assert!(fanout_allowed(true, true, u64::MAX));
-        // … but never resurrects a disabled fabric.
-        assert!(!fanout_allowed(false, true, 1_000));
-    }
-
-    #[test]
-    fn lane_status_is_transport_aware() {
-        assert_eq!(derive_lane_status(true, true, false, BIG), LaneStatus::Open);
-        assert_eq!(derive_lane_status(false, false, false, 10), LaneStatus::DisabledByConfig);
-        // Direct path, oversized id space: the cap is real.
-        assert_eq!(derive_lane_status(false, true, false, BIG), LaneStatus::IdSpaceExceeded);
-        // Wire path: no id cap, so a closed lane means a mutation — the
-        // old code misreported this as IdSpaceExceeded.
-        assert_eq!(derive_lane_status(false, true, true, BIG), LaneStatus::ClosedByMutation);
-        assert_eq!(derive_lane_status(false, true, false, 10), LaneStatus::ClosedByMutation);
-    }
 }

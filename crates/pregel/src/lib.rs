@@ -32,16 +32,17 @@
 //!
 //! Messages move through flat, capacity-reusing buffers rather than
 //! per-vertex queues: sends land in per-destination outboxes that are
-//! swapped into a shared all-to-all grid ([`types::OutboxGrid`]) at the end
+//! swapped into a shared all-to-all grid (`OutboxGrid`) at the end
 //! of the compute phase; each worker drains its own grid column during
 //! delivery and rebuilds a flat, epoch-stamped inbox
 //! (`inbox_start`/`inbox_len`/`msgs`) touching only that superstep's
 //! recipients; the next compute phase reads it as one slice per vertex.
 //! Compute walks each worker's maintained **active list** (the non-halted
 //! vertices) rather than its whole vertex range, so superstep cost scales
-//! with the vertices that have work. With more than one thread, a
-//! persistent pool created once per [`Engine::run`] drives the phases
-//! through a barrier protocol (no per-superstep thread spawns), claiming
+//! with the vertices that have work. A persistent pool (the engine thread
+//! alone for a single-threaded run) created once per [`Engine::run`]
+//! drives the phases through a barrier protocol (no per-superstep thread
+//! spawns), claiming
 //! workers through atomic tokens so idle threads steal from skewed ones
 //! (see [`engine::EngineConfig::work_stealing`]).
 //! Steady-state supersteps perform no heap allocation on the message path;

@@ -1,7 +1,7 @@
 //! Transport abstraction for framed record batches.
 //!
 //! The engine's default message path hands outbox buffers to the
-//! [`crate::types::OutboxGrid`] by pointer swap — zero copies, zero
+//! in-memory `OutboxGrid` by pointer swap — zero copies, zero
 //! serialization, but inherently single-process. A [`Transport`] is the
 //! serialization boundary a distributed backend needs: at the end of a
 //! compute phase each worker encodes one frame ([`crate::wire`]) per
@@ -58,9 +58,9 @@ pub enum TransportKind {
 /// peer it should presume lost ([`TransportError::sender`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
-    /// A peer worker panicked while holding the `(src, dst)` channel lock.
-    /// The queue state itself is recovered (frames are plain bytes), but
-    /// the superstep the peer abandoned cannot complete.
+    /// A peer worker panicked while holding the `(src, dst)` channel lock
+    /// (or, on the direct path, the `(src, dst)` grid cell). The superstep
+    /// the peer abandoned cannot complete.
     PeerPanicked {
         /// Sending worker of the poisoned channel.
         src: usize,
@@ -492,6 +492,41 @@ mod tests {
         // begin/recycle recover silently: buffers keep flowing.
         let buf = t.begin(0, 1);
         t.recycle(0, 1, buf);
+    }
+
+    /// The in-memory grid fails the same way: a peer that panics while
+    /// holding a grid cell poisons it, and both the publishing and the
+    /// delivering worker get the typed error instead of a propagated panic.
+    #[test]
+    fn poisoned_grid_cell_reports_peer_panicked_not_panic() {
+        use crate::algorithms::Wcc;
+        use crate::types::OutboxGrid;
+        use crate::worker::{Fabric, Worker};
+
+        let grid: OutboxGrid<u32> = (0..4).map(|_| Mutex::default()).collect();
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = grid[1].lock().unwrap();
+                panic!("worker dies mid-superstep");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        let fabric = Fabric::Grid(&grid);
+        let lane = Err(TransportError::PeerPanicked { src: 0, dst: 1 });
+
+        let mut sender = Worker::<Wcc>::new(0, 2);
+        sender.outboxes[1].push(false, 1, 7);
+        assert_eq!(sender.publish(&Wcc, &fabric), lane);
+        assert!(sender.outboxes[1].is_empty(), "a failed publish still empties the outbox");
+
+        let mut receiver = Worker::<Wcc>::new(1, 2);
+        receiver.reset_fabric();
+        assert_eq!(receiver.deliver(&Wcc, &fabric, &[]), lane);
+        // Unrelated cells are unaffected.
+        let mut healthy = Worker::<Wcc>::new(0, 2);
+        healthy.reset_fabric();
+        assert_eq!(healthy.deliver(&Wcc, &fabric, &[]), Ok(()));
     }
 
     #[test]

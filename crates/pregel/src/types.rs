@@ -3,32 +3,74 @@
 /// Identifier of a logical worker (a "machine" in Giraph terms).
 pub type WorkerId = u16;
 
-/// The all-to-all message exchange: a dense `W × W` matrix of outbox
-/// buffers, indexed `src * W + dst`. Cell `(i, j)` is published (swapped in)
+/// The all-to-all message exchange: a dense `W × W` matrix of [`Batch`]
+/// cells, indexed `src * W + dst`. Cell `(i, j)` is published (swapped in)
 /// by worker `i` at the end of its compute phase and drained by worker `j`
 /// during its delivery phase; the two phases are separated by the superstep
-/// barrier, so every lock is uncontended. Draining leaves the buffer empty
+/// barrier, so every lock is uncontended. Draining leaves the batch empty
 /// but keeps its capacity, and the publish swap hands that capacity back to
 /// the sender — a double buffer per cell, so the steady state allocates
 /// nothing.
-///
-/// A record's vertex id is either a plain destination (unicast) or, with
-/// [`BROADCAST_TAG`] set, the *sender* of a deduplicated broadcast that the
-/// receiving worker expands through its fan-out index at delivery time.
-pub type OutboxGrid<M> = Vec<std::sync::Mutex<Vec<(spinner_graph::VertexId, M)>>>;
+pub(crate) type OutboxGrid<M> = Vec<std::sync::Mutex<Batch<M>>>;
 
-/// Tag bit marking a grid/fast-path record as a **broadcast** entry: the id
-/// field then carries the *sending* vertex (`id & !BROADCAST_TAG`) instead
-/// of a destination, and the receiving worker fans the message out to every
-/// local vertex in the sender's adjacency. Reusing the id's top bit keeps
-/// broadcast and unicast records interleaved in one buffer — which is what
-/// preserves per-vertex delivery order exactly — at the price of capping
-/// vertex ids at 2³¹ when the broadcast lane is enabled (the engine checks
-/// at load time and falls back to unicast beyond that).
-pub const BROADCAST_TAG: spinner_graph::VertexId = 1 << 31;
+/// One batch of messages: `(id, msg)` records in send order, plus the
+/// ascending positions of the **broadcast** records among them. A marked
+/// record's id is the *sending* vertex, which the receiving worker fans out
+/// to every local vertex in the sender's adjacency; any other id is a plain
+/// destination. Broadcast and unicast records stay interleaved in one
+/// buffer — which is what preserves per-vertex delivery order exactly —
+/// while the marks travel beside them, so every vertex id stays usable.
+/// The same layout backs each worker's outboxes, its local fast-path queue
+/// and the grid cells, and maps onto a wire frame's sections.
+#[derive(Debug)]
+pub(crate) struct Batch<M> {
+    pub(crate) records: Vec<(spinner_graph::VertexId, M)>,
+    pub(crate) marks: Vec<u32>,
+}
+
+impl<M> Default for Batch<M> {
+    fn default() -> Self {
+        Self { records: Vec::new(), marks: Vec::new() }
+    }
+}
+
+impl<M> Batch<M> {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Empties both buffers, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.records.clear();
+        self.marks.clear();
+    }
+
+    /// Appends a record; `broadcast` marks `id` as the sending vertex.
+    #[inline]
+    pub(crate) fn push(&mut self, broadcast: bool, id: spinner_graph::VertexId, msg: M) {
+        if broadcast {
+            self.marks.push(self.records.len() as u32);
+        }
+        self.records.push((id, msg));
+    }
+
+    /// Drains every record in order through `stage(broadcast, id, msg)` and
+    /// returns the sum of what `stage` returned.
+    pub(crate) fn drain(&mut self, mut stage: impl FnMut(bool, u64, M) -> u64) -> u64 {
+        let mut marks = self.marks.iter().map(|&m| m as usize).peekable();
+        let mut total = 0;
+        for (pos, (id, msg)) in self.records.drain(..).enumerate() {
+            let broadcast = marks.next_if_eq(&pos).is_some();
+            total += stage(broadcast, u64::from(id), msg);
+        }
+        debug_assert!(marks.next().is_none(), "every mark names a record");
+        self.marks.clear();
+        total
+    }
+}
 
 /// Sentinel in a broadcast plan's `single` track: the sender has more than
-/// one neighbour on that destination worker, so a tagged broadcast record
+/// one neighbour on that destination worker, so a marked broadcast record
 /// is shipped. Any other value is the lone neighbour's id, shipped as a
 /// plain unicast record — one record either way, but the unicast skips the
 /// receiver's fan-out lookup.

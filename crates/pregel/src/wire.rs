@@ -26,9 +26,9 @@
 //!           broadcast ids: count × varint absolute               count × write_compact
 //! ```
 //!
-//! The broadcast flag rides in the **section header**, not the id top bit
-//! (the in-memory lane's `BROADCAST_TAG` trick), so the wire keeps the
-//! broadcast lane open for ids ≥ 2^31 — ids are full `u64` on the wire.
+//! The broadcast flag rides in the **section header** — the wire form of
+//! the marks an in-memory batch keeps beside its records — so ids are full
+//! `u64` on the wire.
 //! The trailing `unicast_logical` varint carries the *pre-fold* logical
 //! unicast record count, so receiver-side `recv_remote` accounting is
 //! invariant under sender-side combiner folding. The CRC-32 covers every
@@ -274,8 +274,7 @@ impl<A: WirePayload, B: WirePayload> WirePayload for (A, B) {
 /// One decoded message record: destination (or sender, for broadcasts)
 /// vertex id, broadcast flag, and payload.
 ///
-/// `id` is `u64` on the wire — the wire path has no 2^31 cap, unlike the
-/// in-memory lane's tag-bit scheme.
+/// `id` is a full `u64` on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireRecord<M> {
     /// True when this record is a broadcast (id names the *sender*; the
@@ -493,8 +492,7 @@ mod tests {
 
     #[test]
     fn ids_beyond_the_lane_cap_round_trip() {
-        // The in-memory lane caps ids below 2^31 (the BROADCAST_TAG bit);
-        // the wire carries full u64 ids in both formats.
+        // The wire carries full u64 ids in both formats.
         let records = [
             WireRecord { broadcast: true, id: 1u64 << 31, msg: 1u32 },
             WireRecord { broadcast: true, id: u64::MAX, msg: 2 },

@@ -2,7 +2,8 @@
 //! delivery phases of each superstep.
 //!
 //! Messages flow through a flat, reusable fabric instead of per-vertex
-//! `Vec`s: delivery drains the worker's column of the [`OutboxGrid`] into a
+//! `Vec`s: delivery drains the batches addressed to the worker — its column
+//! of the `OutboxGrid`, or its transport frames — into a
 //! staging buffer (chained per destination vertex), then a single gather
 //! pass over the *recipients* rebuilds the flat inbox
 //! `(inbox_start, inbox_len, msgs)` that the compute phase reads as one
@@ -17,13 +18,18 @@
 //! full `0..n_local` walk (with a halted/empty-inbox skip); both drivers
 //! visit exactly the same vertices in the same order, so results are
 //! bit-identical by construction.
+//!
+//! One publish/deliver pair serves both fabrics (grid and transport):
+//! broadcast records are flagged by the marks every batch carries beside its
+//! records, so the grid cells, the local fast-path queue and the wire
+//! frames all share one record layout and one staging routine.
 
 use crate::aggregate::{AggValue, AggregatorSpec};
 use crate::context::{AggCtx, EdgeAddition, Edges, Mailer, VertexContext};
 use crate::metrics::WorkerMetrics;
 use crate::program::Program;
 use crate::transport::{Transport, TransportError};
-use crate::types::{OutboxGrid, WorkerId, BROADCAST_TAG};
+use crate::types::{Batch, OutboxGrid, WorkerId};
 use crate::wire::{decode_frame, encode_frame, WireFormat, WireRecord};
 use spinner_graph::VertexId;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,6 +37,15 @@ use std::time::Instant;
 
 /// Sentinel for "no next message" in the staging chains.
 const NIL: u32 = u32::MAX;
+
+/// Where cross-worker batches go and come from: the in-memory `OutboxGrid`
+/// (zero-copy buffer swaps) or a serialising [`Transport`] (folded, framed
+/// batches). [`Worker::publish`] and [`Worker::deliver`] differ between the
+/// two only where they hand over or obtain a batch.
+pub(crate) enum Fabric<'a, M> {
+    Grid(&'a OutboxGrid<M>),
+    Wire { transport: &'a dyn Transport, format: WireFormat, fold: bool },
+}
 
 /// One logical worker's vertex store, mailboxes, and per-superstep scratch.
 pub struct Worker<P: Program> {
@@ -79,19 +94,19 @@ pub struct Worker<P: Program> {
     /// the same vertex (or [`NIL`]).
     staging_next: Vec<u32>,
     /// Locality fast path: messages this worker sent to its own vertices
-    /// during the compute phase. They bypass the [`OutboxGrid`] mutex cells
-    /// entirely and are folded into the staging chains by the next delivery
-    /// phase, at the position the grid's diagonal cell used to occupy (so
-    /// per-vertex message order — and therefore every result — is unchanged).
-    self_staging: Vec<(VertexId, P::M)>,
+    /// during the compute phase. They bypass the fabric entirely and are
+    /// folded into the staging chains by the next delivery phase, at the
+    /// position the grid's diagonal cell used to occupy (so per-vertex
+    /// message order — and therefore every result — is unchanged).
+    local: Batch<P::M>,
     /// Broadcast fan-out index (the receive side of the broadcast lane): a
     /// reverse CSR over *global sender ids* — `fan_targets[fan_offsets[s]..
     /// fan_offsets[s + 1]]` lists, in `s`'s adjacency order, the local
     /// indices of this worker's vertices that appear in `s`'s engine
     /// adjacency. Built by `load_topology` alongside the inbound counts
     /// (capacity preserved across warm resets and migrations), read by the
-    /// delivery phase to expand tagged [`BROADCAST_TAG`] records. Empty when
-    /// the broadcast lane is disabled.
+    /// delivery phase to expand marked broadcast records. Empty when the
+    /// broadcast lane is disabled.
     pub(crate) fan_offsets: Vec<u32>,
     pub(crate) fan_targets: Vec<u32>,
     /// Broadcast *plan* (the send side of the broadcast lane), also built
@@ -117,18 +132,10 @@ pub struct Worker<P: Program> {
     chain_epoch: Vec<u64>,
     /// Current delivery epoch (bumped once per delivery phase).
     epoch: u64,
-    /// Outboxes indexed by destination worker; published into the
-    /// [`OutboxGrid`] at the end of the compute phase (direct path) or
-    /// folded + encoded into transport frames (wire path).
-    pub(crate) outboxes: Vec<Vec<(VertexId, P::M)>>,
-    /// Sideband broadcast marks, parallel to `outboxes`: positions of
-    /// broadcast records within each outbox. Maintained only on the wire
-    /// path, where broadcast records carry *untagged* sender ids (no 2³¹
-    /// cap) and the flag travels in the frame's section headers instead.
-    pub(crate) outbox_marks: Vec<Vec<u32>>,
-    /// Sideband broadcast marks for the `self_staging` fast-path queue
-    /// (wire path only; the queue itself never crosses the transport).
-    pub(crate) self_marks: Vec<u32>,
+    /// Outboxes indexed by destination worker; handed to the [`Fabric`] at
+    /// the end of the compute phase (swapped into the grid, or folded and
+    /// encoded into transport frames).
+    pub(crate) outboxes: Vec<Batch<P::M>>,
     /// Wire publish scratch: the sorted/folded records of one frame.
     wire_stage: Vec<WireRecord<P::M>>,
     /// Wire publish scratch: `(id << 32) | position` sort keys — unique by
@@ -170,7 +177,7 @@ impl<P: Program> Worker<P> {
             recipients: Vec::new(),
             staging: Vec::new(),
             staging_next: Vec::new(),
-            self_staging: Vec::new(),
+            local: Batch::default(),
             fan_offsets: Vec::new(),
             fan_targets: Vec::new(),
             plan_offsets: Vec::new(),
@@ -182,9 +189,7 @@ impl<P: Program> Worker<P> {
             chain_tail: Vec::new(),
             chain_epoch: Vec::new(),
             epoch: 0,
-            outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
-            outbox_marks: (0..num_workers).map(|_| Vec::new()).collect(),
-            self_marks: Vec::new(),
+            outboxes: (0..num_workers).map(|_| Batch::default()).collect(),
             wire_stage: Vec::new(),
             sort_keys: Vec::new(),
             wire_recv: Vec::new(),
@@ -258,9 +263,8 @@ impl<P: Program> Worker<P> {
         debug_assert!(
             self.staging.is_empty()
                 && self.staging_next.is_empty()
-                && self.self_staging.is_empty()
-                && self.self_marks.is_empty()
-                && self.outbox_marks.iter().all(|m| m.is_empty())
+                && self.local.is_empty()
+                && self.outboxes.iter().all(Batch::is_empty)
         );
     }
 
@@ -268,15 +272,26 @@ impl<P: Program> Worker<P> {
     /// number of adjacency entries addressed to this worker, which bounds the
     /// per-superstep delivery volume of every send-along-edges program —
     /// plus the worker-local send queue for the `self_inbound` of them that
-    /// originate on this worker (the locality fast path). Done at (re)load
-    /// time so graph growth between warm runs never forces a message-path
-    /// reallocation (see [`WorkerMetrics::fabric_reallocs`]).
-    pub(crate) fn reserve_inbound(&mut self, inbound: usize, self_inbound: usize) {
+    /// originate on this worker (the locality fast path). `marks[dst]` bounds
+    /// the broadcast records one superstep sends to worker `dst` (the
+    /// diagonal entry: to the local queue). Done at (re)load time so graph
+    /// growth between warm runs never forces a message-path reallocation
+    /// (see [`WorkerMetrics::fabric_reallocs`]).
+    pub(crate) fn reserve_inbound(
+        &mut self,
+        inbound: usize,
+        self_inbound: usize,
+        marks: &[usize],
+    ) {
         debug_assert!(self.staging.is_empty() && self.msgs.is_empty());
         self.staging.reserve(inbound);
         self.staging_next.reserve(inbound);
         self.msgs.reserve(inbound);
-        self.self_staging.reserve(self_inbound);
+        self.local.records.reserve(self_inbound);
+        self.local.marks.reserve(marks[self.id as usize]);
+        for (outbox, &n) in self.outboxes.iter_mut().zip(marks) {
+            outbox.marks.reserve(n);
+        }
     }
 
     /// Number of vertices hosted here.
@@ -296,10 +311,7 @@ impl<P: Program> Worker<P> {
     /// drivers are bit-identical and the dense arm serves as a cheap
     /// verification oracle. `lane_open` snapshots the engine's
     /// broadcast-lane state for the whole phase (the lane only closes at a
-    /// barrier, so the snapshot is exact). `sideband` is true on the wire
-    /// path: broadcast records then carry untagged sender ids with their
-    /// queue positions recorded in the marks vectors (see
-    /// [`Mailer::broadcast`]).
+    /// barrier, so the snapshot is exact).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compute_phase(
         &mut self,
@@ -313,16 +325,15 @@ impl<P: Program> Worker<P> {
         num_vertices: u64,
         lane_open: bool,
         dense_scan: bool,
-        sideband: bool,
     ) {
         let start = Instant::now();
         self.metrics.reset();
         // Fast-path queue growth counts as fabric growth: it replaces the
         // grid's diagonal cell, whose capacity reuse the steady-state
-        // zero-allocation guarantee used to cover. The sideband mark list
-        // is part of the same queue on the wire path.
-        let self_staging_cap = self.self_staging.capacity();
-        let self_marks_cap = self.self_marks.capacity();
+        // zero-allocation guarantee used to cover. So does growth of the
+        // outboxes' broadcast marks, which double-buffer against the grid.
+        let local_caps = (self.local.records.capacity(), self.local.marks.capacity());
+        let marks_cap = self.outbox_marks_capacity();
         // Reset partials and worker state in place where possible — both are
         // per-superstep, but their buffers need not be.
         if self.partial_aggs.len() == specs.len() {
@@ -400,15 +411,12 @@ impl<P: Program> Worker<P> {
                 worker: &mut worker_state,
                 mail: Mailer {
                     outboxes: &mut self.outboxes,
-                    outbox_marks: &mut self.outbox_marks,
-                    local: &mut self.self_staging,
-                    local_marks: &mut self.self_marks,
+                    local: &mut self.local,
                     worker_of,
                     my_worker: self.id,
                     sender: self.global_ids[i],
                     adjacency: &self.targets[lo..hi],
                     lane_open,
-                    sideband,
                     bcast_plan,
                     bcast_single,
                     bcast_local,
@@ -433,53 +441,121 @@ impl<P: Program> Worker<P> {
         }
         self.cached_worker_state = Some(worker_state);
         self.metrics.fabric_reallocs +=
-            u64::from(self.self_staging.capacity() != self_staging_cap)
-                + u64::from(self.self_marks.capacity() != self_marks_cap)
+            u64::from(self.local.records.capacity() != local_caps.0)
+                + u64::from(self.local.marks.capacity() != local_caps.1)
+                + u64::from(self.outbox_marks_capacity() != marks_cap)
                 + u64::from(self.survivors.capacity() != survivors_cap);
         self.metrics.compute_ns = start.elapsed().as_nanos() as u64;
     }
 
-    /// Publishes this worker's outboxes into the grid by swapping each
-    /// non-empty outbox with the (drained) cell buffer — the capacities
-    /// double-buffer between sender and grid, so neither side reallocates in
-    /// the steady state. Worker-local messages never pass through here: the
-    /// fast path keeps them in `self_staging`, so the grid's diagonal cells
-    /// stay empty for the life of the engine.
-    pub(crate) fn publish_outboxes(&mut self, grid: &OutboxGrid<P::M>, num_workers: usize) {
-        debug_assert!(
-            self.outboxes[self.id as usize].is_empty(),
-            "local sends bypass the grid"
-        );
-        let row = self.id as usize * num_workers;
-        for (j, outbox) in self.outboxes.iter_mut().enumerate() {
+    /// Summed capacity of the outboxes' broadcast marks (capacities only
+    /// grow during a compute phase, so a changed sum means a growth event).
+    fn outbox_marks_capacity(&self) -> usize {
+        self.outboxes.iter().map(|o| o.marks.capacity()).sum()
+    }
+
+    /// Publishes this worker's outboxes into the fabric. Worker-local
+    /// messages never pass through here: the fast path keeps them in
+    /// `local`, so the grid's diagonal cells stay empty and no frame is ever
+    /// addressed to the sender itself.
+    ///
+    /// On the grid each non-empty outbox is swapped with its (drained) cell,
+    /// records and marks together — the capacities double-buffer between
+    /// sender and grid, so neither side reallocates in the steady state. On
+    /// the wire each is folded, sorted and encoded into one frame (see
+    /// [`stage_frame`]) and published through the transport.
+    ///
+    /// Every outbox is emptied even when a publish fails, and the first
+    /// typed [`TransportError`] is returned afterwards, keeping outbox and
+    /// metric state consistent for the abort path. A grid cell poisoned by
+    /// a panicked peer reports [`TransportError::PeerPanicked`], exactly as
+    /// a poisoned ring channel does.
+    pub(crate) fn publish(
+        &mut self,
+        program: &P,
+        fabric: &Fabric<'_, P::M>,
+    ) -> Result<(), TransportError> {
+        let Self { id, outboxes, wire_stage, sort_keys, metrics, .. } = self;
+        let me = *id as usize;
+        let num_workers = outboxes.len();
+        debug_assert!(outboxes[me].is_empty(), "local sends bypass the fabric");
+        let scratch_caps = (wire_stage.capacity(), sort_keys.capacity());
+        let mut failure: Option<TransportError> = None;
+        for (dst, outbox) in outboxes.iter_mut().enumerate() {
             if outbox.is_empty() {
                 continue;
             }
-            let cell = &mut *grid[row + j].lock().expect("grid lock");
-            debug_assert!(cell.is_empty(), "cell drained by last delivery");
-            std::mem::swap(outbox, cell);
+            let published = match *fabric {
+                Fabric::Grid(grid) => match grid[me * num_workers + dst].lock() {
+                    Ok(mut cell) => {
+                        debug_assert!(cell.is_empty(), "cell drained by last delivery");
+                        std::mem::swap(outbox, &mut *cell);
+                        Ok(())
+                    }
+                    Err(_) => Err(TransportError::PeerPanicked { src: me, dst }),
+                },
+                Fabric::Wire { transport, format, fold } => {
+                    let unicast_logical =
+                        stage_frame(program, outbox, fold, wire_stage, sort_keys, metrics);
+                    let buf = transport.begin(me, dst);
+                    let cap = buf.capacity();
+                    let frame = encode_frame(format, wire_stage, unicast_logical, buf);
+                    metrics.bytes_sent += frame.len() as u64;
+                    metrics.frames_sent += 1;
+                    // Frame-buffer growth is fabric growth: recycling keeps
+                    // the capacity across supersteps, so the steady state
+                    // stays at zero.
+                    metrics.fabric_reallocs += u64::from(frame.capacity() != cap);
+                    transport.publish(me, dst, frame)
+                }
+            };
+            // A no-op after a grid swap; the wire path copied the batch out.
+            outbox.clear();
+            if let Err(e) = published {
+                failure.get_or_insert(e);
+            }
         }
+        metrics.fabric_reallocs += u64::from(wire_stage.capacity() != scratch_caps.0)
+            + u64::from(sort_keys.capacity() != scratch_caps.1);
+        failure.map_or(Ok(()), Err)
     }
 
-    /// Delivery phase: drains this worker's column of the grid — and the
-    /// fast-path local queue in place of the diagonal cell — into the
-    /// staging chains (applying the program's combiner), then gathers the
-    /// chains into the flat `(inbox_start, inbox_len, msgs)` inbox — walking
-    /// only this epoch's recipients — wakes messaged vertices, and rebuilds
-    /// the active list as the merge of this superstep's compute survivors
-    /// with the newly woken. [`BROADCAST_TAG`]ged records fan out through the load-time
-    /// index to every local vertex adjacent to the sender, in the sender's
-    /// adjacency order — exactly the positions the per-edge unicasts would
-    /// have occupied, so per-vertex message order (and therefore every
-    /// result) is identical across the two lanes. Messages keep
-    /// (source-worker, send-order) order per vertex.
-    pub(crate) fn deliver_and_build(
+    /// Delivery phase: drains the batches addressed to this worker — the
+    /// fast-path local queue in place of the diagonal, then each source's
+    /// grid cell or transport frames, in source order — into the staging
+    /// chains (applying the program's combiner), then runs
+    /// [`Self::finish_delivery`]. Marked broadcast records fan out through
+    /// the load-time index to every local vertex adjacent to the sender, in
+    /// the sender's adjacency order — exactly the positions the per-edge
+    /// unicasts would have occupied, so per-vertex message order (and
+    /// therefore every result) is identical across the two lanes. Messages
+    /// keep (source-worker, send-order) order per vertex.
+    ///
+    /// Logical receive accounting is fabric- and fold-invariant: a broadcast
+    /// record counts its fan-out width, and a wire frame's trailer carries
+    /// its *pre-fold* unicast count — so `recv_remote` matches bit-for-bit
+    /// across every transport × format × fold arm.
+    ///
+    /// On a typed failure the remaining sources are still drained and the
+    /// tail still runs — buffer and scheduler state stay consistent for the
+    /// abort/recovery path — and the first error is returned afterwards.
+    /// Receive-side recovery work (retransmits the reliability layer
+    /// performed on this worker's behalf) is attributed to
+    /// [`WorkerMetrics::retransmits`] by diffing the transport's cumulative
+    /// counters around the drain.
+    pub(crate) fn deliver(
         &mut self,
         program: &P,
-        grid: &OutboxGrid<P::M>,
+        fabric: &Fabric<'_, P::M>,
         local_idx: &[u32],
-        num_workers: usize,
-    ) {
+    ) -> Result<(), TransportError> {
+        let me = self.id as usize;
+        let num_workers = self.outboxes.len();
+        let retransmits = |fabric: &Fabric<'_, P::M>| match *fabric {
+            Fabric::Grid(_) => 0,
+            Fabric::Wire { transport, .. } => transport.recv_stats(me).retransmits,
+        };
+        let retransmits_before = retransmits(fabric);
         let caps =
             (self.staging.capacity(), self.staging_next.capacity(), self.msgs.capacity());
         let sched_caps =
@@ -488,7 +564,7 @@ impl<P: Program> Worker<P> {
         let epoch = self.epoch;
         debug_assert!(self.staging.is_empty() && self.staging_next.is_empty());
 
-        let me = self.id as usize;
+        let mut failure: Option<TransportError> = None;
         {
             // Split borrows: the staging chains grow while the fan-out index
             // is read to expand broadcasts, so the fields are borrowed once
@@ -501,45 +577,20 @@ impl<P: Program> Worker<P> {
                 chain_epoch,
                 fan_offsets,
                 fan_targets,
-                self_staging,
+                local,
                 recipients,
                 metrics,
+                wire_recv,
+                wire_ids,
                 ..
             } = self;
             debug_assert!(recipients.is_empty());
-            // The tag bit only means "broadcast" when this topology built
-            // the fan-out index (the lane is permanently closed otherwise).
-            // Without it, ids with the top bit set are plain vertex ids of
-            // a > 2³¹-vertex graph and must route through `local_idx` as
-            // unicasts, exactly as before the lane existed. (A built index
-            // with the lane merely *closed* mid-run still expands the
-            // tagged records already in flight.)
-            let expand = !fan_offsets.is_empty();
-            // Stages one drained record; `logical` is the matching recv
-            // counter (one count per delivered message, not per record, so
-            // the traffic accounting is lane-independent).
-            let mut stage_record = |id: VertexId, msg: P::M, logical: &mut u64| {
-                if expand && id & BROADCAST_TAG != 0 {
-                    let s = (id & !BROADCAST_TAG) as usize;
-                    let lo = fan_offsets[s] as usize;
-                    let hi = fan_offsets[s + 1] as usize;
-                    *logical += (hi - lo) as u64;
-                    for &li in &fan_targets[lo..hi] {
-                        stage_message(
-                            program,
-                            staging,
-                            staging_next,
-                            chain_head,
-                            chain_tail,
-                            chain_epoch,
-                            recipients,
-                            li as usize,
-                            msg.clone(),
-                            epoch,
-                        );
-                    }
-                } else {
-                    *logical += 1;
+            let wire_scratch_caps = (wire_recv.capacity(), wire_ids.capacity());
+            // Stages one record and returns the logical deliveries it
+            // produced (one per message, not per record, so the traffic
+            // accounting is lane-independent).
+            let mut stage_record = |broadcast: bool, id: u64, msg: P::M| -> u64 {
+                let mut stage = |li: u32, msg: P::M| {
                     stage_message(
                         program,
                         staging,
@@ -548,44 +599,81 @@ impl<P: Program> Worker<P> {
                         chain_tail,
                         chain_epoch,
                         recipients,
-                        local_idx[id as usize] as usize,
+                        li as usize,
                         msg,
                         epoch,
-                    );
+                    )
+                };
+                if broadcast {
+                    let lo = fan_offsets[id as usize] as usize;
+                    let hi = fan_offsets[id as usize + 1] as usize;
+                    for &li in &fan_targets[lo..hi] {
+                        stage(li, msg.clone());
+                    }
+                    (hi - lo) as u64
+                } else {
+                    stage(local_idx[id as usize], msg);
+                    1
                 }
             };
             for src in 0..num_workers {
                 if src == me {
                     // Locality fast path: this worker's own sends never
-                    // entered the grid. Processing them here — where the
-                    // diagonal cell was drained before — preserves the
-                    // (source-worker, send-order) order per vertex exactly.
-                    if self_staging.is_empty() {
-                        continue;
-                    }
-                    let mut local = std::mem::take(self_staging);
-                    for (id, msg) in local.drain(..) {
-                        stage_record(id, msg, &mut metrics.recv_local);
-                    }
-                    // Hand the drained buffer back so its capacity persists.
-                    *self_staging = local;
+                    // entered the fabric. Draining them here — where the
+                    // diagonal cell would sit — preserves the (source-worker,
+                    // send-order) order per vertex exactly.
+                    metrics.recv_local += local.drain(&mut stage_record);
                     continue;
                 }
-                let mut cell = grid[src * num_workers + me].lock().expect("grid lock");
-                if cell.is_empty() {
-                    continue;
-                }
-                for (id, msg) in cell.drain(..) {
-                    stage_record(id, msg, &mut metrics.recv_remote);
+                match *fabric {
+                    Fabric::Grid(grid) => match grid[src * num_workers + me].lock() {
+                        Ok(mut cell) => metrics.recv_remote += cell.drain(&mut stage_record),
+                        Err(_) => {
+                            failure
+                                .get_or_insert(TransportError::PeerPanicked { src, dst: me });
+                        }
+                    },
+                    Fabric::Wire { transport, .. } => loop {
+                        let frame = match transport.take(src, me) {
+                            Ok(Some(frame)) => frame,
+                            Ok(None) => break,
+                            Err(e) => {
+                                failure.get_or_insert(e);
+                                break;
+                            }
+                        };
+                        wire_recv.clear();
+                        let decoded = decode_frame::<P::M>(&frame, wire_ids, wire_recv);
+                        transport.recycle(src, me, frame);
+                        let Ok(unicast_logical) = decoded else {
+                            // Undecodable after transport-level acceptance:
+                            // only reachable without the reliability layer
+                            // (which NACKs corrupt frames instead). Typed,
+                            // not a panic.
+                            failure.get_or_insert(TransportError::Corrupt { src, dst: me });
+                            break;
+                        };
+                        metrics.recv_remote += unicast_logical;
+                        for rec in wire_recv.drain(..) {
+                            let expanded = stage_record(rec.broadcast, rec.id, rec.msg);
+                            if rec.broadcast {
+                                metrics.recv_remote += expanded;
+                            }
+                        }
+                    },
                 }
             }
+            metrics.fabric_reallocs += u64::from(wire_recv.capacity() != wire_scratch_caps.0)
+                + u64::from(wire_ids.capacity() != wire_scratch_caps.1);
         }
+        self.metrics.retransmits += retransmits(fabric) - retransmits_before;
         self.finish_delivery(caps, sched_caps);
+        failure.map_or(Ok(()), Err)
     }
 
-    /// Shared tail of both delivery paths (direct grid and wire frames):
-    /// gather the staging chains into the flat inbox, wake messaged
-    /// vertices, rebuild the active list, and account buffer growth.
+    /// Tail of [`Self::deliver`]: gather the staging chains into the flat
+    /// inbox, wake messaged vertices, rebuild the active list, and account
+    /// buffer growth.
     fn finish_delivery(
         &mut self,
         caps: (usize, usize, usize),
@@ -658,280 +746,6 @@ impl<P: Program> Worker<P> {
             + u64::from(sched_caps_after.0 != sched_caps.0)
             + u64::from(sched_caps_after.1 != sched_caps.1)
             + u64::from(sched_caps_after.2 != sched_caps.2);
-    }
-
-    /// Wire-path publish: folds, sorts, and encodes each non-empty outbox
-    /// into one frame per destination worker and publishes it through the
-    /// transport. Replaces [`Self::publish_outboxes`] when a transport is
-    /// configured.
-    ///
-    /// Within each maximal unicast run (broadcast records — identified by
-    /// the sideband marks — are never crossed), records are stably sorted
-    /// by destination id and consecutive same-destination records are
-    /// folded through [`Program::combine`] when `fold` is on. That is the
-    /// exact combine call, in the exact order, that the receiver's staging
-    /// chains would have applied at delivery, so results are bit-identical
-    /// for *any* combiner — including non-associative-looking float folds
-    /// and partial combiners (a `combine` returning `false` simply keeps
-    /// both records). Sorting only permutes records *across* destinations
-    /// inside a run, never within one (the sort keys embed the original
-    /// position), so per-vertex delivery order is preserved exactly.
-    ///
-    /// Returns the first typed [`TransportError`] a publish raised (the
-    /// frames for other destinations are still attempted first, keeping
-    /// outbox/metric state consistent for the abort path).
-    pub(crate) fn publish_wire(
-        &mut self,
-        program: &P,
-        transport: &dyn Transport,
-        format: WireFormat,
-        fold: bool,
-        num_workers: usize,
-    ) -> Result<(), TransportError> {
-        let mut failure: Option<TransportError> = None;
-        let Self { id, outboxes, outbox_marks, wire_stage, sort_keys, metrics, .. } = self;
-        let me = *id as usize;
-        debug_assert!(outboxes[me].is_empty(), "local sends bypass the transport");
-        let scratch_caps = (wire_stage.capacity(), sort_keys.capacity());
-        for dst in 0..num_workers {
-            if dst == me {
-                continue;
-            }
-            let outbox = &mut outboxes[dst];
-            let marks = &mut outbox_marks[dst];
-            if outbox.is_empty() {
-                debug_assert!(marks.is_empty());
-                continue;
-            }
-            wire_stage.clear();
-            let mut unicast_logical = 0u64;
-            let mut mi = 0usize;
-            let mut pos = 0usize;
-            while pos < outbox.len() {
-                if mi < marks.len() && marks[mi] as usize == pos {
-                    // Broadcast run: consecutive marked positions, kept in
-                    // send order (fan-out expansion positions depend on it).
-                    while mi < marks.len() && marks[mi] as usize == pos {
-                        let (bid, msg) = outbox[pos].clone();
-                        wire_stage.push(WireRecord { broadcast: true, id: bid as u64, msg });
-                        mi += 1;
-                        pos += 1;
-                    }
-                    continue;
-                }
-                let run_end = if mi < marks.len() { marks[mi] as usize } else { outbox.len() };
-                let run = &outbox[pos..run_end];
-                unicast_logical += run.len() as u64;
-                sort_keys.clear();
-                for (k, &(idv, _)) in run.iter().enumerate() {
-                    sort_keys.push((u64::from(idv) << 32) | k as u64);
-                }
-                sort_keys.sort_unstable();
-                for &key in sort_keys.iter() {
-                    let idv = (key >> 32) as u32;
-                    let msg = run[(key & 0xFFFF_FFFF) as usize].1.clone();
-                    if fold {
-                        if let Some(last) = wire_stage.last_mut() {
-                            if !last.broadcast
-                                && last.id == u64::from(idv)
-                                && program.combine(&mut last.msg, &msg)
-                            {
-                                metrics.wire_folded += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    wire_stage.push(WireRecord { broadcast: false, id: u64::from(idv), msg });
-                }
-                pos = run_end;
-            }
-            debug_assert_eq!(mi, marks.len());
-            outbox.clear();
-            marks.clear();
-            let buf = transport.begin(me, dst);
-            let cap = buf.capacity();
-            let frame = encode_frame(format, wire_stage, unicast_logical, buf);
-            metrics.bytes_sent += frame.len() as u64;
-            metrics.frames_sent += 1;
-            // Frame-buffer growth is fabric growth: recycling keeps the
-            // capacity across supersteps, so the steady state stays at zero.
-            metrics.fabric_reallocs += u64::from(frame.capacity() != cap);
-            if let Err(e) = transport.publish(me, dst, frame) {
-                failure.get_or_insert(e);
-            }
-        }
-        metrics.fabric_reallocs += u64::from(wire_stage.capacity() != scratch_caps.0)
-            + u64::from(sort_keys.capacity() != scratch_caps.1);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Wire-path delivery: decodes the frames addressed to this worker (and
-    /// drains the sideband-marked local fast-path queue) into the staging
-    /// chains, then runs the shared gather/wake/merge tail. Replaces
-    /// [`Self::deliver_and_build`] when a transport is configured.
-    ///
-    /// Logical receive accounting is fold-invariant: each frame's trailer
-    /// carries its *pre-fold* unicast count, and broadcast records add
-    /// their fan-out width — so `recv_remote` matches the direct path
-    /// bit-for-bit across every transport × format × fold arm.
-    ///
-    /// On a typed transport failure the remaining lanes are still drained
-    /// and the shared tail still runs — buffer and scheduler state stay
-    /// consistent for the abort/recovery path — and the first error is
-    /// returned afterwards. Receive-side recovery work (retransmits the
-    /// reliability layer performed on this worker's behalf) is attributed
-    /// to [`WorkerMetrics::retransmits`] by diffing the transport's
-    /// cumulative counters around the drain.
-    pub(crate) fn deliver_and_build_wire(
-        &mut self,
-        program: &P,
-        transport: &dyn Transport,
-        local_idx: &[u32],
-        num_workers: usize,
-    ) -> Result<(), TransportError> {
-        let mut failure: Option<TransportError> = None;
-        let stats_before = transport.recv_stats(self.id as usize);
-        let caps =
-            (self.staging.capacity(), self.staging_next.capacity(), self.msgs.capacity());
-        let sched_caps =
-            (self.recipients.capacity(), self.woken.capacity(), self.active.capacity());
-        self.epoch += 1;
-        let epoch = self.epoch;
-        debug_assert!(self.staging.is_empty() && self.staging_next.is_empty());
-
-        let me = self.id as usize;
-        {
-            let Self {
-                staging,
-                staging_next,
-                chain_head,
-                chain_tail,
-                chain_epoch,
-                fan_offsets,
-                fan_targets,
-                self_staging,
-                self_marks,
-                recipients,
-                metrics,
-                wire_recv,
-                wire_ids,
-                ..
-            } = self;
-            debug_assert!(recipients.is_empty());
-            let wire_scratch_caps = (wire_recv.capacity(), wire_ids.capacity());
-            // Stages one record (broadcast flag explicit — this path never
-            // reads the id top bit, so ids are full-width) and returns the
-            // logical deliveries it produced.
-            let mut stage_record = |broadcast: bool, rid: u64, msg: P::M| -> u64 {
-                if broadcast {
-                    let s = rid as usize;
-                    let lo = fan_offsets[s] as usize;
-                    let hi = fan_offsets[s + 1] as usize;
-                    for &li in &fan_targets[lo..hi] {
-                        stage_message(
-                            program,
-                            staging,
-                            staging_next,
-                            chain_head,
-                            chain_tail,
-                            chain_epoch,
-                            recipients,
-                            li as usize,
-                            msg.clone(),
-                            epoch,
-                        );
-                    }
-                    (hi - lo) as u64
-                } else {
-                    stage_message(
-                        program,
-                        staging,
-                        staging_next,
-                        chain_head,
-                        chain_tail,
-                        chain_epoch,
-                        recipients,
-                        local_idx[rid as usize] as usize,
-                        msg,
-                        epoch,
-                    );
-                    1
-                }
-            };
-            for src in 0..num_workers {
-                if src == me {
-                    // Locality fast path, sideband flavour: broadcast
-                    // records are the marked positions.
-                    if self_staging.is_empty() {
-                        debug_assert!(self_marks.is_empty());
-                        continue;
-                    }
-                    let mut local = std::mem::take(self_staging);
-                    let mut mi = 0usize;
-                    for (pos, (rid, msg)) in local.drain(..).enumerate() {
-                        let broadcast = mi < self_marks.len() && self_marks[mi] as usize == pos;
-                        if broadcast {
-                            mi += 1;
-                        }
-                        metrics.recv_local += stage_record(broadcast, u64::from(rid), msg);
-                    }
-                    debug_assert_eq!(mi, self_marks.len());
-                    self_marks.clear();
-                    *self_staging = local;
-                    continue;
-                }
-                loop {
-                    match transport.take(src, me) {
-                        Ok(Some(frame)) => {
-                            wire_recv.clear();
-                            match decode_frame::<P::M>(&frame, wire_ids, wire_recv) {
-                                Ok(unicast_logical) => {
-                                    metrics.recv_remote += unicast_logical;
-                                    for rec in wire_recv.drain(..) {
-                                        let expanded =
-                                            stage_record(rec.broadcast, rec.id, rec.msg);
-                                        if rec.broadcast {
-                                            metrics.recv_remote += expanded;
-                                        }
-                                    }
-                                    transport.recycle(src, me, frame);
-                                }
-                                Err(_) => {
-                                    // Undecodable after transport-level
-                                    // acceptance: only reachable without
-                                    // the reliability layer (which NACKs
-                                    // corrupt frames instead). Typed, not
-                                    // a panic.
-                                    transport.recycle(src, me, frame);
-                                    failure.get_or_insert(TransportError::Corrupt {
-                                        src,
-                                        dst: me,
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            failure.get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            metrics.fabric_reallocs += u64::from(wire_recv.capacity() != wire_scratch_caps.0)
-                + u64::from(wire_ids.capacity() != wire_scratch_caps.1);
-        }
-        let stats_after = transport.recv_stats(self.id as usize);
-        self.metrics.retransmits += stats_after.retransmits - stats_before.retransmits;
-        self.finish_delivery(caps, sched_caps);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Applies buffered edge additions, keeping each adjacency run sorted and
@@ -1027,6 +841,73 @@ impl<P: Program> Worker<P> {
         self.targets = new_targets;
         self.edge_values = new_values;
     }
+}
+
+/// Copies one outbox into `stage` as the records of one wire frame and
+/// returns its pre-fold unicast count (the frame trailer's logical count).
+///
+/// Within each maximal unicast run (broadcast records — the marked
+/// positions — are never crossed), records are stably sorted by destination
+/// id and consecutive same-destination records are folded through
+/// [`Program::combine`] when `fold` is on. That is the exact combine call,
+/// in the exact order, that the receiver's staging chains would have applied
+/// at delivery, so results are bit-identical for *any* combiner — including
+/// non-associative-looking float folds and partial combiners (a `combine`
+/// returning `false` simply keeps both records). Sorting only permutes
+/// records *across* destinations inside a run, never within one (the sort
+/// keys embed the original position), so per-vertex delivery order is
+/// preserved exactly.
+fn stage_frame<P: Program>(
+    program: &P,
+    outbox: &Batch<P::M>,
+    fold: bool,
+    stage: &mut Vec<WireRecord<P::M>>,
+    sort_keys: &mut Vec<u64>,
+    metrics: &mut WorkerMetrics,
+) -> u64 {
+    let Batch { records, marks } = outbox;
+    stage.clear();
+    let mut unicast_logical = 0u64;
+    let mut mi = 0usize;
+    let mut pos = 0usize;
+    while pos < records.len() {
+        if mi < marks.len() && marks[mi] as usize == pos {
+            // Broadcast run: consecutive marked positions, kept in send
+            // order (fan-out expansion positions depend on it).
+            while mi < marks.len() && marks[mi] as usize == pos {
+                let (bid, msg) = records[pos].clone();
+                stage.push(WireRecord { broadcast: true, id: u64::from(bid), msg });
+                mi += 1;
+                pos += 1;
+            }
+            continue;
+        }
+        let run_end = if mi < marks.len() { marks[mi] as usize } else { records.len() };
+        let run = &records[pos..run_end];
+        unicast_logical += run.len() as u64;
+        sort_keys.clear();
+        for (k, &(idv, _)) in run.iter().enumerate() {
+            sort_keys.push((u64::from(idv) << 32) | k as u64);
+        }
+        sort_keys.sort_unstable();
+        for &key in sort_keys.iter() {
+            let idv = key >> 32;
+            let msg = run[(key & 0xFFFF_FFFF) as usize].1.clone();
+            if fold {
+                if let Some(last) = stage.last_mut() {
+                    if !last.broadcast && last.id == idv && program.combine(&mut last.msg, &msg)
+                    {
+                        metrics.wire_folded += 1;
+                        continue;
+                    }
+                }
+            }
+            stage.push(WireRecord { broadcast: false, id: idv, msg });
+        }
+        pos = run_end;
+    }
+    debug_assert_eq!(mi, marks.len());
+    unicast_logical
 }
 
 /// Appends one delivered message to its vertex's staging chain (after the

@@ -251,26 +251,27 @@ fn halted_vertices_wake_on_messages_and_engine_stops_when_quiet() {
 
 #[test]
 fn lane_status_names_why_broadcasts_fall_back() {
-    use spinner_pregel::LaneStatus;
+    use spinner_pregel::{LaneStatus, TransportKind};
     let g = GraphBuilder::new(3).add_edges([(0, 1), (1, 2), (2, 1)]).build();
     let placement = Placement::modulo(3, 2);
 
-    // Fabric on, small id space, no mutations yet: the lane is open.
-    let mut engine =
-        Engine::from_directed(Reverser, &g, &placement, config(), |_| 0, |_, _, _| 1u8);
-    assert_eq!(engine.lane_status(), LaneStatus::Open);
-
-    // Mid-run edge additions outdate the load-time fan-out index; the run
-    // finishes with the lane closed and the cause named — this used to be a
-    // silent unicast fallback visible only as a throughput cliff.
-    engine.run();
-    assert_eq!(engine.lane_status(), LaneStatus::ClosedByMutation);
+    // Fabric on, no mutations yet: the lane is open. Mid-run edge additions
+    // outdate the load-time fan-out index; the run finishes with the lane
+    // closed and the cause named — this used to be a silent unicast
+    // fallback visible only as a throughput cliff. Both transports carry
+    // broadcasts the same way, so the status does not depend on which.
+    for transport in [TransportKind::Direct, TransportKind::Ring] {
+        let cfg = EngineConfig { transport, ..config() };
+        let mut engine =
+            Engine::from_directed(Reverser, &g, &placement, cfg, |_| 0, |_, _, _| 1u8);
+        assert_eq!(engine.lane_status(), LaneStatus::Open);
+        engine.run();
+        assert_eq!(engine.lane_status(), LaneStatus::ClosedByMutation);
+    }
 
     // With the fabric disabled by config the lane never opens, and the
     // status says so rather than blaming a mutation.
     let cfg = EngineConfig { broadcast_fabric: false, ..config() };
     let engine = Engine::from_directed(Reverser, &g, &placement, cfg, |_| 0, |_, _, _| 1u8);
     assert_eq!(engine.lane_status(), LaneStatus::DisabledByConfig);
-    // (LaneStatus::IdSpaceExceeded needs > 2^31 vertices — beyond what a
-    // unit test can allocate; the derivation is the same precedence chain.)
 }

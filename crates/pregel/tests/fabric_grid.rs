@@ -8,7 +8,7 @@ use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::{DirectedGraph, GraphBuilder};
 use spinner_pregel::engine::{Engine, EngineConfig, HaltReason};
 use spinner_pregel::program::Program;
-use spinner_pregel::{Placement, VertexContext};
+use spinner_pregel::{Placement, TransportKind, VertexContext};
 
 fn sbm() -> DirectedGraph {
     planted_partition(SbmConfig {
@@ -340,35 +340,42 @@ fn steady_state_inbox_path_does_not_allocate() {
             [(v, (v + 1) % 64), (v, (v + 7) % 64), (v, (v + 19) % 64)]
         }))
         .build();
-    for &broadcast in &[false, true] {
-        for &(workers, threads) in &[(1usize, 1usize), (4, 2), (7, 4)] {
-            let placement = Placement::hashed(g.num_vertices(), workers, 5);
-            let cfg = EngineConfig {
-                num_threads: threads,
-                max_supersteps: 100,
-                seed: 1,
-                ..Default::default()
-            };
-            let mut engine = Engine::from_directed(
-                Chatter { broadcast },
-                &g,
-                &placement,
-                cfg,
-                |_| 0,
-                |_, _, _| (),
-            );
-            let summary = engine.run();
-            assert_eq!(summary.halt, HaltReason::Master);
-            // Buffers may grow during the first supersteps; after that the
-            // fabric must reuse capacity — zero growth events.
-            for step in summary.metrics.iter().filter(|s| s.superstep >= 3) {
-                let growth: u64 = step.per_worker.iter().map(|w| w.fabric_reallocs).sum();
-                assert_eq!(
-                    growth, 0,
-                    "fabric buffers grew in steady state at superstep {} \
-                     (workers={workers}, threads={threads}, broadcast={broadcast})",
-                    step.superstep
+    // Both fabrics: the grid double-buffers records and broadcast marks
+    // against its cells, the ring recycles frame buffers — and a
+    // single-threaded multi-worker run puts the whole pool on the engine
+    // thread.
+    for transport in [TransportKind::Direct, TransportKind::Ring] {
+        for &broadcast in &[false, true] {
+            for &(workers, threads) in &[(1usize, 1usize), (4, 1), (4, 2), (7, 4)] {
+                let placement = Placement::hashed(g.num_vertices(), workers, 5);
+                let cfg = EngineConfig {
+                    num_threads: threads,
+                    max_supersteps: 100,
+                    seed: 1,
+                    transport,
+                    ..Default::default()
+                };
+                let mut engine = Engine::from_directed(
+                    Chatter { broadcast },
+                    &g,
+                    &placement,
+                    cfg,
+                    |_| 0,
+                    |_, _, _| (),
                 );
+                let summary = engine.run();
+                assert_eq!(summary.halt, HaltReason::Master);
+                // Buffers may grow during the first supersteps; after that
+                // the fabric must reuse capacity — zero growth events.
+                for step in summary.metrics.iter().filter(|s| s.superstep >= 3) {
+                    let growth: u64 = step.per_worker.iter().map(|w| w.fabric_reallocs).sum();
+                    assert_eq!(
+                        growth, 0,
+                        "fabric buffers grew in steady state at superstep {} ({transport:?}, \
+                         workers={workers}, threads={threads}, broadcast={broadcast})",
+                        step.superstep
+                    );
+                }
             }
         }
     }

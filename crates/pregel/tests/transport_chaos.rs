@@ -235,3 +235,23 @@ fn lane_health_recovers_after_the_stall_is_consumed() {
     let (degraded, dead) = engine.transport_health_counts();
     assert_eq!((degraded, dead), (0, 0), "clean rerun leaves every lane healthy");
 }
+
+/// The failure a run surfaces does not depend on the thread count: errors
+/// are picked phase-first, then in worker order, whichever pool thread
+/// raised them. The same scripted stall aborts a single-threaded and a
+/// three-threaded run with the same typed error after the same superstep.
+#[test]
+fn transport_failures_are_thread_count_invariant() {
+    let g = sbm();
+    let abort = |threads: usize| {
+        let plan = TransportFaultPlan::new().stall_at(1, 3, 1);
+        let summary = engine_for(&g, threads, fast_retry(), Some(plan)).run();
+        let HaltReason::TransportFailed(err) = summary.halt else {
+            panic!("stall must abort the run, got {:?}", summary.halt);
+        };
+        (err, summary.supersteps)
+    };
+    let serial = abort(1);
+    assert_eq!(serial.0.lane(), (1, 3), "the stalled lane is named: {}", serial.0);
+    assert_eq!(abort(3), serial);
+}
