@@ -1,5 +1,8 @@
 //! High-level Spinner API: partition from scratch, adapt to graph changes,
-//! and adapt to partition-count changes.
+//! and adapt to partition-count changes. Each entry point picks its initial
+//! labels and runs the shared [`stages`].
+
+pub mod stages;
 
 use crate::config::SpinnerConfig;
 use crate::program::SpinnerProgram;
@@ -9,7 +12,7 @@ use spinner_graph::rng::{vertex_stream, SplitMix64};
 use spinner_graph::GraphDelta;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
-use spinner_pregel::engine::{Engine, EngineConfig};
+use spinner_pregel::engine::Engine;
 use spinner_pregel::metrics::RunTotals;
 use spinner_pregel::Placement;
 
@@ -58,7 +61,7 @@ pub struct PartitionResult {
 /// labels (§III-A).
 pub fn partition(graph: &UndirectedGraph, cfg: &SpinnerConfig) -> PartitionResult {
     let labels = random_labels(graph.num_vertices(), cfg.k, cfg.seed);
-    run_from_labels(graph, cfg, labels)
+    run_placed(graph, cfg, &stages::placement(graph.num_vertices(), cfg), &labels, &[])
 }
 
 /// Like [`partition`], but hosting the computation on an explicit
@@ -79,7 +82,7 @@ pub fn partition_with_placement(
         "placement must cover the graph's vertex set"
     );
     let labels = random_labels(graph.num_vertices(), cfg.k, cfg.seed);
-    run_placed(graph, cfg, labels, Vec::new(), placement)
+    run_placed(graph, cfg, placement, &labels, &[])
 }
 
 /// Partitions a directed graph: converts it to the weighted undirected form
@@ -88,12 +91,25 @@ pub fn partition_with_placement(
 /// `cfg.in_engine_conversion` is set (§IV-A1). Both paths produce identical
 /// partitionings.
 pub fn partition_directed(graph: &DirectedGraph, cfg: &SpinnerConfig) -> PartitionResult {
-    if cfg.in_engine_conversion {
-        let labels = random_labels(graph.num_vertices(), cfg.k, cfg.seed);
-        run_in_engine_conversion(graph, cfg, labels)
-    } else {
-        partition(&to_weighted_undirected(graph), cfg)
+    if !cfg.in_engine_conversion {
+        return partition(&to_weighted_undirected(graph), cfg);
     }
+    // The faithful §IV-A1 path: the engine converts the directed graph in
+    // its NeighborPropagation/NeighborDiscovery supersteps, starting from
+    // unit edge weights, before the shared Initialize phase.
+    let n = graph.num_vertices();
+    let labels = random_labels(n, cfg.k, cfg.seed);
+    let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::NeighborPropagation };
+    let mut engine = Engine::from_directed(
+        program,
+        graph,
+        &stages::placement(n, cfg),
+        stages::engine_config(cfg),
+        |v| VertexState::new(labels[v as usize], true),
+        |_, _, _| EdgeState { weight: 1, neighbor_label: NO_LABEL },
+    );
+    let summary = engine.run();
+    stages::collect(cfg, &engine, &summary, None)
 }
 
 /// Adapts a previous partitioning to a changed graph (§III-D, incremental
@@ -105,15 +121,9 @@ pub fn adapt(
     previous: &[Label],
     cfg: &SpinnerConfig,
 ) -> PartitionResult {
-    assert!(
-        previous.len() <= graph.num_vertices() as usize,
-        "previous labelling covers more vertices than the graph has"
-    );
-    let labels = incremental_labels(graph, previous, cfg.k);
     // Without delta information only the appended vertices are known to be
     // affected (relevant under `RestartScope::AffectedOnly`).
-    let affected = affected_flags(graph.num_vertices(), previous.len() as VertexId, &[]);
-    run_from_labels_scoped(graph, cfg, labels, affected)
+    adapt_with_delta(graph, previous, &GraphDelta::default(), cfg)
 }
 
 /// Like [`adapt`], but with the explicit [`GraphDelta`] that produced
@@ -130,9 +140,10 @@ pub fn adapt_with_delta(
         previous.len() <= graph.num_vertices() as usize,
         "previous labelling covers more vertices than the graph has"
     );
-    let labels = incremental_labels(graph, previous, cfg.k);
-    let affected = delta_affected(graph.num_vertices(), previous.len() as VertexId, delta);
-    run_from_labels_scoped(graph, cfg, labels, affected)
+    let n = graph.num_vertices();
+    let labels = least_loaded_labels(graph, previous, &[], cfg.k);
+    let affected = delta_affected(n, previous.len() as VertexId, delta);
+    run_placed(graph, cfg, &stages::placement(n, cfg), &labels, &affected)
 }
 
 /// The affected-vertex flags a [`GraphDelta`] induces: endpoints of every
@@ -141,23 +152,15 @@ pub fn adapt_with_delta(
 /// bit-identical (the warm==cold guarantee is pinned by tests in
 /// [`crate::stream`]).
 pub(crate) fn delta_affected(n: VertexId, old_n: VertexId, delta: &GraphDelta) -> Vec<bool> {
-    let touched: Vec<VertexId> = delta
-        .added_edges
-        .iter()
-        .chain(&delta.removed_edges)
-        .flat_map(|&(a, b)| [a, b])
-        .collect();
-    affected_flags(n, old_n, &touched)
-}
-
-pub(crate) fn affected_flags(n: VertexId, old_n: VertexId, touched: &[VertexId]) -> Vec<bool> {
     let mut affected = vec![false; n as usize];
     for v in old_n..n {
         affected[v as usize] = true;
     }
-    for &v in touched {
-        if (v as usize) < affected.len() {
-            affected[v as usize] = true;
+    for &(a, b) in delta.added_edges.iter().chain(&delta.removed_edges) {
+        for v in [a, b] {
+            if let Some(flag) = affected.get_mut(v as usize) {
+                *flag = true;
+            }
         }
     }
     affected
@@ -176,7 +179,7 @@ pub fn elastic(
 ) -> PartitionResult {
     assert_eq!(previous.len(), graph.num_vertices() as usize);
     let labels = elastic_labels(previous, old_k, cfg.k, cfg.seed);
-    run_from_labels(graph, cfg, labels)
+    run_placed(graph, cfg, &stages::placement(graph.num_vertices(), cfg), &labels, &[])
 }
 
 /// Random initial labels (scratch initialisation).
@@ -186,73 +189,38 @@ pub fn random_labels(n: VertexId, k: u32, seed: u64) -> Vec<Label> {
         .collect()
 }
 
-/// Incremental initialisation (§III-D): keep old labels; send each new
-/// vertex to the least-loaded partition at its arrival. The running minimum
-/// lives in a binary heap keyed `(load, label)` — only the chosen
-/// partition's load changes per appended vertex, so each step is one pop
-/// and one push and bulk adaptation of large deltas is O(new · log k)
-/// instead of O(new · k).
-pub(crate) fn incremental_labels(
+/// Least-loaded reseed, the initialisation of incremental (§III-D) and
+/// failure-recovery windows: a vertex keeps its `previous` label unless it
+/// has none (it was appended) or is flagged in `reseed` (its worker lost
+/// its state). Partition loads are summed over the kept vertices; then each
+/// reseeded vertex, in id order, joins the least-loaded partition at that
+/// point. Recovery thus starts balanced and deterministic, and LPA only has
+/// to repair locality. The running minimum lives in a binary heap keyed
+/// `(load, label)` — smallest load, then smallest label, as a min-scan
+/// would pick — so each reseeded vertex costs O(log k), not O(k).
+pub(crate) fn least_loaded_labels(
     graph: &UndirectedGraph,
     previous: &[Label],
+    reseed: &[bool],
     k: u32,
 ) -> Vec<Label> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     let n = graph.num_vertices() as usize;
-    let mut labels = Vec::with_capacity(n);
+    let fresh = |v: usize| v >= previous.len() || reseed.get(v).copied().unwrap_or(false);
     let mut loads = vec![0i64; k as usize];
     for (v, &l) in previous.iter().enumerate() {
         assert!(l < k, "previous label {l} out of range for k={k}");
-        loads[l as usize] += graph.weighted_degree(v as VertexId) as i64;
-        labels.push(l);
-    }
-    // One entry per label, always current; `(load, label)` ordering matches
-    // the previous min-scan's tie-break (smallest load, then smallest label).
-    let mut heap: BinaryHeap<Reverse<(i64, Label)>> =
-        (0..k).map(|l| Reverse((loads[l as usize], l))).collect();
-    for v in previous.len()..n {
-        let Reverse((load, least)) = heap.pop().expect("k >= 1 labels");
-        labels.push(least);
-        heap.push(Reverse((load + graph.weighted_degree(v as VertexId) as i64, least)));
-    }
-    labels
-}
-
-/// Partition-loss initialisation (failure recovery): every vertex flagged
-/// in `lost` is treated as having lost its label state and is reseeded;
-/// all other vertices keep their labels. Reseeding mirrors
-/// [`incremental_labels`]'s least-loaded rule — partition loads are
-/// computed from the *surviving* vertices only, then each lost vertex (in
-/// id order) joins the least-loaded partition at that point — so recovery
-/// starts from a balanced, deterministic assignment rather than random
-/// labels, and the subsequent LPA re-convergence only has to repair
-/// locality, not load.
-pub(crate) fn loss_labels(
-    graph: &UndirectedGraph,
-    previous: &[Label],
-    lost: &[bool],
-    k: u32,
-) -> Vec<Label> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    assert_eq!(previous.len(), lost.len(), "lost flags must cover the labelling");
-    let mut labels = previous.to_vec();
-    let mut loads = vec![0i64; k as usize];
-    for (v, &l) in previous.iter().enumerate() {
-        assert!(l < k, "previous label {l} out of range for k={k}");
-        if !lost[v] {
+        if !fresh(v) {
             loads[l as usize] += graph.weighted_degree(v as VertexId) as i64;
         }
     }
     let mut heap: BinaryHeap<Reverse<(i64, Label)>> =
         (0..k).map(|l| Reverse((loads[l as usize], l))).collect();
-    for (v, flag) in lost.iter().enumerate() {
-        if !flag {
-            continue;
-        }
+    let mut labels = previous.to_vec();
+    labels.resize(n, NO_LABEL);
+    for v in (0..n).filter(|&v| fresh(v)) {
         let Reverse((load, least)) = heap.pop().expect("k >= 1 labels");
         labels[v] = least;
         heap.push(Reverse((load + graph.weighted_degree(v as VertexId) as i64, least)));
@@ -293,155 +261,18 @@ pub(crate) fn elastic_labels(
         .collect()
 }
 
-pub(crate) fn engine_config(cfg: &SpinnerConfig) -> EngineConfig {
-    EngineConfig {
-        num_threads: cfg.num_threads,
-        // Two supersteps per iteration plus conversion/init slack.
-        max_supersteps: 2 * cfg.max_iterations as u64 + 8,
-        seed: cfg.seed,
-        broadcast_fabric: cfg.broadcast_fabric,
-        work_stealing: cfg.work_stealing,
-        steal_chunk: cfg.steal_chunk,
-        dense_scan: cfg.dense_scan,
-        transport: cfg.transport,
-        wire_format: cfg.wire_format,
-        sender_fold: cfg.sender_fold,
-        transport_retry: cfg.transport_retry,
-        // Fault plans are transient chaos apparatus, injected through
-        // `Engine::inject_transport_faults` / `StreamSession::
-        // inject_transport_faults` — never part of a persisted config.
-        transport_faults: None,
-    }
-}
-
-/// Runs the main LPA loop starting from a complete label assignment on an
-/// already-undirected graph.
-fn run_from_labels(
-    graph: &UndirectedGraph,
-    cfg: &SpinnerConfig,
-    labels: Vec<Label>,
-) -> PartitionResult {
-    run_from_labels_scoped(graph, cfg, labels, Vec::new())
-}
-
-/// `affected` marks the vertices that restart migrations under
-/// `RestartScope::AffectedOnly`; an empty vector marks everyone affected.
-fn run_from_labels_scoped(
-    graph: &UndirectedGraph,
-    cfg: &SpinnerConfig,
-    labels: Vec<Label>,
-    affected: Vec<bool>,
-) -> PartitionResult {
-    let placement = Placement::hashed(graph.num_vertices(), cfg.num_workers, cfg.seed ^ 0x70C);
-    run_placed(graph, cfg, labels, affected, &placement)
-}
-
-/// The common tail of every undirected run: build the engine on the given
-/// placement, run, extract.
+/// The tail of every one-shot undirected run: build the engine on
+/// `placement`, run it, read the result out.
 fn run_placed(
     graph: &UndirectedGraph,
     cfg: &SpinnerConfig,
-    labels: Vec<Label>,
-    affected: Vec<bool>,
     placement: &Placement,
+    labels: &[Label],
+    affected: &[bool],
 ) -> PartitionResult {
-    let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::Initialize };
-    let mut engine = Engine::from_undirected(
-        program,
-        graph,
-        placement,
-        engine_config(cfg),
-        |v| {
-            VertexState::new(
-                labels[v as usize],
-                affected.get(v as usize).copied().unwrap_or(true),
-            )
-        },
-        |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
-    );
+    let mut engine = stages::build_engine(graph, cfg, placement, labels, affected);
     let summary = engine.run();
-    finish(cfg, engine, summary, Some(graph))
-}
-
-/// Runs with in-engine conversion from a directed graph (faithful §IV-A1
-/// path).
-fn run_in_engine_conversion(
-    graph: &DirectedGraph,
-    cfg: &SpinnerConfig,
-    labels: Vec<Label>,
-) -> PartitionResult {
-    let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::NeighborPropagation };
-    let placement = Placement::hashed(graph.num_vertices(), cfg.num_workers, cfg.seed ^ 0x70C);
-    let mut engine = Engine::from_directed(
-        program,
-        graph,
-        &placement,
-        engine_config(cfg),
-        |v| VertexState::new(labels[v as usize], true),
-        |_, _, _| EdgeState { weight: 1, neighbor_label: NO_LABEL },
-    );
-    let summary = engine.run();
-    finish(cfg, engine, summary, None)
-}
-
-fn finish(
-    cfg: &SpinnerConfig,
-    engine: Engine<SpinnerProgram>,
-    summary: spinner_pregel::RunSummary,
-    graph: Option<&UndirectedGraph>,
-) -> PartitionResult {
-    result_from_engine(cfg, &engine, &summary, graph)
-}
-
-/// Extracts a [`PartitionResult`] from a finished engine without consuming
-/// it — the streaming session keeps the engine warm for the next window.
-pub(crate) fn result_from_engine(
-    cfg: &SpinnerConfig,
-    engine: &Engine<SpinnerProgram>,
-    summary: &spinner_pregel::RunSummary,
-    graph: Option<&UndirectedGraph>,
-) -> PartitionResult {
-    let labels: Vec<Label> = engine.collect_values().into_iter().map(|v| v.label).collect();
-    let global = engine.global();
-    // Exact final quality from the labels themselves. The engine's own
-    // adjacency is authoritative for loads (covers in-engine conversion),
-    // but φ/ρ recomputation needs the undirected graph; reconstruct loads
-    // from the persistent aggregator instead to stay engine-agnostic.
-    let loads: Vec<u64> = global.loads.iter().map(|&l| l.max(0) as u64).collect();
-    let total: u64 = loads.iter().sum();
-    let last = global.history.last();
-    // rho relative to each partition's ideal share (C_l / c), which is
-    // total/k in the homogeneous case.
-    let rho = if total > 0 {
-        loads
-            .iter()
-            .zip(&global.capacities)
-            .map(|(&b, &cap)| if cap > 0.0 { b as f64 * cfg.c / cap } else { 1.0 })
-            .fold(1.0, f64::max)
-    } else {
-        1.0
-    };
-    // Per-iteration aggregates only cover vertices that computed in that
-    // superstep; under `RestartScope::AffectedOnly` most vertices sleep, so
-    // the final phi is recomputed exactly from the labels when the graph is
-    // at hand (the in-engine-conversion path keeps the aggregate value,
-    // which is exact there because all vertices stay active).
-    let phi = match graph {
-        Some(g) => spinner_metrics::phi(g, &labels),
-        None => last.map_or(1.0, |h| h.phi),
-    };
-    let quality = PartitionQuality { phi, rho, score: last.map_or(0.0, |h| h.score), loads };
-    PartitionResult {
-        labels,
-        k: cfg.k,
-        quality,
-        history: global.history.clone(),
-        iterations: global.iteration,
-        supersteps: summary.supersteps,
-        halted_steady: global.halted_steady,
-        totals: summary.totals(),
-        wall_ns: summary.wall_ns,
-    }
+    stages::collect(cfg, &engine, &summary, Some(graph))
 }
 
 #[cfg(test)]
@@ -605,7 +436,7 @@ mod tests {
                 .build(),
         );
         // Vertices 0,1 labelled 0; vertices 2,3 are new.
-        let labels = incremental_labels(&g, &[0, 0], 2);
+        let labels = least_loaded_labels(&g, &[0, 0], &[], 2);
         assert_eq!(labels[2], 1);
         assert_eq!(labels[3], 1);
     }
@@ -617,7 +448,7 @@ mod tests {
         let g = community_graph(1200, 5, 21);
         let k = 7u32;
         let previous: Vec<Label> = (0..500u32).map(|v| v % k).collect();
-        let fast = incremental_labels(&g, &previous, k);
+        let fast = least_loaded_labels(&g, &previous, &[], k);
 
         let mut loads = vec![0i64; k as usize];
         let mut naive: Vec<Label> = Vec::new();
@@ -631,6 +462,31 @@ mod tests {
             naive.push(least);
         }
         assert_eq!(fast, naive);
+    }
+
+    #[test]
+    fn loss_labels_heap_matches_naive_min_scan() {
+        // Worker-loss reseed: loads count only the surviving vertices, and
+        // the lost ones — scattered, not a suffix — rejoin in id order.
+        let g = community_graph(1200, 5, 23);
+        let (n, k) = (g.num_vertices() as usize, 7u32);
+        let previous: Vec<Label> = (0..n as u32).map(|v| (v * 3 + v / 7) % k).collect();
+        let lost: Vec<bool> = (0..n).map(|v| v % 5 == 2 || v % 11 == 0).collect();
+        let fast = least_loaded_labels(&g, &previous, &lost, k);
+
+        let degree = |v: usize| g.weighted_degree(v as VertexId) as i64;
+        let mut loads = vec![0i64; k as usize];
+        for v in (0..n).filter(|&v| !lost[v]) {
+            loads[previous[v] as usize] += degree(v);
+        }
+        let mut naive = previous.clone();
+        for v in (0..n).filter(|&v| lost[v]) {
+            let least = (0..k as usize).min_by_key(|&l| loads[l]).unwrap();
+            loads[least] += degree(v);
+            naive[v] = least as Label;
+        }
+        assert_eq!(fast, naive);
+        assert_ne!(fast, previous, "the reseed must move some lost vertex");
     }
 
     #[test]

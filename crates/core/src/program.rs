@@ -65,16 +65,6 @@ impl SpinnerProgram {
         vertex_stream(self.cfg.seed, vertex as u64, step)
     }
 
-    /// The load a vertex contributes to its partition under the configured
-    /// balance objective.
-    #[inline]
-    fn load_of(&self, degw: u64) -> u64 {
-        match self.cfg.objective {
-            BalanceObjective::Edges => degw,
-            BalanceObjective::Vertices => 1,
-        }
-    }
-
     fn compute_scores(&self, ctx: &mut VertexContext<'_, Self>, messages: &[MigrationMsg]) {
         let w = &mut *ctx.worker;
         // (i) Fold migration announcements into the cached edge labels and
@@ -267,7 +257,7 @@ impl SpinnerProgram {
         // Skipping the update keeps the async=off arm fully synchronous and
         // its results invariant to the logical worker count.
         if best != current {
-            let load = self.load_of(degw);
+            let load = load_of(self.cfg.objective, degw);
             ctx.value.candidate = best;
             ctx.agg.add_vec_i64(AGG_CANDIDATES, best as usize, load as i64);
             if self.cfg.async_worker_loads {
@@ -317,7 +307,7 @@ impl SpinnerProgram {
             return; // Deferred; retries next iteration (stays awake).
         }
         let old = ctx.value.label;
-        let load = self.load_of(ctx.value.degree) as i64;
+        let load = load_of(self.cfg.objective, ctx.value.degree) as i64;
         ctx.value.label = candidate;
         ctx.value.affected = true; // A mover keeps optimising.
         ctx.agg.add_vec_i64(AGG_LOADS, old as usize, -load);
@@ -402,8 +392,16 @@ impl SpinnerProgram {
 /// vertex degrees, histograms, and the persistent loads aggregator are
 /// seeded on the engine side, and this supplies the matching master state.
 pub(crate) fn seeded_global(cfg: &SpinnerConfig, loads: Vec<i64>) -> GlobalState {
-    let total: i64 = loads.iter().sum();
     let mut g = GlobalState::new(Phase::ComputeScores, cfg.k);
+    install_loads(&mut g, cfg, loads);
+    g
+}
+
+/// Installs the initial partition loads and what the master derives from
+/// them: the total weight and the capacities — homogeneous `C = c·total/k`,
+/// or proportional to the configured heterogeneous weights.
+fn install_loads(g: &mut GlobalState, cfg: &SpinnerConfig, loads: Vec<i64>) {
+    let total: i64 = loads.iter().sum();
     g.total_weight = total as u64;
     g.capacities = match &cfg.capacity_weights {
         Some(weights) => {
@@ -413,12 +411,21 @@ pub(crate) fn seeded_global(cfg: &SpinnerConfig, loads: Vec<i64>) -> GlobalState
         None => vec![cfg.c * total as f64 / cfg.k as f64; cfg.k as usize],
     };
     g.loads = loads;
-    g
+}
+
+/// The load a vertex of weighted degree `degw` contributes to its partition
+/// under the balance objective.
+#[inline]
+pub(crate) fn load_of(objective: BalanceObjective, degw: u64) -> u64 {
+    match objective {
+        BalanceObjective::Edges => degw,
+        BalanceObjective::Vertices => 1,
+    }
 }
 
 /// Maximum normalized load: each partition's load relative to its ideal
 /// share `C_l / c` (reduces to `max b / (total/k)` in the homogeneous case).
-fn rho_of(loads: &[i64], capacities: &[f64], c: f64) -> f64 {
+pub(crate) fn rho_of(loads: &[i64], capacities: &[f64], c: f64) -> f64 {
     loads
         .iter()
         .zip(capacities)
@@ -492,7 +499,8 @@ impl Program for SpinnerProgram {
                 ctx.value.degree = degw;
                 let label = ctx.value.label;
                 debug_assert!(label < ctx.global.k);
-                ctx.agg.add_vec_i64(AGG_LOADS, label as usize, self.load_of(degw) as i64);
+                let load = load_of(self.cfg.objective, degw) as i64;
+                ctx.agg.add_vec_i64(AGG_LOADS, label as usize, load);
                 let announce: MigrationMsg = (ctx.vertex, label);
                 ctx.mail.broadcast(announce);
             }
@@ -507,20 +515,7 @@ impl Program for SpinnerProgram {
             Phase::NeighborDiscovery => ctx.global.phase = Phase::Initialize,
             Phase::Initialize => {
                 let loads = ctx.read(AGG_LOADS).as_vec_i64().to_vec();
-                let total: i64 = loads.iter().sum();
-                ctx.global.total_weight = total as u64;
-                // Capacities: homogeneous C = c*total/k, or proportional to
-                // the configured heterogeneous weights.
-                ctx.global.capacities = match &self.cfg.capacity_weights {
-                    Some(weights) => {
-                        let sum: f64 = weights.iter().sum();
-                        weights.iter().map(|w| self.cfg.c * total as f64 * w / sum).collect()
-                    }
-                    None => {
-                        vec![self.cfg.c * total as f64 / self.cfg.k as f64; self.cfg.k as usize]
-                    }
-                };
-                ctx.global.loads = loads;
+                install_loads(ctx.global, &self.cfg, loads);
                 ctx.global.phase = Phase::ComputeScores;
             }
             Phase::ComputeScores => self.master_scores(ctx),

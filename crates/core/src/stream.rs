@@ -23,19 +23,18 @@
 //! grid. Labels are unaffected; with `async_worker_loads = false` they are
 //! bit-identical to a feedback-free run.
 
-use crate::config::{BalanceObjective, RestartScope, SpinnerConfig};
+use crate::config::{RestartScope, SpinnerConfig};
 use crate::driver::{
-    delta_affected, elastic_labels, engine_config, incremental_labels, loss_labels,
-    random_labels, result_from_engine, PartitionResult,
+    delta_affected, elastic_labels, least_loaded_labels, random_labels, stages, PartitionResult,
 };
-use crate::program::{seeded_global, SpinnerProgram, AGG_LOADS};
+use crate::program::{load_of, seeded_global, SpinnerProgram, AGG_LOADS};
 use crate::state::{EdgeState, Label, Phase, VertexState, NO_LABEL};
 use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
 use spinner_pregel::engine::Engine;
 use spinner_pregel::{
-    AggValue, HaltReason, Placement, TransportFaultPlan, TransportStats, WorkerId,
+    AggValue, HaltReason, Placement, RunSummary, TransportFaultPlan, TransportStats, WorkerId,
 };
 
 /// One window of a dynamic-graph stream.
@@ -417,20 +416,13 @@ impl StreamSession {
     /// (paper §V-F) before the next window runs.
     pub fn new(graph: DirectedGraph, cfg: SpinnerConfig) -> Self {
         let undirected = from_undirected_edges(&graph);
-        let labels = random_labels(undirected.num_vertices(), cfg.k, cfg.seed);
-        let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::Initialize };
-        let placement =
-            Placement::hashed(undirected.num_vertices(), cfg.num_workers, cfg.seed ^ 0x70C);
-        let mut engine = Engine::from_undirected(
-            program,
-            &undirected,
-            &placement,
-            engine_config(&cfg),
-            |v| VertexState::new(labels[v as usize], true),
-            |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
-        );
+        let n = undirected.num_vertices();
+        let labels = random_labels(n, cfg.k, cfg.seed);
+        let placement = stages::placement(n, &cfg);
+        let mut engine = stages::build_engine(&undirected, &cfg, &placement, &labels, &[]);
         let summary = engine.run();
-        let result = result_from_engine(&cfg, &engine, &summary, Some(&undirected));
+        let result = stages::collect(&cfg, &engine, &summary, Some(&undirected));
+        let lanes_degraded = engine.transport_health_counts().0;
         let mut session = Self {
             cfg,
             graph,
@@ -442,33 +434,7 @@ impl StreamSession {
             placement,
         };
         let placement_moved = session.feedback_replace(&result);
-        session.windows.push(WindowReport::from_parts(WindowReportParts {
-            window: 0,
-            k: session.cfg.k,
-            num_vertices: session.undirected.num_vertices(),
-            num_edges: session.undirected.num_edges(),
-            phi: result.quality.phi,
-            rho: result.quality.rho,
-            migration_fraction: 1.0,
-            iterations: result.iterations,
-            supersteps: result.supersteps,
-            messages: result.totals.messages,
-            sent_local: result.totals.local_messages(),
-            sent_remote: result.totals.remote_messages,
-            sent_local_records: result.totals.local_records,
-            sent_remote_records: result.totals.remote_records,
-            placement_moved,
-            computed: result.totals.computed,
-            wall_ns: result.wall_ns,
-            fabric_reallocs: fabric_reallocs(&summary),
-            lost_vertices: 0,
-            wire_bytes: result.totals.wire_bytes,
-            wire_frames: result.totals.wire_frames,
-            wire_folded: result.totals.wire_folded,
-            retransmits: result.totals.retransmits,
-            lanes_degraded: session.engine.transport_health_counts().0,
-            lanes_dead: 0,
-        }));
+        session.push_window(&result, &summary, 1.0, placement_moved, 0, (lanes_degraded, 0));
         session
     }
 
@@ -494,15 +460,7 @@ impl StreamSession {
         );
         let placement = Placement::explicit(placement, cfg.num_workers);
         assert_eq!(placement.num_vertices(), undirected.num_vertices());
-        let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::Initialize };
-        let engine = Engine::from_undirected(
-            program,
-            &undirected,
-            &placement,
-            engine_config(&cfg),
-            |v| VertexState::new(labels[v as usize], true),
-            |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
-        );
+        let engine = stages::build_engine(&undirected, &cfg, &placement, &labels, &[]);
         Self {
             cfg,
             graph,
@@ -539,13 +497,20 @@ impl StreamSession {
     /// [`StreamEvent::Resize`].
     pub fn apply(&mut self, event: StreamEvent) -> &WindowReport {
         let old_n = self.labels.len();
-        let mut lost_flags: Vec<bool> = Vec::new();
+        // Which vertices restart migrations (only consulted under
+        // `RestartScope::AffectedOnly`; empty marks everyone affected).
+        let mut affected: Vec<bool> = Vec::new();
+        let mut lost_vertices = 0u64;
         let labels = match &event {
             StreamEvent::Delta(delta) => {
                 let next = apply_delta(&self.graph, delta);
                 self.undirected = patch_undirected_edges(&self.undirected, &next, delta);
                 self.graph = next;
-                incremental_labels(&self.undirected, &self.labels, self.cfg.k)
+                if self.cfg.restart_scope == RestartScope::AffectedOnly {
+                    let n = self.undirected.num_vertices();
+                    affected = delta_affected(n, old_n as VertexId, delta);
+                }
+                least_loaded_labels(&self.undirected, &self.labels, &[], self.cfg.k)
             }
             StreamEvent::Resize { k } => {
                 assert!(*k >= 1, "need at least one partition");
@@ -559,25 +524,15 @@ impl StreamSession {
                     "lost worker {worker} out of range for {} workers",
                     self.cfg.num_workers
                 );
-                lost_flags = self.placement.as_slice().iter().map(|&w| w == *worker).collect();
-                loss_labels(&self.undirected, &self.labels, &lost_flags, self.cfg.k)
+                // Recovery windows always restart only the lost vertices,
+                // regardless of the configured scope: recovery cost must
+                // scale with the lost fraction, not the graph (survivors
+                // still adapt passively — they recompute scores as
+                // neighbors move).
+                let (labels, lost, count) = self.reseed_hosted_by(*worker, &self.labels);
+                (affected, lost_vertices) = (lost, count);
+                labels
             }
-        };
-        let lost_vertices = lost_flags.iter().filter(|&&f| f).count() as u64;
-        // Which vertices restart migrations (only consulted under
-        // `RestartScope::AffectedOnly`; empty marks everyone affected).
-        let affected = match &event {
-            StreamEvent::Delta(delta)
-                if self.cfg.restart_scope == RestartScope::AffectedOnly =>
-            {
-                delta_affected(self.undirected.num_vertices(), old_n as VertexId, delta)
-            }
-            // Recovery windows always restart only the lost vertices,
-            // regardless of the configured scope: recovery cost must scale
-            // with the lost fraction, not the graph (survivors still adapt
-            // passively — they recompute scores as neighbors move).
-            StreamEvent::WorkerLoss { .. } => std::mem::take(&mut lost_flags),
-            _ => Vec::new(),
         };
 
         // Frontier-seeded delta windows (opt-in): instead of replaying the
@@ -612,16 +567,10 @@ impl StreamSession {
             pcfg.restart_scope = RestartScope::AffectedOnly;
             let program = SpinnerProgram { cfg: pcfg, start_phase: Phase::ComputeScores };
             let und = &self.undirected;
-            let objective = self.cfg.objective;
             let mut loads = vec![0i64; self.cfg.k as usize];
             for (v, &l) in labels.iter().enumerate() {
-                let load = match objective {
-                    BalanceObjective::Edges => {
-                        und.neighbors(v as VertexId).1.iter().map(|&w| w as i64).sum()
-                    }
-                    BalanceObjective::Vertices => 1,
-                };
-                loads[l as usize] += load;
+                let degree = und.weighted_degree(v as VertexId);
+                loads[l as usize] += load_of(self.cfg.objective, degree) as i64;
             }
             self.engine.warm_reset_undirected_seeded(
                 program,
@@ -659,19 +608,13 @@ impl StreamSession {
             self.engine.set_aggregate(AGG_LOADS, AggValue::VecI64(loads.clone()));
             self.engine.set_global(seeded_global(&self.cfg, loads));
         } else {
-            let program =
-                SpinnerProgram { cfg: self.cfg.clone(), start_phase: Phase::Initialize };
-            self.engine.warm_reset_undirected(
-                program,
+            stages::reset_engine(
+                &mut self.engine,
                 &self.undirected,
+                &self.cfg,
                 &placement,
-                |v| {
-                    VertexState::new(
-                        labels[v as usize],
-                        affected.get(v as usize).copied().unwrap_or(true),
-                    )
-                },
-                |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
+                &labels,
+                &affected,
             );
         }
         self.placement = placement;
@@ -701,21 +644,18 @@ impl StreamSession {
             lanes_degraded = lanes_degraded.max(degraded);
             lanes_dead += dead.max(1);
             failed_metrics.append(&mut summary.metrics);
-            let lost_worker = err.sender() as WorkerId;
-            let flags: Vec<bool> =
-                self.placement.as_slice().iter().map(|&w| w == lost_worker).collect();
-            transport_lost += flags.iter().filter(|&&f| f).count() as u64;
             let seed = escalation_labels.as_deref().unwrap_or(&labels);
-            let relabeled = loss_labels(&self.undirected, seed, &flags, self.cfg.k);
+            let (relabeled, lost, count) =
+                self.reseed_hosted_by(err.sender() as WorkerId, seed);
+            transport_lost += count;
             let placement = self.placement_for(&relabeled);
-            let program =
-                SpinnerProgram { cfg: self.cfg.clone(), start_phase: Phase::Initialize };
-            self.engine.warm_reset_undirected(
-                program,
+            stages::reset_engine(
+                &mut self.engine,
                 &self.undirected,
+                &self.cfg,
                 &placement,
-                |v| VertexState::new(relabeled[v as usize], flags[v as usize]),
-                |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
+                &relabeled,
+                &lost,
             );
             self.placement = placement;
             escalation_labels = Some(relabeled);
@@ -726,20 +666,48 @@ impl StreamSession {
             summary.metrics = failed_metrics;
         }
         let (degraded, dead) = self.engine.transport_health_counts();
-        let lanes_degraded = lanes_degraded.max(degraded);
-        let lanes_dead = lanes_dead + dead;
-        let lost_vertices = lost_vertices + transport_lost;
+        let lanes = (lanes_degraded.max(degraded), lanes_dead + dead);
 
-        let result =
-            result_from_engine(&self.cfg, &self.engine, &summary, Some(&self.undirected));
-
+        let result = stages::collect(&self.cfg, &self.engine, &summary, Some(&self.undirected));
         let moved =
             self.labels.iter().zip(&result.labels).filter(|&(&old, &new)| old != new).count();
         let migration_fraction = if old_n > 0 { moved as f64 / old_n as f64 } else { 1.0 };
         self.labels = result.labels.clone();
+        // A recovery window re-places every vertex by computed label
+        // unconditionally, installing the label → worker map even with
+        // feedback off: the reseeded vertices must land on deliberate,
+        // balanced workers, and later windows keep that placement.
         let recovering = matches!(&event, StreamEvent::WorkerLoss { .. }) || transport_lost > 0;
         let placement_moved =
-            if recovering { self.recovery_replace() } else { self.feedback_replace(&result) };
+            if recovering { self.replace_by_label() } else { self.feedback_replace(&result) };
+        let lost = lost_vertices + transport_lost;
+        self.push_window(&result, &summary, migration_fraction, placement_moved, lost, lanes);
+        self.windows.last().expect("window just pushed")
+    }
+
+    /// The vertices the engine hosts on `worker` (flags, and their count),
+    /// with the least-loaded reseed of `labels` that recovers them.
+    fn reseed_hosted_by(
+        &self,
+        worker: WorkerId,
+        labels: &[Label],
+    ) -> (Vec<Label>, Vec<bool>, u64) {
+        let lost: Vec<bool> = self.placement.as_slice().iter().map(|&w| w == worker).collect();
+        let count = lost.iter().filter(|&&f| f).count() as u64;
+        (least_loaded_labels(&self.undirected, labels, &lost, self.cfg.k), lost, count)
+    }
+
+    /// Appends the report of the window that converged to `result`.
+    fn push_window(
+        &mut self,
+        result: &PartitionResult,
+        summary: &RunSummary,
+        migration_fraction: f64,
+        placement_moved: u64,
+        lost_vertices: u64,
+        (lanes_degraded, lanes_dead): (u64, u64),
+    ) {
+        let totals = &result.totals;
         self.windows.push(WindowReport::from_parts(WindowReportParts {
             window: self.windows.len() as u32,
             k: self.cfg.k,
@@ -750,24 +718,23 @@ impl StreamSession {
             migration_fraction,
             iterations: result.iterations,
             supersteps: result.supersteps,
-            messages: result.totals.messages,
-            sent_local: result.totals.local_messages(),
-            sent_remote: result.totals.remote_messages,
-            sent_local_records: result.totals.local_records,
-            sent_remote_records: result.totals.remote_records,
+            messages: totals.messages,
+            sent_local: totals.local_messages(),
+            sent_remote: totals.remote_messages,
+            sent_local_records: totals.local_records,
+            sent_remote_records: totals.remote_records,
             placement_moved,
-            computed: result.totals.computed,
+            computed: totals.computed,
             wall_ns: result.wall_ns,
-            fabric_reallocs: fabric_reallocs(&summary),
+            fabric_reallocs: fabric_reallocs(summary),
             lost_vertices,
-            wire_bytes: result.totals.wire_bytes,
-            wire_frames: result.totals.wire_frames,
-            wire_folded: result.totals.wire_folded,
-            retransmits: result.totals.retransmits,
+            wire_bytes: totals.wire_bytes,
+            wire_frames: totals.wire_frames,
+            wire_folded: totals.wire_folded,
+            retransmits: totals.retransmits,
             lanes_degraded,
             lanes_dead,
         }));
-        self.windows.last().expect("window just pushed")
     }
 
     /// Installs a scripted transport fault plan on the engine, rebuilding
@@ -801,11 +768,7 @@ impl StreamSession {
             Some(assignment) => {
                 Placement::from_label_assignment(labels, assignment, self.cfg.num_workers)
             }
-            None => Placement::hashed(
-                labels.len() as VertexId,
-                self.cfg.num_workers,
-                self.cfg.seed ^ 0x70C,
-            ),
+            None => stages::placement(labels.len() as VertexId, &self.cfg),
         }
     }
 
@@ -837,16 +800,6 @@ impl StreamSession {
         if remote_share <= threshold {
             return 0;
         }
-        self.replace_by_label()
-    }
-
-    /// A [`StreamEvent::WorkerLoss`] window's final step: re-place every
-    /// vertex by computed label unconditionally (no feedback threshold —
-    /// recovery must land the reseeded vertices on deliberate, balanced
-    /// workers, not wherever the reset placement put them). Installs the
-    /// label → worker map even when feedback is off, so later windows keep
-    /// the recovered, label-aligned placement.
-    fn recovery_replace(&mut self) -> u64 {
         self.replace_by_label()
     }
 

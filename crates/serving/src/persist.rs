@@ -106,7 +106,9 @@ impl SessionStore {
     /// Opens the disk-backed store at `dir`, replays the WAL onto the
     /// snapshot, and returns the recovered state together with the reopened
     /// store. A torn WAL tail is truncated away; corruption anywhere else
-    /// errors.
+    /// errors, as does a checksum-clean state that no session could host
+    /// (labels or placement not covering the graph, a label ≥ `k` or
+    /// `k = 0`, a worker id ≥ `num_workers`, no windows).
     pub fn load(
         dir: impl AsRef<Path>,
     ) -> Result<(SessionState, Self, ResumeStats), PersistError> {
@@ -142,6 +144,7 @@ impl SessionStore {
             record.apply_to(&mut state)?;
             replayed += 1;
         }
+        check_resumable(&state)?;
 
         storage.truncate(StoreFile::Wal, scan.clean_bytes)?;
         let stats = ResumeStats {
@@ -203,6 +206,28 @@ impl SessionStore {
     pub fn snapshot_bytes(&self) -> u64 {
         self.snapshot_bytes
     }
+}
+
+/// Checks what a checksum cannot: that the recovered state is one
+/// [`StreamSession::from_state`] can host. Labels and placement cover the
+/// graph, every label is below `k ≥ 1`, every worker id (placement and
+/// feedback map) is below `num_workers`, and the bootstrap window exists.
+fn check_resumable(state: &SessionState) -> Result<(), CorruptError> {
+    let n = state.graph.num_vertices() as usize;
+    let (k, workers) = (state.cfg.k, state.cfg.num_workers);
+    let assignment = state.label_assignment.as_deref().unwrap_or_default();
+    let context = if state.labels.len() != n || state.placement.len() != n {
+        "state does not cover the graph"
+    } else if k == 0 || state.labels.iter().any(|&l| l >= k) {
+        "state label out of range"
+    } else if state.placement.iter().chain(assignment).any(|&w| usize::from(w) >= workers) {
+        "state worker id out of range"
+    } else if state.windows.is_empty() {
+        "state has no bootstrap window"
+    } else {
+        return Ok(());
+    };
+    Err(CorruptError { context })
 }
 
 /// Persistence extension for [`StreamSession`]: warm-start a restarted

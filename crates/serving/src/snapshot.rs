@@ -91,15 +91,18 @@ pub fn decode_state(bytes: &[u8]) -> Result<SessionState> {
 
     let mut r = ByteReader::new(payload);
     let cfg = read_config(&mut r)?;
-    let n = r.varint("graph vertex count")? as u32;
+    let n = read_u32(&mut r, "graph vertex count")?;
     let mut builder = GraphBuilder::new(n);
     for v in 0..n {
         let degree = r.varint("vertex degree")?;
         let mut prev = 0u64;
         for _ in 0..degree {
-            prev += r.varint("neighbour gap")?;
-            let d =
-                u32::try_from(prev).map_err(|_| CorruptError { context: "neighbour id" })?;
+            prev = prev.saturating_add(r.varint("neighbour gap")?);
+            // An id past the vertex count would grow the graph to fit it.
+            let d = u32::try_from(prev)
+                .ok()
+                .filter(|&d| d < n)
+                .ok_or(CorruptError { context: "neighbour id" })?;
             builder.add_edge(v, d);
         }
     }
@@ -331,14 +334,14 @@ pub(crate) fn put_report(w: &mut ByteWriter, parts: &WindowReportParts) {
 /// Reads one [`WindowReportParts`] appended by [`put_report`].
 pub(crate) fn read_report(r: &mut ByteReader<'_>) -> Result<WindowReportParts> {
     Ok(WindowReportParts {
-        window: r.varint("report window")? as u32,
-        k: r.varint("report k")? as u32,
-        num_vertices: r.varint("report num_vertices")? as u32,
+        window: read_u32(r, "report window")?,
+        k: read_u32(r, "report k")?,
+        num_vertices: read_u32(r, "report num_vertices")?,
         num_edges: r.varint("report num_edges")?,
         phi: r.f64("report phi")?,
         rho: r.f64("report rho")?,
         migration_fraction: r.f64("report migration_fraction")?,
-        iterations: r.varint("report iterations")? as u32,
+        iterations: read_u32(r, "report iterations")?,
         supersteps: r.varint("report supersteps")?,
         messages: r.varint("report messages")?,
         sent_local: r.varint("report sent_local")?,
@@ -429,5 +432,93 @@ mod tests {
         let bytes = encode_state(&sample_state());
         assert!(decode_state(&bytes[..bytes.len() - 9]).is_err());
         assert!(decode_state(&bytes[..4]).is_err());
+    }
+
+    /// The graph section of [`tiny_state`]: 3 vertices, degree + gaps each.
+    const TINY_GRAPH: [u8; 6] = [3, 1, 1, 1, 2, 0];
+
+    /// A state whose graph encodes as [`TINY_GRAPH`] and whose one report
+    /// starts `window, k, num_vertices, num_edges` (one byte each), then
+    /// three 8-byte floats, then `iterations` at byte 28.
+    fn tiny_state() -> SessionState {
+        let mut report = sample_state().windows[0].to_parts();
+        (report.window, report.k, report.num_vertices, report.num_edges) = (0, 2, 3, 2);
+        report.iterations = 5;
+        SessionState {
+            cfg: SpinnerConfig::new(2),
+            graph: GraphBuilder::new(3).add_edges([(0, 1), (1, 2)]).build(),
+            labels: vec![0, 1, 0],
+            placement: vec![0, 0, 0],
+            label_assignment: None,
+            windows: vec![WindowReport::from_parts(report)],
+        }
+    }
+
+    /// Splits `state`'s snapshot payload into (config, graph, rest).
+    fn payload_sections(state: &SessionState) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let bytes = encode_state(state);
+        let payload = &bytes[SNAPSHOT_MAGIC.len()..bytes.len() - 4];
+        let mut config = ByteWriter::new();
+        put_config(&mut config, &state.cfg);
+        let start = config.into_bytes().len();
+        let end = start + TINY_GRAPH.len();
+        assert_eq!(payload[start..end], TINY_GRAPH);
+        (payload[..start].to_vec(), payload[start..end].to_vec(), payload[end..].to_vec())
+    }
+
+    /// A hand-edited payload framed as a snapshot with a valid checksum.
+    fn reframe(sections: &[&[u8]]) -> Vec<u8> {
+        let payload = sections.concat();
+        [SNAPSHOT_MAGIC.as_slice(), &payload, &crc32(&payload).to_le_bytes()].concat()
+    }
+
+    fn varint(value: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_varint(value);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn neighbour_ids_outside_the_vertex_set_are_corrupt() {
+        let (config, graph, rest) = payload_sections(&tiny_state());
+        let genuine = decode_state(&reframe(&[&config, &graph, &rest])).expect("unedited");
+        assert_eq!(genuine.graph.edges().collect::<Vec<_>>(), vec![(0, 1), (1, 2)]);
+        let far = [[3, 1, 1, 1].as_slice(), &varint(u64::from(u32::MAX)), &[0]].concat();
+        let beyond_u32 = [[3, 1, 1, 1].as_slice(), &varint(1 << 32), &[0]].concat();
+        // Vertex 1's only neighbour: id 3 == n, id u32::MAX, id 2^32.
+        for graph in [vec![3, 1, 1, 1, 3, 0], far, beyond_u32] {
+            let err = decode_state(&reframe(&[&config, &graph, &rest])).unwrap_err();
+            assert_eq!(err.context, "neighbour id");
+        }
+    }
+
+    #[test]
+    fn vertex_count_beyond_u32_is_corrupt_not_truncated() {
+        let (config, graph, rest) = payload_sections(&tiny_state());
+        let count = [varint((1 << 32) + 3).as_slice(), &graph[1..]].concat();
+        let err = decode_state(&reframe(&[&config, &count, &rest])).unwrap_err();
+        assert_eq!(err.context, "graph vertex count");
+    }
+
+    #[test]
+    fn report_counts_beyond_u32_are_corrupt_not_truncated() {
+        let state = tiny_state();
+        let (config, graph, rest) = payload_sections(&state);
+        let mut w = ByteWriter::new();
+        put_report(&mut w, &state.windows[0].to_parts());
+        let report = w.into_bytes();
+        let head = &rest[..rest.len() - report.len()];
+        assert_eq!((report[0], report[1], report[2], report[28]), (0, 2, 3, 5));
+        for (at, context) in [
+            (0, "report window"),
+            (1, "report k"),
+            (2, "report num_vertices"),
+            (28, "report iterations"),
+        ] {
+            let mut edited = report.clone();
+            edited.splice(at..at + 1, varint(1 << 32));
+            let err = decode_state(&reframe(&[&config, &graph, head, &edited])).unwrap_err();
+            assert_eq!(err.context, context);
+        }
     }
 }

@@ -3,16 +3,17 @@
 //! never serve silently wrong data: a corrupt snapshot is a typed
 //! [`PersistError::Corrupt`], and a corrupt WAL record cleanly truncates
 //! the log at the last record that still checks out, resuming to exactly
-//! the state those records rebuild.
+//! the state those records rebuild. A checksum-clean store whose content
+//! no session can host is a typed error too.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use spinner_core::{SpinnerConfig, StreamEvent, StreamSession};
+use spinner_core::{SessionState, SpinnerConfig, StreamEvent, StreamSession};
 use spinner_graph::{GraphBuilder, GraphDelta};
 use spinner_pregel::WorkerId;
 use spinner_serving::{
-    decode_state, read_wal, MemStorage, PersistError, ServingNode, StoreFile,
+    decode_state, encode_state, read_wal, MemStorage, PersistError, ServingNode, StoreFile,
 };
 
 /// A valid store's bytes plus, for every possible replay depth, the exact
@@ -68,6 +69,51 @@ fn fixture() -> &'static Fixture {
             expected,
         }
     })
+}
+
+/// Checksum-clean stores whose content no session can host: each one
+/// resumes to a typed [`PersistError::Corrupt`] naming the broken rule.
+#[test]
+fn semantically_invalid_store_is_a_typed_error_never_a_panic() {
+    let fx = fixture();
+    let valid = decode_state(&fx.snapshot).expect("valid snapshot");
+    type Mutation = fn(&mut SessionState);
+    let mutations: [(Mutation, &str); 6] = [
+        (|s| s.labels.truncate(s.labels.len() - 1), "state does not cover the graph"),
+        (|s| s.placement.truncate(s.placement.len() - 1), "state does not cover the graph"),
+        (|s| s.labels[7] = s.cfg.k, "state label out of range"),
+        (|s| s.placement[5] = s.cfg.num_workers as WorkerId, "state worker id out of range"),
+        (
+            |s| {
+                s.label_assignment = Some(vec![s.cfg.num_workers as WorkerId; s.cfg.k as usize])
+            },
+            "state worker id out of range",
+        ),
+        (|s| s.windows.clear(), "state has no bootstrap window"),
+    ];
+    let mut stores: Vec<(Vec<u8>, Vec<u8>, &str)> = mutations
+        .into_iter()
+        .map(|(mutate, context)| {
+            let mut state = valid.clone();
+            mutate(&mut state);
+            (encode_state(&state), Vec::new(), context)
+        })
+        .collect();
+    // A WAL record whose post-window k is 0, on top of the valid snapshot.
+    let mut record = read_wal(&fx.wal).records.remove(0);
+    record.k = 0;
+    stores.push((fx.snapshot.clone(), record.encode_framed(), "state label out of range"));
+
+    for (snapshot, wal, context) in stores {
+        let disk = MemStorage::new();
+        disk.plant(StoreFile::Snapshot, snapshot);
+        disk.plant(StoreFile::Wal, wal);
+        match ServingNode::resume_from_storage(Box::new(disk)) {
+            Err(PersistError::Corrupt(err)) => assert_eq!(err.context, context),
+            Err(other) => panic!("{context}: wrong error kind: {other}"),
+            Ok(_) => panic!("{context}: resumed from an invalid store"),
+        }
+    }
 }
 
 fn flipped(bytes: &[u8], bit: u64) -> Vec<u8> {

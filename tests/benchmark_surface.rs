@@ -5,14 +5,18 @@
 //! run. Every repo item the benchmark imports is used here in the shape the
 //! benchmark uses it — struct literals with all their fields, the same call
 //! chains, return types spelled out — so tier-1 breaks first. When this file
-//! has to change, `benchmark/` has to change with it.
+//! has to change, `benchmark/` has to change with it. The `driver::stages`
+//! case pins the facade the benchmark's cold replica is to be built on
+//! instead of those literals.
 
 use std::path::PathBuf;
 
-use spinner_core::driver::random_labels;
+use spinner_core::driver::{random_labels, stages};
 use spinner_core::program::SpinnerProgram;
 use spinner_core::state::{EdgeState, Phase, VertexState, NO_LABEL};
-use spinner_core::{partition, Label, SpinnerConfig, StreamEvent, StreamSession, WindowReport};
+use spinner_core::{
+    partition, Label, PartitionResult, SpinnerConfig, StreamEvent, StreamSession, WindowReport,
+};
 use spinner_graph::conversion::{from_undirected_edges, to_weighted_undirected};
 use spinner_graph::generators::{planted_partition, rmat, RmatConfig, SbmConfig};
 use spinner_graph::mutation::apply_delta;
@@ -22,6 +26,7 @@ use spinner_graph::{
 };
 use spinner_metrics::PartitionQuality;
 use spinner_pregel::engine::{Engine, EngineConfig};
+use spinner_pregel::metrics::RunTotals;
 use spinner_pregel::wire::{decode_frame, encode_frame};
 use spinner_pregel::{Placement, RunSummary, TransportKind, WireFormat, WireRecord, WorkerId};
 use spinner_serving::{
@@ -131,6 +136,45 @@ fn cold_replica_matches_partition_on_both_transports() {
             reallocs,
         ];
         let _: f64 = t.wire_bytes_per_remote_message();
+    }
+}
+
+/// The counts of a run's totals (everything but wall-clock time).
+fn counts(t: &RunTotals) -> [u64; 9] {
+    [
+        t.messages,
+        t.remote_messages,
+        t.remote_records,
+        t.local_records,
+        t.computed,
+        t.wire_bytes,
+        t.wire_frames,
+        t.wire_folded,
+        t.retransmits,
+    ]
+}
+
+/// The cold replica built through `driver::stages`, the surface the
+/// benchmark is to move to: no config mapping, placement salt, program or
+/// state literal of its own.
+#[test]
+fn stages_replica_matches_partition_on_both_transports() {
+    let community = from_undirected_edges(&community(600, 3));
+    let skewed = to_weighted_undirected(&rmat(RmatConfig::graph500(8, 24, 3)));
+    for (graph, transport) in
+        [(&community, TransportKind::Direct), (&skewed, TransportKind::Ring)]
+    {
+        let cfg = cold_config(transport);
+        let mono = partition(graph, &cfg);
+        let n = graph.num_vertices();
+        let initial: Vec<Label> = random_labels(n, cfg.k, cfg.seed);
+        let placement: Placement = stages::placement(n, &cfg);
+        let mut engine = stages::build_engine(graph, &cfg, &placement, &initial, &[]);
+        let summary: RunSummary = engine.run();
+        let replica: PartitionResult = stages::collect(&cfg, &engine, &summary, Some(graph));
+        assert_eq!(replica.labels, mono.labels, "{transport:?}: stages labels");
+        assert_eq!(replica.iterations, mono.iterations);
+        assert_eq!(counts(&replica.totals), counts(&mono.totals), "{transport:?}: totals");
     }
 }
 
