@@ -149,8 +149,8 @@ pub struct SpinnerConfig {
     pub wire_format: WireFormat,
     /// Sender-side combiner folding on a serialising transport: fold
     /// same-destination records through the program's combiner before
-    /// framing (the exact fold the receiver would apply, so results are
-    /// unchanged). Default `true`; `false` is the verification arm.
+    /// framing. Spinner's messages never combine, so results are
+    /// unchanged. Default `true`; `false` is the verification arm.
     pub sender_fold: bool,
     /// Retry/timeout budgets for the transport reliability layer (ignored
     /// on the direct path). `transport_retry.reliable` — on by default —

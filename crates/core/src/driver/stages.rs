@@ -140,7 +140,7 @@ pub fn collect(
     summary: &RunSummary,
     graph: Option<&UndirectedGraph>,
 ) -> PartitionResult {
-    let labels: Vec<Label> = engine.collect_values().into_iter().map(|v| v.label).collect();
+    let labels: Vec<Label> = engine.collect_values_with(|v| v.label);
     let global = engine.global();
     // Loads come from the persistent aggregator, which covers the
     // in-engine conversion path too.

@@ -4,7 +4,8 @@
 use crate::config::{BalanceObjective, RestartScope, SpinnerConfig};
 use crate::driver::IterationStats;
 use crate::state::{
-    EdgeState, GlobalState, Label, MigrationMsg, Phase, VertexState, WorkerState, NO_LABEL,
+    sort_by_weight, EdgeState, GlobalState, Label, MigrationMsg, Phase, VertexState,
+    WorkerState, NO_LABEL,
 };
 use spinner_graph::rng::vertex_stream;
 use spinner_pregel::aggregate::{AggOp, AggregatorSpec};
@@ -41,6 +42,20 @@ pub const AGG_LOCAL_WEIGHT: usize = 3;
 /// Aggregator: number of migrations this superstep (SumI64).
 pub const AGG_MIGRATIONS: usize = 4;
 
+/// What one edge of a label-histogram rebuild costs, in units of one
+/// histogram entry passed by a per-message shift. A rebuild's per-edge step
+/// is a scattered read and write of the k-sized scratch, plus a sort; a
+/// shift's per-entry step is a sequential compare (the scan, then the
+/// bubble that keeps the weight order). Fitted on the ComputeScores
+/// compute time of the benchmark's two graphs (1 thread, 2-vCPU x86 VM,
+/// medians of 5 interleaved rounds): against a ratio of 1 it is 11 %
+/// faster on the 60 k-vertex community graph (degree ~76, ~3.6 messages
+/// against ~24 entries, which a ratio of 1 rebuilds) and 2 % faster on the
+/// scale-15 R-MAT graph. A degree floor of 256 in front of a ratio of 1
+/// was 8 % faster on the first but 2 % slower on the second, whose hubs
+/// want the rebuild.
+const REBUILD_EDGE_COST: usize = 2;
+
 /// The Spinner Pregel program. Immutable during a run; all evolving state
 /// lives in vertex values, edge values, and [`GlobalState`].
 pub struct SpinnerProgram {
@@ -70,15 +85,17 @@ impl SpinnerProgram {
         // (i) Fold migration announcements into the cached edge labels and
         // the vertex's label histogram. Neighbour labels change only through
         // these messages, so the histogram stays exact without a
-        // per-iteration O(deg) edge re-scan. Under heavy churn (many
-        // announcements against a wide histogram — the first iterations, or
-        // a freshly built histogram) per-message maintenance costs
+        // per-iteration O(deg) edge re-scan. Per-message maintenance costs
         // O(messages x entries); a dense rebuild through the k-sized
-        // scratch is O(deg + entries), so switch adaptively. Both paths
-        // produce the same histogram (entry order is irrelevant).
+        // scratch is O(deg + entries log entries), so rebuild an empty
+        // histogram (the first scores superstep) and any histogram whose
+        // shifts would cost more (see `REBUILD_EDGE_COST`). Both paths
+        // produce the same entries in weight order (ties aside, which no
+        // result depends on).
         let hist_len = ctx.value.label_weights.len();
+        let shift_work = messages.len() * (hist_len + messages.len() / 2);
         let heavy = !messages.is_empty()
-            && messages.len() * (hist_len + messages.len() / 2) > ctx.edges.len();
+            && (hist_len == 0 || shift_work > REBUILD_EDGE_COST * ctx.edges.len());
         if heavy {
             for &(sender, label) in messages {
                 debug_assert!(label != NO_LABEL);
@@ -101,6 +118,7 @@ impl SpinnerProgram {
                 *cnt = w.counts[*l as usize] as u32;
                 w.counts[*l as usize] = 0;
             }
+            sort_by_weight(hist);
         } else {
             for &(sender, label) in messages {
                 if let Some(i) = ctx.edges.index_of(sender) {
@@ -150,8 +168,14 @@ impl SpinnerProgram {
         let current_score = score(count_current, current as usize);
 
         // (iii) Best label among the touched ones plus the globally
-        // least-loaded one (or all k labels in the paper-faithful
-        // exhaustive mode — provably the same result).
+        // least-loaded one, or all k labels in the paper-faithful
+        // exhaustive mode. The two are not the same scan: they differ when
+        // the winner is a non-adjacent label and several labels share the
+        // minimum penalty, because `min_load_label` returns the lowest
+        // index among them while the exhaustive scan breaks the tie by
+        // hash priority. In practice that is an isolated vertex, for which
+        // every label is non-adjacent; it carries no load under the edge
+        // objective, so φ and ρ agree (`driver.rs` pins both facts).
         let mut best_score = current_score;
         let mut best: Label = current;
         // Random but order-independent tie-breaking: among equally-scored
@@ -176,7 +200,8 @@ impl SpinnerProgram {
         // rounding (two ulps of slack) and π_min = π(min_label) is the
         // smallest cached penalty. A label whose bound is strictly below the
         // incumbent best score can neither win nor tie, so skipping the
-        // exact score cannot change the selected label.
+        // exact score cannot change the selected label. `consider` returns
+        // false exactly when the bound prunes `l`.
         let prune = self.cfg.balance_penalty
             && self.cfg.async_worker_loads
             && degw > 0
@@ -188,12 +213,12 @@ impl SpinnerProgram {
         } else {
             (0.0, 0.0)
         };
-        let mut consider = |l: Label, neighbor_weight: u64| {
+        let mut consider = |l: Label, neighbor_weight: u64| -> bool {
             if prune && neighbor_weight as f64 * inv_up - min_penalty < best_score {
-                return;
+                return false;
             }
             if l == current {
-                return;
+                return true;
             }
             let s = score(neighbor_weight, l as usize);
             // Break ties randomly but prefer the current label (§III-A):
@@ -215,6 +240,7 @@ impl SpinnerProgram {
                     best_priority = Some(p);
                 }
             }
+            true
         };
         if exhaustive {
             // Dense scratch keeps the paper-faithful mode O(k + len) per
@@ -230,12 +256,19 @@ impl SpinnerProgram {
                 exhaustive_counts[l as usize] = 0;
             }
         } else {
+            // The histogram is sorted by weight, descending, so the prune
+            // bound never rises along the scan: once one entry's bound
+            // loses, every later one's does too. An unscanned `min_label`
+            // then reaches `consider(min_label, 0)`, which the same bound
+            // prunes.
             let mut min_label_weight = None;
             for &(l, cnt) in histogram {
                 if l == min_label {
                     min_label_weight = Some(cnt);
                 }
-                consider(l, cnt as u64);
+                if !consider(l, cnt as u64) {
+                    break;
+                }
             }
             if min_label != current && min_label_weight.is_none() {
                 consider(min_label, 0);
@@ -269,9 +302,14 @@ impl SpinnerProgram {
     }
 
     /// Debug-only: recomputes the label histogram and cached degree from
-    /// the edge list and asserts they match the incremental state.
+    /// the edge list and asserts they match the incremental state, whose
+    /// entries must also be sorted by weight, descending.
     #[cfg(debug_assertions)]
     fn assert_histogram_in_sync(edge_values: &[EdgeState], value: &VertexState, vertex: u32) {
+        assert!(
+            value.label_weights.windows(2).all(|p| p[0].1 >= p[1].1),
+            "label histogram out of weight order for vertex {vertex}"
+        );
         let mut expect: Vec<(Label, u32)> = Vec::new();
         let mut degw = 0u64;
         for ev in edge_values.iter() {

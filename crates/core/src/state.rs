@@ -30,9 +30,17 @@ pub struct VertexState {
     /// removed). Maintained incrementally by the ComputeScores message fold
     /// — neighbour labels only change via migration announcements — so the
     /// per-iteration candidate scan is O(distinct labels), not O(degree).
-    /// Entry order is arbitrary: candidate selection is order-independent
-    /// by construction (hash-priority tie-breaking).
+    /// Entries are sorted by weight, descending (the order among equal
+    /// weights is unspecified): a label's score bound grows with its
+    /// weight, so the candidate scan stops at the first entry that cannot
+    /// win. Candidate selection itself is order-independent (hash-priority
+    /// tie-breaking), so the order never changes a result.
     pub label_weights: Vec<(Label, u32)>,
+}
+
+/// Sorts a label histogram into [`VertexState::label_weights`]' order.
+pub(crate) fn sort_by_weight(hist: &mut [(Label, u32)]) {
+    hist.sort_unstable_by_key(|&(_, w)| std::cmp::Reverse(w));
 }
 
 impl VertexState {
@@ -49,44 +57,65 @@ impl VertexState {
     }
 
     /// Applies a neighbour's label change `old -> new` over an edge of the
-    /// given weight, keeping the histogram's entries positive. Both entries
-    /// are located in a single pass.
+    /// given weight, keeping the histogram's entries positive and sorted by
+    /// weight: the raised entry bubbles up past lighter ones, the lowered
+    /// one down past heavier ones, and an emptied one is removed in place.
+    /// Both entries are located in a single pass.
     #[inline]
     pub fn shift_label_weight(&mut self, old: Label, new: Label, weight: u32) {
         if old == new {
             return;
         }
-        // usize::MAX = still searching; usize::MAX - 1 = not needed.
-        const NONE: usize = usize::MAX;
-        let mut old_i = if old == NO_LABEL { NONE - 1 } else { NONE };
-        let mut new_i = if new == NO_LABEL { NONE - 1 } else { NONE };
-        for (i, &(l, _)) in self.label_weights.iter().enumerate() {
+        let hist = &mut self.label_weights;
+        let (mut old_i, mut new_i) = (None, None);
+        let (want_old, want_new) = (old != NO_LABEL, new != NO_LABEL);
+        for (i, &(l, _)) in hist.iter().enumerate() {
             if l == new {
-                new_i = i;
-                if old_i != NONE {
-                    break;
-                }
+                new_i = Some(i);
             } else if l == old {
-                old_i = i;
-                if new_i != NONE {
-                    break;
+                old_i = Some(i);
+            } else {
+                continue;
+            }
+            if old_i.is_some() == want_old && new_i.is_some() == want_new {
+                break;
+            }
+        }
+        if want_new {
+            let from = match new_i {
+                Some(i) => {
+                    hist[i].1 += weight;
+                    i
+                }
+                None => {
+                    hist.push((new, weight));
+                    hist.len() - 1
+                }
+            };
+            let mut to = from;
+            while to > 0 && hist[to - 1].1 < hist[to].1 {
+                hist.swap(to - 1, to);
+                to -= 1;
+            }
+            // The entries it passed moved down one slot.
+            if let Some(i) = old_i.as_mut() {
+                if (to..from).contains(i) {
+                    *i += 1;
                 }
             }
         }
-        if new != NO_LABEL {
-            if new_i < NONE - 1 {
-                self.label_weights[new_i].1 += weight;
+        if want_old {
+            let i = old_i.expect("histogram entry for the previous neighbour label");
+            debug_assert!(hist[i].1 >= weight);
+            hist[i].1 -= weight;
+            if hist[i].1 == 0 {
+                hist.remove(i);
             } else {
-                self.label_weights.push((new, weight));
-            }
-        }
-        if old != NO_LABEL {
-            debug_assert!(old_i < NONE - 1, "histogram entry for the previous neighbour label");
-            let entry = &mut self.label_weights[old_i].1;
-            debug_assert!(*entry >= weight);
-            *entry -= weight;
-            if *entry == 0 {
-                self.label_weights.swap_remove(old_i);
+                let mut at = i;
+                while at + 1 < hist.len() && hist[at + 1].1 > hist[at].1 {
+                    hist.swap(at, at + 1);
+                    at += 1;
+                }
             }
         }
     }
@@ -303,8 +332,63 @@ impl WorkerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const CAPS: [f64; 3] = [10.0, 10.0, 10.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any sequence of neighbour label changes keeps the incrementally
+        /// shifted histogram equal to a naive recount of the edges, with
+        /// positive, distinct entries sorted by weight, descending.
+        #[test]
+        fn shifted_histogram_matches_a_recount(
+            weights in prop::collection::vec(1u32..3, 1..24),
+            k in 1u32..9,
+            moves in prop::collection::vec((0usize..1000, 0u32..10), 0..80),
+        ) {
+            let mut edge_labels = vec![NO_LABEL; weights.len()];
+            let mut v = VertexState::new(0, true);
+            for (pick, to) in moves {
+                let e = pick % weights.len();
+                // Labels in 0..k, with k itself standing in for NO_LABEL.
+                let new = if to % (k + 1) == k { NO_LABEL } else { to % (k + 1) };
+                v.shift_label_weight(edge_labels[e], new, weights[e]);
+                edge_labels[e] = new;
+
+                let mut recount = vec![0u32; k as usize];
+                for (&l, &w) in edge_labels.iter().zip(&weights) {
+                    if l != NO_LABEL {
+                        recount[l as usize] += w;
+                    }
+                }
+                let hist = &v.label_weights;
+                prop_assert!(hist.iter().all(|&(_, w)| w > 0), "zero entry in {:?}", hist);
+                prop_assert!(
+                    hist.windows(2).all(|p| p[0].1 >= p[1].1),
+                    "out of weight order: {:?}",
+                    hist
+                );
+                let mut got = hist.clone();
+                got.sort_unstable();
+                prop_assert!(got.windows(2).all(|p| p[0].0 != p[1].0), "duplicate: {:?}", hist);
+                let expect: Vec<(Label, u32)> = (0..k)
+                    .filter(|&l| recount[l as usize] > 0)
+                    .map(|l| (l, recount[l as usize]))
+                    .collect();
+                prop_assert_eq!(got, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn sort_by_weight_orders_descending() {
+        let mut hist = vec![(3, 1), (0, 4), (7, 2), (1, 4)];
+        sort_by_weight(&mut hist);
+        let weights: Vec<u32> = hist.iter().map(|&(_, w)| w).collect();
+        assert_eq!(weights, [4, 4, 2, 1]);
+    }
 
     #[test]
     fn worker_state_tracks_minimum() {

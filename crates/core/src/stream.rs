@@ -28,7 +28,7 @@ use crate::driver::{
     delta_affected, elastic_labels, least_loaded_labels, random_labels, stages, PartitionResult,
 };
 use crate::program::{load_of, seeded_global, SpinnerProgram, AGG_LOADS};
-use crate::state::{EdgeState, Label, Phase, VertexState, NO_LABEL};
+use crate::state::{sort_by_weight, EdgeState, Label, Phase, VertexState, NO_LABEL};
 use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
@@ -589,6 +589,7 @@ impl StreamSession {
                             None => hist.push((l, w as u32)),
                         }
                     }
+                    sort_by_weight(&mut hist);
                     let state = VertexState {
                         label: labels[vi],
                         degree,

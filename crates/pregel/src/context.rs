@@ -60,8 +60,8 @@ impl<'a, E> Edges<'a, E> {
 ///
 /// **Locality fast path**: a message addressed to a vertex on the *same*
 /// worker never touches the grid — it appends straight into the worker's own
-/// local queue, which the delivery phase folds into the staging chains at
-/// the position the grid's diagonal cell used to occupy. No mutex, no
+/// local queue, which the delivery phase delivers from at the position the
+/// grid's diagonal cell used to occupy. No mutex, no
 /// publish swap, and per-vertex message order is unchanged, so results stay
 /// bit-identical while label-aligned placements turn most of the message
 /// volume into lock-free appends.

@@ -104,9 +104,11 @@ pub struct EngineConfig {
     pub wire_format: WireFormat,
     /// Sender-side combiner folding on the wire path: records to the same
     /// destination vertex are folded through [`Program::combine`] in the
-    /// outbox before framing. Always bit-identical (the fold replays the
-    /// receiver's own chain-tail combine), so it defaults to `true`;
-    /// `false` is the verification arm. Ignored on the direct path.
+    /// outbox before framing. Bit-identical for a combiner that is
+    /// associative and always folds (the fold regroups the receiver's own
+    /// combine calls), so it defaults to `true`; `false` is the
+    /// verification arm, and the exact arm for a float or partial
+    /// combiner. Ignored on the direct path.
     pub sender_fold: bool,
     /// Retry/timeout budgets for the transport reliability layer. With
     /// `transport_retry.reliable` on (the default), every serialising
@@ -396,7 +398,7 @@ impl<P: Program> Engine<P> {
     /// Re-targets a finished engine at a (possibly mutated) weighted
     /// undirected graph for another run, **in place**: program/aggregator
     /// state restarts fresh, but every message-fabric buffer — the outbox
-    /// grid, the delivery staging chains, the flat inboxes — and every
+    /// grid, the decoded-record buffers, the flat inboxes — and every
     /// topology vector keeps its allocation. A session that re-converges
     /// after a stream of graph deltas therefore performs no steady-state
     /// fabric reallocations after its first window (pinned by
@@ -470,7 +472,7 @@ impl<P: Program> Engine<P> {
     /// by `placement`, **in place**: vertex values, halted flags, and the
     /// per-worker adjacency migrate to their new owners, the `local_idx`
     /// map is rebuilt, and every message-fabric buffer — outbox grid, local
-    /// fast-path queues, staging chains, flat inboxes — keeps its capacity
+    /// fast-path queues, decoded-record buffers, flat inboxes — keeps its capacity
     /// via the same machinery as [`Self::warm_reset_undirected`]. Program,
     /// aggregator, and global state are untouched, so a converged Spinner
     /// run can be re-hosted by its computed labels (paper §V-F) without
@@ -623,6 +625,10 @@ impl<P: Program> Engine<P> {
         // can send from `src` to `dst` (one per multi-neighbour plan entry),
         // the bound that pre-reserves the broadcast marks.
         let mut marks = vec![0usize; num_workers * num_workers];
+        // `plan_in[dst]`: plan entries addressed to `dst` from other workers
+        // — the records one all-broadcast superstep ships to `dst`, which
+        // bounds its decoded wire records.
+        let mut plan_in = vec![0usize; num_workers];
         for w in &mut self.workers {
             let me = w.id as usize;
             let mut edge_count = 0usize;
@@ -656,6 +662,7 @@ impl<P: Program> Engine<P> {
                             plan_stamp[dst] = plan_epoch;
                             plan_pos[dst] = w.plan_workers.len() as u32;
                             w.plan_workers.push(dst as WorkerId);
+                            plan_in[dst] += usize::from(dst != me);
                             // Tentatively a lone neighbour on `dst`; a
                             // second one demotes the entry to a fanned-out
                             // broadcast record.
@@ -674,15 +681,26 @@ impl<P: Program> Engine<P> {
                 }
             }
         }
-        for ((w, inb), self_inb) in self.workers.iter_mut().zip(inbound).zip(self_inbound) {
+        let wired = self.transport.is_some();
+        for (((w, inb), self_inb), plan_inb) in
+            self.workers.iter_mut().zip(inbound).zip(self_inbound).zip(plan_in)
+        {
             w.reset_fabric();
-            // The staging chains and flat inbox see every message; the
-            // fast-path queue only the worker-local ones.
+            // The flat inbox sees every message; the fast-path queue only
+            // the worker-local ones; the wire only the others, as one
+            // record per plan entry when every sender broadcasts (a
+            // unicast-only program's first wired superstep grows it to
+            // `inb`).
             let me = w.id as usize;
             w.reserve_inbound(
                 inb + self_inb,
                 self_inb,
                 &marks[me * num_workers..(me + 1) * num_workers],
+                match (wired, build_fanout) {
+                    (false, _) => 0,
+                    (true, true) => plan_inb,
+                    (true, false) => inb,
+                },
             );
         }
         // The grid cells hold the other half of each outbox's double buffer.
@@ -1073,13 +1091,19 @@ impl<P: Program> Engine<P> {
         halt
     }
 
-    /// Clones all vertex values into a dense global-id-indexed vector
-    /// (direct gather through the placement maps — no `Option` round-trip).
+    /// Clones all vertex values into a dense global-id-indexed vector.
     pub fn collect_values(&self) -> Vec<P::V> {
+        self.collect_values_with(Clone::clone)
+    }
+
+    /// Maps every vertex value through `f` into a dense global-id-indexed
+    /// vector (direct gather through the placement maps — no `Option`
+    /// round-trip), so a caller that needs one field never clones the rest.
+    pub fn collect_values_with<T>(&self, mut f: impl FnMut(&P::V) -> T) -> Vec<T> {
         (0..self.num_vertices as usize)
             .map(|v| {
                 let w = &self.workers[self.worker_of[v] as usize];
-                w.values[self.local_idx[v] as usize].clone()
+                f(&w.values[self.local_idx[v] as usize])
             })
             .collect()
     }

@@ -33,8 +33,8 @@
 //! Messages move through flat, capacity-reusing buffers rather than
 //! per-vertex queues: sends land in per-destination outboxes that are
 //! swapped into a shared all-to-all grid (`OutboxGrid`) at the end
-//! of the compute phase; each worker drains its own grid column during
-//! delivery and rebuilds a flat, epoch-stamped inbox
+//! of the compute phase; each worker counting-sorts its own grid column
+//! during delivery into a flat, epoch-stamped inbox
 //! (`inbox_start`/`inbox_len`/`msgs`) touching only that superstep's
 //! recipients; the next compute phase reads it as one slice per vertex.
 //! Compute walks each worker's maintained **active list** (the non-halted

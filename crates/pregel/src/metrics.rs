@@ -39,8 +39,9 @@ pub struct WorkerMetrics {
     /// Wall-clock nanoseconds spent in the compute phase of this worker.
     pub compute_ns: u64,
     /// Delivery-phase buffer growth events: how many message-fabric buffers
-    /// (staging, chain links, flat inbox) grew during this superstep's
-    /// delivery. Zero in the steady state — the fabric reuses all capacity
+    /// (flat inbox, decoded wire records, scheduler lists, send queues)
+    /// grew during this superstep. Zero in the steady state — the fabric
+    /// reuses all capacity
     /// across supersteps — so a nonzero tail is an allocation regression.
     pub fabric_reallocs: u64,
     /// Bytes of encoded frames this worker published through the transport
@@ -53,7 +54,7 @@ pub struct WorkerMetrics {
     /// Outbox records eliminated by sender-side combiner folding before
     /// framing (records to the same destination vertex merged through
     /// [`crate::Program::combine`] — exactly the fold the receiver's
-    /// staging chains would have applied, so results are unchanged).
+    /// delivery would have applied, so results are unchanged).
     pub wire_folded: u64,
     /// Frames the transport reliability layer re-published to recover a
     /// detected gap while delivering to this worker. Zero on the direct

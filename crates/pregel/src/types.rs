@@ -54,18 +54,28 @@ impl<M> Batch<M> {
         self.records.push((id, msg));
     }
 
-    /// Drains every record in order through `stage(broadcast, id, msg)` and
-    /// returns the sum of what `stage` returned.
-    pub(crate) fn drain(&mut self, mut stage: impl FnMut(bool, u64, M) -> u64) -> u64 {
+    /// Visits every record in order through `visit(broadcast, id)` without
+    /// consuming it and returns the sum of what `visit` returned.
+    pub(crate) fn scan(&self, mut visit: impl FnMut(bool, u64) -> u64) -> u64 {
         let mut marks = self.marks.iter().map(|&m| m as usize).peekable();
         let mut total = 0;
-        for (pos, (id, msg)) in self.records.drain(..).enumerate() {
+        for (pos, &(id, _)) in self.records.iter().enumerate() {
             let broadcast = marks.next_if_eq(&pos).is_some();
-            total += stage(broadcast, u64::from(id), msg);
+            total += visit(broadcast, u64::from(id));
         }
         debug_assert!(marks.next().is_none(), "every mark names a record");
-        self.marks.clear();
         total
+    }
+
+    /// Drains every record, in the order [`Self::scan`] visits them,
+    /// through `stage(broadcast, id, msg)`.
+    pub(crate) fn drain(&mut self, mut stage: impl FnMut(bool, u64, M)) {
+        let mut marks = self.marks.iter().map(|&m| m as usize).peekable();
+        for (pos, (id, msg)) in self.records.drain(..).enumerate() {
+            let broadcast = marks.next_if_eq(&pos).is_some();
+            stage(broadcast, u64::from(id), msg);
+        }
+        self.marks.clear();
     }
 }
 

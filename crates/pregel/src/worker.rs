@@ -2,13 +2,16 @@
 //! delivery phases of each superstep.
 //!
 //! Messages flow through a flat, reusable fabric instead of per-vertex
-//! `Vec`s: delivery drains the batches addressed to the worker — its column
-//! of the `OutboxGrid`, or its transport frames — into a
-//! staging buffer (chained per destination vertex), then a single gather
-//! pass over the *recipients* rebuilds the flat inbox
-//! `(inbox_start, inbox_len, msgs)` that the compute phase reads as one
-//! slice per vertex. All buffers keep their capacity across supersteps, so
-//! the steady state performs no heap allocation on the message path.
+//! `Vec`s. Delivery is a counting sort over the batches addressed to the
+//! worker — its column of the `OutboxGrid`, or its transport frames decoded
+//! into one record buffer. A counting pass walks them without consuming
+//! anything and counts each recipient's messages; a prefix sum over the
+//! recipients, in first-arrival order, gives each one its slot range; a
+//! scatter pass then drains the batches and moves every message straight
+//! into the flat inbox `(inbox_start, inbox_len, msgs)` that the compute
+//! phase reads as one slice per vertex. All buffers keep their capacity
+//! across supersteps, so the steady state performs no heap allocation on
+//! the message path.
 //!
 //! Compute is driven by an **active list** — the sorted local indices of
 //! the non-halted vertices, maintained incrementally (compute survivors
@@ -22,7 +25,7 @@
 //! One publish/deliver pair serves both fabrics (grid and transport):
 //! broadcast records are flagged by the marks every batch carries beside its
 //! records, so the grid cells, the local fast-path queue and the wire
-//! frames all share one record layout and one staging routine.
+//! frames all share one record layout and one delivery routine.
 
 use crate::aggregate::{AggValue, AggregatorSpec};
 use crate::context::{AggCtx, EdgeAddition, Edges, Mailer, VertexContext};
@@ -30,13 +33,10 @@ use crate::metrics::WorkerMetrics;
 use crate::program::Program;
 use crate::transport::{Transport, TransportError};
 use crate::types::{Batch, OutboxGrid, WorkerId};
-use crate::wire::{decode_frame, encode_frame, WireFormat, WireRecord};
+use crate::wire::{decode_frame, encode_frame, WireFormat, WirePayload, WireRecord};
 use spinner_graph::VertexId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// Sentinel for "no next message" in the staging chains.
-const NIL: u32 = u32::MAX;
 
 /// Where cross-worker batches go and come from: the in-memory `OutboxGrid`
 /// (zero-copy buffer swaps) or a serialising [`Transport`] (folded, framed
@@ -63,12 +63,19 @@ pub struct Worker<P: Program> {
     pub(crate) edge_values: Vec<P::E>,
     /// Flat inbox: vertex `i` reads `msgs[inbox_start[i]..][..inbox_len[i]]`
     /// — but only when `inbox_epoch[i]` matches the current delivery epoch;
-    /// a stale stamp means an empty inbox. Stamping lets the gather pass
-    /// touch only the vertices that actually received messages instead of
-    /// rebuilding an O(n_local) offset array every superstep.
+    /// a stale stamp means an empty inbox. Stamping lets delivery touch only
+    /// the vertices that actually received messages instead of rebuilding
+    /// an O(n_local) offset array every superstep. During delivery the same
+    /// two arrays hold each recipient's message count (counting pass) and
+    /// then its fill cursor (scatter pass).
     pub(crate) inbox_start: Vec<u32>,
     pub(crate) inbox_len: Vec<u32>,
     pub(crate) inbox_epoch: Vec<u64>,
+    /// Inbox slots. A recipient owns as many slots as messages were counted
+    /// for it; a combiner that folds some of them leaves the tail of its
+    /// range unread. The length is a high-water mark — slots are
+    /// overwritten, not cleared, between supersteps, so the scatter pass
+    /// never needs a placeholder value for a message type without one.
     pub(crate) msgs: Vec<P::M>,
     /// Active list: sorted local indices of the non-halted vertices, i.e.
     /// exactly the set the dense scan would compute. Rebuilt by every
@@ -83,21 +90,14 @@ pub struct Worker<P: Program> {
     /// survivors are never halted).
     woken: Vec<u32>,
     /// Delivery-phase scratch: local indices that received at least one
-    /// message this epoch, in first-arrival order — the gather pass walks
-    /// this instead of every local vertex.
+    /// message this epoch, in first-arrival order — the prefix sum that
+    /// lays out the inbox walks this instead of every local vertex.
     recipients: Vec<u32>,
-    /// Delivery staging: messages in arrival order; the gather pass clones
-    /// them into `msgs` in vertex order (messages are `Clone` by the
-    /// [`crate::types::Value`] bound, and in practice plain-old-data).
-    staging: Vec<P::M>,
-    /// `staging_next[i]` chains message `i` to the next message addressed to
-    /// the same vertex (or [`NIL`]).
-    staging_next: Vec<u32>,
     /// Locality fast path: messages this worker sent to its own vertices
     /// during the compute phase. They bypass the fabric entirely and are
-    /// folded into the staging chains by the next delivery phase, at the
-    /// position the grid's diagonal cell used to occupy (so per-vertex
-    /// message order — and therefore every result — is unchanged).
+    /// delivered by the next delivery phase at the position the grid's
+    /// diagonal cell used to occupy (so per-vertex message order — and
+    /// therefore every result — is unchanged).
     local: Batch<P::M>,
     /// Broadcast fan-out index (the receive side of the broadcast lane): a
     /// reverse CSR over *global sender ids* — `fan_targets[fan_offsets[s]..
@@ -124,12 +124,6 @@ pub struct Worker<P: Program> {
     pub(crate) plan_single: Vec<VertexId>,
     pub(crate) plan_local: Vec<u32>,
     pub(crate) plan_remote: Vec<u32>,
-    /// Per-vertex chain head/tail into `staging`, valid only when
-    /// `chain_epoch[v]` equals the current delivery epoch (stamping avoids
-    /// an O(vertices) reset every superstep).
-    chain_head: Vec<u32>,
-    chain_tail: Vec<u32>,
-    chain_epoch: Vec<u64>,
     /// Current delivery epoch (bumped once per delivery phase).
     epoch: u64,
     /// Outboxes indexed by destination worker; handed to the [`Fabric`] at
@@ -142,8 +136,13 @@ pub struct Worker<P: Program> {
     /// position, so `sort_unstable` yields a *stable* by-destination order
     /// without the allocation a stable sort would make.
     sort_keys: Vec<u64>,
-    /// Wire delivery scratch: decoded records of one inbound frame.
+    /// Wire delivery scratch: every record decoded from this superstep's
+    /// inbound frames, grouped by source worker in source order (reserved
+    /// at load time, like the inbox).
     wire_recv: Vec<WireRecord<P::M>>,
+    /// `wire_recv[wire_bounds[src]..wire_bounds[src + 1]]` holds source
+    /// `src`'s records.
+    wire_bounds: Vec<usize>,
     /// Wire delivery scratch: one section's decoded ids.
     wire_ids: Vec<u64>,
     /// Buffered edge additions, applied at the barrier.
@@ -175,8 +174,6 @@ impl<P: Program> Worker<P> {
             survivors: Vec::new(),
             woken: Vec::new(),
             recipients: Vec::new(),
-            staging: Vec::new(),
-            staging_next: Vec::new(),
             local: Batch::default(),
             fan_offsets: Vec::new(),
             fan_targets: Vec::new(),
@@ -185,14 +182,12 @@ impl<P: Program> Worker<P> {
             plan_single: Vec::new(),
             plan_local: Vec::new(),
             plan_remote: Vec::new(),
-            chain_head: Vec::new(),
-            chain_tail: Vec::new(),
-            chain_epoch: Vec::new(),
             epoch: 0,
             outboxes: (0..num_workers).map(|_| Batch::default()).collect(),
             wire_stage: Vec::new(),
             sort_keys: Vec::new(),
             wire_recv: Vec::new(),
+            wire_bounds: vec![0; num_workers + 1],
             wire_ids: Vec::new(),
             additions: Vec::new(),
             partial_aggs: Vec::new(),
@@ -224,7 +219,7 @@ impl<P: Program> Worker<P> {
     /// All buffers keep their capacity, so a warm engine re-targeted at a
     /// mutated graph starts from the previous run's high-water marks. The
     /// delivery epoch is *not* reset: it grows monotonically for the life of
-    /// the worker, so stale `chain_epoch` stamps can never alias a future
+    /// the worker, so stale `inbox_epoch` stamps can never alias a future
     /// delivery.
     pub(crate) fn reset_fabric(&mut self) {
         let n_local = self.global_ids.len();
@@ -234,12 +229,6 @@ impl<P: Program> Worker<P> {
         self.inbox_len.resize(n_local, 0);
         self.inbox_epoch.clear();
         self.inbox_epoch.resize(n_local, 0);
-        self.chain_head.clear();
-        self.chain_head.resize(n_local, NIL);
-        self.chain_tail.clear();
-        self.chain_tail.resize(n_local, NIL);
-        self.chain_epoch.clear();
-        self.chain_epoch.resize(n_local, 0);
         self.msgs.clear();
         // A fresh inbox must read as empty even though the monotonic epoch
         // keeps climbing: bump past every zeroed `inbox_epoch` stamp. (The
@@ -260,12 +249,7 @@ impl<P: Program> Worker<P> {
         self.recipients.clear();
         self.recipients.reserve(n_local);
         self.metrics.reset();
-        debug_assert!(
-            self.staging.is_empty()
-                && self.staging_next.is_empty()
-                && self.local.is_empty()
-                && self.outboxes.iter().all(Batch::is_empty)
-        );
+        debug_assert!(self.local.is_empty() && self.outboxes.iter().all(Batch::is_empty));
     }
 
     /// Pre-reserves the delivery-side buffers for `inbound` messages — the
@@ -274,19 +258,20 @@ impl<P: Program> Worker<P> {
     /// plus the worker-local send queue for the `self_inbound` of them that
     /// originate on this worker (the locality fast path). `marks[dst]` bounds
     /// the broadcast records one superstep sends to worker `dst` (the
-    /// diagonal entry: to the local queue). Done at (re)load time so graph
-    /// growth between warm runs never forces a message-path reallocation
-    /// (see [`WorkerMetrics::fabric_reallocs`]).
+    /// diagonal entry: to the local queue), and `wire_records` the records
+    /// one superstep's inbound frames decode to (0 off the wire). Done at
+    /// (re)load time so graph growth between warm runs never forces a
+    /// message-path reallocation (see [`WorkerMetrics::fabric_reallocs`]).
     pub(crate) fn reserve_inbound(
         &mut self,
         inbound: usize,
         self_inbound: usize,
         marks: &[usize],
+        wire_records: usize,
     ) {
-        debug_assert!(self.staging.is_empty() && self.msgs.is_empty());
-        self.staging.reserve(inbound);
-        self.staging_next.reserve(inbound);
+        debug_assert!(self.msgs.is_empty() && self.wire_recv.is_empty());
         self.msgs.reserve(inbound);
+        self.wire_recv.reserve(wire_records);
         self.local.records.reserve(self_inbound);
         self.local.marks.reserve(marks[self.id as usize]);
         for (outbox, &n) in self.outboxes.iter_mut().zip(marks) {
@@ -520,29 +505,40 @@ impl<P: Program> Worker<P> {
         failure.map_or(Ok(()), Err)
     }
 
-    /// Delivery phase: drains the batches addressed to this worker — the
-    /// fast-path local queue in place of the diagonal, then each source's
-    /// grid cell or transport frames, in source order — into the staging
-    /// chains (applying the program's combiner), then runs
-    /// [`Self::finish_delivery`]. Marked broadcast records fan out through
-    /// the load-time index to every local vertex adjacent to the sender, in
-    /// the sender's adjacency order — exactly the positions the per-edge
-    /// unicasts would have occupied, so per-vertex message order (and
-    /// therefore every result) is identical across the two lanes. Messages
-    /// keep (source-worker, send-order) order per vertex.
+    /// Delivery phase: a counting sort of the batches addressed to this
+    /// worker into the flat inbox. The sources, in order, are each source
+    /// worker's grid cell or decoded transport frames, with the fast-path
+    /// local queue in place of the diagonal.
+    ///
+    /// 1. The counting pass walks the sources without consuming them,
+    ///    counts each recipient's messages and records first arrivals in
+    ///    `recipients`.
+    /// 2. A prefix sum in `recipients` order gives each recipient its
+    ///    `inbox_start` (and wakes halted ones).
+    /// 3. The scatter pass drains the sources in the same order and moves
+    ///    each message to its recipient's cursor, after the program's
+    ///    combiner had a chance to fold it into the recipient's previous
+    ///    message.
+    ///
+    /// Marked broadcast records fan out through the load-time index to every
+    /// local vertex adjacent to the sender, in the sender's adjacency order —
+    /// exactly the positions the per-edge unicasts would have occupied, so
+    /// per-vertex message order (and therefore every result) is identical
+    /// across the two lanes. Messages keep (source-worker, send-order) order
+    /// per vertex.
     ///
     /// Logical receive accounting is fabric- and fold-invariant: a broadcast
     /// record counts its fan-out width, and a wire frame's trailer carries
     /// its *pre-fold* unicast count — so `recv_remote` matches bit-for-bit
     /// across every transport × format × fold arm.
     ///
-    /// On a typed failure the remaining sources are still drained and the
+    /// On a typed failure the remaining sources are still delivered and the
     /// tail still runs — buffer and scheduler state stay consistent for the
     /// abort/recovery path — and the first error is returned afterwards.
     /// Receive-side recovery work (retransmits the reliability layer
     /// performed on this worker's behalf) is attributed to
     /// [`WorkerMetrics::retransmits`] by diffing the transport's cumulative
-    /// counters around the drain.
+    /// counters around the frame takes.
     pub(crate) fn deliver(
         &mut self,
         program: &P,
@@ -551,174 +547,185 @@ impl<P: Program> Worker<P> {
     ) -> Result<(), TransportError> {
         let me = self.id as usize;
         let num_workers = self.outboxes.len();
-        let retransmits = |fabric: &Fabric<'_, P::M>| match *fabric {
-            Fabric::Grid(_) => 0,
-            Fabric::Wire { transport, .. } => transport.recv_stats(me).retransmits,
-        };
-        let retransmits_before = retransmits(fabric);
-        let caps =
-            (self.staging.capacity(), self.staging_next.capacity(), self.msgs.capacity());
-        let sched_caps =
-            (self.recipients.capacity(), self.woken.capacity(), self.active.capacity());
+        let caps = self.delivery_caps();
         self.epoch += 1;
         let epoch = self.epoch;
-        debug_assert!(self.staging.is_empty() && self.staging_next.is_empty());
+
+        // Split borrows: the inbox is written while the fan-out index and
+        // the sources are read.
+        let Self {
+            fan_offsets,
+            fan_targets,
+            local,
+            recipients,
+            woken,
+            halted,
+            num_halted,
+            inbox_start,
+            inbox_len,
+            inbox_epoch,
+            msgs,
+            metrics,
+            wire_recv,
+            wire_bounds,
+            wire_ids,
+            ..
+        } = self;
+        debug_assert!(recipients.is_empty() && wire_recv.is_empty());
+        let (fan_offsets, fan_targets) = (&fan_offsets[..], &fan_targets[..]);
+        let targets = |broadcast: bool, id: u64| {
+            record_targets(fan_offsets, fan_targets, local_idx, broadcast, id)
+        };
 
         let mut failure: Option<TransportError> = None;
-        {
-            // Split borrows: the staging chains grow while the fan-out index
-            // is read to expand broadcasts, so the fields are borrowed once
-            // here and threaded through a free-function stager.
-            let Self {
-                staging,
-                staging_next,
-                chain_head,
-                chain_tail,
-                chain_epoch,
-                fan_offsets,
-                fan_targets,
-                local,
-                recipients,
-                metrics,
-                wire_recv,
-                wire_ids,
-                ..
-            } = self;
-            debug_assert!(recipients.is_empty());
-            let wire_scratch_caps = (wire_recv.capacity(), wire_ids.capacity());
-            // Stages one record and returns the logical deliveries it
-            // produced (one per message, not per record, so the traffic
-            // accounting is lane-independent).
-            let mut stage_record = |broadcast: bool, id: u64, msg: P::M| -> u64 {
-                let mut stage = |li: u32, msg: P::M| {
-                    stage_message(
-                        program,
-                        staging,
-                        staging_next,
-                        chain_head,
-                        chain_tail,
-                        chain_epoch,
-                        recipients,
-                        li as usize,
-                        msg,
-                        epoch,
-                    )
-                };
-                if broadcast {
-                    let lo = fan_offsets[id as usize] as usize;
-                    let hi = fan_offsets[id as usize + 1] as usize;
-                    for &li in &fan_targets[lo..hi] {
-                        stage(li, msg.clone());
+        if let Fabric::Wire { transport, .. } = *fabric {
+            // `take` consumes frames, so the superstep's frames are decoded
+            // up front, straight into the one buffer both passes read.
+            let retransmits_before = transport.recv_stats(me).retransmits;
+            for (src, end) in wire_bounds[1..].iter_mut().enumerate() {
+                if src != me {
+                    let (unicast_logical, error) =
+                        decode_source(transport, src, me, wire_ids, wire_recv);
+                    metrics.recv_remote += unicast_logical;
+                    if let Some(e) = error {
+                        failure.get_or_insert(e);
                     }
-                    (hi - lo) as u64
+                }
+                *end = wire_recv.len();
+            }
+            metrics.retransmits += transport.recv_stats(me).retransmits - retransmits_before;
+        }
+
+        // Counting pass: `inbox_len` counts each recipient's messages.
+        let mut delivered = 0usize;
+        let mut count = |broadcast: bool, id: u64| -> u64 {
+            let ts = targets(broadcast, id);
+            for &v in ts {
+                let v = v as usize;
+                if inbox_epoch[v] == epoch {
+                    inbox_len[v] += 1;
                 } else {
-                    stage(local_idx[id as usize], msg);
-                    1
-                }
-            };
-            for src in 0..num_workers {
-                if src == me {
-                    // Locality fast path: this worker's own sends never
-                    // entered the fabric. Draining them here — where the
-                    // diagonal cell would sit — preserves the (source-worker,
-                    // send-order) order per vertex exactly.
-                    metrics.recv_local += local.drain(&mut stage_record);
-                    continue;
-                }
-                match *fabric {
-                    Fabric::Grid(grid) => match grid[src * num_workers + me].lock() {
-                        Ok(mut cell) => metrics.recv_remote += cell.drain(&mut stage_record),
-                        Err(_) => {
-                            failure
-                                .get_or_insert(TransportError::PeerPanicked { src, dst: me });
-                        }
-                    },
-                    Fabric::Wire { transport, .. } => loop {
-                        let frame = match transport.take(src, me) {
-                            Ok(Some(frame)) => frame,
-                            Ok(None) => break,
-                            Err(e) => {
-                                failure.get_or_insert(e);
-                                break;
-                            }
-                        };
-                        wire_recv.clear();
-                        let decoded = decode_frame::<P::M>(&frame, wire_ids, wire_recv);
-                        transport.recycle(src, me, frame);
-                        let Ok(unicast_logical) = decoded else {
-                            // Undecodable after transport-level acceptance:
-                            // only reachable without the reliability layer
-                            // (which NACKs corrupt frames instead). Typed,
-                            // not a panic.
-                            failure.get_or_insert(TransportError::Corrupt { src, dst: me });
-                            break;
-                        };
-                        metrics.recv_remote += unicast_logical;
-                        for rec in wire_recv.drain(..) {
-                            let expanded = stage_record(rec.broadcast, rec.id, rec.msg);
-                            if rec.broadcast {
-                                metrics.recv_remote += expanded;
-                            }
-                        }
-                    },
+                    inbox_epoch[v] = epoch;
+                    inbox_len[v] = 1;
+                    recipients.push(v as u32);
                 }
             }
-            metrics.fabric_reallocs += u64::from(wire_recv.capacity() != wire_scratch_caps.0)
-                + u64::from(wire_ids.capacity() != wire_scratch_caps.1);
+            delivered += ts.len();
+            ts.len() as u64
+        };
+        for src in 0..num_workers {
+            if src == me {
+                // Locality fast path: this worker's own sends never entered
+                // the fabric. Delivering them here — where the diagonal cell
+                // would sit — preserves the (source-worker, send-order)
+                // order per vertex exactly.
+                metrics.recv_local += local.scan(&mut count);
+                continue;
+            }
+            match *fabric {
+                Fabric::Grid(grid) => match grid[src * num_workers + me].lock() {
+                    Ok(cell) => metrics.recv_remote += cell.scan(&mut count),
+                    Err(_) => {
+                        failure.get_or_insert(TransportError::PeerPanicked { src, dst: me });
+                    }
+                },
+                Fabric::Wire { .. } => {
+                    for rec in &wire_recv[wire_bounds[src]..wire_bounds[src + 1]] {
+                        let expanded = count(rec.broadcast, rec.id);
+                        // Unicasts were counted from the frame trailer.
+                        if rec.broadcast {
+                            metrics.recv_remote += expanded;
+                        }
+                    }
+                }
+            }
         }
-        self.metrics.retransmits += retransmits(fabric) - retransmits_before;
-        self.finish_delivery(caps, sched_caps);
+        // u32 offsets cap a worker at ~4.29e9 messages per superstep; fail
+        // loudly instead of wrapping (one check per phase).
+        assert!(delivered < u32::MAX as usize, "per-superstep message overflow");
+
+        // Prefix sum: lay the recipients out in first-arrival order, reset
+        // their counts to fill cursors, and wake the halted ones. Vertices
+        // with no messages keep a stale stamp and read as empty without
+        // being touched.
+        let mut next = 0u32;
+        woken.clear();
+        for &v in recipients.iter() {
+            let v = v as usize;
+            inbox_start[v] = next;
+            next += inbox_len[v];
+            inbox_len[v] = 0;
+            if halted[v] {
+                halted[v] = false;
+                *num_halted -= 1;
+                woken.push(v as u32);
+            }
+        }
+        recipients.clear();
+        msgs.reserve(delivered.saturating_sub(msgs.len()));
+
+        // Scatter pass: same sources, same order, now consumed.
+        let mut put = |v: u32, msg: P::M| {
+            let v = v as usize;
+            let start = inbox_start[v] as usize;
+            let filled = inbox_len[v] as usize;
+            if filled > 0 && program.combine(&mut msgs[start + filled - 1], &msg) {
+                return;
+            }
+            let slot = start + filled;
+            if slot < msgs.len() {
+                msgs[slot] = msg;
+            } else {
+                // First use of this slot: any valid value pads the not yet
+                // written slots before it.
+                if slot > msgs.len() {
+                    msgs.resize(slot, msg.clone());
+                }
+                msgs.push(msg);
+            }
+            inbox_len[v] += 1;
+        };
+        let mut scatter = |broadcast: bool, id: u64, msg: P::M| {
+            let ts = targets(broadcast, id);
+            if let Some((&last, rest)) = ts.split_last() {
+                for &v in rest {
+                    put(v, msg.clone());
+                }
+                put(last, msg);
+            }
+        };
+        let mut wire = wire_recv.drain(..);
+        for src in 0..num_workers {
+            if src == me {
+                local.drain(&mut scatter);
+                continue;
+            }
+            match *fabric {
+                Fabric::Grid(grid) => {
+                    // A poisoned cell was reported by the counting pass.
+                    if let Ok(mut cell) = grid[src * num_workers + me].lock() {
+                        cell.drain(&mut scatter);
+                    }
+                }
+                Fabric::Wire { .. } => {
+                    let len = wire_bounds[src + 1] - wire_bounds[src];
+                    for rec in wire.by_ref().take(len) {
+                        scatter(rec.broadcast, rec.id, rec.msg);
+                    }
+                }
+            }
+        }
+        drop(wire);
+        self.finish_delivery(caps);
         failure.map_or(Ok(()), Err)
     }
 
-    /// Tail of [`Self::deliver`]: gather the staging chains into the flat
-    /// inbox, wake messaged vertices, rebuild the active list, and account
+    /// Tail of [`Self::deliver`]: rebuild the active list and account
     /// buffer growth.
-    fn finish_delivery(
-        &mut self,
-        caps: (usize, usize, usize),
-        sched_caps: (usize, usize, usize),
-    ) {
-        let epoch = self.epoch;
-        // u32 indices/offsets cap a worker at ~4.29e9 staged messages per
-        // superstep; fail loudly instead of wrapping (one check per phase).
-        assert!(self.staging.len() < NIL as usize, "per-superstep message overflow");
-
-        // Gather: walk each *recipient's* chain once, cloning messages into
-        // the flat inbox and stamping its epoch; vertices with no messages
-        // keep a stale stamp and read as empty without being touched.
-        // `clear` keeps every capacity for the next superstep.
-        self.msgs.clear();
-        self.woken.clear();
-        for r in 0..self.recipients.len() {
-            let v = self.recipients[r] as usize;
-            debug_assert_eq!(self.chain_epoch[v], epoch);
-            let start = self.msgs.len() as u32;
-            let mut i = self.chain_head[v] as usize;
-            loop {
-                self.msgs.push(self.staging[i].clone());
-                let next = self.staging_next[i];
-                if next == NIL {
-                    break;
-                }
-                i = next as usize;
-            }
-            self.inbox_start[v] = start;
-            self.inbox_len[v] = self.msgs.len() as u32 - start;
-            self.inbox_epoch[v] = epoch;
-            if self.halted[v] {
-                self.halted[v] = false;
-                self.num_halted -= 1;
-                self.woken.push(v as u32);
-            }
-        }
-        self.recipients.clear();
-        self.staging.clear();
-        self.staging_next.clear();
-
+    fn finish_delivery(&mut self, caps: [usize; 6]) {
         // Rebuild the active list: the compute survivors (already sorted)
         // merged with the newly woken (sorted here; arrival order follows
-        // the grid drain, not vertex order). The two are disjoint — a
+        // the source order, not vertex order). The two are disjoint — a
         // survivor is by definition not halted, so it cannot be woken.
         self.woken.sort_unstable();
         self.active.clear();
@@ -736,16 +743,22 @@ impl<P: Program> Worker<P> {
         self.active.extend_from_slice(&self.woken[b..]);
         self.survivors.clear();
 
-        let caps_after =
-            (self.staging.capacity(), self.staging_next.capacity(), self.msgs.capacity());
-        let sched_caps_after =
-            (self.recipients.capacity(), self.woken.capacity(), self.active.capacity());
-        self.metrics.fabric_reallocs += u64::from(caps_after.0 != caps.0)
-            + u64::from(caps_after.1 != caps.1)
-            + u64::from(caps_after.2 != caps.2)
-            + u64::from(sched_caps_after.0 != sched_caps.0)
-            + u64::from(sched_caps_after.1 != sched_caps.1)
-            + u64::from(sched_caps_after.2 != sched_caps.2);
+        let now = self.delivery_caps();
+        let grown = now.iter().zip(caps).filter(|&(&now, then)| now != then).count();
+        self.metrics.fabric_reallocs += grown as u64;
+    }
+
+    /// Capacities of every buffer delivery writes (a changed entry means a
+    /// growth event).
+    fn delivery_caps(&self) -> [usize; 6] {
+        [
+            self.msgs.capacity(),
+            self.wire_recv.capacity(),
+            self.wire_ids.capacity(),
+            self.recipients.capacity(),
+            self.woken.capacity(),
+            self.active.capacity(),
+        ]
     }
 
     /// Applies buffered edge additions, keeping each adjacency run sorted and
@@ -849,14 +862,15 @@ impl<P: Program> Worker<P> {
 /// Within each maximal unicast run (broadcast records — the marked
 /// positions — are never crossed), records are stably sorted by destination
 /// id and consecutive same-destination records are folded through
-/// [`Program::combine`] when `fold` is on. That is the exact combine call,
-/// in the exact order, that the receiver's staging chains would have applied
-/// at delivery, so results are bit-identical for *any* combiner — including
-/// non-associative-looking float folds and partial combiners (a `combine`
-/// returning `false` simply keeps both records). Sorting only permutes
-/// records *across* destinations inside a run, never within one (the sort
-/// keys embed the original position), so per-vertex delivery order is
-/// preserved exactly.
+/// [`Program::combine`] when `fold` is on. Folding regroups the combiner's
+/// calls: a receiver whose inbox already holds `p` gets `p ⊕ (m1 ⊕ m2)`
+/// where an unfolded frame would give `(p ⊕ m1) ⊕ m2`. Results are
+/// therefore bit-identical for a combiner that is associative and always
+/// folds (integer min or sum), not for a float sum or a partial combiner
+/// (one that may return `false`); the `fabric_grid` delivery oracle pins
+/// the exact cases. Sorting only permutes records *across* destinations
+/// inside a run, never within one (the sort keys embed the original
+/// position), so per-vertex delivery order is preserved exactly.
 fn stage_frame<P: Program>(
     program: &P,
     outbox: &Batch<P::M>,
@@ -910,42 +924,54 @@ fn stage_frame<P: Program>(
     unicast_logical
 }
 
-/// Appends one delivered message to its vertex's staging chain (after the
-/// program's combiner had a chance to fold it into the chain tail). A free
-/// function over the individual buffers — not a `&mut self` method — so the
-/// delivery loop can stage while holding a shared borrow of the broadcast
-/// fan-out index it is expanding from.
-#[allow(clippy::too_many_arguments)]
+/// The local indices one inbound record delivers to: a broadcast record's
+/// sender fans out to its adjacent local vertices (in the sender's
+/// adjacency order), any other record goes to its one addressee.
 #[inline]
-fn stage_message<P: Program>(
-    program: &P,
-    staging: &mut Vec<P::M>,
-    staging_next: &mut Vec<u32>,
-    chain_head: &mut [u32],
-    chain_tail: &mut [u32],
-    chain_epoch: &mut [u64],
-    recipients: &mut Vec<u32>,
-    v: usize,
-    msg: P::M,
-    epoch: u64,
-) {
-    if chain_epoch[v] == epoch {
-        let tail = chain_tail[v] as usize;
-        if program.combine(&mut staging[tail], &msg) {
-            return;
-        }
-        let idx = staging.len() as u32;
-        staging.push(msg);
-        staging_next.push(NIL);
-        staging_next[tail] = idx;
-        chain_tail[v] = idx;
+fn record_targets<'a>(
+    fan_offsets: &[u32],
+    fan_targets: &'a [u32],
+    local_idx: &'a [u32],
+    broadcast: bool,
+    id: u64,
+) -> &'a [u32] {
+    if broadcast {
+        let lo = fan_offsets[id as usize] as usize;
+        let hi = fan_offsets[id as usize + 1] as usize;
+        &fan_targets[lo..hi]
     } else {
-        chain_epoch[v] = epoch;
-        recipients.push(v as u32);
-        let idx = staging.len() as u32;
-        staging.push(msg);
-        staging_next.push(NIL);
-        chain_head[v] = idx;
-        chain_tail[v] = idx;
+        std::slice::from_ref(&local_idx[id as usize])
+    }
+}
+
+/// Takes every frame `src` sent `me` this superstep and decodes it onto the
+/// end of `out`. Returns the frames' summed pre-fold unicast count and the
+/// first failure, which ends the source: a frame that does not decode —
+/// only reachable without the reliability layer, which NACKs corrupt frames
+/// instead — is dropped whole (typed, not a panic).
+fn decode_source<M: WirePayload>(
+    transport: &dyn Transport,
+    src: usize,
+    me: usize,
+    ids: &mut Vec<u64>,
+    out: &mut Vec<WireRecord<M>>,
+) -> (u64, Option<TransportError>) {
+    let mut unicast_logical = 0;
+    loop {
+        let frame = match transport.take(src, me) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return (unicast_logical, None),
+            Err(e) => return (unicast_logical, Some(e)),
+        };
+        let mark = out.len();
+        let decoded = decode_frame::<M>(&frame, ids, out);
+        transport.recycle(src, me, frame);
+        match decoded {
+            Ok(n) => unicast_logical += n,
+            Err(_) => {
+                out.truncate(mark);
+                return (unicast_logical, Some(TransportError::Corrupt { src, dst: me }));
+            }
+        }
     }
 }

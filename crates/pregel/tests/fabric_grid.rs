@@ -4,10 +4,12 @@
 //! and deduplicated-broadcast lanes, and must stop allocating on the
 //! message path once buffer capacities have warmed up.
 
+use proptest::prelude::*;
 use spinner_graph::generators::{planted_partition, SbmConfig};
-use spinner_graph::{DirectedGraph, GraphBuilder};
+use spinner_graph::rng::{mix3, vertex_stream};
+use spinner_graph::{DirectedGraph, GraphBuilder, VertexId};
 use spinner_pregel::engine::{Engine, EngineConfig, HaltReason};
-use spinner_pregel::program::Program;
+use spinner_pregel::program::{MasterContext, Program};
 use spinner_pregel::{Placement, TransportKind, VertexContext};
 
 fn sbm() -> DirectedGraph {
@@ -374,6 +376,210 @@ fn steady_state_inbox_path_does_not_allocate() {
                         "fabric buffers grew in steady state at superstep {} ({transport:?}, \
                          workers={workers}, threads={threads}, broadcast={broadcast})",
                         step.superstep
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A delivery-oracle message: the `(hash, len)` of a run of original
+/// messages. Combining concatenates runs, which is associative but not
+/// commutative, so a reordered inbox changes the hash.
+type Run = (u64, u32);
+
+fn concat(acc: &mut Run, msg: &Run) {
+    const BASE: u64 = 0x9E37_79B9_7F4A_7C15;
+    acc.0 = acc.0.wrapping_mul(BASE.wrapping_pow(msg.1)).wrapping_add(msg.0);
+    acc.1 += msg.1;
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Combiner {
+    Off,
+    /// Always concatenates.
+    Total,
+    /// Concatenates only while the result holds at most three messages.
+    Partial,
+}
+
+impl Combiner {
+    fn combine(self, acc: &mut Run, msg: &Run) -> bool {
+        let fold = match self {
+            Combiner::Off => false,
+            Combiner::Total => true,
+            Combiner::Partial => acc.1 + msg.1 <= 3,
+        };
+        if fold {
+            concat(acc, msg);
+        }
+        fold
+    }
+}
+
+/// One send of the oracle's random traffic.
+enum Send {
+    To(VertexId, Run),
+    All(Run),
+}
+
+/// The sends vertex `v` makes in `superstep`: up to four, each a unicast
+/// to any vertex (local or remote) or, one time in three, a broadcast.
+fn traffic(seed: u64, v: VertexId, superstep: u64, n: u64) -> Vec<Send> {
+    let mut rng = vertex_stream(seed, u64::from(v), superstep);
+    (0..rng.next_bounded(5))
+        .map(|seq| {
+            let msg = (mix3(u64::from(v), superstep, seq), 1);
+            if rng.next_bounded(3) == 0 {
+                Send::All(msg)
+            } else {
+                Send::To(rng.next_bounded(n) as VertexId, msg)
+            }
+        })
+        .collect()
+}
+
+/// Sends [`traffic`] every superstep and records every inbox it reads.
+struct Traffic {
+    seed: u64,
+    combiner: Combiner,
+    steps: u64,
+}
+
+impl Program for Traffic {
+    type V = Vec<Vec<Run>>;
+    type E = ();
+    type M = Run;
+    type G = ();
+    type WorkerState = ();
+
+    fn init_global(&self) {}
+    fn init_worker(&self, _g: &(), _w: u16) {}
+
+    fn compute(&self, ctx: &mut VertexContext<'_, Self>, messages: &[Run]) {
+        ctx.value.push(messages.to_vec());
+        for send in traffic(self.seed, ctx.vertex, ctx.superstep, ctx.num_vertices) {
+            match send {
+                Send::To(t, msg) => ctx.mail.send(t, msg),
+                Send::All(msg) => ctx.mail.broadcast(msg),
+            }
+        }
+    }
+
+    fn combine(&self, acc: &mut Run, msg: &Run) -> bool {
+        self.combiner.combine(acc, msg)
+    }
+
+    fn master(&self, ctx: &mut MasterContext<'_, ()>) {
+        if ctx.superstep + 1 >= self.steps {
+            ctx.halt();
+        }
+    }
+}
+
+/// The inboxes [`Traffic`] must read, built by walking the sources the way
+/// the fabric defines them: source workers in order (a worker's own sends
+/// at its own position), each worker's vertices in id order, each vertex's
+/// sends in order, a broadcast as one send per out-edge in adjacency order,
+/// and the combiner folding each message into the recipient's last one.
+fn reference_inboxes(
+    g: &DirectedGraph,
+    placement: &Placement,
+    program: &Traffic,
+) -> Vec<Vec<Vec<Run>>> {
+    let n = g.num_vertices();
+    let mut senders: Vec<VertexId> = (0..n).collect();
+    senders.sort_by_key(|&v| (placement.worker_of(v), v));
+    let mut inboxes: Vec<Vec<Vec<Run>>> = vec![vec![Vec::new()]; n as usize];
+    for superstep in 0..program.steps - 1 {
+        let mut arrivals: Vec<Vec<Run>> = vec![Vec::new(); n as usize];
+        for &u in &senders {
+            for send in traffic(program.seed, u, superstep, u64::from(n)) {
+                match send {
+                    Send::To(t, msg) => arrivals[t as usize].push(msg),
+                    Send::All(msg) => {
+                        for &t in g.out_neighbors(u) {
+                            arrivals[t as usize].push(msg);
+                        }
+                    }
+                }
+            }
+        }
+        for (inbox, arrived) in inboxes.iter_mut().zip(arrivals) {
+            let mut folded: Vec<Run> = Vec::new();
+            for msg in arrived {
+                let combined =
+                    folded.last_mut().is_some_and(|last| program.combiner.combine(last, &msg));
+                if !combined {
+                    folded.push(msg);
+                }
+            }
+            inbox.push(folded);
+        }
+    }
+    inboxes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every vertex's inbox, every superstep, equals the naive reference on
+    /// both fabrics, with and without sender folding, the broadcast lane and
+    /// a total or partial combiner — random unicasts and broadcasts, local
+    /// and remote.
+    #[test]
+    fn inboxes_match_a_naive_walk_of_the_sources(
+        seed in any::<u64>(),
+        n in 2u32..40,
+        edges in prop::collection::vec((0u32..1000, 0u32..1000), 0..160),
+        workers in 1usize..5,
+        threads in 1usize..3,
+    ) {
+        let g = GraphBuilder::new(n)
+            .add_edges(edges.iter().map(|&(a, b)| (a % n, b % n)))
+            .build();
+        let placement = Placement::hashed(n, workers, seed);
+        for combiner in [Combiner::Off, Combiner::Total, Combiner::Partial] {
+            let program = Traffic { seed, combiner, steps: 5 };
+            let expect = reference_inboxes(&g, &placement, &program);
+            for (transport, sender_fold) in [
+                (TransportKind::Direct, false),
+                (TransportKind::Ring, false),
+                (TransportKind::Ring, true),
+            ] {
+                // Sender folding regroups a partial combiner's calls (it
+                // folds a run before the receiver sees its first message),
+                // so only total combiners are exact under it.
+                if sender_fold && combiner == Combiner::Partial {
+                    continue;
+                }
+                for broadcast_fabric in [true, false] {
+                    let cfg = EngineConfig {
+                        num_threads: threads,
+                        max_supersteps: 20,
+                        seed: 1,
+                        transport,
+                        sender_fold,
+                        broadcast_fabric,
+                        ..EngineConfig::default()
+                    };
+                    let mut engine = Engine::from_directed(
+                        Traffic { seed, combiner, steps: 5 },
+                        &g,
+                        &placement,
+                        cfg,
+                        |_| Vec::new(),
+                        |_, _, _| (),
+                    );
+                    prop_assert_eq!(engine.run().halt, HaltReason::Master);
+                    prop_assert_eq!(
+                        engine.collect_values(),
+                        expect.clone(),
+                        "{:?} fold={} lane={} {:?}",
+                        transport,
+                        sender_fold,
+                        broadcast_fabric,
+                        combiner
                     );
                 }
             }
