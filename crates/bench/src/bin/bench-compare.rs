@@ -8,8 +8,7 @@
 //! The `metrics` an experiment reports (φ/ρ/migration trajectories, record
 //! counts, see `spinner_bench::emit_metric`) are seeded and exactly
 //! reproducible, so one tight gate covers them all: a higher-is-better
-//! metric (`phi*`, `local_share*` — the message-locality share of the
-//! placement in effect, `availability*` — lookups answered during fault
+//! metric (`phi*`, `availability*` — lookups answered during fault
 //! recovery) regresses when it drops more than [`TOLERANCE`] below
 //! baseline; a lower-is-better one (`rho*`, `*migration*`, `*moved*`,
 //! `remote_records*` — the physical record traffic the broadcast fabric
@@ -77,46 +76,36 @@ fn load(path: &str) -> Vec<ExperimentOutcome> {
 
 /// Which way a metric is allowed to move, inferred from its name.
 enum Direction {
-    /// `phi*` (edge locality), `local_share*` (worker-local message share
-    /// under the placement in effect), `availability*` (the share of
-    /// lookups answered while a fault recovery was in flight),
-    /// `fold_ratio*` (sender-side combiner folding) and `wire_compression*`
-    /// (raw/compact frame-byte ratio) — dropping below baseline is a
-    /// regression.
+    /// Dropping below baseline is a regression.
     HigherBetter,
-    /// `rho*`, `*migration*`, `*moved*` (balance/movement cost),
-    /// `remote_records*` (physical cross-worker fabric records — what the
-    /// broadcast lane deduplicates), `wire_bytes*` / `bytes_per_record*`
-    /// (encoded frame traffic on the serialising transport),
-    /// `active_fraction*` (per-superstep compute cost of frontier-seeded
-    /// windows), `retransmit_ratio*` (reliable-transport re-publishes per
-    /// encoded frame) and `delivery_overhead*` (receive-side repair actions
-    /// per frame) — rising above baseline is a regression.
+    /// Rising above baseline is a regression.
     LowerBetter,
     /// Anything else: reported for the record, never gated.
     Informational,
 }
 
+/// Name prefixes gated higher-is-better: `phi*` (edge locality) and
+/// `availability*` (the share of lookups answered while a fault recovery
+/// was in flight).
+const HIGHER_BETTER_PREFIXES: &[&str] = &["phi", "availability"];
+
+/// Name prefixes gated lower-is-better: `rho*` (balance), `remote_records*`
+/// (physical cross-worker fabric records — what the broadcast lane
+/// deduplicates), `active_fraction*` (per-superstep compute cost of
+/// frontier-seeded windows), `retransmit_ratio*` (reliable-transport
+/// re-publishes per encoded frame) and `delivery_overhead*` (receive-side
+/// repair actions per frame).
+const LOWER_BETTER_PREFIXES: &[&str] =
+    &["rho", "remote_records", "active_fraction", "retransmit_ratio", "delivery_overhead"];
+
+/// Substrings gated lower-is-better anywhere in a name: movement cost.
+const LOWER_BETTER_INFIXES: &[&str] = &["migration", "moved"];
+
 fn direction(name: &str) -> Direction {
-    // `fold_ratio*` and `wire_compression*` gate higher-is-better: both
-    // measure achieved savings (records folded away, raw/compact byte
-    // ratio), so a *drop* below baseline means the wire path regressed.
-    if name.starts_with("phi")
-        || name.starts_with("local_share")
-        || name.starts_with("availability")
-        || name.starts_with("fold_ratio")
-        || name.starts_with("wire_compression")
-    {
+    if HIGHER_BETTER_PREFIXES.iter().any(|p| name.starts_with(p)) {
         Direction::HigherBetter
-    } else if name.starts_with("rho")
-        || name.starts_with("remote_records")
-        || name.starts_with("wire_bytes")
-        || name.starts_with("bytes_per_record")
-        || name.starts_with("active_fraction")
-        || name.starts_with("retransmit_ratio")
-        || name.starts_with("delivery_overhead")
-        || name.contains("migration")
-        || name.contains("moved")
+    } else if LOWER_BETTER_PREFIXES.iter().any(|p| name.starts_with(p))
+        || LOWER_BETTER_INFIXES.iter().any(|s| name.contains(s))
     {
         Direction::LowerBetter
     } else {
@@ -303,5 +292,22 @@ mod tests {
         // Both costs dropping (a cleaner wire) is an improvement, not a gate
         // trip.
         assert_eq!(failures(&baseline, &chaos(0.0, 0.0, 1.0)), 0);
+    }
+
+    /// A gating rule that no committed metric matches guards nothing: every
+    /// prefix and infix must name at least one metric of the baseline.
+    #[test]
+    fn every_gating_rule_matches_a_baseline_metric() {
+        let baseline =
+            parse_report(include_str!("../../../../bench-results/BENCH_BASELINE.json"))
+                .expect("committed baseline parses");
+        let names: Vec<&str> =
+            baseline.iter().flat_map(|e| e.metrics.iter().map(|(n, _)| n.as_str())).collect();
+        for prefix in HIGHER_BETTER_PREFIXES.iter().chain(LOWER_BETTER_PREFIXES) {
+            assert!(names.iter().any(|n| n.starts_with(prefix)), "no metric for {prefix}*");
+        }
+        for infix in LOWER_BETTER_INFIXES {
+            assert!(names.iter().any(|n| n.contains(infix)), "no metric for *{infix}*");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! **Ablations** — the design choices DESIGN.md calls out, isolated:
+//! **Ablations** — the paper's design choices, isolated:
 //!
 //! 1. Asynchronous per-worker load counters (§IV-A4) on/off → convergence.
 //! 2. Directed-aware conversion (Eq. 3) vs naive symmetrisation (Fig. 1) →

@@ -205,9 +205,10 @@ fn main() -> ExitCode {
     // independent, so these stay comparable whether the broadcast fabric
     // is on or off — plus the physical cross-worker records the broadcast
     // lane actually shipped (gated lower-is-better by bench-compare; the
-    // unicast/broadcast comparison itself lives in exp-broadcast).
-    // These run under the default hash placement — the label-placement
-    // counterpart (and its gate) lives in exp-locality.
+    // unicast/broadcast comparison itself is pinned by
+    // crates/core/tests/broadcast_equivalence.rs). These run under the
+    // default hash placement — the label-placement counterpart is pinned by
+    // spinner_core's `placement_feedback_improves_locality_but_not_labels`.
     let sent_local: u64 = rows.iter().map(|r| r.report.sent_local()).sum();
     let sent_remote: u64 = rows.iter().map(|r| r.report.sent_remote()).sum();
     let remote_records: u64 = rows.iter().map(|r| r.report.sent_remote_records()).sum();

@@ -12,8 +12,8 @@
 //!   smoke mode; omitted otherwise unless requested.
 //!
 //! `SPINNER_SCALE=tiny cargo run --release --bin run-all` remains the
-//! manual equivalent; the default (full) scale regenerates the
-//! EXPERIMENTS.md numbers.
+//! manual equivalent; the default (full) scale regenerates the paper's
+//! tables and figures.
 
 use spinner_bench::report::{render_report, ExperimentOutcome};
 use spinner_bench::scale_from_env;
@@ -35,12 +35,8 @@ const EXPERIMENTS: &[&str] = &[
     "exp-ablation",
     "exp-theory",
     "exp-stream",
-    "exp-locality",
-    "exp-broadcast",
     "exp-serving",
     "exp-chaos",
-    "exp-skew",
-    "exp-wire",
     "exp-transport-chaos",
 ];
 
@@ -81,10 +77,8 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
     // Children read SPINNER_SCALE themselves; in smoke mode force tiny so a
-    // stray environment setting cannot turn CI into a multi-hour run. The
-    // reported scale goes through the same mapping the children use, so an
-    // unrecognised SPINNER_SCALE value is recorded as the "full" it falls
-    // back to, not as the raw string.
+    // stray environment setting cannot turn CI into a multi-hour run.
+    // Otherwise the scale is validated here, before any child starts.
     let scale = if args.smoke {
         "tiny"
     } else {

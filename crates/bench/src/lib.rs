@@ -1,13 +1,17 @@
 //! Shared harness utilities for the experiment binaries (`exp-*`).
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
-//! in `src/bin/` that regenerates it (see DESIGN.md §3 for the index).
+//! in `src/bin/` that regenerates it (the README's Quickstart lists them).
 //! Binaries honour two environment variables:
 //!
 //! - `SPINNER_SCALE` — `tiny` / `small` / `full` (default `full`): dataset
 //!   scale. `full` is the calibrated experiment scale; `tiny` is a smoke
 //!   run.
-//! - `SPINNER_THREADS` — OS threads for the engine (default: all cores).
+//! - `SPINNER_THREADS` — OS threads for the engine, a positive integer
+//!   (default: all cores).
+//!
+//! Any other value of either variable exits the binary with a message that
+//! names the variable and the value.
 
 use spinner_core::{PartitionResult, SpinnerConfig};
 use spinner_graph::{Dataset, Scale, UndirectedGraph};
@@ -16,20 +20,42 @@ pub mod report;
 
 pub use spinner_metrics::Table;
 
-/// Reads the dataset scale from `SPINNER_SCALE`.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("SPINNER_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("small") => Scale::Small,
-        _ => Scale::Full,
+/// Parses a `SPINNER_SCALE` value.
+fn parse_scale(value: &str) -> Option<Scale> {
+    match value {
+        "tiny" => Some(Scale::Tiny),
+        "small" => Some(Scale::Small),
+        "full" => Some(Scale::Full),
+        _ => None,
     }
 }
 
-/// Reads the thread count from `SPINNER_THREADS`.
+/// Parses a `SPINNER_THREADS` value: a positive integer.
+fn parse_threads(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|&n| n > 0)
+}
+
+/// Reads `name` from the environment through `parse`: `None` when unset,
+/// and a process exit (status 2) naming the variable, the value and
+/// `expected` when `parse` rejects it.
+fn env_or_exit<T>(name: &str, parse: fn(&str) -> Option<T>, expected: &str) -> Option<T> {
+    let raw = std::env::var_os(name)?;
+    let parsed = raw.to_str().and_then(parse);
+    if parsed.is_none() {
+        eprintln!("invalid {name}={raw:?}: expected {expected}");
+        std::process::exit(2);
+    }
+    parsed
+}
+
+/// Reads the dataset scale from `SPINNER_SCALE` (unset means `full`).
+pub fn scale_from_env() -> Scale {
+    env_or_exit("SPINNER_SCALE", parse_scale, "tiny, small or full").unwrap_or(Scale::Full)
+}
+
+/// Reads the thread count from `SPINNER_THREADS` (unset means all cores).
 pub fn threads_from_env() -> usize {
-    std::env::var("SPINNER_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    env_or_exit("SPINNER_THREADS", parse_threads, "a positive integer")
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
@@ -136,8 +162,23 @@ mod tests {
     fn env_scale_defaults_to_full() {
         // Do not set the var in-process (tests run in parallel); just check
         // the default path.
-        if std::env::var("SPINNER_SCALE").is_err() {
+        if std::env::var_os("SPINNER_SCALE").is_none() {
             assert_eq!(scale_from_env(), Scale::Full);
+        }
+    }
+
+    #[test]
+    fn only_exact_values_parse() {
+        assert_eq!(parse_scale("tiny"), Some(Scale::Tiny));
+        assert_eq!(parse_scale("small"), Some(Scale::Small));
+        assert_eq!(parse_scale("full"), Some(Scale::Full));
+        for typo in ["", "Tiny", "tiny ", "smal", "fulll"] {
+            assert_eq!(parse_scale(typo), None, "{typo:?}");
+        }
+        assert_eq!(parse_threads("1"), Some(1));
+        assert_eq!(parse_threads("16"), Some(16));
+        for bad in ["", "0", "-2", "four", "2.5", " 4"] {
+            assert_eq!(parse_threads(bad), None, "{bad:?}");
         }
     }
 }

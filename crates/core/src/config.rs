@@ -33,8 +33,8 @@ pub enum RestartScope {
 /// The paper's evaluation settings (§V-A) are the defaults: `c = 1.05`,
 /// `ε = 0.001`, `w = 5`. The ablation switches (`balance_penalty`,
 /// `probabilistic_migration`, `async_worker_loads`, `in_engine_conversion`)
-/// all default to the paper's design and exist for the ablation experiments
-/// called out in DESIGN.md.
+/// all default to the paper's design and exist for the `exp-ablation`
+/// experiment.
 #[derive(Debug, Clone)]
 pub struct SpinnerConfig {
     /// Number of partitions `k`.
@@ -96,8 +96,9 @@ pub struct SpinnerConfig {
     /// only message). Results — labels, history, φ/ρ, iteration counts —
     /// are bit-identical either way; only the physical record traffic
     /// (`sent_remote_records` vs the logical `sent_remote`) changes, so
-    /// `false` is the per-edge verification arm the `exp-broadcast`
-    /// experiment runs against. Default `true`.
+    /// `false` is the per-edge verification arm that
+    /// `crates/core/tests/broadcast_equivalence.rs` runs against. Default
+    /// `true`.
     pub broadcast_fabric: bool,
     /// Evaluate all `k` labels per vertex, as the paper's implementation
     /// does ("the complexity of the heuristic executed by each vertex is

@@ -7,12 +7,15 @@
 //! delta, and the `Engine::replace` migration that label-driven placement
 //! feedback triggers mid-stream. The only permitted difference is the
 //! physical record traffic, which the broadcast arm must strictly shrink
-//! on hub-heavy graphs.
+//! on hub-heavy graphs. The same stream over the serialising Ring
+//! transport must match the direct path too, with only the framed bytes
+//! differing.
 
 use proptest::prelude::*;
 use spinner_core::{SpinnerConfig, StreamEvent, StreamSession, WindowReport};
 use spinner_graph::generators::barabasi_albert;
-use spinner_graph::{DeltaStream, DeltaStreamConfig, DirectedGraph};
+use spinner_graph::{DeltaStream, DeltaStreamConfig, DirectedGraph, GraphDelta};
+use spinner_pregel::{TransportKind, WireFormat};
 
 /// Preferential-attachment base: the hub-heavy regime the dedup targets
 /// (a hub with `d` neighbours over `L` workers costs `d` unicast records
@@ -53,9 +56,9 @@ fn digest(w: &WindowReport) -> (u32, f64, f64, f64, u32, u64, u64, u64, u64, u64
     )
 }
 
-fn run_arms(graph_seed: u64, stream_seed: u64, k: u32) {
-    let base = hub_graph(1200, graph_seed);
-    let deltas: Vec<_> = DeltaStream::new(
+/// Three hub-biased delta windows over `base`.
+fn hub_deltas(base: &DirectedGraph, seed: u64) -> Vec<GraphDelta> {
+    DeltaStream::new(
         base.clone(),
         DeltaStreamConfig {
             windows: 3,
@@ -65,10 +68,15 @@ fn run_arms(graph_seed: u64, stream_seed: u64, k: u32) {
             attach_degree: 4,
             triadic_fraction: 0.5,
             hub_bias: 1.0,
-            seed: stream_seed,
+            seed,
         },
     )
-    .collect();
+    .collect()
+}
+
+fn run_arms(graph_seed: u64, stream_seed: u64, k: u32) {
+    let base = hub_graph(1200, graph_seed);
+    let deltas = hub_deltas(&base, stream_seed);
 
     let mut unicast = StreamSession::new(base.clone(), cfg(k, 7, false));
     let mut broadcast = StreamSession::new(base, cfg(k, 7, true));
@@ -149,5 +157,54 @@ fn hub_stream_dedup_ratio_is_substantial() {
         .fold((0u64, 0u64), |(l, r), w| (l + w.sent_remote(), r + w.sent_remote_records()));
     assert!(records > 0);
     let ratio = logical as f64 / records as f64;
-    assert!(ratio > 2.0, "dedup ratio {ratio:.2} too small ({logical} / {records})");
+    assert!(ratio > 3.0, "dedup ratio {ratio:.2} too small ({logical} / {records})");
+    assert_eq!((logical, records), (110_049, 29_887));
+    assert_eq!(session.last().phi(), 0.3361818069230293);
+}
+
+/// Deterministic anchor for the serialising transport: the hub stream plus
+/// a trailing empty delta, on Direct, Ring/Raw and Ring/Compact. Labels
+/// and every window are bit-identical; only the framed bytes differ. The
+/// empty delta re-converges over an unchanged graph, so framing, transport
+/// channels and decode scratch must all fit the capacity the stream warmed
+/// up.
+#[test]
+fn ring_stream_matches_direct_stream() {
+    let base = hub_graph(1200, 0x51);
+    let direct_cfg = cfg(8, 7, true);
+    let arms = [
+        direct_cfg.clone(),
+        direct_cfg
+            .clone()
+            .with_transport(TransportKind::Ring)
+            .with_wire_format(WireFormat::Raw),
+        direct_cfg.with_transport(TransportKind::Ring),
+    ];
+    let sessions: Vec<StreamSession> = arms
+        .into_iter()
+        .map(|arm| {
+            let mut session = StreamSession::new(base.clone(), arm);
+            for delta in hub_deltas(&base, 9).into_iter().chain([GraphDelta::default()]) {
+                session.apply(StreamEvent::Delta(delta));
+            }
+            session
+        })
+        .collect();
+    let direct = &sessions[0];
+    for session in &sessions {
+        assert_eq!(session.labels(), direct.labels(), "labels diverged across transports");
+        for (d, w) in direct.windows().iter().zip(session.windows()) {
+            assert_eq!(
+                digest(d),
+                digest(w),
+                "window {} diverged across transports",
+                d.window()
+            );
+        }
+        assert_eq!(session.last().fabric_reallocs(), 0, "the empty-delta window grew");
+    }
+    let bytes: Vec<u64> =
+        sessions.iter().map(|s| s.windows().iter().map(|w| w.wire_bytes()).sum()).collect();
+    assert_eq!(bytes, [0, 439_312, 138_348], "direct, raw, compact");
+    assert_eq!(direct.last().phi(), 0.33300198807157055);
 }

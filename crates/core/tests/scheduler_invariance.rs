@@ -101,6 +101,10 @@ fn scheduler_grid_anchor_on_skewed_hubs() {
     ref_cfg.dense_scan = true;
     let reference = partition_with_placement(&g, &ref_cfg, &Placement::contiguous(2000, 1));
     assert!(reference.iterations > 0);
+    assert_eq!(
+        (reference.quality.phi, reference.quality.rho),
+        (0.36125031320471057, 1.0647707341518415)
+    );
     for &(workers, threads) in &[(8usize, 4usize), (16, 8), (7, 3)] {
         for &(stealing, chunk) in SCHEDULERS {
             let mut cfg = sync_cfg(6, threads);

@@ -4,7 +4,7 @@
 //! vertices), or both. Each analogue reproduces the *structural properties*
 //! that drive Spinner's behaviour on that dataset — community locality,
 //! degree skew, host-level web locality, directedness — at a scale that runs
-//! on one machine. See DESIGN.md §2 for the substitution rationale.
+//! on one machine.
 
 use crate::conversion::{from_undirected_edges, to_weighted_undirected};
 use crate::directed::DirectedGraph;

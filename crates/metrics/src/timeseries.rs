@@ -104,30 +104,6 @@ impl Trajectory {
             .fold(0.0, f64::max)
     }
 
-    /// The worst (smallest) worker-local message share over the
-    /// *post-bootstrap* windows (1.0 with fewer than two windows) — the
-    /// locality floor the placement gates check. The bootstrap window is
-    /// skipped for the same reason the migration aggregates skip it: it
-    /// runs on the initial placement by construction, before any
-    /// label-driven re-placement can take effect.
-    pub fn min_local_share(&self) -> f64 {
-        self.points[self.points.len().min(1)..]
-            .iter()
-            .map(|p| p.local_share)
-            .fold(1.0, f64::min)
-    }
-
-    /// Mean worker-local message share over the *post-bootstrap* windows —
-    /// the steady-state locality of the placement in effect during the
-    /// stream. 0.0 with fewer than two windows.
-    pub fn mean_local_share(&self) -> f64 {
-        let tail = &self.points[self.points.len().min(1)..];
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter().map(|p| p.local_share).sum::<f64>() / tail.len() as f64
-    }
-
     /// Mean per-superstep active fraction over the *post-bootstrap*
     /// windows — the steady-state compute cost of staying adapted, in
     /// units of full-graph sweeps. The bootstrap is skipped because it
@@ -224,8 +200,6 @@ mod tests {
         assert_eq!(t.min_phi(), 1.0);
         assert_eq!(t.mean_migration_fraction(), 0.0);
         assert_eq!(t.max_migration_fraction(), 0.0);
-        assert_eq!(t.min_local_share(), 1.0);
-        assert_eq!(t.mean_local_share(), 0.0);
         assert_eq!(t.mean_active_fraction(), 0.0);
         assert_eq!(t.max_active_fraction(), 0.0);
     }
@@ -235,20 +209,6 @@ mod tests {
         let mut t = Trajectory::new();
         t.push(point(0, 0.8, 1.02, 1.0));
         assert_eq!(t.mean_migration_fraction(), 0.0);
-        assert_eq!(t.mean_local_share(), 0.0);
-    }
-
-    /// A label-driven re-placement mid-stream shows up as a locality jump:
-    /// both aggregates track the post-bootstrap windows only, so the
-    /// bootstrap's hash-placement share (0.12) poisons neither.
-    #[test]
-    fn local_share_series_tracks_placement_changes() {
-        let mut t = Trajectory::new();
-        t.push(WindowPoint { local_share: 0.12, ..point(0, 0.7, 1.04, 1.0) });
-        t.push(WindowPoint { local_share: 0.82, ..point(1, 0.72, 1.05, 0.1) });
-        t.push(WindowPoint { local_share: 0.86, ..point(2, 0.73, 1.05, 0.05) });
-        assert!((t.min_local_share() - 0.82).abs() < 1e-12);
-        assert!((t.mean_local_share() - 0.84).abs() < 1e-12);
     }
 
     /// Frontier-seeded delta windows keep the active series far below the

@@ -217,6 +217,8 @@ struct Trace {
     values: Vec<u32>,
     history: Vec<HistoryRow>,
     halt_supersteps: u64,
+    /// Remote records per framed record after sender-side folding.
+    fold_ratio: f64,
     wire_bytes: u64,
     wire_folded: u64,
     /// Fabric growth events per superstep, to pin the steady state.
@@ -257,6 +259,7 @@ fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> T
             })
             .collect(),
         halt_supersteps: summary.supersteps,
+        fold_ratio: totals.fold_ratio(),
         wire_bytes: totals.wire_bytes,
         wire_folded: totals.wire_folded,
         reallocs: summary
@@ -272,7 +275,8 @@ fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> T
 /// logical message history must be bit-identical to the direct path
 /// everywhere, while the wire arms actually serialise (bytes > 0), Compact
 /// beats Raw, and folding only ever removes records the combiner would have
-/// folded on the receiver anyway.
+/// folded on the receiver anyway — and, with a combiner, shrinks the frames
+/// of both formats.
 #[test]
 fn wire_arms_are_bit_identical_to_direct() {
     let g = sbm();
@@ -296,7 +300,8 @@ fn wire_arms_are_bit_identical_to_direct() {
                     },
                 );
                 assert_eq!(direct.wire_bytes, 0, "direct path never serialises");
-                let mut bytes_by_format = [0u64; 2];
+                // Frame bytes by `[format][fold]`.
+                let mut bytes = [[0u64; 2]; 2];
                 for arm in &arms {
                     let t = run_arm(&g, threads, MinLabel { combine, broadcast }, arm);
                     let tag = format!(
@@ -310,6 +315,10 @@ fn wire_arms_are_bit_identical_to_direct() {
                     assert!(t.wire_bytes > 0, "wire arm must serialise: {tag}");
                     if combine && arm.fold {
                         assert!(t.wire_folded > 0, "combiner fold must engage: {tag}");
+                        // Broadcast records never fold; only the unicasts do.
+                        let ratio =
+                            if broadcast { 1.0023658139878753 } else { 2.159163319019255 };
+                        assert_eq!(t.fold_ratio, ratio, "{tag}");
                     } else {
                         assert_eq!(t.wire_folded, 0, "nothing to fold: {tag}");
                     }
@@ -317,15 +326,14 @@ fn wire_arms_are_bit_identical_to_direct() {
                     // allocates nothing — the tail supersteps are all zero.
                     let tail: u64 = t.reallocs.iter().skip(3).sum();
                     assert_eq!(tail, 0, "fabric must stop allocating: {tag}");
-                    if !arm.fold {
-                        bytes_by_format[arm.format as usize] = t.wire_bytes;
-                    }
+                    bytes[arm.format as usize][usize::from(arm.fold)] = t.wire_bytes;
                 }
-                assert!(
-                    bytes_by_format[WireFormat::Compact as usize]
-                        < bytes_by_format[WireFormat::Raw as usize],
-                    "compact must beat raw: combine={combine} broadcast={broadcast}"
-                );
+                let [raw, compact] = bytes;
+                let tag = format!("combine={combine} broadcast={broadcast}");
+                assert!(compact[0] < raw[0], "compact must beat raw: {tag}");
+                if combine {
+                    assert!(raw[1] < raw[0] && compact[1] < compact[0], "no fold gain: {tag}");
+                }
             }
         }
     }
