@@ -82,10 +82,11 @@ pub struct SpinnerConfig {
     /// Label-driven placement feedback for streaming sessions (§V-F: "we
     /// plug a hash function that uses only the l_j field"). `Some(t)`:
     /// whenever a window converges with a remote-message share above `t`,
-    /// the session migrates every vertex onto the worker owning its
+    /// the session re-places every vertex onto the worker owning its
     /// computed label (balanced greedy packing,
-    /// `Placement::from_labels_balanced`) before the next window, so
-    /// subsequent re-convergences exchange mostly worker-local messages.
+    /// `Placement::from_labels_balanced`), and the next window's warm reset
+    /// hosts the engine there, so subsequent re-convergences exchange
+    /// mostly worker-local messages.
     /// `None` (the default) keeps the initial hash placement for the whole
     /// stream. Labels are unaffected either way; with
     /// `async_worker_loads = false` they are bit-identical.

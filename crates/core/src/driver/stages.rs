@@ -97,9 +97,9 @@ pub fn build_engine(
     )
 }
 
-/// [`build_engine`] applied to a finished engine in place: the engine's
-/// fabric buffers keep their capacity and its settings stay those it was
-/// built with.
+/// [`build_engine`] applied to a finished engine in place: the engine is
+/// re-hosted on `placement`, its fabric buffers keep their capacity, and
+/// its settings stay those it was built with.
 pub fn reset_engine(
     engine: &mut Engine<SpinnerProgram>,
     graph: &UndirectedGraph,
@@ -112,7 +112,7 @@ pub fn reset_engine(
         program(cfg),
         graph,
         placement,
-        |v| vertex(labels, affected, v),
+        |v| (vertex(labels, affected, v), false),
         edge,
     );
 }

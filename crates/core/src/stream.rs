@@ -16,12 +16,13 @@
 //!
 //! With [`SpinnerConfig::placement_feedback`] enabled the session also
 //! closes the paper's §V-F loop: when a window converges with a remote-
-//! message share above the threshold, the engine's vertex state migrates in
-//! place onto workers chosen by computed label (balanced greedy packing),
-//! so later windows run with label-aligned locality — most messages then
-//! take the fabric's lock-free local fast path instead of the cross-worker
-//! grid. Labels are unaffected; with `async_worker_loads = false` they are
-//! bit-identical to a feedback-free run.
+//! message share above the threshold, the session re-places every vertex
+//! onto workers chosen by computed label (balanced greedy packing), and the
+//! next window's warm reset hosts the engine there, so later windows run
+//! with label-aligned locality — most messages then take the fabric's
+//! lock-free local fast path instead of the cross-worker grid. Labels are
+//! unaffected; with `async_worker_loads = false` they are bit-identical to
+//! a feedback-free run.
 
 use crate::config::{RestartScope, SpinnerConfig};
 use crate::driver::{
@@ -395,12 +396,12 @@ pub struct StreamSession {
     /// a per-vertex [`Placement`] — so vertices appended by later deltas
     /// are placed consistently with their initial label.
     label_to_worker: Option<Vec<WorkerId>>,
-    /// The placement the warm engine is *currently* hosted on: the one
-    /// installed by the latest warm reset, or by the latest feedback
-    /// migration if that ran afterwards. Tracked explicitly because it is
-    /// not derivable from the final labels — the window's reset placement
-    /// was computed from the window's *initial* labels — and the serving
-    /// layer must publish exactly what the engine hosts.
+    /// Where the session's vertices live, and what the serving layer
+    /// publishes: the placement the latest window ran on, or the by-label
+    /// re-place installed after it, which the engine adopts at the next
+    /// window's warm reset. Tracked explicitly because it is not derivable
+    /// from the final labels — the window's reset placement was computed
+    /// from the window's *initial* labels.
     placement: Placement,
 }
 
@@ -412,8 +413,8 @@ impl StreamSession {
     /// With [`SpinnerConfig::placement_feedback`] set, every window —
     /// including this bootstrap — is followed by the label-driven placement
     /// check: if the window's remote-message share exceeded the threshold,
-    /// all vertex state migrates onto workers chosen by computed label
-    /// (paper §V-F) before the next window runs.
+    /// every vertex is re-placed onto workers chosen by computed label
+    /// (paper §V-F), and the next window runs on that placement.
     pub fn new(graph: DirectedGraph, cfg: SpinnerConfig) -> Self {
         let undirected = from_undirected_edges(&graph);
         let n = undirected.num_vertices();
@@ -572,7 +573,7 @@ impl StreamSession {
                 let degree = und.weighted_degree(v as VertexId);
                 loads[l as usize] += load_of(self.cfg.objective, degree) as i64;
             }
-            self.engine.warm_reset_undirected_seeded(
+            self.engine.warm_reset_undirected(
                 program,
                 und,
                 &placement,
@@ -763,7 +764,7 @@ impl StreamSession {
     /// The placement for a window starting from `labels`: hash placement
     /// until feedback first triggers, the label-driven map afterwards
     /// (labels beyond the map — partitions added by an elastic resize —
-    /// fall back to the modulo wrap until the next feedback migration).
+    /// fall back to the modulo wrap until the next by-label re-place).
     fn placement_for(&self, labels: &[Label]) -> Placement {
         match &self.label_to_worker {
             Some(assignment) => {
@@ -775,26 +776,11 @@ impl StreamSession {
 
     /// Label-driven placement feedback (§V-F): when the window that just
     /// converged pushed more than the configured share of its messages
-    /// across workers, migrate every vertex onto the worker owning its
+    /// across workers, re-place every vertex onto the worker owning its
     /// computed label — balanced greedy packing, so `k > num_workers` does
-    /// not pile large labels onto one worker — reusing the engine's
-    /// fabric-preserving migration. Returns the number of vertices that
-    /// changed worker (0 when feedback is off or locality was good enough).
-    ///
-    /// The migration runs eagerly through [`Engine::replace`] — one
-    /// O(V + E) topology pass, a small constant fraction of the window's
-    /// multi-superstep re-convergence — so the warm engine is genuinely
-    /// hosted on the placement the session reports from this point on,
-    /// rather than the session merely *planning* a placement for the next
-    /// warm reset. (A pure bookkeeping alternative — diffing the new
-    /// placement against the engine's worker map — would produce the same
-    /// `moved` count and the same next-window behaviour, since the warm
-    /// reset reloads topology anyway; re-hosting for real is what keeps
-    /// "the engine's layout" and "the session's placement" the same thing,
-    /// with the migration itself exercised and accounted, not simulated.)
-    /// When the threshold keeps firing on an unchanged placement,
-    /// `Engine::replace` detects `moved == 0` in O(V) and skips the
-    /// rebuild.
+    /// not pile large labels onto one worker. Returns the number of
+    /// vertices that changed worker (0 when feedback is off or locality was
+    /// good enough).
     fn feedback_replace(&mut self, result: &PartitionResult) -> u64 {
         let Some(threshold) = self.cfg.placement_feedback else { return 0 };
         let remote_share = 1.0 - result.totals.local_share();
@@ -804,18 +790,25 @@ impl StreamSession {
         self.replace_by_label()
     }
 
-    /// Migrates the engine onto the balanced by-label placement for the
+    /// Re-places every vertex onto the balanced by-label placement for the
     /// current labels, installing the label → worker map. Returns how many
-    /// vertices changed worker.
+    /// vertices changed worker. The engine moves with the next window's
+    /// warm reset, which every window starts with, so nothing is copied
+    /// here.
     fn replace_by_label(&mut self) -> u64 {
         let assignment =
             Placement::balanced_label_assignment(&self.labels, self.cfg.num_workers);
         let placement =
             Placement::from_label_assignment(&self.labels, &assignment, self.cfg.num_workers);
-        let stats = self.engine.replace(&placement);
+        let moved = placement
+            .as_slice()
+            .iter()
+            .zip(self.placement.as_slice())
+            .filter(|(new, old)| new != old)
+            .count() as u64;
         self.placement = placement;
         self.label_to_worker = Some(assignment);
-        stats.moved
+        moved
     }
 
     /// Runs a whole stream of events, returning the final report.
@@ -870,9 +863,9 @@ impl StreamSession {
         self.label_to_worker.as_deref()
     }
 
-    /// The placement the warm engine is currently hosted on — what a
-    /// serving layer should publish for vertex → worker routing. Updated by
-    /// every window's warm reset and by each placement-feedback migration.
+    /// Where the session's vertices live — what a serving layer should
+    /// publish for vertex → worker routing. Updated by every window's warm
+    /// reset and by each by-label re-place (feedback or recovery).
     pub fn placement(&self) -> &Placement {
         &self.placement
     }
@@ -1209,9 +1202,14 @@ mod tests {
         let g0 = base(1200, 17);
         let mut session = StreamSession::new(g0, cfg(4));
         assert!(session.label_assignment().is_none());
+        let hashed = session.placement().as_slice().to_vec();
         let report = session.apply(StreamEvent::WorkerLoss { worker: 0 }).clone();
         assert!(session.label_assignment().is_some(), "loss must install the label map");
         assert!(report.is_recovery());
+        // The window ran on the hash placement; the count is its diff
+        // against the by-label one.
+        let moved = hashed.iter().zip(session.placement().as_slice()).filter(|(h, l)| h != l);
+        assert_eq!(report.placement_moved(), moved.count() as u64);
         assert!(report.placement_moved() > 0, "hash → by-label re-place must migrate");
     }
 

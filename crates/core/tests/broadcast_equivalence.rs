@@ -3,11 +3,11 @@
 //! be **bit-identical** — labels, φ/ρ bits, iteration counts, logical
 //! message totals — to the per-edge unicast arm, across hub-biased delta
 //! windows that exercise the fan-out index through every lifecycle the
-//! engine offers: the cold build, `warm_reset_undirected` after each
-//! delta, and the `Engine::replace` migration that label-driven placement
-//! feedback triggers mid-stream. The only permitted difference is the
-//! physical record traffic, which the broadcast arm must strictly shrink
-//! on hub-heavy graphs. The same stream over the serialising Ring
+//! engine offers: the cold build and `warm_reset_undirected` after each
+//! delta, including the reset onto the by-label placement that
+//! label-driven placement feedback installs mid-stream. The only permitted
+//! difference is the physical record traffic, which the broadcast arm must
+//! strictly shrink on hub-heavy graphs. The same stream over the serialising Ring
 //! transport must match the direct path too, with only the framed bytes
 //! differing.
 
@@ -30,10 +30,10 @@ fn cfg(k: u32, seed: u64, broadcast: bool) -> SpinnerConfig {
     cfg.num_threads = 2;
     cfg.max_iterations = 30;
     cfg.broadcast_fabric = broadcast;
-    // Feedback re-places the engine by computed label once the remote
-    // share crosses 0.5 — on a 4-worker hash placement the bootstrap
-    // window always does, so every stream exercises `Engine::replace`
-    // with the fan-out index rebuilt on the migrated layout.
+    // Feedback re-places vertices by computed label once the remote share
+    // crosses 0.5 — on a 4-worker hash placement the bootstrap window
+    // always does, so every stream's first delta window resets the engine
+    // onto the by-label layout, with the fan-out index rebuilt there.
     cfg.placement_feedback = Some(0.5);
     cfg
 }
@@ -86,9 +86,9 @@ fn run_arms(graph_seed: u64, stream_seed: u64, k: u32) {
     }
 
     assert_eq!(unicast.labels(), broadcast.labels(), "labels diverged across lanes");
-    // The feedback migration (Engine::replace) must actually have fired,
-    // so the broadcast index demonstrably survived an in-place re-hosting.
-    assert!(broadcast.windows()[0].placement_moved() > 0, "replace never triggered");
+    // The feedback re-place must actually have fired, so the broadcast
+    // index was demonstrably rebuilt on a new layout.
+    assert!(broadcast.windows()[0].placement_moved() > 0, "feedback never re-placed");
     let mut remote_unicast = 0u64;
     let mut remote_broadcast = 0u64;
     for (u, b) in unicast.windows().iter().zip(broadcast.windows()) {
@@ -101,7 +101,7 @@ fn run_arms(graph_seed: u64, stream_seed: u64, k: u32) {
         assert!(b.sent_local_records() <= u.sent_local_records());
         remote_unicast += u.sent_remote_records();
         remote_broadcast += b.sent_remote_records();
-        // Warm resets and the replace keep both arms allocation-free once
+        // Warm resets keep both arms allocation-free once
         // capacities have warmed up.
         if u.window() >= 2 {
             assert_eq!(u.fabric_reallocs(), 0, "unicast window {} grew", u.window());
@@ -118,8 +118,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Random hub-biased streams: the broadcast arm matches the unicast arm
-    /// bit-for-bit through cold build, warm resets, and the mid-stream
-    /// placement-feedback `Engine::replace`, while shipping fewer records.
+    /// bit-for-bit through the cold build and warm resets, including the
+    /// reset onto the feedback's by-label placement, while shipping fewer
+    /// records.
     #[test]
     fn broadcast_stream_matches_unicast_stream(
         graph_seed in 0u64..1000,

@@ -228,26 +228,6 @@ impl RunSummary {
     }
 }
 
-/// What an [`Engine::replace`] migration did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplaceStats {
-    /// Vertices whose hosting worker changed.
-    pub moved: u64,
-    /// Vertices covered by the new placement.
-    pub total: u64,
-}
-
-impl ReplaceStats {
-    /// Fraction of the vertices that migrated (0.0 for an empty graph).
-    pub fn moved_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.moved as f64 / self.total as f64
-        }
-    }
-}
-
 /// The Pregel engine. Owns the program, the partitioned graph state, and the
 /// aggregator machinery.
 pub struct Engine<P: Program> {
@@ -360,7 +340,7 @@ impl<P: Program> Engine<P> {
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
         weight_at: impl Fn(VertexId, usize) -> u8,
         mut init_v: impl FnMut(VertexId) -> P::V,
-        mut init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
+        init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) -> Self {
         let num_workers = placement.num_workers();
         let workers: Vec<Worker<P>> =
@@ -389,8 +369,9 @@ impl<P: Program> Engine<P> {
             n,
             placement,
             neighbors,
+            weight_at,
             |v| (init_v(v), false),
-            |src, i, dst| init_e(src, dst, weight_at(src, i)),
+            init_e,
         );
         engine
     }
@@ -404,6 +385,20 @@ impl<P: Program> Engine<P> {
     /// fabric reallocations after its first window (pinned by
     /// [`WorkerMetrics::fabric_reallocs`]).
     ///
+    /// This is the one way to re-host an engine: every vertex lands on the
+    /// worker `placement` names, wherever it lived before, so a caller that
+    /// re-places vertices by computed label (paper §V-F) hands the new
+    /// placement to its next reset.
+    ///
+    /// `init_v` yields each vertex's initial value and halted flag, so a
+    /// caller that already knows which vertices have work (e.g. a frontier
+    /// derived from a graph delta) can start the run with everything else
+    /// parked — the active-set scheduler then never visits a parked vertex
+    /// unless a message wakes it. Pair with [`Self::set_global`] /
+    /// [`Self::set_aggregate`] when the program's warm-up phases are skipped
+    /// and their outputs seeded directly. `init_e(src, dst, weight)`
+    /// produces edge values, as in [`Self::from_undirected`].
+    ///
     /// The worker count is fixed for the life of an engine (`placement` must
     /// match); the vertex set may grow or shrink freely.
     pub fn warm_reset_undirected(
@@ -411,33 +406,8 @@ impl<P: Program> Engine<P> {
         program: P,
         graph: &UndirectedGraph,
         placement: &Placement,
-        mut init_v: impl FnMut(VertexId) -> P::V,
+        init_v: impl FnMut(VertexId) -> (P::V, bool),
         init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
-    ) {
-        self.warm_reset_undirected_seeded(
-            program,
-            graph,
-            placement,
-            |v| (init_v(v), false),
-            init_e,
-        );
-    }
-
-    /// [`Self::warm_reset_undirected`] with per-vertex halted seeding:
-    /// `init_v` also yields each vertex's initial halted flag, so a caller
-    /// that already knows which vertices have work (e.g. a frontier derived
-    /// from a graph delta) can start the run with everything else parked —
-    /// the active-set scheduler then never visits the parked vertices
-    /// unless a message wakes them. Pair with [`Self::set_global`] /
-    /// [`Self::set_aggregate`] when the program's warm-up phases are being
-    /// skipped and their outputs seeded directly.
-    pub fn warm_reset_undirected_seeded(
-        &mut self,
-        program: P,
-        graph: &UndirectedGraph,
-        placement: &Placement,
-        mut init_v: impl FnMut(VertexId) -> (P::V, bool),
-        mut init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) {
         assert_eq!(placement.num_vertices(), graph.num_vertices(), "placement size mismatch");
         self.program = program;
@@ -448,14 +418,15 @@ impl<P: Program> Engine<P> {
             graph.num_vertices(),
             placement,
             |v| graph.neighbors(v).0,
-            &mut init_v,
-            |src, i, dst| init_e(src, dst, graph.neighbors(src).1[i]),
+            |v, i| graph.neighbors(v).1[i],
+            init_v,
+            init_e,
         );
     }
 
     /// Overwrites the global state ahead of a run — the seeding companion
-    /// of [`Self::warm_reset_undirected_seeded`] for callers that skip a
-    /// program's warm-up phases and install their outputs directly.
+    /// of [`Self::warm_reset_undirected`] for callers that skip a program's
+    /// warm-up phases and install their outputs directly.
     pub fn set_global(&mut self, global: P::G) {
         self.global = global;
     }
@@ -468,103 +439,20 @@ impl<P: Program> Engine<P> {
         self.snapshot[id] = value;
     }
 
-    /// Re-places the vertices of an idle engine onto the workers prescribed
-    /// by `placement`, **in place**: vertex values, halted flags, and the
-    /// per-worker adjacency migrate to their new owners, the `local_idx`
-    /// map is rebuilt, and every message-fabric buffer — outbox grid, local
-    /// fast-path queues, decoded-record buffers, flat inboxes — keeps its capacity
-    /// via the same machinery as [`Self::warm_reset_undirected`]. Program,
-    /// aggregator, and global state are untouched, so a converged Spinner
-    /// run can be re-hosted by its computed labels (paper §V-F) without
-    /// recomputing anything.
-    ///
-    /// Call this only between runs: any message still sitting in a flat
-    /// inbox (possible after a [`HaltReason::Master`] or
-    /// [`HaltReason::MaxSupersteps`] halt) is discarded.
-    ///
-    /// The worker count is fixed for the life of an engine; `placement`
-    /// must cover exactly the current vertex set.
-    pub fn replace(&mut self, placement: &Placement) -> ReplaceStats {
-        assert_eq!(
-            placement.num_vertices() as u64,
-            self.num_vertices,
-            "placement size mismatch"
-        );
-        let n = self.num_vertices as usize;
-        let moved =
-            (0..n).filter(|&v| placement.as_slice()[v] != self.worker_of[v]).count() as u64;
-        // Identical placement: nothing to migrate, skip the O(V + E)
-        // gather/rebuild entirely (callers re-checking a threshold against
-        // a stable placement hit this path every time).
-        if moved == 0 {
-            return ReplaceStats { moved: 0, total: self.num_vertices };
-        }
-
-        // Gather the distributed per-vertex state into global order, moving
-        // (not cloning) values and edge state out of the workers' stores.
-        let mut values: Vec<Option<P::V>> = (0..n).map(|_| None).collect();
-        let mut halted = vec![false; n];
-        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        {
-            let mut counts = vec![0u64; n];
-            for w in &self.workers {
-                for (li, &gid) in w.global_ids.iter().enumerate() {
-                    counts[gid as usize] = w.offsets[li + 1] - w.offsets[li];
-                }
-            }
-            for v in 0..n {
-                offsets.push(offsets[v] + counts[v]);
-            }
-        }
-        let total_edges = offsets[n] as usize;
-        let mut targets = vec![0 as VertexId; total_edges];
-        let mut edge_values: Vec<Option<P::E>> = (0..total_edges).map(|_| None).collect();
-        for w in &mut self.workers {
-            for (li, value) in std::mem::take(&mut w.values).into_iter().enumerate() {
-                let gid = w.global_ids[li] as usize;
-                values[gid] = Some(value);
-                halted[gid] = w.halted[li];
-            }
-            let w_targets = std::mem::take(&mut w.targets);
-            let mut w_values = std::mem::take(&mut w.edge_values).into_iter();
-            for (li, &gid) in w.global_ids.iter().enumerate() {
-                let lo = w.offsets[li] as usize;
-                let len = w.offsets[li + 1] as usize - lo;
-                let dst = offsets[gid as usize] as usize;
-                targets[dst..dst + len].copy_from_slice(&w_targets[lo..lo + len]);
-                for slot in edge_values[dst..dst + len].iter_mut() {
-                    *slot = Some(w_values.next().expect("edge value for each target"));
-                }
-            }
-        }
-
-        self.load_topology(
-            n as VertexId,
-            placement,
-            |v| &targets[offsets[v as usize] as usize..offsets[v as usize + 1] as usize],
-            |v| (values[v as usize].take().expect("gathered value"), halted[v as usize]),
-            |src, i, _dst| {
-                edge_values[offsets[src as usize] as usize + i]
-                    .take()
-                    .expect("gathered edge value")
-            },
-        );
-        ReplaceStats { moved, total: self.num_vertices }
-    }
-
-    /// (Re)loads vertices, values, and adjacency into the workers, reusing
-    /// every existing allocation. Shared by the cold [`Self::build`] path,
-    /// [`Self::warm_reset_undirected`], and [`Self::replace`]. `vertex_init`
-    /// yields each vertex's value and halted flag; `edge_init` yields the
-    /// value of the `i`-th edge of `src`.
+    /// (Re)loads vertices, values, and adjacency into the workers `placement`
+    /// names, reusing every existing allocation. Shared by the cold
+    /// [`Self::build`] path and [`Self::warm_reset_undirected`].
+    /// `vertex_init` yields each vertex's value and halted flag;
+    /// `edge_init(src, dst, weight)` yields each edge's value, where the
+    /// weight of the `i`-th edge of `src` is `weight_at(src, i)`.
     fn load_topology<'g>(
         &mut self,
         n: VertexId,
         placement: &Placement,
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
+        weight_at: impl Fn(VertexId, usize) -> u8,
         mut vertex_init: impl FnMut(VertexId) -> (P::V, bool),
-        mut edge_init: impl FnMut(VertexId, usize, VertexId) -> P::E,
+        mut edge_init: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) {
         let num_workers = self.workers.len();
         assert_eq!(
@@ -599,7 +487,7 @@ impl<P: Program> Engine<P> {
         // The fan-out vectors move out of the workers for the build (two
         // simultaneous worker borrows otherwise: reading one worker's
         // adjacency while counting into another's index) and are handed
-        // back below, capacities intact across warm resets and migrations.
+        // back below, capacities intact across warm resets.
         let mut fans: Vec<(Vec<u32>, Vec<u32>)> = self
             .workers
             .iter_mut()
@@ -648,7 +536,7 @@ impl<P: Program> Engine<P> {
                 let mut local_count = 0u32;
                 for (i, &t) in ts.iter().enumerate() {
                     w.targets.push(t);
-                    w.edge_values.push(edge_init(gid, i, t));
+                    w.edge_values.push(edge_init(gid, t, weight_at(gid, i)));
                     let dst = worker_of[t as usize] as usize;
                     if dst == me {
                         self_inbound[dst] += 1;
@@ -763,11 +651,6 @@ impl<P: Program> Engine<P> {
         );
     }
 
-    /// The engine seed (vertex programs derive their streams from it).
-    pub fn seed(&self) -> u64 {
-        self.config.seed
-    }
-
     /// Number of logical workers.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
@@ -805,16 +688,6 @@ impl<P: Program> Engine<P> {
         self.config.transport_faults = Some(plan);
         let num_workers = self.workers.len();
         self.transport = build_transport_stack(&self.config, num_workers);
-    }
-
-    /// Clears transport in-flight state — sequence windows, held frames,
-    /// lane health — keeping buffer pools and consumed fault-plan entries.
-    /// [`Self::run`] does this automatically; exposed for callers that
-    /// inspect lane health between an abort and the re-run.
-    pub fn reset_transport(&self) {
-        if let Some(t) = &self.transport {
-            t.reset();
-        }
     }
 
     /// `(degraded, dead)` transport lane tallies — `(0, 0)` on the direct

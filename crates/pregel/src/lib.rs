@@ -82,7 +82,7 @@ pub mod worker;
 
 pub use aggregate::{AggOp, AggValue, AggregatorSpec};
 pub use context::{AggCtx, Edges, Mailer, VertexContext};
-pub use engine::{Engine, EngineConfig, HaltReason, LaneStatus, ReplaceStats, RunSummary};
+pub use engine::{Engine, EngineConfig, HaltReason, LaneStatus, RunSummary};
 pub use fault::{FaultyTransport, TransportFault, TransportFaultPlan};
 pub use metrics::{SuperstepMetrics, WorkerMetrics};
 pub use placement::Placement;

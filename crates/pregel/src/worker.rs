@@ -104,7 +104,7 @@ pub struct Worker<P: Program> {
     /// fan_offsets[s + 1]]` lists, in `s`'s adjacency order, the local
     /// indices of this worker's vertices that appear in `s`'s engine
     /// adjacency. Built by `load_topology` alongside the inbound counts
-    /// (capacity preserved across warm resets and migrations), read by the
+    /// (capacity preserved across warm resets), read by the
     /// delivery phase to expand marked broadcast records. Empty when the
     /// broadcast lane is disabled.
     pub(crate) fan_offsets: Vec<u32>,

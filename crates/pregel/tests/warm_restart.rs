@@ -1,8 +1,8 @@
-//! Warm restart: an engine re-targeted at a mutated graph via
-//! `warm_reset_undirected` must behave bit-identically to a cold engine
-//! built over the same graph, and the reused fabric must not allocate on the
-//! message path — not even in the warm run's first superstep, thanks to the
-//! inbound-volume pre-reservation.
+//! Warm restart: an engine re-targeted at a mutated graph, or re-hosted on a
+//! new placement, via `warm_reset_undirected` must behave bit-identically to
+//! a cold engine built over the same graph and placement, and the reused
+//! fabric must not allocate on the message path — not even in the warm
+//! run's first superstep, thanks to the inbound-volume pre-reservation.
 
 use spinner_graph::conversion::from_undirected_edges;
 use spinner_graph::{DirectedGraph, GraphBuilder, UndirectedGraph};
@@ -63,15 +63,21 @@ fn grown_graph(n: u32, extra: u32) -> UndirectedGraph {
     from_undirected_edges(&GraphBuilder::new(n + extra).add_edges(edges).build())
 }
 
+fn config(threads: usize) -> EngineConfig {
+    EngineConfig { num_threads: threads, max_supersteps: 300, seed: 3, ..Default::default() }
+}
+
+fn cold_engine(g: &UndirectedGraph, placement: &Placement, threads: usize) -> Engine<MinLabel> {
+    Engine::from_undirected(MinLabel, g, placement, config(threads), |_| u32::MAX, |_, _, w| w)
+}
+
 fn engine_over(g: &UndirectedGraph, workers: usize, threads: usize) -> Engine<MinLabel> {
-    let placement = Placement::hashed(g.num_vertices(), workers, 9);
-    let cfg = EngineConfig {
-        num_threads: threads,
-        max_supersteps: 300,
-        seed: 3,
-        ..Default::default()
-    };
-    Engine::from_undirected(MinLabel, g, &placement, cfg, |_| u32::MAX, |_, _, w| w)
+    cold_engine(g, &Placement::hashed(g.num_vertices(), workers, 9), threads)
+}
+
+/// Resets `engine` onto `g` and `placement` with every vertex awake.
+fn reset(engine: &mut Engine<MinLabel>, g: &UndirectedGraph, placement: &Placement) {
+    engine.warm_reset_undirected(MinLabel, g, placement, |_| (u32::MAX, false), |_, _, w| w);
 }
 
 fn trace(summary: &RunSummary) -> Vec<(u64, u64, u64, u64)> {
@@ -85,6 +91,10 @@ fn trace(summary: &RunSummary) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
+fn fabric_growth(summary: &RunSummary) -> u64 {
+    summary.metrics.iter().flat_map(|s| s.per_worker.iter().map(|w| w.fabric_reallocs)).sum()
+}
+
 #[test]
 fn warm_reset_matches_cold_engine_bit_for_bit() {
     let g1 = ring_graph(200);
@@ -93,8 +103,7 @@ fn warm_reset_matches_cold_engine_bit_for_bit() {
         // Warm path: run over g1, then reset onto g2 and run again.
         let mut warm = engine_over(&g1, workers, threads);
         assert_eq!(warm.run().halt, HaltReason::AllHalted);
-        let placement2 = Placement::hashed(g2.num_vertices(), workers, 9);
-        warm.warm_reset_undirected(MinLabel, &g2, &placement2, |_| u32::MAX, |_, _, w| w);
+        reset(&mut warm, &g2, &Placement::hashed(g2.num_vertices(), workers, 9));
         let warm_summary = warm.run();
 
         // Cold path: a fresh engine over g2.
@@ -129,8 +138,7 @@ fn warm_reset_supports_shrinking_vertex_sets() {
     let small = ring_graph(80);
     let mut warm = engine_over(&big, 4, 2);
     warm.run();
-    let placement = Placement::hashed(small.num_vertices(), 4, 9);
-    warm.warm_reset_undirected(MinLabel, &small, &placement, |_| u32::MAX, |_, _, w| w);
+    reset(&mut warm, &small, &Placement::hashed(small.num_vertices(), 4, 9));
     let summary = warm.run();
     assert_eq!(summary.halt, HaltReason::AllHalted);
     assert_eq!(warm.num_vertices(), 80);
@@ -148,74 +156,52 @@ fn fabric_stays_warm_across_many_windows() {
     engine.run();
     for window in 1..=6u32 {
         let g = grown_graph(300, window * 15);
-        let placement = Placement::hashed(g.num_vertices(), 5, 9);
-        engine.warm_reset_undirected(MinLabel, &g, &placement, |_| u32::MAX, |_, _, w| w);
+        reset(&mut engine, &g, &Placement::hashed(g.num_vertices(), 5, 9));
         let summary = engine.run();
         assert_eq!(summary.halt, HaltReason::AllHalted);
-        let growth: u64 = summary
-            .metrics
-            .iter()
-            .flat_map(|s| s.per_worker.iter().map(|w| w.fabric_reallocs))
-            .sum();
-        assert_eq!(growth, 0, "fabric grew during window {window}");
+        assert_eq!(fabric_growth(&summary), 0, "fabric grew during window {window}");
     }
 }
 
-/// `Engine::replace` re-hosts all per-vertex state on a new placement
-/// without touching results: values survive byte-for-byte, halted flags
-/// carry over (an immediately re-run engine halts without computing), and a
-/// subsequent run over the migrated layout matches a cold engine built on
-/// the new placement directly.
+/// The warm reset is the one way to re-host an engine: a reset onto a
+/// label-derived placement runs exactly like a cold engine built on that
+/// placement, without fabric growth, and a vertex seeded halted stays
+/// parked unless a message wakes it.
 #[test]
-fn replace_migrates_state_between_placements() {
+fn warm_reset_rehosts_onto_a_new_placement() {
     let g = grown_graph(200, 40);
     for &(workers, threads) in &[(4usize, 2usize), (7, 3)] {
         let mut engine = engine_over(&g, workers, threads);
         assert_eq!(engine.run().halt, HaltReason::AllHalted);
-        let values_before = engine.collect_values();
+        let values = engine.collect_values();
 
         // Re-place by the computed component labels (Spinner's §V-F move).
-        let new_placement = Placement::from_labels_balanced(&values_before, workers);
-        let stats = engine.replace(&new_placement);
-        assert!(stats.moved > 0, "label placement should differ from hash");
-        assert_eq!(stats.total, g.num_vertices() as u64);
-        assert_eq!(engine.collect_values(), values_before, "values changed in transit");
+        let by_label = Placement::from_labels_balanced(&values, workers);
+        assert_ne!(by_label, Placement::hashed(g.num_vertices(), workers, 9));
 
-        // All vertices voted to halt before the migration; re-running the
-        // engine must observe that immediately (flags survived the move).
-        let idle = engine.run();
-        assert_eq!(idle.halt, HaltReason::AllHalted);
-        assert_eq!(idle.supersteps, 1);
-        assert_eq!(idle.metrics[0].computed_total(), 0);
-
-        // A fresh run over the migrated layout behaves exactly like a cold
-        // engine built on the new placement, and the preserved fabric
-        // capacities plus the reload-time reservation mean zero growth.
-        engine.warm_reset_undirected(MinLabel, &g, &new_placement, |_| u32::MAX, |_, _, w| w);
-        let warm_summary = engine.run();
-        let cfg = EngineConfig {
-            num_threads: threads,
-            max_supersteps: 300,
-            seed: 3,
-            ..Default::default()
-        };
-        let mut cold = Engine::from_undirected(
+        // Every vertex seeded halted with its converged value: the run
+        // computes nothing and hands the values back unchanged.
+        engine.warm_reset_undirected(
             MinLabel,
             &g,
-            &new_placement,
-            cfg,
-            |_| u32::MAX,
+            &by_label,
+            |v| (values[v as usize], true),
             |_, _, w| w,
         );
+        let idle = engine.run();
+        assert_eq!((idle.halt, idle.supersteps), (HaltReason::AllHalted, 1));
+        assert_eq!(idle.metrics[0].computed_total(), 0);
+        assert_eq!(engine.collect_values(), values);
+
+        // A fresh run on the new placement behaves exactly like a cold
+        // engine built there, inside the preserved and reserved capacities.
+        reset(&mut engine, &g, &by_label);
+        let warm_summary = engine.run();
+        let mut cold = cold_engine(&g, &by_label, threads);
         let cold_summary = cold.run();
         assert_eq!(engine.collect_values(), cold.collect_values());
         assert_eq!(trace(&warm_summary), trace(&cold_summary));
-        let growth: u64 = warm_summary
-            .metrics
-            .iter()
-            .flat_map(|s| s.per_worker.iter().map(|w| w.fabric_reallocs))
-            .sum();
-        assert_eq!(growth, 0, "fabric grew after replace at workers={workers}");
+        assert_eq!(fabric_growth(&warm_summary), 0, "fabric grew at workers={workers}");
     }
 }
 
