@@ -8,11 +8,11 @@
 //! The `metrics` an experiment reports (φ/ρ/migration trajectories, record
 //! counts, see `spinner_bench::emit_metric`) are seeded and exactly
 //! reproducible, so one tight gate covers them all: a higher-is-better
-//! metric (`phi*`, `availability*` — lookups answered during fault
-//! recovery) regresses when it drops more than [`TOLERANCE`] below
+//! metric (`phi*`) regresses when it drops more than [`TOLERANCE`] below
 //! baseline; a lower-is-better one (`rho*`, `*migration*`, `*moved*`,
 //! `remote_records*` — the physical record traffic the broadcast fabric
-//! deduplicates) when it rises more than that above. Other metric names are
+//! deduplicates — and `active_fraction*`) when it rises more than that
+//! above. Other metric names are
 //! reported but never gate. A failed experiment, an experiment missing from
 //! the current report and a metric missing from it fail too.
 //!
@@ -84,19 +84,14 @@ enum Direction {
     Informational,
 }
 
-/// Name prefixes gated higher-is-better: `phi*` (edge locality) and
-/// `availability*` (the share of lookups answered while a fault recovery
-/// was in flight).
-const HIGHER_BETTER_PREFIXES: &[&str] = &["phi", "availability"];
+/// Name prefixes gated higher-is-better: `phi*` (edge locality).
+const HIGHER_BETTER_PREFIXES: &[&str] = &["phi"];
 
 /// Name prefixes gated lower-is-better: `rho*` (balance), `remote_records*`
 /// (physical cross-worker fabric records — what the broadcast lane
-/// deduplicates), `active_fraction*` (per-superstep compute cost of
-/// frontier-seeded windows), `retransmit_ratio*` (reliable-transport
-/// re-publishes per encoded frame) and `delivery_overhead*` (receive-side
-/// repair actions per frame).
-const LOWER_BETTER_PREFIXES: &[&str] =
-    &["rho", "remote_records", "active_fraction", "retransmit_ratio", "delivery_overhead"];
+/// deduplicates) and `active_fraction*` (per-superstep compute cost of
+/// frontier-seeded windows).
+const LOWER_BETTER_PREFIXES: &[&str] = &["rho", "remote_records", "active_fraction"];
 
 /// Substrings gated lower-is-better anywhere in a name: movement cost.
 const LOWER_BETTER_INFIXES: &[&str] = &["migration", "moved"];
@@ -268,30 +263,6 @@ mod tests {
         assert_eq!(failures(&baseline, &phi(0.80 * (1.0 - 0.06))), 1);
         // A rise of phi is an improvement, never a failure.
         assert_eq!(failures(&baseline, &phi(0.90)), 0);
-    }
-
-    #[test]
-    fn transport_resilience_metrics_gate_in_the_right_direction() {
-        // `retransmit_ratio*` / `delivery_overhead*` are costs (rising is a
-        // regression); `availability*` is a guarantee (dropping is one).
-        let chaos = |retransmit: f64, overhead: f64, availability: f64| {
-            vec![outcome(
-                "exp-transport-chaos",
-                vec![
-                    ("retransmit_ratio_chaos".into(), retransmit),
-                    ("delivery_overhead_chaos".into(), overhead),
-                    ("availability_transport_recovery".into(), availability),
-                ],
-            )]
-        };
-        let baseline = chaos(0.010, 0.020, 1.0);
-        assert_eq!(failures(&baseline, &baseline), 0);
-        assert_eq!(failures(&baseline, &chaos(0.012, 0.020, 1.0)), 1);
-        assert_eq!(failures(&baseline, &chaos(0.010, 0.030, 1.0)), 1);
-        assert_eq!(failures(&baseline, &chaos(0.010, 0.020, 0.90)), 1);
-        // Both costs dropping (a cleaner wire) is an improvement, not a gate
-        // trip.
-        assert_eq!(failures(&baseline, &chaos(0.0, 0.0, 1.0)), 0);
     }
 
     /// A gating rule that no committed metric matches guards nothing: every

@@ -36,8 +36,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp-theory",
     "exp-stream",
     "exp-serving",
-    "exp-chaos",
-    "exp-transport-chaos",
 ];
 
 struct Args {

@@ -155,11 +155,11 @@ pub struct SpinnerConfig {
     /// unchanged. Default `true`; `false` is the verification arm.
     pub sender_fold: bool,
     /// Retry/timeout budgets for the transport reliability layer (ignored
-    /// on the direct path). `transport_retry.reliable` — on by default —
-    /// wraps the serialising transport in per-lane sequencing with
-    /// cumulative-ack retransmission, so dropped/duplicated/reordered/
-    /// corrupted frames are masked and a dead lane surfaces as a typed
-    /// error the stream session escalates into worker-loss recovery.
+    /// on the direct path). A serialising transport always runs under
+    /// per-lane sequencing with cumulative-ack retransmission, so
+    /// dropped/duplicated/reordered/corrupted frames are masked and a dead
+    /// lane surfaces as a typed error the stream session escalates into
+    /// worker-loss recovery.
     pub transport_retry: RetryConfig,
 }
 
@@ -367,7 +367,6 @@ mod tests {
     #[test]
     fn transport_retry_defaults_to_the_reliable_layer() {
         let cfg = SpinnerConfig::new(4);
-        assert!(cfg.transport_retry.reliable, "reliability layer is on by default");
         assert_eq!(cfg.transport_retry, RetryConfig::default());
         let retry = RetryConfig { max_retransmits: 2, ..RetryConfig::default() };
         let cfg = cfg.with_transport_retry(retry);

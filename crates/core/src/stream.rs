@@ -741,7 +741,7 @@ impl StreamSession {
 
     /// Installs a scripted transport fault plan on the engine, rebuilding
     /// the transport stack ([`spinner_pregel::FaultyTransport`] under the
-    /// reliable layer when [`SpinnerConfig::transport_retry`] leaves it on).
+    /// reliable layer, with [`SpinnerConfig::transport_retry`]'s budgets).
     /// No-op on the default direct in-memory transport — chaos needs a
     /// wire. Fault plans are transient chaos apparatus: they are never
     /// persisted into [`SessionState`].

@@ -110,11 +110,11 @@ pub struct EngineConfig {
     /// verification arm, and the exact arm for a float or partial
     /// combiner. Ignored on the direct path.
     pub sender_fold: bool,
-    /// Retry/timeout budgets for the transport reliability layer. With
-    /// `transport_retry.reliable` on (the default), every serialising
-    /// transport is wrapped in [`crate::reliable::ReliableTransport`]:
-    /// per-lane sequencing, cumulative-ack retransmission, dedup/reorder,
-    /// and lane-health tracking. Ignored on the direct path.
+    /// Retry/timeout budgets for the transport reliability layer. Every
+    /// serialising transport is wrapped in
+    /// [`crate::reliable::ReliableTransport`]: per-lane sequencing,
+    /// cumulative-ack retransmission, dedup/reorder, and lane-health
+    /// tracking. Ignored on the direct path.
     pub transport_retry: RetryConfig,
     /// Scripted frame-level chaos ([`crate::fault::FaultyTransport`])
     /// stacked under the reliability layer. Test/experiment apparatus —
@@ -144,8 +144,8 @@ impl Default for EngineConfig {
 
 /// Assembles the configured transport stack, innermost first:
 /// `RingTransport` → chaos wrapper (when a fault plan is scripted) →
-/// reliability layer (unless disabled). The engine only ever sees the
-/// outermost `dyn Transport`.
+/// reliability layer. The engine only ever sees the outermost
+/// `dyn Transport`.
 fn build_transport_stack(
     config: &EngineConfig,
     num_workers: usize,
@@ -155,17 +155,13 @@ fn build_transport_stack(
         TransportKind::Ring => {
             let ring = RingTransport::new(num_workers);
             let retry = config.transport_retry;
-            Some(match (&config.transport_faults, retry.reliable) {
-                (Some(plan), true) => Box::new(ReliableTransport::new(
+            Some(match &config.transport_faults {
+                Some(plan) => Box::new(ReliableTransport::new(
                     FaultyTransport::new(ring, num_workers, plan.clone()),
                     num_workers,
                     retry,
                 )),
-                (Some(plan), false) => {
-                    Box::new(FaultyTransport::new(ring, num_workers, plan.clone()))
-                }
-                (None, true) => Box::new(ReliableTransport::new(ring, num_workers, retry)),
-                (None, false) => Box::new(ring),
+                None => Box::new(ReliableTransport::new(ring, num_workers, retry)),
             })
         }
     }

@@ -429,7 +429,6 @@ mod tests {
             max_retransmits: u32::MAX,
             backoff_base: Duration::from_micros(50),
             take_deadline: Duration::from_millis(50),
-            ..RetryConfig::default()
         };
         let plan = TransportFaultPlan::new().stall_at(0, 1, 0);
         let t = ReliableTransport::new(

@@ -48,8 +48,8 @@ pub enum TransportKind {
     #[default]
     Direct,
     /// Serialize every cross-worker batch through [`RingTransport`] using
-    /// the configured [`crate::wire::WireFormat`] (wrapped by the
-    /// reliability layer unless [`RetryConfig::reliable`] is off).
+    /// the configured [`crate::wire::WireFormat`], always wrapped by the
+    /// reliability layer ([`crate::reliable::ReliableTransport`]).
     Ring,
 }
 
@@ -84,9 +84,10 @@ pub enum TransportError {
         /// Receiving worker of the dead lane.
         dst: usize,
     },
-    /// A frame failed structural decoding after passing transport-level
-    /// checks (only reachable without the reliability layer, whose CRC
-    /// reject → NACK path retransmits instead).
+    /// A frame failed structural decoding after passing the reliability
+    /// layer's CRC check. A frame that fails the check is NACKed and
+    /// retransmitted instead, so only a corruption the CRC misses gets
+    /// here.
     Corrupt {
         /// Sending worker of the corrupt frame.
         src: usize,
@@ -159,11 +160,6 @@ pub enum LaneHealth {
 /// `EngineConfig::transport_retry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
-    /// Wrap serialising transports in the seq/ack/retransmit reliability
-    /// layer. Default `true`; `false` is the bare-fabric verification arm
-    /// (faults then surface as typed decode errors instead of being
-    /// masked).
-    pub reliable: bool,
     /// Consecutive recovery attempts per outstanding frame before the lane
     /// is declared [`LaneHealth::Dead`].
     pub max_retransmits: u32,
@@ -181,7 +177,6 @@ pub struct RetryConfig {
 impl Default for RetryConfig {
     fn default() -> Self {
         Self {
-            reliable: true,
             max_retransmits: 6,
             backoff_base: Duration::from_micros(20),
             take_deadline: Duration::from_secs(5),

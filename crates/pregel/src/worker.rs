@@ -947,8 +947,8 @@ fn record_targets<'a>(
 /// Takes every frame `src` sent `me` this superstep and decodes it onto the
 /// end of `out`. Returns the frames' summed pre-fold unicast count and the
 /// first failure, which ends the source: a frame that does not decode —
-/// only reachable without the reliability layer, which NACKs corrupt frames
-/// instead — is dropped whole (typed, not a panic).
+/// only a corruption the reliability layer's CRC misses, as it NACKs every
+/// frame that fails the check — is dropped whole (typed, not a panic).
 fn decode_source<M: WirePayload>(
     transport: &dyn Transport,
     src: usize,

@@ -92,7 +92,6 @@ fn engine_for(
 /// loud failure instead of a stuck suite.
 fn fast_retry() -> RetryConfig {
     RetryConfig {
-        reliable: true,
         max_retransmits: 8,
         backoff_base: Duration::from_micros(5),
         take_deadline: Duration::from_millis(500),
@@ -191,7 +190,6 @@ fn stalled_lanes_hit_the_deadline_not_a_hang() {
                 max_retransmits: u32::MAX,
                 backoff_base: Duration::from_micros(50),
                 take_deadline: Duration::from_millis(50),
-                ..RetryConfig::default()
             },
             true,
         ),

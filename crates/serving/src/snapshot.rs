@@ -25,8 +25,9 @@ use std::time::Duration;
 /// the window-report record; `SPNRSNP5` added the transport-reliability
 /// knobs — `transport_retry` — to the config record and the resilience
 /// counters — `retransmits`, `lanes_degraded`, `lanes_dead` — to the
-/// window-report record).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP5";
+/// window-report record; `SPNRSNP6` dropped the `transport_retry.reliable`
+/// byte from the config record, as the reliability layer is always on).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP6";
 
 /// Encodes `state` into a self-verifying snapshot byte vector.
 pub fn encode_state(state: &SessionState) -> Vec<u8> {
@@ -201,7 +202,6 @@ fn put_config(w: &mut ByteWriter, cfg: &SpinnerConfig) {
         WireFormat::Compact => 1,
     });
     w.put_u8(u8::from(cfg.sender_fold));
-    w.put_u8(u8::from(cfg.transport_retry.reliable));
     w.put_varint(u64::from(cfg.transport_retry.max_retransmits));
     w.put_varint(cfg.transport_retry.backoff_base.as_micros() as u64);
     w.put_varint(cfg.transport_retry.take_deadline.as_millis() as u64);
@@ -271,7 +271,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
     };
     cfg.sender_fold = read_bool(r, "config sender_fold")?;
     cfg.transport_retry = RetryConfig {
-        reliable: read_bool(r, "config retry reliable")?,
         max_retransmits: read_u32(r, "config retry max_retransmits")?,
         backoff_base: Duration::from_micros(r.varint("config retry backoff_base")?),
         take_deadline: Duration::from_millis(r.varint("config retry take_deadline")?),

@@ -159,15 +159,7 @@ impl WalRecord {
 
     /// Frames the record for appending: `[varint len][payload][crc32]`.
     pub fn encode_framed(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut framed = ByteWriter::new();
-        framed.put_varint(payload.len() as u64);
-        let mut out = framed.into_bytes();
-        out.reserve(payload.len() + 4);
-        let crc = crc32(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        frame(&self.encode_payload())
     }
 
     fn decode_payload(payload: &[u8]) -> Result<Self> {
@@ -191,7 +183,9 @@ impl WalRecord {
             },
             _ => return Err(CorruptError { context: "wal event tag" }),
         };
-        let label_updates = read_updates(&mut r, |raw| Ok(raw as u32))?;
+        let label_updates = read_updates(&mut r, |raw| {
+            u32::try_from(raw).map_err(|_| CorruptError { context: "wal label" })
+        })?;
         let placement_updates = read_updates(&mut r, |raw| {
             u16::try_from(raw).map_err(|_| CorruptError { context: "wal worker id" })
         })?;
@@ -224,6 +218,17 @@ impl WalRecord {
             report,
         })
     }
+}
+
+/// Frames a record payload: `[varint len][payload][crc32]`.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut framed = ByteWriter::new();
+    framed.put_varint(payload.len() as u64);
+    let mut out = framed.into_bytes();
+    out.reserve(payload.len() + 4);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out
 }
 
 /// The outcome of scanning a write-ahead log.
@@ -333,9 +338,12 @@ fn read_updates<T>(
     let mut updates = Vec::with_capacity(len.min(1 << 24) as usize);
     let mut prev = 0u64;
     for _ in 0..len {
-        prev += r.varint("wal update vertex")?;
-        let v =
-            u32::try_from(prev).map_err(|_| CorruptError { context: "wal update vertex" })?;
+        // A CRC-valid record can still carry gaps that overflow the sum.
+        let v = prev
+            .checked_add(r.varint("wal update vertex")?)
+            .and_then(|sum| u32::try_from(sum).ok())
+            .ok_or(CorruptError { context: "wal update vertex" })?;
+        prev = u64::from(v);
         updates.push((v, value(r.varint("wal update value")?)?));
     }
     Ok(updates)
@@ -430,6 +438,49 @@ mod tests {
         let bytes = w.into_bytes();
         let err = read_edges(&mut ByteReader::new(&bytes)).unwrap_err();
         assert_eq!(err.context, "wal edge src");
+    }
+
+    /// A genuine record's payload with its label-update section replaced by
+    /// the raw varints `section`: a record no writer produces, which the WAL
+    /// scan must still reject once it is framed under a valid CRC.
+    fn forged_payload(section: &[u64]) -> Vec<u8> {
+        let record = WalRecord { label_updates: vec![(0, 1)], ..record() };
+        let payload = record.encode_payload();
+        let bare = WalRecord { label_updates: Vec::new(), ..record }.encode_payload();
+        // The encodings first differ at the label-update count, which opens
+        // the three-byte section `[count 1, gap 0, label 1]`.
+        let at = payload.iter().zip(&bare).position(|(a, b)| a != b).expect("counts differ");
+        let mut spliced = ByteWriter::new();
+        for &raw in section {
+            spliced.put_varint(raw);
+        }
+        let mut forged = payload[..at].to_vec();
+        forged.extend_from_slice(&spliced.into_bytes());
+        forged.extend_from_slice(&payload[at + 3..]);
+        forged
+    }
+
+    /// Asserts the forged record fails to decode with `context` and ends a
+    /// scan of its CRC-valid frame.
+    fn assert_rejected(forged: &[u8], context: &str) {
+        assert_eq!(WalRecord::decode_payload(forged).unwrap_err().context, context);
+        let scan = read_wal(&frame(forged));
+        assert!(scan.records.is_empty() && scan.truncated_tail);
+    }
+
+    #[test]
+    fn label_values_beyond_u32_are_corrupt_not_truncated() {
+        // The splice itself is sound: the genuine section decodes.
+        assert!(WalRecord::decode_payload(&forged_payload(&[1, 0, 1])).is_ok());
+        // Truncated to u32, the label would read as 1 and pass every check.
+        let forged = forged_payload(&[1, 0, (1 << 32) + 1]);
+        assert_rejected(&forged, "wal label");
+    }
+
+    #[test]
+    fn update_gaps_that_overflow_are_corrupt_not_a_panic() {
+        let forged = forged_payload(&[2, 5, 0, u64::MAX - 2, 0]);
+        assert_rejected(&forged, "wal update vertex");
     }
 
     #[test]

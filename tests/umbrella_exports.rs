@@ -99,8 +99,7 @@ fn prelude_covers_the_transport_resilience_path() {
     use spinner::prelude::*;
 
     // Prelude names are the canonical pregel types, not shadows.
-    let retry: spinner_pregel::RetryConfig = RetryConfig::default();
-    assert!(retry.reliable, "reliability layer is on by default");
+    let _: spinner_pregel::RetryConfig = RetryConfig::default();
     let health: spinner_pregel::LaneHealth = LaneHealth::default();
     assert_eq!(health, LaneHealth::Healthy);
 
