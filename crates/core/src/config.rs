@@ -164,9 +164,11 @@ pub struct SpinnerConfig {
 }
 
 impl SpinnerConfig {
-    /// The paper's default configuration for `k` partitions.
+    /// The paper's default configuration for `k` partitions
+    /// (`1..=`[`crate::state::MAX_K`]).
     pub fn new(k: u32) -> Self {
         assert!(k >= 1, "need at least one partition");
+        assert!(k <= crate::state::MAX_K, "k = {k} exceeds MAX_K");
         Self {
             k,
             c: 1.05,
@@ -213,9 +215,9 @@ impl SpinnerConfig {
         self
     }
 
-    /// Builder-style capacity-constant override.
+    /// Builder-style capacity-constant override (finite, above 1).
     pub fn with_c(mut self, c: f64) -> Self {
-        assert!(c > 1.0, "c must exceed 1 (Eq. 5)");
+        assert!(c.is_finite() && c > 1.0, "c must exceed 1 (Eq. 5) and be finite");
         self.c = c;
         self
     }

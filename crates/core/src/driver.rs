@@ -94,22 +94,26 @@ pub fn partition_directed(graph: &DirectedGraph, cfg: &SpinnerConfig) -> Partiti
     if !cfg.in_engine_conversion {
         return partition(&to_weighted_undirected(graph), cfg);
     }
-    // The faithful §IV-A1 path: the engine converts the directed graph in
-    // its NeighborPropagation/NeighborDiscovery supersteps, starting from
-    // unit edge weights, before the shared Initialize phase.
+    let mut engine = converting_engine(graph, cfg);
+    let summary = engine.run();
+    stages::collect(cfg, &engine, &summary, None)
+}
+
+/// The faithful §IV-A1 path: an engine that converts the directed graph in
+/// its NeighborPropagation/NeighborDiscovery supersteps, starting from unit
+/// edge weights, before the shared Initialize phase.
+fn converting_engine(graph: &DirectedGraph, cfg: &SpinnerConfig) -> Engine<SpinnerProgram> {
     let n = graph.num_vertices();
     let labels = random_labels(n, cfg.k, cfg.seed);
     let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::NeighborPropagation };
-    let mut engine = Engine::from_directed(
+    Engine::from_directed(
         program,
         graph,
         &stages::placement(n, cfg),
         stages::engine_config(cfg),
         |v| VertexState::new(labels[v as usize], true),
         |_, _, _| EdgeState { weight: 1, neighbor_label: NO_LABEL },
-    );
-    let summary = engine.run();
-    stages::collect(cfg, &engine, &summary, None)
+    )
 }
 
 /// Adapts a previous partitioning to a changed graph (§III-D, incremental
@@ -280,6 +284,7 @@ mod tests {
     use super::*;
     use spinner_graph::conversion::from_undirected_edges;
     use spinner_graph::generators::{planted_partition, SbmConfig};
+    use spinner_pregel::{HaltReason, TransportKind};
 
     fn community_graph(n: u32, communities: u32, seed: u64) -> UndirectedGraph {
         to_weighted_undirected(&planted_partition(SbmConfig {
@@ -365,6 +370,88 @@ mod tests {
         for (a, b) in offline.history.iter().zip(&in_engine.history) {
             assert!((a.phi - b.phi).abs() < 1e-12);
             assert!((a.score - b.score).abs() < 1e-9);
+        }
+    }
+
+    /// Every edge has its reverse, so NeighborDiscovery adds no edge and
+    /// only upgrades weights to 2. The upgrade must still close the
+    /// broadcast lane, whose load-time fan-out weights are all 1.
+    #[test]
+    fn in_engine_conversion_matches_offline_on_a_fully_reciprocal_graph() {
+        let one_way = planted_partition(SbmConfig {
+            n: 600,
+            communities: 4,
+            internal_degree: 5.0,
+            external_degree: 1.0,
+            skew: None,
+            seed: 13,
+        });
+        let d = spinner_graph::GraphBuilder::new(one_way.num_vertices())
+            .add_edges(one_way.edges().flat_map(|(u, v)| [(u, v), (v, u)]))
+            .build();
+        assert!(d.edges().all(|(u, v)| d.has_edge(v, u)));
+        let mut cfg = small_cfg(4);
+        cfg.max_iterations = 15;
+        cfg.ignore_halting = true;
+        let offline = partition_directed(&d, &cfg);
+        cfg.in_engine_conversion = true;
+        let in_engine = partition_directed(&d, &cfg);
+        assert_eq!(offline.labels, in_engine.labels);
+        assert_eq!(offline.history, in_engine.history);
+    }
+
+    /// The histogram recount holds at every stopping point: runs stopped
+    /// after 1..=8 iterations on both transports, with the broadcast lane
+    /// on and off, and with in-engine conversion (which closes the lane
+    /// mid-run). The graph mixes weight-1 and weight-2 edges, so a wrong
+    /// stamp shows as a wrong histogram weight.
+    #[test]
+    fn histograms_recount_from_final_labels_at_every_stop() {
+        let one_way = planted_partition(SbmConfig {
+            n: 500,
+            communities: 5,
+            internal_degree: 6.0,
+            external_degree: 1.5,
+            skew: None,
+            seed: 17,
+        });
+        let d = spinner_graph::GraphBuilder::new(one_way.num_vertices())
+            .add_edges(one_way.edges().flat_map(|(u, v)| {
+                let back = (u + v) % 3 == 0;
+                [(u, v)].into_iter().chain(back.then_some((v, u)))
+            }))
+            .build();
+        let g = to_weighted_undirected(&d);
+        let weights: Vec<u8> =
+            (0..g.num_vertices()).flat_map(|v| g.neighbors(v).1.to_vec()).collect();
+        assert!(weights.contains(&1) && weights.contains(&2));
+        for iterations in 1..=8 {
+            let mut base = small_cfg(5);
+            base.max_iterations = iterations;
+            base.ignore_halting = true;
+            let mut arms = Vec::new();
+            for transport in [TransportKind::Direct, TransportKind::Ring] {
+                for lane in [true, false] {
+                    arms.push(
+                        base.clone().with_transport(transport).with_broadcast_fabric(lane),
+                    );
+                }
+            }
+            let placement = stages::placement(g.num_vertices(), &base);
+            let labels = random_labels(g.num_vertices(), base.k, base.seed);
+            for cfg in &arms {
+                let mut engine = stages::build_engine(&g, cfg, &placement, &labels, &[]);
+                assert_eq!(engine.run().halt, HaltReason::Master);
+                let checked = crate::program::recount_histograms(&engine);
+                assert_eq!(checked, Ok(()), "{iterations} iterations, {cfg:?}");
+            }
+            let mut cfg = base.clone();
+            cfg.in_engine_conversion = true;
+            let mut engine = converting_engine(&d, &cfg);
+            assert_eq!(engine.run().halt, HaltReason::Master);
+            assert_eq!(engine.lane_status(), spinner_pregel::LaneStatus::ClosedByMutation);
+            let checked = crate::program::recount_histograms(&engine);
+            assert_eq!(checked, Ok(()), "{iterations} iterations, in-engine conversion");
         }
     }
 

@@ -140,6 +140,17 @@ pub fn collect(
     summary: &RunSummary,
     graph: Option<&UndirectedGraph>,
 ) -> PartitionResult {
+    // Debug builds recount every histogram from the final labels after a
+    // clean halt, when every announcement sent has been folded.
+    #[cfg(debug_assertions)]
+    if matches!(
+        summary.halt,
+        spinner_pregel::HaltReason::Master | spinner_pregel::HaltReason::AllHalted
+    ) {
+        if let Err(e) = crate::program::recount_histograms(engine) {
+            panic!("label histograms out of sync with the final labels: {e}");
+        }
+    }
     let labels: Vec<Label> = engine.collect_values_with(|v| v.label);
     let global = engine.global();
     // Loads come from the persistent aggregator, which covers the

@@ -55,5 +55,5 @@ pub use driver::{
     adapt, adapt_with_delta, elastic, partition, partition_directed, partition_with_placement,
     IterationStats, PartitionResult,
 };
-pub use state::{Label, NO_LABEL};
+pub use state::{Label, MAX_K, NO_LABEL};
 pub use stream::{SessionState, StreamEvent, StreamSession, WindowReport, WindowReportParts};

@@ -42,19 +42,18 @@ pub const AGG_LOCAL_WEIGHT: usize = 3;
 /// Aggregator: number of migrations this superstep (SumI64).
 pub const AGG_MIGRATIONS: usize = 4;
 
-/// What one edge of a label-histogram rebuild costs, in units of one
-/// histogram entry passed by a per-message shift. A rebuild's per-edge step
-/// is a scattered read and write of the k-sized scratch, plus a sort; a
-/// shift's per-entry step is a sequential compare (the scan, then the
-/// bubble that keeps the weight order). Fitted on the ComputeScores
-/// compute time of the benchmark's two graphs (1 thread, 2-vCPU x86 VM,
-/// medians of 5 interleaved rounds): against a ratio of 1 it is 11 %
-/// faster on the 60 k-vertex community graph (degree ~76, ~3.6 messages
-/// against ~24 entries, which a ratio of 1 rebuilds) and 2 % faster on the
-/// scale-15 R-MAT graph. A degree floor of 256 in front of a ratio of 1
-/// was 8 % faster on the first but 2 % slower on the second, whose hubs
-/// want the rebuild.
-const REBUILD_EDGE_COST: usize = 2;
+/// What one item of a dense histogram fold costs — an entry loaded into
+/// or read back from the k-sized scratch, or a message applied to it — in
+/// units of one histogram entry passed by a per-message shift. A fold's
+/// per-item step is a scattered read and write of the scratch, plus a sort
+/// of the result; a shift's per-entry step is a sequential compare (the
+/// scan, then the bubble that keeps the weight order). Fitted on the
+/// benchmark's two cold workloads (2-vCPU x86 VM, two interleaved rounds
+/// of 0, 1, 2, 4, 8 and never-fold): 4 had the lowest summed `op_p50_ms`.
+/// Never folding a non-empty histogram is 2 % faster on the community
+/// graph but 37 % slower on the R-MAT graph, whose hubs take many
+/// messages per superstep.
+const FOLD_ITEM_COST: usize = 4;
 
 /// The Spinner Pregel program. Immutable during a run; all evolving state
 /// lives in vertex values, edge values, and [`GlobalState`].
@@ -82,51 +81,25 @@ impl SpinnerProgram {
 
     fn compute_scores(&self, ctx: &mut VertexContext<'_, Self>, messages: &[MigrationMsg]) {
         let w = &mut *ctx.worker;
-        // (i) Fold migration announcements into the cached edge labels and
-        // the vertex's label histogram. Neighbour labels change only through
-        // these messages, so the histogram stays exact without a
-        // per-iteration O(deg) edge re-scan. Per-message maintenance costs
-        // O(messages x entries); a dense rebuild through the k-sized
-        // scratch is O(deg + entries log entries), so rebuild an empty
-        // histogram (the first scores superstep) and any histogram whose
-        // shifts would cost more (see `REBUILD_EDGE_COST`). Both paths
+        // (i) Fold the announced label changes into the vertex's label
+        // histogram. Each message moves its edge weight from the
+        // neighbour's old label to its new one, so the histogram stays
+        // exact without touching the adjacency. Shifting entries per
+        // message costs O(messages x entries); a dense fold through the
+        // k-sized scratch costs O(entries + messages) plus a sort, so fold
+        // an empty histogram (the first scores superstep) and any histogram
+        // whose shifts would cost more (see `FOLD_ITEM_COST`). Both paths
         // produce the same entries in weight order (ties aside, which no
         // result depends on).
         let hist_len = ctx.value.label_weights.len();
         let shift_work = messages.len() * (hist_len + messages.len() / 2);
-        let heavy = !messages.is_empty()
-            && (hist_len == 0 || shift_work > REBUILD_EDGE_COST * ctx.edges.len());
-        if heavy {
-            for &(sender, label) in messages {
-                debug_assert!(label != NO_LABEL);
-                if let Some(i) = ctx.edges.index_of(sender) {
-                    ctx.edges.values[i].neighbor_label = label;
-                }
-            }
-            let hist = &mut ctx.value.label_weights;
-            hist.clear();
-            for ev in ctx.edges.values.iter() {
-                let l = ev.neighbor_label;
-                if l != NO_LABEL {
-                    if w.counts[l as usize] == 0 {
-                        hist.push((l, 0));
-                    }
-                    w.counts[l as usize] += ev.weight as u64;
-                }
-            }
-            for (l, cnt) in hist.iter_mut() {
-                *cnt = w.counts[*l as usize] as u32;
-                w.counts[*l as usize] = 0;
-            }
-            sort_by_weight(hist);
+        let dense = !messages.is_empty()
+            && (hist_len == 0 || shift_work > FOLD_ITEM_COST * (hist_len + messages.len()));
+        if dense {
+            fold_label_changes(&mut ctx.value.label_weights, messages, &mut w.counts);
         } else {
-            for &(sender, label) in messages {
-                if let Some(i) = ctx.edges.index_of(sender) {
-                    let edge = &mut ctx.edges.values[i];
-                    let old = edge.neighbor_label;
-                    edge.neighbor_label = label;
-                    ctx.value.shift_label_weight(old, label, edge.weight as u32);
-                }
+            for m in messages {
+                ctx.value.shift_label_weight(m.old(), m.new_label(), m.weight());
             }
         }
 
@@ -134,8 +107,6 @@ impl SpinnerProgram {
         let current = ctx.value.label;
         let degw = ctx.value.degree;
         debug_assert!(current < g.k);
-        #[cfg(debug_assertions)]
-        Self::assert_histogram_in_sync(ctx.edges.values, ctx.value, ctx.vertex);
 
         // Resolve the least-loaded label before borrowing the load slice
         // (any label with zero adjacent weight scores -π(l), so only the
@@ -301,33 +272,6 @@ impl SpinnerProgram {
         }
     }
 
-    /// Debug-only: recomputes the label histogram and cached degree from
-    /// the edge list and asserts they match the incremental state, whose
-    /// entries must also be sorted by weight, descending.
-    #[cfg(debug_assertions)]
-    fn assert_histogram_in_sync(edge_values: &[EdgeState], value: &VertexState, vertex: u32) {
-        assert!(
-            value.label_weights.windows(2).all(|p| p[0].1 >= p[1].1),
-            "label histogram out of weight order for vertex {vertex}"
-        );
-        let mut expect: Vec<(Label, u32)> = Vec::new();
-        let mut degw = 0u64;
-        for ev in edge_values.iter() {
-            degw += ev.weight as u64;
-            if ev.neighbor_label != NO_LABEL {
-                match expect.iter_mut().find(|(l, _)| *l == ev.neighbor_label) {
-                    Some(entry) => entry.1 += ev.weight as u32,
-                    None => expect.push((ev.neighbor_label, ev.weight as u32)),
-                }
-            }
-        }
-        expect.sort_unstable();
-        let mut cached = value.label_weights.clone();
-        cached.sort_unstable();
-        assert_eq!(expect, cached, "label histogram out of sync for vertex {vertex}");
-        assert_eq!(degw, value.degree, "cached degree out of sync for vertex {vertex}");
-    }
-
     fn compute_migrations(&self, ctx: &mut VertexContext<'_, Self>) {
         let candidate = ctx.value.candidate;
         if candidate == NO_LABEL {
@@ -351,12 +295,11 @@ impl SpinnerProgram {
         ctx.agg.add_vec_i64(AGG_LOADS, old as usize, -load);
         ctx.agg.add_vec_i64(AGG_LOADS, candidate as usize, load);
         ctx.agg.add_i64(AGG_MIGRATIONS, 1);
-        // Announce to all neighbours through the deduplicating broadcast
-        // lane: one record per destination worker instead of one per edge
-        // (§IV-A2 — the payload is identical for every neighbour, so no
-        // per-edge send is needed).
-        let announce: MigrationMsg = (ctx.vertex, candidate);
-        ctx.mail.broadcast(announce);
+        // Announce the change to all neighbours through the deduplicating
+        // broadcast lane: one record per destination worker instead of one
+        // per edge (§IV-A2 — the payload is identical for every neighbour
+        // until the engine stamps each copy with its edge weight).
+        ctx.broadcast(MigrationMsg::announce(old, candidate));
     }
 
     fn master_scores(&self, ctx: &mut MasterContext<'_, GlobalState>) {
@@ -461,6 +404,76 @@ pub(crate) fn load_of(objective: BalanceObjective, degw: u64) -> u64 {
     }
 }
 
+/// Applies every announced label change to `hist` through the dense
+/// scratch `counts` (k entries, all zero on entry and on return) and
+/// re-sorts it: O(entries + messages) plus the sort, however many entries
+/// the changes touch. The histogram never holds more entries than before
+/// or after the fold.
+fn fold_label_changes(
+    hist: &mut Vec<(Label, u32)>,
+    messages: &[MigrationMsg],
+    counts: &mut [u64],
+) {
+    for &(l, c) in hist.iter() {
+        counts[l as usize] = u64::from(c);
+    }
+    for m in messages {
+        let (old, new, weight) = (m.old(), m.new_label(), u64::from(m.weight()));
+        debug_assert!(new != NO_LABEL);
+        if old != NO_LABEL {
+            counts[old as usize] -= weight;
+        }
+        counts[new as usize] += weight;
+    }
+    // Read the counts back — the listed labels, then the ones the changes
+    // introduced. Reading a count zeroes it, so each label is listed once.
+    hist.retain_mut(|(l, c)| {
+        *c = std::mem::take(&mut counts[*l as usize]) as u32;
+        *c > 0
+    });
+    for m in messages {
+        let c = std::mem::take(&mut counts[m.new_label() as usize]);
+        if c > 0 {
+            hist.push((m.new_label(), c as u32));
+        }
+    }
+    sort_by_weight(hist);
+}
+
+/// Recounts every vertex's label histogram and weighted degree from the
+/// engine's adjacency — its edge weights and its vertices' current labels,
+/// no per-edge label cache — and reports the first vertex whose
+/// maintained state disagrees, or whose histogram is out of weight order.
+/// Valid wherever no announcement is in flight: after a run that halted
+/// cleanly, every message sent has been folded.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn recount_histograms(
+    engine: &spinner_pregel::Engine<SpinnerProgram>,
+) -> Result<(), String> {
+    let labels: Vec<Label> = engine.collect_values_with(|v| v.label);
+    for (v, value) in engine.collect_values().iter().enumerate() {
+        let hist = &value.label_weights;
+        if !hist.windows(2).all(|p| p[0].1 >= p[1].1) {
+            return Err(format!("vertex {v}: histogram out of weight order: {hist:?}"));
+        }
+        let (targets, edges) = engine.adjacency(v as u32);
+        let neighbours = targets.iter().zip(edges).map(|(&t, e)| (t, e.weight));
+        let (mut expect, degree) = crate::state::label_histogram(neighbours, &labels);
+        expect.sort_unstable();
+        let mut got = hist.clone();
+        got.sort_unstable();
+        if got != expect {
+            return Err(format!(
+                "vertex {v}: histogram {got:?}, neighbour labels give {expect:?}"
+            ));
+        }
+        if degree != value.degree {
+            return Err(format!("vertex {v}: degree {}, edges give {degree}", value.degree));
+        }
+    }
+    Ok(())
+}
+
 /// Maximum normalized load: each partition's load relative to its ideal
 /// share `C_l / c` (reduces to `max b / (total/k)` in the homogeneous case).
 pub(crate) fn rho_of(loads: &[i64], capacities: &[f64], c: f64) -> f64 {
@@ -515,19 +528,20 @@ impl Program for SpinnerProgram {
                 // graphs too). The NeighborDiscovery mutations that follow
                 // close the lane for the rest of the conversion run.
                 let me = ctx.vertex;
-                ctx.mail.broadcast((me, NO_LABEL));
+                ctx.mail.broadcast(MigrationMsg::from_sender(me));
             }
             Phase::NeighborDiscovery => {
                 // For each in-neighbour: reciprocal edge -> weight 2,
                 // otherwise create the reverse edge with weight 1 (Eq. 3).
-                for &(sender, _) in messages {
-                    match ctx.edges.index_of(sender) {
-                        Some(i) => ctx.edges.values[i].weight = 2,
-                        None => ctx.add_edge(
-                            sender,
-                            EdgeState { weight: 1, neighbor_label: NO_LABEL },
-                        ),
-                    }
+                // The upgrade is an overwriting addition too, not a write
+                // to the edge value: any mutation closes the broadcast lane,
+                // whose load-time fan-out weights (all 1) would otherwise
+                // stamp the announcements of a fully reciprocal graph
+                // wrongly.
+                for m in messages {
+                    let sender = m.sender();
+                    let weight = if ctx.edges.index_of(sender).is_some() { 2 } else { 1 };
+                    ctx.add_edge(sender, EdgeState { weight, neighbor_label: NO_LABEL });
                 }
             }
             Phase::Initialize => {
@@ -539,12 +553,22 @@ impl Program for SpinnerProgram {
                 debug_assert!(label < ctx.global.k);
                 let load = load_of(self.cfg.objective, degw) as i64;
                 ctx.agg.add_vec_i64(AGG_LOADS, label as usize, load);
-                let announce: MigrationMsg = (ctx.vertex, label);
-                ctx.mail.broadcast(announce);
+                ctx.broadcast(MigrationMsg::announce(NO_LABEL, label));
             }
             Phase::ComputeScores => self.compute_scores(ctx, messages),
             Phase::ComputeMigrations => self.compute_migrations(ctx),
         }
+    }
+
+    // Eq. 3 weights are 1 or 2.
+    const STAMP_BITS: u32 = 2;
+
+    fn edge_weight(edge: &EdgeState) -> u8 {
+        edge.weight
+    }
+
+    fn stamp(msg: &mut MigrationMsg, weight: u8) {
+        msg.stamp(weight);
     }
 
     fn master(&self, ctx: &mut MasterContext<'_, GlobalState>) {

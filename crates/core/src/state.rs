@@ -1,13 +1,19 @@
 //! Vertex, edge, message, global, and worker state of the Spinner program.
 
 use spinner_graph::VertexId;
+use spinner_pregel::codec::{ByteReader, ByteWriter};
+use spinner_pregel::WirePayload;
 
 /// A partition label (`0..k`).
 pub type Label = u32;
 
-/// Sentinel for "no label": unlabeled edges before the first propagation and
-/// absent migration candidates.
+/// Sentinel for "no label": a vertex's first announcement has no previous
+/// label, and a vertex that is no migration candidate has no candidate.
 pub const NO_LABEL: Label = Label::MAX;
+
+/// The largest partition count a [`MigrationMsg`] can carry: it packs a
+/// previous label into 31 bits (see [`MigrationMsg::announce`]).
+pub const MAX_K: u32 = (1 << 31) - 1;
 
 /// Per-vertex state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,8 +34,9 @@ pub struct VertexState {
     /// Histogram of adjacent labels: summed edge weight per distinct
     /// neighbour label (entries are strictly positive; zeroed entries are
     /// removed). Maintained incrementally by the ComputeScores message fold
-    /// — neighbour labels only change via migration announcements — so the
-    /// per-iteration candidate scan is O(distinct labels), not O(degree).
+    /// — neighbour labels only change via migration announcements, each of
+    /// which carries the change and its edge weight — so the per-iteration
+    /// candidate scan is O(distinct labels), not O(degree).
     /// Entries are sorted by weight, descending (the order among equal
     /// weights is unspecified): a label's score bound grows with its
     /// weight, so the candidate scan stops at the first entry that cannot
@@ -41,6 +48,27 @@ pub struct VertexState {
 /// Sorts a label histogram into [`VertexState::label_weights`]' order.
 pub(crate) fn sort_by_weight(hist: &mut [(Label, u32)]) {
     hist.sort_unstable_by_key(|&(_, w)| std::cmp::Reverse(w));
+}
+
+/// A vertex's label histogram, in [`VertexState::label_weights`]' order,
+/// and its weighted degree, counted from its `(neighbour, edge weight)`
+/// pairs and every vertex's current `labels`.
+pub(crate) fn label_histogram(
+    neighbours: impl Iterator<Item = (VertexId, u8)>,
+    labels: &[Label],
+) -> (Vec<(Label, u32)>, u64) {
+    let mut degree = 0u64;
+    let mut hist: Vec<(Label, u32)> = Vec::new();
+    for (t, w) in neighbours {
+        degree += u64::from(w);
+        let l = labels[t as usize];
+        match hist.iter_mut().find(|(hl, _)| *hl == l) {
+            Some(entry) => entry.1 += u32::from(w),
+            None => hist.push((l, u32::from(w))),
+        }
+    }
+    sort_by_weight(&mut hist);
+    (hist, degree)
 }
 
 impl VertexState {
@@ -121,21 +149,121 @@ impl VertexState {
     }
 }
 
-/// Per-edge state: the Eq. 3 weight and the cached label of the neighbour at
-/// the other endpoint ("each vertex stores the label of a neighbor in the
-/// value of the edge that connects them", §IV-A2).
+/// Per-edge state: the Eq. 3 weight, plus a neighbour-label field that no
+/// phase reads.
+///
+/// The paper stores each neighbour's label in the value of the connecting
+/// edge (§IV-A2), because a Giraph vertex can only read its own edges.
+/// Here a [`MigrationMsg`] carries the label change and the edge weight
+/// itself, so scoring reads only [`VertexState::label_weights`] and never
+/// searches the adjacency. `neighbor_label` is kept only because the repo
+/// benchmark's cold replica still spells out `EdgeState` literals with
+/// both fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeState {
     /// w(u, v) ∈ {1, 2}.
     pub weight: u8,
-    /// Last label announced by the neighbour, or [`NO_LABEL`].
+    /// Unused: set it to [`NO_LABEL`] (or anything else; nothing reads it).
     pub neighbor_label: Label,
 }
 
-/// Message: `(sender, sender's new label)`. The sender id locates the edge
-/// whose cached label must be updated. During NeighborPropagation the label
-/// field is [`NO_LABEL`] (only the sender id matters).
-pub type MigrationMsg = (VertexId, Label);
+/// A Spinner message, 8 bytes.
+///
+/// In the label-propagation phases it announces a neighbour's label change
+/// `old → new` together with the Eq. 3 weight of the edge it crossed: the
+/// receiver moves that weight from `old` to `new` in its label histogram.
+/// The sender fills in the change; the weight arrives through
+/// [`spinner_pregel::Program::stamp`] — from the engine for the copies the
+/// broadcast lane fans out, from the sender for the ones it addresses
+/// itself. A vertex's first announcement has `old = NO_LABEL`.
+///
+/// Applying a change twice would move the weight twice, so delivery must be
+/// exactly once; the transport's reliability layer provides that.
+///
+/// During NeighborPropagation it carries only the sender's id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationMsg {
+    /// `(old + 1) << 1 | (weight - 1)`, where `old = NO_LABEL` wraps to 0;
+    /// the sender's id during NeighborPropagation.
+    change: u32,
+    /// The new label; [`NO_LABEL`] during NeighborPropagation.
+    label: Label,
+}
+
+// The inbox holds one message per adjacency entry: a wider message costs
+// memory on every edge.
+const _: () = assert!(std::mem::size_of::<MigrationMsg>() == 8);
+
+impl MigrationMsg {
+    /// A label change `old → new` ([`NO_LABEL`] for no previous label),
+    /// with a weight of 1 until [`Self::stamp`]ed. `old` must be below
+    /// [`MAX_K`].
+    #[inline]
+    pub fn announce(old: Label, new: Label) -> Self {
+        debug_assert!(old == NO_LABEL || old < MAX_K, "label {old} beyond MAX_K");
+        debug_assert!(new < MAX_K, "label {new} beyond MAX_K");
+        Self { change: old.wrapping_add(1) << 1, label: new }
+    }
+
+    /// The NeighborPropagation message: the sender's id and no label.
+    #[inline]
+    pub fn from_sender(sender: VertexId) -> Self {
+        Self { change: sender, label: NO_LABEL }
+    }
+
+    /// Records the weight (1 or 2) of the edge a label change crossed; a
+    /// no-op on a NeighborPropagation message.
+    #[inline]
+    pub fn stamp(&mut self, weight: u8) {
+        debug_assert!(weight == 1 || weight == 2, "Eq. 3 weight {weight}");
+        if self.label != NO_LABEL {
+            self.change = (self.change & !1) | u32::from(weight - 1);
+        }
+    }
+
+    /// The announced label's predecessor, or [`NO_LABEL`].
+    #[inline]
+    pub fn old(&self) -> Label {
+        (self.change >> 1).wrapping_sub(1)
+    }
+
+    /// The announced label ([`NO_LABEL`] during NeighborPropagation).
+    #[inline]
+    pub fn new_label(&self) -> Label {
+        self.label
+    }
+
+    /// The stamped edge weight.
+    #[inline]
+    pub fn weight(&self) -> u32 {
+        (self.change & 1) + 1
+    }
+
+    /// The NeighborPropagation sender.
+    #[inline]
+    pub fn sender(&self) -> VertexId {
+        debug_assert_eq!(self.label, NO_LABEL, "not a NeighborPropagation message");
+        self.change
+    }
+}
+
+impl WirePayload for MigrationMsg {
+    const WIDTH: usize = <(u32, u32)>::WIDTH;
+    fn write_fixed(&self, w: &mut ByteWriter) {
+        (self.change, self.label).write_fixed(w);
+    }
+    fn read_fixed(r: &mut ByteReader<'_>) -> spinner_pregel::codec::Result<Self> {
+        let (change, label) = <(u32, u32)>::read_fixed(r)?;
+        Ok(Self { change, label })
+    }
+    fn write_compact(&self, w: &mut ByteWriter) {
+        (self.change, self.label).write_compact(w);
+    }
+    fn read_compact(r: &mut ByteReader<'_>) -> spinner_pregel::codec::Result<Self> {
+        let (change, label) = <(u32, u32)>::read_compact(r)?;
+        Ok(Self { change, label })
+    }
+}
 
 /// The phases of Fig. 2, advanced by master compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,6 +508,30 @@ mod tests {
                 prop_assert_eq!(got, expect);
             }
         }
+    }
+
+    #[test]
+    fn migration_msg_packs_the_change_and_its_weight() {
+        for (old, new) in [(NO_LABEL, 0), (0, 5), (MAX_K - 1, 3), (7, MAX_K - 1)] {
+            let mut m = MigrationMsg::announce(old, new);
+            assert_eq!((m.old(), m.new_label(), m.weight()), (old, new, 1));
+            m.stamp(2);
+            assert_eq!((m.old(), m.new_label(), m.weight()), (old, new, 2));
+            let mut w = ByteWriter::new();
+            m.write_fixed(&mut w);
+            m.write_compact(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(MigrationMsg::read_fixed(&mut r), Ok(m));
+            assert_eq!(MigrationMsg::read_compact(&mut r), Ok(m));
+            assert!(r.is_exhausted());
+            m.stamp(1);
+            assert_eq!((m.old(), m.new_label(), m.weight()), (old, new, 1));
+        }
+        // Stamping leaves a NeighborPropagation sender id alone.
+        let mut m = MigrationMsg::from_sender(u32::MAX - 1);
+        m.stamp(2);
+        assert_eq!(m.sender(), u32::MAX - 1);
     }
 
     #[test]

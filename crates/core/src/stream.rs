@@ -29,7 +29,7 @@ use crate::driver::{
     delta_affected, elastic_labels, least_loaded_labels, random_labels, stages, PartitionResult,
 };
 use crate::program::{load_of, seeded_global, SpinnerProgram, AGG_LOADS};
-use crate::state::{sort_by_weight, EdgeState, Label, Phase, VertexState, NO_LABEL};
+use crate::state::{label_histogram, EdgeState, Label, Phase, VertexState, NO_LABEL};
 use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
@@ -515,6 +515,7 @@ impl StreamSession {
             }
             StreamEvent::Resize { k } => {
                 assert!(*k >= 1, "need at least one partition");
+                assert!(*k <= crate::state::MAX_K, "k = {k} exceeds MAX_K");
                 let labels = elastic_labels(&self.labels, self.cfg.k, *k, self.cfg.seed);
                 self.cfg.k = *k;
                 labels
@@ -539,7 +540,7 @@ impl StreamSession {
         // Frontier-seeded delta windows (opt-in): instead of replaying the
         // Initialize warm-up densely, seed the engine with everything that
         // warm-up would recompute — labels, weighted degrees, neighbour-
-        // label histograms, edge label caches, partition loads (both the
+        // label histograms, partition loads (both the
         // master's view and the persistent aggregator the migration phase
         // folds into) — and park every vertex outside the delta's frontier.
         // The frontier is the delta-touched vertices plus their direct
@@ -580,17 +581,8 @@ impl StreamSession {
                 |v| {
                     let vi = v as usize;
                     let (ts, ws) = und.neighbors(v);
-                    let mut degree = 0u64;
-                    let mut hist: Vec<(Label, u32)> = Vec::new();
-                    for (&t, &w) in ts.iter().zip(ws) {
-                        degree += w as u64;
-                        let l = labels[t as usize];
-                        match hist.iter_mut().find(|(hl, _)| *hl == l) {
-                            Some(entry) => entry.1 += w as u32,
-                            None => hist.push((l, w as u32)),
-                        }
-                    }
-                    sort_by_weight(&mut hist);
+                    let (hist, degree) =
+                        label_histogram(ts.iter().copied().zip(ws.iter().copied()), &labels);
                     let state = VertexState {
                         label: labels[vi],
                         degree,
@@ -600,7 +592,7 @@ impl StreamSession {
                     };
                     (state, !frontier[vi])
                 },
-                |_, dst, w| EdgeState { weight: w, neighbor_label: labels[dst as usize] },
+                |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
             );
             // The migration phase folds load deltas into the *persistent*
             // loads aggregator and the master re-reads it each iteration,

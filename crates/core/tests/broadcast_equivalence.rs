@@ -206,6 +206,6 @@ fn ring_stream_matches_direct_stream() {
     }
     let bytes: Vec<u64> =
         sessions.iter().map(|s| s.windows().iter().map(|w| w.wire_bytes()).sum()).collect();
-    assert_eq!(bytes, [0, 439_312, 138_348], "direct, raw, compact");
+    assert_eq!(bytes, [0, 439_312, 114_589], "direct, raw, compact");
     assert_eq!(direct.last().phi(), 0.33300198807157055);
 }

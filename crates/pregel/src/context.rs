@@ -16,9 +16,12 @@ pub(crate) struct EdgeAddition<E> {
 
 /// View over a vertex's adjacency: immutable targets, mutable edge values.
 ///
-/// Targets are sorted, so [`Edges::index_of`] is a binary search — this is
-/// how Spinner updates the cached neighbour label when a migration message
-/// arrives.
+/// Targets are sorted, so [`Edges::index_of`] is a binary search. A message
+/// handler that needs the value of the edge a message arrived over need not
+/// search at all when the sender broadcasts: [`Program::stamp`] hands the
+/// receiver that edge's weight inside the message.
+///
+/// [`Program::stamp`]: crate::program::Program::stamp
 pub struct Edges<'a, E> {
     /// Neighbour ids, sorted ascending.
     pub targets: &'a [VertexId],
@@ -68,13 +71,16 @@ impl<'a, E> Edges<'a, E> {
 ///
 /// **Broadcast lane**: [`Mailer::broadcast`] ships one *record* per
 /// destination worker (plus one fast-path record) instead of one per edge —
-/// the receiver expands it through its fan-out index — so the announce-to-
-/// all-neighbours pattern costs `O(workers)` records per vertex instead of
-/// `O(degree)`. Delivery expansion reproduces the per-edge send order
-/// exactly, so results stay bit-identical to the unicast path (pinned by
-/// the `fabric_grid` tests; the unicast arm stays available through
+/// the receiver expands it through its fan-out index, stamping each copy
+/// with the weight of the edge it crosses ([`Program::stamp`]); a lone
+/// neighbour on a worker gets a plain unicast record instead — so the
+/// announce-to-all-neighbours pattern costs `O(workers)` records per vertex
+/// instead of `O(degree)`. Delivery expansion reproduces the per-edge send
+/// order exactly, so results stay bit-identical to the unicast path (pinned
+/// by the `fabric_grid` tests; the unicast arm stays available through
 /// [`EngineConfig::broadcast_fabric`]).
 ///
+/// [`Program::stamp`]: crate::program::Program::stamp
 /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
 pub struct Mailer<'a, M> {
     /// Outboxes indexed by destination worker; broadcast records are
@@ -98,9 +104,9 @@ pub struct Mailer<'a, M> {
     /// (one fabric record each). Empty when the lane is closed.
     pub(crate) bcast_plan: &'a [WorkerId],
     /// Parallel to `bcast_plan`: `BROADCAST_MULTI` for a fanned-out
-    /// record, or the lone neighbour's id where a plain unicast record is
-    /// cheaper.
-    pub(crate) bcast_single: &'a [VertexId],
+    /// record, or the lone neighbour's position in `adjacency` where a
+    /// plain unicast record is cheaper.
+    pub(crate) bcast_lone: &'a [u32],
     /// Worker-local neighbours of the sender (the logical local deliveries
     /// one broadcast implies), precomputed at load time.
     pub(crate) bcast_local: u32,
@@ -151,11 +157,27 @@ impl<'a, M: Clone> Mailer<'a, M> {
     /// disabled by [`EngineConfig::broadcast_fabric`], or a graph mutation
     /// this run having outdated the load-time fan-out index.
     ///
+    /// The engine stamps the copies it fans out ([`Program::stamp`]). The
+    /// copies the sender addresses itself — a lone neighbour's unicast
+    /// record, and every copy on a closed lane — go out unstamped, since
+    /// the mailer cannot read edge values; [`VertexContext::broadcast`]
+    /// stamps those too.
+    ///
     /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
+    /// [`Program::stamp`]: crate::program::Program::stamp
     pub fn broadcast(&mut self, msg: M) {
+        self.broadcast_with(msg, |_, _| {});
+    }
+
+    /// [`Self::broadcast`], where `stamp(copy, i)` stamps each copy the
+    /// sender addresses itself with its receiver's position `i` in the
+    /// adjacency.
+    pub(crate) fn broadcast_with(&mut self, msg: M, stamp: impl Fn(&mut M, usize)) {
         if !self.lane_open {
-            for &t in self.adjacency {
-                self.send(t, msg.clone());
+            for (i, &t) in self.adjacency.iter().enumerate() {
+                let mut copy = msg.clone();
+                stamp(&mut copy, i);
+                self.send(t, copy);
             }
             return;
         }
@@ -164,15 +186,20 @@ impl<'a, M: Clone> Mailer<'a, M> {
         // O(distinct destination workers) — no per-edge scan at all.
         *self.sent_local += self.bcast_local as u64;
         *self.sent_remote += self.bcast_remote as u64;
-        for (&w, &single) in self.bcast_plan.iter().zip(self.bcast_single) {
-            let multi = single == BROADCAST_MULTI;
-            let id = if multi { self.sender } else { single };
+        for (&w, &lone) in self.bcast_plan.iter().zip(self.bcast_lone) {
+            let mut copy = msg.clone();
+            let (multi, id) = if lone == BROADCAST_MULTI {
+                (true, self.sender)
+            } else {
+                stamp(&mut copy, lone as usize);
+                (false, self.adjacency[lone as usize])
+            };
             if w == self.my_worker {
                 *self.sent_local_records += 1;
-                self.local.push(multi, id, msg.clone());
+                self.local.push(multi, id, copy);
             } else {
                 *self.sent_remote_records += 1;
-                self.outboxes[w as usize].push(multi, id, msg.clone());
+                self.outboxes[w as usize].push(multi, id, copy);
             }
         }
     }
@@ -335,5 +362,16 @@ impl<'a, P: Program> VertexContext<'a, P> {
     #[inline]
     pub fn degree(&self) -> usize {
         self.edges.len()
+    }
+
+    /// [`Mailer::broadcast`] with every copy stamped through
+    /// [`Program::stamp`] with the weight of the edge it crosses: the
+    /// engine stamps the copies it fans out at delivery, and the copies
+    /// the sender addresses itself are stamped here from
+    /// [`Program::edge_weight`] of the live edge values. Either way every
+    /// neighbour receives the same stamped copy in the same position.
+    pub fn broadcast(&mut self, msg: P::M) {
+        let values = &*self.edges.values;
+        self.mail.broadcast_with(msg, |copy, i| P::stamp(copy, P::edge_weight(&values[i])));
     }
 }

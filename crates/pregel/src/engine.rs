@@ -279,6 +279,15 @@ struct StepSlot {
     delivery_error: Option<TransportError>,
 }
 
+/// `count` as a `u32`, or a panic naming `worker` and the count: the
+/// load-time indices keep `u32` offsets, which would wrap silently in a
+/// release build.
+fn checked_u32(worker: usize, what: &str, count: usize) -> u32 {
+    u32::try_from(count).unwrap_or_else(|_| {
+        panic!("worker {worker}: {count} {what} overflow the u32 offsets of its index")
+    })
+}
+
 impl<P: Program> Engine<P> {
     /// Builds an engine over a weighted undirected graph (each edge present
     /// in both adjacency lists). `init_v` produces initial vertex values;
@@ -503,7 +512,7 @@ impl<P: Program> Engine<P> {
         // broadcast *plan* (stamps keyed by a monotonically growing vertex
         // epoch, so no per-vertex reset).
         let mut plan_stamp = vec![0u64; num_workers];
-        let mut plan_pos = vec![0u32; num_workers];
+        let mut plan_pos = vec![0usize; num_workers];
         let mut plan_epoch = 0u64;
         // `marks[src * W + dst]`: fanned-out broadcast records one superstep
         // can send from `src` to `dst` (one per multi-neighbour plan entry),
@@ -544,15 +553,15 @@ impl<P: Program> Engine<P> {
                         fans[dst].0[gid as usize + 1] += 1;
                         if plan_stamp[dst] != plan_epoch {
                             plan_stamp[dst] = plan_epoch;
-                            plan_pos[dst] = w.plan_workers.len() as u32;
+                            plan_pos[dst] = w.plan_workers.len();
                             w.plan_workers.push(dst as WorkerId);
                             plan_in[dst] += usize::from(dst != me);
                             // Tentatively a lone neighbour on `dst`; a
                             // second one demotes the entry to a fanned-out
                             // broadcast record.
-                            w.plan_single.push(t);
-                        } else if w.plan_single[plan_pos[dst] as usize] != BROADCAST_MULTI {
-                            w.plan_single[plan_pos[dst] as usize] = BROADCAST_MULTI;
+                            w.plan_lone.push(i as u32);
+                        } else if w.plan_lone[plan_pos[dst]] != BROADCAST_MULTI {
+                            w.plan_lone[plan_pos[dst]] = BROADCAST_MULTI;
                             marks[me * num_workers + dst] += 1;
                         }
                     }
@@ -564,6 +573,9 @@ impl<P: Program> Engine<P> {
                     w.plan_remote.push(ts.len() as u32 - local_count);
                 }
             }
+            // Lengths only grow, so the `as u32` offsets above were exact
+            // if the final one is.
+            checked_u32(me, "broadcast plan entries", w.plan_workers.len());
         }
         let wired = self.transport.is_some();
         for (((w, inb), self_inb), plan_inb) in
@@ -606,11 +618,25 @@ impl<P: Program> Engine<P> {
             // the dense global-sender keying that makes delivery-time
             // lookups O(1); a compacted sender remap would shrink that to
             // O(cut senders) if worker counts ever grow large.)
-            for (offsets, targets) in &mut fans {
-                for s in 0..n as usize {
-                    offsets[s + 1] += offsets[s];
+            for (dst, (offsets, targets)) in fans.iter_mut().enumerate() {
+                let mut total = 0usize;
+                for offset in &mut offsets[1..] {
+                    total += *offset as usize;
+                    *offset = total as u32;
                 }
-                targets.resize(offsets[n as usize] as usize, 0);
+                // The running total only grows, so every offset above was
+                // exact if the last one is.
+                targets.resize(checked_u32(dst, "fan-out entries", total) as usize, 0);
+                // Each entry keeps `P::STAMP_BITS` of edge weight below the
+                // local index.
+                let hosted = self.workers[dst].global_ids.len();
+                if hosted > (u32::MAX >> P::STAMP_BITS) as usize {
+                    panic!(
+                        "worker {dst}: {hosted} vertices overflow the {}-bit local indices \
+                         of its fan-out index",
+                        32 - P::STAMP_BITS
+                    );
+                }
             }
             let local_idx = &self.local_idx;
             let mut written = vec![0u32; num_workers];
@@ -618,11 +644,21 @@ impl<P: Program> Engine<P> {
                 for (li, &gid) in w.global_ids.iter().enumerate() {
                     let lo = w.offsets[li] as usize;
                     let hi = w.offsets[li + 1] as usize;
-                    for &t in &w.targets[lo..hi] {
+                    for (&t, e) in w.targets[lo..hi].iter().zip(&w.edge_values[lo..hi]) {
                         let dst = worker_of[t as usize] as usize;
                         let (offs, tgts) = &mut fans[dst];
+                        let weight = if P::STAMP_BITS > 0 {
+                            let weight = u32::from(P::edge_weight(e));
+                            assert!(
+                                weight >> P::STAMP_BITS == 0,
+                                "edge weight {weight} wider than Program::STAMP_BITS"
+                            );
+                            weight
+                        } else {
+                            0
+                        };
                         tgts[(offs[gid as usize] + written[dst]) as usize] =
-                            local_idx[t as usize];
+                            local_idx[t as usize] << P::STAMP_BITS | weight;
                         written[dst] += 1;
                     }
                     for &t in &w.targets[lo..hi] {
@@ -975,6 +1011,15 @@ impl<P: Program> Engine<P> {
                 f(&w.values[self.local_idx[v] as usize])
             })
             .collect()
+    }
+
+    /// Vertex `v`'s current engine adjacency — sorted targets and the edge
+    /// values beside them, graph mutations included.
+    pub fn adjacency(&self, v: VertexId) -> (&[VertexId], &[P::E]) {
+        let w = &self.workers[self.worker_of[v as usize] as usize];
+        let li = self.local_idx[v as usize] as usize;
+        let (lo, hi) = (w.offsets[li] as usize, w.offsets[li + 1] as usize);
+        (&w.targets[lo..hi], &w.edge_values[lo..hi])
     }
 
     /// The last aggregated value of aggregator `id`.

@@ -53,7 +53,8 @@
 //! in announce-style programs — can take the **broadcast lane**
 //! ([`Mailer::broadcast`]): one deduplicated record per destination worker,
 //! expanded through a load-time fan-out index at delivery into exactly the
-//! per-edge positions, so results stay bit-identical while cross-worker
+//! per-edge positions — each copy stamped with the weight of its edge
+//! ([`Program::stamp`]) — so results stay bit-identical while cross-worker
 //! record traffic drops from O(cut edges) to O(distinct (sender, worker)
 //! pairs). See [`engine::EngineConfig::broadcast_fabric`].
 //!

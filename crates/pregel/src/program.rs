@@ -70,6 +70,29 @@ pub trait Program: Send + Sync + Sized + 'static {
     fn combine(&self, _acc: &mut Self::M, _msg: &Self::M) -> bool {
         false
     }
+
+    /// How many low bits of each broadcast fan-out entry keep the
+    /// [`Program::edge_weight`] the engine stamps at delivery (at most 8).
+    /// Every weight must fit, and each bit halves the vertices one worker
+    /// may host (`2^(32 - STAMP_BITS)`). The default, 0, stores no weight,
+    /// and the engine then stamps no fanned-out copy.
+    const STAMP_BITS: u32 = 0;
+
+    /// The weight of an edge, as [`Program::stamp`] receives it. Read by
+    /// the engine when it loads a topology (into the broadcast lane's
+    /// fan-out index) and by [`VertexContext::broadcast`] for the copies
+    /// the sender addresses itself. Defaults to 1.
+    fn edge_weight(_edge: &Self::E) -> u8 {
+        1
+    }
+
+    /// Stamps one copy of a [`VertexContext::broadcast`] message with the
+    /// [`Program::edge_weight`] of the edge it crosses, so the receiver
+    /// learns that weight without searching its own adjacency. The engine
+    /// stamps the copies the broadcast lane fans out at delivery (given
+    /// [`Program::STAMP_BITS`]); the sender stamps the copies it addresses
+    /// itself. The default stamps nothing.
+    fn stamp(_msg: &mut Self::M, _weight: u8) {}
 }
 
 /// Master-compute context: aggregate access, global state, and halt control.

@@ -79,12 +79,13 @@ impl<M> Batch<M> {
     }
 }
 
-/// Sentinel in a broadcast plan's `single` track: the sender has more than
-/// one neighbour on that destination worker, so a marked broadcast record
-/// is shipped. Any other value is the lone neighbour's id, shipped as a
-/// plain unicast record — one record either way, but the unicast skips the
-/// receiver's fan-out lookup.
-pub(crate) const BROADCAST_MULTI: spinner_graph::VertexId = spinner_graph::VertexId::MAX;
+/// Sentinel in a broadcast plan's `lone` track: the sender has more than one
+/// neighbour on that destination worker, so a marked broadcast record is
+/// shipped. Any other value is the lone neighbour's position in the
+/// sender's adjacency, shipped as a plain unicast record — one record
+/// either way, but the unicast skips the receiver's fan-out lookup (and
+/// the sender stamps it from the edge at that position).
+pub(crate) const BROADCAST_MULTI: u32 = u32::MAX;
 
 /// Bound for all user data carried by the engine (vertex values, edge
 /// values, messages, global state). Auto-implemented.

@@ -103,25 +103,28 @@ pub struct Worker<P: Program> {
     /// reverse CSR over *global sender ids* — `fan_targets[fan_offsets[s]..
     /// fan_offsets[s + 1]]` lists, in `s`'s adjacency order, the local
     /// indices of this worker's vertices that appear in `s`'s engine
-    /// adjacency. Built by `load_topology` alongside the inbound counts
-    /// (capacity preserved across warm resets), read by the
-    /// delivery phase to expand marked broadcast records. Empty when the
-    /// broadcast lane is disabled.
+    /// adjacency. Each entry is `local << P::STAMP_BITS | weight`: its low
+    /// bits keep the [`Program::edge_weight`] of that edge, which delivery
+    /// stamps into the copy it fans out ([`Program::stamp`]). Built by
+    /// `load_topology` alongside the inbound counts (capacity preserved
+    /// across warm resets), read by the delivery phase to expand marked
+    /// broadcast records. Empty when the broadcast lane is disabled.
     pub(crate) fan_offsets: Vec<u32>,
     pub(crate) fan_targets: Vec<u32>,
     /// Broadcast *plan* (the send side of the broadcast lane), also built
     /// by `load_topology`: for local vertex `li`,
     /// `plan_workers[plan_offsets[li]..plan_offsets[li + 1]]` lists the
     /// distinct destination workers of its adjacency (first-occurrence
-    /// order), and `plan_local[li]`/`plan_remote[li]` the logical
-    /// local/remote delivery counts one broadcast implies — so
+    /// order, one record each), and `plan_local[li]`/`plan_remote[li]` the
+    /// logical local/remote delivery counts one broadcast implies — so
     /// [`Mailer::broadcast`] costs O(distinct workers), not O(degree).
-    /// Empty (all four) when the broadcast lane is disabled.
+    /// Empty (all five) when the broadcast lane is disabled.
     pub(crate) plan_offsets: Vec<u32>,
     pub(crate) plan_workers: Vec<WorkerId>,
-    /// Parallel to `plan_workers`: the lone neighbour's id where the
-    /// record can ship as a plain unicast, `BROADCAST_MULTI` otherwise.
-    pub(crate) plan_single: Vec<VertexId>,
+    /// Parallel to `plan_workers`: the lone neighbour's adjacency position
+    /// where the record can ship as a plain unicast, `BROADCAST_MULTI`
+    /// otherwise.
+    pub(crate) plan_lone: Vec<u32>,
     pub(crate) plan_local: Vec<u32>,
     pub(crate) plan_remote: Vec<u32>,
     /// Current delivery epoch (bumped once per delivery phase).
@@ -179,7 +182,7 @@ impl<P: Program> Worker<P> {
             fan_targets: Vec::new(),
             plan_offsets: Vec::new(),
             plan_workers: Vec::new(),
-            plan_single: Vec::new(),
+            plan_lone: Vec::new(),
             plan_local: Vec::new(),
             plan_remote: Vec::new(),
             epoch: 0,
@@ -209,7 +212,7 @@ impl<P: Program> Worker<P> {
         self.edge_values.clear();
         self.plan_offsets.clear();
         self.plan_workers.clear();
-        self.plan_single.clear();
+        self.plan_lone.clear();
         self.plan_local.clear();
         self.plan_remote.clear();
         debug_assert!(self.additions.is_empty(), "additions drained at the last barrier");
@@ -366,12 +369,12 @@ impl<P: Program> Worker<P> {
             let hi = self.offsets[i + 1] as usize;
             // The broadcast plan exists exactly when the lane can open;
             // with the lane closed the Mailer never reads it.
-            let (bcast_plan, bcast_single, bcast_local, bcast_remote) = if lane_open {
+            let (bcast_plan, bcast_lone, bcast_local, bcast_remote) = if lane_open {
                 let p_lo = self.plan_offsets[i] as usize;
                 let p_hi = self.plan_offsets[i + 1] as usize;
                 (
                     &self.plan_workers[p_lo..p_hi],
-                    &self.plan_single[p_lo..p_hi],
+                    &self.plan_lone[p_lo..p_hi],
                     self.plan_local[i],
                     self.plan_remote[i],
                 )
@@ -403,7 +406,7 @@ impl<P: Program> Worker<P> {
                     adjacency: &self.targets[lo..hi],
                     lane_open,
                     bcast_plan,
-                    bcast_single,
+                    bcast_lone,
                     bcast_local,
                     bcast_remote,
                     sent_local: &mut self.metrics.sent_local,
@@ -524,8 +527,9 @@ impl<P: Program> Worker<P> {
     /// local vertex adjacent to the sender, in the sender's adjacency order —
     /// exactly the positions the per-edge unicasts would have occupied, so
     /// per-vertex message order (and therefore every result) is identical
-    /// across the two lanes. Messages keep (source-worker, send-order) order
-    /// per vertex.
+    /// across the two lanes. Each fanned-out copy is stamped with its edge's
+    /// weight ([`Program::stamp`]) on its way into the inbox. Messages keep
+    /// (source-worker, send-order) order per vertex.
     ///
     /// Logical receive accounting is fabric- and fold-invariant: a broadcast
     /// record counts its fan-out width, and a wire frame's trailer carries
@@ -574,7 +578,7 @@ impl<P: Program> Worker<P> {
         debug_assert!(recipients.is_empty() && wire_recv.is_empty());
         let (fan_offsets, fan_targets) = (&fan_offsets[..], &fan_targets[..]);
         let targets = |broadcast: bool, id: u64| {
-            record_targets(fan_offsets, fan_targets, local_idx, broadcast, id)
+            record_targets(fan_offsets, fan_targets, local_idx, broadcast, id, P::STAMP_BITS)
         };
 
         let mut failure: Option<TransportError> = None;
@@ -599,9 +603,9 @@ impl<P: Program> Worker<P> {
         // Counting pass: `inbox_len` counts each recipient's messages.
         let mut delivered = 0usize;
         let mut count = |broadcast: bool, id: u64| -> u64 {
-            let ts = targets(broadcast, id);
+            let (ts, shift) = targets(broadcast, id);
             for &v in ts {
-                let v = v as usize;
+                let v = (v >> shift) as usize;
                 if inbox_epoch[v] == epoch {
                     inbox_len[v] += 1;
                 } else {
@@ -685,13 +689,21 @@ impl<P: Program> Worker<P> {
             }
             inbox_len[v] += 1;
         };
+        // Below its `shift` bits of index, a fan-out entry keeps the weight
+        // its copy is stamped with.
+        let mut put_entry = |entry: u32, shift: u32, mut msg: P::M| {
+            if shift > 0 {
+                P::stamp(&mut msg, (entry & ((1 << shift) - 1)) as u8);
+            }
+            put(entry >> shift, msg);
+        };
         let mut scatter = |broadcast: bool, id: u64, msg: P::M| {
-            let ts = targets(broadcast, id);
+            let (ts, shift) = targets(broadcast, id);
             if let Some((&last, rest)) = ts.split_last() {
-                for &v in rest {
-                    put(v, msg.clone());
+                for &entry in rest {
+                    put_entry(entry, shift, msg.clone());
                 }
-                put(last, msg);
+                put_entry(last, shift, msg);
             }
         };
         let mut wire = wire_recv.drain(..);
@@ -924,9 +936,11 @@ fn stage_frame<P: Program>(
     unicast_logical
 }
 
-/// The local indices one inbound record delivers to: a broadcast record's
-/// sender fans out to its adjacent local vertices (in the sender's
-/// adjacency order), any other record goes to its one addressee.
+/// The local indices one inbound record delivers to, each shifted left by
+/// the returned amount: a broadcast record's sender fans out to its
+/// adjacent local vertices (in the sender's adjacency order, the fan-out
+/// entries keeping `stamp_bits` of edge weight below the index), any other
+/// record goes to its one addressee.
 #[inline]
 fn record_targets<'a>(
     fan_offsets: &[u32],
@@ -934,13 +948,14 @@ fn record_targets<'a>(
     local_idx: &'a [u32],
     broadcast: bool,
     id: u64,
-) -> &'a [u32] {
+    stamp_bits: u32,
+) -> (&'a [u32], u32) {
     if broadcast {
         let lo = fan_offsets[id as usize] as usize;
         let hi = fan_offsets[id as usize + 1] as usize;
-        &fan_targets[lo..hi]
+        (&fan_targets[lo..hi], stamp_bits)
     } else {
-        std::slice::from_ref(&local_idx[id as usize])
+        (std::slice::from_ref(&local_idx[id as usize]), 0)
     }
 }
 

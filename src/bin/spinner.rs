@@ -10,8 +10,12 @@
 //! conversion; pass `--undirected` when each line already denotes an
 //! undirected edge. The output is one `vertex partition` pair per line —
 //! the format §V-F feeds into Giraph.
+//!
+//! Arguments are checked before the input is read: a malformed value, a
+//! `--k` outside `1..=MAX_K` or a `--c` that is not a finite number above 1
+//! prints the usage and exits 2.
 
-use spinner_core::{partition, SpinnerConfig};
+use spinner_core::{partition, SpinnerConfig, MAX_K};
 use spinner_graph::conversion::{from_undirected_edges, to_weighted_undirected};
 use spinner_graph::io::{read_edge_list_file, write_assignment};
 use std::process::ExitCode;
@@ -75,6 +79,14 @@ fn parse_args() -> Args {
         }
     }
     if args.input.is_empty() || args.k == 0 {
+        usage()
+    }
+    if args.k > MAX_K {
+        eprintln!("--k {} exceeds the largest supported partition count {MAX_K}", args.k);
+        usage()
+    }
+    if !(args.c.is_finite() && args.c > 1.0) {
+        eprintln!("--c {} must be a finite number above 1 (Eq. 5)", args.c);
         usage()
     }
     args
