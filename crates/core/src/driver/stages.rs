@@ -32,21 +32,29 @@
 //! [`crate::adapt`], [`crate::adapt_with_delta`], [`crate::elastic`] and
 //! every [`crate::StreamSession`] window (bootstrap, delta, resize, worker
 //! loss, transport escalation) are these stages around one
-//! [`Engine::run`]. A caller that builds (or warm-resets) an engine here
-//! from the same graph, config, placement, labels and affected flags, runs
-//! it, and collects it gets the same labels, per-iteration history,
-//! iteration and superstep counts and message totals as the driver call,
-//! bit for bit; only wall-clock fields differ. A warm reset is
-//! interchangeable with a fresh build.
+//! [`Engine::run`]. A caller that builds an engine here from the same
+//! graph, config, placement, labels and affected flags, runs it, and
+//! collects it gets the same labels, per-iteration history, iteration and
+//! superstep counts and message totals as the driver call, bit for bit;
+//! only wall-clock fields differ.
+//!
+//! A warm window instead re-hosts a finished engine with [`warm_reset`],
+//! seeded with every vertex's degree and label histogram and with the
+//! partition loads, so it starts at `ComputeScores`: it runs one superstep
+//! fewer than the driver call and sends none of the `Initialize`
+//! announcements. Its labels, per-iteration history, iteration count and
+//! `halted_steady` flag still match the driver bit for bit; only its
+//! superstep count, its message, record, wire and `computed` totals, and
+//! wall-clock fields are lower.
 
 use super::PartitionResult;
 use crate::config::SpinnerConfig;
-use crate::program::{rho_of, SpinnerProgram};
-use crate::state::{EdgeState, Label, Phase, VertexState, NO_LABEL};
+use crate::program::{load_of, rho_of, seeded_global, SpinnerProgram, AGG_LOADS};
+use crate::state::{label_histogram, EdgeState, Label, Phase, VertexState, NO_LABEL};
 use spinner_graph::{UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
 use spinner_pregel::engine::{Engine, EngineConfig};
-use spinner_pregel::{Placement, RunSummary};
+use spinner_pregel::{AggValue, Placement, RunSummary};
 
 /// The engine settings a run derives from its config.
 pub fn engine_config(cfg: &SpinnerConfig) -> EngineConfig {
@@ -97,24 +105,85 @@ pub fn build_engine(
     )
 }
 
-/// [`build_engine`] applied to a finished engine in place: the engine is
-/// re-hosted on `placement`, its fabric buffers keep their capacity, and
-/// its settings stay those it was built with.
-pub fn reset_engine(
+/// Re-hosts a finished engine for a warm window that starts at
+/// `ComputeScores`: `states` (one per vertex, in global-id order) carry each
+/// vertex's label, weighted degree and label histogram exactly as the
+/// `Initialize` superstep and the first histogram fold would have left them
+/// for this graph, and the partition loads are summed from them into both
+/// the persistent loads aggregator and the master's state. The engine moves
+/// onto `placement`, its fabric buffers keep their capacity, its settings
+/// stay those it was built with, and every histogram's heap buffer stays
+/// where `states` allocated it.
+///
+/// `affected` marks the vertices that restart migrations under
+/// [`crate::config::RestartScope::AffectedOnly`] (empty marks every vertex);
+/// with `park_unaffected` the others also start halted, so only a message
+/// wakes them (frontier windows). Debug builds first check the states
+/// against `graph`: every degree, and the mass law
+/// Σ_v hist_v\[l\] = Σ_{u : label(u) = l} deg_w(u) for every label.
+pub fn warm_reset(
     engine: &mut Engine<SpinnerProgram>,
     graph: &UndirectedGraph,
     cfg: &SpinnerConfig,
     placement: &Placement,
-    labels: &[Label],
+    mut states: Vec<VertexState>,
     affected: &[bool],
+    park_unaffected: bool,
 ) {
+    assert_eq!(states.len(), graph.num_vertices() as usize, "one vertex state per vertex");
+    #[cfg(debug_assertions)]
+    if let Err(e) = crate::program::check_mass_law(graph, &states) {
+        panic!("seeded label histograms out of sync with the graph: {e}");
+    }
+    let mut loads = vec![0i64; cfg.k as usize];
+    for s in &states {
+        loads[s.label as usize] += load_of(cfg.objective, s.degree) as i64;
+    }
     engine.warm_reset_undirected(
-        program(cfg),
+        SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::ComputeScores },
         graph,
         placement,
-        |v| (vertex(labels, affected, v), false),
+        |v| {
+            let v = v as usize;
+            let mut state = std::mem::replace(&mut states[v], VertexState::new(0, false));
+            state.candidate = NO_LABEL;
+            state.affected = affected.get(v).copied().unwrap_or(true);
+            let parked = park_unaffected && !state.affected;
+            (state, parked)
+        },
         edge,
     );
+    // The migration phase folds load deltas into the *persistent* loads
+    // aggregator, so its snapshot is seeded alongside the master's state.
+    engine.set_aggregate(AGG_LOADS, AggValue::VecI64(loads.clone()));
+    engine.set_global(seeded_global(cfg, loads));
+}
+
+/// Every vertex's state for a warm window starting from `labels`: the label,
+/// the weighted degree and the label histogram counted from `graph`. The
+/// histograms are allocated in the order the engine hosted on `placement`
+/// visits its vertices — by worker, then ascending id — so a scores
+/// superstep walks them through memory front to back.
+pub fn recount_states(
+    graph: &UndirectedGraph,
+    placement: &Placement,
+    labels: &[Label],
+) -> Vec<VertexState> {
+    assert_eq!(labels.len(), graph.num_vertices() as usize, "one label per vertex");
+    let mut states: Vec<VertexState> =
+        labels.iter().map(|&l| VertexState::new(l, true)).collect();
+    let mut order: Vec<VertexId> = (0..graph.num_vertices()).collect();
+    // Stable: ids stay ascending within a worker.
+    order.sort_by_key(|&v| placement.worker_of(v));
+    for v in order {
+        let (targets, weights) = graph.neighbors(v);
+        let (hist, degree) =
+            label_histogram(targets.iter().copied().zip(weights.iter().copied()), labels);
+        let state = &mut states[v as usize];
+        state.label_weights = hist;
+        state.degree = degree;
+    }
+    states
 }
 
 fn program(cfg: &SpinnerConfig) -> SpinnerProgram {

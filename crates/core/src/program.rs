@@ -368,10 +368,10 @@ impl SpinnerProgram {
 
 /// Builds the [`GlobalState`] the master's `Initialize` step would have
 /// produced from the given per-partition loads — the same total-weight,
-/// capacity, and load math, phase set to `ComputeScores`. Used by
-/// frontier-seeded windows that skip the Initialize superstep entirely:
-/// vertex degrees, histograms, and the persistent loads aggregator are
-/// seeded on the engine side, and this supplies the matching master state.
+/// capacity, and load math, phase set to `ComputeScores`. Used by warm
+/// windows, which skip the Initialize superstep entirely: vertex degrees,
+/// histograms, and the persistent loads aggregator are seeded on the engine
+/// side, and this supplies the matching master state.
 pub(crate) fn seeded_global(cfg: &SpinnerConfig, loads: Vec<i64>) -> GlobalState {
     let mut g = GlobalState::new(Phase::ComputeScores, cfg.k);
     install_loads(&mut g, cfg, loads);
@@ -472,6 +472,41 @@ pub(crate) fn recount_histograms(
         }
     }
     Ok(())
+}
+
+/// Checks vertex states seeded for a warm run against `graph`: every
+/// weighted degree matches the graph's, and the label histograms obey the
+/// mass law Σ_v hist_v\[l\] = Σ_{u : label(u) = l} deg_w(u) for every label
+/// `l` — each edge `{u, v}` of weight `w` puts `w` under `label(u)` in
+/// `v`'s histogram and under `label(v)` in `u`'s. Linear in the vertices
+/// and histogram entries, so cheap enough to run before every warm window.
+/// Reports the first degree or label that disagrees.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn check_mass_law(
+    graph: &spinner_graph::UndirectedGraph,
+    states: &[VertexState],
+) -> Result<(), String> {
+    let mut mass: Vec<i64> = Vec::new();
+    let mut add = |l: Label, w: i64| {
+        if mass.len() <= l as usize {
+            mass.resize(l as usize + 1, 0);
+        }
+        mass[l as usize] += w;
+    };
+    for (v, s) in states.iter().enumerate() {
+        let degree = graph.weighted_degree(v as u32);
+        if s.degree != degree {
+            return Err(format!("vertex {v}: degree {}, the graph gives {degree}", s.degree));
+        }
+        add(s.label, degree as i64);
+        for &(l, w) in &s.label_weights {
+            add(l, -i64::from(w));
+        }
+    }
+    match mass.iter().position(|&m| m != 0) {
+        Some(l) => Err(format!("label {l}: histograms and degrees differ by {}", -mass[l])),
+        None => Ok(()),
+    }
 }
 
 /// Maximum normalized load: each partition's load relative to its ideal

@@ -21,8 +21,9 @@ pub struct VertexState {
     /// Current partition label α(v).
     pub label: Label,
     /// Weighted degree deg_w(v) (Eq. 3 weights). Computed during the
-    /// Initialize superstep. Under the `Edges` objective this is also the
-    /// vertex's load contribution; under `Vertices` the load is 1.
+    /// Initialize superstep of a cold run, seeded for a warm one. Under the
+    /// `Edges` objective this is also the vertex's load contribution; under
+    /// `Vertices` the load is 1.
     pub degree: u64,
     /// The label this vertex is a candidate to migrate to (set in
     /// ComputeScores, consumed in ComputeMigrations), or [`NO_LABEL`].
@@ -73,7 +74,8 @@ pub(crate) fn label_histogram(
 
 impl VertexState {
     /// Fresh state with the given initial label (degree and the label
-    /// histogram fill in during the Initialize/ComputeScores supersteps).
+    /// histogram fill in during the Initialize/ComputeScores supersteps of a
+    /// cold run).
     pub fn new(label: Label, affected: bool) -> Self {
         Self { label, degree: 0, candidate: NO_LABEL, affected, label_weights: Vec::new() }
     }
@@ -82,6 +84,20 @@ impl VertexState {
     #[inline]
     pub fn label_weight(&self, label: Label) -> u32 {
         self.label_weights.iter().find(|&&(l, _)| l == label).map_or(0, |&(_, c)| c)
+    }
+
+    /// Applies a change of `delta` to the weight of an edge whose other end
+    /// is labelled `label`: the histogram entry and the weighted degree move
+    /// together, and the histogram stays positive and sorted by weight.
+    pub(crate) fn reweigh_edge(&mut self, label: Label, delta: i32) {
+        let w = delta.unsigned_abs();
+        if delta > 0 {
+            self.shift_label_weight(NO_LABEL, label, w);
+            self.degree += u64::from(w);
+        } else {
+            self.shift_label_weight(label, NO_LABEL, w);
+            self.degree -= u64::from(w);
+        }
     }
 
     /// Applies a neighbour's label change `old -> new` over an edge of the

@@ -522,6 +522,14 @@ impl<P: Program> Engine<P> {
         // — the records one all-broadcast superstep ships to `dst`, which
         // bounds its decoded wire records.
         let mut plan_in = vec![0usize; num_workers];
+        // Wire path only: `pair_edges[src * W + dst]`, adjacency entries
+        // from `src`'s vertices to `dst`'s (lane off), and
+        // `pair_lone[src * W + dst]`, lone-neighbour plan entries (lane on).
+        // They bound the records (and the unicast ones) of one superstep's
+        // frame from `src` to `dst`.
+        let wired = self.transport.is_some();
+        let mut pair_edges = vec![0usize; num_workers * num_workers];
+        let mut pair_lone = vec![0usize; num_workers * num_workers];
         for w in &mut self.workers {
             let me = w.id as usize;
             let mut edge_count = 0usize;
@@ -549,6 +557,9 @@ impl<P: Program> Engine<P> {
                     } else {
                         inbound[dst] += 1;
                     }
+                    if wired && !build_fanout {
+                        pair_edges[me * num_workers + dst] += 1;
+                    }
                     if build_fanout {
                         fans[dst].0[gid as usize + 1] += 1;
                         if plan_stamp[dst] != plan_epoch {
@@ -560,9 +571,11 @@ impl<P: Program> Engine<P> {
                             // second one demotes the entry to a fanned-out
                             // broadcast record.
                             w.plan_lone.push(i as u32);
+                            pair_lone[me * num_workers + dst] += usize::from(wired);
                         } else if w.plan_lone[plan_pos[dst]] != BROADCAST_MULTI {
                             w.plan_lone[plan_pos[dst]] = BROADCAST_MULTI;
                             marks[me * num_workers + dst] += 1;
+                            pair_lone[me * num_workers + dst] -= usize::from(wired);
                         }
                     }
                 }
@@ -577,7 +590,6 @@ impl<P: Program> Engine<P> {
             // if the final one is.
             checked_u32(me, "broadcast plan entries", w.plan_workers.len());
         }
-        let wired = self.transport.is_some();
         for (((w, inb), self_inb), plan_inb) in
             self.workers.iter_mut().zip(inbound).zip(self_inbound).zip(plan_in)
         {
@@ -598,6 +610,26 @@ impl<P: Program> Engine<P> {
                     (true, false) => inb,
                 },
             );
+            if wired {
+                // One frame's `(records, unicast records)` from `src` to
+                // `dst` when every sender broadcasts (unicasts along every
+                // edge with the lane off) — the superstep that fills the
+                // wire scratch most, which a warm run may reach only late.
+                let frame = |src: usize, dst: usize| {
+                    let i = src * num_workers + dst;
+                    if build_fanout {
+                        (pair_lone[i] + marks[i], pair_lone[i])
+                    } else {
+                        (pair_edges[i], pair_edges[i])
+                    }
+                };
+                let others = (0..num_workers).filter(|&o| o != me);
+                let sent = others.clone().map(|dst| frame(me, dst));
+                let stage = sent.clone().map(|(records, _)| records).max().unwrap_or(0);
+                let keys = sent.map(|(_, unicast)| unicast).max().unwrap_or(0);
+                let ids = others.map(|src| frame(src, me).0).max().unwrap_or(0);
+                w.reserve_wire_scratch(stage, keys, ids);
+            }
         }
         // The grid cells hold the other half of each outbox's double buffer.
         if self.transport.is_none() {
@@ -999,6 +1031,30 @@ impl<P: Program> Engine<P> {
     /// Clones all vertex values into a dense global-id-indexed vector.
     pub fn collect_values(&self) -> Vec<P::V> {
         self.collect_values_with(Clone::clone)
+    }
+
+    /// Moves every vertex value out of the engine into a dense
+    /// global-id-indexed vector. Nothing is cloned: each value, and any heap
+    /// buffer it owns, stays where the program allocated it, so a caller
+    /// can patch the values and hand them back through the `init_v` of
+    /// [`Self::warm_reset_undirected`]. The workers keep their value
+    /// vectors' capacity.
+    ///
+    /// Call it only between runs, and re-host the engine with
+    /// [`Self::warm_reset_undirected`] before the next [`Self::run`] or any
+    /// value read: until then the engine holds no vertex values.
+    pub fn take_values(&mut self) -> Vec<P::V> {
+        let mut drains: Vec<_> = self.workers.iter_mut().map(|w| w.values.drain(..)).collect();
+        // Each worker holds its vertices in ascending global id, so walking
+        // the ids in order takes every worker's values front to back.
+        let values = (0..self.num_vertices as usize)
+            .map(|v| {
+                let w = self.worker_of[v] as usize;
+                drains[w].next().expect("one value per hosted vertex")
+            })
+            .collect();
+        debug_assert!(drains.iter().all(|d| d.len() == 0), "values left behind");
+        values
     }
 
     /// Maps every vertex value through `f` into a dense global-id-indexed

@@ -33,7 +33,7 @@ use spinner_pregel::WorkerId;
 use crate::fault::Storage;
 use crate::persist::{PersistError, ResumeStats, SessionStore};
 use crate::routing::{Lookup, RoutingReader, RoutingTable};
-use crate::wal::WalRecord;
+use crate::wal::WindowBase;
 
 /// Persistence health of a [`ServingNode`] (see the module docs for the
 /// state machine).
@@ -283,7 +283,10 @@ impl ServingNode {
     /// directory recovers the last persisted window) and the node keeps
     /// serving without one.
     pub fn ingest(&mut self, event: StreamEvent) -> Result<IngestReport, PersistError> {
-        let before = self.store.as_ref().map(|_| self.session.state());
+        // Only a Healthy append diffs the window; a Degraded one
+        // re-checkpoints the whole state instead.
+        let before = (self.store.is_some() && self.health == Health::Healthy)
+            .then(|| WindowBase::capture(&self.session));
         let report = self.session.apply(event.clone()).clone();
         if report.lanes_dead() > 0 {
             // The session already ran worker-loss recovery for the dead
@@ -297,9 +300,8 @@ impl ServingNode {
         if self.store.is_some() {
             match self.health {
                 Health::Healthy => {
-                    let after = self.session.state();
-                    let record =
-                        WalRecord::diff(before.as_ref().expect("captured"), &after, event);
+                    let before = before.as_ref().expect("captured while Healthy");
+                    let record = before.record(&self.session, event);
                     let store = self.store.as_mut().expect("store checked above");
                     match with_retry(&self.retry, &mut retries, || store.append(&record)) {
                         Ok(bytes) => record_bytes = bytes,
@@ -597,6 +599,55 @@ mod tests {
         assert_eq!(resumed.session().labels(), labels.as_slice());
 
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// `ingest` builds each WAL record from the session's labels,
+    /// placement and feedback map instead of two `state()` clones; the
+    /// bytes must equal `WalRecord::diff` over those states, window for
+    /// window, through deltas, resizes, a worker loss and feedback
+    /// re-places. The twin runs the same windows on its own clock, so its
+    /// reports take the node's `wall_ns` before encoding.
+    #[test]
+    fn wal_records_equal_the_state_diff() {
+        use crate::fault::{Storage, StoreFile};
+        use crate::wal::{read_wal, WalRecord};
+
+        let disk = MemStorage::new();
+        let mut cfg = cfg(4).with_placement_feedback(0.3);
+        cfg.num_workers = 4;
+        let mut twin = StreamSession::new(ring(300), cfg);
+        let session = StreamSession::from_state(twin.state());
+        let mut node =
+            ServingNode::with_storage(session, Box::new(disk.clone())).expect("store");
+        let events = [
+            delta(0, 300),
+            StreamEvent::Resize { k: 6 },
+            delta(1, 305),
+            StreamEvent::WorkerLoss { worker: 2 },
+            StreamEvent::Resize { k: 3 },
+            delta(2, 310),
+        ];
+        let mut expected = Vec::new();
+        for event in events {
+            let before = twin.state();
+            twin.apply(event.clone());
+            expected.push(WalRecord::diff(&before, &twin.state(), event.clone()));
+            let report = node.ingest(event).expect("append");
+            assert_eq!(report.health(), Health::Healthy);
+        }
+        assert!(twin.windows().iter().any(|w| w.placement_moved() > 0), "no re-place");
+        let mut disk = disk;
+        let wal = disk.read(StoreFile::Wal).expect("read").expect("a WAL");
+        let scan = read_wal(&wal);
+        assert_eq!(scan.clean_bytes, wal.len() as u64);
+        assert_eq!(scan.records.len(), expected.len());
+        let mut written = 0;
+        for (mut want, got) in expected.into_iter().zip(&scan.records) {
+            want.report.wall_ns = got.report.wall_ns;
+            let bytes = want.encode_framed();
+            assert_eq!(&wal[written..written + bytes.len()], bytes.as_slice());
+            written += bytes.len();
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! [`read_wal`] stops at the last whole record and reports the number of
 //! clean bytes so the writer can truncate and continue from there.
 
-use spinner_core::{SessionState, StreamEvent, WindowReport, WindowReportParts};
+use spinner_core::{SessionState, StreamEvent, StreamSession, WindowReport, WindowReportParts};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{GraphDelta, VertexId};
 use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
@@ -45,25 +45,88 @@ pub struct WalRecord {
     pub report: WindowReportParts,
 }
 
+/// The session fields a window can change and a [`WalRecord`] diffs, as
+/// the window found them: labels, placement and the feedback map. Captured
+/// before [`StreamSession::apply`] instead of a whole [`SessionState`],
+/// whose clone copies the graph and every window report.
+pub(crate) struct WindowBase {
+    labels: Vec<u32>,
+    placement: Vec<WorkerId>,
+    label_assignment: Option<Vec<WorkerId>>,
+}
+
+impl WindowBase {
+    /// What `session` holds before its next window.
+    pub(crate) fn capture(session: &StreamSession) -> Self {
+        Self {
+            labels: session.labels().to_vec(),
+            placement: session.placement().as_slice().to_vec(),
+            label_assignment: session.label_assignment().map(<[WorkerId]>::to_vec),
+        }
+    }
+
+    /// The record of the window `session` just applied from this base:
+    /// byte-identical to [`WalRecord::diff`] over the states around it.
+    pub(crate) fn record(&self, session: &StreamSession, event: StreamEvent) -> WalRecord {
+        let before = Fields {
+            labels: &self.labels,
+            placement: &self.placement,
+            label_assignment: self.label_assignment.as_deref(),
+        };
+        let after = Fields {
+            labels: session.labels(),
+            placement: session.placement().as_slice(),
+            label_assignment: session.label_assignment(),
+        };
+        WalRecord::between(before, after, session.k(), session.last(), event)
+    }
+}
+
+/// The diffed fields of one side of a window, borrowed.
+struct Fields<'a> {
+    labels: &'a [u32],
+    placement: &'a [WorkerId],
+    label_assignment: Option<&'a [WorkerId]>,
+}
+
+impl<'a> Fields<'a> {
+    fn of(state: &'a SessionState) -> Self {
+        Self {
+            labels: &state.labels,
+            placement: &state.placement,
+            label_assignment: state.label_assignment.as_deref(),
+        }
+    }
+}
+
 impl WalRecord {
     /// Builds the record for the window that took `before` to `after`.
     /// `event` must be the event `StreamSession::apply` consumed, `after`
     /// the session state afterwards.
     pub fn diff(before: &SessionState, after: &SessionState, event: StreamEvent) -> Self {
-        let report = after.windows.last().expect("applied window must be reported").to_parts();
-        let label_updates = diff_values(&before.labels, &after.labels);
-        let placement_updates = diff_values(&before.placement, &after.placement);
+        let report = after.windows.last().expect("applied window must be reported");
+        Self::between(Fields::of(before), Fields::of(after), after.cfg.k, report, event)
+    }
+
+    fn between(
+        before: Fields<'_>,
+        after: Fields<'_>,
+        k: u32,
+        report: &WindowReport,
+        event: StreamEvent,
+    ) -> Self {
+        let report = report.to_parts();
         let label_assignment = if after.label_assignment != before.label_assignment {
-            after.label_assignment.clone()
+            after.label_assignment.map(<[WorkerId]>::to_vec)
         } else {
             None
         };
         Self {
             window: report.window,
-            k: after.cfg.k,
+            k,
             event,
-            label_updates,
-            placement_updates,
+            label_updates: diff_values(before.labels, after.labels),
+            placement_updates: diff_values(before.placement, after.placement),
             label_assignment,
             report,
         }

@@ -113,7 +113,8 @@ fn prelude_covers_the_transport_resilience_path() {
     let g = GraphBuilder::new(40).add_edges((0..40).map(|v| (v, (v + 1) % 40))).build();
     let mut session = StreamSession::new(g, cfg);
     session.inject_transport_faults(plan);
-    let report = session.apply(StreamEvent::Delta(GraphDelta::default()));
+    // A resize migrates, so its window ships frames for the plan to hit.
+    let report = session.apply(StreamEvent::Resize { k: 3 });
     assert!(!report.is_recovery(), "a dropped frame is retransmitted, not escalated");
     let (injected, remaining) = session.transport_chaos_counts();
     assert_eq!((injected, remaining), (1, 0), "the scripted fault fired");
