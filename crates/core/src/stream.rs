@@ -621,26 +621,39 @@ impl StreamSession {
         // consumed), so the loop terminates on any finite plan. Failed
         // attempts' metrics are kept and prepended below so the window
         // accounts every frame that actually moved.
+        //
+        // A sender reseeded earlier in the window whose lane dies again is
+        // the same loss, not a new one: the re-run started from the
+        // recovery's labels, so the failure cost only that re-run's
+        // progress. The recovery is replayed as it was (same labels,
+        // placement and restarted vertices) and nothing is counted lost
+        // twice, however many of one sender's lanes die in different
+        // supersteps.
         let mut transport_lost = 0u64;
         let mut lanes_degraded = 0u64;
         let mut lanes_dead = 0u64;
         let mut failed_metrics = Vec::new();
-        let mut escalation_labels: Option<Vec<Label>> = None;
+        let mut reseeded: Vec<WorkerId> = Vec::new();
+        let mut escalation: Option<(Vec<Label>, Vec<bool>)> = None;
         while let HaltReason::TransportFailed(err) = summary.halt {
             let (degraded, dead) = self.engine.transport_health_counts();
             lanes_degraded = lanes_degraded.max(degraded);
             lanes_dead += dead.max(1);
             failed_metrics.append(&mut summary.metrics);
-            let seed = escalation_labels.as_deref().unwrap_or(&labels);
-            let (relabeled, lost, count) =
-                self.reseed_hosted_by(err.sender() as WorkerId, seed);
-            transport_lost += count;
-            let placement = self.placement_for(&relabeled);
-            let states = stages::recount_states(&self.undirected, &placement, &relabeled);
+            let sender = err.sender() as WorkerId;
+            if !reseeded.contains(&sender) {
+                let seed = escalation.as_ref().map_or(&labels, |(relabeled, _)| relabeled);
+                let (relabeled, lost, count) = self.reseed_hosted_by(sender, seed);
+                transport_lost += count;
+                reseeded.push(sender);
+                escalation = Some((relabeled, lost));
+            }
+            let (relabeled, lost) = escalation.as_ref().expect("a reseeded sender");
+            let placement = self.placement_for(relabeled);
+            let states = stages::recount_states(&self.undirected, &placement, relabeled);
             let (und, cfg) = (&self.undirected, &self.cfg);
-            stages::warm_reset(&mut self.engine, und, cfg, &placement, states, &lost, false);
+            stages::warm_reset(&mut self.engine, und, cfg, &placement, states, lost, false);
             self.placement = placement;
-            escalation_labels = Some(relabeled);
             summary = self.engine.run();
         }
         if !failed_metrics.is_empty() {

@@ -522,14 +522,10 @@ impl<P: Program> Engine<P> {
         // — the records one all-broadcast superstep ships to `dst`, which
         // bounds its decoded wire records.
         let mut plan_in = vec![0usize; num_workers];
-        // Wire path only: `pair_edges[src * W + dst]`, adjacency entries
-        // from `src`'s vertices to `dst`'s (lane off), and
-        // `pair_lone[src * W + dst]`, lone-neighbour plan entries (lane on).
-        // They bound the records (and the unicast ones) of one superstep's
-        // frame from `src` to `dst`.
-        let wired = self.transport.is_some();
-        let mut pair_edges = vec![0usize; num_workers * num_workers];
-        let mut pair_lone = vec![0usize; num_workers * num_workers];
+        // `lone[src * W + dst]`: lone-neighbour plan entries from `src` to
+        // `dst` — the unicast records of one all-broadcast superstep's frame,
+        // which bound that frame's wire sort keys.
+        let mut lone = vec![0usize; num_workers * num_workers];
         for w in &mut self.workers {
             let me = w.id as usize;
             let mut edge_count = 0usize;
@@ -557,9 +553,6 @@ impl<P: Program> Engine<P> {
                     } else {
                         inbound[dst] += 1;
                     }
-                    if wired && !build_fanout {
-                        pair_edges[me * num_workers + dst] += 1;
-                    }
                     if build_fanout {
                         fans[dst].0[gid as usize + 1] += 1;
                         if plan_stamp[dst] != plan_epoch {
@@ -571,11 +564,11 @@ impl<P: Program> Engine<P> {
                             // second one demotes the entry to a fanned-out
                             // broadcast record.
                             w.plan_lone.push(i as u32);
-                            pair_lone[me * num_workers + dst] += usize::from(wired);
+                            lone[me * num_workers + dst] += 1;
                         } else if w.plan_lone[plan_pos[dst]] != BROADCAST_MULTI {
                             w.plan_lone[plan_pos[dst]] = BROADCAST_MULTI;
                             marks[me * num_workers + dst] += 1;
-                            pair_lone[me * num_workers + dst] -= usize::from(wired);
+                            lone[me * num_workers + dst] -= 1;
                         }
                     }
                 }
@@ -590,6 +583,7 @@ impl<P: Program> Engine<P> {
             // if the final one is.
             checked_u32(me, "broadcast plan entries", w.plan_workers.len());
         }
+        let wired = self.transport.is_some();
         for (((w, inb), self_inb), plan_inb) in
             self.workers.iter_mut().zip(inbound).zip(self_inbound).zip(plan_in)
         {
@@ -611,24 +605,12 @@ impl<P: Program> Engine<P> {
                 },
             );
             if wired {
-                // One frame's `(records, unicast records)` from `src` to
-                // `dst` when every sender broadcasts (unicasts along every
-                // edge with the lane off) — the superstep that fills the
-                // wire scratch most, which a warm run may reach only late.
-                let frame = |src: usize, dst: usize| {
-                    let i = src * num_workers + dst;
-                    if build_fanout {
-                        (pair_lone[i] + marks[i], pair_lone[i])
-                    } else {
-                        (pair_edges[i], pair_edges[i])
-                    }
-                };
-                let others = (0..num_workers).filter(|&o| o != me);
-                let sent = others.clone().map(|dst| frame(me, dst));
-                let stage = sent.clone().map(|(records, _)| records).max().unwrap_or(0);
-                let keys = sent.map(|(_, unicast)| unicast).max().unwrap_or(0);
-                let ids = others.map(|src| frame(src, me).0).max().unwrap_or(0);
-                w.reserve_wire_scratch(stage, keys, ids);
+                // A warm run may reach its all-broadcast superstep only late,
+                // so the sort keys of its largest outbound frame are
+                // reserved here rather than grown then.
+                let row = &lone[me * num_workers..(me + 1) * num_workers];
+                let keys = row.iter().enumerate().filter(|&(dst, _)| dst != me);
+                w.reserve_sort_keys(keys.map(|(_, &n)| n).max().unwrap_or(0));
             }
         }
         // The grid cells hold the other half of each outbox's double buffer.

@@ -282,19 +282,13 @@ impl<P: Program> Worker<P> {
         }
     }
 
-    /// Pre-reserves the wire scratch for one superstep's largest frames:
-    /// `stage` records (`unicast` of them sorted by destination) staged
-    /// into one outbound frame, and `ids` records decoded from one inbound
-    /// frame. Done at (re)load time, like [`Self::reserve_inbound`], so a
+    /// Pre-reserves the sort keys of the largest outbound frame, `unicast`
+    /// records. Done at (re)load time, like [`Self::reserve_inbound`], so a
     /// warm run's first superstep that fills them never counts as fabric
     /// growth.
-    pub(crate) fn reserve_wire_scratch(&mut self, stage: usize, unicast: usize, ids: usize) {
-        self.wire_stage.clear();
-        self.wire_stage.reserve(stage);
+    pub(crate) fn reserve_sort_keys(&mut self, unicast: usize) {
         self.sort_keys.clear();
         self.sort_keys.reserve(unicast);
-        self.wire_ids.clear();
-        self.wire_ids.reserve(ids);
     }
 
     /// Number of vertices hosted here.

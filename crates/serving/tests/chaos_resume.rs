@@ -310,7 +310,7 @@ fn sample_lookups(
 
 /// The two recoveries a fault-free reference cannot cover, on one live
 /// node with a reader thread sampling lookups throughout: a reported
-/// worker loss, and a stalled sender whose lane dies and escalates into the
+/// worker loss, and a stalled sender whose lanes die and escalate into the
 /// same reseed. Before them, a scripted plan of every recoverable fault
 /// kind must leave every window's labels bit-identical to a clean run at a
 /// pinned repair cost, with an allocation-free empty-delta probe window.
@@ -417,15 +417,18 @@ fn worker_loss_and_lane_death_recover_under_live_lookups() {
     assert!(after.rho() <= node.session().config().c + 0.15, "rho {}", after.rho());
 
     // A resize leaves the partition still migrating into the next window,
-    // so the stalled sender has frames to publish there. One lane is
-    // stalled: a warm window's lanes first carry frames in different
-    // supersteps, and each stalled lane would die in an escalation of its
-    // own, each reseeding whatever the sender hosts by then.
+    // so the stalled sender has frames to publish on every lane there. A
+    // warm window's lanes first carry frames in different supersteps, so
+    // the three lanes die in separate escalations: the first reseeds the
+    // sender, the later ones replay that same recovery.
     ingest(&mut node, StreamEvent::Resize { k: 2 * WORKERS as u32 });
     let stalled = hosted_by(&node, STALLED_SENDER as WorkerId);
-    node.inject_transport_faults(TransportFaultPlan::new().stall_at(STALLED_SENDER, 0, 0));
+    node.inject_transport_faults(
+        (0..3)
+            .fold(TransportFaultPlan::new(), |plan, dst| plan.stall_at(STALLED_SENDER, dst, 0)),
+    );
     let death = ingest(&mut node, deltas.next().unwrap());
-    assert_eq!((death.lost_vertices(), death.lanes_dead()), (101, 1), "pinned lane death");
+    assert_eq!((death.lost_vertices(), death.lanes_dead()), (101, 3), "pinned lane death");
     assert_eq!(death.lost_vertices(), stalled, "escalation reseeds the stalled sender");
     assert_eq!(node.transport_recoveries(), 1);
     let next = ingest(&mut node, deltas.next().unwrap());
