@@ -172,13 +172,25 @@ pub fn recount_states(
     assert_eq!(labels.len(), graph.num_vertices() as usize, "one label per vertex");
     let mut states: Vec<VertexState> =
         labels.iter().map(|&l| VertexState::new(l, true)).collect();
-    let mut order: Vec<VertexId> = (0..graph.num_vertices()).collect();
-    // Stable: ids stay ascending within a worker.
-    order.sort_by_key(|&v| placement.worker_of(v));
+    // The vertices by worker, ascending id within each: a counting pass
+    // over the placement.
+    let mut next = vec![0usize; placement.num_workers() + 1];
+    for &w in placement.as_slice() {
+        next[w as usize + 1] += 1;
+    }
+    for w in 1..next.len() {
+        next[w] += next[w - 1];
+    }
+    let mut order: Vec<VertexId> = vec![0; labels.len()];
+    for (v, &w) in placement.as_slice().iter().enumerate() {
+        order[next[w as usize]] = v as VertexId;
+        next[w as usize] += 1;
+    }
+    let mut counts = Vec::new();
     for v in order {
         let (targets, weights) = graph.neighbors(v);
-        let (hist, degree) =
-            label_histogram(targets.iter().copied().zip(weights.iter().copied()), labels);
+        let neighbours = targets.iter().copied().zip(weights.iter().copied());
+        let (hist, degree) = label_histogram(neighbours, labels, &mut counts);
         let state = &mut states[v as usize];
         state.label_weights = hist;
         state.degree = degree;

@@ -458,7 +458,7 @@ pub(crate) fn recount_histograms(
         }
         let (targets, edges) = engine.adjacency(v as u32);
         let neighbours = targets.iter().zip(edges).map(|(&t, e)| (t, e.weight));
-        let (mut expect, degree) = crate::state::label_histogram(neighbours, &labels);
+        let (mut expect, degree) = crate::state::label_histogram_scan(neighbours, &labels);
         expect.sort_unstable();
         let mut got = hist.clone();
         got.sort_unstable();

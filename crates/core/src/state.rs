@@ -54,7 +54,45 @@ pub(crate) fn sort_by_weight(hist: &mut [(Label, u32)]) {
 /// A vertex's label histogram, in [`VertexState::label_weights`]' order,
 /// and its weighted degree, counted from its `(neighbour, edge weight)`
 /// pairs and every vertex's current `labels`.
+///
+/// `counts` is label-indexed scratch, zero on entry and again on return
+/// (grown to the largest label seen), so a caller counting many vertices
+/// passes the same one each time: each pair adds its (positive) weight to
+/// its label's slot, and a label joins the histogram at its first
+/// occurrence. The histogram therefore lists its labels in the order a
+/// linear scan of the pairs meets them, and the unstable weight sort sees
+/// exactly the input `label_histogram_scan` gives it.
 pub(crate) fn label_histogram(
+    neighbours: impl Iterator<Item = (VertexId, u8)>,
+    labels: &[Label],
+    counts: &mut Vec<u32>,
+) -> (Vec<(Label, u32)>, u64) {
+    let mut degree = 0u64;
+    let mut hist: Vec<(Label, u32)> = Vec::new();
+    for (t, w) in neighbours {
+        degree += u64::from(w);
+        let l = labels[t as usize];
+        if l as usize >= counts.len() {
+            counts.resize(l as usize + 1, 0);
+        }
+        let count = &mut counts[l as usize];
+        if *count == 0 {
+            hist.push((l, 0));
+        }
+        *count += u32::from(w);
+    }
+    for (l, c) in &mut hist {
+        *c = std::mem::take(&mut counts[*l as usize]);
+    }
+    sort_by_weight(&mut hist);
+    (hist, degree)
+}
+
+/// [`label_histogram`] by a linear search of the histogram for every pair:
+/// the oracle the counting kernel is checked against, and the independent
+/// recount behind `recount_histograms`.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn label_histogram_scan(
     neighbours: impl Iterator<Item = (VertexId, u8)>,
     labels: &[Label],
 ) -> (Vec<(Label, u32)>, u64) {
@@ -482,6 +520,33 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The counting kernel gives every row exactly the linear scan's
+        /// histogram — same entries in the same order — and degree, with
+        /// one scratch reused across rows and left zeroed.
+        #[test]
+        fn counted_histogram_matches_the_linear_scan(
+            k in 1u32..65,
+            picks in prop::collection::vec(0u32..1000, 1..80),
+            rows in prop::collection::vec(
+                prop::collection::vec((0usize..1000, 1u8..3), 0..40),
+                1..12,
+            ),
+        ) {
+            let labels: Vec<Label> = picks.iter().map(|&p| p % k).collect();
+            let mut counts = Vec::new();
+            for row in rows {
+                let pairs: Vec<(VertexId, u8)> = row
+                    .iter()
+                    .map(|&(t, w)| ((t % labels.len()) as VertexId, w))
+                    .collect();
+                let got = label_histogram(pairs.iter().copied(), &labels, &mut counts);
+                let want = label_histogram_scan(pairs.iter().copied(), &labels);
+                prop_assert_eq!(got, want);
+                prop_assert!(counts.iter().all(|&c| c == 0));
+                prop_assert!(counts.len() <= k as usize);
+            }
+        }
 
         /// Any sequence of neighbour label changes keeps the incrementally
         /// shifted histogram equal to a naive recount of the edges, with

@@ -983,10 +983,11 @@ fn carry_states(
             }
         }
     }
+    let mut counts = Vec::new();
     states.extend((old_n as VertexId..graph.num_vertices()).map(|v| {
         let (targets, weights) = graph.neighbors(v);
-        let (hist, degree) =
-            label_histogram(targets.iter().copied().zip(weights.iter().copied()), labels);
+        let neighbours = targets.iter().copied().zip(weights.iter().copied());
+        let (hist, degree) = label_histogram(neighbours, labels, &mut counts);
         VertexState {
             label: labels[v as usize],
             degree,

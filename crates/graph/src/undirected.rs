@@ -11,8 +11,11 @@ use crate::ids::{EdgeWeight, VertexId};
 ///
 /// Each undirected edge `{u, v}` appears in both adjacency lists with the same
 /// weight. Adjacency lists are sorted by target, enabling `O(log deg)` edge
-/// lookup, which the Pregel implementation uses to update the neighbour-label
-/// cache when a label-change message arrives.
+/// lookup. Sorted, symmetric rows are also what the Pregel engine's
+/// per-worker broadcast fan-out index relies on: the senders whose
+/// broadcasts reach a vertex are exactly its own row, so each worker builds
+/// its index as the transpose of its own rows, in each sender's adjacency
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UndirectedGraph {
     offsets: Vec<u64>,

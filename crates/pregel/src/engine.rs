@@ -48,6 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
+#[cfg(test)]
+mod load_tests;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -288,6 +291,81 @@ fn checked_u32(worker: usize, what: &str, count: usize) -> u32 {
     })
 }
 
+/// How a load's rows relate to the broadcasts their vertices receive,
+/// which decides where each worker's fan-out index reads its in-rows.
+#[derive(Clone, Copy)]
+enum Rows {
+    /// Symmetric, sorted rows (an [`UndirectedGraph`]): a vertex's own row
+    /// lists exactly the senders whose broadcasts reach it.
+    Symmetric,
+    /// Out-rows (a [`DirectedGraph`]): the in-rows are their transpose.
+    Directed,
+}
+
+/// Builds one worker's broadcast fan-out index (`Worker::fan_offsets` and
+/// `fan_targets`) as the counting transpose of its in-rows: `in_row(li)`
+/// yields, for hosted vertex `li`, each sender whose broadcasts reach it
+/// with the [`Program::edge_weight`] of the edge between them. Walking the
+/// hosted vertices in order lists each sender's entries by ascending local
+/// index, which is ascending global id: the sender's adjacency order. The
+/// build reads only the worker's own rows (or in-rows) and writes only its
+/// own index, which keeps it within cache; both vectors keep their
+/// capacity.
+fn fill_fan_index<P: Program, I: Iterator<Item = (VertexId, u8)>>(
+    worker: usize,
+    senders: usize,
+    hosted: usize,
+    in_row: impl Fn(usize) -> I,
+    offsets: &mut Vec<u32>,
+    targets: &mut Vec<u32>,
+) {
+    // Each entry keeps `P::STAMP_BITS` of edge weight below the local index.
+    if hosted > (u32::MAX >> P::STAMP_BITS) as usize {
+        panic!(
+            "worker {worker}: {hosted} vertices overflow the {}-bit local indices of its \
+             fan-out index",
+            32 - P::STAMP_BITS
+        );
+    }
+    // Counts land two slots up, so that after the prefix sum
+    // `offsets[s + 1]` is sender `s`'s fill cursor; the fill leaves it at
+    // `s`'s end, where the CSR wants it.
+    offsets.clear();
+    offsets.resize(senders + 2, 0);
+    for li in 0..hosted {
+        for (s, _) in in_row(li) {
+            offsets[s as usize + 2] += 1;
+        }
+    }
+    let mut total = 0usize;
+    for offset in &mut offsets[2..] {
+        total += *offset as usize;
+        *offset = total as u32;
+    }
+    // The running total only grows, so every offset above was exact if the
+    // last one is.
+    targets.clear();
+    targets.resize(checked_u32(worker, "fan-out entries", total) as usize, 0);
+    for li in 0..hosted {
+        for (s, weight) in in_row(li) {
+            let weight = if P::STAMP_BITS > 0 {
+                let weight = u32::from(weight);
+                assert!(
+                    weight >> P::STAMP_BITS == 0,
+                    "edge weight {weight} wider than Program::STAMP_BITS"
+                );
+                weight
+            } else {
+                0
+            };
+            let cursor = &mut offsets[s as usize + 1];
+            targets[*cursor as usize] = (li as u32) << P::STAMP_BITS | weight;
+            *cursor += 1;
+        }
+    }
+    offsets.pop();
+}
+
 impl<P: Program> Engine<P> {
     /// Builds an engine over a weighted undirected graph (each edge present
     /// in both adjacency lists). `init_v` produces initial vertex values;
@@ -306,6 +384,7 @@ impl<P: Program> Engine<P> {
             graph.num_vertices(),
             placement,
             config,
+            Rows::Symmetric,
             |v| graph.neighbors(v).0,
             |v, i| graph.neighbors(v).1[i],
             init_v,
@@ -315,6 +394,9 @@ impl<P: Program> Engine<P> {
 
     /// Builds an engine over a directed graph (out-edges only), e.g. for
     /// PageRank-style applications. Edge weight passed to `init_e` is 1.
+    /// With the broadcast lane on, the load transposes the out-rows into
+    /// in-rows (O(E) scratch for the build) from which each worker builds
+    /// its fan-out index.
     pub fn from_directed(
         program: P,
         graph: &DirectedGraph,
@@ -329,6 +411,7 @@ impl<P: Program> Engine<P> {
             graph.num_vertices(),
             placement,
             config,
+            Rows::Directed,
             |v| graph.out_neighbors(v),
             |_, _| 1,
             init_v,
@@ -342,6 +425,7 @@ impl<P: Program> Engine<P> {
         n: VertexId,
         placement: &Placement,
         config: EngineConfig,
+        rows: Rows,
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
         weight_at: impl Fn(VertexId, usize) -> u8,
         mut init_v: impl FnMut(VertexId) -> P::V,
@@ -373,6 +457,7 @@ impl<P: Program> Engine<P> {
         engine.load_topology(
             n,
             placement,
+            rows,
             neighbors,
             weight_at,
             |v| (init_v(v), false),
@@ -422,6 +507,7 @@ impl<P: Program> Engine<P> {
         self.load_topology(
             graph.num_vertices(),
             placement,
+            Rows::Symmetric,
             |v| graph.neighbors(v).0,
             |v, i| graph.neighbors(v).1[i],
             init_v,
@@ -450,10 +536,14 @@ impl<P: Program> Engine<P> {
     /// `vertex_init` yields each vertex's value and halted flag;
     /// `edge_init(src, dst, weight)` yields each edge's value, where the
     /// weight of the `i`-th edge of `src` is `weight_at(src, i)`.
+    /// `rows` says whether the rows are symmetric, which decides where each
+    /// worker's fan-out index reads its in-rows.
+    #[allow(clippy::too_many_arguments)]
     fn load_topology<'g>(
         &mut self,
         n: VertexId,
         placement: &Placement,
+        rows: Rows,
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
         weight_at: impl Fn(VertexId, usize) -> u8,
         mut vertex_init: impl FnMut(VertexId) -> (P::V, bool),
@@ -473,7 +563,9 @@ impl<P: Program> Engine<P> {
         for w in &mut self.workers {
             w.clear_topology();
         }
-        // First pass: assign vertices, values, and halted flags.
+        // First pass: assign vertices, values, and halted flags. Each worker
+        // receives its vertices in ascending global id, so local indices
+        // ascend with global id.
         for v in 0..n {
             let w = &mut self.workers[self.worker_of[v as usize] as usize];
             self.local_idx[v as usize] = w.global_ids.len() as u32;
@@ -483,51 +575,31 @@ impl<P: Program> Engine<P> {
             w.halted.push(halted);
             w.num_halted += u64::from(halted);
         }
-        // Second pass: adjacency, counting per-worker inbound entries (the
-        // delivery-volume bound used to pre-reserve the message fabric),
-        // split into worker-local ones (served by the fast-path queue) and
-        // the rest — and, with the broadcast lane on, counting each worker's
-        // fan-out index entries per sender in the same sweep.
+        // Second pass, worker by worker: the CSR, the broadcast plan, and
+        // the counts that bound the message fabric. Each row's plan is built
+        // in two phases: first every entry's destination worker and the
+        // count per destination, then one plan entry per destination, in
+        // first-occurrence order.
         let build_fanout = self.config.broadcast_fabric;
-        // The fan-out vectors move out of the workers for the build (two
-        // simultaneous worker borrows otherwise: reading one worker's
-        // adjacency while counting into another's index) and are handed
-        // back below, capacities intact across warm resets.
-        let mut fans: Vec<(Vec<u32>, Vec<u32>)> = self
-            .workers
-            .iter_mut()
-            .map(|w| (std::mem::take(&mut w.fan_offsets), std::mem::take(&mut w.fan_targets)))
-            .collect();
-        for (offsets, targets) in &mut fans {
-            offsets.clear();
-            targets.clear();
-            if build_fanout {
-                offsets.resize(n as usize + 1, 0);
-            }
-        }
+        let wired = self.transport.is_some();
         let worker_of = &self.worker_of;
+        // `inbound[dst]`: adjacency entries addressed to `dst` from other
+        // workers, the delivery volume one send-along-edges superstep brings.
         let mut inbound = vec![0usize; num_workers];
-        let mut self_inbound = vec![0usize; num_workers];
-        // Scratch for the per-vertex destination-worker dedup of the
-        // broadcast *plan* (stamps keyed by a monotonically growing vertex
-        // epoch, so no per-vertex reset).
-        let mut plan_stamp = vec![0u64; num_workers];
-        let mut plan_pos = vec![0usize; num_workers];
-        let mut plan_epoch = 0u64;
-        // `marks[src * W + dst]`: fanned-out broadcast records one superstep
-        // can send from `src` to `dst` (one per multi-neighbour plan entry),
-        // the bound that pre-reserves the broadcast marks.
-        let mut marks = vec![0usize; num_workers * num_workers];
         // `plan_in[dst]`: plan entries addressed to `dst` from other workers
         // — the records one all-broadcast superstep ships to `dst`, which
         // bounds its decoded wire records.
         let mut plan_in = vec![0usize; num_workers];
-        // `lone[src * W + dst]`: lone-neighbour plan entries from `src` to
-        // `dst` — the unicast records of one all-broadcast superstep's frame,
-        // which bound that frame's wire sort keys.
-        let mut lone = vec![0usize; num_workers * num_workers];
+        // `lone[dst]`: the current worker's lone-neighbour plan entries for
+        // `dst` — the unicast records of one all-broadcast superstep's frame
+        // to `dst`, which bound that frame's wire sort keys.
+        let mut lone = vec![0usize; num_workers];
+        let mut firsts: Vec<(WorkerId, u32)> = Vec::new();
+        let mut dst_count = vec![0u32; num_workers];
         for w in &mut self.workers {
             let me = w.id as usize;
+            w.bounds.reset(num_workers);
+            lone.fill(0);
             let mut edge_count = 0usize;
             for &gid in &w.global_ids {
                 edge_count += neighbors(gid).len();
@@ -541,37 +613,44 @@ impl<P: Program> Engine<P> {
             }
             for &gid in &w.global_ids {
                 let ts = neighbors(gid);
-                plan_epoch += 1;
-                let mut local_count = 0u32;
+                w.targets.extend_from_slice(ts);
+                w.edge_values.extend(
+                    ts.iter().enumerate().map(|(i, &t)| edge_init(gid, t, weight_at(gid, i))),
+                );
+                // Destination workers in first-occurrence order, each with
+                // the adjacency position of its first neighbour.
+                firsts.clear();
                 for (i, &t) in ts.iter().enumerate() {
-                    w.targets.push(t);
-                    w.edge_values.push(edge_init(gid, t, weight_at(gid, i)));
-                    let dst = worker_of[t as usize] as usize;
-                    if dst == me {
-                        self_inbound[dst] += 1;
-                        local_count += 1;
+                    let dst = worker_of[t as usize];
+                    let count = &mut dst_count[dst as usize];
+                    if *count == 0 {
+                        firsts.push((dst, i as u32));
+                    }
+                    *count += 1;
+                }
+                let mut local_count = 0u32;
+                for &(dst, first) in &firsts {
+                    let count = std::mem::take(&mut dst_count[dst as usize]);
+                    let d = dst as usize;
+                    if d == me {
+                        local_count = count;
                     } else {
-                        inbound[dst] += 1;
+                        inbound[d] += count as usize;
                     }
                     if build_fanout {
-                        fans[dst].0[gid as usize + 1] += 1;
-                        if plan_stamp[dst] != plan_epoch {
-                            plan_stamp[dst] = plan_epoch;
-                            plan_pos[dst] = w.plan_workers.len();
-                            w.plan_workers.push(dst as WorkerId);
-                            plan_in[dst] += usize::from(dst != me);
-                            // Tentatively a lone neighbour on `dst`; a
-                            // second one demotes the entry to a fanned-out
-                            // broadcast record.
-                            w.plan_lone.push(i as u32);
-                            lone[me * num_workers + dst] += 1;
-                        } else if w.plan_lone[plan_pos[dst]] != BROADCAST_MULTI {
-                            w.plan_lone[plan_pos[dst]] = BROADCAST_MULTI;
-                            marks[me * num_workers + dst] += 1;
-                            lone[me * num_workers + dst] -= 1;
+                        w.plan_workers.push(dst);
+                        plan_in[d] += usize::from(d != me);
+                        if count == 1 {
+                            // A lone neighbour on `dst` ships as a unicast.
+                            w.plan_lone.push(first);
+                            lone[d] += 1;
+                        } else {
+                            w.plan_lone.push(BROADCAST_MULTI);
+                            w.bounds.marks[d] += 1;
                         }
                     }
                 }
+                w.bounds.local += local_count as usize;
                 w.offsets.push(w.targets.len() as u64);
                 if build_fanout {
                     w.plan_offsets.push(w.plan_workers.len() as u32);
@@ -582,108 +661,86 @@ impl<P: Program> Engine<P> {
             // Lengths only grow, so the `as u32` offsets above were exact
             // if the final one is.
             checked_u32(me, "broadcast plan entries", w.plan_workers.len());
+            if wired {
+                // A warm run may reach its all-broadcast superstep only
+                // late, so the sort keys of its largest outbound frame are
+                // reserved at load rather than grown then.
+                let others = lone.iter().enumerate().filter(|&(dst, _)| dst != me);
+                w.bounds.sort_keys = others.map(|(_, &n)| n).max().unwrap_or(0);
+            }
         }
-        let wired = self.transport.is_some();
-        for (((w, inb), self_inb), plan_inb) in
-            self.workers.iter_mut().zip(inbound).zip(self_inbound).zip(plan_in)
-        {
+        for ((w, inb), plan_inb) in self.workers.iter_mut().zip(inbound).zip(plan_in) {
             w.reset_fabric();
             // The flat inbox sees every message; the fast-path queue only
             // the worker-local ones; the wire only the others, as one
             // record per plan entry when every sender broadcasts (a
             // unicast-only program's first wired superstep grows it to
             // `inb`).
-            let me = w.id as usize;
-            w.reserve_inbound(
-                inb + self_inb,
-                self_inb,
-                &marks[me * num_workers..(me + 1) * num_workers],
-                match (wired, build_fanout) {
-                    (false, _) => 0,
-                    (true, true) => plan_inb,
-                    (true, false) => inb,
-                },
-            );
-            if wired {
-                // A warm run may reach its all-broadcast superstep only late,
-                // so the sort keys of its largest outbound frame are
-                // reserved here rather than grown then.
-                let row = &lone[me * num_workers..(me + 1) * num_workers];
-                let keys = row.iter().enumerate().filter(|&(dst, _)| dst != me);
-                w.reserve_sort_keys(keys.map(|(_, &n)| n).max().unwrap_or(0));
-            }
+            w.bounds.inbox = inb + w.bounds.local;
+            w.bounds.wire_records = match (wired, build_fanout) {
+                (false, _) => 0,
+                (true, true) => plan_inb,
+                (true, false) => inb,
+            };
+            w.reserve_fabric();
         }
         // The grid cells hold the other half of each outbox's double buffer.
-        if self.transport.is_none() {
-            for (cell, &n) in self.mail_grid.iter_mut().zip(&marks) {
-                if let Ok(cell) = cell.get_mut() {
-                    cell.marks.reserve(n);
+        if !wired {
+            for (row, w) in self.mail_grid.chunks_mut(num_workers).zip(&self.workers) {
+                for (cell, &n) in row.iter_mut().zip(&w.bounds.marks) {
+                    if let Ok(cell) = cell.get_mut() {
+                        cell.marks.reserve(n);
+                    }
                 }
             }
         }
         if build_fanout {
-            // Prefix-sum the per-sender counts into CSR offsets, then fill
-            // each index by revisiting the (now loaded) adjacency once. A
-            // sender's entries per destination worker are contiguous and in
-            // adjacency order — the positions per-edge unicasts would
-            // occupy — so a small per-worker cursor that resets per sender
-            // suffices; no additional O(V x W) cursor scratch on top of the
-            // offsets. (The offset arrays themselves are O(V) per worker —
-            // the dense global-sender keying that makes delivery-time
-            // lookups O(1); a compacted sender remap would shrink that to
-            // O(cut senders) if worker counts ever grow large.)
-            for (dst, (offsets, targets)) in fans.iter_mut().enumerate() {
-                let mut total = 0usize;
-                for offset in &mut offsets[1..] {
-                    total += *offset as usize;
-                    *offset = total as u32;
-                }
-                // The running total only grows, so every offset above was
-                // exact if the last one is.
-                targets.resize(checked_u32(dst, "fan-out entries", total) as usize, 0);
-                // Each entry keeps `P::STAMP_BITS` of edge weight below the
-                // local index.
-                let hosted = self.workers[dst].global_ids.len();
-                if hosted > (u32::MAX >> P::STAMP_BITS) as usize {
-                    panic!(
-                        "worker {dst}: {hosted} vertices overflow the {}-bit local indices \
-                         of its fan-out index",
-                        32 - P::STAMP_BITS
-                    );
-                }
-            }
-            let local_idx = &self.local_idx;
-            let mut written = vec![0u32; num_workers];
-            for w in &self.workers {
-                for (li, &gid) in w.global_ids.iter().enumerate() {
-                    let lo = w.offsets[li] as usize;
-                    let hi = w.offsets[li + 1] as usize;
-                    for (&t, e) in w.targets[lo..hi].iter().zip(&w.edge_values[lo..hi]) {
-                        let dst = worker_of[t as usize] as usize;
-                        let (offs, tgts) = &mut fans[dst];
-                        let weight = if P::STAMP_BITS > 0 {
-                            let weight = u32::from(P::edge_weight(e));
-                            assert!(
-                                weight >> P::STAMP_BITS == 0,
-                                "edge weight {weight} wider than Program::STAMP_BITS"
-                            );
-                            weight
-                        } else {
-                            0
-                        };
-                        tgts[(offs[gid as usize] + written[dst]) as usize] =
-                            local_idx[t as usize] << P::STAMP_BITS | weight;
-                        written[dst] += 1;
-                    }
-                    for &t in &w.targets[lo..hi] {
-                        written[worker_of[t as usize] as usize] = 0;
-                    }
+            // Each worker's fan-out index is the transpose of its in-rows.
+            // A symmetric row is its own vertex's in-row; a directed load's
+            // in-rows come from transposing the out-rows it just loaded.
+            let in_rows = match rows {
+                Rows::Symmetric => None,
+                Rows::Directed => Some(self.directed_in_rows()),
+            };
+            let n = n as usize;
+            for w in &mut self.workers {
+                let Worker {
+                    id,
+                    global_ids,
+                    offsets,
+                    targets,
+                    edge_values,
+                    fan_offsets,
+                    fan_targets,
+                    ..
+                } = w;
+                let (me, hosted) = (*id as usize, global_ids.len());
+                match &in_rows {
+                    None => fill_fan_index::<P, _>(
+                        me,
+                        n,
+                        hosted,
+                        |li| {
+                            let (lo, hi) = (offsets[li] as usize, offsets[li + 1] as usize);
+                            let weights = edge_values[lo..hi].iter().map(P::edge_weight);
+                            targets[lo..hi].iter().copied().zip(weights)
+                        },
+                        fan_offsets,
+                        fan_targets,
+                    ),
+                    Some((in_offsets, in_entries)) => fill_fan_index::<P, _>(
+                        me,
+                        n,
+                        hosted,
+                        |li| {
+                            let gid = global_ids[li] as usize;
+                            in_entries[in_offsets[gid]..in_offsets[gid + 1]].iter().copied()
+                        },
+                        fan_offsets,
+                        fan_targets,
+                    ),
                 }
             }
-        }
-        for (w, (offsets, targets)) in self.workers.iter_mut().zip(fans) {
-            w.fan_offsets = offsets;
-            w.fan_targets = targets;
         }
         // A fresh topology always reopens the lane: mutations applied by the
         // previous run are folded into the adjacency the index was just
@@ -695,6 +752,40 @@ impl<P: Program> Engine<P> {
             self.mail_grid.iter_mut().all(|c| c.get_mut().map_or(true, |c| c.is_empty())),
             "mail grid not drained before topology reload"
         );
+    }
+
+    /// The in-rows of a directed load: for every vertex, the senders whose
+    /// loaded out-rows name it, ascending, each with the
+    /// [`Program::edge_weight`] of the sender's edge value. A counting
+    /// transpose of the rows the workers just loaded, as `spinner_graph`'s
+    /// conversion makes of a whole graph: `offsets[v]..offsets[v + 1]`
+    /// indexes vertex `v`'s entries.
+    fn directed_in_rows(&self) -> (Vec<usize>, Vec<(VertexId, u8)>) {
+        let n = self.num_vertices as usize;
+        // Counts land two slots up, so that after the prefix sum
+        // `offsets[v + 1]` is `v`'s fill cursor and finishes at `v`'s end.
+        let mut offsets = vec![0usize; n + 2];
+        for w in &self.workers {
+            for &t in &w.targets {
+                offsets[t as usize + 2] += 1;
+            }
+        }
+        for v in 2..n + 2 {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut entries = vec![(0, 0); offsets[n + 1]];
+        for (s, (&w, &li)) in self.worker_of.iter().zip(&self.local_idx).enumerate() {
+            let w = &self.workers[w as usize];
+            let (lo, hi) =
+                (w.offsets[li as usize] as usize, w.offsets[li as usize + 1] as usize);
+            for (&t, e) in w.targets[lo..hi].iter().zip(&w.edge_values[lo..hi]) {
+                let cursor = &mut offsets[t as usize + 1];
+                entries[*cursor] = (s as VertexId, P::edge_weight(e));
+                *cursor += 1;
+            }
+        }
+        offsets.pop();
+        (offsets, entries)
     }
 
     /// Number of logical workers.

@@ -82,6 +82,12 @@ pub trait Program: Send + Sync + Sized + 'static {
     /// the engine when it loads a topology (into the broadcast lane's
     /// fan-out index) and by [`VertexContext::broadcast`] for the copies
     /// the sender addresses itself. Defaults to 1.
+    ///
+    /// On an undirected load the engine reads the weight from the
+    /// receiving endpoint's edge value, while the sender reads its own, so
+    /// both directions of an edge must give the same weight: `init_e(u, v,
+    /// w)` and `init_e(v, u, w)` agree here whenever they depend on `w`
+    /// alone. A directed load reads the sender's edge value.
     fn edge_weight(_edge: &Self::E) -> u8 {
         1
     }

@@ -47,6 +47,41 @@ pub(crate) enum Fabric<'a, M> {
     Wire { transport: &'a dyn Transport, format: WireFormat, fold: bool },
 }
 
+/// The per-superstep message volumes `load_topology` sizes one worker's
+/// message fabric for, counted from the loaded adjacency and broadcast plan.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct FabricBounds {
+    /// Messages the flat inbox receives when every vertex sends along every
+    /// edge: the adjacency entries addressed to this worker's vertices.
+    pub(crate) inbox: usize,
+    /// The ones among them sent by this worker's own vertices (the
+    /// worker-local send queue of the locality fast path).
+    pub(crate) local: usize,
+    /// `marks[dst]`: broadcast records one superstep sends to worker `dst`,
+    /// one per multi-neighbour plan entry (the diagonal entry: to the local
+    /// queue).
+    pub(crate) marks: Vec<usize>,
+    /// Records one superstep's inbound frames decode to: one per plan entry
+    /// from another worker (every entry from another worker without the
+    /// broadcast lane); 0 off the wire.
+    pub(crate) wire_records: usize,
+    /// Sort keys of the largest outbound frame of one all-broadcast
+    /// superstep: the most lone-neighbour plan entries for one other worker;
+    /// 0 off the wire.
+    pub(crate) sort_keys: usize,
+}
+
+impl FabricBounds {
+    /// Zeroes every bound for `num_workers` destinations, keeping the
+    /// allocation of `marks`.
+    pub(crate) fn reset(&mut self, num_workers: usize) {
+        let mut marks = std::mem::take(&mut self.marks);
+        marks.clear();
+        marks.resize(num_workers, 0);
+        *self = Self { marks, ..Self::default() };
+    }
+}
+
 /// One logical worker's vertex store, mailboxes, and per-superstep scratch.
 pub struct Worker<P: Program> {
     pub(crate) id: WorkerId,
@@ -105,10 +140,19 @@ pub struct Worker<P: Program> {
     /// indices of this worker's vertices that appear in `s`'s engine
     /// adjacency. Each entry is `local << P::STAMP_BITS | weight`: its low
     /// bits keep the [`Program::edge_weight`] of that edge, which delivery
-    /// stamps into the copy it fans out ([`Program::stamp`]). Built by
-    /// `load_topology` alongside the inbound counts (capacity preserved
-    /// across warm resets), read by the delivery phase to expand marked
-    /// broadcast records. Empty when the broadcast lane is disabled.
+    /// stamps into the copy it fans out ([`Program::stamp`]).
+    ///
+    /// `load_topology` builds it from this worker's own rows, as their
+    /// counting transpose: walking the hosted vertices in order and
+    /// appending each to the list of every sender in its in-row lists each
+    /// sender's targets by ascending local index, which is ascending global
+    /// id and so the sender's adjacency order. On an undirected load a
+    /// vertex's in-row is its own sorted, symmetric row, and the stamped
+    /// weight is read from the vertex's own edge value; a directed load
+    /// first transposes the out-rows it loaded into in-rows, each entry
+    /// keeping the weight of the sender's edge value. Capacity is kept
+    /// across warm resets; the delivery phase reads the index to expand
+    /// marked broadcast records. Empty when the broadcast lane is disabled.
     pub(crate) fan_offsets: Vec<u32>,
     pub(crate) fan_targets: Vec<u32>,
     /// Broadcast *plan* (the send side of the broadcast lane), also built
@@ -117,8 +161,12 @@ pub struct Worker<P: Program> {
     /// distinct destination workers of its adjacency (first-occurrence
     /// order, one record each), and `plan_local[li]`/`plan_remote[li]` the
     /// logical local/remote delivery counts one broadcast implies — so
-    /// [`Mailer::broadcast`] costs O(distinct workers), not O(degree).
-    /// Empty (all five) when the broadcast lane is disabled.
+    /// [`Mailer::broadcast`] costs O(distinct workers), not O(degree). The
+    /// load builds a row's entries in two phases: first every entry's
+    /// destination worker and the count per destination, then one entry per
+    /// destination in first-occurrence order, a lone neighbour or a
+    /// fanned-out record by that count. Empty (all five) when the broadcast
+    /// lane is disabled.
     pub(crate) plan_offsets: Vec<u32>,
     pub(crate) plan_workers: Vec<WorkerId>,
     /// Parallel to `plan_workers`: the lone neighbour's adjacency position
@@ -127,6 +175,9 @@ pub struct Worker<P: Program> {
     pub(crate) plan_lone: Vec<u32>,
     pub(crate) plan_local: Vec<u32>,
     pub(crate) plan_remote: Vec<u32>,
+    /// What the last (re)load sized the message fabric for (see
+    /// [`Self::reserve_fabric`]).
+    pub(crate) bounds: FabricBounds,
     /// Current delivery epoch (bumped once per delivery phase).
     epoch: u64,
     /// Outboxes indexed by destination worker; handed to the [`Fabric`] at
@@ -185,6 +236,7 @@ impl<P: Program> Worker<P> {
             plan_lone: Vec::new(),
             plan_local: Vec::new(),
             plan_remote: Vec::new(),
+            bounds: FabricBounds::default(),
             epoch: 0,
             outboxes: (0..num_workers).map(|_| Batch::default()).collect(),
             wire_stage: Vec::new(),
@@ -255,40 +307,37 @@ impl<P: Program> Worker<P> {
         debug_assert!(self.local.is_empty() && self.outboxes.iter().all(Batch::is_empty));
     }
 
-    /// Pre-reserves the delivery-side buffers for `inbound` messages — the
-    /// number of adjacency entries addressed to this worker, which bounds the
-    /// per-superstep delivery volume of every send-along-edges program —
-    /// plus the worker-local send queue for the `self_inbound` of them that
-    /// originate on this worker (the locality fast path). `marks[dst]` bounds
-    /// the broadcast records one superstep sends to worker `dst` (the
-    /// diagonal entry: to the local queue), and `wire_records` the records
-    /// one superstep's inbound frames decode to (0 off the wire). Done at
-    /// (re)load time so graph growth between warm runs never forces a
-    /// message-path reallocation (see [`WorkerMetrics::fabric_reallocs`]).
-    pub(crate) fn reserve_inbound(
-        &mut self,
-        inbound: usize,
-        self_inbound: usize,
-        marks: &[usize],
-        wire_records: usize,
-    ) {
-        debug_assert!(self.msgs.is_empty() && self.wire_recv.is_empty());
-        self.msgs.reserve(inbound);
-        self.wire_recv.reserve(wire_records);
-        self.local.records.reserve(self_inbound);
-        self.local.marks.reserve(marks[self.id as usize]);
-        for (outbox, &n) in self.outboxes.iter_mut().zip(marks) {
+    /// Pre-reserves the message-path buffers for the volumes in
+    /// [`Self::bounds`]: the flat inbox, the wire decode buffer, the
+    /// worker-local send queue, every outbox's broadcast marks and the wire
+    /// sort keys. Done at (re)load time so graph growth between warm runs
+    /// never forces a message-path reallocation (see
+    /// [`WorkerMetrics::fabric_reallocs`]).
+    pub(crate) fn reserve_fabric(&mut self) {
+        let Self { id, bounds, msgs, wire_recv, local, outboxes, sort_keys, .. } = self;
+        debug_assert!(msgs.is_empty() && wire_recv.is_empty());
+        msgs.reserve(bounds.inbox);
+        wire_recv.reserve(bounds.wire_records);
+        local.records.reserve(bounds.local);
+        local.marks.reserve(bounds.marks[*id as usize]);
+        for (outbox, &n) in outboxes.iter_mut().zip(&bounds.marks) {
             outbox.marks.reserve(n);
         }
+        sort_keys.clear();
+        sort_keys.reserve(bounds.sort_keys);
     }
 
-    /// Pre-reserves the sort keys of the largest outbound frame, `unicast`
-    /// records. Done at (re)load time, like [`Self::reserve_inbound`], so a
-    /// warm run's first superstep that fills them never counts as fabric
-    /// growth.
-    pub(crate) fn reserve_sort_keys(&mut self, unicast: usize) {
-        self.sort_keys.clear();
-        self.sort_keys.reserve(unicast);
+    /// Whether every message-path buffer [`Self::reserve_fabric`] sizes has
+    /// room for the volumes in [`Self::bounds`].
+    #[cfg(test)]
+    pub(crate) fn fabric_covers_bounds(&self) -> bool {
+        let b = &self.bounds;
+        self.msgs.capacity() >= b.inbox
+            && self.wire_recv.capacity() >= b.wire_records
+            && self.local.records.capacity() >= b.local
+            && self.local.marks.capacity() >= b.marks[self.id as usize]
+            && self.outboxes.iter().zip(&b.marks).all(|(o, &n)| o.marks.capacity() >= n)
+            && self.sort_keys.capacity() >= b.sort_keys
     }
 
     /// Number of vertices hosted here.
