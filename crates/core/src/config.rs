@@ -32,9 +32,8 @@ pub enum RestartScope {
 ///
 /// The paper's evaluation settings (§V-A) are the defaults: `c = 1.05`,
 /// `ε = 0.001`, `w = 5`. The ablation switches (`balance_penalty`,
-/// `probabilistic_migration`, `async_worker_loads`, `in_engine_conversion`)
-/// all default to the paper's design and exist for the `exp-ablation`
-/// experiment.
+/// `probabilistic_migration`, `async_worker_loads`) all default to the
+/// paper's design and exist for the `exp-ablation` experiment.
 #[derive(Debug, Clone)]
 pub struct SpinnerConfig {
     /// Number of partitions `k`.
@@ -67,9 +66,12 @@ pub struct SpinnerConfig {
     /// Eq. 14 probabilistic migrations; disabling migrates every candidate
     /// greedily (ablation switch).
     pub probabilistic_migration: bool,
-    /// Perform the directed→undirected conversion as two supersteps inside
-    /// the engine (NeighborPropagation/NeighborDiscovery, §IV-A1) instead of
-    /// offline. Only affects [`crate::partition_directed`].
+    /// Perform the directed→undirected conversion as the paper's two
+    /// Pregel supersteps (NeighborPropagation/NeighborDiscovery, §IV-A1), a
+    /// run of its own ahead of the Spinner run, instead of offline. Same
+    /// partitioning, plus the conversion's Pregel cost: 2 supersteps and
+    /// one message per directed edge. Only affects
+    /// [`crate::partition_directed`].
     pub in_engine_conversion: bool,
     /// What to balance: edge load (paper default) or vertex counts.
     pub objective: BalanceObjective,

@@ -5,14 +5,12 @@
 pub mod stages;
 
 use crate::config::SpinnerConfig;
-use crate::program::SpinnerProgram;
-use crate::state::{EdgeState, Label, Phase, VertexState, NO_LABEL};
+use crate::state::{Label, NO_LABEL};
 use spinner_graph::conversion::to_weighted_undirected;
 use spinner_graph::rng::{vertex_stream, SplitMix64};
 use spinner_graph::GraphDelta;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
-use spinner_pregel::engine::Engine;
 use spinner_pregel::metrics::RunTotals;
 use spinner_pregel::Placement;
 
@@ -46,14 +44,15 @@ pub struct PartitionResult {
     pub history: Vec<IterationStats>,
     /// LPA iterations executed.
     pub iterations: u32,
-    /// Pregel supersteps executed (including conversion/initialisation).
+    /// Pregel supersteps executed, including initialisation (and the
+    /// conversion run of [`partition_directed`]'s in-engine path).
     pub supersteps: u64,
     /// True when the ε/w steady-state heuristic triggered the halt.
     pub halted_steady: bool,
     /// Engine traffic/compute totals (messages are the network-cost proxy
-    /// used by Figs. 7–8).
+    /// used by Figs. 7–8), over the same supersteps.
     pub totals: RunTotals,
-    /// Wall-clock nanoseconds of the whole run.
+    /// Wall-clock nanoseconds of those supersteps' runs.
     pub wall_ns: u64,
 }
 
@@ -86,34 +85,27 @@ pub fn partition_with_placement(
 }
 
 /// Partitions a directed graph: converts it to the weighted undirected form
-/// of Eq. 3 first — offline by default, or with the in-engine
-/// NeighborPropagation/NeighborDiscovery supersteps when
-/// `cfg.in_engine_conversion` is set (§IV-A1). Both paths produce identical
-/// partitionings.
+/// of Eq. 3 first — offline by default, or with the paper's two conversion
+/// supersteps, a Pregel run of their own, when `cfg.in_engine_conversion`
+/// is set (§IV-A1) — and partitions that graph. Both paths produce
+/// identical partitionings; the in-engine path's supersteps, totals and
+/// wall time cover the conversion run too.
 pub fn partition_directed(graph: &DirectedGraph, cfg: &SpinnerConfig) -> PartitionResult {
     if !cfg.in_engine_conversion {
         return partition(&to_weighted_undirected(graph), cfg);
     }
-    let mut engine = converting_engine(graph, cfg);
-    let summary = engine.run();
-    stages::collect(cfg, &engine, &summary, None)
-}
-
-/// The faithful §IV-A1 path: an engine that converts the directed graph in
-/// its NeighborPropagation/NeighborDiscovery supersteps, starting from unit
-/// edge weights, before the shared Initialize phase.
-fn converting_engine(graph: &DirectedGraph, cfg: &SpinnerConfig) -> Engine<SpinnerProgram> {
-    let n = graph.num_vertices();
+    let (undirected, mut summary) = crate::conversion::convert_in_engine(graph, cfg);
+    let n = undirected.num_vertices();
     let labels = random_labels(n, cfg.k, cfg.seed);
-    let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::NeighborPropagation };
-    Engine::from_directed(
-        program,
-        graph,
-        &stages::placement(n, cfg),
-        stages::engine_config(cfg),
-        |v| VertexState::new(labels[v as usize], true),
-        |_, _, _| EdgeState { weight: 1, neighbor_label: NO_LABEL },
-    )
+    let mut engine =
+        stages::build_engine(&undirected, cfg, &stages::placement(n, cfg), &labels, &[]);
+    let run = engine.run();
+    // One summary over both runs, halting as the Spinner run did.
+    summary.supersteps += run.supersteps;
+    summary.wall_ns += run.wall_ns;
+    summary.metrics.extend(run.metrics);
+    summary.halt = run.halt;
+    stages::collect(cfg, &engine, &summary, &undirected)
 }
 
 /// Adapts a previous partitioning to a changed graph (§III-D, incremental
@@ -276,7 +268,7 @@ fn run_placed(
 ) -> PartitionResult {
     let mut engine = stages::build_engine(graph, cfg, placement, labels, affected);
     let summary = engine.run();
-    stages::collect(cfg, &engine, &summary, Some(graph))
+    stages::collect(cfg, &engine, &summary, graph)
 }
 
 #[cfg(test)]
@@ -373,9 +365,8 @@ mod tests {
         }
     }
 
-    /// Every edge has its reverse, so NeighborDiscovery adds no edge and
-    /// only upgrades weights to 2. The upgrade must still close the
-    /// broadcast lane, whose load-time fan-out weights are all 1.
+    /// Every edge has its reverse, so the conversion weighs every edge 2,
+    /// and the Spinner run's broadcasts must be stamped with those weights.
     #[test]
     fn in_engine_conversion_matches_offline_on_a_fully_reciprocal_graph() {
         let one_way = planted_partition(SbmConfig {
@@ -400,10 +391,43 @@ mod tests {
         assert_eq!(offline.history, in_engine.history);
     }
 
+    /// The in-engine path reports the offline run's quality, φ counted on
+    /// the final labels, and costs the offline run plus the conversion's 2
+    /// supersteps, one message per directed edge and one computation per
+    /// vertex in each of them; its wall time covers both runs. Both
+    /// runs broadcast through the lane, which keeps remote records at
+    /// 4 746.
+    #[test]
+    fn in_engine_conversion_adds_two_supersteps_and_one_message_per_edge() {
+        let d = planted_partition(SbmConfig {
+            n: 800,
+            communities: 4,
+            internal_degree: 6.0,
+            external_degree: 1.0,
+            skew: None,
+            seed: 11,
+        });
+        let mut cfg = small_cfg(4);
+        cfg.max_iterations = 3;
+        cfg.ignore_halting = true;
+        let offline = partition_directed(&d, &cfg);
+        cfg.in_engine_conversion = true;
+        let in_engine = partition_directed(&d, &cfg);
+        assert_eq!(offline.labels, in_engine.labels);
+        assert_eq!(offline.quality.phi.to_bits(), in_engine.quality.phi.to_bits());
+        assert_eq!(in_engine.supersteps, offline.supersteps + 2);
+        assert_eq!(in_engine.totals.messages, offline.totals.messages + d.num_edges());
+        assert_eq!(in_engine.totals.computed, offline.totals.computed + 2 * 800);
+        assert_eq!((in_engine.supersteps, in_engine.totals.messages), (10, 17_950));
+        assert_eq!(in_engine.totals.remote_records, 4_746);
+        // `totals.wall_ns` sums the wall time of every superstep of both
+        // runs; each run's wall time covers its own supersteps.
+        assert!(in_engine.wall_ns >= in_engine.totals.wall_ns);
+    }
+
     /// The histogram recount holds at every stopping point: runs stopped
     /// after 1..=8 iterations on both transports, with the broadcast lane
-    /// on and off, and with in-engine conversion (which closes the lane
-    /// mid-run). The graph mixes weight-1 and weight-2 edges, so a wrong
+    /// on and off. The graph mixes weight-1 and weight-2 edges, so a wrong
     /// stamp shows as a wrong histogram weight.
     #[test]
     fn histograms_recount_from_final_labels_at_every_stop() {
@@ -445,13 +469,6 @@ mod tests {
                 let checked = crate::program::recount_histograms(&engine);
                 assert_eq!(checked, Ok(()), "{iterations} iterations, {cfg:?}");
             }
-            let mut cfg = base.clone();
-            cfg.in_engine_conversion = true;
-            let mut engine = converting_engine(&d, &cfg);
-            assert_eq!(engine.run().halt, HaltReason::Master);
-            assert_eq!(engine.lane_status(), spinner_pregel::LaneStatus::ClosedByMutation);
-            let checked = crate::program::recount_histograms(&engine);
-            assert_eq!(checked, Ok(()), "{iterations} iterations, in-engine conversion");
         }
     }
 
@@ -788,7 +805,7 @@ mod extension_tests {
                 let grown: u64 = step.per_worker.iter().map(|w| w.fabric_reallocs).sum();
                 assert_eq!(grown, 0, "fabric grew at superstep {}", step.superstep);
             }
-            stages::collect(cfg, &engine, &summary, Some(&g))
+            stages::collect(cfg, &engine, &summary, &g)
         };
         let opt = run(&cfg);
         cfg.exhaustive_candidate_scan = true;

@@ -22,7 +22,7 @@
 //! let placement = stages::placement(graph.num_vertices(), &cfg);
 //! let mut engine = stages::build_engine(&graph, &cfg, &placement, &labels, &[]);
 //! let summary = engine.run();
-//! let result = stages::collect(&cfg, &engine, &summary, Some(&graph));
+//! let result = stages::collect(&cfg, &engine, &summary, &graph);
 //! assert_eq!(result.labels, partition(&graph, &cfg).labels);
 //! ```
 //!
@@ -60,7 +60,7 @@ use spinner_pregel::{AggValue, Placement, RunSummary};
 pub fn engine_config(cfg: &SpinnerConfig) -> EngineConfig {
     EngineConfig {
         num_threads: cfg.num_threads,
-        // Two supersteps per iteration plus conversion/init slack.
+        // Two supersteps per iteration, plus Initialize and slack.
         max_supersteps: 2 * cfg.max_iterations as u64 + 8,
         seed: cfg.seed,
         broadcast_fabric: cfg.broadcast_fabric,
@@ -211,15 +211,14 @@ fn edge(_: VertexId, _: VertexId, weight: u8) -> EdgeState {
 }
 
 /// Reads a [`PartitionResult`] out of a finished engine without consuming
-/// it (a streaming session keeps the engine warm for the next window).
-/// With `graph`, φ is recomputed exactly from the labels; without it (the
-/// in-engine conversion path, where every vertex stays active) the last
-/// iteration's aggregate is kept.
+/// it (a streaming session keeps the engine warm for the next window). φ is
+/// recomputed exactly from the final labels on `graph`, the graph the
+/// engine ran on.
 pub fn collect(
     cfg: &SpinnerConfig,
     engine: &Engine<SpinnerProgram>,
     summary: &RunSummary,
-    graph: Option<&UndirectedGraph>,
+    graph: &UndirectedGraph,
 ) -> PartitionResult {
     // Debug builds recount every histogram from the final labels after a
     // clean halt, when every announcement sent has been folded.
@@ -234,17 +233,12 @@ pub fn collect(
     }
     let labels: Vec<Label> = engine.collect_values_with(|v| v.label);
     let global = engine.global();
-    // Loads come from the persistent aggregator, which covers the
-    // in-engine conversion path too.
     let loads: Vec<u64> = global.loads.iter().map(|&l| l.max(0) as u64).collect();
     let rho = rho_of(&global.loads, &global.capacities, cfg.c);
     let last = global.history.last();
     // Per-iteration aggregates only cover vertices that computed in that
     // superstep; under `RestartScope::AffectedOnly` most vertices sleep.
-    let phi = match graph {
-        Some(g) => spinner_metrics::phi(g, &labels),
-        None => last.map_or(1.0, |h| h.phi),
-    };
+    let phi = spinner_metrics::phi(graph, &labels);
     let quality = PartitionQuality { phi, rho, score: last.map_or(0.0, |h| h.score), loads };
     PartitionResult {
         labels,

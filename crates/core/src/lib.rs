@@ -44,6 +44,7 @@
 //! ```
 
 pub mod config;
+mod conversion;
 pub mod driver;
 pub mod program;
 pub mod state;

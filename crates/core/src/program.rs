@@ -60,15 +60,15 @@ const FOLD_ITEM_COST: usize = 4;
 pub struct SpinnerProgram {
     /// Algorithm parameters.
     pub cfg: SpinnerConfig,
-    /// Phase to start from: `NeighborPropagation` for in-engine conversion
-    /// of a directed graph, `Initialize` otherwise.
+    /// Phase to start from: `Initialize` for a cold run, `ComputeScores`
+    /// for a warm window seeded by [`crate::driver::stages::warm_reset`].
     pub start_phase: Phase,
 }
 
 impl SpinnerProgram {
     /// Deterministic per-vertex randomness, keyed by *logical* step rather
-    /// than raw superstep so that runs with and without the two conversion
-    /// supersteps make identical draws.
+    /// than raw superstep so that a cold run and a warm window, which skips
+    /// the `Initialize` superstep, make identical draws.
     fn logical_rng(
         &self,
         vertex: u32,
@@ -556,32 +556,9 @@ impl Program for SpinnerProgram {
 
     fn compute(&self, ctx: &mut VertexContext<'_, Self>, messages: &[MigrationMsg]) {
         match ctx.global.phase {
-            Phase::NeighborPropagation => {
-                // Send our id along the (directed) out-edges — same payload
-                // everywhere, so the broadcast lane applies (its fan-out
-                // index is the adjacency transpose, valid for directed
-                // graphs too). The NeighborDiscovery mutations that follow
-                // close the lane for the rest of the conversion run.
-                let me = ctx.vertex;
-                ctx.mail.broadcast(MigrationMsg::from_sender(me));
-            }
-            Phase::NeighborDiscovery => {
-                // For each in-neighbour: reciprocal edge -> weight 2,
-                // otherwise create the reverse edge with weight 1 (Eq. 3).
-                // The upgrade is an overwriting addition too, not a write
-                // to the edge value: any mutation closes the broadcast lane,
-                // whose load-time fan-out weights (all 1) would otherwise
-                // stamp the announcements of a fully reciprocal graph
-                // wrongly.
-                for m in messages {
-                    let sender = m.sender();
-                    let weight = if ctx.edges.index_of(sender).is_some() { 2 } else { 1 };
-                    ctx.add_edge(sender, EdgeState { weight, neighbor_label: NO_LABEL });
-                }
-            }
             Phase::Initialize => {
-                // Weighted degree over the (now undirected) adjacency;
-                // aggregate the initial load and announce the label.
+                // Weighted degree over the adjacency; aggregate the initial
+                // load and announce the label.
                 let degw: u64 = ctx.edges.values.iter().map(|e| e.weight as u64).sum();
                 ctx.value.degree = degw;
                 let label = ctx.value.label;
@@ -608,8 +585,6 @@ impl Program for SpinnerProgram {
 
     fn master(&self, ctx: &mut MasterContext<'_, GlobalState>) {
         match ctx.global.phase {
-            Phase::NeighborPropagation => ctx.global.phase = Phase::NeighborDiscovery,
-            Phase::NeighborDiscovery => ctx.global.phase = Phase::Initialize,
             Phase::Initialize => {
                 let loads = ctx.read(AGG_LOADS).as_vec_i64().to_vec();
                 install_loads(ctx.global, &self.cfg, loads);

@@ -233,14 +233,11 @@ pub struct EdgeState {
 ///
 /// Applying a change twice would move the weight twice, so delivery must be
 /// exactly once; the transport's reliability layer provides that.
-///
-/// During NeighborPropagation it carries only the sender's id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationMsg {
-    /// `(old + 1) << 1 | (weight - 1)`, where `old = NO_LABEL` wraps to 0;
-    /// the sender's id during NeighborPropagation.
+    /// `(old + 1) << 1 | (weight - 1)`, where `old = NO_LABEL` wraps to 0.
     change: u32,
-    /// The new label; [`NO_LABEL`] during NeighborPropagation.
+    /// The new label.
     label: Label,
 }
 
@@ -259,20 +256,11 @@ impl MigrationMsg {
         Self { change: old.wrapping_add(1) << 1, label: new }
     }
 
-    /// The NeighborPropagation message: the sender's id and no label.
-    #[inline]
-    pub fn from_sender(sender: VertexId) -> Self {
-        Self { change: sender, label: NO_LABEL }
-    }
-
-    /// Records the weight (1 or 2) of the edge a label change crossed; a
-    /// no-op on a NeighborPropagation message.
+    /// Records the weight (1 or 2) of the edge a label change crossed.
     #[inline]
     pub fn stamp(&mut self, weight: u8) {
         debug_assert!(weight == 1 || weight == 2, "Eq. 3 weight {weight}");
-        if self.label != NO_LABEL {
-            self.change = (self.change & !1) | u32::from(weight - 1);
-        }
+        self.change = (self.change & !1) | u32::from(weight - 1);
     }
 
     /// The announced label's predecessor, or [`NO_LABEL`].
@@ -281,7 +269,7 @@ impl MigrationMsg {
         (self.change >> 1).wrapping_sub(1)
     }
 
-    /// The announced label ([`NO_LABEL`] during NeighborPropagation).
+    /// The announced label.
     #[inline]
     pub fn new_label(&self) -> Label {
         self.label
@@ -291,13 +279,6 @@ impl MigrationMsg {
     #[inline]
     pub fn weight(&self) -> u32 {
         (self.change & 1) + 1
-    }
-
-    /// The NeighborPropagation sender.
-    #[inline]
-    pub fn sender(&self) -> VertexId {
-        debug_assert_eq!(self.label, NO_LABEL, "not a NeighborPropagation message");
-        self.change
     }
 }
 
@@ -322,10 +303,6 @@ impl WirePayload for MigrationMsg {
 /// The phases of Fig. 2, advanced by master compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Conversion 1/2: send the vertex id along out-edges.
-    NeighborPropagation,
-    /// Conversion 2/2: create/upgrade reverse edges (Eq. 3 weights).
-    NeighborDiscovery,
     /// Aggregate initial loads and announce initial labels.
     Initialize,
     /// LPA iteration step 1: find each vertex's best label.
@@ -609,10 +586,6 @@ mod tests {
             m.stamp(1);
             assert_eq!((m.old(), m.new_label(), m.weight()), (old, new, 1));
         }
-        // Stamping leaves a NeighborPropagation sender id alone.
-        let mut m = MigrationMsg::from_sender(u32::MAX - 1);
-        m.stamp(2);
-        assert_eq!(m.sender(), u32::MAX - 1);
     }
 
     #[test]

@@ -438,7 +438,7 @@ impl StreamSession {
         let placement = stages::placement(n, &cfg);
         let mut engine = stages::build_engine(&undirected, &cfg, &placement, &labels, &[]);
         let summary = engine.run();
-        let result = stages::collect(&cfg, &engine, &summary, Some(&undirected));
+        let result = stages::collect(&cfg, &engine, &summary, &undirected);
         let lanes_degraded = engine.transport_health_counts().0;
         let mut session = Self {
             cfg,
@@ -664,7 +664,7 @@ impl StreamSession {
         let lanes = (lanes_degraded.max(degraded), lanes_dead + dead);
         self.states_exact = halted_cleanly(&summary);
 
-        let result = stages::collect(&self.cfg, &self.engine, &summary, Some(&self.undirected));
+        let result = stages::collect(&self.cfg, &self.engine, &summary, &self.undirected);
         let moved =
             self.labels.iter().zip(&result.labels).filter(|&(&old, &new)| old != new).count();
         let migration_fraction = if old_n > 0 { moved as f64 / old_n as f64 } else { 1.0 };
@@ -1499,7 +1499,7 @@ mod tests {
                     let mut engine =
                         stages::build_engine(&graph, &cold_cfg, &placement, &labels, &affected);
                     let summary = engine.run();
-                    let cold = stages::collect(&cold_cfg, &engine, &summary, Some(&graph));
+                    let cold = stages::collect(&cold_cfg, &engine, &summary, &graph);
                     let global = session.engine.global();
                     prop_assert_eq!(session.labels(), cold.labels.as_slice());
                     prop_assert_eq!(warm.iterations(), cold.iterations);

@@ -13,11 +13,12 @@
 //! so that a partitioning score expressed in these weights counts the number
 //! of messages exchanged locally.
 //!
-//! The paper implements this as two Giraph supersteps (NeighborPropagation /
-//! NeighborDiscovery); the Pregel crate mirrors those supersteps for
-//! fidelity, while this module provides the equivalent offline conversion
-//! used by default because it avoids materialising O(E) messages. Both paths
-//! are asserted equal in integration tests.
+//! The paper finds the in-neighbours with two Giraph supersteps
+//! (NeighborPropagation / NeighborDiscovery) instead of the transpose below;
+//! `spinner_core` runs those supersteps as a Pregel program of their own
+//! and hands the in-rows they gather to
+//! [`to_weighted_undirected_with_in_rows`], the same merge. The offline
+//! transpose is the default because it sends no messages.
 //!
 //! The conversion is linear and sort-free: a counting transpose gives every
 //! vertex its in-neighbour list already sorted (sources are visited in
@@ -35,14 +36,30 @@ use crate::undirected::UndirectedGraph;
 
 /// Converts a directed graph into the weighted undirected graph of Eq. 3.
 pub fn to_weighted_undirected(g: &DirectedGraph) -> UndirectedGraph {
-    symmetrise(g, true)
+    let (in_offsets, sources) = transpose(g);
+    union(g, &in_offsets, &sources, true)
+}
+
+/// The weighted undirected graph of Eq. 3 from `g`'s out-rows and its
+/// in-rows, given as a CSR: `in_sources[in_offsets[v]..in_offsets[v + 1]]`
+/// are the sources of `v`'s in-edges, ascending and distinct. With the
+/// counting transpose of `g` as the in-rows this is
+/// [`to_weighted_undirected`].
+pub fn to_weighted_undirected_with_in_rows(
+    g: &DirectedGraph,
+    in_offsets: &[usize],
+    in_sources: &[VertexId],
+) -> UndirectedGraph {
+    assert_eq!(in_offsets.len(), g.num_vertices() as usize + 1, "one in-row per vertex");
+    union(g, in_offsets, in_sources, true)
 }
 
 /// Symmetrises a graph *without* weights (every edge weight 1), i.e. the
 /// "naive approach" the paper contrasts against in §III-A/Fig. 1. Used by the
 /// conversion ablation experiment.
 pub fn to_naive_undirected(g: &DirectedGraph) -> UndirectedGraph {
-    symmetrise(g, false)
+    let (in_offsets, sources) = transpose(g);
+    union(g, &in_offsets, &sources, false)
 }
 
 /// Interprets an already-undirected edge list (each edge listed once in an
@@ -90,11 +107,16 @@ pub fn patch_undirected_edges(
     UndirectedGraph::from_csr(offsets, targets, weights)
 }
 
-/// The symmetric closure of `g`; with `weighted`, reciprocal pairs get
-/// weight 2 (Eq. 3), otherwise every edge has weight 1.
-fn symmetrise(g: &DirectedGraph, weighted: bool) -> UndirectedGraph {
+/// The symmetric closure of `g`, each row the union of `v`'s out-row and
+/// its in-row `sources[in_offsets[v]..in_offsets[v + 1]]`; with `weighted`,
+/// reciprocal pairs get weight 2 (Eq. 3), otherwise every edge has weight 1.
+fn union(
+    g: &DirectedGraph,
+    in_offsets: &[usize],
+    sources: &[VertexId],
+    weighted: bool,
+) -> UndirectedGraph {
     let n = g.num_vertices();
-    let (in_offsets, sources) = transpose(g);
     let in_neighbors =
         |v: VertexId| &sources[in_offsets[v as usize]..in_offsets[v as usize + 1]];
 

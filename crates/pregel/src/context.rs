@@ -6,14 +6,6 @@ use crate::types::{Batch, WorkerId, BROADCAST_MULTI};
 use spinner_graph::rng::SplitMix64;
 use spinner_graph::VertexId;
 
-/// A buffered edge addition (applied at the superstep barrier).
-#[derive(Debug, Clone)]
-pub(crate) struct EdgeAddition<E> {
-    pub local_src: u32,
-    pub target: VertexId,
-    pub value: E,
-}
-
 /// View over a vertex's adjacency: immutable targets, mutable edge values.
 ///
 /// Targets are sorted, so [`Edges::index_of`] is a binary search. A message
@@ -96,12 +88,13 @@ pub struct Mailer<'a, M> {
     /// broadcast implies, and the slice `send_to_all` compares against to
     /// recognise a full-adjacency send.
     pub(crate) adjacency: &'a [VertexId],
-    /// Whether the broadcast lane may be used this superstep (config on,
-    /// and no graph mutation has stalled the fan-out index).
+    /// Whether the broadcast lane is on ([`EngineConfig::broadcast_fabric`]).
+    ///
+    /// [`EngineConfig::broadcast_fabric`]: crate::engine::EngineConfig::broadcast_fabric
     pub(crate) lane_open: bool,
     /// The sender's broadcast plan, precomputed at load time: its
     /// adjacency's distinct destination workers in first-occurrence order
-    /// (one fabric record each). Empty when the lane is closed.
+    /// (one fabric record each). Empty when the lane is off.
     pub(crate) bcast_plan: &'a [WorkerId],
     /// Parallel to `bcast_plan`: `BROADCAST_MULTI` for a fanned-out
     /// record, or the lone neighbour's position in `adjacency` where a
@@ -153,13 +146,12 @@ impl<'a, M: Clone> Mailer<'a, M> {
     /// remote traffic drops from `O(cut edges)` to `O(distinct (sender,
     /// worker) pairs)`.
     ///
-    /// Falls back to per-edge sends when the lane is closed: broadcast
-    /// disabled by [`EngineConfig::broadcast_fabric`], or a graph mutation
-    /// this run having outdated the load-time fan-out index.
+    /// Falls back to per-edge sends when the lane is off
+    /// ([`EngineConfig::broadcast_fabric`]).
     ///
     /// The engine stamps the copies it fans out ([`Program::stamp`]). The
     /// copies the sender addresses itself — a lone neighbour's unicast
-    /// record, and every copy on a closed lane — go out unstamped, since
+    /// record, and every copy with the lane off — go out unstamped, since
     /// the mailer cannot read edge values; [`VertexContext::broadcast`]
     /// stamps those too.
     ///
@@ -330,8 +322,6 @@ pub struct VertexContext<'a, P: Program> {
     /// Aggregator access.
     pub agg: AggCtx<'a>,
     pub(crate) halted: &'a mut bool,
-    pub(crate) additions: &'a mut Vec<EdgeAddition<P::E>>,
-    pub(crate) local_idx: u32,
 }
 
 impl<'a, P: Program> VertexContext<'a, P> {
@@ -347,15 +337,6 @@ impl<'a, P: Program> VertexContext<'a, P> {
     #[inline]
     pub fn rng(&self) -> SplitMix64 {
         spinner_graph::rng::vertex_stream(self.seed, self.vertex as u64, self.superstep)
-    }
-
-    /// Buffers an edge `self -> target` for addition at the superstep
-    /// barrier (Giraph mutation semantics). The adjacency stays sorted;
-    /// adding an edge that already exists creates no duplicate — the new
-    /// value overwrites the old one.
-    #[inline]
-    pub fn add_edge(&mut self, target: VertexId, value: P::E) {
-        self.additions.push(EdgeAddition { local_src: self.local_idx, target, value });
     }
 
     /// Degree (number of out-edges in the engine's adjacency).

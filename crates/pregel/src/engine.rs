@@ -12,8 +12,8 @@
 //! 2. **Delivery** — each worker drains its own *column* of the fabric
 //!    (disjoint cells or lanes, so the phase is embarrassingly parallel and
 //!    the engine thread is not a transposition bottleneck), rebuilds its
-//!    flat inbox, wakes messaged vertices, and applies buffered graph
-//!    mutations.
+//!    flat inbox, and wakes messaged vertices. The topology a run loaded
+//!    stays fixed until the next (re)load.
 //! 3. **Epilogue** (engine thread) — aggregator merge in worker order,
 //!    metrics capture, master compute, halt decision.
 //!
@@ -170,24 +170,6 @@ fn build_transport_stack(
     }
 }
 
-/// Why the broadcast lane is (or is not) usable right now — the diagnosable
-/// face of the engine's internal `lane_open` flag. Every closed state used
-/// to look identical from outside (broadcasts silently fell back to
-/// per-edge unicast); [`Engine::lane_status`] names the cause so the perf
-/// cliff of a mid-run mutation shows up in diagnostics instead of only in
-/// throughput. The lane has no vertex-id cap and behaves the same on every
-/// transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneStatus {
-    /// The lane is open: broadcasts ship one record per destination worker.
-    Open,
-    /// `EngineConfig::broadcast_fabric` is off (the verification arm).
-    DisabledByConfig,
-    /// A graph mutation was applied mid-run, outdating the load-time
-    /// fan-out index; the lane reopens at the next topology (re)load.
-    ClosedByMutation,
-}
-
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltReason {
@@ -249,13 +231,6 @@ pub struct Engine<P: Program> {
     /// ([`EngineConfig::transport`]): `None` keeps the zero-copy grid;
     /// `Some` frames every cross-worker batch (see [`Fabric`]).
     transport: Option<Box<dyn Transport>>,
-    /// Whether the broadcast lane is currently usable: opened at (re)load
-    /// time (config on) and closed — for the rest of
-    /// the run — by the first applied graph mutation, which outdates the
-    /// load-time fan-out index. Workers snapshot it at each compute phase;
-    /// the store happens in the delivery phase, so the superstep barrier
-    /// orders it before every read.
-    lane_open: AtomicBool,
 }
 
 /// Master-owned state the worker threads read during the compute phase.
@@ -452,7 +427,6 @@ impl<P: Program> Engine<P> {
             num_vertices: 0,
             mail_grid,
             transport,
-            lane_open: AtomicBool::new(false),
         };
         engine.load_topology(
             n,
@@ -466,7 +440,7 @@ impl<P: Program> Engine<P> {
         engine
     }
 
-    /// Re-targets a finished engine at a (possibly mutated) weighted
+    /// Re-targets a finished engine at a (possibly changed) weighted
     /// undirected graph for another run, **in place**: program/aggregator
     /// state restarts fresh, but every message-fabric buffer — the outbox
     /// grid, the decoded-record buffers, the flat inboxes — and every
@@ -742,10 +716,6 @@ impl<P: Program> Engine<P> {
                 }
             }
         }
-        // A fresh topology always reopens the lane: mutations applied by the
-        // previous run are folded into the adjacency the index was just
-        // rebuilt from.
-        self.lane_open.store(build_fanout, Ordering::Release);
         // A finished run leaves every grid cell drained (delivery precedes
         // the halt decision), so the grid carries only capacity forward.
         debug_assert!(
@@ -801,19 +771,6 @@ impl<P: Program> Engine<P> {
     /// Read access to the global state.
     pub fn global(&self) -> &P::G {
         &self.global
-    }
-
-    /// Current state of the broadcast lane, with the cause when closed —
-    /// see [`LaneStatus`]. Derived, not stored: the engine keeps one
-    /// boolean and this method names why it is what it is.
-    pub fn lane_status(&self) -> LaneStatus {
-        if self.lane_open.load(Ordering::Acquire) {
-            LaneStatus::Open
-        } else if !self.config.broadcast_fabric {
-            LaneStatus::DisabledByConfig
-        } else {
-            LaneStatus::ClosedByMutation
-        }
     }
 
     /// Installs (or replaces) a scripted transport fault plan and rebuilds
@@ -936,7 +893,7 @@ impl<P: Program> Engine<P> {
         let specs = self.specs.as_slice();
         let worker_of = self.worker_of.as_slice();
         let local_idx = self.local_idx.as_slice();
-        let lane = &self.lane_open;
+        let lane_open = self.config.broadcast_fabric;
         let master =
             RwLock::new(MasterState { snapshot: &mut self.snapshot, global: &mut self.global });
         let slots: Vec<Mutex<StepSlot>> =
@@ -986,9 +943,6 @@ impl<P: Program> Engine<P> {
             {
                 let guard = master.read().expect("master state");
                 let m = &*guard;
-                // Lane stores happen in the delivery phase, so the start
-                // barrier orders them before this load.
-                let lane_open = lane.load(Ordering::Acquire);
                 sweep(superstep * 2, &mut |wi| {
                     let mut w = cells[wi].lock().expect("worker cell");
                     w.compute_phase(
@@ -1012,7 +966,6 @@ impl<P: Program> Engine<P> {
             sweep(superstep * 2 + 1, &mut |wi| {
                 let mut w = cells[wi].lock().expect("worker cell");
                 let delivered = w.deliver(program, &fabric, local_idx);
-                w.apply_mutations(lane);
                 let mut slot = slots[wi].lock().expect("step slot");
                 if let Err(e) = delivered {
                     slot.delivery_error.get_or_insert(e);
@@ -1142,8 +1095,8 @@ impl<P: Program> Engine<P> {
             .collect()
     }
 
-    /// Vertex `v`'s current engine adjacency — sorted targets and the edge
-    /// values beside them, graph mutations included.
+    /// Vertex `v`'s engine adjacency — sorted targets and the edge values
+    /// beside them.
     pub fn adjacency(&self, v: VertexId) -> (&[VertexId], &[P::E]) {
         let w = &self.workers[self.worker_of[v as usize] as usize];
         let li = self.local_idx[v as usize] as usize;

@@ -15,8 +15,10 @@
 //! - **Worker-local state** ([`Program::WorkerState`]) shared by all vertices
 //!   hosted on the same logical worker within a superstep — the feature
 //!   Spinner uses for its asynchronous per-worker load counters (§IV-A4).
-//! - **Graph mutation** (edge additions applied at the superstep barrier),
-//!   used by Spinner's NeighborPropagation/NeighborDiscovery conversion.
+//! - **A fixed topology per run**: no run changes the graph it loaded. A
+//!   program that derives a new graph — Spinner's directed → undirected
+//!   conversion gathers each vertex's in-neighbours as its value — hands
+//!   it to the next run's load.
 //!
 //! # Logical workers vs threads
 //!
@@ -83,7 +85,7 @@ pub mod worker;
 
 pub use aggregate::{AggOp, AggValue, AggregatorSpec};
 pub use context::{AggCtx, Edges, Mailer, VertexContext};
-pub use engine::{Engine, EngineConfig, HaltReason, LaneStatus, RunSummary};
+pub use engine::{Engine, EngineConfig, HaltReason, RunSummary};
 pub use fault::{FaultyTransport, TransportFault, TransportFaultPlan};
 pub use metrics::{SuperstepMetrics, WorkerMetrics};
 pub use placement::Placement;

@@ -28,14 +28,13 @@
 //! frames all share one record layout and one delivery routine.
 
 use crate::aggregate::{AggValue, AggregatorSpec};
-use crate::context::{AggCtx, EdgeAddition, Edges, Mailer, VertexContext};
+use crate::context::{AggCtx, Edges, Mailer, VertexContext};
 use crate::metrics::WorkerMetrics;
 use crate::program::Program;
 use crate::transport::{Transport, TransportError};
 use crate::types::{Batch, OutboxGrid, WorkerId};
 use crate::wire::{decode_frame, encode_frame, WireFormat, WirePayload, WireRecord};
 use spinner_graph::VertexId;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Where cross-worker batches go and come from: the in-memory `OutboxGrid`
@@ -199,8 +198,6 @@ pub struct Worker<P: Program> {
     wire_bounds: Vec<usize>,
     /// Wire delivery scratch: one section's decoded ids.
     wire_ids: Vec<u64>,
-    /// Buffered edge additions, applied at the barrier.
-    pub(crate) additions: Vec<EdgeAddition<P::E>>,
     /// This superstep's aggregator partials.
     pub(crate) partial_aggs: Vec<AggValue>,
     /// Last superstep's worker state, offered back to
@@ -244,7 +241,6 @@ impl<P: Program> Worker<P> {
             wire_recv: Vec::new(),
             wire_bounds: vec![0; num_workers + 1],
             wire_ids: Vec::new(),
-            additions: Vec::new(),
             partial_aggs: Vec::new(),
             cached_worker_state: None,
             metrics: WorkerMetrics::default(),
@@ -267,7 +263,6 @@ impl<P: Program> Worker<P> {
         self.plan_lone.clear();
         self.plan_local.clear();
         self.plan_remote.clear();
-        debug_assert!(self.additions.is_empty(), "additions drained at the last barrier");
     }
 
     /// (Re)sizes the per-vertex fabric state once the vertex set is known.
@@ -355,9 +350,8 @@ impl<P: Program> Worker<P> {
     /// ascending); `dense_scan` walks `0..n_local` with a halted/empty-inbox
     /// skip instead — the same visit set in the same order, so the two
     /// drivers are bit-identical and the dense arm serves as a cheap
-    /// verification oracle. `lane_open` snapshots the engine's
-    /// broadcast-lane state for the whole phase (the lane only closes at a
-    /// barrier, so the snapshot is exact).
+    /// verification oracle. `lane_open` is the engine's
+    /// `broadcast_fabric` setting.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compute_phase(
         &mut self,
@@ -425,8 +419,8 @@ impl<P: Program> Worker<P> {
             self.metrics.computed += 1;
             let lo = self.offsets[i] as usize;
             let hi = self.offsets[i + 1] as usize;
-            // The broadcast plan exists exactly when the lane can open;
-            // with the lane closed the Mailer never reads it.
+            // The broadcast plan exists exactly when the lane is on; with
+            // the lane off the Mailer never reads it.
             let (bcast_plan, bcast_lone, bcast_local, bcast_remote) = if lane_open {
                 let p_lo = self.plan_offsets[i] as usize;
                 let p_hi = self.plan_offsets[i + 1] as usize;
@@ -474,8 +468,6 @@ impl<P: Program> Worker<P> {
                 },
                 agg: AggCtx { partial: &mut self.partial_aggs, snapshot },
                 halted: &mut self.halted[i],
-                additions: &mut self.additions,
-                local_idx: i as u32,
             };
             program.compute(&mut ctx, &self.msgs[m_lo..m_lo + m_len]);
             if self.halted[i] {
@@ -829,100 +821,6 @@ impl<P: Program> Worker<P> {
             self.woken.capacity(),
             self.active.capacity(),
         ]
-    }
-
-    /// Applies buffered edge additions, keeping each adjacency run sorted and
-    /// duplicate-free (a re-added edge overwrites the existing value).
-    ///
-    /// Any applied addition outdates every worker's load-time broadcast
-    /// fan-out index (the new target's hosting worker cannot be patched from
-    /// here mid-phase), so the first mutation closes the engine's broadcast
-    /// `lane_open` for the rest of the run — subsequent broadcasts fall back
-    /// to per-edge unicast, which always reads the live adjacency. The next
-    /// topology (re)load rebuilds the index and reopens the lane.
-    pub(crate) fn apply_mutations(&mut self, lane_open: &AtomicBool) {
-        if self.additions.is_empty() {
-            return;
-        }
-        lane_open.store(false, Ordering::Release);
-        let mut additions = std::mem::take(&mut self.additions);
-        additions.sort_by_key(|a| (a.local_src, a.target));
-
-        let n_local = self.global_ids.len();
-        let mut new_offsets = Vec::with_capacity(n_local + 1);
-        let mut new_targets = Vec::with_capacity(self.targets.len() + additions.len());
-        let mut new_values: Vec<P::E> = Vec::with_capacity(new_targets.capacity());
-        new_offsets.push(0u64);
-
-        let mut add_iter = additions.into_iter().peekable();
-        // Drain the old parallel arrays through owned iterators so values
-        // move without cloning.
-        let old_targets = std::mem::take(&mut self.targets);
-        let old_values = std::mem::take(&mut self.edge_values);
-        let mut old_iter = old_targets.into_iter().zip(old_values).peekable();
-
-        for i in 0..n_local {
-            let hi = self.offsets[i + 1];
-            let mut consumed = self.offsets[i];
-            let run_start = new_targets.len();
-            // Merge the sorted old run with the sorted additions for vertex i.
-            loop {
-                let next_add = match add_iter.peek() {
-                    Some(a) if a.local_src == i as u32 => Some(a.target),
-                    _ => None,
-                };
-                let next_old =
-                    if consumed < hi { old_iter.peek().map(|(t, _)| *t) } else { None };
-                match (next_old, next_add) {
-                    (None, None) => break,
-                    (Some(t), None) => {
-                        let (_, v) = old_iter.next().unwrap();
-                        consumed += 1;
-                        new_targets.push(t);
-                        new_values.push(v);
-                    }
-                    (None, Some(t)) => {
-                        let a = add_iter.next().unwrap();
-                        // Skip duplicate additions of the same target
-                        // (within this vertex's run only).
-                        if new_targets.len() > run_start && new_targets.last() == Some(&t) {
-                            *new_values.last_mut().unwrap() = a.value;
-                        } else {
-                            new_targets.push(t);
-                            new_values.push(a.value);
-                        }
-                    }
-                    (Some(to), Some(ta)) => {
-                        if to < ta {
-                            let (_, v) = old_iter.next().unwrap();
-                            consumed += 1;
-                            new_targets.push(to);
-                            new_values.push(v);
-                        } else if to == ta {
-                            // Overwrite: addition replaces the existing edge.
-                            let _ = old_iter.next().unwrap();
-                            consumed += 1;
-                            let a = add_iter.next().unwrap();
-                            new_targets.push(to);
-                            new_values.push(a.value);
-                        } else {
-                            let a = add_iter.next().unwrap();
-                            if new_targets.len() > run_start && new_targets.last() == Some(&ta)
-                            {
-                                *new_values.last_mut().unwrap() = a.value;
-                            } else {
-                                new_targets.push(ta);
-                                new_values.push(a.value);
-                            }
-                        }
-                    }
-                }
-            }
-            new_offsets.push(new_targets.len() as u64);
-        }
-        self.offsets = new_offsets;
-        self.targets = new_targets;
-        self.edge_values = new_values;
     }
 }
 

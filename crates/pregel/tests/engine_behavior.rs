@@ -1,6 +1,5 @@
-//! Behavioural tests of the BSP engine itself: superstep semantics, graph
-//! mutation at barriers, aggregator persistence, combiner behaviour, halting
-//! reasons, and metrics accounting.
+//! Behavioural tests of the BSP engine itself: superstep semantics,
+//! aggregator persistence, halting reasons, and metrics accounting.
 
 use spinner_graph::GraphBuilder;
 use spinner_pregel::aggregate::{AggOp, AggregatorSpec};
@@ -10,65 +9,6 @@ use spinner_pregel::{Placement, VertexContext};
 
 fn config() -> EngineConfig {
     EngineConfig { num_threads: 2, max_supersteps: 50, seed: 1, ..Default::default() }
-}
-
-/// Adds a reverse edge for every received id, then stops — exercises the
-/// mutation path (the NeighborDiscovery pattern).
-struct Reverser;
-
-impl Program for Reverser {
-    type V = u32; // number of edges seen at the end
-    type E = u8;
-    type M = u32; // sender id
-    type G = ();
-    type WorkerState = ();
-
-    fn init_global(&self) {}
-    fn init_worker(&self, _g: &(), _w: u16) {}
-
-    fn compute(&self, ctx: &mut VertexContext<'_, Self>, messages: &[u32]) {
-        match ctx.superstep {
-            0 => {
-                let me = ctx.vertex;
-                for &t in ctx.edges.targets {
-                    ctx.mail.send(t, me);
-                }
-            }
-            1 => {
-                for &sender in messages {
-                    if ctx.edges.index_of(sender).is_none() {
-                        ctx.add_edge(sender, 9);
-                    }
-                }
-            }
-            _ => {
-                *ctx.value = ctx.edges.len() as u32;
-            }
-        }
-        if ctx.superstep >= 2 {
-            ctx.vote_to_halt();
-        }
-    }
-
-    fn master(&self, ctx: &mut MasterContext<'_, ()>) {
-        if ctx.superstep >= 2 {
-            ctx.halt();
-        }
-    }
-}
-
-#[test]
-fn barrier_mutations_create_reverse_edges() {
-    // Path 0 -> 1 -> 2 plus reciprocal 2 <-> 1.
-    let g = GraphBuilder::new(3).add_edges([(0, 1), (1, 2), (2, 1)]).build();
-    let placement = Placement::modulo(3, 2);
-    let mut engine =
-        Engine::from_directed(Reverser, &g, &placement, config(), |_| 0, |_, _, _| 1u8);
-    let summary = engine.run();
-    assert_eq!(summary.halt, HaltReason::Master);
-    let degrees = engine.collect_values();
-    // After symmetrisation: 0:{1}, 1:{0,2}, 2:{1}.
-    assert_eq!(degrees, vec![1, 2, 1]);
 }
 
 /// Counts both persistent and per-superstep aggregation.
@@ -247,31 +187,4 @@ fn halted_vertices_wake_on_messages_and_engine_stops_when_quiet() {
     assert_eq!(values, vec![0, 1, 2, 3, 0]);
     // Per-superstep active counts shrink to zero.
     assert_eq!(summary.metrics.last().unwrap().active_after, 0);
-}
-
-#[test]
-fn lane_status_names_why_broadcasts_fall_back() {
-    use spinner_pregel::{LaneStatus, TransportKind};
-    let g = GraphBuilder::new(3).add_edges([(0, 1), (1, 2), (2, 1)]).build();
-    let placement = Placement::modulo(3, 2);
-
-    // Fabric on, no mutations yet: the lane is open. Mid-run edge additions
-    // outdate the load-time fan-out index; the run finishes with the lane
-    // closed and the cause named — this used to be a silent unicast
-    // fallback visible only as a throughput cliff. Both transports carry
-    // broadcasts the same way, so the status does not depend on which.
-    for transport in [TransportKind::Direct, TransportKind::Ring] {
-        let cfg = EngineConfig { transport, ..config() };
-        let mut engine =
-            Engine::from_directed(Reverser, &g, &placement, cfg, |_| 0, |_, _, _| 1u8);
-        assert_eq!(engine.lane_status(), LaneStatus::Open);
-        engine.run();
-        assert_eq!(engine.lane_status(), LaneStatus::ClosedByMutation);
-    }
-
-    // With the fabric disabled by config the lane never opens, and the
-    // status says so rather than blaming a mutation.
-    let cfg = EngineConfig { broadcast_fabric: false, ..config() };
-    let engine = Engine::from_directed(Reverser, &g, &placement, cfg, |_| 0, |_, _, _| 1u8);
-    assert_eq!(engine.lane_status(), LaneStatus::DisabledByConfig);
 }

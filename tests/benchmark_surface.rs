@@ -171,7 +171,7 @@ fn stages_replica_matches_partition_on_both_transports() {
         let placement: Placement = stages::placement(n, &cfg);
         let mut engine = stages::build_engine(graph, &cfg, &placement, &initial, &[]);
         let summary: RunSummary = engine.run();
-        let replica: PartitionResult = stages::collect(&cfg, &engine, &summary, Some(graph));
+        let replica: PartitionResult = stages::collect(&cfg, &engine, &summary, graph);
         assert_eq!(replica.labels, mono.labels, "{transport:?}: stages labels");
         assert_eq!(replica.iterations, mono.iterations);
         assert_eq!(counts(&replica.totals), counts(&mono.totals), "{transport:?}: totals");
