@@ -46,6 +46,21 @@
 //! `halted_steady` flag still match the driver bit for bit; only its
 //! superstep count, its message, record, wire and `computed` totals, and
 //! wall-clock fields are lower.
+//!
+//! How [`warm_reset`] re-hosts the engine never changes a result, since
+//! every path leaves the arrays a full load builds (debug builds assert it
+//! after every patch or reuse):
+//!
+//! - a delta window passes the pairs the view patch added and removed, and
+//!   the engine merges them into its loaded topology
+//!   (`Rehost::Patched`);
+//! - a window on the same graph and placement (a resize, a worker loss or
+//!   a transport escalation's re-run that re-places nothing) passes no
+//!   pairs, and the loaded topology is kept
+//!   (`Rehost::Reused`);
+//! - a window whose placement moves a vertex (placement feedback, a
+//!   recovery's by-label re-place) reloads the graph
+//!   (`Rehost::Reloaded`).
 
 use super::PartitionResult;
 use crate::config::SpinnerConfig;
@@ -115,15 +130,23 @@ pub fn build_engine(
 /// stay those it was built with, and every histogram's heap buffer stays
 /// where `states` allocated it.
 ///
+/// `changed` lists the unordered vertex pairs whose edge differs between
+/// `graph` and the graph the engine last ran on (empty when it is the same
+/// graph). The engine patches its loaded topology by them, reuses it when
+/// nothing changed, or reloads `graph` when a vertex moved or the vertex
+/// set shrank (see [`Engine::warm_patch_undirected`]).
+///
 /// `affected` marks the vertices that restart migrations under
 /// [`crate::config::RestartScope::AffectedOnly`] (empty marks every vertex);
 /// with `park_unaffected` the others also start halted, so only a message
 /// wakes them (frontier windows). Debug builds first check the states
 /// against `graph`: every degree, and the mass law
 /// Σ_v hist_v\[l\] = Σ_{u : label(u) = l} deg_w(u) for every label.
+#[allow(clippy::too_many_arguments)]
 pub fn warm_reset(
     engine: &mut Engine<SpinnerProgram>,
     graph: &UndirectedGraph,
+    changed: &[(VertexId, VertexId)],
     cfg: &SpinnerConfig,
     placement: &Placement,
     mut states: Vec<VertexState>,
@@ -139,10 +162,11 @@ pub fn warm_reset(
     for s in &states {
         loads[s.label as usize] += load_of(cfg.objective, s.degree) as i64;
     }
-    engine.warm_reset_undirected(
+    engine.warm_patch_undirected(
         SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::ComputeScores },
         graph,
         placement,
+        changed,
         |v| {
             let v = v as usize;
             let mut state = std::mem::replace(&mut states[v], VertexState::new(0, false));

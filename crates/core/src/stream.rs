@@ -15,8 +15,11 @@
 //! [`stages::warm_reset`]. A delta window carries the previous run's
 //! histograms and applies the delta's edge-weight changes to them, so its
 //! seeding costs O(delta + |V|); every other window recounts them from the
-//! labels. Labels, history and iterations equal the driver's; the window
-//! reports one superstep fewer and only its migrations' messages.
+//! labels. The view patch names the pairs the delta added and removed, and
+//! the same pairs patch the engine's loaded topology in place of a reload
+//! (a window on an unchanged graph and placement keeps it as it is).
+//! Labels, history and iterations equal the driver's; the window reports
+//! one superstep fewer and only its migrations' messages.
 //!
 //! Windows are [`StreamEvent`]s: a [`GraphDelta`] (edge additions/removals,
 //! vertex arrivals — §III-D incremental repartitioning) or a partition-count
@@ -39,7 +42,7 @@ use crate::driver::{
 };
 use crate::program::SpinnerProgram;
 use crate::state::{label_histogram, Label, VertexState, NO_LABEL};
-use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges};
+use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges, ViewPatch};
 use spinner_graph::mutation::apply_delta;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
 use spinner_pregel::engine::Engine;
@@ -527,10 +530,14 @@ impl StreamSession {
         // A delta window carries the previous run's vertex states when they
         // are exact, patched by the delta; every other window recounts them.
         let mut carried: Option<Vec<VertexState>> = None;
+        // The pairs whose edge the window added or removed: the engine's
+        // loaded topology is patched by them.
+        let mut changed: Vec<(VertexId, VertexId)> = Vec::new();
         let labels = match &event {
             StreamEvent::Delta(delta) => {
                 let next = apply_delta(&self.graph, delta);
-                let undirected = patch_undirected_edges(&self.undirected, &next, delta);
+                let ViewPatch { graph: undirected, added, removed } =
+                    patch_undirected_edges(&self.undirected, &next, delta);
                 if self.cfg.restart_scope == RestartScope::AffectedOnly {
                     let n = undirected.num_vertices();
                     affected = delta_affected(n, old_n as VertexId, delta);
@@ -538,10 +545,12 @@ impl StreamSession {
                 let labels = least_loaded_labels(&undirected, &self.labels, &[], self.cfg.k);
                 if self.states_exact {
                     let mut states = self.engine.take_values();
-                    let changes = weight_changes(&self.undirected, &undirected, delta);
+                    let changes = unit_weight_changes(&added, &removed);
                     carry_states(&mut states, &changes, &undirected, &labels);
                     carried = Some(states);
                 }
+                changed = added;
+                changed.extend(removed);
                 self.undirected = undirected;
                 self.graph = next;
                 labels
@@ -603,7 +612,7 @@ impl StreamSession {
             None => (self.cfg.clone(), affected),
         };
         let (engine, und) = (&mut self.engine, &self.undirected);
-        stages::warm_reset(engine, und, &cfg, &placement, states, &affected, parked);
+        stages::warm_reset(engine, und, &changed, &cfg, &placement, states, &affected, parked);
         self.placement = placement;
         let mut summary = self.engine.run();
 
@@ -651,8 +660,8 @@ impl StreamSession {
             let (relabeled, lost) = escalation.as_ref().expect("a reseeded sender");
             let placement = self.placement_for(relabeled);
             let states = stages::recount_states(&self.undirected, &placement, relabeled);
-            let (und, cfg) = (&self.undirected, &self.cfg);
-            stages::warm_reset(&mut self.engine, und, cfg, &placement, states, lost, false);
+            let (engine, und, cfg) = (&mut self.engine, &self.undirected, &self.cfg);
+            stages::warm_reset(engine, und, &[], cfg, &placement, states, lost, false);
             self.placement = placement;
             summary = self.engine.run();
         }
@@ -928,10 +937,25 @@ fn halted_cleanly(summary: &RunSummary) -> bool {
     matches!(summary.halt, HaltReason::Master | HaltReason::AllHalted)
 }
 
+/// The weight changes of a unit-weight view patch, `(a, b, Δw)` in
+/// ascending pair order: Δw = +1 for each added pair, −1 for each removed
+/// one. Both lists are ascending, so the sort merges two runs.
+fn unit_weight_changes(
+    added: &[(VertexId, VertexId)],
+    removed: &[(VertexId, VertexId)],
+) -> Vec<(VertexId, VertexId, i32)> {
+    let added = added.iter().map(|&(a, b)| (a, b, 1));
+    let mut changes: Vec<_> = added.chain(removed.iter().map(|&(a, b)| (a, b, -1))).collect();
+    changes.sort();
+    changes
+}
+
 /// The weight change of every unordered pair `delta` names: `(a, b, Δw)`
 /// with `a < b` and `Δw = w_next − w_prev ≠ 0`, where a missing edge (or a
 /// vertex `prev` lacks) weighs 0. Each pair appears once however often the
-/// delta names it, in either direction.
+/// delta names it, in either direction. The test oracle for
+/// [`unit_weight_changes`], by lookups in both views.
+#[cfg(test)]
 fn weight_changes(
     prev: &UndirectedGraph,
     next: &UndirectedGraph,
@@ -1542,6 +1566,25 @@ mod tests {
         }
     }
 
+    /// The weight changes a delta window carries, read off the view patch's
+    /// added and removed pairs, equal the lookup oracle's on random windows
+    /// (re-additions, removals of one direction of a reciprocal pair, absent
+    /// removals, arrivals).
+    #[test]
+    fn patch_pairs_equal_the_weight_change_lookups() {
+        let mut rng = SplitMix64::new(29);
+        let mut graph = base(300, 31);
+        let mut view = from_undirected_edges(&graph);
+        for _ in 0..40 {
+            let delta = random_delta(&mut rng, &graph);
+            let next = apply_delta(&graph, &delta);
+            let patch = patch_undirected_edges(&view, &next, &delta);
+            let changes = unit_weight_changes(&patch.added, &patch.removed);
+            assert_eq!(changes, weight_changes(&view, &patch.graph, &delta));
+            (graph, view) = (next, patch.graph);
+        }
+    }
+
     /// The mass law catches a carried window that loses one weight change:
     /// patched with every change the carried states pass, and with any
     /// single change to an old vertex dropped they fail.
@@ -1561,7 +1604,8 @@ mod tests {
             &session.undirected,
             &apply_delta(&session.graph, &delta),
             &delta,
-        );
+        )
+        .graph;
         let labels = least_loaded_labels(&next, &session.labels, &[], session.k());
         let changes = weight_changes(&session.undirected, &next, &delta);
         assert!(changes.iter().any(|c| c.2 > 0) && changes.iter().any(|c| c.2 < 0));

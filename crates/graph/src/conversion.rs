@@ -69,9 +69,24 @@ pub fn from_undirected_edges(g: &DirectedGraph) -> UndirectedGraph {
     to_naive_undirected(g)
 }
 
+/// A unit-weight view patched by one delta window, with the unordered pairs
+/// whose edge the window added to it and removed from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ViewPatch {
+    /// The patched view.
+    pub graph: UndirectedGraph,
+    /// The pairs `(a, b)`, `a < b`, with an edge in the patched view and
+    /// none before, ascending.
+    pub added: Vec<(VertexId, VertexId)>,
+    /// The pairs `(a, b)`, `a < b`, with an edge before and none in the
+    /// patched view, ascending.
+    pub removed: Vec<(VertexId, VertexId)>,
+}
+
 /// Updates a unit-weight view by one delta window: given
 /// `prev = from_undirected_edges(g)` and `next = apply_delta(g, delta)`,
-/// returns exactly `from_undirected_edges(next)`.
+/// returns exactly `from_undirected_edges(next)`, with the pairs whose edge
+/// appeared and vanished.
 ///
 /// Only the pairs `delta` names can change, so each is looked up before (in
 /// `prev`) and after (both directions in `next`); the pairs that appeared or
@@ -82,7 +97,7 @@ pub fn patch_undirected_edges(
     prev: &UndirectedGraph,
     next: &DirectedGraph,
     delta: &GraphDelta,
-) -> UndirectedGraph {
+) -> ViewPatch {
     let (prev_n, n) = (prev.num_vertices(), next.num_vertices());
     let (mut added, mut removed) = (Vec::new(), Vec::new());
     for &(u, v) in delta.added_edges.iter().chain(&delta.removed_edges) {
@@ -104,7 +119,15 @@ pub fn patch_undirected_edges(
     let (offsets, targets, _) = prev.as_csr();
     let (offsets, targets) = merge_rows((offsets, targets), n as usize, &added, &removed);
     let weights = vec![1; targets.len()];
-    UndirectedGraph::from_csr(offsets, targets, weights)
+    // Each pair is listed in both orientations; the ascending one names it.
+    let unordered = |pairs: Vec<(VertexId, VertexId)>| {
+        pairs.into_iter().filter(|&(a, b)| a < b).collect::<Vec<_>>()
+    };
+    ViewPatch {
+        graph: UndirectedGraph::from_csr(offsets, targets, weights),
+        added: unordered(added),
+        removed: unordered(removed),
+    }
 }
 
 /// The symmetric closure of `g`, each row the union of `v`'s out-row and

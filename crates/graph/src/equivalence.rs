@@ -14,6 +14,7 @@ use crate::mutation::{self, apply_delta, GraphDelta};
 use crate::stream::{DeltaStream, DeltaStreamConfig};
 use crate::undirected::UndirectedGraph;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn assert_same_directed(got: &DirectedGraph, want: &DirectedGraph) {
     assert_eq!(got, want);
@@ -39,7 +40,8 @@ fn check_conversions(g: &DirectedGraph) {
 
 /// Applies `delta` to `g` and to the unit-weight view `view` of `g`,
 /// checking the merge, both conversions of the result and the patched view
-/// against their oracles. Returns the new graph and view.
+/// against their oracles, and the patch's added and removed pairs against
+/// the two views' edge sets. Returns the new graph and view.
 fn check_window(
     g: &DirectedGraph,
     view: &UndirectedGraph,
@@ -48,9 +50,15 @@ fn check_window(
     let next = apply_delta(g, delta);
     assert_same_directed(&next, &mutation::oracle::apply_delta(g, delta));
     check_conversions(&next);
-    let patched = patch_undirected_edges(view, &next, delta);
-    assert_same_undirected(&patched, &conversion::oracle::to_naive_undirected(&next));
-    (next, patched)
+    let patch = patch_undirected_edges(view, &next, delta);
+    assert_same_undirected(&patch.graph, &conversion::oracle::to_naive_undirected(&next));
+    let pairs = |g: &UndirectedGraph| -> BTreeSet<(VertexId, VertexId)> {
+        g.edges_once().map(|(a, b, _)| (a, b)).collect()
+    };
+    let (before, after) = (pairs(view), pairs(&patch.graph));
+    assert_eq!(patch.added, after.difference(&before).copied().collect::<Vec<_>>());
+    assert_eq!(patch.removed, before.difference(&after).copied().collect::<Vec<_>>());
+    (next, patch.graph)
 }
 
 proptest! {

@@ -171,9 +171,12 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slice-by-8 tables, built at compile
+/// time: `CRC_TABLES[0]` is the bytewise table, and `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table reads fold
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -182,19 +185,50 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `data` — the frame check appended to every snapshot,
 /// WAL record, and wire frame so a torn or bit-rotted tail is detected
-/// before any of it is interpreted.
+/// before any of it is interpreted. Folds eight bytes per step (slice-by-8)
+/// and the tail bytewise; the value is the bytewise CRC's.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    crc32_bytewise(crc, words.remainder())
+}
+
+/// Folds `data` into the running (inverted) CRC `crc` a byte at a time and
+/// finishes it.
+fn crc32_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -274,5 +308,21 @@ mod tests {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The slice-by-8 kernel equals the bytewise loop on every length
+        /// from 0 to 4096, from aligned and unaligned starts.
+        #[test]
+        fn slice_by_8_equals_the_bytewise_crc(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 4104),
+            len in 0usize..=4096,
+            start in 0usize..8,
+        ) {
+            let data = &bytes[start..start + len];
+            proptest::prop_assert_eq!(crc32(data), crc32_bytewise(!0, data));
+        }
     }
 }

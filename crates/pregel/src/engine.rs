@@ -50,6 +50,7 @@ use std::time::Instant;
 
 #[cfg(test)]
 mod load_tests;
+mod patch;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -231,6 +232,23 @@ pub struct Engine<P: Program> {
     /// ([`EngineConfig::transport`]): `None` keeps the zero-copy grid;
     /// `Some` frames every cross-worker batch (see [`Fabric`]).
     transport: Option<Box<dyn Transport>>,
+    /// What kind of rows the loaded topology was built from; only a
+    /// symmetric load can be patched ([`Self::warm_patch_undirected`]).
+    rows: Rows,
+}
+
+/// How [`Engine::warm_patch_undirected`] re-hosted an engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rehost {
+    /// No pair changed and no vertex arrived or moved: every loaded
+    /// topology array was kept as it was.
+    Reused,
+    /// The changed pairs and the arrived vertices were merged into every
+    /// worker's loaded arrays.
+    Patched,
+    /// A vertex moved, the vertex set shrank or the last load was directed:
+    /// the graph was loaded afresh, as by [`Engine::warm_reset_undirected`].
+    Reloaded,
 }
 
 /// Master-owned state the worker threads read during the compute phase.
@@ -268,7 +286,7 @@ fn checked_u32(worker: usize, what: &str, count: usize) -> u32 {
 
 /// How a load's rows relate to the broadcasts their vertices receive,
 /// which decides where each worker's fan-out index reads its in-rows.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Rows {
     /// Symmetric, sorted rows (an [`UndirectedGraph`]): a vertex's own row
     /// lists exactly the senders whose broadcasts reach it.
@@ -294,14 +312,7 @@ fn fill_fan_index<P: Program, I: Iterator<Item = (VertexId, u8)>>(
     offsets: &mut Vec<u32>,
     targets: &mut Vec<u32>,
 ) {
-    // Each entry keeps `P::STAMP_BITS` of edge weight below the local index.
-    if hosted > (u32::MAX >> P::STAMP_BITS) as usize {
-        panic!(
-            "worker {worker}: {hosted} vertices overflow the {}-bit local indices of its \
-             fan-out index",
-            32 - P::STAMP_BITS
-        );
-    }
+    check_fan_locals::<P>(worker, hosted);
     // Counts land two slots up, so that after the prefix sum
     // `offsets[s + 1]` is sender `s`'s fill cursor; the fill leaves it at
     // `s`'s end, where the CSR wants it.
@@ -323,22 +334,69 @@ fn fill_fan_index<P: Program, I: Iterator<Item = (VertexId, u8)>>(
     targets.resize(checked_u32(worker, "fan-out entries", total) as usize, 0);
     for li in 0..hosted {
         for (s, weight) in in_row(li) {
-            let weight = if P::STAMP_BITS > 0 {
-                let weight = u32::from(weight);
-                assert!(
-                    weight >> P::STAMP_BITS == 0,
-                    "edge weight {weight} wider than Program::STAMP_BITS"
-                );
-                weight
-            } else {
-                0
-            };
             let cursor = &mut offsets[s as usize + 1];
-            targets[*cursor as usize] = (li as u32) << P::STAMP_BITS | weight;
+            targets[*cursor as usize] = fan_entry::<P>(li, weight);
             *cursor += 1;
         }
     }
     offsets.pop();
+}
+
+/// Panics unless `hosted` local indices leave room for `P::STAMP_BITS` of
+/// edge weight below them in a fan-out entry.
+fn check_fan_locals<P: Program>(worker: usize, hosted: usize) {
+    if hosted > (u32::MAX >> P::STAMP_BITS) as usize {
+        panic!(
+            "worker {worker}: {hosted} vertices overflow the {}-bit local indices of its \
+             fan-out index",
+            32 - P::STAMP_BITS
+        );
+    }
+}
+
+/// The fan-out entry of hosted vertex `li` for an edge of `weight`:
+/// `li << P::STAMP_BITS | weight` (the weight dropped when nothing is
+/// stamped).
+fn fan_entry<P: Program>(li: usize, weight: u8) -> u32 {
+    let weight = if P::STAMP_BITS > 0 {
+        let weight = u32::from(weight);
+        assert!(
+            weight >> P::STAMP_BITS == 0,
+            "edge weight {weight} wider than Program::STAMP_BITS"
+        );
+        weight
+    } else {
+        0
+    };
+    (li as u32) << P::STAMP_BITS | weight
+}
+
+/// Lists the destination workers of one row in first-occurrence order,
+/// each as `(worker, adjacency position of its first entry, entry count)`,
+/// into `dests`. `dst_count` is zeroed scratch of one slot per worker and
+/// is left zeroed.
+fn row_destinations(
+    row: &[VertexId],
+    worker_of: &[WorkerId],
+    dst_count: &mut [u32],
+    dests: &mut Vec<(WorkerId, u32, u32)>,
+) {
+    // Every entry is written at the cursor, which only a first occurrence
+    // advances: no branch on the (unpredictable) first occurrences.
+    dests.clear();
+    dests.resize(row.len().min(dst_count.len()) + 1, (0, 0, 0));
+    let mut len = 0;
+    for (i, &t) in row.iter().enumerate() {
+        let dst = worker_of[t as usize];
+        let count = &mut dst_count[dst as usize];
+        dests[len] = (dst, i as u32, 0);
+        len += usize::from(*count == 0);
+        *count += 1;
+    }
+    dests.truncate(len);
+    for (dst, _, count) in dests.iter_mut() {
+        *count = std::mem::take(&mut dst_count[*dst as usize]);
+    }
 }
 
 impl<P: Program> Engine<P> {
@@ -427,6 +485,7 @@ impl<P: Program> Engine<P> {
             num_vertices: 0,
             mail_grid,
             transport,
+            rows,
         };
         engine.load_topology(
             n,
@@ -449,10 +508,14 @@ impl<P: Program> Engine<P> {
     /// fabric reallocations after its first window (pinned by
     /// [`WorkerMetrics::fabric_reallocs`]).
     ///
-    /// This is the one way to re-host an engine: every vertex lands on the
-    /// worker `placement` names, wherever it lived before, so a caller that
-    /// re-places vertices by computed label (paper §V-F) hands the new
-    /// placement to its next reset.
+    /// Every vertex lands on the worker `placement` names, wherever it lived
+    /// before, so a caller that re-places vertices by computed label (paper
+    /// §V-F) hands the new placement to its next reset. This re-host always
+    /// reloads the whole graph; a caller that knows which vertex pairs
+    /// changed since the last load uses [`Self::warm_patch_undirected`],
+    /// which patches the loaded topology by them, or keeps it when nothing
+    /// changed, and falls back to this reload when a vertex moved or the
+    /// vertex set shrank. Both leave the same arrays.
     ///
     /// `init_v` yields each vertex's initial value and halted flag, so a
     /// caller that already knows which vertices have work (e.g. a frontier
@@ -474,10 +537,7 @@ impl<P: Program> Engine<P> {
         init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) {
         assert_eq!(placement.num_vertices(), graph.num_vertices(), "placement size mismatch");
-        self.program = program;
-        self.specs = self.program.aggregators();
-        self.snapshot = self.specs.iter().map(|s| s.identity()).collect();
-        self.global = self.program.init_global();
+        self.restart(program);
         self.load_topology(
             graph.num_vertices(),
             placement,
@@ -487,6 +547,14 @@ impl<P: Program> Engine<P> {
             init_v,
             init_e,
         );
+    }
+
+    /// Restarts program and aggregator state fresh for `program`'s next run.
+    fn restart(&mut self, program: P) {
+        self.program = program;
+        self.specs = self.program.aggregators();
+        self.snapshot = self.specs.iter().map(|s| s.identity()).collect();
+        self.global = self.program.init_global();
     }
 
     /// Overwrites the global state ahead of a run — the seeding companion
@@ -529,26 +597,16 @@ impl<P: Program> Engine<P> {
             num_workers,
             "the worker count is fixed for the life of an engine"
         );
-        self.num_vertices = n as u64;
+        self.rows = rows;
+        self.num_vertices = 0;
         self.worker_of.clear();
-        self.worker_of.extend_from_slice(placement.as_slice());
         self.local_idx.clear();
-        self.local_idx.resize(n as usize, 0);
         for w in &mut self.workers {
             w.clear_topology();
         }
-        // First pass: assign vertices, values, and halted flags. Each worker
-        // receives its vertices in ascending global id, so local indices
-        // ascend with global id.
-        for v in 0..n {
-            let w = &mut self.workers[self.worker_of[v as usize] as usize];
-            self.local_idx[v as usize] = w.global_ids.len() as u32;
-            w.global_ids.push(v);
-            let (value, halted) = vertex_init(v);
-            w.values.push(value);
-            w.halted.push(halted);
-            w.num_halted += u64::from(halted);
-        }
+        // First pass: assign vertices, values, and halted flags.
+        self.host_vertices(placement, &mut vertex_init);
+        debug_assert_eq!(self.num_vertices, u64::from(n));
         // Second pass, worker by worker: the CSR, the broadcast plan, and
         // the counts that bound the message fabric. Each row's plan is built
         // in two phases: first every entry's destination worker and the
@@ -568,7 +626,7 @@ impl<P: Program> Engine<P> {
         // `dst` — the unicast records of one all-broadcast superstep's frame
         // to `dst`, which bound that frame's wire sort keys.
         let mut lone = vec![0usize; num_workers];
-        let mut firsts: Vec<(WorkerId, u32)> = Vec::new();
+        let mut dests: Vec<(WorkerId, u32, u32)> = Vec::new();
         let mut dst_count = vec![0u32; num_workers];
         for w in &mut self.workers {
             let me = w.id as usize;
@@ -591,20 +649,9 @@ impl<P: Program> Engine<P> {
                 w.edge_values.extend(
                     ts.iter().enumerate().map(|(i, &t)| edge_init(gid, t, weight_at(gid, i))),
                 );
-                // Destination workers in first-occurrence order, each with
-                // the adjacency position of its first neighbour.
-                firsts.clear();
-                for (i, &t) in ts.iter().enumerate() {
-                    let dst = worker_of[t as usize];
-                    let count = &mut dst_count[dst as usize];
-                    if *count == 0 {
-                        firsts.push((dst, i as u32));
-                    }
-                    *count += 1;
-                }
+                row_destinations(ts, worker_of, &mut dst_count, &mut dests);
                 let mut local_count = 0u32;
-                for &(dst, first) in &firsts {
-                    let count = std::mem::take(&mut dst_count[dst as usize]);
+                for &(dst, first, count) in &dests {
                     let d = dst as usize;
                     if d == me {
                         local_count = count;
@@ -644,30 +691,9 @@ impl<P: Program> Engine<P> {
             }
         }
         for ((w, inb), plan_inb) in self.workers.iter_mut().zip(inbound).zip(plan_in) {
-            w.reset_fabric();
-            // The flat inbox sees every message; the fast-path queue only
-            // the worker-local ones; the wire only the others, as one
-            // record per plan entry when every sender broadcasts (a
-            // unicast-only program's first wired superstep grows it to
-            // `inb`).
-            w.bounds.inbox = inb + w.bounds.local;
-            w.bounds.wire_records = match (wired, build_fanout) {
-                (false, _) => 0,
-                (true, true) => plan_inb,
-                (true, false) => inb,
-            };
-            w.reserve_fabric();
+            w.bounds.set_inbound(inb, plan_inb, wired, build_fanout);
         }
-        // The grid cells hold the other half of each outbox's double buffer.
-        if !wired {
-            for (row, w) in self.mail_grid.chunks_mut(num_workers).zip(&self.workers) {
-                for (cell, &n) in row.iter_mut().zip(&w.bounds.marks) {
-                    if let Ok(cell) = cell.get_mut() {
-                        cell.marks.reserve(n);
-                    }
-                }
-            }
-        }
+        self.size_fabric();
         if build_fanout {
             // Each worker's fan-out index is the transpose of its in-rows.
             // A symmetric row is its own vertex's in-row; a directed load's
@@ -713,6 +739,60 @@ impl<P: Program> Engine<P> {
                         fan_offsets,
                         fan_targets,
                     ),
+                }
+            }
+        }
+    }
+
+    /// Hosts the vertices `placement` adds beyond the `num_vertices` already
+    /// hosted — each on its worker, after the ones there, so every worker
+    /// keeps its vertices in ascending global id and local indices ascend
+    /// with global id — and (re)fills every vertex's value and halted flag
+    /// from `vertex_init`, called once per vertex in ascending id. The
+    /// vertices already hosted must keep their workers.
+    fn host_vertices(
+        &mut self,
+        placement: &Placement,
+        vertex_init: &mut impl FnMut(VertexId) -> (P::V, bool),
+    ) {
+        let (old_n, n) = (self.num_vertices as usize, placement.num_vertices() as usize);
+        self.worker_of.extend_from_slice(&placement.as_slice()[old_n..]);
+        self.local_idx.resize(n, 0);
+        for w in &mut self.workers {
+            w.values.clear();
+            w.halted.clear();
+            w.num_halted = 0;
+        }
+        for v in 0..n {
+            let w = &mut self.workers[self.worker_of[v] as usize];
+            if v >= old_n {
+                self.local_idx[v] = w.global_ids.len() as u32;
+                w.global_ids.push(v as VertexId);
+            }
+            let (value, halted) = vertex_init(v as VertexId);
+            w.values.push(value);
+            w.halted.push(halted);
+            w.num_halted += u64::from(halted);
+        }
+        self.num_vertices = n as u64;
+    }
+
+    /// Resets every worker's message fabric for its hosted vertices and
+    /// reserves it, and the grid cells beside it, for the volumes in its
+    /// (already computed) bounds.
+    fn size_fabric(&mut self) {
+        for w in &mut self.workers {
+            w.reset_fabric();
+            w.reserve_fabric();
+        }
+        // The grid cells hold the other half of each outbox's double buffer.
+        if self.transport.is_none() {
+            let num_workers = self.workers.len();
+            for (row, w) in self.mail_grid.chunks_mut(num_workers).zip(&self.workers) {
+                for (cell, &n) in row.iter_mut().zip(&w.bounds.marks) {
+                    if let Ok(cell) = cell.get_mut() {
+                        cell.marks.reserve(n);
+                    }
                 }
             }
         }

@@ -4,8 +4,12 @@
 //! bounds the message fabric is reserved for — must equal the reference,
 //! after a cold build from an undirected or a directed graph and after every
 //! warm reset of a chain that grows and shrinks the graph and re-places it.
+//! The patched re-host (`Engine::warm_patch_undirected`) must leave the same
+//! arrays as the reference and as a fresh load after every window of a
+//! chain of edits, and must reload when a vertex moves or the vertex set
+//! shrinks.
 
-use super::{Engine, EngineConfig};
+use super::{Engine, EngineConfig, Rehost};
 use crate::context::VertexContext;
 use crate::program::Program;
 use crate::transport::TransportKind;
@@ -13,9 +17,15 @@ use crate::types::{WorkerId, BROADCAST_MULTI};
 use crate::worker::FabricBounds;
 use crate::Placement;
 use proptest::prelude::*;
-use spinner_graph::conversion::{from_undirected_edges, to_weighted_undirected};
+use spinner_graph::conversion::{
+    from_undirected_edges, patch_undirected_edges, to_weighted_undirected,
+};
 use spinner_graph::generators::{planted_partition, rmat, RmatConfig, SbmConfig};
-use spinner_graph::{DirectedGraph, GraphBuilder, UndirectedGraph, VertexId};
+use spinner_graph::mutation::apply_delta;
+use spinner_graph::{
+    DeltaStream, DeltaStreamConfig, DirectedGraph, GraphBuilder, UndirectedGraph, VertexId,
+};
+use std::collections::BTreeMap;
 
 /// A program whose edge value is the weight stamped into its fan-out
 /// entries; it never runs.
@@ -426,5 +436,325 @@ fn loader_matches_the_reference_at_benchmark_scale() {
             wired: transport == TransportKind::Ring,
         };
         check(&engine, &load).expect("loaded arrays equal the reference");
+    }
+}
+
+/// The unordered pairs whose edge weight differs between `prev` and `next`
+/// (a missing edge weighs 0), ascending.
+fn changed_pairs(prev: &UndirectedGraph, next: &UndirectedGraph) -> Vec<(VertexId, VertexId)> {
+    let weights = |g: &UndirectedGraph| -> BTreeMap<(VertexId, VertexId), u8> {
+        g.edges_once().map(|(a, b, w)| ((a, b), w)).collect()
+    };
+    let (before, after) = (weights(prev), weights(next));
+    let mut pairs: Vec<_> =
+        before.keys().chain(after.keys()).filter(|k| before.get(k) != after.get(k)).collect();
+    pairs.sort();
+    pairs.dedup();
+    pairs.into_iter().copied().collect()
+}
+
+/// One window of an edit chain: directed edges added (ids wrap into the
+/// grown vertex range), the reverses of existing edges added (Eq. 3 weights
+/// 1 → 2), existing edges removed (2 → 1 or gone), a star of edits around
+/// one vertex (edges to `star.1` added, its first `star.2` edges removed, so
+/// that one row sees several), vertices appended, and whether the window
+/// changes nothing at all.
+#[derive(Debug, Clone)]
+struct Window {
+    adds: Vec<(u32, u32)>,
+    mirrors: Vec<usize>,
+    removes: Vec<usize>,
+    star: (u32, Vec<u32>, usize),
+    grow: u32,
+    empty: bool,
+}
+
+fn window() -> impl Strategy<Value = Window> {
+    (
+        (
+            prop::collection::vec((0u32..1000, 0u32..1000), 0..10),
+            prop::collection::vec(any::<usize>(), 0..5),
+            prop::collection::vec(any::<usize>(), 0..8),
+        ),
+        (0u32..1000, prop::collection::vec(0u32..1000, 0..6), 0usize..4),
+        0u32..4,
+        any::<u8>(),
+    )
+        .prop_map(|((adds, mirrors, removes), star, grow, empty)| Window {
+            adds,
+            mirrors,
+            removes,
+            star,
+            grow,
+            empty: empty % 5 == 0,
+        })
+}
+
+/// `edges` (over `n` vertices) after `window`, and the new vertex count.
+fn edit(n: u32, edges: &[(u32, u32)], window: &Window) -> (u32, Vec<(u32, u32)>) {
+    if window.empty {
+        return (n, edges.to_vec());
+    }
+    let n = n + window.grow;
+    let mut next: Vec<(u32, u32)> = edges.to_vec();
+    for &i in &window.removes {
+        if !next.is_empty() {
+            next.swap_remove(i % next.len());
+        }
+    }
+    for &i in &window.mirrors {
+        if let Some(&(a, b)) = edges.get(i % edges.len().max(1)) {
+            next.push((b, a));
+        }
+    }
+    next.extend(window.adds.iter().map(|&(a, b)| (a % n, b % n)));
+    let (center, ref star, cut) = window.star;
+    let center = center % n;
+    for _ in 0..cut {
+        if let Some(i) = next.iter().position(|&(a, b)| a == center || b == center) {
+            next.swap_remove(i);
+        }
+    }
+    next.extend(star.iter().map(|&t| (center, t % n)));
+    (n, next)
+}
+
+/// `placement` grown to `n` vertices: the old vertices keep their workers,
+/// the new ones are drawn from the workers `mask` selects.
+fn grown(placement: &Placement, n: VertexId, mask: u8, draws: &[u8]) -> Placement {
+    let workers = placement.num_workers();
+    let fresh = self::placement(n, workers, mask, draws);
+    let mut worker_of = placement.as_slice().to_vec();
+    worker_of.extend_from_slice(&fresh.as_slice()[worker_of.len()..]);
+    Placement::explicit(worker_of, workers)
+}
+
+/// Every per-worker array of `engine` equals a fresh load of `g` on
+/// `placement` and the reference for it.
+fn check_fresh<P: Program<E = u8>>(
+    engine: &Engine<P>,
+    fresh: Engine<P>,
+    g: &UndirectedGraph,
+    placement: &Placement,
+    stamp_bits: u32,
+    (broadcast, wired): (bool, bool),
+) -> Result<(), TestCaseError> {
+    for d in 0..engine.workers.len() {
+        let (got, want) = (loaded(engine, d), loaded(&fresh, d));
+        prop_assert!(got == want, "worker {}: patched {:?}\nfresh {:?}", d, got, want);
+    }
+    let rows = undirected_rows(g);
+    let load = Load {
+        rows: &rows,
+        worker_of: placement.as_slice(),
+        num_workers: engine.workers.len(),
+        stamp_bits,
+        broadcast,
+        wired,
+    };
+    check(engine, &load)
+}
+
+/// Drives `windows` through one engine of `program` (built by `make`) and
+/// checks every re-host against a fresh load and the reference.
+#[allow(clippy::too_many_arguments)]
+fn patch_chain<P: Program<V = (), E = u8>>(
+    make: impl Fn() -> P,
+    stamp_bits: u32,
+    cfg: &EngineConfig,
+    (n, edges): (u32, &[(u32, u32)]),
+    placement: &Placement,
+    windows: &[Window],
+    (mask, draws): (u8, &[u8]),
+    noisy: bool,
+) -> Result<(), TestCaseError> {
+    let lane = (cfg.broadcast_fabric, cfg.transport == TransportKind::Ring);
+    let (none, weight) = (|_| (), |_, _, w| w);
+    let mut g = to_weighted_undirected(&directed(n, edges));
+    let mut engine = Engine::from_undirected(make(), &g, placement, cfg.clone(), none, weight);
+    let (mut n, mut edges, mut placement) = (n, edges.to_vec(), placement.clone());
+    for window in windows {
+        let (next_n, next_edges) = edit(n, &edges, window);
+        let next = to_weighted_undirected(&directed(next_n, &next_edges));
+        let mut changed = changed_pairs(&g, &next);
+        if noisy {
+            // Unchanged pairs, duplicates and reversed pairs are harmless.
+            changed.extend(next.edges_once().take(2).map(|(a, b, _)| (b, a)));
+            changed.extend(changed.clone().into_iter().take(2));
+        }
+        placement = grown(&placement, next_n, mask, draws);
+        let awake = |_| ((), false);
+        let rehost =
+            engine.warm_patch_undirected(make(), &next, &placement, &changed, awake, weight);
+        let want =
+            if changed.is_empty() && next_n == n { Rehost::Reused } else { Rehost::Patched };
+        prop_assert_eq!(rehost, want);
+        let fresh =
+            Engine::from_undirected(make(), &next, &placement, cfg.clone(), none, weight);
+        check_fresh(&engine, fresh, &next, &placement, stamp_bits, lane)?;
+        (n, edges, g) = (next_n, next_edges, next);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A chain of patched re-hosts — edges added and removed, Eq. 3 weights
+    /// moving between 1 and 2, vertices appended, windows that change
+    /// nothing — leaves every per-worker array equal to a fresh load and to
+    /// the reference after every window, stamping and not, on both
+    /// transports, with and without the broadcast lane, on placements with
+    /// empty workers.
+    #[test]
+    fn patched_rehost_chain_matches_a_fresh_load(
+        n in 1u32..40,
+        edges in prop::collection::vec((0u32..1000, 0u32..1000), 0..120),
+        workers in 1usize..8,
+        mask in any::<u8>(),
+        draws in prop::collection::vec(any::<u8>(), 1..40),
+        windows in prop::collection::vec(window(), 1..5),
+        noisy in any::<bool>(),
+    ) {
+        let edges: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (a % n, b % n)).collect();
+        let placement = placement(n, workers, mask, &draws);
+        for transport in TRANSPORTS {
+            for broadcast in [true, false] {
+                let cfg = config(workers, transport, broadcast);
+                let start = (n, &edges[..]);
+                let grow = (mask, &draws[..]);
+                patch_chain(|| Stamped, 2, &cfg, start, &placement, &windows, grow, noisy)?;
+                patch_chain(|| Plain, 0, &cfg, start, &placement, &windows, grow, noisy)?;
+            }
+        }
+    }
+
+    /// A re-host that moves a vertex to another worker, or drops vertices,
+    /// reloads the graph, and still leaves the arrays of a fresh load.
+    #[test]
+    fn moved_or_dropped_vertices_reload(
+        n in 2u32..40,
+        edges in prop::collection::vec((0u32..1000, 0u32..1000), 0..120),
+        workers in 2usize..8,
+        draws in prop::collection::vec(any::<u8>(), 1..40),
+        moved in any::<prop::sample::Index>(),
+        ring in any::<bool>(),
+    ) {
+        let transport = if ring { TransportKind::Ring } else { TransportKind::Direct };
+        let cfg = config(workers, transport, true);
+        let g = to_weighted_undirected(&directed(n, &edges));
+        let placement = placement(n, workers, 0, &draws);
+        let (none, weight) = (|_| (), |_, _, w| w);
+        let mut engine = Engine::from_undirected(Stamped, &g, &placement, cfg.clone(), none, weight);
+        let mut worker_of = placement.as_slice().to_vec();
+        let v = moved.index(n as usize);
+        worker_of[v] = (worker_of[v] + 1) % workers as WorkerId;
+        let moved = Placement::explicit(worker_of, workers);
+        let awake = |_| ((), false);
+        let rehost = engine.warm_patch_undirected(Stamped, &g, &moved, &[], awake, weight);
+        prop_assert_eq!(rehost, Rehost::Reloaded);
+        let fresh = Engine::from_undirected(Stamped, &g, &moved, cfg.clone(), none, weight);
+        check_fresh(&engine, fresh, &g, &moved, 2, (true, ring))?;
+        // One vertex fewer: its edges go with it.
+        let kept: Vec<(u32, u32)> =
+            edges.iter().map(|&(a, b)| (a % n, b % n)).filter(|&(a, b)| a < n - 1 && b < n - 1).collect();
+        let smaller = to_weighted_undirected(&directed(n - 1, &kept));
+        let fewer = Placement::explicit(moved.as_slice()[..n as usize - 1].to_vec(), workers);
+        let changed = changed_pairs(&g, &smaller);
+        let rehost = engine.warm_patch_undirected(Stamped, &smaller, &fewer, &changed, awake, weight);
+        prop_assert_eq!(rehost, Rehost::Reloaded);
+        let fresh = Engine::from_undirected(Stamped, &smaller, &fewer, cfg, none, weight);
+        check_fresh(&engine, fresh, &smaller, &fewer, 2, (true, ring))?;
+    }
+}
+
+/// The plan shifts of a patched row: vertex 0's row `[1, 3, 5, 7]` on
+/// workers `[A, B, B, C]` loses 1 (A's lone entry goes) and 5 (B turns lone
+/// on 3, which moves one place left), then gains 6 on B (B fans out again)
+/// and 2 on A (a new destination: the row is derived).
+#[test]
+fn patched_plans_move_lone_positions_past_earlier_edits() {
+    let worker_of: Vec<WorkerId> = vec![0, 1, 1, 2, 0, 2, 2, 3];
+    let placement = Placement::explicit(worker_of, 4);
+    let windows: [&[(u32, u32)]; 3] = [
+        &[(0, 1), (0, 3), (0, 5), (0, 7)],
+        &[(0, 3), (0, 7)],
+        &[(0, 2), (0, 3), (0, 6), (0, 7)],
+    ];
+    for transport in TRANSPORTS {
+        let cfg = config(4, transport, true);
+        let (none, weight) = (|_| (), |_, _, w| w);
+        let mut g = to_weighted_undirected(&directed(8, windows[0]));
+        let mut engine =
+            Engine::from_undirected(Stamped, &g, &placement, cfg.clone(), none, weight);
+        for edges in &windows[1..] {
+            let next = to_weighted_undirected(&directed(8, edges));
+            let changed = changed_pairs(&g, &next);
+            let awake = |_| ((), false);
+            let rehost = engine
+                .warm_patch_undirected(Stamped, &next, &placement, &changed, awake, weight);
+            assert_eq!(rehost, Rehost::Patched);
+            let fresh =
+                Engine::from_undirected(Stamped, &next, &placement, cfg.clone(), none, weight);
+            let wired = (true, transport == TransportKind::Ring);
+            check_fresh(&engine, fresh, &next, &placement, 2, wired)
+                .expect("a fresh load's arrays");
+            g = next;
+        }
+    }
+}
+
+/// The patched re-host at benchmark scale: `stream_churn`'s 60 k SBM view
+/// on 16 workers through 20 `DeltaStream` windows, every window patched
+/// and every per-worker array equal to a fresh load and to the reference.
+#[test]
+#[ignore = "benchmark scale; run in release"]
+fn patched_rehost_matches_a_fresh_load_at_benchmark_scale() {
+    let base = planted_partition(SbmConfig {
+        n: 60_000,
+        communities: 1000,
+        internal_degree: 40.0,
+        external_degree: 16.0,
+        skew: None,
+        seed: 11,
+    });
+    let deltas = DeltaStream::new(
+        base.clone(),
+        DeltaStreamConfig { windows: 20, seed: 11, ..Default::default() },
+    );
+    let workers = 16;
+    let cfg = config(workers, TransportKind::Direct, true);
+    let (none, weight) = (|_| (), |_, _, w| w);
+    let mut graph = base;
+    let mut view = from_undirected_edges(&graph);
+    let placement = Placement::hashed(view.num_vertices(), workers, 11);
+    let mut engine =
+        Engine::from_undirected(Stamped, &view, &placement, cfg.clone(), none, weight);
+    for delta in deltas {
+        let next = apply_delta(&graph, &delta);
+        let patch = patch_undirected_edges(&view, &next, &delta);
+        let changed: Vec<_> = patch.added.iter().chain(&patch.removed).copied().collect();
+        let placement = Placement::hashed(patch.graph.num_vertices(), workers, 11);
+        let awake = |_| ((), false);
+        let rehost = engine.warm_patch_undirected(
+            Stamped,
+            &patch.graph,
+            &placement,
+            &changed,
+            awake,
+            weight,
+        );
+        assert_eq!(rehost, Rehost::Patched);
+        let fresh = Engine::from_undirected(
+            Stamped,
+            &patch.graph,
+            &placement,
+            cfg.clone(),
+            none,
+            weight,
+        );
+        check_fresh(&engine, fresh, &patch.graph, &placement, 2, (true, false))
+            .expect("patched arrays equal a fresh load and the reference");
+        (graph, view) = (next, patch.graph);
     }
 }

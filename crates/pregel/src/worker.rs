@@ -79,6 +79,29 @@ impl FabricBounds {
         marks.resize(num_workers, 0);
         *self = Self { marks, ..Self::default() };
     }
+
+    /// Sets the inbox and wire bounds once `local` is counted: `inbound` is
+    /// the adjacency entries addressed to this worker from other workers,
+    /// `plan_in` the plan entries among them, `wired` whether a transport
+    /// serialises and `lane` whether the broadcast lane is on.
+    pub(crate) fn set_inbound(
+        &mut self,
+        inbound: usize,
+        plan_in: usize,
+        wired: bool,
+        lane: bool,
+    ) {
+        // The flat inbox sees every message; the fast-path queue only the
+        // worker-local ones; the wire only the others, as one record per
+        // plan entry when every sender broadcasts (a unicast-only
+        // program's first wired superstep grows it to `inbound`).
+        self.inbox = inbound + self.local;
+        self.wire_records = match (wired, lane) {
+            (false, _) => 0,
+            (true, true) => plan_in,
+            (true, false) => inbound,
+        };
+    }
 }
 
 /// One logical worker's vertex store, mailboxes, and per-superstep scratch.
