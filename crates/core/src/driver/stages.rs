@@ -48,19 +48,16 @@
 //! wall-clock fields are lower.
 //!
 //! How [`warm_reset`] re-hosts the engine never changes a result, since
-//! every path leaves the arrays a full load builds (debug builds assert it
-//! after every patch or reuse):
+//! both paths leave the arrays a full load builds (debug builds assert it
+//! after every patch):
 //!
 //! - a delta window passes the pairs the view patch added and removed, and
-//!   the engine merges them into its loaded topology
-//!   (`Rehost::Patched`);
-//! - a window on the same graph and placement (a resize, a worker loss or
-//!   a transport escalation's re-run that re-places nothing) passes no
-//!   pairs, and the loaded topology is kept
-//!   (`Rehost::Reused`);
+//!   the engine merges them into its loaded topology; a window on the same
+//!   graph and placement (a resize, a worker loss or a transport
+//!   escalation's re-run that re-places nothing) passes no pairs, and the
+//!   patch copies the loaded topology as it is;
 //! - a window whose placement moves a vertex (placement feedback, a
-//!   recovery's by-label re-place) reloads the graph
-//!   (`Rehost::Reloaded`).
+//!   recovery's by-label re-place) reloads the graph.
 
 use super::PartitionResult;
 use crate::config::SpinnerConfig;
@@ -132,9 +129,9 @@ pub fn build_engine(
 ///
 /// `changed` lists the unordered vertex pairs whose edge differs between
 /// `graph` and the graph the engine last ran on (empty when it is the same
-/// graph). The engine patches its loaded topology by them, reuses it when
-/// nothing changed, or reloads `graph` when a vertex moved or the vertex
-/// set shrank (see [`Engine::warm_patch_undirected`]).
+/// graph). The engine patches its loaded topology by them, or reloads
+/// `graph` when a vertex moved or the vertex set shrank (see
+/// [`Engine::warm_patch_undirected`]).
 ///
 /// `affected` marks the vertices that restart migrations under
 /// [`crate::config::RestartScope::AffectedOnly`] (empty marks every vertex);

@@ -17,7 +17,7 @@
 //! seeding costs O(delta + |V|); every other window recounts them from the
 //! labels. The view patch names the pairs the delta added and removed, and
 //! the same pairs patch the engine's loaded topology in place of a reload
-//! (a window on an unchanged graph and placement keeps it as it is).
+//! (a window on an unchanged graph and placement patches by no pairs).
 //! Labels, history and iterations equal the driver's; the window reports
 //! one superstep fewer and only its migrations' messages.
 //!

@@ -237,20 +237,6 @@ pub struct Engine<P: Program> {
     rows: Rows,
 }
 
-/// How [`Engine::warm_patch_undirected`] re-hosted an engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rehost {
-    /// No pair changed and no vertex arrived or moved: every loaded
-    /// topology array was kept as it was.
-    Reused,
-    /// The changed pairs and the arrived vertices were merged into every
-    /// worker's loaded arrays.
-    Patched,
-    /// A vertex moved, the vertex set shrank or the last load was directed:
-    /// the graph was loaded afresh, as by [`Engine::warm_reset_undirected`].
-    Reloaded,
-}
-
 /// Master-owned state the worker threads read during the compute phase.
 /// The `RwLock` access windows never overlap — readers hold it only between
 /// the start and mid barriers, the engine thread writes only after the end
@@ -513,9 +499,9 @@ impl<P: Program> Engine<P> {
     /// §V-F) hands the new placement to its next reset. This re-host always
     /// reloads the whole graph; a caller that knows which vertex pairs
     /// changed since the last load uses [`Self::warm_patch_undirected`],
-    /// which patches the loaded topology by them, or keeps it when nothing
-    /// changed, and falls back to this reload when a vertex moved or the
-    /// vertex set shrank. Both leave the same arrays.
+    /// which patches the loaded topology by them and falls back to this
+    /// reload when a vertex moved or the vertex set shrank. Both leave the
+    /// same arrays.
     ///
     /// `init_v` yields each vertex's initial value and halted flag, so a
     /// caller that already knows which vertices have work (e.g. a frontier

@@ -9,7 +9,7 @@
 //! chain of edits, and must reload when a vertex moves or the vertex set
 //! shrinks.
 
-use super::{Engine, EngineConfig, Rehost};
+use super::{Engine, EngineConfig};
 use crate::context::VertexContext;
 use crate::program::Program;
 use crate::transport::TransportKind;
@@ -583,12 +583,9 @@ fn patch_chain<P: Program<V = (), E = u8>>(
             changed.extend(changed.clone().into_iter().take(2));
         }
         placement = grown(&placement, next_n, mask, draws);
+        prop_assert!(engine.keeps_hosts(&placement), "the re-host patches");
         let awake = |_| ((), false);
-        let rehost =
-            engine.warm_patch_undirected(make(), &next, &placement, &changed, awake, weight);
-        let want =
-            if changed.is_empty() && next_n == n { Rehost::Reused } else { Rehost::Patched };
-        prop_assert_eq!(rehost, want);
+        engine.warm_patch_undirected(make(), &next, &placement, &changed, awake, weight);
         let fresh =
             Engine::from_undirected(make(), &next, &placement, cfg.clone(), none, weight);
         check_fresh(&engine, fresh, &next, &placement, stamp_bits, lane)?;
@@ -651,8 +648,8 @@ proptest! {
         worker_of[v] = (worker_of[v] + 1) % workers as WorkerId;
         let moved = Placement::explicit(worker_of, workers);
         let awake = |_| ((), false);
-        let rehost = engine.warm_patch_undirected(Stamped, &g, &moved, &[], awake, weight);
-        prop_assert_eq!(rehost, Rehost::Reloaded);
+        prop_assert!(!engine.keeps_hosts(&moved), "a moved vertex reloads");
+        engine.warm_patch_undirected(Stamped, &g, &moved, &[], awake, weight);
         let fresh = Engine::from_undirected(Stamped, &g, &moved, cfg.clone(), none, weight);
         check_fresh(&engine, fresh, &g, &moved, 2, (true, ring))?;
         // One vertex fewer: its edges go with it.
@@ -661,47 +658,27 @@ proptest! {
         let smaller = to_weighted_undirected(&directed(n - 1, &kept));
         let fewer = Placement::explicit(moved.as_slice()[..n as usize - 1].to_vec(), workers);
         let changed = changed_pairs(&g, &smaller);
-        let rehost = engine.warm_patch_undirected(Stamped, &smaller, &fewer, &changed, awake, weight);
-        prop_assert_eq!(rehost, Rehost::Reloaded);
+        prop_assert!(!engine.keeps_hosts(&fewer), "a shrinking vertex set reloads");
+        engine.warm_patch_undirected(Stamped, &smaller, &fewer, &changed, awake, weight);
         let fresh = Engine::from_undirected(Stamped, &smaller, &fewer, cfg, none, weight);
         check_fresh(&engine, fresh, &smaller, &fewer, 2, (true, ring))?;
     }
 }
 
-/// The plan shifts of a patched row: vertex 0's row `[1, 3, 5, 7]` on
-/// workers `[A, B, B, C]` loses 1 (A's lone entry goes) and 5 (B turns lone
-/// on 3, which moves one place left), then gains 6 on B (B fans out again)
-/// and 2 on A (a new destination: the row is derived).
+/// A changed-pair list that misses an added edge panics instead of pairing
+/// the stale row with the new graph's weights, in release builds too.
 #[test]
-fn patched_plans_move_lone_positions_past_earlier_edits() {
-    let worker_of: Vec<WorkerId> = vec![0, 1, 1, 2, 0, 2, 2, 3];
-    let placement = Placement::explicit(worker_of, 4);
-    let windows: [&[(u32, u32)]; 3] = [
-        &[(0, 1), (0, 3), (0, 5), (0, 7)],
-        &[(0, 3), (0, 7)],
-        &[(0, 2), (0, 3), (0, 6), (0, 7)],
-    ];
-    for transport in TRANSPORTS {
-        let cfg = config(4, transport, true);
-        let (none, weight) = (|_| (), |_, _, w| w);
-        let mut g = to_weighted_undirected(&directed(8, windows[0]));
-        let mut engine =
-            Engine::from_undirected(Stamped, &g, &placement, cfg.clone(), none, weight);
-        for edges in &windows[1..] {
-            let next = to_weighted_undirected(&directed(8, edges));
-            let changed = changed_pairs(&g, &next);
-            let awake = |_| ((), false);
-            let rehost = engine
-                .warm_patch_undirected(Stamped, &next, &placement, &changed, awake, weight);
-            assert_eq!(rehost, Rehost::Patched);
-            let fresh =
-                Engine::from_undirected(Stamped, &next, &placement, cfg.clone(), none, weight);
-            let wired = (true, transport == TransportKind::Ring);
-            check_fresh(&engine, fresh, &next, &placement, 2, wired)
-                .expect("a fresh load's arrays");
-            g = next;
-        }
-    }
+#[should_panic(expected = "the changed pairs miss a change")]
+fn a_missed_addition_panics() {
+    let placement = Placement::explicit(vec![0, 1, 0], 2);
+    let cfg = config(2, TransportKind::Direct, true);
+    let (none, weight) = (|_| (), |_, _, w| w);
+    let g = to_weighted_undirected(&directed(3, &[(0, 1)]));
+    let mut engine = Engine::from_undirected(Stamped, &g, &placement, cfg, none, weight);
+    // Vertex 1 gains neighbour 2, but no pair says so.
+    let next = to_weighted_undirected(&directed(3, &[(0, 1), (1, 2)]));
+    let awake = |_| ((), false);
+    engine.warm_patch_undirected(Stamped, &next, &placement, &[], awake, weight);
 }
 
 /// The patched re-host at benchmark scale: `stream_churn`'s 60 k SBM view
@@ -735,8 +712,9 @@ fn patched_rehost_matches_a_fresh_load_at_benchmark_scale() {
         let patch = patch_undirected_edges(&view, &next, &delta);
         let changed: Vec<_> = patch.added.iter().chain(&patch.removed).copied().collect();
         let placement = Placement::hashed(patch.graph.num_vertices(), workers, 11);
+        assert!(engine.keeps_hosts(&placement), "every window patches");
         let awake = |_| ((), false);
-        let rehost = engine.warm_patch_undirected(
+        engine.warm_patch_undirected(
             Stamped,
             &patch.graph,
             &placement,
@@ -744,7 +722,6 @@ fn patched_rehost_matches_a_fresh_load_at_benchmark_scale() {
             awake,
             weight,
         );
-        assert_eq!(rehost, Rehost::Patched);
         let fresh = Engine::from_undirected(
             Stamped,
             &patch.graph,

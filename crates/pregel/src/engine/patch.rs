@@ -4,21 +4,21 @@
 //! window on a 60 k-vertex community graph) but touches most rows (about
 //! two thirds), so the re-host works entry by entry, not row by row:
 //!
-//! - each worker's CSR is its old one with the window's changed pairs
-//!   merged in, every run of unchanged rows copied in one piece;
-//! - a row's broadcast plan is kept while no destination's first entry
-//!   moves, its lone positions shifted past the entries added and removed
-//!   before them, and derived afresh from the new row otherwise;
+//! - each worker's CSR copies every run of unchanged rows from its old one
+//!   in one piece and reads only the changed and arrived rows from the
+//!   graph;
+//! - the broadcast plans of unchanged rows are copied with them, and a
+//!   changed row's plan is derived afresh from its new row;
 //! - each sender's fan-out list is its old list with the changed entries
 //!   merged in, every run of unchanged senders copied in one piece.
 //!
 //! Every edge value still comes from `init_e`, called in the order a full
 //! load calls it, with the weight read from the graph's row, so nothing is
 //! read back from an edge value a program owned. Debug builds reload the
-//! graph after every patched or reused re-host and assert that every
-//! per-worker array and bound came out the same.
+//! graph after every patched re-host and assert that every per-worker array
+//! and bound came out the same.
 
-use super::{check_fan_locals, checked_u32, fan_entry, row_destinations, Engine, Rehost, Rows};
+use super::{check_fan_locals, checked_u32, fan_entry, row_destinations, Engine, Rows};
 use crate::program::Program;
 use crate::types::{WorkerId, BROADCAST_MULTI};
 use crate::worker::Worker;
@@ -37,9 +37,9 @@ struct Spare {
     plan: PlanSpare,
     fan_offsets: Vec<u32>,
     fan_targets: Vec<u32>,
-    /// One row's changed entries: the partner, whether the old row had it,
-    /// and its position in the new row unless it was removed.
-    row_ops: Vec<(VertexId, bool, Option<usize>)>,
+    /// One row's changed entries: the partner, and its position in the new
+    /// row unless it was removed.
+    row_ops: Vec<(VertexId, Option<usize>)>,
     /// The worker's changed entries as fan-out changes: `sender << 32 |
     /// local index`, and the new fan-out entry unless it was removed.
     fan_ops: Vec<(u64, Option<u32>)>,
@@ -64,19 +64,19 @@ impl<P: Program> Engine<P> {
     /// as a full load calls them, and every per-worker array and bound
     /// comes out as a full load builds it.
     ///
-    /// - When every vertex the engine hosts keeps its worker, the vertex
-    ///   set does not shrink and the engine last loaded an undirected
-    ///   graph, the pairs are merged into each worker's loaded CSR,
-    ///   broadcast plan and fan-out index, and the arrived vertices are
-    ///   appended ([`Rehost::Patched`]).
-    /// - When, in addition, no pair changed and no vertex arrived, the
-    ///   loaded topology is kept as it is ([`Rehost::Reused`]).
-    /// - Otherwise the graph is loaded afresh ([`Rehost::Reloaded`]).
+    /// When every vertex the engine hosts keeps its worker, the vertex set
+    /// does not shrink and the engine last loaded an undirected graph, each
+    /// worker keeps its loaded rows and their plans but re-reads from
+    /// `graph` the rows the pairs touch, merges the pairs into its fan-out
+    /// index, and appends the arrived vertices; with no pair and no arrival
+    /// that copies the loaded topology as it is. Otherwise the graph is
+    /// loaded afresh, as by [`Self::warm_reset_undirected`].
     ///
-    /// Values and edge values are re-initialised on every path. A `changed`
-    /// list that misses a change leaves the engine on the wrong topology;
-    /// debug builds check every patched or reused re-host against a full
-    /// load and panic on any difference.
+    /// Values and edge values are re-initialised on both paths. A `changed`
+    /// list that misses a change leaves the engine on the wrong topology: a
+    /// kept row whose length then differs from `graph`'s panics, and
+    /// debug builds check every patched re-host against a full load and
+    /// panic on any difference.
     pub fn warm_patch_undirected(
         &mut self,
         program: P,
@@ -85,36 +85,30 @@ impl<P: Program> Engine<P> {
         changed: &[(VertexId, VertexId)],
         mut init_v: impl FnMut(VertexId) -> (P::V, bool),
         mut init_e: impl FnMut(VertexId, VertexId, EdgeWeight) -> P::E,
-    ) -> Rehost {
+    ) {
         assert_eq!(placement.num_vertices(), graph.num_vertices(), "placement size mismatch");
-        let old_n = self.num_vertices as usize;
-        let keeps = self.rows == Rows::Symmetric
-            && placement.num_workers() == self.workers.len()
-            && placement.num_vertices() as usize >= old_n
-            && placement.as_slice()[..old_n] == self.worker_of[..];
-        if !keeps {
+        if !self.keeps_hosts(placement) {
             self.warm_reset_undirected(program, graph, placement, init_v, init_e);
-            return Rehost::Reloaded;
+            return;
         }
+        let old_n = self.num_vertices as usize;
         self.restart(program);
         self.host_vertices(placement, &mut init_v);
-        let rehost = if changed.is_empty() && self.num_vertices as usize == old_n {
-            for w in &mut self.workers {
-                w.edge_values.clear();
-                for (li, &gid) in w.global_ids.iter().enumerate() {
-                    let row = &w.targets[w.offsets[li] as usize..w.offsets[li + 1] as usize];
-                    push_edge_values(graph, gid, row, &mut init_e, &mut w.edge_values);
-                }
-            }
-            Rehost::Reused
-        } else {
-            self.patch_rows(graph, old_n, changed, &mut init_e);
-            Rehost::Patched
-        };
+        self.patch_rows(graph, old_n, changed, &mut init_e);
         self.size_fabric();
         #[cfg(debug_assertions)]
         self.check_against_a_full_load(graph, placement);
-        rehost
+    }
+
+    /// Whether a re-host onto `placement` can patch the loaded topology:
+    /// the engine last loaded an undirected graph, and every vertex it
+    /// hosts stays on its worker.
+    pub(super) fn keeps_hosts(&self, placement: &Placement) -> bool {
+        let old_n = self.num_vertices as usize;
+        self.rows == Rows::Symmetric
+            && placement.num_workers() == self.workers.len()
+            && placement.num_vertices() as usize >= old_n
+            && placement.as_slice()[..old_n] == self.worker_of[..]
     }
 
     /// Merges `changed` and the vertices hosted beyond the first `old_n`
@@ -130,20 +124,17 @@ impl<P: Program> Engine<P> {
         let num_workers = self.workers.len();
         let n = self.num_vertices as usize;
         // Each worker's changed entries in the rows it hosted before, as
-        // `row << 32 | partner` and whether `graph` has the edge (looked up
-        // once per pair: the rows are symmetric); an arrived vertex's row is
-        // read whole.
-        let mut changes: Vec<Vec<(u64, bool)>> = vec![Vec::new(); num_workers];
+        // `row << 32 | partner`; an arrived vertex's row is read whole.
+        let mut changes: Vec<Vec<u64>> = vec![Vec::new(); num_workers];
         for &(a, b) in changed {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "changed pair ({a}, {b}) names a vertex beyond the graph"
             );
-            let present = graph.edge_weight(a, b).is_some();
             for (v, u) in [(a, b), (b, a)] {
                 if (v as usize) < old_n {
                     let w = self.worker_of[v as usize] as usize;
-                    changes[w].push((u64::from(v) << 32 | u64::from(u), present));
+                    changes[w].push(u64::from(v) << 32 | u64::from(u));
                 }
             }
         }
@@ -243,15 +234,15 @@ struct Patch<'a> {
     old_n: usize,
     /// Whether the broadcast lane (plan and fan-out index) is built.
     lane: bool,
-    /// The worker's changed entries, `row << 32 | partner` ascending, each
-    /// with whether the new graph has the edge.
-    edits: &'a [(u64, bool)],
+    /// The worker's changed entries, `row << 32 | partner` ascending.
+    edits: &'a [u64],
 }
 
 impl Patch<'_> {
-    /// Patches worker `w`: merges the edits and the arrived vertices into
-    /// its CSR, re-fills its edge values in load order, patches its plan and
-    /// merges the changed entries into its fan-out index.
+    /// Patches worker `w`: copies its unchanged rows, reads its changed and
+    /// arrived rows from the graph, re-fills its edge values in load order,
+    /// derives the plans of the rows it read and merges their changed
+    /// entries into its fan-out index.
     fn apply<P: Program>(
         &self,
         w: &mut Worker<P>,
@@ -290,13 +281,12 @@ impl Patch<'_> {
         } = &mut *w;
         edge_values.clear();
         // Row by row: runs of unchanged rows are copied whole, their offsets
-        // rebased; a changed row is its old row with its edits merged in; an
-        // arrived row is read from the graph.
+        // rebased; a changed or arrived row is read from the graph.
         let (mut copied, mut at) = (0, 0);
         loop {
             let next = edits
                 .get(at)
-                .map_or(old_hosted, |&(key, _)| self.local_idx[(key >> 32) as usize] as usize);
+                .map_or(old_hosted, |&key| self.local_idx[(key >> 32) as usize] as usize);
             copy_rows((offsets, targets), copied..next, &mut s.offsets, &mut s.targets);
             for (li, &gid) in global_ids.iter().enumerate().take(next).skip(copied) {
                 let row = &s.targets[s.offsets[li] as usize..s.offsets[li + 1] as usize];
@@ -312,42 +302,29 @@ impl Patch<'_> {
                 break;
             }
             let (li, gid) = (next, global_ids[next]);
-            let old_row = &targets[offsets[li] as usize..offsets[li + 1] as usize];
+            let row = self.graph.neighbors(gid).0;
             let lo = s.targets.len();
+            s.targets.extend_from_slice(row);
+            s.offsets.push(s.targets.len() as u64);
+            push_edge_values(self.graph, gid, row, init_e, edge_values);
+            copied = li + 1;
+            // Each edit's position in the new row, unless it was removed.
             s.row_ops.clear();
             let mut p = 0;
-            let row_edits =
-                edits[at..].iter().take_while(|&&(key, _)| key >> 32 == u64::from(gid));
-            for &(key, present) in row_edits {
+            for &key in edits[at..].iter().take_while(|&&key| key >> 32 == u64::from(gid)) {
                 at += 1;
                 let u = key as VertexId;
-                let q = p + old_row[p..].partition_point(|&t| t < u);
-                s.targets.extend_from_slice(&old_row[p..q]);
-                let was = q < old_row.len() && old_row[q] == u;
-                p = q + usize::from(was);
-                if present {
-                    s.row_ops.push((u, was, Some(s.targets.len() - lo)));
-                    s.targets.push(u);
-                } else if was {
-                    s.row_ops.push((u, true, None));
-                }
+                let q = p + row[p..].partition_point(|&t| t < u);
+                let present = q < row.len() && row[q] == u;
+                s.row_ops.push((u, present.then_some(q)));
+                p = q + usize::from(present);
             }
-            s.targets.extend_from_slice(&old_row[p..]);
-            s.offsets.push(s.targets.len() as u64);
-            push_edge_values(self.graph, gid, &s.targets[lo..], init_e, edge_values);
-            copied = li + 1;
             if !lane {
                 continue;
             }
             stamp_ops::<P>(li, &s.row_ops, &edge_values[lo..], &mut s.fan_ops);
-            let new_row = &s.targets[lo..];
-            let plan = plan_offsets[li] as usize..plan_offsets[li + 1] as usize;
-            let old_plan = (&plan_workers[plan.clone()], &plan_lone[plan]);
-            match self.shift_plan(me, old_row, old_plan, &s.row_ops, &mut s.plan) {
-                Some(moved) => plan_local[li] = (i64::from(plan_local[li]) + moved) as u32,
-                None => plan_local[li] = self.derive_plan(me, new_row, &mut s.plan),
-            }
-            plan_remote[li] = new_row.len() as u32 - plan_local[li];
+            plan_local[li] = self.derive_plan(me, row, &mut s.plan);
+            plan_remote[li] = row.len() as u32 - plan_local[li];
             s.plan.offsets.push(s.plan.workers.len() as u32);
         }
         for (li, &gid) in global_ids.iter().enumerate().skip(old_hosted) {
@@ -358,7 +335,7 @@ impl Patch<'_> {
             push_edge_values(self.graph, gid, row, init_e, edge_values);
             if lane {
                 s.row_ops.clear();
-                s.row_ops.extend(row.iter().enumerate().map(|(i, &u)| (u, false, Some(i))));
+                s.row_ops.extend(row.iter().enumerate().map(|(i, &u)| (u, Some(i))));
                 stamp_ops::<P>(li, &s.row_ops, &edge_values[lo..], &mut s.fan_ops);
                 let local = self.derive_plan(me, row, &mut s.plan);
                 plan_local.push(local);
@@ -381,85 +358,6 @@ impl Patch<'_> {
         }
         std::mem::swap(&mut w.offsets, &mut s.offsets);
         std::mem::swap(&mut w.targets, &mut s.targets);
-    }
-
-    /// Appends the plan of a changed row to `s` without deriving it when no
-    /// added or removed entry moves the first entry of its destination:
-    /// the toggled entries go to distinct destinations that the old plan
-    /// has, each with an entry before the toggled one (or, for a lone one,
-    /// being it). Each toggled destination then keeps its place and turns
-    /// lone, fanned-out or absent by its new entry count, and every lone
-    /// position moves past the entries added and removed before it.
-    /// Returns the change in the row's entries on worker `me`, or `None`
-    /// (appending nothing) when the row must be derived.
-    fn shift_plan(
-        &self,
-        me: WorkerId,
-        old_row: &[VertexId],
-        (old_workers, old_lone): (&[WorkerId], &[u32]),
-        row_ops: &[(VertexId, bool, Option<usize>)],
-        s: &mut PlanSpare,
-    ) -> Option<i64> {
-        let worker_of = self.worker_of;
-        // The added (true) and removed entries: a re-weighted one changes
-        // no plan.
-        let toggles = || {
-            let ops = row_ops.iter().filter(|&&(_, was, at)| was != at.is_some());
-            ops.map(|&(u, was, _)| (u, !was))
-        };
-        // The position in the new row of the old row's entry at `p`.
-        let shifted = |p: u32| {
-            let t = old_row[p as usize];
-            let moved = toggles().filter(|&(u, _)| u < t).map(|(_, a)| 2 * i64::from(a) - 1);
-            (i64::from(p) + moved.sum::<i64>()) as u32
-        };
-        let mut local = 0;
-        // Each toggled destination's plan entry and its new lone position
-        // (`BROADCAST_MULTI`, or `None` once it has no entry).
-        let mut changes: [(usize, Option<u32>); 4] = [(usize::MAX, None); 4];
-        for (k, (u, added)) in toggles().enumerate() {
-            let d = worker_of[u as usize];
-            let j = old_workers.iter().position(|&w| w == d)?;
-            if k >= changes.len() || changes[..k].iter().any(|&(i, _)| i == j) {
-                return None;
-            }
-            let lone = old_lone[j];
-            changes[k] = match (lone == BROADCAST_MULTI, added) {
-                // A second entry after the lone one.
-                (false, true) if old_row[lone as usize] < u => (j, Some(BROADCAST_MULTI)),
-                // The lone entry itself.
-                (false, false) => (j, None),
-                (false, true) => return None,
-                (true, _) => {
-                    // The first other entry on `d` must come before `u`; a
-                    // removal keeps a fan-out with a second one, or turns
-                    // lone on the first.
-                    let on_d =
-                        |&(_, &t): &(usize, &VertexId)| t != u && worker_of[t as usize] == d;
-                    let mut on_d = old_row.iter().enumerate().filter(on_d);
-                    let (first, &t) = on_d.next()?;
-                    if t > u {
-                        return None;
-                    }
-                    let multi = added || on_d.next().is_some();
-                    (j, Some(if multi { BROADCAST_MULTI } else { shifted(first as u32) }))
-                }
-            };
-            if d == me {
-                local += if added { 1 } else { -1 };
-            }
-        }
-        for (j, (&d, &lone)) in old_workers.iter().zip(old_lone).enumerate() {
-            let lone = match changes.iter().find(|&&(i, _)| i == j) {
-                Some(&(_, None)) => continue,
-                Some(&(_, Some(lone))) => lone,
-                None if lone == BROADCAST_MULTI => lone,
-                None => shifted(lone),
-            };
-            s.workers.push(d);
-            s.lone.push(lone);
-        }
-        Some(local)
     }
 
     /// Derives one row's plan afresh, as a full load does, appending it to
@@ -490,6 +388,9 @@ fn push_edge_values<E>(
     edge_values: &mut Vec<E>,
 ) {
     let (targets, weights) = graph.neighbors(gid);
+    // A missed addition or removal would pair the row with the wrong
+    // weights; the full comparison is left to debug builds.
+    assert_eq!(row.len(), targets.len(), "row {gid}: the changed pairs miss a change");
     debug_assert_eq!(row, targets, "row {gid}: the changed pairs miss a change");
     edge_values.extend(row.iter().zip(weights).map(|(&t, &wt)| init_e(gid, t, wt)));
 }
@@ -499,11 +400,11 @@ fn push_edge_values<E>(
 /// new edge value in `edges` (the row's).
 fn stamp_ops<P: Program>(
     li: usize,
-    row_ops: &[(VertexId, bool, Option<usize>)],
+    row_ops: &[(VertexId, Option<usize>)],
     edges: &[P::E],
     fan_ops: &mut Vec<(u64, Option<u32>)>,
 ) {
-    fan_ops.extend(row_ops.iter().map(|&(u, _, at)| {
+    fan_ops.extend(row_ops.iter().map(|&(u, at)| {
         let entry = at.map(|i| fan_entry::<P>(li, P::edge_weight(&edges[i])));
         (u64::from(u) << 32 | li as u64, entry)
     }));

@@ -85,7 +85,7 @@ pub mod worker;
 
 pub use aggregate::{AggOp, AggValue, AggregatorSpec};
 pub use context::{AggCtx, Edges, Mailer, VertexContext};
-pub use engine::{Engine, EngineConfig, HaltReason, Rehost, RunSummary};
+pub use engine::{Engine, EngineConfig, HaltReason, RunSummary};
 pub use fault::{FaultyTransport, TransportFault, TransportFaultPlan};
 pub use metrics::{SuperstepMetrics, WorkerMetrics};
 pub use placement::Placement;
