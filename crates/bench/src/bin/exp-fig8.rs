@@ -6,9 +6,12 @@
 //! Expected shape (paper): adapting to +1 partition is ~74% faster than
 //! re-partitioning and moves <17% of vertices (vs ~96% from scratch);
 //! savings shrink as more partitions are added.
+//!
+//! Emits `phi_ratio_elastic_scratch_<n>`, φ after growing by n over φ from
+//! scratch at the same k, so a loss of quality on growth is gated.
 
 use spinner_bench::{
-    f2, f3, load_dataset, pct1, savings_pct, scale_from_env, spinner_cfg, Table,
+    emit_metric, f2, f3, load_dataset, pct1, savings_pct, scale_from_env, spinner_cfg, Table,
 };
 use spinner_core::{elastic, partition};
 use spinner_graph::Dataset;
@@ -56,6 +59,10 @@ fn main() {
             f2(grown.quality.phi),
             f3(grown.quality.rho),
         ]);
+        emit_metric(
+            &format!("phi_ratio_elastic_scratch_{n}"),
+            grown.quality.phi / scratch.quality.phi,
+        );
         eprintln!(
             "+{n}: time saved {time_saved:.1}%, moved {:.1}% vs {:.1}%",
             100.0 * moved_elastic,

@@ -62,7 +62,9 @@
 use super::PartitionResult;
 use crate::config::SpinnerConfig;
 use crate::program::{load_of, rho_of, seeded_global, SpinnerProgram, AGG_LOADS};
-use crate::state::{label_histogram, EdgeState, Label, Phase, VertexState, NO_LABEL};
+use crate::state::{
+    label_histogram, EdgeState, Label, Phase, VertexState, NOT_COUNTED, NO_LABEL,
+};
 use spinner_graph::{UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
 use spinner_pregel::engine::{Engine, EngineConfig};
@@ -168,6 +170,7 @@ pub fn warm_reset(
             let v = v as usize;
             let mut state = std::mem::replace(&mut states[v], VertexState::new(0, false));
             state.candidate = NO_LABEL;
+            state.counted = NOT_COUNTED;
             state.affected = affected.get(v).copied().unwrap_or(true);
             let parked = park_unaffected && !state.affected;
             (state, parked)

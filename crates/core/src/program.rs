@@ -5,9 +5,10 @@ use crate::config::{BalanceObjective, RestartScope, SpinnerConfig};
 use crate::driver::IterationStats;
 use crate::state::{
     sort_by_weight, EdgeState, GlobalState, Label, MigrationMsg, Phase, VertexState,
-    WorkerState, NO_LABEL,
+    WorkerState, NOT_COUNTED, NO_LABEL,
 };
 use spinner_graph::rng::vertex_stream;
+use spinner_graph::VertexId;
 use spinner_pregel::aggregate::{AggOp, AggregatorSpec};
 use spinner_pregel::program::{MasterContext, Program};
 use spinner_pregel::{VertexContext, WorkerId};
@@ -16,31 +17,89 @@ use spinner_pregel::{VertexContext, WorkerId};
 pub const AGG_LOADS: usize = 0;
 /// Aggregator: candidate load m(l) per label for Eq. 14 (VecSumI64).
 pub const AGG_CANDIDATES: usize = 1;
-/// Aggregator: global score Σ_v score''(v, α(v)) (Eq. 10), accumulated in
-/// fixed point (see [`SCORE_SCALE`]).
+/// Aggregator: the locality half of the global score (Eq. 10),
+/// Σ_v round(S · w_v(α(v)) / deg_w(v)) in fixed point (see
+/// [`SCORE_SCALE`]), persistent (SumI64). The master subtracts the penalty
+/// half, Σ_l n_l · π(l), from the global loads and [`AGG_COUNTS`].
 pub const AGG_SCORE: usize = 2;
 
-/// Fixed-point scale for the global score aggregation. Per-vertex scores
-/// are rounded to `1/SCORE_SCALE` (2⁻²⁰ ≈ 10⁻⁶) and summed as integers, so
-/// the total — unlike an `f64` sum — is independent of summation order and
-/// therefore bit-identical across any vertex placement, worker count, or
-/// thread count. The quantisation sits three orders of magnitude below the
-/// ε = 10⁻³ per-vertex halting threshold. Overflow bound: |score''(v)| ≤
-/// 1 + k/c (the worst penalty is a partition holding all load, k/c), so
-/// the sum stays within `i64::MAX` while `n · (1 + k/c) < 2⁴³ ≈ 8.8·10¹²`
-/// — with the engine's u32 vertex ids (n < 2³²), safe for any `k/c` up to
-/// ~2000 even at the maximum vertex count.
+/// Fixed-point scale `S` of the global score. Each vertex's locality and
+/// each label's penalty term are rounded to `1/SCORE_SCALE` (2⁻²⁰ ≈ 10⁻⁶)
+/// and summed as integers, so the total — unlike an `f64` sum — is
+/// independent of summation order and therefore bit-identical across any
+/// vertex placement, worker count, or thread count. The quantisation sits
+/// three orders of magnitude below the ε = 10⁻³ per-vertex halting
+/// threshold. Overflow bound: the locality sum is at most n, and the
+/// penalty term at most n · k/c (the worst penalty is a partition holding
+/// all load, k/c), so both stay within `i64::MAX` while
+/// `n · (1 + k/c) < 2⁴³ ≈ 8.8·10¹²` — with the engine's u32 vertex ids
+/// (n < 2³²), safe for any `k/c` up to ~2000 even at the maximum vertex
+/// count.
 pub const SCORE_SCALE: f64 = (1u64 << 20) as f64;
 
-/// A per-vertex score contribution in fixed point.
+/// A score term in fixed point.
 #[inline]
 fn score_fixed(score: f64) -> i64 {
     (score * SCORE_SCALE).round() as i64
 }
-/// Aggregator: Σ_v (local incident weight) = 2·(local edge weight) (SumI64).
+
+/// A vertex's locality w/deg_w in fixed point.
+#[inline]
+fn locality_fixed(weight: u32, degw: u64) -> i64 {
+    if degw > 0 {
+        score_fixed(f64::from(weight) / degw as f64)
+    } else {
+        0
+    }
+}
+/// Aggregator: Σ_v (local incident weight) = 2·(local edge weight),
+/// persistent (SumI64).
 pub const AGG_LOCAL_WEIGHT: usize = 3;
 /// Aggregator: number of migrations this superstep (SumI64).
 pub const AGG_MIGRATIONS: usize = 4;
+/// Aggregator: n_l, the vertices per label the locality aggregates count,
+/// persistent (VecSumI64, length k).
+pub const AGG_COUNTS: usize = 5;
+
+/// Wake-clock ticks per unit of penalty: keys and clocks are D + … values
+/// rounded down to 1/512, so a sleeper wakes at most one tick early and a
+/// run's keys fall in the engine's per-tick buckets while D stays below 4.
+const WAKE_SCALE: f64 = 512.0;
+
+/// Taken off every margin key: far above the rounding error of the scores,
+/// penalties and drift sums the bound is computed from.
+const WAKE_SLACK: f64 = 1e-9;
+
+/// A penalty-unit value as wake-clock ticks, rounded down (0 for anything
+/// not positive, saturating above).
+#[inline]
+fn wake_ticks(x: f64) -> u64 {
+    if x > 0.0 {
+        (x * WAKE_SCALE) as u64
+    } else {
+        0
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set, every sleeper on an engine driven from this thread wakes at
+    /// every scores superstep: the reference margin sleeping must match.
+    pub(crate) static WAKE_EVERY_SLEEPER: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+/// One scores visit's candidate scan.
+struct Scan {
+    /// The winning label (the current one on a tie).
+    best: Label,
+    /// The current label's score.
+    current_score: f64,
+    /// The current label's weight in the histogram.
+    count_current: u64,
+    /// At least every other label's score.
+    alt_max: f64,
+}
 
 /// What one item of a dense histogram fold costs — an entry loaded into
 /// or read back from the k-sized scratch, or a message applied to it — in
@@ -103,9 +162,82 @@ impl SpinnerProgram {
             }
         }
 
-        let g = ctx.global;
+        // (ii) Score the labels.
+        let scan = self.scan(ctx.vertex, ctx.value, ctx.global, ctx.worker);
         let current = ctx.value.label;
-        let degw = ctx.value.degree;
+
+        // (iii) Count the vertex's locality into the persistent aggregates
+        // of φ and score(G).
+        count_locality(ctx, scan.count_current);
+
+        // (iv) Candidacy: flag and update the async worker view. With
+        // `async_worker_loads` disabled the worker-local view must stay the
+        // superstep-start global snapshot — updating it would leak intra-
+        // superstep information into the min-penalty scan, making the
+        // ablation arm depend on how vertices are spread over workers.
+        // Skipping the update keeps the async=off arm fully synchronous and
+        // its results invariant to the logical worker count.
+        if scan.best != current {
+            let load = load_of(self.cfg.objective, ctx.value.degree);
+            ctx.value.candidate = scan.best;
+            ctx.agg.add_vec_i64(AGG_CANDIDATES, scan.best as usize, load as i64);
+            if self.cfg.async_worker_loads {
+                ctx.worker.apply_candidacy(current, scan.best, load);
+            }
+            return;
+        }
+        ctx.value.candidate = NO_LABEL;
+
+        // (v) Sleep. A settled bystander of an affected-only restart stays
+        // awake into the migration superstep, which halts it where it
+        // always has, so the ε/w normaliser counts it out at the same step.
+        if self.cfg.restart_scope == RestartScope::AffectedOnly && !ctx.value.affected {
+            return;
+        }
+        // Anyone else skips the migration superstep, which has nothing for
+        // a non-candidate (key 0 wakes it at the next scores superstep).
+        // With a strict margin m over every alternative it sleeps longer:
+        // no penalty moves by more than the drift D adds plus the
+        // asynchronous views' excursions (its own now, e_s, and the a-priori
+        // bound E_w of the superstep it would be visited in), and score
+        // differences move by at most twice that, so the label keeps
+        // winning while D_t + E_w ≤ D_s + m/2 − e_s.
+        let margin = scan.current_score - scan.alt_max;
+        let key = if margin > 0.0 && self.margin_sleep(ctx.worker) {
+            let e_s = if self.excursions() { ctx.worker.excursion() } else { 0.0 };
+            wake_ticks(ctx.global.drift + margin / 2.0 - e_s - WAKE_SLACK)
+        } else {
+            0
+        };
+        ctx.sleep(key);
+    }
+
+    /// Whether margin sleeping is sound: without the balance penalty scores
+    /// never move without a message; with it, every penalty must be finite.
+    fn margin_sleep(&self, w: &WorkerState) -> bool {
+        !self.cfg.balance_penalty || w.caps_positive()
+    }
+
+    /// Whether the worker-local view can stray from the global penalties
+    /// within a superstep, and does so in a way scores see.
+    fn excursions(&self) -> bool {
+        self.cfg.balance_penalty && self.cfg.async_worker_loads
+    }
+
+    /// The candidate scan of one scores visit: the best label for `value`
+    /// under the worker's view, the current label's score and weight, and
+    /// a bound on every other label's score. Reads `w` only (its min-label
+    /// cache and the zeroed dense scratch aside), so the debug sleeper
+    /// check can replay it.
+    fn scan(
+        &self,
+        vertex: u32,
+        value: &VertexState,
+        g: &GlobalState,
+        w: &mut WorkerState,
+    ) -> Scan {
+        let current = value.label;
+        let degw = value.degree;
         debug_assert!(current < g.k);
 
         // Resolve the least-loaded label before borrowing the load slice
@@ -135,10 +267,10 @@ impl SpinnerProgram {
             };
             locality - penalty
         };
-        let count_current = ctx.value.label_weight(current) as u64;
+        let count_current = value.label_weight(current) as u64;
         let current_score = score(count_current, current as usize);
 
-        // (iii) Best label among the touched ones plus the globally
+        // The best label among the touched ones plus the globally
         // least-loaded one, or all k labels in the paper-faithful
         // exhaustive mode. The two are not the same scan: they differ when
         // the winner is a non-adjacent label and several labels share the
@@ -155,7 +287,6 @@ impl SpinnerProgram {
         // scans agree despite enumerating candidates in different orders.
         // The seed is derived lazily — ties are rare, and hashing one per
         // vertex per superstep is measurable on the hot path.
-        let vertex = ctx.vertex;
         let mut tie_seed: Option<u64> = None;
         let priority = |l: Label, tie_seed: &mut Option<u64>| {
             let seed =
@@ -165,7 +296,7 @@ impl SpinnerProgram {
         // `None` = not yet hashed for the incumbent `best` (lazy, like the
         // seed); `Some` once a tie forced the comparison.
         let mut best_priority: Option<u64> = None;
-        let histogram = &ctx.value.label_weights;
+        let histogram = &value.label_weights;
         // Sound fast-path prune: score(l) = cnt/degw - π(l) is bounded above
         // by cnt * inv_up - π_min, where inv_up >= 1/degw even after
         // rounding (two ulps of slack) and π_min = π(min_label) is the
@@ -184,14 +315,22 @@ impl SpinnerProgram {
         } else {
             (0.0, 0.0)
         };
+        // An upper bound on every other label's score: the exact score of
+        // each one scored, the bound of each one pruned.
+        let mut alt_max = f64::NEG_INFINITY;
         let mut consider = |l: Label, neighbor_weight: u64| -> bool {
-            if prune && neighbor_weight as f64 * inv_up - min_penalty < best_score {
-                return false;
+            if prune {
+                let bound = neighbor_weight as f64 * inv_up - min_penalty;
+                if bound < best_score {
+                    alt_max = alt_max.max(bound);
+                    return false;
+                }
             }
             if l == current {
                 return true;
             }
             let s = score(neighbor_weight, l as usize);
+            alt_max = alt_max.max(s);
             // Break ties randomly but prefer the current label (§III-A):
             // `current` started as the incumbent best and an equal score
             // never displaces it; among other tied labels the hash priority
@@ -244,32 +383,22 @@ impl SpinnerProgram {
             if min_label != current && min_label_weight.is_none() {
                 consider(min_label, 0);
             }
+            // Every label off the histogram scores at most what the
+            // least-penalty one does, -π_min, or 0 without the penalty.
+            let listed = histogram.len() + usize::from(count_current == 0);
+            if listed < g.k as usize {
+                let off = if self.cfg.balance_penalty {
+                    -w.penalties()[min_label as usize]
+                } else {
+                    0.0
+                };
+                alt_max = alt_max.max(off);
+            }
         }
         if exhaustive {
             w.counts = exhaustive_counts;
         }
-
-        // (iv) Aggregate this vertex's contribution to score(G) and φ.
-        ctx.agg.add_i64(AGG_SCORE, score_fixed(current_score));
-        ctx.agg.add_i64(AGG_LOCAL_WEIGHT, count_current as i64);
-
-        // (v) Candidacy: flag and update the async worker view. With
-        // `async_worker_loads` disabled the worker-local view must stay the
-        // superstep-start global snapshot — updating it would leak intra-
-        // superstep information into the min-penalty scan, making the
-        // ablation arm depend on how vertices are spread over workers.
-        // Skipping the update keeps the async=off arm fully synchronous and
-        // its results invariant to the logical worker count.
-        if best != current {
-            let load = load_of(self.cfg.objective, degw);
-            ctx.value.candidate = best;
-            ctx.agg.add_vec_i64(AGG_CANDIDATES, best as usize, load as i64);
-            if self.cfg.async_worker_loads {
-                w.apply_candidacy(current, best, load);
-            }
-        } else {
-            ctx.value.candidate = NO_LABEL;
-        }
+        Scan { best, current_score, count_current, alt_max }
     }
 
     fn compute_migrations(&self, ctx: &mut VertexContext<'_, Self>) {
@@ -278,6 +407,7 @@ impl SpinnerProgram {
             // Under the affected-only restart strategy, settled bystanders
             // go to sleep until a neighbour's migration wakes them.
             if self.cfg.restart_scope == RestartScope::AffectedOnly && !ctx.value.affected {
+                uncount_locality(ctx);
                 ctx.vote_to_halt();
             }
             return;
@@ -294,6 +424,10 @@ impl SpinnerProgram {
         ctx.value.affected = true; // A mover keeps optimising.
         ctx.agg.add_vec_i64(AGG_LOADS, old as usize, -load);
         ctx.agg.add_vec_i64(AGG_LOADS, candidate as usize, load);
+        if ctx.value.counted != NOT_COUNTED {
+            ctx.agg.add_vec_i64(AGG_COUNTS, old as usize, -1);
+            ctx.agg.add_vec_i64(AGG_COUNTS, candidate as usize, 1);
+        }
         ctx.agg.add_i64(AGG_MIGRATIONS, 1);
         // Announce the change to all neighbours through the deduplicating
         // broadcast lane: one record per destination worker instead of one
@@ -306,8 +440,21 @@ impl SpinnerProgram {
         let k = ctx.global.k as usize;
         let loads = ctx.read(AGG_LOADS).as_vec_i64().to_vec();
         let m = ctx.read(AGG_CANDIDATES).as_vec_i64().to_vec();
-        let score = ctx.read(AGG_SCORE).as_i64() as f64 / SCORE_SCALE;
         let local_weight = ctx.read(AGG_LOCAL_WEIGHT).as_i64();
+        // score(G) = Σ_v locality(v) − Σ_l n_l · π(l), the penalty half
+        // from the global loads.
+        let mut score = ctx.read(AGG_SCORE).as_i64();
+        if self.cfg.balance_penalty {
+            let counts = ctx.read(AGG_COUNTS).as_vec_i64();
+            for l in 0..k {
+                let cap = ctx.global.capacities[l];
+                if counts[l] != 0 && cap > 0.0 {
+                    let penalty = loads[l] as f64 / cap;
+                    score = score.saturating_sub(score_fixed(counts[l] as f64 * penalty));
+                }
+            }
+        }
+        let score = score as f64 / SCORE_SCALE;
 
         // Migration probabilities p(l) = r(l)/m(l), clamped to [0, 1]
         // (Eq. 14). r(l) ≤ 0 means the partition is at/over capacity: no
@@ -401,6 +548,39 @@ pub(crate) fn load_of(objective: BalanceObjective, degw: u64) -> u64 {
     match objective {
         BalanceObjective::Edges => degw,
         BalanceObjective::Vertices => 1,
+    }
+}
+
+/// Counts the vertex into the persistent locality aggregates with its
+/// current label weight `weight`: the change against what they last
+/// counted for it, or the whole vertex (and its label in [`AGG_COUNTS`])
+/// when they did not count it.
+fn count_locality(ctx: &mut VertexContext<'_, SpinnerProgram>, weight: u64) {
+    let value = &mut *ctx.value;
+    let weight = weight as u32;
+    let (old_weight, old_fixed) = match value.counted {
+        NOT_COUNTED => {
+            ctx.agg.add_vec_i64(AGG_COUNTS, value.label as usize, 1);
+            (0, 0)
+        }
+        c if c == weight => return,
+        c => (c, locality_fixed(c, value.degree)),
+    };
+    ctx.agg.add_i64(AGG_LOCAL_WEIGHT, i64::from(weight) - i64::from(old_weight));
+    ctx.agg.add_i64(AGG_SCORE, locality_fixed(weight, value.degree) - old_fixed);
+    value.counted = weight;
+}
+
+/// Takes a halting vertex out of the persistent locality aggregates: a
+/// halted vertex is left out, as it was when these sums covered only the
+/// vertices computed in a scores superstep.
+fn uncount_locality(ctx: &mut VertexContext<'_, SpinnerProgram>) {
+    let value = &mut *ctx.value;
+    if value.counted != NOT_COUNTED {
+        ctx.agg.add_i64(AGG_LOCAL_WEIGHT, -i64::from(value.counted));
+        ctx.agg.add_i64(AGG_SCORE, -locality_fixed(value.counted, value.degree));
+        ctx.agg.add_vec_i64(AGG_COUNTS, value.label as usize, -1);
+        value.counted = NOT_COUNTED;
     }
 }
 
@@ -548,9 +728,10 @@ impl Program for SpinnerProgram {
         vec![
             AggregatorSpec::persistent("loads", AggOp::VecSumI64, k),
             AggregatorSpec::regular("candidates", AggOp::VecSumI64, k),
-            AggregatorSpec::regular("score", AggOp::SumI64, 0),
-            AggregatorSpec::regular("local-weight", AggOp::SumI64, 0),
+            AggregatorSpec::persistent("score", AggOp::SumI64, 0),
+            AggregatorSpec::persistent("local-weight", AggOp::SumI64, 0),
             AggregatorSpec::regular("migrations", AggOp::SumI64, 0),
+            AggregatorSpec::persistent("counts", AggOp::VecSumI64, k),
         ]
     }
 
@@ -570,6 +751,51 @@ impl Program for SpinnerProgram {
             Phase::ComputeScores => self.compute_scores(ctx, messages),
             Phase::ComputeMigrations => self.compute_migrations(ctx),
         }
+    }
+
+    /// D_t + E_w: the run's drift plus this worker's a-priori excursion
+    /// bound, which grows with the load awake on the worker.
+    fn wake_clock(
+        &self,
+        global: &GlobalState,
+        w: &mut WorkerState,
+        joined: &mut dyn Iterator<Item = &VertexState>,
+    ) -> Option<u64> {
+        if global.phase != Phase::ComputeScores {
+            return None;
+        }
+        #[cfg(test)]
+        if WAKE_EVERY_SLEEPER.with(std::cell::Cell::get) {
+            return Some(u64::MAX - 1);
+        }
+        if !self.excursions() {
+            return Some(wake_ticks(global.drift));
+        }
+        let objective = self.cfg.objective;
+        w.awake_load += joined.map(|v| load_of(objective, v.degree)).sum::<u64>();
+        Some(wake_ticks(global.drift + w.excursion_bound()))
+    }
+
+    /// A scores-superstep sleeper must not have been a candidate, and the
+    /// aggregates must count its current label weight.
+    fn check_sleeper(
+        &self,
+        global: &GlobalState,
+        w: &mut WorkerState,
+        vertex: VertexId,
+        value: &VertexState,
+    ) {
+        if global.phase != Phase::ComputeScores {
+            return;
+        }
+        let weight = value.label_weight(value.label);
+        assert_eq!(value.counted, weight, "vertex {vertex} sleeps on a stale locality");
+        let scan = self.scan(vertex, value, global, w);
+        assert_eq!(
+            scan.best, value.label,
+            "vertex {vertex} slept through a candidacy (scores {} vs at most {})",
+            scan.current_score, scan.alt_max
+        );
     }
 
     // Eq. 3 weights are 1 or 2.
@@ -593,7 +819,16 @@ impl Program for SpinnerProgram {
             Phase::ComputeScores => self.master_scores(ctx),
             Phase::ComputeMigrations => {
                 let migrations = ctx.read(AGG_MIGRATIONS).as_i64() as u64;
-                ctx.global.loads = ctx.read(AGG_LOADS).as_vec_i64().to_vec();
+                let loads = ctx.read(AGG_LOADS).as_vec_i64().to_vec();
+                let g = &mut *ctx.global;
+                if self.cfg.balance_penalty {
+                    let moved = (0..loads.len()).map(|l| {
+                        let cap = g.capacities[l];
+                        (loads[l] as f64 / cap - g.loads[l] as f64 / cap).abs()
+                    });
+                    g.drift += moved.fold(0.0, f64::max);
+                }
+                ctx.global.loads = loads;
                 self.push_history(ctx.global, migrations);
                 ctx.global.iteration += 1;
                 ctx.global.phase = Phase::ComputeScores;

@@ -44,7 +44,16 @@ pub struct VertexState {
     /// win. Candidate selection itself is order-independent (hash-priority
     /// tie-breaking), so the order never changes a result.
     pub label_weights: Vec<(Label, u32)>,
+    /// The weight of the vertex's own label in its histogram as the
+    /// persistent locality aggregates last counted it, or [`NOT_COUNTED`]
+    /// while they do not count the vertex (before its first scores visit
+    /// of a run, and after it halted). A sleeping vertex keeps its count,
+    /// so the aggregates stay exact without visiting it.
+    pub(crate) counted: u32,
 }
+
+/// [`VertexState::counted`] of a vertex the locality aggregates leave out.
+pub(crate) const NOT_COUNTED: u32 = u32::MAX;
 
 /// Sorts a label histogram into [`VertexState::label_weights`]' order.
 pub(crate) fn sort_by_weight(hist: &mut [(Label, u32)]) {
@@ -115,7 +124,14 @@ impl VertexState {
     /// histogram fill in during the Initialize/ComputeScores supersteps of a
     /// cold run).
     pub fn new(label: Label, affected: bool) -> Self {
-        Self { label, degree: 0, candidate: NO_LABEL, affected, label_weights: Vec::new() }
+        Self {
+            label,
+            degree: 0,
+            candidate: NO_LABEL,
+            affected,
+            label_weights: Vec::new(),
+            counted: NOT_COUNTED,
+        }
     }
 
     /// Summed adjacent edge weight cached for `label` (0 when absent).
@@ -342,6 +358,11 @@ pub struct GlobalState {
     pub no_improvement: u32,
     /// Set when the ε/w steady-state condition triggered the halt.
     pub halted_steady: bool,
+    /// The run's penalty drift D: Σ over iterations of max_l |Δπ(l)|, the
+    /// most any label's global penalty π(l) = b(l)/C_l can have moved since
+    /// the run began. Zero without the balance penalty. A sleeping vertex's
+    /// wake key is measured on it (see [`crate::program::SpinnerProgram`]).
+    pub drift: f64,
 }
 
 impl GlobalState {
@@ -360,6 +381,7 @@ impl GlobalState {
             best_score: f64::NEG_INFINITY,
             no_improvement: 0,
             halted_steady: false,
+            drift: 0.0,
         }
     }
 }
@@ -385,6 +407,16 @@ pub struct WorkerState {
     /// Cached index of the minimum-penalty label.
     min_label: Label,
     min_dirty: bool,
+    /// The global penalties the superstep started from.
+    global_penalties: Vec<f64>,
+    /// The largest |π_local(l) − π_global(l)| the candidacies so far this
+    /// superstep produced: how far the asynchronous view has strayed.
+    excursion: f64,
+    /// Summed load of the vertices awake on this worker this superstep
+    /// (fed by [`spinner_pregel::Program::wake_clock`]).
+    pub(crate) awake_load: u64,
+    /// min_l C_l.
+    min_capacity: f64,
 }
 
 impl WorkerState {
@@ -398,6 +430,10 @@ impl WorkerState {
             caps_positive: capacities.iter().all(|&c| c > 0.0),
             min_label: 0,
             min_dirty: true,
+            global_penalties: vec![0.0; loads.len()],
+            excursion: 0.0,
+            awake_load: 0,
+            min_capacity: capacities.iter().copied().fold(f64::INFINITY, f64::min),
         };
         state.refresh_penalties();
         state
@@ -414,10 +450,30 @@ impl WorkerState {
         self.capacities.copy_from_slice(capacities);
         self.counts.fill(0);
         self.caps_positive = capacities.iter().all(|&c| c > 0.0);
+        self.min_capacity = capacities.iter().copied().fold(f64::INFINITY, f64::min);
         self.refresh_penalties();
         self.min_label = 0;
         self.min_dirty = true;
+        self.excursion = 0.0;
+        self.awake_load = 0;
         true
+    }
+
+    /// How far the asynchronous view has strayed from the global
+    /// penalties so far this superstep: the largest |π_local(l) −
+    /// π_global(l)| over the labels candidacies touched.
+    #[inline]
+    pub fn excursion(&self) -> f64 {
+        self.excursion
+    }
+
+    /// A bound on every excursion this superstep can reach on this worker,
+    /// known before the walk: no label's local load can move by more than
+    /// the awake vertices' summed load, and no penalty by more than that
+    /// over min_l C_l.
+    #[inline]
+    pub fn excursion_bound(&self) -> f64 {
+        self.awake_load as f64 / self.min_capacity
     }
 
     /// True when every capacity is strictly positive.
@@ -430,6 +486,7 @@ impl WorkerState {
         for l in 0..self.local_loads.len() {
             self.penalties[l] = Self::penalty_of(self.local_loads[l], self.capacities[l]);
         }
+        self.global_penalties.clone_from(&self.penalties);
     }
 
     /// The cached penalties π(l) = b(l)/C_l (entries with `C_l <= 0` hold
@@ -460,6 +517,10 @@ impl WorkerState {
             Self::penalty_of(self.local_loads[new as usize], self.capacities[new as usize]);
         self.penalties[old as usize] =
             Self::penalty_of(self.local_loads[old as usize], self.capacities[old as usize]);
+        for l in [new as usize, old as usize] {
+            let moved = (self.penalties[l] - self.global_penalties[l]).abs();
+            self.excursion = self.excursion.max(moved);
+        }
         if new == self.min_label {
             self.min_dirty = true;
         } else if !self.min_dirty

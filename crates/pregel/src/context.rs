@@ -322,7 +322,13 @@ pub struct VertexContext<'a, P: Program> {
     /// Aggregator access.
     pub agg: AggCtx<'a>,
     pub(crate) halted: &'a mut bool,
+    /// The wake key [`Self::sleep`] set, [`AWAKE`] while the vertex stays
+    /// awake.
+    pub(crate) sleep_key: &'a mut u64,
 }
+
+/// The sleep key of an awake vertex.
+pub(crate) const AWAKE: u64 = u64::MAX;
 
 impl<'a, P: Program> VertexContext<'a, P> {
     /// Vote to halt: the vertex is skipped in subsequent supersteps until a
@@ -330,6 +336,24 @@ impl<'a, P: Program> VertexContext<'a, P> {
     #[inline]
     pub fn vote_to_halt(&mut self) {
         *self.halted = true;
+    }
+
+    /// Sleep: the vertex is skipped in subsequent supersteps until a
+    /// message arrives or its worker's wake clock
+    /// ([`Program::wake_clock`]) reaches `key`, whichever comes first; it
+    /// then computes as if it had been awake all along. Unlike a halted
+    /// vertex a sleeper stays active: [`MasterContext::active`], the
+    /// engine's all-halted termination test and every superstep and
+    /// message count see it as awake, and only `computed` drops. A key no
+    /// later clock can be below (0 for a clock that starts at 0) wakes the
+    /// vertex at the next superstep that has a clock. [`Self::vote_to_halt`]
+    /// in the same superstep wins over a sleep.
+    ///
+    /// [`Program::wake_clock`]: crate::program::Program::wake_clock
+    /// [`MasterContext::active`]: crate::program::MasterContext::active
+    #[inline]
+    pub fn sleep(&mut self, key: u64) {
+        *self.sleep_key = key.min(AWAKE - 1);
     }
 
     /// A deterministic random stream for this `(seed, vertex, superstep)`.

@@ -4,15 +4,17 @@
 //!
 //! Each superstep runs three phases over the logical workers:
 //!
-//! 1. **Compute** — every active vertex runs [`Program::compute`] against
-//!    its slice of the worker's flat inbox; sends accumulate in per-
-//!    destination outboxes. At the end of the phase each worker *publishes*
+//! 1. **Compute** — the sleepers whose key the worker's wake clock
+//!    ([`Program::wake_clock`]) reaches wake; then every active vertex not
+//!    asleep runs [`Program::compute`] against its slice of the worker's
+//!    flat inbox; sends accumulate in per-destination outboxes. At the end of the phase each worker *publishes*
 //!    its outboxes: by buffer swap into the shared `OutboxGrid`, or as
 //!    encoded frames through the configured [`EngineConfig::transport`].
 //! 2. **Delivery** — each worker drains its own *column* of the fabric
 //!    (disjoint cells or lanes, so the phase is embarrassingly parallel and
 //!    the engine thread is not a transposition bottleneck), rebuilds its
-//!    flat inbox, and wakes messaged vertices. The topology a run loaded
+//!    flat inbox, and wakes messaged vertices, halted or asleep
+//!    ([`crate::VertexContext::sleep`]). The topology a run loaded
 //!    stays fixed until the next (re)load.
 //! 3. **Epilogue** (engine thread) — aggregator merge in worker order,
 //!    metrics capture, master compute, halt decision.
@@ -892,6 +894,11 @@ impl<P: Program> Engine<P> {
             if cell.is_poisoned() {
                 *cell = Mutex::default();
             }
+        }
+        // No sleep outlives a run: a vertex asleep when the last run halted
+        // starts this one awake.
+        for w in &mut self.workers {
+            w.wake_all();
         }
         let num_workers = self.workers.len();
         let threads = self.config.num_threads.clamp(1, num_workers.max(1));

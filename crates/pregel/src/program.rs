@@ -4,6 +4,7 @@ use crate::aggregate::{AggValue, AggregatorSpec};
 use crate::context::VertexContext;
 use crate::types::{Value, WorkerId};
 use crate::wire::WirePayload;
+use spinner_graph::VertexId;
 
 /// A Pregel program: associated data types plus the per-vertex compute
 /// function and the per-superstep master compute.
@@ -57,7 +58,48 @@ pub trait Program: Send + Sync + Sized + 'static {
 
     /// The per-vertex compute function, invoked for every active vertex each
     /// superstep with the messages sent to it in the previous superstep.
+    /// A vertex asleep through a superstep ([`VertexContext::sleep`]) is
+    /// not invoked.
     fn compute(&self, ctx: &mut VertexContext<'_, Self>, messages: &[Self::M]);
+
+    /// One worker's wake clock for the coming compute phase, or `None` when
+    /// no sleeper wakes by time this superstep (the default: sleepers then
+    /// wake only by message). Every sleeper on the worker whose key
+    /// ([`VertexContext::sleep`]) is at most the clock wakes before the
+    /// walk and is computed with the awake vertices, in vertex order.
+    ///
+    /// The engine calls this only while some vertex of the worker sleeps,
+    /// after [`Program::reset_worker`] and after delivery has woken every
+    /// messaged sleeper. `joined` yields the values of the vertices that
+    /// joined the awake set since the last call: every awake vertex on the
+    /// first call, then the vertices the returned clock woke. The engine
+    /// calls again while a clock wakes anyone, so a clock that grows with
+    /// the awake set reaches its fixpoint before the walk; within one
+    /// superstep it never goes back. Across supersteps the clock may fall:
+    /// a key is compared with each superstep's clock afresh.
+    fn wake_clock(
+        &self,
+        _global: &Self::G,
+        _worker: &mut Self::WorkerState,
+        _joined: &mut dyn Iterator<Item = &Self::V>,
+    ) -> Option<u64> {
+        None
+    }
+
+    /// Debug builds call this for every vertex asleep through a compute
+    /// phase, at the position in the walk where the vertex would have been
+    /// computed, with the worker state as the vertices before it left it.
+    /// A program that sleeps on a bound can assert here that the vertex
+    /// would have done nothing; it must not change `worker` in any way a
+    /// later vertex could observe. The default checks nothing.
+    fn check_sleeper(
+        &self,
+        _global: &Self::G,
+        _worker: &mut Self::WorkerState,
+        _vertex: VertexId,
+        _value: &Self::V,
+    ) {
+    }
 
     /// Master compute, invoked once after every superstep. Reads this
     /// superstep's aggregates, may mutate the global state for the next
@@ -111,7 +153,8 @@ pub struct MasterContext<'a, G> {
     /// overwritten to "set" an aggregator for the next superstep (Giraph's
     /// `setAggregatedValue`).
     pub aggregates: &'a mut [AggValue],
-    /// Vertices still active after this superstep.
+    /// Vertices still active after this superstep: every vertex that has
+    /// not voted to halt, asleep ones included.
     pub active: u64,
     /// Messages sent during this superstep.
     pub messages_sent: u64,

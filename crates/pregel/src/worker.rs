@@ -22,13 +22,21 @@
 //! visit exactly the same vertices in the same order, so results are
 //! bit-identical by construction.
 //!
+//! A vertex may also *sleep* ([`VertexContext::sleep`]): it leaves the
+//! active list, neither computed nor halted, until a message arrives —
+//! delivery wakes it as it wakes a halted vertex — or the worker's wake
+//! clock ([`Program::wake_clock`]) reaches its key. The `SleepQueue`
+//! files sleepers in buckets by key, so filing one and waking it cost O(1)
+//! each; the timed wake-ups run at the start of the compute phase, before
+//! the walk, in both drivers.
+//!
 //! One publish/deliver pair serves both fabrics (grid and transport):
 //! broadcast records are flagged by the marks every batch carries beside its
 //! records, so the grid cells, the local fast-path queue and the wire
 //! frames all share one record layout and one delivery routine.
 
 use crate::aggregate::{AggValue, AggregatorSpec};
-use crate::context::{AggCtx, Edges, Mailer, VertexContext};
+use crate::context::{AggCtx, Edges, Mailer, VertexContext, AWAKE};
 use crate::metrics::WorkerMetrics;
 use crate::program::Program;
 use crate::transport::{Transport, TransportError};
@@ -142,10 +150,13 @@ pub struct Worker<P: Program> {
     /// Compute-phase scratch: vertices that computed and did not halt, in
     /// ascending order (the compute loop itself is ascending).
     survivors: Vec<u32>,
-    /// Delivery-phase scratch: halted vertices woken by a message this
-    /// epoch (sorted before the merge; disjoint from `survivors` because
-    /// survivors are never halted).
+    /// Delivery-phase scratch: halted or sleeping vertices woken by a
+    /// message this epoch (sorted before the merge; disjoint from
+    /// `survivors` because survivors neither halted nor fell asleep). The
+    /// compute phase reuses it for the vertices the wake clock wakes.
     woken: Vec<u32>,
+    /// The vertices asleep on this worker, by wake key.
+    sleep: SleepQueue,
     /// Delivery-phase scratch: local indices that received at least one
     /// message this epoch, in first-arrival order — the prefix sum that
     /// lays out the inbox walks this instead of every local vertex.
@@ -247,6 +258,7 @@ impl<P: Program> Worker<P> {
             active: Vec::new(),
             survivors: Vec::new(),
             woken: Vec::new(),
+            sleep: SleepQueue::default(),
             recipients: Vec::new(),
             local: Batch::default(),
             fan_offsets: Vec::new(),
@@ -321,6 +333,7 @@ impl<P: Program> Worker<P> {
         self.woken.reserve(n_local);
         self.recipients.clear();
         self.recipients.reserve(n_local);
+        self.sleep.reset(n_local);
         self.metrics.reset();
         debug_assert!(self.local.is_empty() && self.outboxes.iter().all(Batch::is_empty));
     }
@@ -368,12 +381,15 @@ impl<P: Program> Worker<P> {
         self.num_halted
     }
 
-    /// Executes the compute phase of one superstep. The default driver
-    /// walks the maintained active list (exactly the non-halted vertices,
-    /// ascending); `dense_scan` walks `0..n_local` with a halted/empty-inbox
-    /// skip instead — the same visit set in the same order, so the two
-    /// drivers are bit-identical and the dense arm serves as a cheap
-    /// verification oracle. `lane_open` is the engine's
+    /// Executes the compute phase of one superstep. First the sleepers the
+    /// wake clock reaches join the active list ([`Self::wake_on_clock`]).
+    /// The default driver then walks the maintained active list (exactly
+    /// the vertices neither halted nor asleep, ascending); `dense_scan`
+    /// walks `0..n_local` with a halted/empty-inbox and asleep skip
+    /// instead — the same visit set in the same order, so the two drivers
+    /// are bit-identical and the dense arm serves as a cheap verification
+    /// oracle. Debug builds hand every sleeper to [`Program::check_sleeper`]
+    /// at its place in the walk. `lane_open` is the engine's
     /// `broadcast_fabric` setting.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compute_phase(
@@ -419,7 +435,14 @@ impl<P: Program> Worker<P> {
         let n_local = self.global_ids.len();
         debug_assert_eq!(self.inbox_epoch.len(), n_local);
         debug_assert!(self.survivors.is_empty());
+        if self.sleep.asleep > 0 {
+            self.wake_on_clock(program, global, &mut worker_state);
+        }
         let survivors_cap = self.survivors.capacity();
+        // Sleepers not yet handed to `check_sleeper` start here (the
+        // active-list driver checks the gaps between its vertices).
+        let check = cfg!(debug_assertions) && self.sleep.asleep > 0;
+        let mut unchecked = 0usize;
         let count = if dense_scan { n_local } else { self.active.len() };
         for idx in 0..count {
             let i = if dense_scan { idx } else { self.active[idx] as usize };
@@ -428,6 +451,18 @@ impl<P: Program> Worker<P> {
             } else {
                 (0, 0)
             };
+            if check {
+                self.check_sleepers(program, global, &mut worker_state, unchecked..i + 1);
+            }
+            unchecked = i + 1;
+            debug_assert!(
+                dense_scan || !self.sleep.is_asleep(i),
+                "a sleeper on the active list"
+            );
+            if dense_scan && self.sleep.is_asleep(i) {
+                debug_assert_eq!(m_len, 0, "a message wakes a sleeper");
+                continue;
+            }
             if self.halted[i] {
                 debug_assert!(dense_scan, "active list never holds a halted vertex");
                 if m_len == 0 {
@@ -456,6 +491,7 @@ impl<P: Program> Worker<P> {
             } else {
                 (&[][..], &[][..], 0, 0)
             };
+            let mut sleep_key = AWAKE;
             // Split borrows: every field of the context aliases a distinct
             // part of `self`; the inbox slice is read-only and disjoint from
             // all of them.
@@ -491,14 +527,20 @@ impl<P: Program> Worker<P> {
                 },
                 agg: AggCtx { partial: &mut self.partial_aggs, snapshot },
                 halted: &mut self.halted[i],
+                sleep_key: &mut sleep_key,
             };
             program.compute(&mut ctx, &self.msgs[m_lo..m_lo + m_len]);
             if self.halted[i] {
                 self.num_halted += 1;
+            } else if sleep_key != AWAKE {
+                self.sleep.push(i as u32, sleep_key);
             } else {
                 // Ascending in both drivers, so `survivors` stays sorted.
                 self.survivors.push(i as u32);
             }
+        }
+        if check {
+            self.check_sleepers(program, global, &mut worker_state, unchecked..n_local);
         }
         self.cached_worker_state = Some(worker_state);
         self.metrics.fabric_reallocs +=
@@ -507,6 +549,65 @@ impl<P: Program> Worker<P> {
                 + u64::from(self.outbox_marks_capacity() != marks_cap)
                 + u64::from(self.survivors.capacity() != survivors_cap);
         self.metrics.compute_ns = start.elapsed().as_nanos() as u64;
+    }
+
+    /// Wakes the sleepers the program's wake clock reaches and merges them
+    /// into the active list. Each wake-up joins the awake set, which may
+    /// advance the clock, so the clock is asked again until it wakes no
+    /// one more (a fixpoint); it never goes back within the superstep.
+    fn wake_on_clock(&mut self, program: &P, global: &P::G, worker_state: &mut P::WorkerState) {
+        let Self { active, values, sleep, woken, survivors, .. } = self;
+        let mut joined = active.iter().map(|&i| &values[i as usize]);
+        let Some(mut clock) = program.wake_clock(global, worker_state, &mut joined) else {
+            return;
+        };
+        woken.clear();
+        let mut asked = 0;
+        loop {
+            sleep.expire(clock, woken);
+            if woken.len() == asked {
+                break;
+            }
+            let mut joined = woken[asked..].iter().map(|&i| &values[i as usize]);
+            asked = woken.len();
+            match program.wake_clock(global, worker_state, &mut joined) {
+                Some(next) => clock = clock.max(next),
+                None => break,
+            }
+        }
+        if woken.is_empty() {
+            return;
+        }
+        woken.sort_unstable();
+        merge_sorted(active, woken, survivors);
+        std::mem::swap(active, survivors);
+        survivors.clear();
+    }
+
+    /// Hands every sleeper among the local indices `range` to
+    /// [`Program::check_sleeper`], in order.
+    fn check_sleepers(
+        &self,
+        program: &P,
+        global: &P::G,
+        worker_state: &mut P::WorkerState,
+        range: std::ops::Range<usize>,
+    ) {
+        for j in range.filter(|&j| self.sleep.is_asleep(j)) {
+            program.check_sleeper(global, worker_state, self.global_ids[j], &self.values[j]);
+        }
+    }
+
+    /// Wakes every sleeper, so that none outlives a run.
+    pub(crate) fn wake_all(&mut self) {
+        if self.sleep.asleep == 0 {
+            return;
+        }
+        self.woken.clear();
+        self.sleep.expire_all(&mut self.woken);
+        merge_sorted(&self.active, &self.woken, &mut self.survivors);
+        std::mem::swap(&mut self.active, &mut self.survivors);
+        self.survivors.clear();
     }
 
     /// Summed capacity of the outboxes' broadcast marks (capacities only
@@ -590,7 +691,7 @@ impl<P: Program> Worker<P> {
     ///    counts each recipient's messages and records first arrivals in
     ///    `recipients`.
     /// 2. A prefix sum in `recipients` order gives each recipient its
-    ///    `inbox_start` (and wakes halted ones).
+    ///    `inbox_start` (and wakes halted and sleeping ones).
     /// 3. The scatter pass drains the sources in the same order and moves
     ///    each message to its recipient's cursor, after the program's
     ///    combiner had a chance to fold it into the recipient's previous
@@ -638,6 +739,7 @@ impl<P: Program> Worker<P> {
             woken,
             halted,
             num_halted,
+            sleep,
             inbox_start,
             inbox_len,
             inbox_epoch,
@@ -736,6 +838,8 @@ impl<P: Program> Worker<P> {
                 halted[v] = false;
                 *num_halted -= 1;
                 woken.push(v as u32);
+            } else if sleep.wake(v) {
+                woken.push(v as u32);
             }
         }
         recipients.clear();
@@ -813,19 +917,7 @@ impl<P: Program> Worker<P> {
         // the source order, not vertex order). The two are disjoint — a
         // survivor is by definition not halted, so it cannot be woken.
         self.woken.sort_unstable();
-        self.active.clear();
-        let (mut a, mut b) = (0, 0);
-        while a < self.survivors.len() && b < self.woken.len() {
-            if self.survivors[a] < self.woken[b] {
-                self.active.push(self.survivors[a]);
-                a += 1;
-            } else {
-                self.active.push(self.woken[b]);
-                b += 1;
-            }
-        }
-        self.active.extend_from_slice(&self.survivors[a..]);
-        self.active.extend_from_slice(&self.woken[b..]);
+        merge_sorted(&self.survivors, &self.woken, &mut self.active);
         self.survivors.clear();
 
         let now = self.delivery_caps();
@@ -844,6 +936,164 @@ impl<P: Program> Worker<P> {
             self.woken.capacity(),
             self.active.capacity(),
         ]
+    }
+}
+
+/// Replaces `out` with the merge of the ascending, disjoint `a` and `b`.
+fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Wake keys at or above this share the last bucket of a [`SleepQueue`].
+const SLEEP_BUCKETS: usize = 2048;
+
+/// One worker's sleepers, filed by wake key ([`VertexContext::sleep`]).
+///
+/// Bucket `b` below the last holds the sleepers keyed `b`; the last holds
+/// every larger key, and only its entries are compared key by key. A
+/// program scales its keys so that they mostly fall below
+/// `SLEEP_BUCKETS`. Filing a sleeper is one push; a message wakes it by
+/// resetting its key alone and leaves its entry behind, stale. Expiring a
+/// clock drains the buckets from the lowest that may hold an entry up to
+/// the clock's, waking each entry whose vertex's current key is due and
+/// dropping the stale ones, so every entry is touched O(1) times. Keys
+/// are compared against each clock afresh, so a clock lower than the last
+/// one expires nothing it should not. When stale entries outnumber twice
+/// the hosted vertices, the buckets are rebuilt from the keys.
+#[derive(Debug, Default)]
+struct SleepQueue {
+    /// Per hosted vertex: its wake key, or [`AWAKE`].
+    keys: Vec<u64>,
+    /// Allocated at the first sleep, so a program that never sleeps pays
+    /// nothing.
+    buckets: Vec<Vec<u32>>,
+    /// No bucket below this holds an entry.
+    lo: usize,
+    /// Entries in all buckets, stale ones included.
+    entries: usize,
+    /// Vertices asleep.
+    asleep: u64,
+}
+
+impl SleepQueue {
+    /// Every one of `n_local` vertices awake, keeping the allocations.
+    fn reset(&mut self, n_local: usize) {
+        self.keys.clear();
+        self.keys.resize(n_local, AWAKE);
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.lo = SLEEP_BUCKETS;
+        self.entries = 0;
+        self.asleep = 0;
+    }
+
+    #[inline]
+    fn is_asleep(&self, i: usize) -> bool {
+        self.keys[i] != AWAKE
+    }
+
+    #[inline]
+    fn bucket_of(key: u64) -> usize {
+        key.min(SLEEP_BUCKETS as u64 - 1) as usize
+    }
+
+    /// Puts awake vertex `i` to sleep until `key`.
+    fn push(&mut self, i: u32, key: u64) {
+        debug_assert!(!self.is_asleep(i as usize) && key != AWAKE);
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(SLEEP_BUCKETS, Vec::new);
+        }
+        let b = Self::bucket_of(key);
+        self.keys[i as usize] = key;
+        self.asleep += 1;
+        self.buckets[b].push(i);
+        self.entries += 1;
+        self.lo = self.lo.min(b);
+        if self.entries > 2 * self.keys.len() + SLEEP_BUCKETS {
+            self.rebuild();
+        }
+    }
+
+    /// Wakes vertex `i` if it sleeps (a message arrived); its entry goes
+    /// stale.
+    #[inline]
+    fn wake(&mut self, i: usize) -> bool {
+        if self.keys[i] == AWAKE {
+            return false;
+        }
+        self.keys[i] = AWAKE;
+        self.asleep -= 1;
+        true
+    }
+
+    /// Wakes every sleeper keyed at most `clock`, appending it to `woken`.
+    fn expire(&mut self, clock: u64, woken: &mut Vec<u32>) {
+        let last = SLEEP_BUCKETS - 1;
+        let hi = Self::bucket_of(clock);
+        if self.asleep == 0 || self.lo > hi {
+            return;
+        }
+        let lo = self.lo;
+        let Self { keys, buckets, entries, asleep, .. } = self;
+        for (b, bucket) in buckets.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            *entries -= bucket.len();
+            bucket.retain(|&i| {
+                let key = keys[i as usize];
+                if key == AWAKE {
+                    return false;
+                }
+                if key <= clock {
+                    keys[i as usize] = AWAKE;
+                    *asleep -= 1;
+                    woken.push(i);
+                    return false;
+                }
+                // A later key below the last bucket is filed in its own
+                // bucket, above this one: this entry is stale.
+                b == last
+            });
+            *entries += bucket.len();
+        }
+        self.lo = if hi == last && !self.buckets[last].is_empty() { last } else { hi + 1 };
+    }
+
+    /// Wakes every sleeper, appending them to `woken` in ascending order.
+    fn expire_all(&mut self, woken: &mut Vec<u32>) {
+        for (i, key) in self.keys.iter_mut().enumerate() {
+            if *key != AWAKE {
+                *key = AWAKE;
+                woken.push(i as u32);
+            }
+        }
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.lo = SLEEP_BUCKETS;
+        self.entries = 0;
+        self.asleep = 0;
+    }
+
+    /// Refiles every sleeper from the keys, dropping the stale entries.
+    fn rebuild(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.lo = SLEEP_BUCKETS;
+        for (i, &key) in self.keys.iter().enumerate() {
+            if key != AWAKE {
+                let b = Self::bucket_of(key);
+                self.buckets[b].push(i as u32);
+                self.lo = self.lo.min(b);
+            }
+        }
+        self.entries = self.asleep as usize;
     }
 }
 

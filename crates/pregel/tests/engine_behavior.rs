@@ -188,3 +188,113 @@ fn halted_vertices_wake_on_messages_and_engine_stops_when_quiet() {
     // Per-superstep active counts shrink to zero.
     assert_eq!(summary.metrics.last().unwrap().active_after, 0);
 }
+
+/// Every vertex sleeps until the clock reaches its id; vertex 0 messages
+/// vertex 7 in superstep 1. The clock of superstep t is t plus half the
+/// vertices it has woken so far, so each batch of wake-ups can advance it.
+struct Sleepy;
+
+impl Program for Sleepy {
+    /// The supersteps the vertex computed in.
+    type V = Vec<u64>;
+    type E = ();
+    type M = ();
+    /// The coming superstep, and every superstep's `MasterContext::active`.
+    type G = (u64, Vec<u64>);
+    /// Calls of `wake_clock` and vertices woken by the clock.
+    type WorkerState = (u32, u64);
+
+    fn init_global(&self) -> Self::G {
+        (0, Vec::new())
+    }
+    fn init_worker(&self, _g: &Self::G, _w: u16) -> (u32, u64) {
+        (0, 0)
+    }
+
+    fn compute(&self, ctx: &mut VertexContext<'_, Self>, _messages: &[()]) {
+        ctx.value.push(ctx.superstep);
+        if ctx.vertex == 0 && ctx.superstep == 1 {
+            ctx.mail.send(7, ());
+        }
+        ctx.sleep(u64::from(ctx.vertex));
+    }
+
+    fn wake_clock(
+        &self,
+        global: &Self::G,
+        worker: &mut (u32, u64),
+        joined: &mut dyn Iterator<Item = &Vec<u64>>,
+    ) -> Option<u64> {
+        let joined = joined.count() as u64;
+        if worker.0 > 0 {
+            worker.1 += joined;
+        }
+        worker.0 += 1;
+        Some(global.0 + worker.1 / 2)
+    }
+
+    fn master(&self, ctx: &mut MasterContext<'_, Self::G>) {
+        ctx.global.0 = ctx.superstep + 1;
+        ctx.global.1.push(ctx.active);
+        if ctx.superstep == 4 {
+            ctx.halt();
+        }
+    }
+}
+
+fn sleepy_run(
+    workers: usize,
+    threads: usize,
+    dense_scan: bool,
+) -> (Vec<Vec<u64>>, Vec<u64>, u64) {
+    let g = GraphBuilder::new(8).add_edges([(0, 7)]).build();
+    let placement = Placement::modulo(8, workers);
+    let cfg = EngineConfig { num_threads: threads, dense_scan, ..config() };
+    let mut engine =
+        Engine::from_directed(Sleepy, &g, &placement, cfg, |_| Vec::new(), |_, _, _| ());
+    let summary = engine.run();
+    assert_eq!(summary.halt, HaltReason::Master);
+    let computed: Vec<u64> = summary.metrics.iter().map(|s| s.computed_total()).collect();
+    (engine.collect_values(), computed, engine.global().1.iter().sum())
+}
+
+/// A sleeper wakes when its worker's clock reaches its key — the clock
+/// asked again after each batch of wake-ups — or when a message arrives,
+/// and counts as active throughout.
+#[test]
+fn sleepers_wake_by_clock_fixpoint_or_message_and_stay_active() {
+    let (visits, computed, active) = sleepy_run(1, 1, false);
+    // Superstep 1: clock 1 wakes {0, 1}, then 1 + 2/2 = 2 wakes {2}.
+    // Superstep 2: the message wakes 7; clock 2 wakes {0, 1, 2}, then 3
+    // wakes {3}, then 4 wakes {4}. Superstep 3 reaches 6, superstep 4 all.
+    let expect: [&[u64]; 8] = [
+        &[0, 1, 2, 3, 4],
+        &[0, 1, 2, 3, 4],
+        &[0, 1, 2, 3, 4],
+        &[0, 2, 3, 4],
+        &[0, 2, 3, 4],
+        &[0, 3, 4],
+        &[0, 3, 4],
+        &[0, 2, 4],
+    ];
+    for (v, want) in expect.iter().enumerate() {
+        assert_eq!(visits[v], *want, "vertex {v}");
+    }
+    assert_eq!(computed, [8, 3, 6, 7, 8]);
+    // Sleepers stay active: 8 in each of the 5 supersteps.
+    assert_eq!(active, 40);
+}
+
+/// The dense scan and any thread count visit exactly the active list's
+/// sleepers-skipped set.
+#[test]
+fn sleeping_is_identical_across_scan_arms_and_threads() {
+    let reference = sleepy_run(2, 1, false);
+    for (threads, dense) in [(1, true), (2, false), (2, true)] {
+        assert_eq!(
+            sleepy_run(2, threads, dense),
+            reference,
+            "threads {threads}, dense {dense}"
+        );
+    }
+}

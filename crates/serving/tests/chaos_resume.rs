@@ -428,7 +428,7 @@ fn worker_loss_and_lane_death_recover_under_live_lookups() {
             .fold(TransportFaultPlan::new(), |plan, dst| plan.stall_at(STALLED_SENDER, dst, 0)),
     );
     let death = ingest(&mut node, deltas.next().unwrap());
-    assert_eq!((death.lost_vertices(), death.lanes_dead()), (101, 3), "pinned lane death");
+    assert_eq!((death.lost_vertices(), death.lanes_dead()), (102, 3), "pinned lane death");
     assert_eq!(death.lost_vertices(), stalled, "escalation reseeds the stalled sender");
     assert_eq!(node.transport_recoveries(), 1);
     let next = ingest(&mut node, deltas.next().unwrap());
