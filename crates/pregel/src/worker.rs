@@ -556,7 +556,7 @@ impl<P: Program> Worker<P> {
     /// advance the clock, so the clock is asked again until it wakes no
     /// one more (a fixpoint); it never goes back within the superstep.
     fn wake_on_clock(&mut self, program: &P, global: &P::G, worker_state: &mut P::WorkerState) {
-        let Self { active, values, sleep, woken, survivors, .. } = self;
+        let Self { active, values, sleep, woken, .. } = self;
         let mut joined = active.iter().map(|&i| &values[i as usize]);
         let Some(mut clock) = program.wake_clock(global, worker_state, &mut joined) else {
             return;
@@ -578,8 +578,23 @@ impl<P: Program> Worker<P> {
         if woken.is_empty() {
             return;
         }
-        woken.sort_unstable();
-        merge_sorted(active, woken, survivors);
+        self.join_woken();
+    }
+
+    /// Merges `woken` into the active list. Many wake-ups (a cold run's
+    /// scores superstep wakes nearly every napping vertex by message) are
+    /// cheaper to gather by one pass over the vertices than to sort.
+    fn join_woken(&mut self) {
+        let n_local = self.halted.len();
+        let Self { active, woken, survivors, halted, sleep, .. } = self;
+        survivors.clear();
+        if woken.len() > n_local / 8 {
+            let awake = |&i: &u32| !halted[i as usize] && !sleep.is_asleep(i as usize);
+            survivors.extend((0..n_local as u32).filter(awake));
+        } else {
+            woken.sort_unstable();
+            merge_sorted(active, woken, survivors);
+        }
         std::mem::swap(active, survivors);
         survivors.clear();
     }
@@ -605,9 +620,7 @@ impl<P: Program> Worker<P> {
         }
         self.woken.clear();
         self.sleep.expire_all(&mut self.woken);
-        merge_sorted(&self.active, &self.woken, &mut self.survivors);
-        std::mem::swap(&mut self.active, &mut self.survivors);
-        self.survivors.clear();
+        self.join_woken();
     }
 
     /// Summed capacity of the outboxes' broadcast marks (capacities only
@@ -913,12 +926,11 @@ impl<P: Program> Worker<P> {
     /// buffer growth.
     fn finish_delivery(&mut self, caps: [usize; 6]) {
         // Rebuild the active list: the compute survivors (already sorted)
-        // merged with the newly woken (sorted here; arrival order follows
-        // the source order, not vertex order). The two are disjoint — a
-        // survivor is by definition not halted, so it cannot be woken.
-        self.woken.sort_unstable();
-        merge_sorted(&self.survivors, &self.woken, &mut self.active);
-        self.survivors.clear();
+        // merged with the newly woken (arrival order follows the source
+        // order, not vertex order). The two are disjoint — a survivor is by
+        // definition neither halted nor asleep, so it cannot be woken.
+        std::mem::swap(&mut self.active, &mut self.survivors);
+        self.join_woken();
 
         let now = self.delivery_caps();
         let grown = now.iter().zip(caps).filter(|&(&now, then)| now != then).count();
