@@ -405,7 +405,7 @@ impl SpinnerProgram {
         let candidate = ctx.value.candidate;
         if candidate == NO_LABEL {
             // Under the affected-only restart strategy, settled bystanders
-            // go to sleep until a neighbour's migration wakes them.
+            // halt until a neighbour's migration wakes them.
             if self.cfg.restart_scope == RestartScope::AffectedOnly && !ctx.value.affected {
                 uncount_locality(ctx);
                 ctx.vote_to_halt();

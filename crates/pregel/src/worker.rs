@@ -978,12 +978,12 @@ const SLEEP_BUCKETS: usize = 2048;
 /// program scales its keys so that they mostly fall below
 /// `SLEEP_BUCKETS`. Filing a sleeper is one push; a message wakes it by
 /// resetting its key alone and leaves its entry behind, stale. Expiring a
-/// clock drains the buckets from the lowest that may hold an entry up to
-/// the clock's, waking each entry whose vertex's current key is due and
-/// dropping the stale ones, so every entry is touched O(1) times. Keys
-/// are compared against each clock afresh, so a clock lower than the last
-/// one expires nothing it should not. When stale entries outnumber twice
-/// the hosted vertices, the buckets are rebuilt from the keys.
+/// clock drains the occupied buckets up to the clock's (a bitmap finds
+/// them), waking each entry whose vertex's current key is due and
+/// dropping the stale ones, so every entry is touched O(1) times. Keys are
+/// compared against each clock afresh, so a clock lower than the last one
+/// expires nothing it should not. When stale entries outnumber twice the
+/// hosted vertices, the buckets are rebuilt from the keys.
 #[derive(Debug, Default)]
 struct SleepQueue {
     /// Per hosted vertex: its wake key, or [`AWAKE`].
@@ -991,8 +991,8 @@ struct SleepQueue {
     /// Allocated at the first sleep, so a program that never sleeps pays
     /// nothing.
     buckets: Vec<Vec<u32>>,
-    /// No bucket below this holds an entry.
-    lo: usize,
+    /// Bit `b` set when bucket `b` may hold an entry.
+    occupied: [u64; SLEEP_BUCKETS / 64],
     /// Entries in all buckets, stale ones included.
     entries: usize,
     /// Vertices asleep.
@@ -1004,10 +1004,14 @@ impl SleepQueue {
     fn reset(&mut self, n_local: usize) {
         self.keys.clear();
         self.keys.resize(n_local, AWAKE);
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.lo = SLEEP_BUCKETS;
-        self.entries = 0;
+        self.clear_buckets();
         self.asleep = 0;
+    }
+
+    fn clear_buckets(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.occupied = [0; SLEEP_BUCKETS / 64];
+        self.entries = 0;
     }
 
     #[inline]
@@ -1015,9 +1019,13 @@ impl SleepQueue {
         self.keys[i] != AWAKE
     }
 
+    /// Files vertex `i` in the bucket of `key`.
     #[inline]
-    fn bucket_of(key: u64) -> usize {
-        key.min(SLEEP_BUCKETS as u64 - 1) as usize
+    fn file(&mut self, i: u32, key: u64) {
+        let b = key.min(SLEEP_BUCKETS as u64 - 1) as usize;
+        self.buckets[b].push(i);
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.entries += 1;
     }
 
     /// Puts awake vertex `i` to sleep until `key`.
@@ -1026,12 +1034,9 @@ impl SleepQueue {
         if self.buckets.is_empty() {
             self.buckets.resize_with(SLEEP_BUCKETS, Vec::new);
         }
-        let b = Self::bucket_of(key);
         self.keys[i as usize] = key;
         self.asleep += 1;
-        self.buckets[b].push(i);
-        self.entries += 1;
-        self.lo = self.lo.min(b);
+        self.file(i, key);
         if self.entries > 2 * self.keys.len() + SLEEP_BUCKETS {
             self.rebuild();
         }
@@ -1051,33 +1056,43 @@ impl SleepQueue {
 
     /// Wakes every sleeper keyed at most `clock`, appending it to `woken`.
     fn expire(&mut self, clock: u64, woken: &mut Vec<u32>) {
-        let last = SLEEP_BUCKETS - 1;
-        let hi = Self::bucket_of(clock);
-        if self.asleep == 0 || self.lo > hi {
+        if self.asleep == 0 {
             return;
         }
-        let lo = self.lo;
-        let Self { keys, buckets, entries, asleep, .. } = self;
-        for (b, bucket) in buckets.iter_mut().enumerate().take(hi + 1).skip(lo) {
-            *entries -= bucket.len();
-            bucket.retain(|&i| {
-                let key = keys[i as usize];
-                if key == AWAKE {
-                    return false;
+        let last = SLEEP_BUCKETS - 1;
+        let hi = clock.min(last as u64) as usize;
+        let Self { keys, buckets, occupied, entries, asleep } = self;
+        for (word, occupied) in occupied.iter_mut().enumerate().take(hi / 64 + 1) {
+            let mut bits = *occupied;
+            if word == hi / 64 {
+                bits &= u64::MAX >> (63 - hi % 64);
+            }
+            while bits != 0 {
+                let b = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let bucket = &mut buckets[b];
+                *entries -= bucket.len();
+                bucket.retain(|&i| {
+                    let key = keys[i as usize];
+                    if key == AWAKE {
+                        return false;
+                    }
+                    if key <= clock {
+                        keys[i as usize] = AWAKE;
+                        *asleep -= 1;
+                        woken.push(i);
+                        return false;
+                    }
+                    // A later key below the last bucket is filed in its
+                    // own bucket, above this one: this entry is stale.
+                    b == last
+                });
+                *entries += bucket.len();
+                if bucket.is_empty() {
+                    *occupied &= !(1 << (b % 64));
                 }
-                if key <= clock {
-                    keys[i as usize] = AWAKE;
-                    *asleep -= 1;
-                    woken.push(i);
-                    return false;
-                }
-                // A later key below the last bucket is filed in its own
-                // bucket, above this one: this entry is stale.
-                b == last
-            });
-            *entries += bucket.len();
+            }
         }
-        self.lo = if hi == last && !self.buckets[last].is_empty() { last } else { hi + 1 };
     }
 
     /// Wakes every sleeper, appending them to `woken` in ascending order.
@@ -1088,24 +1103,19 @@ impl SleepQueue {
                 woken.push(i as u32);
             }
         }
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.lo = SLEEP_BUCKETS;
-        self.entries = 0;
+        self.clear_buckets();
         self.asleep = 0;
     }
 
     /// Refiles every sleeper from the keys, dropping the stale entries.
     fn rebuild(&mut self) {
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.lo = SLEEP_BUCKETS;
-        for (i, &key) in self.keys.iter().enumerate() {
+        self.clear_buckets();
+        for i in 0..self.keys.len() {
+            let key = self.keys[i];
             if key != AWAKE {
-                let b = Self::bucket_of(key);
-                self.buckets[b].push(i as u32);
-                self.lo = self.lo.min(b);
+                self.file(i as u32, key);
             }
         }
-        self.entries = self.asleep as usize;
     }
 }
 
