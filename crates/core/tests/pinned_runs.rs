@@ -1,13 +1,17 @@
 //! Pinned 64-bit digests of whole Spinner runs.
 //!
-//! Each row digests what a run decides — its labels, per-iteration φ, ρ and
-//! migrations, iteration and superstep counts and message total — and leaves
-//! out `computed` (how many vertex visits it took) and `score` (the halting
-//! heuristic's aggregate). A change that only makes runs cheaper keeps every
-//! row. Rows whose run has a fixed iteration count (`ignore_halting`) pin
-//! labels outright; rows that halt by the ε/w rule also pin where it lands.
+//! Each row pins two digests. The *decision* digest covers what a run
+//! decides: its labels, per-iteration φ, ρ and migrations, iteration count
+//! and final φ and ρ (per session window also k and the migration
+//! fraction). The *count* digest covers what the run cost in engine rounds:
+//! its superstep count and message total. Both leave out `computed` (how
+//! many vertex visits it took) and `score` (the halting heuristic's
+//! aggregate). A change that only makes runs cheaper keeps every decision
+//! digest, and re-pins only the count digests whose runs it made cheaper.
+//! Rows whose run has a fixed iteration count (`ignore_halting`) pin labels
+//! outright; rows that halt by the ε/w rule also pin where it lands.
 //!
-//! On a mismatch the test prints every row's actual digest, so a declared
+//! On a mismatch the test prints every row's actual digests, so a declared
 //! behaviour change re-pins by copying them.
 
 use spinner_core::config::RestartScope;
@@ -40,30 +44,49 @@ impl Digest {
     }
 }
 
-/// Everything a driver run decides, `computed` and `score` aside.
-fn run_digest(d: &mut Digest, r: &PartitionResult) {
-    d.words(r.labels.iter().map(|&l| u64::from(l)));
-    for h in &r.history {
-        d.words([u64::from(h.iteration), h.phi.to_bits(), h.rho.to_bits(), h.migrations]);
-    }
-    d.words([u64::from(r.iterations), r.supersteps, r.totals.messages]);
-    d.words([r.quality.phi.to_bits(), r.quality.rho.to_bits()]);
+/// A row's two digests: what its runs decide, and what they cost in
+/// supersteps and messages.
+struct Digests {
+    decision: Digest,
+    count: Digest,
 }
 
-/// Every window of a session: its labels and what its report decides.
-fn session_digest(d: &mut Digest, session: &mut StreamSession, events: Vec<StreamEvent>) {
+impl Digests {
+    fn new() -> Self {
+        Self { decision: Digest::new(), count: Digest::new() }
+    }
+
+    fn pair(&self) -> (u64, u64) {
+        (self.decision.0, self.count.0)
+    }
+}
+
+/// Everything a driver run decides, and its superstep and message counts.
+fn run_digest(d: &mut Digests, r: &PartitionResult) {
+    d.decision.words(r.labels.iter().map(|&l| u64::from(l)));
+    for h in &r.history {
+        let words = [u64::from(h.iteration), h.phi.to_bits(), h.rho.to_bits(), h.migrations];
+        d.decision.words(words);
+    }
+    d.decision.word(u64::from(r.iterations));
+    d.decision.words([r.quality.phi.to_bits(), r.quality.rho.to_bits()]);
+    d.count.words([r.supersteps, r.totals.messages]);
+}
+
+/// Every window of a session: its labels and what its report decides, and
+/// its superstep and message counts.
+fn session_digest(d: &mut Digests, session: &mut StreamSession, events: Vec<StreamEvent>) {
     for event in events {
         let w = session.apply(event).clone();
-        d.words(session.labels().iter().map(|&l| u64::from(l)));
-        d.words([
+        d.decision.words(session.labels().iter().map(|&l| u64::from(l)));
+        d.decision.words([
             u64::from(w.k()),
             w.phi().to_bits(),
             w.rho().to_bits(),
             w.migration_fraction().to_bits(),
             u64::from(w.iterations()),
-            w.supersteps(),
-            w.messages(),
         ]);
+        d.count.words([w.supersteps(), w.messages()]);
     }
 }
 
@@ -100,74 +123,74 @@ fn chain(base: &DirectedGraph, k: u32, seed: u64) -> Vec<StreamEvent> {
     events
 }
 
-fn cold_sbm_fixed() -> u64 {
+fn cold_sbm_fixed() -> (u64, u64) {
     let g = to_weighted_undirected(&sbm(1200, 12, 8.0, 2.0, 5));
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     run_digest(&mut d, &partition(&g, &fixed(8, 4, 2, 24, 11)));
-    d.0
+    d.pair()
 }
 
-fn cold_rmat_isolated_fixed() -> u64 {
+fn cold_rmat_isolated_fixed() -> (u64, u64) {
     let g = to_weighted_undirected(&rmat(RmatConfig::graph500(10, 3, 9)));
     assert!((0..g.num_vertices()).any(|v| g.weighted_degree(v) == 0), "an isolated vertex");
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     run_digest(&mut d, &partition(&g, &fixed(6, 3, 1, 20, 12)));
-    d.0
+    d.pair()
 }
 
-fn cold_sbm_halting() -> u64 {
+fn cold_sbm_halting() -> (u64, u64) {
     let g = to_weighted_undirected(&sbm(1500, 10, 9.0, 2.0, 6));
     let mut cfg = SpinnerConfig::new(6).with_seed(13);
     cfg.num_workers = 4;
     cfg.num_threads = 1;
     let r = partition(&g, &cfg);
     assert!(r.halted_steady, "the ε/w rule halts this run");
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     run_digest(&mut d, &r);
-    d.0
+    d.pair()
 }
 
-fn stream_chain_halting() -> u64 {
+fn stream_chain_halting() -> (u64, u64) {
     let base = sbm(1500, 25, 12.0, 4.0, 7);
     let mut cfg = SpinnerConfig::new(6).with_seed(14);
     cfg.num_workers = 4;
     cfg.num_threads = 1;
     let events = chain(&base, 6, 14);
     let mut session = StreamSession::new(base, cfg);
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     session_digest(&mut d, &mut session, events);
-    d.0
+    d.pair()
 }
 
-fn stream_chain_fixed() -> u64 {
+fn stream_chain_fixed() -> (u64, u64) {
     let base = sbm(1200, 20, 12.0, 4.0, 8);
     let cfg = fixed(5, 3, 1, 10, 15);
     let events = chain(&base, 5, 15);
     let mut session = StreamSession::new(base, cfg);
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     session_digest(&mut d, &mut session, events);
-    d.0
+    d.pair()
 }
 
-fn cold_sync_fixed() -> u64 {
+fn cold_sync_fixed() -> (u64, u64) {
     let g = to_weighted_undirected(&sbm(1200, 12, 8.0, 2.0, 9));
     let mut cfg = fixed(8, 4, 2, 24, 16);
     cfg.async_worker_loads = false;
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     run_digest(&mut d, &partition(&g, &cfg));
-    d.0
+    d.pair()
 }
 
-fn cold_exhaustive_fixed() -> u64 {
+fn cold_exhaustive_fixed() -> (u64, u64) {
     let g = to_weighted_undirected(&rmat(RmatConfig::graph500(10, 3, 10)));
     let mut cfg = fixed(6, 3, 1, 20, 17);
     cfg.exhaustive_candidate_scan = true;
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     run_digest(&mut d, &partition(&g, &cfg));
-    d.0
+    d.pair()
 }
 
-fn affected_only_halting() -> u64 {
+fn affected_only_halting() -> (u64, u64) {
     let directed = sbm(1500, 10, 9.0, 2.0, 10);
     let g = to_weighted_undirected(&directed);
     let mut cfg = SpinnerConfig::new(6).with_seed(18);
@@ -178,12 +201,12 @@ fn affected_only_halting() -> u64 {
     let g2 = to_weighted_undirected(&apply_delta(&directed, &delta));
     cfg.restart_scope = RestartScope::AffectedOnly;
     let r = adapt_with_delta(&g2, &initial.labels, &delta, &cfg);
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     run_digest(&mut d, &r);
-    d.0
+    d.pair()
 }
 
-fn frontier_stream_halting() -> u64 {
+fn frontier_stream_halting() -> (u64, u64) {
     let base = sbm(1500, 25, 12.0, 4.0, 11);
     let mut cfg = SpinnerConfig::new(6).with_seed(19);
     cfg.num_workers = 4;
@@ -192,17 +215,17 @@ fn frontier_stream_halting() -> u64 {
     cfg.restart_scope = RestartScope::AffectedOnly;
     let events = deltas(&base, 4, 19).into_iter().map(StreamEvent::Delta).collect();
     let mut session = StreamSession::new(base, cfg);
-    let mut d = Digest::new();
+    let mut d = Digests::new();
     session_digest(&mut d, &mut session, events);
-    d.0
+    d.pair()
 }
 
 /// Many small, tightly balanced runs on one or two workers: every
 /// candidacy moves a large share of a partition's capacity, so the
 /// asynchronous load view strays far from the global loads within a
 /// superstep, and penalties drift far between iterations.
-fn small_tight_sweep() -> u64 {
-    let mut d = Digest::new();
+fn small_tight_sweep() -> (u64, u64) {
+    let mut d = Digests::new();
     for seed in 0..24u64 {
         let g = to_weighted_undirected(&sbm(160, 4, 6.0, 3.0, 100 + seed));
         let k = 2 + (seed % 3) as u32;
@@ -211,12 +234,12 @@ fn small_tight_sweep() -> u64 {
         cfg.async_worker_loads = seed % 5 != 0;
         run_digest(&mut d, &partition(&g, &cfg));
     }
-    d.0
+    d.pair()
 }
 
 /// Small sessions through delta and resize windows with fixed iterations.
-fn small_stream_sweep() -> u64 {
-    let mut d = Digest::new();
+fn small_stream_sweep() -> (u64, u64) {
+    let mut d = Digests::new();
     for seed in 0..6u64 {
         let base = sbm(240, 6, 6.0, 2.0, 200 + seed);
         let k = 3 + (seed % 2) as u32;
@@ -227,33 +250,72 @@ fn small_stream_sweep() -> u64 {
         let mut session = StreamSession::new(base, cfg);
         session_digest(&mut d, &mut session, events);
     }
-    d.0
+    d.pair()
 }
 
-/// A row: its name, its run, and the digest pinned for it.
-type Row = (&'static str, fn() -> u64, u64);
+/// A row: its name, its run, and the decision and count digests pinned
+/// for it.
+type Row = (&'static str, fn() -> (u64, u64), u64, u64);
 
 #[test]
 fn pinned_run_digests() {
     let rows: [Row; 11] = [
-        ("cold_sbm_fixed", cold_sbm_fixed, 0x9539_cc7d_5ad6_0491),
-        ("cold_rmat_isolated_fixed", cold_rmat_isolated_fixed, 0x4e67_6246_5d15_c074),
-        ("cold_sbm_halting", cold_sbm_halting, 0xb78c_1aa8_cb1c_f270),
-        ("stream_chain_halting", stream_chain_halting, 0xedb6_c2c4_58e0_a9db),
-        ("stream_chain_fixed", stream_chain_fixed, 0xe25c_c68b_ac6d_efc9),
-        ("cold_sync_fixed", cold_sync_fixed, 0x8be4_6034_2e0a_2202),
-        ("cold_exhaustive_fixed", cold_exhaustive_fixed, 0xa87c_8c9e_10c1_ac30),
-        ("affected_only_halting", affected_only_halting, 0xf890_c25e_fb39_883f),
-        ("frontier_stream_halting", frontier_stream_halting, 0x7701_1ddb_24ea_03f0),
-        ("small_tight_sweep", small_tight_sweep, 0x8727_5bd3_babd_21cf),
-        ("small_stream_sweep", small_stream_sweep, 0xa130_e709_14d1_63b4),
+        ("cold_sbm_fixed", cold_sbm_fixed, 0x3831_312f_d7b5_7f5d, 0x8b4b_a2ad_365e_423d),
+        (
+            "cold_rmat_isolated_fixed",
+            cold_rmat_isolated_fixed,
+            0xe870_5db2_1d35_b914,
+            0xde39_5040_65de_0a9d,
+        ),
+        ("cold_sbm_halting", cold_sbm_halting, 0x5646_5a97_2ccc_86e6, 0x0a36_d9cf_5777_5f03),
+        (
+            "stream_chain_halting",
+            stream_chain_halting,
+            0x296d_2860_7b30_848f,
+            0xb0eb_1f96_32dd_952d,
+        ),
+        (
+            "stream_chain_fixed",
+            stream_chain_fixed,
+            0xb1f1_807c_eded_8489,
+            0x6ef3_9534_737d_6cf9,
+        ),
+        ("cold_sync_fixed", cold_sync_fixed, 0x7bed_101b_3af1_8d26, 0x0f86_9ae9_a666_bfcd),
+        (
+            "cold_exhaustive_fixed",
+            cold_exhaustive_fixed,
+            0xa82b_d83c_09f0_f1be,
+            0x8113_0e69_0266_8dd7,
+        ),
+        (
+            "affected_only_halting",
+            affected_only_halting,
+            0x0a2f_48c3_29e8_7dba,
+            0x1817_ff57_44c9_4fd4,
+        ),
+        (
+            "frontier_stream_halting",
+            frontier_stream_halting,
+            0x5f89_835c_b0c9_4525,
+            0x4d41_4786_5212_e800,
+        ),
+        ("small_tight_sweep", small_tight_sweep, 0x955f_c772_3590_2036, 0xbd8d_623c_9479_5a7c),
+        (
+            "small_stream_sweep",
+            small_stream_sweep,
+            0xe19f_c4b0_36fc_401c,
+            0xc8fc_18b9_831a_8f01,
+        ),
     ];
     let mut bad = Vec::new();
-    for (name, run, want) in rows {
-        let got = run();
-        println!("(\"{name}\", {got:#018x}),");
-        if got != want {
-            bad.push(format!("{name}: got {got:#018x}, pinned {want:#018x}"));
+    for (name, run, decision, count) in rows {
+        let (got_decision, got_count) = run();
+        println!("(\"{name}\", {name}, {got_decision:#018x}, {got_count:#018x}),");
+        if got_decision != decision {
+            bad.push(format!("{name}: decision {got_decision:#018x}, pinned {decision:#018x}"));
+        }
+        if got_count != count {
+            bad.push(format!("{name}: count {got_count:#018x}, pinned {count:#018x}"));
         }
     }
     assert!(bad.is_empty(), "pinned digests differ:\n{}", bad.join("\n"));
