@@ -4,6 +4,9 @@
 
 pub mod stages;
 
+#[cfg(test)]
+mod reference_tests;
+
 use crate::config::SpinnerConfig;
 use crate::state::{Label, NO_LABEL};
 use spinner_graph::conversion::to_weighted_undirected;
@@ -396,7 +399,7 @@ mod tests {
     /// supersteps, one message per directed edge and one computation per
     /// vertex in each of them; its wall time covers both runs. Both
     /// runs broadcast through the lane, which keeps remote records at
-    /// 4 746.
+    /// 2 407.
     #[test]
     fn in_engine_conversion_adds_two_supersteps_and_one_message_per_edge() {
         let d = planted_partition(SbmConfig {
@@ -418,8 +421,8 @@ mod tests {
         assert_eq!(in_engine.supersteps, offline.supersteps + 2);
         assert_eq!(in_engine.totals.messages, offline.totals.messages + d.num_edges());
         assert_eq!(in_engine.totals.computed, offline.totals.computed + 2 * 800);
-        assert_eq!((in_engine.supersteps, in_engine.totals.messages), (10, 17_950));
-        assert_eq!(in_engine.totals.remote_records, 4_746);
+        assert_eq!((in_engine.supersteps, in_engine.totals.messages), (9, 7_024));
+        assert_eq!(in_engine.totals.remote_records, 2_407);
         // `totals.wall_ns` sums the wall time of every superstep of both
         // runs; each run's wall time covers its own supersteps.
         assert!(in_engine.wall_ns >= in_engine.totals.wall_ns);
@@ -724,15 +727,15 @@ mod extension_tests {
         }
         // The sleep schedule is deterministic: any change to a wake key or
         // clock shows here, even one that changes no label.
-        assert_eq!((slept, woke), (2_151_461, 2_607_463), "visits sleeping, waking");
+        assert_eq!((slept, woke), (2_055_461, 2_511_463), "visits sleeping, waking");
     }
 
     /// The affected-only restart against the full one after a 0.2 % edge
-    /// change. Both start cold, and both visit every vertex in the
-    /// `Initialize` and first scores supersteps. After that the full
-    /// restart's settled vertices sleep, while the affected-only
-    /// bystanders stay awake into the migration superstep, which halts
-    /// them. So the affected-only run now visits more vertices, not fewer.
+    /// change. Both start seeded, and both visit every vertex in the first
+    /// scores superstep. After that the full restart's settled vertices
+    /// sleep, while the affected-only bystanders stay awake into the
+    /// migration superstep, which halts them. So the affected-only run
+    /// visits more vertices, not fewer.
     #[test]
     fn affected_only_restart_is_stable_and_pinned() {
         let directed = planted_partition(SbmConfig {
@@ -757,10 +760,10 @@ mod extension_tests {
         let affected_run = adapt_with_delta(&g2, &initial.labels, &delta, &scoped);
         let full_run = adapt_with_delta(&g2, &initial.labels, &delta, &cfg);
 
-        // Visits, pinned: the full restart pays n twice and nothing after;
-        // the affected-only one pays n twice plus its bystanders' trip
-        // into the migration superstep.
-        assert_eq!((affected_run.totals.computed, full_run.totals.computed), (8886, 6000));
+        // Visits, pinned: the full restart pays n once and nothing after;
+        // the affected-only one pays n once plus its bystanders' trip into
+        // the migration superstep.
+        assert_eq!((affected_run.totals.computed, full_run.totals.computed), (5886, 3000));
         // Quality stays comparable.
         assert!(
             affected_run.quality.phi > full_run.quality.phi - 0.1,

@@ -3,7 +3,7 @@
 //! Spinner is one Pregel vertex program; its runs differ only in the labels
 //! they start from (random §III-A, incremental §III-D, elastic §III-E, or
 //! reseeded after a worker loss). Everything else — the engine settings,
-//! the default placement, the program and its start phase, the vertex and
+//! the default placement, the program and its seeded start, the vertex and
 //! edge state, and the read-out of the finished engine — lives here, once:
 //!
 //! ```
@@ -29,23 +29,27 @@
 //! # Bit-identity contract
 //!
 //! [`crate::partition`], [`crate::partition_with_placement`],
-//! [`crate::adapt`], [`crate::adapt_with_delta`], [`crate::elastic`] and
-//! every [`crate::StreamSession`] window (bootstrap, delta, resize, worker
-//! loss, transport escalation) are these stages around one
-//! [`Engine::run`]. A caller that builds an engine here from the same
+//! [`crate::partition_directed`], [`crate::adapt`],
+//! [`crate::adapt_with_delta`], [`crate::elastic`] and every
+//! [`crate::StreamSession`] window (bootstrap, delta, resize, worker loss,
+//! transport escalation, the first after a resume) are these stages around
+//! one [`Engine::run`]. A caller that builds an engine here from the same
 //! graph, config, placement, labels and affected flags, runs it, and
 //! collects it gets the same labels, per-iteration history, iteration and
 //! superstep counts and message totals as the driver call, bit for bit;
 //! only wall-clock fields differ.
 //!
-//! A warm window instead re-hosts a finished engine with [`warm_reset`],
-//! seeded with every vertex's degree and label histogram and with the
-//! partition loads, so it starts at `ComputeScores`: it runs one superstep
-//! fewer than the driver call and sends none of the `Initialize`
-//! announcements. Its labels, per-iteration history, iteration count and
-//! `halted_steady` flag still match the driver bit for bit; only its
-//! superstep count, its message, record, wire and `computed` totals, and
-//! wall-clock fields are lower.
+//! Every run starts seeded at `ComputeScores`: [`build_engine`] counts each
+//! vertex's degree and label histogram from the labels it is given, and a
+//! warm window's [`warm_reset`] installs carried or recounted ones; both
+//! sum the partition loads from them. No vertex announces its initial
+//! label. The paper's own start (§IV-A2) stays as the reference: an engine
+//! built on `SpinnerProgram { start_phase: Phase::Initialize, .. }` with
+//! fresh [`VertexState`]s, in whose first superstep every vertex computes
+//! its degree and announces its label to every neighbour. It reaches the
+//! same labels, per-iteration history (score included), iteration count
+//! and `halted_steady` flag, in exactly one superstep and one announcement
+//! round — one message per adjacency entry, one visit per vertex — more.
 //!
 //! How [`warm_reset`] re-hosts the engine never changes a result, since
 //! both paths leave the arrays a full load builds (debug builds assert it
@@ -74,7 +78,8 @@ use spinner_pregel::{AggValue, Placement, RunSummary};
 pub fn engine_config(cfg: &SpinnerConfig) -> EngineConfig {
     EngineConfig {
         num_threads: cfg.num_threads,
-        // Two supersteps per iteration, plus Initialize and slack.
+        // Two supersteps per iteration, plus the reference path's
+        // Initialize and slack.
         max_supersteps: 2 * cfg.max_iterations as u64 + 8,
         seed: cfg.seed,
         broadcast_fabric: cfg.broadcast_fabric,
@@ -98,10 +103,16 @@ pub fn placement(n: VertexId, cfg: &SpinnerConfig) -> Placement {
     Placement::hashed(n, cfg.num_workers, cfg.seed ^ 0x70C)
 }
 
-/// Builds an engine that starts Spinner at the `Initialize` phase from
-/// `labels` (one per vertex). `affected` marks the vertices that restart
-/// migrations under [`crate::config::RestartScope::AffectedOnly`]; an
-/// empty slice marks every vertex affected.
+/// Builds an engine that starts Spinner at `ComputeScores` from `labels`
+/// (one per vertex): every vertex's weighted degree and label histogram are
+/// counted from `graph` by [`recount_states`] on `cfg.num_threads` threads,
+/// and the partition loads are summed from them into both the persistent
+/// loads aggregator and the master's state — what the reference
+/// `Initialize` superstep and the first histogram fold would have left, so
+/// the run skips that superstep and its announcement round. `affected`
+/// marks the vertices that restart migrations under
+/// [`crate::config::RestartScope::AffectedOnly`]; an empty slice marks
+/// every vertex affected.
 pub fn build_engine(
     graph: &UndirectedGraph,
     cfg: &SpinnerConfig,
@@ -109,25 +120,32 @@ pub fn build_engine(
     labels: &[Label],
     affected: &[bool],
 ) -> Engine<SpinnerProgram> {
-    Engine::from_undirected(
-        program(cfg),
-        graph,
-        placement,
-        engine_config(cfg),
-        |v| vertex(labels, affected, v),
-        edge,
-    )
+    let states = recount_states(graph, placement, labels, cfg.num_threads);
+    let mut built = None;
+    seed(cfg, states, affected, false, |program, init_v| {
+        let config = engine_config(cfg);
+        built.insert(Engine::from_undirected(
+            program,
+            graph,
+            placement,
+            config,
+            |v| init_v(v).0,
+            edge,
+        ))
+    });
+    built.expect("the engine was built")
 }
 
 /// Re-hosts a finished engine for a warm window that starts at
-/// `ComputeScores`: `states` (one per vertex, in global-id order) carry each
-/// vertex's label, weighted degree and label histogram exactly as the
-/// `Initialize` superstep and the first histogram fold would have left them
-/// for this graph, and the partition loads are summed from them into both
-/// the persistent loads aggregator and the master's state. The engine moves
-/// onto `placement`, its fabric buffers keep their capacity, its settings
-/// stay those it was built with, and every histogram's heap buffer stays
-/// where `states` allocated it.
+/// `ComputeScores`, as [`build_engine`] starts a run: `states` (one per
+/// vertex, in global-id order) carry each vertex's label, weighted degree
+/// and label histogram exactly as the reference `Initialize` superstep and
+/// the first histogram fold would have left them for this graph, and the
+/// partition loads are summed from them into both the persistent loads
+/// aggregator and the master's state. The engine moves onto `placement`,
+/// its fabric buffers keep their capacity, its settings stay those it was
+/// built with, and every histogram's heap buffer stays where `states`
+/// allocated it.
 ///
 /// `changed` lists the unordered vertex pairs whose edge differs between
 /// `graph` and the graph the engine last ran on (empty when it is the same
@@ -148,7 +166,7 @@ pub fn warm_reset(
     changed: &[(VertexId, VertexId)],
     cfg: &SpinnerConfig,
     placement: &Placement,
-    mut states: Vec<VertexState>,
+    states: Vec<VertexState>,
     affected: &[bool],
     park_unaffected: bool,
 ) {
@@ -157,45 +175,65 @@ pub fn warm_reset(
     if let Err(e) = crate::program::check_mass_law(graph, &states) {
         panic!("seeded label histograms out of sync with the graph: {e}");
     }
+    seed(cfg, states, affected, park_unaffected, |program, init_v| {
+        engine.warm_patch_undirected(program, graph, placement, changed, init_v, edge);
+        engine
+    });
+}
+
+/// The seeded start every run shares. Sums the partition loads from
+/// `states`, hands `host` the program starting at `ComputeScores` and each
+/// vertex's state — its candidate and locality count cleared, its
+/// `affected` flag set, and its halted flag (parked when
+/// `park_unaffected` and unaffected) — and installs the loads into the
+/// engine `host` returns: the persistent loads aggregator, which the
+/// migration phase folds its load deltas into, and the master's state.
+fn seed<'e>(
+    cfg: &SpinnerConfig,
+    mut states: Vec<VertexState>,
+    affected: &[bool],
+    park_unaffected: bool,
+    host: impl FnOnce(
+        SpinnerProgram,
+        &mut dyn FnMut(VertexId) -> (VertexState, bool),
+    ) -> &'e mut Engine<SpinnerProgram>,
+) {
     let mut loads = vec![0i64; cfg.k as usize];
     for s in &states {
         loads[s.label as usize] += load_of(cfg.objective, s.degree) as i64;
     }
-    engine.warm_patch_undirected(
-        SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::ComputeScores },
-        graph,
-        placement,
-        changed,
-        |v| {
-            let v = v as usize;
-            let mut state = std::mem::replace(&mut states[v], VertexState::new(0, false));
-            state.candidate = NO_LABEL;
-            state.counted = NOT_COUNTED;
-            state.affected = affected.get(v).copied().unwrap_or(true);
-            let parked = park_unaffected && !state.affected;
-            (state, parked)
-        },
-        edge,
-    );
-    // The migration phase folds load deltas into the *persistent* loads
-    // aggregator, so its snapshot is seeded alongside the master's state.
+    let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::ComputeScores };
+    let engine = host(program, &mut |v| {
+        let v = v as usize;
+        let mut state = std::mem::replace(&mut states[v], VertexState::new(0, false));
+        state.candidate = NO_LABEL;
+        state.counted = NOT_COUNTED;
+        state.affected = affected.get(v).copied().unwrap_or(true);
+        let parked = park_unaffected && !state.affected;
+        (state, parked)
+    });
     engine.set_aggregate(AGG_LOADS, AggValue::VecI64(loads.clone()));
     engine.set_global(seeded_global(cfg, loads));
 }
 
-/// Every vertex's state for a warm window starting from `labels`: the label,
-/// the weighted degree and the label histogram counted from `graph`. The
-/// histograms are allocated in the order the engine hosted on `placement`
-/// visits its vertices — by worker, then ascending id — so a scores
-/// superstep walks them through memory front to back.
+/// Vertices below which [`recount_states`] counts on one thread: spawning
+/// a thread costs more than counting a few thousand small rows.
+const MIN_RECOUNT_RUN: usize = 4096;
+
+/// Every vertex's state for a run starting from `labels`: the label, the
+/// weighted degree and the label histogram counted from `graph`, on up to
+/// `threads` threads. The vertices are counted in the order the engine
+/// hosted on `placement` visits them — by worker, then ascending id — one
+/// contiguous run of that order per thread, so each thread allocates its
+/// histograms in visit order and a scores superstep walks them through
+/// memory front to back.
 pub fn recount_states(
     graph: &UndirectedGraph,
     placement: &Placement,
     labels: &[Label],
+    threads: usize,
 ) -> Vec<VertexState> {
     assert_eq!(labels.len(), graph.num_vertices() as usize, "one label per vertex");
-    let mut states: Vec<VertexState> =
-        labels.iter().map(|&l| VertexState::new(l, true)).collect();
     // The vertices by worker, ascending id within each: a counting pass
     // over the placement.
     let mut next = vec![0usize; placement.num_workers() + 1];
@@ -210,24 +248,33 @@ pub fn recount_states(
         order[next[w as usize]] = v as VertexId;
         next[w as usize] += 1;
     }
-    let mut counts = Vec::new();
-    for v in order {
-        let (targets, weights) = graph.neighbors(v);
-        let neighbours = targets.iter().copied().zip(weights.iter().copied());
-        let (hist, degree) = label_histogram(neighbours, labels, &mut counts);
+    let count = |run: &[VertexId]| -> Vec<(Vec<(Label, u32)>, u64)> {
+        let mut counts = Vec::new();
+        let row = |v: VertexId| {
+            let (targets, weights) = graph.neighbors(v);
+            targets.iter().copied().zip(weights.iter().copied())
+        };
+        run.iter().map(|&v| label_histogram(row(v), labels, &mut counts)).collect()
+    };
+    let threads = threads.clamp(1, order.len().div_ceil(MIN_RECOUNT_RUN).max(1));
+    let mut runs = order.chunks(order.len().div_ceil(threads).max(1));
+    let counted = std::thread::scope(|s| {
+        let first = runs.next().unwrap_or_default();
+        let spawned: Vec<_> = runs.map(|run| s.spawn(move || count(run))).collect();
+        let mut counted = vec![count(first)];
+        for handle in spawned {
+            counted.push(handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        counted
+    });
+    let mut states: Vec<VertexState> =
+        labels.iter().map(|&l| VertexState::new(l, true)).collect();
+    for (&v, (hist, degree)) in order.iter().zip(counted.into_iter().flatten()) {
         let state = &mut states[v as usize];
         state.label_weights = hist;
         state.degree = degree;
     }
     states
-}
-
-fn program(cfg: &SpinnerConfig) -> SpinnerProgram {
-    SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::Initialize }
-}
-
-fn vertex(labels: &[Label], affected: &[bool], v: VertexId) -> VertexState {
-    VertexState::new(labels[v as usize], affected.get(v as usize).copied().unwrap_or(true))
 }
 
 fn edge(_: VertexId, _: VertexId, weight: u8) -> EdgeState {

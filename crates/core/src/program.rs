@@ -119,15 +119,18 @@ const FOLD_ITEM_COST: usize = 4;
 pub struct SpinnerProgram {
     /// Algorithm parameters.
     pub cfg: SpinnerConfig,
-    /// Phase to start from: `Initialize` for a cold run, `ComputeScores`
-    /// for a warm window seeded by [`crate::driver::stages::warm_reset`].
+    /// Phase to start from: `ComputeScores` for every run the driver and a
+    /// streaming session make, seeded by
+    /// [`crate::driver::stages::build_engine`] or
+    /// [`crate::driver::stages::warm_reset`]; `Initialize` for the paper's
+    /// reference start, whose first superstep announces every label.
     pub start_phase: Phase,
 }
 
 impl SpinnerProgram {
     /// Deterministic per-vertex randomness, keyed by *logical* step rather
-    /// than raw superstep so that a cold run and a warm window, which skips
-    /// the `Initialize` superstep, make identical draws.
+    /// than raw superstep so that a seeded run and the reference run, which
+    /// spends one superstep more in `Initialize`, make identical draws.
     fn logical_rng(
         &self,
         vertex: u32,
@@ -515,10 +518,10 @@ impl SpinnerProgram {
 
 /// Builds the [`GlobalState`] the master's `Initialize` step would have
 /// produced from the given per-partition loads — the same total-weight,
-/// capacity, and load math, phase set to `ComputeScores`. Used by warm
-/// windows, which skip the Initialize superstep entirely: vertex degrees,
-/// histograms, and the persistent loads aggregator are seeded on the engine
-/// side, and this supplies the matching master state.
+/// capacity, and load math, phase set to `ComputeScores`. Used by every
+/// seeded run, which skips the Initialize superstep entirely: vertex
+/// degrees, histograms, and the persistent loads aggregator are seeded on
+/// the engine side, and this supplies the matching master state.
 pub(crate) fn seeded_global(cfg: &SpinnerConfig, loads: Vec<i64>) -> GlobalState {
     let mut g = GlobalState::new(Phase::ComputeScores, cfg.k);
     install_loads(&mut g, cfg, loads);

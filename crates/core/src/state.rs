@@ -21,7 +21,7 @@ pub struct VertexState {
     /// Current partition label α(v).
     pub label: Label,
     /// Weighted degree deg_w(v) (Eq. 3 weights). Computed during the
-    /// Initialize superstep of a cold run, seeded for a warm one. Under the
+    /// reference Initialize superstep, seeded for every other run. Under the
     /// `Edges` objective this is also the vertex's load contribution; under
     /// `Vertices` the load is 1.
     pub degree: u64,
@@ -121,8 +121,8 @@ pub(crate) fn label_histogram_scan(
 
 impl VertexState {
     /// Fresh state with the given initial label (degree and the label
-    /// histogram fill in during the Initialize/ComputeScores supersteps of a
-    /// cold run).
+    /// histogram are seeded before a run, or fill in during the reference
+    /// Initialize/ComputeScores supersteps).
     pub fn new(label: Label, affected: bool) -> Self {
         Self {
             label,
@@ -319,7 +319,8 @@ impl WirePayload for MigrationMsg {
 /// The phases of Fig. 2, advanced by master compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Aggregate initial loads and announce initial labels.
+    /// Aggregate initial loads and announce initial labels: the paper's
+    /// start, kept as the reference for the seeded `ComputeScores` start.
     Initialize,
     /// LPA iteration step 1: find each vertex's best label.
     ComputeScores,

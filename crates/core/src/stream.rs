@@ -9,17 +9,16 @@
 //! steady-state message-path allocation after the first window while
 //! producing **bit-identical results** to the cold-start driver functions.
 //!
-//! A window does not replay the cold start's `Initialize` superstep, in
-//! which every vertex announces its label to every neighbour: it starts at
-//! `ComputeScores` with degrees, label histograms and loads seeded by
-//! [`stages::warm_reset`]. A delta window carries the previous run's
-//! histograms and applies the delta's edge-weight changes to them, so its
-//! seeding costs O(delta + |V|); every other window recounts them from the
-//! labels. The view patch names the pairs the delta added and removed, and
-//! the same pairs patch the engine's loaded topology in place of a reload
-//! (a window on an unchanged graph and placement patches by no pairs).
-//! Labels, history and iterations equal the driver's; the window reports
-//! one superstep fewer and only its migrations' messages.
+//! Like every driver run, a window starts at `ComputeScores` with degrees,
+//! label histograms and loads seeded, here by [`stages::warm_reset`]; no
+//! vertex announces its initial label. A delta window carries the previous
+//! run's histograms and applies the delta's edge-weight changes to them,
+//! so its seeding costs O(delta + |V|); every other window recounts them
+//! from the labels. The view patch names the pairs the delta added and
+//! removed, and the same pairs patch the engine's loaded topology in place
+//! of a reload (a window on an unchanged graph and placement patches by no
+//! pairs). Labels, history, iterations, supersteps and messages equal the
+//! driver's; the window's messages are its migrations' announcements.
 //!
 //! Windows are [`StreamEvent`]s: a [`GraphDelta`] (edge additions/removals,
 //! vertex arrivals — §III-D incremental repartitioning) or a partition-count
@@ -419,8 +418,9 @@ pub struct StreamSession {
     /// Whether the engine's vertex states are exact for `labels` and
     /// `undirected` — degrees and label histograms included — so the next
     /// delta window can carry them instead of recounting: true after a run
-    /// that halted cleanly (every announcement folded), false after a
-    /// resume, whose engine has never run.
+    /// that halted cleanly (every announcement folded) and after a resume,
+    /// whose engine was built on recounted states; false after a run that
+    /// stopped with announcements in flight.
     states_exact: bool,
 }
 
@@ -454,7 +454,7 @@ impl StreamSession {
             placement,
             states_exact: halted_cleanly(&summary),
         };
-        let placement_moved = session.feedback_replace(&result.totals, false);
+        let placement_moved = session.feedback_replace(&result.totals, true);
         session.push_window(&result, &summary, 1.0, placement_moved, 0, (lanes_degraded, 0));
         session
     }
@@ -465,8 +465,9 @@ impl StreamSession {
     /// [`Self::apply`] behaves bit-identically to the session the state was
     /// taken from (the warm reset reloads topology and labels either way;
     /// what matters is that graph, labels, feedback map, and `k` match).
-    /// That first window recounts every label histogram from the labels;
-    /// later delta windows carry them.
+    /// The engine is built by [`stages::build_engine`], which counts every
+    /// label histogram from the saved labels, so a first delta window
+    /// carries those exact histograms as it would a finished run's.
     ///
     /// This is the cross-process extension of the warm reset: a restarted
     /// process resumes serving and streaming from persisted state instead
@@ -493,7 +494,7 @@ impl StreamSession {
             windows,
             label_to_worker: label_assignment,
             placement,
-            states_exact: false,
+            states_exact: true,
         }
     }
 
@@ -518,9 +519,11 @@ impl StreamSession {
     /// The labels, iterations and per-iteration history are bit-identical
     /// to what the cold-start driver would produce for the same state:
     /// [`crate::adapt_with_delta`] for [`StreamEvent::Delta`],
-    /// [`crate::elastic`] for [`StreamEvent::Resize`]. The window skips the
-    /// driver's `Initialize` superstep, so its report counts one superstep
-    /// and the whole announcement round less (see [`stages`]).
+    /// [`crate::elastic`] for [`StreamEvent::Resize`]. Like the driver, the
+    /// window starts seeded at `ComputeScores`, so its supersteps and
+    /// messages equal the driver's too; the paper's `Initialize` start
+    /// would count one superstep and one announcement round more (see
+    /// [`stages`]).
     pub fn apply(&mut self, event: StreamEvent) -> &WindowReport {
         let old_n = self.labels.len();
         // Which vertices restart migrations (only consulted under
@@ -598,8 +601,9 @@ impl StreamSession {
         };
 
         let placement = self.placement_for(&labels);
-        let states = carried
-            .unwrap_or_else(|| stages::recount_states(&self.undirected, &placement, &labels));
+        let states = carried.unwrap_or_else(|| {
+            stages::recount_states(&self.undirected, &placement, &labels, self.cfg.num_threads)
+        });
         // Parked bystanders must stay parked once they settle again — the
         // affected-only halt in ComputeMigrations does exactly that, with
         // `affected` seeded from the frontier.
@@ -659,7 +663,9 @@ impl StreamSession {
             }
             let (relabeled, lost) = escalation.as_ref().expect("a reseeded sender");
             let placement = self.placement_for(relabeled);
-            let states = stages::recount_states(&self.undirected, &placement, relabeled);
+            let threads = self.cfg.num_threads;
+            let states =
+                stages::recount_states(&self.undirected, &placement, relabeled, threads);
             let (engine, und, cfg) = (&mut self.engine, &self.undirected, &self.cfg);
             stages::warm_reset(engine, und, &[], cfg, &placement, states, lost, false);
             self.placement = placement;
@@ -791,9 +797,10 @@ impl StreamSession {
     ///
     /// With `announced`, the judged traffic also counts the round in which
     /// every vertex announces its label to every neighbour on the window's
-    /// placement. A cold run sends that round in its `Initialize`
-    /// superstep; a warm window starts past it, but the decision stays the
-    /// one the full round would make. Frontier windows never counted it.
+    /// placement. The paper's `Initialize` superstep sends that round; every
+    /// run here starts seeded past it, bootstrap included, but the decision
+    /// stays the one the full round would make. Frontier windows never
+    /// counted it.
     fn feedback_replace(&mut self, totals: &RunTotals, announced: bool) -> u64 {
         let Some(threshold) = self.cfg.placement_feedback else { return 0 };
         let (mut local, mut messages) = (totals.local_messages(), totals.messages);
@@ -1022,7 +1029,7 @@ fn carry_states(
 
 /// The `(worker-local, total)` logical messages of one round in which every
 /// vertex announces its label to every neighbour, hosted on `placement` —
-/// the round a cold run's `Initialize` superstep sends. Logical counts do
+/// the round the reference `Initialize` superstep sends. Logical counts do
 /// not depend on the delivery lane.
 fn announcement_round(graph: &UndirectedGraph, placement: &Placement) -> (u64, u64) {
     let worker_of = placement.as_slice();
@@ -1146,7 +1153,7 @@ mod tests {
         // The margin sleepers must exist for the comparison to mean anything
         // ... and the sleep schedule is deterministic: any change to a wake
         // key or clock shows here, even one that changes no label.
-        assert_eq!((slept, woke), (593_986, 684_181), "visits sleeping, waking");
+        assert_eq!((slept, woke), (589_546, 679_741), "visits sleeping, waking");
     }
 
     #[test]
@@ -1242,10 +1249,17 @@ mod tests {
         }
     }
 
+    /// The worker-local share the feedback check judged for window `w` of
+    /// `s`: its own messages plus the announcement round on `ran_on`, the
+    /// placement it ran on — the share a window that still sent the round
+    /// in an `Initialize` superstep measured.
+    fn share_with_round(s: &StreamSession, w: &WindowReport, ran_on: &Placement) -> f64 {
+        let (local, round) = announcement_round(s.undirected(), ran_on);
+        (local + w.sent_local()) as f64 / (round + w.messages()) as f64
+    }
+
     /// Applies `event` and returns the worker-local share the window's
-    /// feedback check judged: its own messages plus the announcement round
-    /// on the placement it ran on — the share a window that still sent the
-    /// round in an `Initialize` superstep measured.
+    /// feedback check judged ([`share_with_round`]).
     fn judged_share(s: &mut StreamSession, event: StreamEvent) -> f64 {
         let previous = s.labels().to_vec();
         let assignment = s.label_assignment().map(<[WorkerId]>::to_vec);
@@ -1256,8 +1270,7 @@ mod tests {
             Some(a) => Placement::from_label_assignment(&initial, &a, workers),
             None => stages::placement(initial.len() as VertexId, s.config()),
         };
-        let (local, round) = announcement_round(s.undirected(), &ran_on);
-        (local + w.sent_local()) as f64 / (round + w.messages()) as f64
+        share_with_round(s, &w, &ran_on)
     }
 
     /// The §V-F feedback loop: with the synchronous load view, re-placing
@@ -1284,9 +1297,10 @@ mod tests {
             g0,
             DeltaStreamConfig { windows: 3, seed: 31, ..DeltaStreamConfig::default() },
         );
-        // The bootstrap is cold: it sent the round itself.
-        let mut plain_shares = vec![plain.last().local_share()];
-        let mut fed_shares = vec![fed.last().local_share()];
+        // The bootstrap starts seeded too, on the hash placement.
+        let hashed = stages::placement(plain.undirected().num_vertices(), plain.config());
+        let mut plain_shares = vec![share_with_round(&plain, plain.last(), &hashed)];
+        let mut fed_shares = vec![share_with_round(&fed, fed.last(), &hashed)];
         for delta in stream {
             plain_shares.push(judged_share(&mut plain, StreamEvent::Delta(delta.clone())));
             fed_shares.push(judged_share(&mut fed, StreamEvent::Delta(delta)));
@@ -1330,7 +1344,7 @@ mod tests {
         assert_eq!(own(&plain), [(7, 18), (55, 141), (52, 134)]);
         assert_eq!(own(&fed), [(5, 18), (56, 141), (58, 134)]);
         let records: u64 = fed.windows().iter().map(|w| w.sent_remote_records()).sum();
-        assert_eq!((records, fed.last().phi()), (14_718, 0.829000577700751));
+        assert_eq!((records, fed.last().phi()), (8_753, 0.829000577700751));
     }
 
     /// `state()` → `from_state()` round-trips mid-stream: the restored
@@ -1541,7 +1555,8 @@ mod tests {
         /// built cold on the window's graph, config, placement, labels and
         /// affected flags (and so `adapt_with_delta` or `elastic` whenever
         /// the window ran on the hash placement or the load view is
-        /// synchronous), minus exactly the `Initialize` superstep's work.
+        /// synchronous), and the same supersteps, visits, messages and
+        /// records: both start seeded.
         /// Frontier delta windows park vertices and have no cold twin; they
         /// are held to the recount path below. A session resumed from
         /// `state()` before each window recounts every histogram and must
@@ -1609,13 +1624,11 @@ mod tests {
                     prop_assert_eq!(global.halted_steady, cold.halted_steady);
                     prop_assert_eq!(warm.phi().to_bits(), cold.quality.phi.to_bits());
                     prop_assert_eq!(warm.rho().to_bits(), cold.quality.rho.to_bits());
-                    // The Initialize superstep: one visit and one
-                    // announcement per vertex and adjacency entry.
-                    prop_assert_eq!(warm.supersteps() + 1, cold.supersteps);
-                    let n = u64::from(graph.num_vertices());
-                    prop_assert_eq!(warm.computed() + n, cold.totals.computed);
-                    let round = graph.num_adjacency_entries();
-                    prop_assert_eq!(warm.messages() + round, cold.totals.messages);
+                    prop_assert_eq!(warm.supersteps(), cold.supersteps);
+                    prop_assert_eq!(warm.computed(), cold.totals.computed);
+                    prop_assert_eq!(warm.messages(), cold.totals.messages);
+                    prop_assert_eq!(warm.sent_local_records(), cold.totals.local_records);
+                    prop_assert_eq!(warm.sent_remote_records(), cold.totals.remote_records);
                     let hashed = placement == stages::placement(graph.num_vertices(), &cold_cfg);
                     if hashed || !cold_cfg.async_worker_loads {
                         let driver = match &event {

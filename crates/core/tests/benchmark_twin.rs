@@ -6,10 +6,14 @@
 //! iterations). Vertex visits are counts, so one run shows what sleeping
 //! saves; what a window decides and sends is pinned.
 
+use spinner_core::driver::{random_labels, stages};
+use spinner_core::program::SpinnerProgram;
+use spinner_core::state::{EdgeState, Phase, VertexState, NO_LABEL};
 use spinner_core::{partition, SpinnerConfig, StreamEvent, StreamSession};
 use spinner_graph::conversion::from_undirected_edges;
 use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::{DeltaStream, DeltaStreamConfig, DirectedGraph};
+use spinner_pregel::engine::Engine;
 
 const SEED: u64 = 11;
 
@@ -91,7 +95,11 @@ const PINNED_WINDOWS: [(u64, u64, u64); 8] = [
 ];
 
 /// The cold 32-iteration run decides what it did when every vertex was
-/// visited in every superstep, in fewer visits.
+/// visited in every superstep, in fewer visits. It starts seeded; the
+/// reference `Initialize` start, built as the benchmark's cold replica
+/// builds it, decides the same in exactly one superstep and one
+/// announcement per adjacency entry more, and the digest pins the
+/// reference's counts.
 #[test]
 #[ignore = "benchmark scale; run in release"]
 fn cold_community_run_keeps_its_digest() {
@@ -102,14 +110,33 @@ fn cold_community_run_keeps_its_digest() {
     cfg.max_iterations = 32;
     cfg.ignore_halting = true;
     let r = partition(&g, &cfg);
+    let n = g.num_vertices();
+    let initial = random_labels(n, cfg.k, cfg.seed);
+    let mut engine = Engine::from_undirected(
+        SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::Initialize },
+        &g,
+        &stages::placement(n, &cfg),
+        stages::engine_config(&cfg),
+        |v| VertexState::new(initial[v as usize], true),
+        |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
+    );
+    let summary = engine.run();
+    let reference = stages::collect(&cfg, &engine, &summary, &g);
+    drop(engine);
+    assert_eq!(r.labels, reference.labels);
+    assert_eq!(r.history, reference.history);
+    assert_eq!(r.iterations, reference.iterations);
+    assert_eq!(r.supersteps + 1, reference.supersteps);
+    let round = g.num_adjacency_entries();
+    assert_eq!(r.totals.messages + round, reference.totals.messages);
     let history =
         r.history.iter().flat_map(|h| [h.phi.to_bits(), h.rho.to_bits(), h.migrations]);
     let got = digest(r.labels.iter().map(|&l| u64::from(l)).chain(history).chain([
         u64::from(r.iterations),
-        r.supersteps,
-        r.totals.messages,
+        reference.supersteps,
+        reference.totals.messages,
     ]));
     assert_eq!(got, 0xc944_9558_d39d_0c56);
-    // Every vertex in every superstep, before sleeping: 60 000 x 66.
-    assert!(r.totals.computed < 60_000 * 66, "computed {}", r.totals.computed);
+    // Every vertex in every superstep, before sleeping: 60 000 x 65.
+    assert!(r.totals.computed < 60_000 * 65, "computed {}", r.totals.computed);
 }

@@ -159,7 +159,7 @@ fn hub_stream_dedup_ratio_is_substantial() {
     assert!(records > 0);
     let ratio = logical as f64 / records as f64;
     assert!(ratio > 3.0, "dedup ratio {ratio:.2} too small ({logical} / {records})");
-    assert_eq!((logical, records), (96_832, 27_515));
+    assert_eq!((logical, records), (72_846, 21_793));
     assert_eq!(session.last().phi(), 0.3459037711313394);
 }
 
@@ -206,6 +206,6 @@ fn ring_stream_matches_direct_stream() {
     }
     let bytes: Vec<u64> =
         sessions.iter().map(|s| s.windows().iter().map(|w| w.wire_bytes()).sum()).collect();
-    assert_eq!(bytes, [0, 286_051, 77_566], "direct, raw, compact");
+    assert_eq!(bytes, [0, 229_893, 63_417], "direct, raw, compact");
     assert_eq!(direct.last().phi(), 0.33836978131212725);
 }

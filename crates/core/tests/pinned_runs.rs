@@ -260,14 +260,14 @@ type Row = (&'static str, fn() -> (u64, u64), u64, u64);
 #[test]
 fn pinned_run_digests() {
     let rows: [Row; 11] = [
-        ("cold_sbm_fixed", cold_sbm_fixed, 0x3831_312f_d7b5_7f5d, 0x8b4b_a2ad_365e_423d),
+        ("cold_sbm_fixed", cold_sbm_fixed, 0x3831_312f_d7b5_7f5d, 0x0dd3_3698_abc8_f50e),
         (
             "cold_rmat_isolated_fixed",
             cold_rmat_isolated_fixed,
             0xe870_5db2_1d35_b914,
-            0xde39_5040_65de_0a9d,
+            0xf80d_6ad6_ac31_c300,
         ),
-        ("cold_sbm_halting", cold_sbm_halting, 0x5646_5a97_2ccc_86e6, 0x0a36_d9cf_5777_5f03),
+        ("cold_sbm_halting", cold_sbm_halting, 0x5646_5a97_2ccc_86e6, 0x258e_d65e_7bb4_7018),
         (
             "stream_chain_halting",
             stream_chain_halting,
@@ -280,18 +280,18 @@ fn pinned_run_digests() {
             0xb1f1_807c_eded_8489,
             0x6ef3_9534_737d_6cf9,
         ),
-        ("cold_sync_fixed", cold_sync_fixed, 0x7bed_101b_3af1_8d26, 0x0f86_9ae9_a666_bfcd),
+        ("cold_sync_fixed", cold_sync_fixed, 0x7bed_101b_3af1_8d26, 0x199f_d47c_eadb_897f),
         (
             "cold_exhaustive_fixed",
             cold_exhaustive_fixed,
             0xa82b_d83c_09f0_f1be,
-            0x8113_0e69_0266_8dd7,
+            0x0041_24f6_29c9_d918,
         ),
         (
             "affected_only_halting",
             affected_only_halting,
             0x0a2f_48c3_29e8_7dba,
-            0x1817_ff57_44c9_4fd4,
+            0x54ea_956b_b955_f8e9,
         ),
         (
             "frontier_stream_halting",
@@ -299,7 +299,7 @@ fn pinned_run_digests() {
             0x5f89_835c_b0c9_4525,
             0x4d41_4786_5212_e800,
         ),
-        ("small_tight_sweep", small_tight_sweep, 0x955f_c772_3590_2036, 0xbd8d_623c_9479_5a7c),
+        ("small_tight_sweep", small_tight_sweep, 0x955f_c772_3590_2036, 0x2d3e_cdd5_6461_c843),
         (
             "small_stream_sweep",
             small_stream_sweep,

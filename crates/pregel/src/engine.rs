@@ -46,8 +46,10 @@ use crate::wire::WireFormat;
 use crate::worker::{Fabric, Worker};
 use crate::Placement;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 #[cfg(test)]
@@ -934,6 +936,13 @@ impl<P: Program> Engine<P> {
     /// errors are picked the same way (first publish-phase error in worker
     /// order, else first delivery-phase error), so the failure a run
     /// surfaces is independent of the thread count too.
+    ///
+    /// A panic in a phase — the program's compute, its debug sleeper check,
+    /// delivery, or the master's epilogue — is caught on the thread that
+    /// raised it. Every thread still keeps the barrier protocol, skipping
+    /// the rest of the superstep's work, the loop stops, and the first
+    /// panic is raised again once the pool has exited, so a failing run
+    /// fails instead of leaving its siblings waiting at a barrier.
     fn run_pooled(
         &mut self,
         threads: usize,
@@ -984,6 +993,15 @@ impl<P: Program> Engine<P> {
         // epilogue).
         let barrier = Barrier::new(threads);
         let stop = AtomicBool::new(false);
+        // The first panic any pool thread caught, and whether there is one.
+        let panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let failed = AtomicBool::new(false);
+        let guarded = |work: &mut dyn FnMut()| {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+                panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
+                failed.store(true, Ordering::Release);
+            }
+        };
 
         // Pool thread `t`'s share of one superstep, up to the end barrier.
         let step = |t: usize, superstep: u64| {
@@ -1013,7 +1031,7 @@ impl<P: Program> Engine<P> {
                     }
                 }
             };
-            {
+            guarded(&mut || {
                 let guard = master.read().expect("master state");
                 let m = &*guard;
                 sweep(superstep * 2, &mut |wi| {
@@ -1034,21 +1052,26 @@ impl<P: Program> Engine<P> {
                         slots[wi].lock().expect("step slot").publish_error.get_or_insert(e);
                     }
                 });
-            }
+            });
             barrier.wait();
-            sweep(superstep * 2 + 1, &mut |wi| {
-                let mut w = cells[wi].lock().expect("worker cell");
-                let delivered = w.deliver(program, &fabric, local_idx);
-                let mut slot = slots[wi].lock().expect("step slot");
-                if let Err(e) = delivered {
-                    slot.delivery_error.get_or_insert(e);
-                }
-                slot.metrics.clone_from(&w.metrics);
-                // Swap (not take): the stale vector handed back is reset in
-                // place next superstep, so the partials rotate without
-                // reallocating.
-                std::mem::swap(&mut slot.partials, &mut w.partial_aggs);
-                slot.halted = w.halted_count();
+            if failed.load(Ordering::Acquire) {
+                return;
+            }
+            guarded(&mut || {
+                sweep(superstep * 2 + 1, &mut |wi| {
+                    let mut w = cells[wi].lock().expect("worker cell");
+                    let delivered = w.deliver(program, &fabric, local_idx);
+                    let mut slot = slots[wi].lock().expect("step slot");
+                    if let Err(e) = delivered {
+                        slot.delivery_error.get_or_insert(e);
+                    }
+                    slot.metrics.clone_from(&w.metrics);
+                    // Swap (not take): the stale vector handed back is reset in
+                    // place next superstep, so the partials rotate without
+                    // reallocating.
+                    std::mem::swap(&mut slot.partials, &mut w.partial_aggs);
+                    slot.halted = w.halted_count();
+                });
             });
         };
 
@@ -1077,46 +1100,54 @@ impl<P: Program> Engine<P> {
                 barrier.wait(); // the pool starts the superstep
                 step(0, superstep);
                 barrier.wait(); // every worker has delivered and reported
-                let mut per_worker = Vec::with_capacity(num_workers);
-                let mut halted = 0u64;
-                let mut publish_error: Option<TransportError> = None;
-                let mut delivery_error: Option<TransportError> = None;
-                for (slot, buf) in slots.iter().zip(partials.iter_mut()) {
-                    let mut slot = slot.lock().expect("step slot");
-                    per_worker.push(slot.metrics.clone());
-                    std::mem::swap(&mut slot.partials, buf);
-                    halted += slot.halted;
-                    if let Some(e) = slot.publish_error.take() {
-                        publish_error.get_or_insert(e);
-                    }
-                    if let Some(e) = slot.delivery_error.take() {
-                        delivery_error.get_or_insert(e);
-                    }
-                }
-                let mut guard = master.write().expect("master state");
-                let m = &mut *guard;
-                let (step, reason) = superstep_epilogue(
-                    program,
-                    specs,
-                    m.snapshot,
-                    m.global,
-                    superstep,
-                    num_vertices,
-                    step_start,
-                    per_worker,
-                    partials.iter().map(|p| p.as_slice()),
-                    halted,
-                );
-                drop(guard);
-                metrics.push(step);
-                // Transport failure aborts after the metrics push — the
-                // failed superstep's traffic is accounted — and outranks any
-                // program-level halt decision taken on its partial state.
-                if let Some(e) = publish_error.or(delivery_error) {
-                    halt = HaltReason::TransportFailed(e);
+                if failed.load(Ordering::Acquire) {
                     break;
                 }
-                if let Some(reason) = reason {
+                let mut stopped = None;
+                guarded(&mut || {
+                    let mut per_worker = Vec::with_capacity(num_workers);
+                    let mut halted = 0u64;
+                    let mut publish_error: Option<TransportError> = None;
+                    let mut delivery_error: Option<TransportError> = None;
+                    for (slot, buf) in slots.iter().zip(partials.iter_mut()) {
+                        let mut slot = slot.lock().expect("step slot");
+                        per_worker.push(slot.metrics.clone());
+                        std::mem::swap(&mut slot.partials, buf);
+                        halted += slot.halted;
+                        if let Some(e) = slot.publish_error.take() {
+                            publish_error.get_or_insert(e);
+                        }
+                        if let Some(e) = slot.delivery_error.take() {
+                            delivery_error.get_or_insert(e);
+                        }
+                    }
+                    let mut guard = master.write().expect("master state");
+                    let m = &mut *guard;
+                    let (step, reason) = superstep_epilogue(
+                        program,
+                        specs,
+                        m.snapshot,
+                        m.global,
+                        superstep,
+                        num_vertices,
+                        step_start,
+                        per_worker,
+                        partials.iter().map(|p| p.as_slice()),
+                        halted,
+                    );
+                    drop(guard);
+                    metrics.push(step);
+                    // Transport failure aborts after the metrics push — the
+                    // failed superstep's traffic is accounted — and outranks
+                    // any program-level halt decision taken on its partial
+                    // state.
+                    let failure = publish_error.or(delivery_error);
+                    stopped = failure.map(HaltReason::TransportFailed).or(reason);
+                });
+                if failed.load(Ordering::Acquire) {
+                    break;
+                }
+                if let Some(reason) = stopped {
                     halt = reason;
                     break;
                 }
@@ -1124,6 +1155,9 @@ impl<P: Program> Engine<P> {
             stop.store(true, Ordering::Release);
             barrier.wait(); // release the pool to observe `stop` and exit
         });
+        if let Some(payload) = panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            resume_unwind(payload);
+        }
         halt
     }
 

@@ -92,6 +92,62 @@ fn superstep_cap_is_enforced() {
     assert_eq!(summary.supersteps, 7);
 }
 
+/// Panics in one vertex's compute at superstep 1.
+struct PanicsAt {
+    vertex: u32,
+}
+
+impl Program for PanicsAt {
+    type V = ();
+    type E = ();
+    type M = ();
+    type G = ();
+    type WorkerState = ();
+    fn init_global(&self) {}
+    fn init_worker(&self, _g: &(), _w: u16) {}
+    fn compute(&self, ctx: &mut VertexContext<'_, Self>, _messages: &[()]) {
+        if ctx.superstep == 1 && ctx.vertex == self.vertex {
+            panic!("vertex {} fails at superstep 1", ctx.vertex);
+        }
+    }
+}
+
+/// A panic in compute on either worker of a two-thread run — the engine
+/// thread's or the pool thread's — fails the run with that panic instead of
+/// leaving the other thread waiting at a phase barrier. The run goes on a
+/// helper thread, so a hang fails the test at the timeout.
+#[test]
+fn a_panic_in_a_pooled_run_fails_it() {
+    for vertex in [0, 1] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let g = GraphBuilder::new(4).add_edges([(0, 1), (2, 3)]).build();
+            let placement = Placement::modulo(4, 2);
+            let cfg = EngineConfig {
+                num_threads: 2,
+                max_supersteps: 10,
+                seed: 1,
+                ..Default::default()
+            };
+            let mut engine = Engine::from_directed(
+                PanicsAt { vertex },
+                &g,
+                &placement,
+                cfg,
+                |_| (),
+                |_, _, _| (),
+            );
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run()));
+            let _ = tx.send(outcome.err().and_then(|p| p.downcast_ref::<String>().cloned()));
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run neither returned nor panicked within 30 s");
+        assert_eq!(message, Some(format!("vertex {vertex} fails at superstep 1")));
+    }
+}
+
 /// Message metrics: local vs remote accounting must follow the placement.
 struct Broadcast;
 
