@@ -336,8 +336,8 @@ pub struct GlobalState {
     /// Number of partitions.
     pub k: u32,
     /// Per-partition capacities C_l (Eq. 5: `c·|E|/k` for homogeneous
-    /// systems; proportional to the configured weights otherwise), set after
-    /// Initialize.
+    /// systems; proportional to the configured weights otherwise), set by
+    /// the seeded start or after the reference Initialize.
     pub capacities: Vec<f64>,
     /// Total edge weight Σ_l b(l) (= 2·|directed edges|).
     pub total_weight: u64,
