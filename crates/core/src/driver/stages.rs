@@ -33,8 +33,12 @@
 //! [`crate::adapt_with_delta`], [`crate::elastic`] and every
 //! [`crate::StreamSession`] window (bootstrap, delta, resize, worker loss,
 //! transport escalation, the first after a resume) are these stages around
-//! one [`Engine::run`]. A caller that builds an engine here from the same
-//! graph, config, placement, labels and affected flags, runs it, and
+//! one [`Engine::run`]. A resumed session builds its engine with
+//! [`build_engine`] from its saved labels and placement when its first
+//! window starts (or a fault injection needs it), not when it is restored;
+//! that window then warm-resets the engine like any other, so deferring
+//! the build changes no result. A caller that builds an engine here from
+//! the same graph, config, placement, labels and affected flags, runs it, and
 //! collects it gets the same labels, per-iteration history, iteration and
 //! superstep counts and message totals as the driver call, bit for bit;
 //! only wall-clock fields differ.
@@ -120,9 +124,9 @@ pub fn build_engine(
     labels: &[Label],
     affected: &[bool],
 ) -> Engine<SpinnerProgram> {
-    let states = recount_states(graph, placement, labels, cfg.num_threads);
+    let mut states = recount_states(graph, placement, labels, cfg.num_threads);
     let mut built = None;
-    seed(cfg, states, affected, false, |program, init_v| {
+    seed(cfg, &mut states, affected, false, |program, init_v| {
         let config = engine_config(cfg);
         built.insert(Engine::from_undirected(
             program,
@@ -145,7 +149,8 @@ pub fn build_engine(
 /// aggregator and the master's state. The engine moves onto `placement`,
 /// its fabric buffers keep their capacity, its settings stay those it was
 /// built with, and every histogram's heap buffer stays where `states`
-/// allocated it.
+/// allocated it. `states` is left empty with its capacity, for the caller
+/// to refill next window ([`Engine::take_values_into`]).
 ///
 /// `changed` lists the unordered vertex pairs whose edge differs between
 /// `graph` and the graph the engine last ran on (empty when it is the same
@@ -166,13 +171,13 @@ pub fn warm_reset(
     changed: &[(VertexId, VertexId)],
     cfg: &SpinnerConfig,
     placement: &Placement,
-    states: Vec<VertexState>,
+    states: &mut Vec<VertexState>,
     affected: &[bool],
     park_unaffected: bool,
 ) {
     assert_eq!(states.len(), graph.num_vertices() as usize, "one vertex state per vertex");
     #[cfg(debug_assertions)]
-    if let Err(e) = crate::program::check_mass_law(graph, &states) {
+    if let Err(e) = crate::program::check_mass_law(graph, states) {
         panic!("seeded label histograms out of sync with the graph: {e}");
     }
     seed(cfg, states, affected, park_unaffected, |program, init_v| {
@@ -188,9 +193,10 @@ pub fn warm_reset(
 /// `park_unaffected` and unaffected) — and installs the loads into the
 /// engine `host` returns: the persistent loads aggregator, which the
 /// migration phase folds its load deltas into, and the master's state.
+/// `states` is left empty.
 fn seed<'e>(
     cfg: &SpinnerConfig,
-    mut states: Vec<VertexState>,
+    states: &mut Vec<VertexState>,
     affected: &[bool],
     park_unaffected: bool,
     host: impl FnOnce(
@@ -199,7 +205,7 @@ fn seed<'e>(
     ) -> &'e mut Engine<SpinnerProgram>,
 ) {
     let mut loads = vec![0i64; cfg.k as usize];
-    for s in &states {
+    for s in states.iter() {
         loads[s.label as usize] += load_of(cfg.objective, s.degree) as i64;
     }
     let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::ComputeScores };
@@ -212,6 +218,7 @@ fn seed<'e>(
         let parked = park_unaffected && !state.affected;
         (state, parked)
     });
+    states.clear();
     engine.set_aggregate(AGG_LOADS, AggValue::VecI64(loads.clone()));
     engine.set_global(seeded_global(cfg, loads));
 }

@@ -41,8 +41,9 @@ use crate::driver::{
 };
 use crate::program::SpinnerProgram;
 use crate::state::{label_histogram, Label, VertexState};
-use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges, ViewPatch};
-use spinner_graph::mutation::apply_delta;
+use spinner_graph::buffer::refit;
+use spinner_graph::conversion::{from_undirected_edges, patch_undirected_edges_into};
+use spinner_graph::mutation::apply_delta_into;
 use spinner_graph::{DirectedGraph, GraphDelta, UndirectedGraph, VertexId};
 use spinner_pregel::engine::Engine;
 use spinner_pregel::metrics::RunTotals;
@@ -399,8 +400,18 @@ pub struct StreamSession {
     graph: DirectedGraph,
     /// The current undirected view the partitioner runs on.
     undirected: UndirectedGraph,
+    /// The graph and view the last delta window replaced: the buffers the
+    /// next delta window writes its graph and view into.
+    spare_graph: DirectedGraph,
+    spare_view: UndirectedGraph,
     labels: Vec<Label>,
-    engine: Engine<SpinnerProgram>,
+    /// The engine; `None` after [`Self::from_state`] until something needs
+    /// it (see [`Self::engine`]).
+    engine: Option<Engine<SpinnerProgram>>,
+    /// The vector every window's vertex states travel in, empty between
+    /// windows: a delta window takes the engine's states into it, patches
+    /// them, and [`stages::warm_reset`] hands it back emptied.
+    states: Vec<VertexState>,
     windows: Vec<WindowReport>,
     /// Label → worker map installed by the latest placement-feedback
     /// migration (`None` until feedback first triggers: vertices then sit
@@ -447,8 +458,11 @@ impl StreamSession {
             cfg,
             graph,
             undirected,
+            spare_graph: DirectedGraph::default(),
+            spare_view: UndirectedGraph::default(),
             labels: result.labels.clone(),
-            engine,
+            engine: Some(engine),
+            states: Vec::new(),
             windows: Vec::new(),
             label_to_worker: None,
             placement,
@@ -460,18 +474,25 @@ impl StreamSession {
     }
 
     /// Rebuilds a session from a [`SessionState`] snapshot without
-    /// re-partitioning: the engine is constructed directly on the saved
-    /// labels and hosted on the saved placement, so the next
-    /// [`Self::apply`] behaves bit-identically to the session the state was
-    /// taken from (the warm reset reloads topology and labels either way;
-    /// what matters is that graph, labels, feedback map, and `k` match).
-    /// The engine is built by [`stages::build_engine`], which counts every
-    /// label histogram from the saved labels, so a first delta window
-    /// carries those exact histograms as it would a finished run's.
+    /// re-partitioning: the next [`Self::apply`] behaves bit-identically to
+    /// the session the state was taken from (the warm reset reloads
+    /// topology and labels either way; what matters is that graph, labels,
+    /// feedback map, and `k` match).
+    ///
+    /// Only the undirected view is derived here; labels, placement and
+    /// reports are readable at once. The engine is built on first need —
+    /// the first [`Self::apply`] or [`Self::inject_transport_faults`] — by
+    /// [`stages::build_engine`] on the saved labels, hosted on the saved
+    /// placement, exactly as an eager build would have been: it counts
+    /// every label histogram from the saved labels, so a first delta window
+    /// carries those exact histograms as it would a finished run's. Until
+    /// then the transport counters read as a fresh engine's: no fault
+    /// plan, nothing received.
     ///
     /// This is the cross-process extension of the warm reset: a restarted
     /// process resumes serving and streaming from persisted state instead
-    /// of paying a full bootstrap partitioning. `spinner_serving` layers a
+    /// of paying a full bootstrap partitioning, and serves its recovered
+    /// placement before paying for an engine. `spinner_serving` layers a
     /// binary snapshot + write-ahead-log codec on top of this.
     pub fn from_state(state: SessionState) -> Self {
         let SessionState { cfg, graph, labels, placement, label_assignment, windows } = state;
@@ -484,13 +505,15 @@ impl StreamSession {
         );
         let placement = Placement::explicit(placement, cfg.num_workers);
         assert_eq!(placement.num_vertices(), undirected.num_vertices());
-        let engine = stages::build_engine(&undirected, &cfg, &placement, &labels, &[]);
         Self {
             cfg,
             graph,
             undirected,
+            spare_graph: DirectedGraph::default(),
+            spare_view: UndirectedGraph::default(),
             labels,
-            engine,
+            engine: None,
+            states: Vec::new(),
             windows,
             label_to_worker: label_assignment,
             placement,
@@ -525,6 +548,8 @@ impl StreamSession {
     /// would count one superstep and one announcement round more (see
     /// [`stages`]).
     pub fn apply(&mut self, event: StreamEvent) -> &WindowReport {
+        // Out of `self` for the window; put back before the report.
+        let mut engine = self.engine.take().unwrap_or_else(|| self.build_engine());
         let old_n = self.labels.len();
         // Which vertices restart migrations (only consulted under
         // `RestartScope::AffectedOnly`; empty marks everyone affected).
@@ -532,30 +557,39 @@ impl StreamSession {
         let mut lost_vertices = 0u64;
         // A delta window carries the previous run's vertex states when they
         // are exact, patched by the delta; every other window recounts them.
-        let mut carried: Option<Vec<VertexState>> = None;
+        let mut carried = false;
         // The pairs whose edge the window added or removed: the engine's
         // loaded topology is patched by them.
         let mut changed: Vec<(VertexId, VertexId)> = Vec::new();
         let labels = match &event {
             StreamEvent::Delta(delta) => {
-                let next = apply_delta(&self.graph, delta);
-                let ViewPatch { graph: undirected, added, removed } =
-                    patch_undirected_edges(&self.undirected, &next, delta);
+                // The graph and view are written into the ones the previous
+                // delta window replaced, which this one replaces in turn.
+                apply_delta_into(&self.graph, delta, &mut self.spare_graph);
+                let (added, removed) = patch_undirected_edges_into(
+                    &self.undirected,
+                    &self.spare_graph,
+                    delta,
+                    &mut self.spare_view,
+                );
+                std::mem::swap(&mut self.graph, &mut self.spare_graph);
+                std::mem::swap(&mut self.undirected, &mut self.spare_view);
+                let n = self.undirected.num_vertices();
                 if self.cfg.restart_scope == RestartScope::AffectedOnly {
-                    let n = undirected.num_vertices();
                     affected = delta_affected(n, old_n as VertexId, delta);
                 }
-                let labels = least_loaded_labels(&undirected, &self.labels, &[], self.cfg.k);
+                let labels =
+                    least_loaded_labels(&self.undirected, &self.labels, &[], self.cfg.k);
                 if self.states_exact {
-                    let mut states = self.engine.take_values();
+                    // Room for the arrivals too, so the carry never grows it.
+                    refit(&mut self.states, n as usize);
+                    engine.take_values_into(&mut self.states);
                     let changes = unit_weight_changes(&added, &removed);
-                    carry_states(&mut states, &changes, &undirected, &labels);
-                    carried = Some(states);
+                    carry_states(&mut self.states, changes, &self.undirected, &labels);
+                    carried = true;
                 }
                 changed = added;
                 changed.extend(removed);
-                self.undirected = undirected;
-                self.graph = next;
                 labels
             }
             StreamEvent::Resize { k } => {
@@ -601,9 +635,11 @@ impl StreamSession {
         };
 
         let placement = self.placement_for(&labels);
-        let states = carried.unwrap_or_else(|| {
-            stages::recount_states(&self.undirected, &placement, &labels, self.cfg.num_threads)
-        });
+        if !carried {
+            let threads = self.cfg.num_threads;
+            self.states =
+                stages::recount_states(&self.undirected, &placement, &labels, threads);
+        }
         // Parked bystanders must stay parked once they settle again — the
         // affected-only halt in ComputeMigrations does exactly that, with
         // `affected` seeded from the frontier.
@@ -615,10 +651,19 @@ impl StreamSession {
             ),
             None => (self.cfg.clone(), affected),
         };
-        let (engine, und) = (&mut self.engine, &self.undirected);
-        stages::warm_reset(engine, und, &changed, &cfg, &placement, states, &affected, parked);
+        let (und, states) = (&self.undirected, &mut self.states);
+        stages::warm_reset(
+            &mut engine,
+            und,
+            &changed,
+            &cfg,
+            &placement,
+            states,
+            &affected,
+            parked,
+        );
         self.placement = placement;
-        let mut summary = self.engine.run();
+        let mut summary = engine.run();
 
         // Lane-health escalation: when the transport declares a lane dead
         // (retry budget exhausted or take deadline hit), the engine aborts
@@ -649,7 +694,7 @@ impl StreamSession {
         let mut reseeded: Vec<WorkerId> = Vec::new();
         let mut escalation: Option<(Vec<Label>, Vec<bool>)> = None;
         while let HaltReason::TransportFailed(err) = summary.halt {
-            let (degraded, dead) = self.engine.transport_health_counts();
+            let (degraded, dead) = engine.transport_health_counts();
             lanes_degraded = lanes_degraded.max(degraded);
             lanes_dead += dead.max(1);
             failed_metrics.append(&mut summary.metrics);
@@ -664,22 +709,23 @@ impl StreamSession {
             let (relabeled, lost) = escalation.as_ref().expect("a reseeded sender");
             let placement = self.placement_for(relabeled);
             let threads = self.cfg.num_threads;
-            let states =
+            self.states =
                 stages::recount_states(&self.undirected, &placement, relabeled, threads);
-            let (engine, und, cfg) = (&mut self.engine, &self.undirected, &self.cfg);
-            stages::warm_reset(engine, und, &[], cfg, &placement, states, lost, false);
+            let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
+            stages::warm_reset(&mut engine, und, &[], cfg, &placement, states, lost, false);
             self.placement = placement;
-            summary = self.engine.run();
+            summary = engine.run();
         }
         if !failed_metrics.is_empty() {
             failed_metrics.append(&mut summary.metrics);
             summary.metrics = failed_metrics;
         }
-        let (degraded, dead) = self.engine.transport_health_counts();
+        let (degraded, dead) = engine.transport_health_counts();
         let lanes = (lanes_degraded.max(degraded), lanes_dead + dead);
         self.states_exact = halted_cleanly(&summary);
 
-        let result = stages::collect(&self.cfg, &self.engine, &summary, &self.undirected);
+        let result = stages::collect(&self.cfg, &engine, &summary, &self.undirected);
+        self.engine = Some(engine);
         let moved =
             self.labels.iter().zip(&result.labels).filter(|&(&old, &new)| old != new).count();
         let migration_fraction = if old_n > 0 { moved as f64 / old_n as f64 } else { 1.0 };
@@ -759,19 +805,36 @@ impl StreamSession {
     /// wire. Fault plans are transient chaos apparatus: they are never
     /// persisted into [`SessionState`].
     pub fn inject_transport_faults(&mut self, plan: TransportFaultPlan) {
-        self.engine.inject_transport_faults(plan);
+        self.engine().inject_transport_faults(plan);
     }
 
     /// `(injected, remaining)` counts from the installed fault plan —
-    /// `(0, 0)` when no plan is installed.
+    /// `(0, 0)` when no plan is installed (always, before a resumed
+    /// session's engine is built).
     pub fn transport_chaos_counts(&self) -> (u64, u64) {
-        self.engine.transport_chaos_counts()
+        self.engine.as_ref().map_or((0, 0), Engine::transport_chaos_counts)
     }
 
     /// Receive-side reliability counters summed over every lane of the
-    /// engine's transport (all-zero on the direct path or a clean wire).
+    /// engine's transport (all-zero on the direct path or a clean wire, and
+    /// before a resumed session's engine is built).
     pub fn transport_recv_stats(&self) -> TransportStats {
-        self.engine.transport_recv_stats()
+        self.engine.as_ref().map_or_else(TransportStats::default, Engine::transport_recv_stats)
+    }
+
+    /// The engine, built first if the session was resumed and nothing has
+    /// needed it yet.
+    fn engine(&mut self) -> &mut Engine<SpinnerProgram> {
+        if self.engine.is_none() {
+            self.engine = Some(self.build_engine());
+        }
+        self.engine.as_mut().expect("the engine was just built")
+    }
+
+    /// The engine [`Self::from_state`] defers: built on the session's view,
+    /// labels and placement, as a resume used to build it at once.
+    fn build_engine(&self) -> Engine<SpinnerProgram> {
+        stages::build_engine(&self.undirected, &self.cfg, &self.placement, &self.labels, &[])
     }
 
     /// The placement for a window starting from `labels`: hash placement
@@ -946,15 +1009,17 @@ fn halted_cleanly(summary: &RunSummary) -> bool {
 
 /// The weight changes of a unit-weight view patch, `(a, b, Δw)` in
 /// ascending pair order: Δw = +1 for each added pair, −1 for each removed
-/// one. Both lists are ascending, so the sort merges two runs.
-fn unit_weight_changes(
-    added: &[(VertexId, VertexId)],
-    removed: &[(VertexId, VertexId)],
-) -> Vec<(VertexId, VertexId, i32)> {
-    let added = added.iter().map(|&(a, b)| (a, b, 1));
-    let mut changes: Vec<_> = added.chain(removed.iter().map(|&(a, b)| (a, b, -1))).collect();
-    changes.sort();
-    changes
+/// one. Both lists are ascending and disjoint, so this merges them.
+fn unit_weight_changes<'a>(
+    added: &'a [(VertexId, VertexId)],
+    removed: &'a [(VertexId, VertexId)],
+) -> impl Iterator<Item = (VertexId, VertexId, i32)> + 'a {
+    let (mut added, mut removed) = (added.iter().peekable(), removed.iter().peekable());
+    std::iter::from_fn(move || match (added.peek(), removed.peek()) {
+        (Some(a), Some(r)) if r < a => removed.next().map(|&(a, b)| (a, b, -1)),
+        (Some(_), _) => added.next().map(|&(a, b)| (a, b, 1)),
+        (None, _) => removed.next().map(|&(a, b)| (a, b, -1)),
+    })
 }
 
 /// The weight change of every unordered pair `delta` names: `(a, b, Δw)`
@@ -1001,12 +1066,12 @@ fn weight_changes(
 /// where they were.
 fn carry_states(
     states: &mut Vec<VertexState>,
-    changes: &[(VertexId, VertexId, i32)],
+    changes: impl IntoIterator<Item = (VertexId, VertexId, i32)>,
     graph: &UndirectedGraph,
     labels: &[Label],
 ) {
     let old_n = states.len();
-    for &(a, b, dw) in changes {
+    for (a, b, dw) in changes {
         for (v, u) in [(a, b), (b, a)] {
             // An appended vertex is counted whole below.
             if let Some(state) = states.get_mut(v as usize) {
@@ -1055,8 +1120,9 @@ mod tests {
     };
     use crate::program::check_mass_law;
     use proptest::prelude::*;
+    use spinner_graph::conversion::patch_undirected_edges;
     use spinner_graph::generators::{planted_partition, SbmConfig};
-    use spinner_graph::mutation::{sample_new_edges, sample_removed_edges};
+    use spinner_graph::mutation::{apply_delta, sample_new_edges, sample_removed_edges};
     use spinner_graph::rng::SplitMix64;
     use spinner_graph::{DeltaStream, DeltaStreamConfig, GraphBuilder};
 
@@ -1091,7 +1157,7 @@ mod tests {
             let w = session.apply(event.clone()).clone();
             visits += w.computed();
             let parts = WindowReportParts { computed: 0, wall_ns: 0, ..w.to_parts() };
-            let history = session.engine.global().history.clone();
+            let history = session.engine().global().history.clone();
             out.push((session.labels().to_vec(), history, parts));
         }
         (out, visits)
@@ -1219,8 +1285,9 @@ mod tests {
     }
 
     /// `apply` patches the undirected view instead of re-converting it: after
-    /// every window of a churning stream the view equals a fresh conversion,
-    /// and both graphs hold exactly the capacity a fresh build allocates.
+    /// every window of a churning stream the view equals a fresh conversion.
+    /// Both graphs are written into recycled buffers, so they may hold more
+    /// capacity than a fresh build allocates, but never twice as much.
     #[test]
     fn patched_view_matches_fresh_conversion_every_window() {
         let g0 = base(1500, 13);
@@ -1244,8 +1311,8 @@ mod tests {
             let converted = from_undirected_edges(graph);
             assert_eq!(graph, &rebuilt);
             assert_eq!(session.undirected(), &converted);
-            assert_eq!(graph.memory_bytes(), rebuilt.memory_bytes());
-            assert_eq!(session.undirected().memory_bytes(), converted.memory_bytes());
+            assert!(graph.memory_bytes() <= 2 * rebuilt.memory_bytes());
+            assert!(session.undirected().memory_bytes() <= 2 * converted.memory_bytes());
         }
     }
 
@@ -1387,6 +1454,53 @@ mod tests {
             assert_eq!(r.messages(), o.messages());
             assert_eq!(r.placement_moved(), o.placement_moved());
         }
+    }
+
+    /// A resumed session builds its engine on first need. Before that its
+    /// transport counters read as an eagerly built engine's, a fault plan
+    /// injected before the first window builds the engine, and the windows
+    /// after it run — labels, reports, counters — as on an eagerly built
+    /// one.
+    #[test]
+    fn a_deferred_engine_answers_and_runs_as_an_eager_one() {
+        let g0 = base(900, 43);
+        let cfg = cfg(5).with_transport(spinner_pregel::TransportKind::Ring);
+        let workers = cfg.num_workers;
+        let mut original = StreamSession::new(g0.clone(), cfg);
+        let mut stream = DeltaStream::new(
+            g0,
+            DeltaStreamConfig { windows: 2, seed: 47, ..DeltaStreamConfig::default() },
+        );
+        original.apply(StreamEvent::Delta(stream.next().expect("window")));
+
+        let mut deferred = StreamSession::from_state(original.state());
+        let mut eager = StreamSession::from_state(original.state());
+        eager.engine();
+        assert!(deferred.engine.is_none());
+        let counters =
+            |s: &StreamSession| (s.transport_chaos_counts(), s.transport_recv_stats());
+        assert_eq!(counters(&deferred), counters(&eager));
+
+        let plan = TransportFaultPlan::seeded(11, workers, 64, 0.05);
+        deferred.inject_transport_faults(plan.clone());
+        eager.inject_transport_faults(plan);
+        assert!(deferred.engine.is_some());
+        assert_eq!(counters(&deferred), counters(&eager));
+
+        // The delta window carries the states the deferred build counted;
+        // the resize's migrations put frames on the faulty wire.
+        let parts = |s: &StreamSession| WindowReportParts { wall_ns: 0, ..s.last().to_parts() };
+        for event in
+            [StreamEvent::Delta(stream.next().expect("window")), StreamEvent::Resize { k: 7 }]
+        {
+            deferred.apply(event.clone());
+            eager.apply(event);
+            assert_eq!(counters(&deferred), counters(&eager));
+            assert_eq!(deferred.labels(), eager.labels());
+            assert_eq!(deferred.placement(), eager.placement());
+            assert_eq!(parts(&deferred), parts(&eager));
+        }
+        assert!(deferred.transport_chaos_counts().0 > 0, "the plan injected no fault");
     }
 
     /// Worker-loss recovery: reseeding + affected-only re-convergence must
@@ -1617,7 +1731,7 @@ mod tests {
                         stages::build_engine(&graph, &cold_cfg, &placement, &labels, &affected);
                     let summary = engine.run();
                     let cold = stages::collect(&cold_cfg, &engine, &summary, &graph);
-                    let global = session.engine.global();
+                    let global = session.engine.as_ref().expect("built by apply").global();
                     prop_assert_eq!(session.labels(), cold.labels.as_slice());
                     prop_assert_eq!(warm.iterations(), cold.iterations);
                     prop_assert_eq!(&global.history, &cold.history);
@@ -1670,7 +1784,7 @@ mod tests {
             let delta = random_delta(&mut rng, &graph);
             let next = apply_delta(&graph, &delta);
             let patch = patch_undirected_edges(&view, &next, &delta);
-            let changes = unit_weight_changes(&patch.added, &patch.removed);
+            let changes: Vec<_> = unit_weight_changes(&patch.added, &patch.removed).collect();
             assert_eq!(changes, weight_changes(&view, &patch.graph, &delta));
             (graph, view) = (next, patch.graph);
         }
@@ -1700,10 +1814,10 @@ mod tests {
         let labels = least_loaded_labels(&next, &session.labels, &[], session.k());
         let changes = weight_changes(&session.undirected, &next, &delta);
         assert!(changes.iter().any(|c| c.2 > 0) && changes.iter().any(|c| c.2 < 0));
-        let states = session.engine.take_values();
+        let states = session.engine().take_values();
         let carried = |changes: &[(VertexId, VertexId, i32)]| {
             let mut states = states.clone();
-            carry_states(&mut states, changes, &next, &labels);
+            carry_states(&mut states, changes.iter().copied(), &next, &labels);
             check_mass_law(&next, &states)
         };
         assert_eq!(carried(&changes), Ok(()));

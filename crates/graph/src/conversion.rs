@@ -29,6 +29,7 @@
 //! [`patch_undirected_edges`] goes one step further for streams: it updates
 //! an existing unit-weight view by a delta's pairs alone.
 
+use crate::buffer::Fit;
 use crate::directed::DirectedGraph;
 use crate::ids::{EdgeWeight, VertexId};
 use crate::mutation::{merge_rows, GraphDelta};
@@ -69,6 +70,9 @@ pub fn from_undirected_edges(g: &DirectedGraph) -> UndirectedGraph {
     to_naive_undirected(g)
 }
 
+/// Unordered vertex pairs `(a, b)`, `a < b`, ascending.
+pub type Pairs = Vec<(VertexId, VertexId)>;
+
 /// A unit-weight view patched by one delta window, with the unordered pairs
 /// whose edge the window added to it and removed from it.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +102,32 @@ pub fn patch_undirected_edges(
     next: &DirectedGraph,
     delta: &GraphDelta,
 ) -> ViewPatch {
+    let mut graph = UndirectedGraph::default();
+    let (added, removed) = write_patch(prev, next, delta, &mut graph, Fit::Exact);
+    ViewPatch { graph, added, removed }
+}
+
+/// [`patch_undirected_edges`] into a recycled view: `out`'s previous
+/// contents are discarded and its buffers hold the patched view. A buffer
+/// that is too small is replaced, with headroom
+/// ([`crate::buffer::refit`]). Returns the pairs the patch added and
+/// removed, as [`ViewPatch`] lists them.
+pub fn patch_undirected_edges_into(
+    prev: &UndirectedGraph,
+    next: &DirectedGraph,
+    delta: &GraphDelta,
+    out: &mut UndirectedGraph,
+) -> (Pairs, Pairs) {
+    write_patch(prev, next, delta, out, Fit::Recycled)
+}
+
+fn write_patch(
+    prev: &UndirectedGraph,
+    next: &DirectedGraph,
+    delta: &GraphDelta,
+    out: &mut UndirectedGraph,
+    fit: Fit,
+) -> (Pairs, Pairs) {
     let (prev_n, n) = (prev.num_vertices(), next.num_vertices());
     let (mut added, mut removed) = (Vec::new(), Vec::new());
     for &(u, v) in delta.added_edges.iter().chain(&delta.removed_edges) {
@@ -107,8 +137,8 @@ pub fn patch_undirected_edges(
         let before = u < prev_n && v < prev_n && prev.edge_weight(u, v).is_some();
         let after = next.has_edge(u, v) || next.has_edge(v, u);
         match (before, after) {
-            (false, true) => added.extend([(u, v), (v, u)]),
-            (true, false) => removed.extend([(u, v), (v, u)]),
+            (false, true) => added.push((u.min(v), u.max(v))),
+            (true, false) => removed.push((u.min(v), u.max(v))),
             _ => {}
         }
     }
@@ -116,18 +146,25 @@ pub fn patch_undirected_edges(
         pairs.sort_unstable();
         pairs.dedup();
     }
-    let (offsets, targets, _) = prev.as_csr();
-    let (offsets, targets) = merge_rows((offsets, targets), n as usize, &added, &removed);
-    let weights = vec![1; targets.len()];
-    // Each pair is listed in both orientations; the ascending one names it.
-    let unordered = |pairs: Vec<(VertexId, VertexId)>| {
-        pairs.into_iter().filter(|&(a, b)| a < b).collect::<Vec<_>>()
+    // Each pair is merged into both its rows: the orientations that point
+    // down, `(b, a)`, sorted apart from the pairs themselves.
+    let down = |pairs: &[(VertexId, VertexId)]| {
+        let mut down: Vec<_> = pairs.iter().map(|&(a, b)| (b, a)).collect();
+        down.sort_unstable();
+        down
     };
-    ViewPatch {
-        graph: UndirectedGraph::from_csr(offsets, targets, weights),
-        added: unordered(added),
-        removed: unordered(removed),
-    }
+    let (added_down, removed_down) = (down(&added), down(&removed));
+    out.rewrite(|offsets, targets, weights| {
+        let m = prev.num_adjacency_entries() as usize + 2 * added.len() - 2 * removed.len();
+        fit.size(offsets, n as usize + 1);
+        fit.size(targets, m);
+        fit.size(weights, m);
+        let (prev_offsets, prev_targets, _) = prev.as_csr();
+        let (csr, out) = ((prev_offsets, prev_targets), (offsets, targets));
+        merge_rows(csr, n as usize, [&added_down, &added], [&removed_down, &removed], out);
+        weights.resize(m, 1);
+    });
+    (added, removed)
 }
 
 /// The symmetric closure of `g`, each row the union of `v`'s out-row and

@@ -17,6 +17,13 @@ pub struct DirectedGraph {
     targets: Vec<VertexId>,
 }
 
+impl Default for DirectedGraph {
+    /// The graph with no vertices.
+    fn default() -> Self {
+        Self { offsets: vec![0], targets: Vec::new() }
+    }
+}
+
 impl DirectedGraph {
     /// Builds a graph directly from CSR arrays.
     ///
@@ -26,16 +33,30 @@ impl DirectedGraph {
     /// [`crate::builder::GraphBuilder`] produces such arrays; this
     /// constructor checks the invariants in debug builds.
     pub(crate) fn from_csr(offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
+        let g = Self { offsets, targets };
+        g.debug_check();
+        g
+    }
+
+    /// Rewrites the graph in place: `write` gets the CSR arrays and must
+    /// leave in them arrays [`Self::from_csr`] accepts, so a caller that
+    /// rebuilds a graph every round can reuse this one's buffers.
+    pub(crate) fn rewrite(&mut self, write: impl FnOnce(&mut Vec<u64>, &mut Vec<VertexId>)) {
+        write(&mut self.offsets, &mut self.targets);
+        self.debug_check();
+    }
+
+    /// The invariants of [`Self::from_csr`], checked in debug builds.
+    fn debug_check(&self) {
+        let offsets = &self.offsets;
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(offsets[0], 0);
-        debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
+        debug_assert_eq!(*offsets.last().unwrap() as usize, self.targets.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        let g = Self { offsets, targets };
-        debug_assert!((0..g.num_vertices()).all(|v| {
-            g.out_neighbors(v).windows(2).all(|w| w[0] < w[1])
-                && g.out_neighbors(v).iter().all(|&t| (t as usize) < g.num_vertices() as usize)
+        debug_assert!((0..self.num_vertices()).all(|v| {
+            self.out_neighbors(v).windows(2).all(|w| w[0] < w[1])
+                && self.out_neighbors(v).iter().all(|&t| t < self.num_vertices())
         }));
-        g
     }
 
     /// The number of vertices `|V|`.

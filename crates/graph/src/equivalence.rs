@@ -1,16 +1,20 @@
 //! The linear graph maintenance against the sort-based oracles it replaced:
 //! `apply_delta`, both conversions and the view patch must reproduce every
 //! CSR array byte for byte, at exactly the same capacity (`memory_bytes`).
+//! The recycled forms (`apply_delta_into`, `patch_undirected_edges_into`)
+//! must reproduce the allocating forms' arrays whatever graph they write
+//! into — empty, smaller or larger than the result, or full of stale rows —
+//! and only their capacity may differ.
 
 use crate::builder::GraphBuilder;
 use crate::conversion::{
-    self, from_undirected_edges, patch_undirected_edges, to_naive_undirected,
-    to_weighted_undirected,
+    self, from_undirected_edges, patch_undirected_edges, patch_undirected_edges_into,
+    to_naive_undirected, to_weighted_undirected,
 };
 use crate::directed::DirectedGraph;
 use crate::generators::{planted_partition, SbmConfig};
 use crate::ids::VertexId;
-use crate::mutation::{self, apply_delta, GraphDelta};
+use crate::mutation::{self, apply_delta, apply_delta_into, GraphDelta};
 use crate::stream::{DeltaStream, DeltaStreamConfig};
 use crate::undirected::UndirectedGraph;
 use proptest::prelude::*;
@@ -58,7 +62,45 @@ fn check_window(
     let (before, after) = (pairs(view), pairs(&patch.graph));
     assert_eq!(patch.added, after.difference(&before).copied().collect::<Vec<_>>());
     assert_eq!(patch.removed, before.difference(&after).copied().collect::<Vec<_>>());
+    for mut out in recycled(g) {
+        let mut out_view = from_undirected_edges(&out);
+        check_recycled(g, view, delta, &mut out, &mut out_view);
+    }
     (next, patch.graph)
+}
+
+/// Graphs to recycle for a window on `g`: empty, smaller and larger than
+/// any result here, and `g` itself, whose rows are all stale.
+fn recycled(g: &DirectedGraph) -> [DirectedGraph; 4] {
+    let large = (0..48u32).flat_map(|u| (0..48).filter(move |&v| v != u).map(move |v| (u, v)));
+    [
+        DirectedGraph::default(),
+        GraphBuilder::new(2).add_edges([(0, 1)]).build(),
+        GraphBuilder::new(48).add_edges(large).build(),
+        g.clone(),
+    ]
+}
+
+/// Writes the window `delta` on `g` and its view `view` into the recycled
+/// `out_graph` and `out_view`, which must come out equal to the allocating
+/// forms' results, array for array, with at least their capacity.
+fn check_recycled(
+    g: &DirectedGraph,
+    view: &UndirectedGraph,
+    delta: &GraphDelta,
+    out_graph: &mut DirectedGraph,
+    out_view: &mut UndirectedGraph,
+) {
+    let next = apply_delta(g, delta);
+    apply_delta_into(g, delta, out_graph);
+    assert_eq!(out_graph.as_csr(), next.as_csr());
+    assert!(out_graph.memory_bytes() >= next.memory_bytes());
+    let patch = patch_undirected_edges(view, &next, delta);
+    let (added, removed) = patch_undirected_edges_into(view, out_graph, delta, out_view);
+    assert_eq!(out_view.as_csr(), patch.graph.as_csr());
+    assert_eq!(out_view.total_weight(), patch.graph.total_weight());
+    assert!(out_view.memory_bytes() >= patch.graph.memory_bytes());
+    assert_eq!((added, removed), (patch.added, patch.removed));
 }
 
 proptest! {
@@ -123,15 +165,22 @@ fn community_graph(n: u32, seed: u64) -> DirectedGraph {
 }
 
 /// Replays a churning `DeltaStream` (removals and arrivals) through the merge
-/// and a chain of patched views, each window against the oracles.
+/// and a chain of patched views, each window against the oracles, and
+/// through the recycled forms as a stream session drives them: each window
+/// writes into the graph and view the previous window replaced.
 fn check_stream(base: DirectedGraph, windows: u32, seed: u64) {
     let cfg = DeltaStreamConfig { windows, seed, ..DeltaStreamConfig::default() };
     let deltas: Vec<GraphDelta> = DeltaStream::new(base.clone(), cfg).collect();
     let mut view = from_undirected_edges(&base);
     let mut g = base;
+    let (mut spare_graph, mut spare_view) =
+        (DirectedGraph::default(), UndirectedGraph::default());
     for delta in &deltas {
         assert!(!delta.removed_edges.is_empty() && delta.new_vertices > 0);
-        (g, view) = check_window(&g, &view, delta);
+        check_recycled(&g, &view, delta, &mut spare_graph, &mut spare_view);
+        let (next, next_view) = check_window(&g, &view, delta);
+        spare_graph = std::mem::replace(&mut g, next);
+        spare_view = std::mem::replace(&mut view, next_view);
     }
 }
 

@@ -16,6 +16,7 @@
 //! - A registry of scaled-down synthetic analogues of the paper's datasets
 //!   (LiveJournal, Google+, Tuenti, Twitter, Friendster, Yahoo!).
 
+pub mod buffer;
 pub mod builder;
 pub mod conversion;
 pub mod datasets;

@@ -7,6 +7,7 @@
 //! canonical social-network mechanism: most new edges close open triangles
 //! (friend-of-friend), the rest connect random pairs.
 
+use crate::buffer::Fit;
 use crate::directed::DirectedGraph;
 use crate::ids::VertexId;
 use crate::rng::SplitMix64;
@@ -92,7 +93,22 @@ impl GraphDelta {
 /// Cost is `O(|V| + |E| + |Δ| log |Δ|)`: only the delta is sorted, and each
 /// CSR row is written once, as a merge of the old row with that row's
 /// removals and additions (rows the delta does not touch are block copies).
+/// The result's arrays are allocated once, at exactly their final size.
 pub fn apply_delta(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
+    let mut out = DirectedGraph::default();
+    write_delta(g, delta, &mut out, Fit::Exact);
+    out
+}
+
+/// [`apply_delta`] into a recycled graph: `out`'s previous contents are
+/// discarded and its buffers hold the result. A buffer that is too small is
+/// replaced, with headroom ([`crate::buffer::refit`]), so a stream that
+/// ping-pongs two graphs allocates nothing once they fit.
+pub fn apply_delta_into(g: &DirectedGraph, delta: &GraphDelta, out: &mut DirectedGraph) {
+    write_delta(g, delta, out, Fit::Recycled);
+}
+
+fn write_delta(g: &DirectedGraph, delta: &GraphDelta, out: &mut DirectedGraph, fit: Fit) {
     let old_n = g.num_vertices();
     let present = |&(u, v): &(VertexId, VertexId)| u < old_n && g.has_edge(u, v);
     let mut added: Vec<(VertexId, VertexId)> =
@@ -109,35 +125,51 @@ pub fn apply_delta(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
     removed.dedup();
     let n = added.iter().fold(old_n + delta.new_vertices, |n, &(u, v)| n.max(u.max(v) + 1));
     added.retain(|e| !present(e));
-    let (offsets, targets) = merge_rows(g.as_csr(), n as usize, &added, &removed);
-    DirectedGraph::from_csr(offsets, targets)
+    out.rewrite(|offsets, targets| {
+        let m = g.num_edges() as usize + added.len() - removed.len();
+        fit.size(offsets, n as usize + 1);
+        fit.size(targets, m);
+        merge_rows(g.as_csr(), n as usize, [&[], &added], [&[], &removed], (offsets, targets));
+    });
 }
 
+/// The edits of one side of a row merge — additions or removals — as two
+/// lists of `(row, target)`, each sorted and deduplicated, where every
+/// target a row has in the first list is below every target it has in the
+/// second. A view patch lists the orientation of each pair that points
+/// down first and the one that points up second (no one list holds both,
+/// so neither is larger than the pairs themselves); a directed delta leaves
+/// the first list empty.
+pub(crate) type Edits<'a> = [&'a [(VertexId, VertexId)]; 2];
+
 /// The row-merge kernel behind [`apply_delta`] and
-/// [`crate::conversion::patch_undirected_edges`]: rewrites the CSR
-/// `(offsets, targets)` over `n` rows (rows past the old range start empty),
-/// row `u` becoming its old row minus the removal run of `u` plus the
-/// addition run of `u`.
+/// [`crate::conversion::patch_undirected_edges`]: writes into the empty
+/// `out` the CSR `(offsets, targets)` over `n` rows (rows past the old range
+/// start empty), row `u` becoming its old row minus its removals plus its
+/// additions.
 ///
-/// `added` and `removed` are sorted and deduplicated; every removed edge is
-/// present and every added edge absent, so the output length is known up
-/// front and both arrays are allocated once at exactly their final size.
-/// Runs of rows the delta does not touch are copied as one block.
+/// Every removed edge is present and every added edge absent, so the output
+/// length is known up front: the caller sizes `out` for `n + 1` offsets and
+/// `targets.len()` plus the additions minus the removals targets, and
+/// nothing grows. Runs of rows the edits do not touch are copied as one
+/// block.
 pub(crate) fn merge_rows(
     (offsets, targets): (&[u64], &[VertexId]),
     n: usize,
-    mut added: &[(VertexId, VertexId)],
-    mut removed: &[(VertexId, VertexId)],
-) -> (Vec<u64>, Vec<VertexId>) {
+    mut added: Edits<'_>,
+    mut removed: Edits<'_>,
+    (out_offsets, out_targets): (&mut Vec<u64>, &mut Vec<VertexId>),
+) {
     let old_n = offsets.len() - 1;
-    let m = targets.len() + added.len() - removed.len();
-    let mut out_offsets = Vec::with_capacity(n + 1);
-    let mut out_targets = Vec::with_capacity(m);
+    let count = |edits: &Edits<'_>| edits[0].len() + edits[1].len();
+    let m = targets.len() + count(&added) - count(&removed);
+    debug_assert!(out_offsets.is_empty() && out_targets.is_empty());
+    debug_assert!(out_offsets.capacity() > n && out_targets.capacity() >= m);
     out_offsets.push(0);
     let mut u = 0;
     while u < n {
         let src = |run: &[(VertexId, VertexId)]| run.first().map_or(n, |e| e.0 as usize);
-        let next = src(added).min(src(removed));
+        let next = added.iter().chain(&removed).map(|run| src(run)).min().unwrap_or(n);
         let copy_end = next.min(old_n).max(u);
         if u < copy_end {
             let (lo, base) = (offsets[u], out_targets.len() as u64);
@@ -148,42 +180,48 @@ pub(crate) fn merge_rows(
         if next == n {
             break;
         }
-        let a = added.partition_point(|e| e.0 as usize == next);
-        let r = removed.partition_point(|e| e.0 as usize == next);
         let old_row = match offsets.get(next..next + 2) {
             Some(&[lo, hi]) => &targets[lo as usize..hi as usize],
             _ => &[],
         };
-        merge_row(old_row, &removed[..r], &added[..a], &mut out_targets);
+        let [a0, a1] = [split_row(&mut added[0], next), split_row(&mut added[1], next)];
+        let [r0, r1] = [split_row(&mut removed[0], next), split_row(&mut removed[1], next)];
+        let (added_row, removed_row) = (a0.iter().chain(a1), r0.iter().chain(r1));
+        merge_row(old_row, removed_row.map(|e| e.1), added_row.map(|e| e.1), out_targets);
         out_offsets.push(out_targets.len() as u64);
-        (added, removed) = (&added[a..], &removed[r..]);
         u = next + 1;
     }
     debug_assert_eq!(out_targets.len(), m, "an added edge was present or a removed one absent");
-    (out_offsets, out_targets)
+}
+
+/// Splits row `row`'s run off the front of `edits`.
+fn split_row<'a>(
+    edits: &mut &'a [(VertexId, VertexId)],
+    row: usize,
+) -> &'a [(VertexId, VertexId)] {
+    let (run, rest) = edits.split_at(edits.partition_point(|e| e.0 as usize == row));
+    *edits = rest;
+    run
 }
 
 /// Writes `(old \ removed) ∪ added` for one row, by target: `old` sorted,
-/// `removed ⊆ old` and `added` disjoint from `old`, both sorted.
+/// `removed ⊆ old` and `added` disjoint from `old`, both ascending.
 fn merge_row(
     old: &[VertexId],
-    removed: &[(VertexId, VertexId)],
-    added: &[(VertexId, VertexId)],
+    removed: impl Iterator<Item = VertexId>,
+    added: impl Iterator<Item = VertexId>,
     out: &mut Vec<VertexId>,
 ) {
-    let (mut r, mut a) = (0, 0);
+    let (mut removed, mut added) = (removed.peekable(), added.peekable());
     for &t in old {
-        while a < added.len() && added[a].1 < t {
-            out.push(added[a].1);
-            a += 1;
+        while let Some(a) = added.next_if(|&a| a < t) {
+            out.push(a);
         }
-        if r < removed.len() && removed[r].1 == t {
-            r += 1;
-        } else {
+        if removed.next_if_eq(&t).is_none() {
             out.push(t);
         }
     }
-    out.extend(added[a..].iter().map(|e| e.1));
+    out.extend(added);
 }
 
 /// The `GraphBuilder` rebuild `apply_delta` used before the row merge

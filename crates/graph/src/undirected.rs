@@ -26,6 +26,13 @@ pub struct UndirectedGraph {
     total_weight: u64,
 }
 
+impl Default for UndirectedGraph {
+    /// The graph with no vertices.
+    fn default() -> Self {
+        Self { offsets: vec![0], targets: Vec::new(), weights: Vec::new(), total_weight: 0 }
+    }
+}
+
 impl UndirectedGraph {
     /// Builds from symmetric CSR arrays. Invariants (checked in debug builds):
     /// sorted+deduplicated adjacency, symmetry with equal weights, no
@@ -35,13 +42,31 @@ impl UndirectedGraph {
         targets: Vec<VertexId>,
         weights: Vec<EdgeWeight>,
     ) -> Self {
-        debug_assert_eq!(targets.len(), weights.len());
-        debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
-        let total_weight = weights.iter().map(|&w| w as u64).sum();
-        let g = Self { offsets, targets, weights, total_weight };
-        #[cfg(debug_assertions)]
-        g.check_symmetry();
+        let mut g = Self { offsets, targets, weights, total_weight: 0 };
+        g.seal();
         g
+    }
+
+    /// Rewrites the graph in place: `write` gets the CSR arrays `(offsets,
+    /// targets, weights)` and must leave in them arrays [`Self::from_csr`]
+    /// accepts, so a caller that rebuilds a graph every round can reuse this
+    /// one's buffers.
+    pub(crate) fn rewrite(
+        &mut self,
+        write: impl FnOnce(&mut Vec<u64>, &mut Vec<VertexId>, &mut Vec<EdgeWeight>),
+    ) {
+        write(&mut self.offsets, &mut self.targets, &mut self.weights);
+        self.seal();
+    }
+
+    /// Sums the total weight of freshly written arrays and checks their
+    /// invariants in debug builds.
+    fn seal(&mut self) {
+        debug_assert_eq!(self.targets.len(), self.weights.len());
+        debug_assert_eq!(*self.offsets.last().unwrap() as usize, self.targets.len());
+        self.total_weight = self.weights.iter().map(|&w| w as u64).sum();
+        #[cfg(debug_assertions)]
+        self.check_symmetry();
     }
 
     #[cfg(debug_assertions)]

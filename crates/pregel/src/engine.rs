@@ -43,8 +43,9 @@ use crate::transport::{
 };
 use crate::types::{OutboxGrid, WorkerId, BROADCAST_MULTI};
 use crate::wire::WireFormat;
-use crate::worker::{Fabric, Worker};
+use crate::worker::{reserve_empty, Fabric, Worker};
 use crate::Placement;
+use spinner_graph::buffer::refit;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -239,6 +240,9 @@ pub struct Engine<P: Program> {
     /// What kind of rows the loaded topology was built from; only a
     /// symmetric load can be patched ([`Self::warm_patch_undirected`]).
     rows: Rows,
+    /// The arrays a patched re-host writes one worker's topology into,
+    /// kept between re-hosts so a steady stream of windows reuses them.
+    spare: patch::Spare,
 }
 
 /// Master-owned state the worker threads read during the compute phase.
@@ -306,7 +310,7 @@ fn fill_fan_index<P: Program, I: Iterator<Item = (VertexId, u8)>>(
     // Counts land two slots up, so that after the prefix sum
     // `offsets[s + 1]` is sender `s`'s fill cursor; the fill leaves it at
     // `s`'s end, where the CSR wants it.
-    offsets.clear();
+    reserve_empty(offsets, senders + 2);
     offsets.resize(senders + 2, 0);
     for li in 0..hosted {
         for (s, _) in in_row(li) {
@@ -320,8 +324,9 @@ fn fill_fan_index<P: Program, I: Iterator<Item = (VertexId, u8)>>(
     }
     // The running total only grows, so every offset above was exact if the
     // last one is.
-    targets.clear();
-    targets.resize(checked_u32(worker, "fan-out entries", total) as usize, 0);
+    let total = checked_u32(worker, "fan-out entries", total) as usize;
+    reserve_empty(targets, total);
+    targets.resize(total, 0);
     for li in 0..hosted {
         for (s, weight) in in_row(li) {
             let cursor = &mut offsets[s as usize + 1];
@@ -476,6 +481,7 @@ impl<P: Program> Engine<P> {
             mail_grid,
             transport,
             rows,
+            spare: patch::Spare::default(),
         };
         engine.load_topology(
             n,
@@ -628,8 +634,8 @@ impl<P: Program> Engine<P> {
             }
             w.offsets.reserve(w.global_ids.len() + 1);
             w.offsets.push(0);
-            w.targets.reserve(edge_count);
-            w.edge_values.reserve(edge_count);
+            reserve_empty(&mut w.targets, edge_count);
+            reserve_empty(&mut w.edge_values, edge_count);
             if build_fanout {
                 w.plan_offsets.push(0);
             }
@@ -781,7 +787,7 @@ impl<P: Program> Engine<P> {
             for (row, w) in self.mail_grid.chunks_mut(num_workers).zip(&self.workers) {
                 for (cell, &n) in row.iter_mut().zip(&w.bounds.marks) {
                     if let Ok(cell) = cell.get_mut() {
-                        cell.marks.reserve(n);
+                        reserve_empty(&mut cell.marks, n);
                     }
                 }
             }
@@ -1177,17 +1183,26 @@ impl<P: Program> Engine<P> {
     /// [`Self::warm_reset_undirected`] before the next [`Self::run`] or any
     /// value read: until then the engine holds no vertex values.
     pub fn take_values(&mut self) -> Vec<P::V> {
+        let mut values = Vec::with_capacity(self.num_vertices as usize);
+        self.take_values_into(&mut values);
+        values
+    }
+
+    /// [`Self::take_values`] into a recycled vector: `values` is emptied
+    /// and refilled, and keeps its block while it has room (it is replaced
+    /// with headroom otherwise, see [`spinner_graph::buffer::refit`]). A
+    /// caller that hands the same vector back and forth between this and
+    /// its re-host allocates no value vector per window.
+    pub fn take_values_into(&mut self, values: &mut Vec<P::V>) {
+        refit(values, self.num_vertices as usize);
         let mut drains: Vec<_> = self.workers.iter_mut().map(|w| w.values.drain(..)).collect();
         // Each worker holds its vertices in ascending global id, so walking
         // the ids in order takes every worker's values front to back.
-        let values = (0..self.num_vertices as usize)
-            .map(|v| {
-                let w = self.worker_of[v] as usize;
-                drains[w].next().expect("one value per hosted vertex")
-            })
-            .collect();
+        values.extend((0..self.num_vertices as usize).map(|v| {
+            let w = self.worker_of[v] as usize;
+            drains[w].next().expect("one value per hosted vertex")
+        }));
         debug_assert!(drains.iter().all(|d| d.len() == 0), "values left behind");
-        values
     }
 
     /// Maps every vertex value through `f` into a dense global-id-indexed

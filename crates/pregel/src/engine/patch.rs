@@ -23,15 +23,17 @@ use crate::program::Program;
 use crate::types::{WorkerId, BROADCAST_MULTI};
 use crate::worker::Worker;
 use crate::Placement;
+use spinner_graph::buffer::refit;
 use spinner_graph::{EdgeWeight, UndirectedGraph, VertexId};
 use std::ops::Range;
 
 /// The arrays one worker's patch is built into. They are swapped with the
 /// worker's own when its patch is done, so the next worker's patch is
 /// written into the previous worker's old arrays: a re-host holds one
-/// worker's worth of spare topology, not a second copy of all of it.
+/// worker's worth of spare topology, not a second copy of all of it. The
+/// engine keeps the last worker's old arrays for the next re-host.
 #[derive(Default)]
-struct Spare {
+pub(super) struct Spare {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
     plan: PlanSpare,
@@ -139,14 +141,18 @@ impl<P: Program> Engine<P> {
             }
         }
         let lane = self.config.broadcast_fabric;
-        let plan = PlanSpare { dst_count: vec![0; num_workers], ..PlanSpare::default() };
-        let mut spare = Spare { plan, ..Spare::default() };
-        for (w, edits) in self.workers.iter_mut().zip(&mut changes) {
+        let mut room = Room::default();
+        for (w, edits) in self.workers.iter().zip(&mut changes) {
             edits.sort_unstable();
             edits.dedup();
+            room = room.max(Room::of(w, graph, edits, num_workers));
+        }
+        let spare = &mut self.spare;
+        spare.plan.dst_count.resize(num_workers, 0);
+        for (w, edits) in self.workers.iter_mut().zip(&changes) {
             let (worker_of, local_idx) = (&self.worker_of[..], &self.local_idx[..]);
-            let patch = Patch { graph, worker_of, local_idx, old_n, lane, edits };
-            patch.apply(w, init_e, &mut spare);
+            let patch = Patch { graph, worker_of, local_idx, old_n, lane, edits, room };
+            patch.apply(w, init_e, spare);
         }
         // The bounds, from the patched plan (or rows, without the lane).
         // On symmetric rows the entries other workers address to a worker
@@ -224,6 +230,48 @@ impl<P: Program> Engine<P> {
     }
 }
 
+/// What the arrays one worker's patch writes must hold, an upper bound
+/// for each, so that none grows while it is written.
+#[derive(Clone, Copy, Default)]
+struct Room {
+    /// Hosted vertices: one offset each, plus one.
+    hosted: usize,
+    /// Adjacency entries: the rows' and, a symmetric row being its
+    /// vertex's in-row, the fan-out index's.
+    entries: usize,
+    /// Broadcast plan entries: a kept row's plan gains at most one per
+    /// edit, an arrived row's has at most one per worker.
+    plan: usize,
+}
+
+impl Room {
+    /// Worker `w`'s room on `graph`, given its sorted `edits`.
+    fn of<P: Program>(
+        w: &Worker<P>,
+        graph: &UndirectedGraph,
+        edits: &[u64],
+        workers: usize,
+    ) -> Self {
+        let degree = |gid: &VertexId| graph.degree(*gid) as usize;
+        let arrived = &w.global_ids[w.offsets.len() - 1..];
+        Self {
+            hosted: w.global_ids.len(),
+            entries: w.global_ids.iter().map(degree).sum(),
+            plan: w.plan_workers.len()
+                + edits.len()
+                + arrived.iter().map(|g| degree(g).min(workers)).sum::<usize>(),
+        }
+    }
+
+    fn max(self, other: Self) -> Self {
+        Self {
+            hosted: self.hosted.max(other.hosted),
+            entries: self.entries.max(other.entries),
+            plan: self.plan.max(other.plan),
+        }
+    }
+}
+
 /// What one worker's patch merges in.
 struct Patch<'a> {
     /// The new graph: its weights, and the rows of arrived vertices.
@@ -236,6 +284,10 @@ struct Patch<'a> {
     lane: bool,
     /// The worker's changed entries, `row << 32 | partner` ascending.
     edits: &'a [u64],
+    /// The largest room any worker's patch needs. The spare arrays pass
+    /// from worker to worker, so one that must be replaced is sized for
+    /// every worker, and the next window finds them all large enough.
+    room: Room,
 }
 
 impl Patch<'_> {
@@ -252,19 +304,22 @@ impl Patch<'_> {
         let (me, lane, edits) = (w.id, self.lane, self.edits);
         let hosted = w.global_ids.len();
         let old_hosted = w.offsets.len() - 1;
-        if lane {
-            check_fan_locals::<P>(me as usize, hosted);
-        }
-        s.offsets.clear();
+        // Every array the patch rewrites is sized up front, so none grows
+        // while it is written; the edge values stay with the worker.
+        let room = self.room;
+        let entries = w.global_ids.iter().map(|&gid| self.graph.degree(gid) as usize).sum();
+        refit(&mut w.edge_values, entries);
+        refit(&mut s.offsets, room.hosted + 1);
+        refit(&mut s.targets, room.entries);
         s.offsets.push(0);
-        s.targets.clear();
-        s.plan.offsets.clear();
-        s.plan.workers.clear();
-        s.plan.lone.clear();
-        s.fan_offsets.clear();
-        s.fan_targets.clear();
         s.fan_ops.clear();
         if lane {
+            check_fan_locals::<P>(me as usize, hosted);
+            refit(&mut s.plan.offsets, room.hosted + 1);
+            refit(&mut s.plan.workers, room.plan);
+            refit(&mut s.plan.lone, room.plan);
+            refit(&mut s.fan_offsets, self.graph.num_vertices() as usize + 1);
+            refit(&mut s.fan_targets, room.entries);
             s.plan.offsets.push(0);
         }
         let Worker {
@@ -279,7 +334,6 @@ impl Patch<'_> {
             plan_remote,
             ..
         } = &mut *w;
-        edge_values.clear();
         // Row by row: runs of unchanged rows are copied whole, their offsets
         // rebased; a changed or arrived row is read from the graph.
         let (mut copied, mut at) = (0, 0);

@@ -42,6 +42,7 @@ use crate::program::Program;
 use crate::transport::{Transport, TransportError};
 use crate::types::{Batch, OutboxGrid, WorkerId};
 use crate::wire::{decode_frame, encode_frame, WireFormat, WirePayload, WireRecord};
+use spinner_graph::buffer::refit;
 use spinner_graph::VertexId;
 use std::time::Instant;
 
@@ -343,19 +344,18 @@ impl<P: Program> Worker<P> {
     /// worker-local send queue, every outbox's broadcast marks and the wire
     /// sort keys. Done at (re)load time so graph growth between warm runs
     /// never forces a message-path reallocation (see
-    /// [`WorkerMetrics::fabric_reallocs`]).
+    /// [`WorkerMetrics::fabric_reallocs`]). Every one of them is empty here.
     pub(crate) fn reserve_fabric(&mut self) {
         let Self { id, bounds, msgs, wire_recv, local, outboxes, sort_keys, .. } = self;
         debug_assert!(msgs.is_empty() && wire_recv.is_empty());
-        msgs.reserve(bounds.inbox);
-        wire_recv.reserve(bounds.wire_records);
-        local.records.reserve(bounds.local);
-        local.marks.reserve(bounds.marks[*id as usize]);
+        reserve_empty(msgs, bounds.inbox);
+        reserve_empty(wire_recv, bounds.wire_records);
+        reserve_empty(&mut local.records, bounds.local);
+        reserve_empty(&mut local.marks, bounds.marks[*id as usize]);
         for (outbox, &n) in outboxes.iter_mut().zip(&bounds.marks) {
-            outbox.marks.reserve(n);
+            reserve_empty(&mut outbox.marks, n);
         }
-        sort_keys.clear();
-        sort_keys.reserve(bounds.sort_keys);
+        reserve_empty(sort_keys, bounds.sort_keys);
     }
 
     /// Whether every message-path buffer [`Self::reserve_fabric`] sizes has
@@ -948,6 +948,19 @@ impl<P: Program> Worker<P> {
             self.woken.capacity(),
             self.active.capacity(),
         ]
+    }
+}
+
+/// Makes room for `len` items in the empty buffer `buf`. The first
+/// reservation, on a cold load, is `reserve`'s, as it always was. A re-host
+/// that outgrows the buffer replaces it ([`refit`]) instead of growing it:
+/// `reserve` would copy the whole old block, making every page of a
+/// reservation nothing ever wrote resident.
+pub(crate) fn reserve_empty<T>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() == 0 {
+        buf.reserve(len);
+    } else {
+        refit(buf, len);
     }
 }
 

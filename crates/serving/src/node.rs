@@ -222,9 +222,13 @@ impl ServingNode {
 
     /// Restarts a node from `dir`: loads the snapshot, replays the WAL
     /// (dropping a torn tail — [`ResumeStats::truncated_bytes`] says how
-    /// much was lost), rebuilds the warm session, and publishes the
-    /// recovered placement. Labels and placement are bit-identical to the
-    /// node that wrote the store.
+    /// much was lost), restores the session and publishes the recovered
+    /// placement. Labels and placement are bit-identical to the node that
+    /// wrote the store. The session's engine is not built here: the first
+    /// [`Self::ingest`] (or [`Self::inject_transport_faults`]) builds it,
+    /// exactly as a resume used to (see
+    /// [`StreamSession::from_state`]), so the node serves lookups as soon as
+    /// the store is decoded.
     pub fn resume_from(dir: impl AsRef<Path>) -> Result<(Self, ResumeStats), PersistError> {
         let (state, store, stats) = SessionStore::load(dir)?;
         Ok((Self::resumed(state, store), stats))

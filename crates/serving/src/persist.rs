@@ -6,6 +6,7 @@ use std::path::Path;
 use std::{fmt, io};
 
 use spinner_core::{SessionState, StreamSession};
+use spinner_graph::DirectedGraph;
 use spinner_pregel::codec::CorruptError;
 
 use crate::fault::{DiskStorage, Storage, StoreFile};
@@ -125,12 +126,18 @@ impl SessionStore {
                 format!("no snapshot in session store at {}", storage.describe()),
             )
         })?;
+        // Neither file's bytes outlive its decoding: the replay below holds
+        // only the decoded state and records.
         let mut state = decode_state(&snapshot_bytes)?;
+        let snapshot_len = snapshot_bytes.len() as u64;
+        drop(snapshot_bytes);
 
-        let wal_bytes = storage.read(StoreFile::Wal)?.unwrap_or_default();
-        let scan = read_wal(&wal_bytes);
+        let scan = read_wal(&storage.read(StoreFile::Wal)?.unwrap_or_default());
         let mut replayed = 0usize;
         let mut skipped = 0usize;
+        // Each replayed delta writes its graph into the one the previous
+        // delta replaced.
+        let mut spare = DirectedGraph::default();
         for record in &scan.records {
             // A compact() that died between the snapshot swap and the WAL
             // truncation leaves the whole old log behind the new snapshot.
@@ -141,7 +148,7 @@ impl SessionStore {
                 skipped += 1;
                 continue;
             }
-            record.apply_to(&mut state)?;
+            record.apply_recycling(&mut state, &mut spare)?;
             replayed += 1;
         }
         check_resumable(&state)?;
@@ -152,14 +159,10 @@ impl SessionStore {
             skipped_windows: skipped,
             truncated_tail: scan.truncated_tail,
             truncated_bytes: scan.truncated_bytes,
-            snapshot_bytes: snapshot_bytes.len() as u64,
+            snapshot_bytes: snapshot_len,
             wal_bytes: scan.clean_bytes,
         };
-        let store = Self {
-            storage,
-            wal_bytes: scan.clean_bytes,
-            snapshot_bytes: snapshot_bytes.len() as u64,
-        };
+        let store = Self { storage, wal_bytes: scan.clean_bytes, snapshot_bytes: snapshot_len };
         Ok((state, store, stats))
     }
 

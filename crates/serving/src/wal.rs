@@ -15,8 +15,8 @@
 //! clean bytes so the writer can truncate and continue from there.
 
 use spinner_core::{SessionState, StreamEvent, StreamSession, WindowReport, WindowReportParts};
-use spinner_graph::mutation::apply_delta;
-use spinner_graph::{GraphDelta, VertexId};
+use spinner_graph::mutation::apply_delta_into;
+use spinner_graph::{DirectedGraph, GraphDelta, VertexId};
 use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
 use spinner_pregel::WorkerId;
 
@@ -135,6 +135,18 @@ impl WalRecord {
     /// Replays this record onto `state` (the state as of the previous
     /// window), advancing it to the post-window state — no LPA involved.
     pub fn apply_to(&self, state: &mut SessionState) -> Result<()> {
+        self.apply_recycling(state, &mut DirectedGraph::default())
+    }
+
+    /// [`Self::apply_to`] for a replay of many records: a delta writes the
+    /// new graph into `spare` and leaves the replaced graph there for the
+    /// next record ([`apply_delta_into`]), so the replay ping-pongs two
+    /// graphs instead of allocating one per record.
+    pub fn apply_recycling(
+        &self,
+        state: &mut SessionState,
+        spare: &mut DirectedGraph,
+    ) -> Result<()> {
         match &self.event {
             StreamEvent::Delta(delta) => {
                 // The report states the post-window vertex count; checking
@@ -147,7 +159,8 @@ impl WalRecord {
                 {
                     return Err(CorruptError { context: "wal delta vertex out of range" });
                 }
-                state.graph = apply_delta(&state.graph, delta);
+                apply_delta_into(&state.graph, delta, spare);
+                std::mem::swap(&mut state.graph, spare);
             }
             StreamEvent::Resize { .. } => {}
             // A worker loss changes labels/placement, not the graph; the
