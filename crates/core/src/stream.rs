@@ -832,7 +832,7 @@ impl StreamSession {
     }
 
     /// The engine [`Self::from_state`] defers: built on the session's view,
-    /// labels and placement, as a resume used to build it at once.
+    /// labels and placement, as an eager build would have made it.
     fn build_engine(&self) -> Engine<SpinnerProgram> {
         stages::build_engine(&self.undirected, &self.cfg, &self.placement, &self.labels, &[])
     }

@@ -186,8 +186,13 @@ pub(crate) fn merge_rows(
         };
         let [a0, a1] = [split_row(&mut added[0], next), split_row(&mut added[1], next)];
         let [r0, r1] = [split_row(&mut removed[0], next), split_row(&mut removed[1], next)];
-        let (added_row, removed_row) = (a0.iter().chain(a1), r0.iter().chain(r1));
-        merge_row(old_row, removed_row.map(|e| e.1), added_row.map(|e| e.1), out_targets);
+        // The first lists' targets all lie below the second lists', so the
+        // old row splits after the first lists' last target, and each part
+        // merges with its own runs.
+        let split =
+            a0.last().max(r0.last()).map_or(0, |e| old_row.partition_point(|&t| t <= e.1));
+        merge_row(&old_row[..split], r0, a0, out_targets);
+        merge_row(&old_row[split..], r1, a1, out_targets);
         out_offsets.push(out_targets.len() as u64);
         u = next + 1;
     }
@@ -205,23 +210,26 @@ fn split_row<'a>(
 }
 
 /// Writes `(old \ removed) ∪ added` for one row, by target: `old` sorted,
-/// `removed ⊆ old` and `added` disjoint from `old`, both ascending.
+/// `removed ⊆ old` and `added` disjoint from `old`, both sorted.
 fn merge_row(
     old: &[VertexId],
-    removed: impl Iterator<Item = VertexId>,
-    added: impl Iterator<Item = VertexId>,
+    removed: &[(VertexId, VertexId)],
+    added: &[(VertexId, VertexId)],
     out: &mut Vec<VertexId>,
 ) {
-    let (mut removed, mut added) = (removed.peekable(), added.peekable());
+    let (mut r, mut a) = (0, 0);
     for &t in old {
-        while let Some(a) = added.next_if(|&a| a < t) {
-            out.push(a);
+        while a < added.len() && added[a].1 < t {
+            out.push(added[a].1);
+            a += 1;
         }
-        if removed.next_if_eq(&t).is_none() {
+        if r < removed.len() && removed[r].1 == t {
+            r += 1;
+        } else {
             out.push(t);
         }
     }
-    out.extend(added);
+    out.extend(added[a..].iter().map(|e| e.1));
 }
 
 /// The `GraphBuilder` rebuild `apply_delta` used before the row merge

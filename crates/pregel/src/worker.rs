@@ -951,9 +951,9 @@ impl<P: Program> Worker<P> {
     }
 }
 
-/// Makes room for `len` items in the empty buffer `buf`. The first
-/// reservation, on a cold load, is `reserve`'s, as it always was. A re-host
-/// that outgrows the buffer replaces it ([`refit`]) instead of growing it:
+/// Makes room for `len` items in the empty buffer `buf`. A buffer that never
+/// allocated (a cold load) reserves exactly what it needs. A re-host that
+/// outgrows the buffer replaces it ([`refit`]) instead of growing it:
 /// `reserve` would copy the whole old block, making every page of a
 /// reservation nothing ever wrote resident.
 pub(crate) fn reserve_empty<T>(buf: &mut Vec<T>, len: usize) {

@@ -226,9 +226,8 @@ impl ServingNode {
     /// placement. Labels and placement are bit-identical to the node that
     /// wrote the store. The session's engine is not built here: the first
     /// [`Self::ingest`] (or [`Self::inject_transport_faults`]) builds it,
-    /// exactly as a resume used to (see
-    /// [`StreamSession::from_state`]), so the node serves lookups as soon as
-    /// the store is decoded.
+    /// exactly as an eager build would (see [`StreamSession::from_state`]),
+    /// so the node serves lookups as soon as the store is decoded.
     pub fn resume_from(dir: impl AsRef<Path>) -> Result<(Self, ResumeStats), PersistError> {
         let (state, store, stats) = SessionStore::load(dir)?;
         Ok((Self::resumed(state, store), stats))
