@@ -141,17 +141,19 @@ impl<P: Program> Engine<P> {
             }
         }
         let lane = self.config.broadcast_fabric;
-        let mut room = Room::default();
-        for (w, edits) in self.workers.iter().zip(&mut changes) {
-            edits.sort_unstable();
-            edits.dedup();
-            room = room.max(Room::of(w, graph, edits, num_workers));
-        }
+        let rooms: Vec<Room> = (self.workers.iter().zip(&mut changes))
+            .map(|(w, edits)| {
+                edits.sort_unstable();
+                edits.dedup();
+                Room::of(w, graph, edits, num_workers)
+            })
+            .collect();
+        let room = rooms.iter().fold(Room::default(), |room, &own| room.max(own));
         let spare = &mut self.spare;
         spare.plan.dst_count.resize(num_workers, 0);
-        for (w, edits) in self.workers.iter_mut().zip(&changes) {
+        for ((w, edits), own) in self.workers.iter_mut().zip(&changes).zip(rooms) {
             let (worker_of, local_idx) = (&self.worker_of[..], &self.local_idx[..]);
-            let patch = Patch { graph, worker_of, local_idx, old_n, lane, edits, room };
+            let patch = Patch { graph, worker_of, local_idx, old_n, lane, edits, room, own };
             patch.apply(w, init_e, spare);
         }
         // The bounds, from the patched plan (or rows, without the lane).
@@ -231,13 +233,16 @@ impl<P: Program> Engine<P> {
 }
 
 /// What the arrays one worker's patch writes must hold, an upper bound
-/// for each, so that none grows while it is written.
+/// for each, so that none grows while it is written. Each is counted from
+/// the worker's loaded arrays, its edits and its arrived rows, never by a
+/// pass over its rows.
 #[derive(Clone, Copy, Default)]
 struct Room {
     /// Hosted vertices: one offset each, plus one.
     hosted: usize,
     /// Adjacency entries: the rows' and, a symmetric row being its
-    /// vertex's in-row, the fan-out index's.
+    /// vertex's in-row, the fan-out index's. A kept row gains at most one
+    /// entry per edit.
     entries: usize,
     /// Broadcast plan entries: a kept row's plan gains at most one per
     /// edit, an arrived row's has at most one per worker.
@@ -252,14 +257,13 @@ impl Room {
         edits: &[u64],
         workers: usize,
     ) -> Self {
-        let degree = |gid: &VertexId| graph.degree(*gid) as usize;
-        let arrived = &w.global_ids[w.offsets.len() - 1..];
+        let arrived = w.global_ids[w.offsets.len() - 1..].iter();
+        let degrees = arrived.map(|&gid| graph.degree(gid) as usize);
+        let (rows, plans) = degrees.fold((0, 0), |(r, p), d| (r + d, p + d.min(workers)));
         Self {
             hosted: w.global_ids.len(),
-            entries: w.global_ids.iter().map(degree).sum(),
-            plan: w.plan_workers.len()
-                + edits.len()
-                + arrived.iter().map(|g| degree(g).min(workers)).sum::<usize>(),
+            entries: w.targets.len() + edits.len() + rows,
+            plan: w.plan_workers.len() + edits.len() + plans,
         }
     }
 
@@ -288,6 +292,9 @@ struct Patch<'a> {
     /// from worker to worker, so one that must be replaced is sized for
     /// every worker, and the next window finds them all large enough.
     room: Room,
+    /// This worker's own room, which its edge values (never passed on)
+    /// are sized for.
+    own: Room,
 }
 
 impl Patch<'_> {
@@ -307,8 +314,7 @@ impl Patch<'_> {
         // Every array the patch rewrites is sized up front, so none grows
         // while it is written; the edge values stay with the worker.
         let room = self.room;
-        let entries = w.global_ids.iter().map(|&gid| self.graph.degree(gid) as usize).sum();
-        refit(&mut w.edge_values, entries);
+        refit(&mut w.edge_values, self.own.entries);
         refit(&mut s.offsets, room.hosted + 1);
         refit(&mut s.targets, room.entries);
         s.offsets.push(0);
