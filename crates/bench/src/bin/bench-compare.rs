@@ -90,7 +90,7 @@ const HIGHER_BETTER_PREFIXES: &[&str] = &["phi"];
 /// Name prefixes gated lower-is-better: `rho*` (balance), `remote_records*`
 /// (physical cross-worker fabric records — what the broadcast lane
 /// deduplicates) and `active_fraction*` (per-superstep compute cost of
-/// frontier-seeded windows).
+/// delta windows).
 const LOWER_BETTER_PREFIXES: &[&str] = &["rho", "remote_records", "active_fraction"];
 
 /// Substrings gated lower-is-better anywhere in a name: movement cost.

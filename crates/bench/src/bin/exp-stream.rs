@@ -17,18 +17,17 @@
 //! `SPINNER_STREAM_JSON`) and emits deterministic `METRIC` lines for the
 //! φ/ρ regression tracking in `bench-compare`.
 //!
-//! A second, frontier-enabled arm replays the same stream with
-//! `frontier_windows = true`: delta windows seed only the delta-touched
-//! vertices and their direct neighbours as active, so superstep cost
-//! scales with churn rather than |V|. The Tuenti analogue oscillates near
-//! its equilibrium (~20-26% of labels move every window at smoke scale),
-//! so on *that* stream the active fraction tracks genuine churn, not
-//! scheduler overhead — the "active fraction << 1" acceptance gate
-//! therefore runs on a dedicated converged probe arm: a planted-partition
-//! graph warmed through a couple of delta windows, then hit with one
-//! small delta whose cost must stay far below a full sweep. The arm also
-//! emits `*_frontier` quality metrics plus the `active_fraction_*` cost
-//! series for the regression gate.
+//! Every window computes all vertices in its first scores superstep; after
+//! it, a vertex whose score margin holds sleeps until a message or the
+//! drift clock wakes it, so superstep cost follows the churn rather than
+//! |V|. The delta windows' `active_fraction_*` cost series is emitted for
+//! the regression gate. The Tuenti analogue oscillates near its
+//! equilibrium (~20-26% of labels move every window at smoke scale), so on
+//! *that* stream the active fraction tracks genuine churn, not scheduler
+//! overhead — the "active fraction << 1" acceptance gate therefore runs on
+//! a dedicated converged probe: a planted-partition graph warmed through a
+//! couple of delta windows, then hit with one small delta whose cost must
+//! stay far below a full sweep.
 
 use spinner_bench::{emit_metric, f2, f3, pct1, scale_from_env, threads_from_env, Table};
 use spinner_core::{partition, SpinnerConfig, StreamEvent, StreamSession, WindowReport};
@@ -44,16 +43,12 @@ const DELTA_WINDOWS: u32 = 10;
 const RHO_SLACK: f64 = 0.15;
 /// The converged-arm probe window (a handful of edges) must compute well
 /// under this fraction of |V| per superstep — the "cost scales with churn,
-/// not |V|" acceptance gate. Activity spreads only to the probe's frontier
-/// and the neighbours of actual label changes, so a settled partition sits
-/// far below this.
+/// not |V|" acceptance gate. After the first scores superstep only the
+/// probe's neighbourhood and the neighbours of actual label changes stay
+/// awake, so a settled partition sits far below this.
 const ACTIVE_FRACTION_BOUND: f64 = 0.5;
 /// Edges in the synthetic probe delta.
 const PROBE_EDGES: u32 = 8;
-/// The frontier arm restarts fewer vertices than a dense window, so its
-/// labels drift from the dense arm's — but its final locality must stay in
-/// the same regime.
-const PHI_PARITY: f64 = 0.9;
 
 struct WindowRow {
     report: WindowReport,
@@ -124,40 +119,17 @@ fn main() -> ExitCode {
             partitioning_difference(&previous[..shared], &scratch.labels[..shared]);
         eprintln!(
             "window {:>2} [{event}]: phi={:.3} rho={:.3} moved {:.1}% (scratch {:.1}%) \
-             iters={} reallocs={}",
+             active={:.3} iters={} reallocs={}",
             report.window(),
             report.phi(),
             report.rho(),
             100.0 * report.migration_fraction(),
             100.0 * migration_scratch,
+            report.active_fraction(),
             report.iterations(),
             report.fabric_reallocs()
         );
         rows.push(WindowRow { report, event: event.clone(), migration_scratch });
-    }
-
-    // ---- frontier arm: same stream, delta windows seeded from the delta
-    // frontier instead of restarting the whole graph. Labels may differ
-    // from the dense arm (different restart set, same algorithm), so the
-    // arm is quality-gated rather than bit-compared; the scan-mode
-    // bit-identity lives in the scheduler_invariance tests. ----
-    let mut frontier_cfg = cfg.clone();
-    frontier_cfg.frontier_windows = true;
-    let mut frontier = StreamSession::new(Dataset::Tuenti.build_directed(scale), frontier_cfg);
-    let mut frontier_rows: Vec<(String, WindowReport)> = Vec::new();
-    for (event, stream_event) in &events {
-        let report = frontier.apply(stream_event.clone()).clone();
-        eprintln!(
-            "frontier window {:>2} [{event}]: phi={:.3} rho={:.3} moved {:.1}% \
-             active={:.3} iters={}",
-            report.window(),
-            report.phi(),
-            report.rho(),
-            100.0 * report.migration_fraction(),
-            report.active_fraction(),
-            report.iterations()
-        );
-        frontier_rows.push((event.clone(), report));
     }
 
     let trajectory: Trajectory = rows
@@ -216,32 +188,14 @@ fn main() -> ExitCode {
     emit_metric("sent_remote", sent_remote as f64);
     emit_metric("remote_records", remote_records as f64);
 
-    // Frontier-arm quality (deterministic, gated through the same phi/rho/
-    // migration name classes) and the active-set cost series. The active
-    // fraction aggregates run over *delta* windows only: resize windows
-    // restart dense by design (a new k invalidates every score), and the
-    // bootstrap necessarily sweeps everything.
-    let frontier_traj: Trajectory = frontier_rows
-        .iter()
-        .map(|(_, w)| WindowPoint {
-            window: w.window(),
-            phi: w.phi(),
-            rho: w.rho(),
-            migration_fraction: w.migration_fraction(),
-            local_share: w.local_share(),
-            lost_fraction: 0.0,
-            active_fraction: w.active_fraction(),
-            retransmits: w.retransmits(),
-        })
-        .collect();
-    let frontier_deltas: Vec<&WindowReport> =
-        frontier_rows.iter().filter(|(event, _)| event == "delta").map(|(_, w)| w).collect();
-    let active_mean = frontier_deltas.iter().map(|w| w.active_fraction()).sum::<f64>()
-        / frontier_deltas.len().max(1) as f64;
-    let active_max = frontier_deltas.iter().map(|w| w.active_fraction()).fold(0.0f64, f64::max);
-    emit_metric("phi_final_frontier", frontier_traj.last().expect("windows").phi);
-    emit_metric("rho_max_frontier", frontier_traj.max_rho());
-    emit_metric("migration_mean_frontier", frontier_traj.mean_migration_fraction());
+    // The active-set cost series over *delta* windows only: resize
+    // windows restart dense by design (a new k invalidates every score),
+    // and the bootstrap necessarily sweeps everything.
+    let delta_windows: Vec<&WindowReport> =
+        rows.iter().filter(|r| r.event == "delta").map(|r| &r.report).collect();
+    let active_mean = delta_windows.iter().map(|w| w.active_fraction()).sum::<f64>()
+        / delta_windows.len().max(1) as f64;
+    let active_max = delta_windows.iter().map(|w| w.active_fraction()).fold(0.0f64, f64::max);
     emit_metric("active_fraction_mean", active_mean);
     emit_metric("active_fraction_max", active_max);
 
@@ -279,44 +233,12 @@ fn main() -> ExitCode {
             ));
         }
     }
-    // Frontier arm: every delta window must cost far less than a full
-    // sweep (that is the point of the active set), quality must stay in
-    // the dense arm's regime, and the warm engine must stay allocation-
-    // free there too.
-    for (event, w) in frontier_rows.iter().filter(|(_, w)| w.window() >= 2) {
-        if w.fabric_reallocs() != 0 {
-            violations.push(format!(
-                "frontier window {} [{}]: {} steady-state fabric reallocations (want 0)",
-                w.window(),
-                event,
-                w.fabric_reallocs()
-            ));
-        }
-        if w.rho() > cfg.c + RHO_SLACK {
-            violations.push(format!(
-                "frontier window {} [{}]: rho {:.3} exceeds balance slack {:.3}",
-                w.window(),
-                event,
-                w.rho(),
-                cfg.c + RHO_SLACK
-            ));
-        }
-    }
-    let dense_final_phi = rows.last().expect("windows").report.phi();
-    let frontier_final_phi = frontier_rows.last().expect("windows").1.phi();
-    if frontier_final_phi < PHI_PARITY * dense_final_phi {
-        violations.push(format!(
-            "frontier final phi {frontier_final_phi:.3} below {PHI_PARITY} x dense \
-             {dense_final_phi:.3}"
-        ));
-    }
     // The active-set probe: on the Tuenti analogue even an 8-edge delta
     // cascades (near-tie labels keep ~20% of the graph moving every
     // window), so the probe arm uses a community-structured graph the
     // partitioner actually settles on, warms it through two realistic
     // delta windows, and then measures a small delta. Its churn is tiny by
-    // construction, so its cost exposes exactly what the frontier driver
-    // saves.
+    // construction, so its cost exposes what sleeping saves.
     let probe_report = converged_probe(threads_from_env());
     eprintln!(
         "probe window {}: active={:.4} moved={:.3} supersteps={}",
@@ -329,7 +251,7 @@ fn main() -> ExitCode {
     if probe_report.active_fraction() >= ACTIVE_FRACTION_BOUND {
         violations.push(format!(
             "probe window: active fraction {:.3} not << 1 (bound {}) — the \
-             frontier driver is sweeping the graph for a {}-edge delta",
+             window is sweeping the graph for a {}-edge delta",
             probe_report.active_fraction(),
             ACTIVE_FRACTION_BOUND,
             PROBE_EDGES
@@ -353,8 +275,8 @@ fn main() -> ExitCode {
 
 /// The converged probe arm for the active-set gate: a planted-partition
 /// graph (strong communities, so the partitioner settles instead of
-/// oscillating like the Tuenti analogue), frontier windows on, warmed
-/// through two realistic delta windows, then hit with an 8-edge delta.
+/// oscillating like the Tuenti analogue), warmed through two realistic
+/// delta windows, then hit with an 8-edge delta.
 /// Fixed-size regardless of `SPINNER_SCALE` — the gate is about the
 /// scheduler, not the workload, and a fixed graph keeps the probe METRIC
 /// deterministic across scales.
@@ -370,7 +292,6 @@ fn converged_probe(num_threads: usize) -> WindowReport {
     let mut cfg = SpinnerConfig::new(8).with_seed(42);
     cfg.num_threads = num_threads;
     cfg.num_workers = 4;
-    cfg.frontier_windows = true;
     let mut session = StreamSession::new(base.clone(), cfg);
     let warm: Vec<GraphDelta> = DeltaStream::new(
         base,

@@ -112,21 +112,6 @@ pub struct SpinnerConfig {
     /// they can only differ in tie-breaks among equally-penalised
     /// non-adjacent labels.
     pub exhaustive_candidate_scan: bool,
-    /// Frontier-seeded delta windows for streaming sessions: after a graph
-    /// delta, the session seeds the engine with the converged labels,
-    /// neighbour-label histograms, and partition loads, parks every vertex
-    /// outside the delta's frontier (the delta-touched vertices plus their
-    /// direct neighbours — exactly the vertices whose histograms or scores
-    /// the delta can change), and restarts in the score phase under
-    /// [`RestartScope::AffectedOnly`]. Superstep cost then scales with the
-    /// churn instead of |V|: parked vertices only re-enter when a
-    /// neighbour's migration messages them. `false` (the default, and the
-    /// baseline-faithful arm) re-runs each window densely from the
-    /// converged labels. Resize and worker-loss windows always run densely
-    /// — their changes are global. Labels can differ from the dense arm
-    /// (fewer vertices reconsider their label), so this is quality-gated in
-    /// `exp-stream`, not bit-compared.
-    pub frontier_windows: bool,
     /// Work stealing in the engine's pooled superstep loop (see
     /// [`spinner_pregel::engine::EngineConfig::work_stealing`]). Results
     /// are bit-identical either way; `false` is the static-schedule arm.
@@ -191,7 +176,6 @@ impl SpinnerConfig {
             placement_feedback: None,
             broadcast_fabric: true,
             exhaustive_candidate_scan: false,
-            frontier_windows: false,
             work_stealing: true,
             steal_chunk: 0,
             dense_scan: false,
@@ -235,13 +219,6 @@ impl SpinnerConfig {
     /// the verification baseline; see [`Self::broadcast_fabric`]).
     pub fn with_broadcast_fabric(mut self, enabled: bool) -> Self {
         self.broadcast_fabric = enabled;
-        self
-    }
-
-    /// Builder-style frontier-window override (delta windows seed a
-    /// frontier and park the rest; see [`Self::frontier_windows`]).
-    pub fn with_frontier_windows(mut self, enabled: bool) -> Self {
-        self.frontier_windows = enabled;
         self
     }
 
@@ -340,16 +317,11 @@ mod tests {
     #[test]
     fn scheduler_knobs_default_to_fast_arms() {
         let cfg = SpinnerConfig::new(4);
-        assert!(!cfg.frontier_windows, "frontier windows are opt-in");
         assert!(cfg.work_stealing, "stealing is the default schedule");
         assert_eq!(cfg.steal_chunk, 0, "auto chunking by default");
         assert!(!cfg.dense_scan, "active-set driver is the default");
-        let cfg = cfg
-            .with_frontier_windows(true)
-            .with_work_stealing(false)
-            .with_steal_chunk(3)
-            .with_dense_scan(true);
-        assert!(cfg.frontier_windows && !cfg.work_stealing && cfg.dense_scan);
+        let cfg = cfg.with_work_stealing(false).with_steal_chunk(3).with_dense_scan(true);
+        assert!(!cfg.work_stealing && cfg.dense_scan);
         assert_eq!(cfg.steal_chunk, 3);
     }
 

@@ -126,16 +126,9 @@ pub fn build_engine(
 ) -> Engine<SpinnerProgram> {
     let mut states = recount_states(graph, placement, labels, cfg.num_threads);
     let mut built = None;
-    seed(cfg, &mut states, affected, false, |program, init_v| {
+    seed(cfg, &mut states, affected, |program, init_v| {
         let config = engine_config(cfg);
-        built.insert(Engine::from_undirected(
-            program,
-            graph,
-            placement,
-            config,
-            |v| init_v(v).0,
-            edge,
-        ))
+        built.insert(Engine::from_undirected(program, graph, placement, config, init_v, edge))
     });
     built.expect("the engine was built")
 }
@@ -159,12 +152,10 @@ pub fn build_engine(
 /// [`Engine::warm_patch_undirected`]).
 ///
 /// `affected` marks the vertices that restart migrations under
-/// [`crate::config::RestartScope::AffectedOnly`] (empty marks every vertex);
-/// with `park_unaffected` the others also start halted, so only a message
-/// wakes them (frontier windows). Debug builds first check the states
-/// against `graph`: every degree, and the mass law
-/// Σ_v hist_v\[l\] = Σ_{u : label(u) = l} deg_w(u) for every label.
-#[allow(clippy::too_many_arguments)]
+/// [`crate::config::RestartScope::AffectedOnly`] (empty marks every vertex).
+/// Debug builds first check the states against `graph`: every degree, and
+/// the mass law Σ_v hist_v\[l\] = Σ_{u : label(u) = l} deg_w(u) for every
+/// label.
 pub fn warm_reset(
     engine: &mut Engine<SpinnerProgram>,
     graph: &UndirectedGraph,
@@ -173,14 +164,13 @@ pub fn warm_reset(
     placement: &Placement,
     states: &mut Vec<VertexState>,
     affected: &[bool],
-    park_unaffected: bool,
 ) {
     assert_eq!(states.len(), graph.num_vertices() as usize, "one vertex state per vertex");
     #[cfg(debug_assertions)]
     if let Err(e) = crate::program::check_mass_law(graph, states) {
         panic!("seeded label histograms out of sync with the graph: {e}");
     }
-    seed(cfg, states, affected, park_unaffected, |program, init_v| {
+    seed(cfg, states, affected, |program, init_v| {
         engine.warm_patch_undirected(program, graph, placement, changed, init_v, edge);
         engine
     });
@@ -188,20 +178,18 @@ pub fn warm_reset(
 
 /// The seeded start every run shares. Sums the partition loads from
 /// `states`, hands `host` the program starting at `ComputeScores` and each
-/// vertex's state — its candidate and locality count cleared, its
-/// `affected` flag set, and its halted flag (parked when
-/// `park_unaffected` and unaffected) — and installs the loads into the
-/// engine `host` returns: the persistent loads aggregator, which the
-/// migration phase folds its load deltas into, and the master's state.
-/// `states` is left empty.
+/// vertex's state — its candidate and locality count cleared and its
+/// `affected` flag set — and installs the loads into the engine `host`
+/// returns: the persistent loads aggregator, which the migration phase
+/// folds its load deltas into, and the master's state. `states` is left
+/// empty.
 fn seed<'e>(
     cfg: &SpinnerConfig,
     states: &mut Vec<VertexState>,
     affected: &[bool],
-    park_unaffected: bool,
     host: impl FnOnce(
         SpinnerProgram,
-        &mut dyn FnMut(VertexId) -> (VertexState, bool),
+        &mut dyn FnMut(VertexId) -> VertexState,
     ) -> &'e mut Engine<SpinnerProgram>,
 ) {
     let mut loads = vec![0i64; cfg.k as usize];
@@ -215,8 +203,7 @@ fn seed<'e>(
         state.candidate = NO_LABEL;
         state.counted = NOT_COUNTED;
         state.affected = affected.get(v).copied().unwrap_or(true);
-        let parked = park_unaffected && !state.affected;
-        (state, parked)
+        state
     });
     states.clear();
     engine.set_aggregate(AGG_LOADS, AggValue::VecI64(loads.clone()));

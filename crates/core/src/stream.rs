@@ -119,9 +119,9 @@ pub struct WindowReportParts {
     /// Vertices migrated by label-driven placement feedback.
     pub placement_moved: u64,
     /// Vertex compute invocations across the window's supersteps — the
-    /// active-set scheduler's cost measure: a dense window computes close
-    /// to `supersteps x num_vertices`; a frontier-seeded window only the
-    /// churn (see [`WindowReport::active_fraction`]).
+    /// active-set scheduler's cost measure: every vertex computes in a
+    /// window's first scores superstep, and after it only those the window's
+    /// churn keeps awake (see [`WindowReport::active_fraction`]).
     pub computed: u64,
     /// Wall-clock nanoseconds of the window's run.
     pub wall_ns: u64,
@@ -272,9 +272,10 @@ impl WindowReport {
     }
 
     /// Mean fraction of the graph computed per superstep — `computed /
-    /// (supersteps x num_vertices)`, 0.0 for an empty denominator. Close to
-    /// 1 for dense windows (every non-halted vertex every superstep), and
-    /// « 1 for frontier-seeded delta windows, whose cost scales with churn.
+    /// (supersteps x num_vertices)`, 0.0 for an empty denominator. Every
+    /// vertex computes in the window's first scores superstep; after it a
+    /// vertex whose score margin holds sleeps until a message or the drift
+    /// clock wakes it, so a delta window's fraction falls with its churn.
     pub fn active_fraction(&self) -> f64 {
         let denom = self.parts.supersteps * self.parts.num_vertices as u64;
         if denom == 0 {
@@ -468,7 +469,7 @@ impl StreamSession {
             placement,
             states_exact: halted_cleanly(&summary),
         };
-        let placement_moved = session.feedback_replace(&result.totals, true);
+        let placement_moved = session.feedback_replace(&result.totals);
         session.push_window(&result, &summary, 1.0, placement_moved, 0, (lanes_degraded, 0));
         session
     }
@@ -616,52 +617,14 @@ impl StreamSession {
             }
         };
 
-        // Frontier-seeded delta windows (opt-in): park every vertex outside
-        // the delta's frontier. The frontier is the delta-touched vertices
-        // plus their direct neighbours: touched vertices can re-score
-        // against changed adjacency, and their neighbours are exactly the
-        // vertices whose histograms or load penalties the delta (or a
-        // touched vertex's first migration) can change. Anything farther
-        // only reacts to migration announcements, which wake parked
-        // vertices through the normal message path. Resize and worker-loss
-        // windows stay dense: their perturbation is global.
-        let frontier = match &event {
-            StreamEvent::Delta(delta) if self.cfg.frontier_windows => {
-                let touched =
-                    delta_affected(self.undirected.num_vertices(), old_n as VertexId, delta);
-                Some(expand_frontier(&self.undirected, touched))
-            }
-            _ => None,
-        };
-
         let placement = self.placement_for(&labels);
         if !carried {
             let threads = self.cfg.num_threads;
             self.states =
                 stages::recount_states(&self.undirected, &placement, &labels, threads);
         }
-        // Parked bystanders must stay parked once they settle again — the
-        // affected-only halt in ComputeMigrations does exactly that, with
-        // `affected` seeded from the frontier.
-        let parked = frontier.is_some();
-        let (cfg, affected) = match frontier {
-            Some(frontier) => (
-                SpinnerConfig { restart_scope: RestartScope::AffectedOnly, ..self.cfg.clone() },
-                frontier,
-            ),
-            None => (self.cfg.clone(), affected),
-        };
-        let (und, states) = (&self.undirected, &mut self.states);
-        stages::warm_reset(
-            &mut engine,
-            und,
-            &changed,
-            &cfg,
-            &placement,
-            states,
-            &affected,
-            parked,
-        );
+        let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
+        stages::warm_reset(&mut engine, und, &changed, cfg, &placement, states, &affected);
         self.placement = placement;
         let mut summary = engine.run();
 
@@ -712,7 +675,7 @@ impl StreamSession {
             self.states =
                 stages::recount_states(&self.undirected, &placement, relabeled, threads);
             let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
-            stages::warm_reset(&mut engine, und, &[], cfg, &placement, states, lost, false);
+            stages::warm_reset(&mut engine, und, &[], cfg, &placement, states, lost);
             self.placement = placement;
             summary = engine.run();
         }
@@ -738,8 +701,7 @@ impl StreamSession {
         let placement_moved = if recovering {
             self.replace_by_label()
         } else {
-            // A frontier window never counted the announcement round.
-            self.feedback_replace(&result.totals, !parked)
+            self.feedback_replace(&result.totals)
         };
         let lost = lost_vertices + transport_lost;
         self.push_window(&result, &summary, migration_fraction, placement_moved, lost, lanes);
@@ -858,20 +820,16 @@ impl StreamSession {
     /// vertices that changed worker (0 when feedback is off or locality was
     /// good enough).
     ///
-    /// With `announced`, the judged traffic also counts the round in which
-    /// every vertex announces its label to every neighbour on the window's
-    /// placement. The paper's `Initialize` superstep sends that round; every
-    /// run here starts seeded past it, bootstrap included, but the decision
-    /// stays the one the full round would make. Frontier windows never
-    /// counted it.
-    fn feedback_replace(&mut self, totals: &RunTotals, announced: bool) -> u64 {
+    /// The judged traffic also counts the round in which every vertex
+    /// announces its label to every neighbour on the window's placement.
+    /// The paper's `Initialize` superstep sends that round; every run here
+    /// starts seeded past it, bootstrap included, but the decision stays the
+    /// one the full round would make.
+    fn feedback_replace(&mut self, totals: &RunTotals) -> u64 {
         let Some(threshold) = self.cfg.placement_feedback else { return 0 };
-        let (mut local, mut messages) = (totals.local_messages(), totals.messages);
-        if announced {
-            let (round_local, round) = announcement_round(&self.undirected, &self.placement);
-            local += round_local;
-            messages += round;
-        }
+        let (round_local, round) = announcement_round(&self.undirected, &self.placement);
+        let local = totals.local_messages() + round_local;
+        let messages = totals.messages + round;
         let local_share = if messages == 0 { 1.0 } else { local as f64 / messages as f64 };
         if 1.0 - local_share <= threshold {
             return 0;
@@ -981,24 +939,6 @@ pub struct SessionState {
     pub label_assignment: Option<Vec<WorkerId>>,
     /// All window reports so far (index 0 is the bootstrap).
     pub windows: Vec<WindowReport>,
-}
-
-/// A delta window's frontier: the touched flags widened by one hop. A
-/// touched vertex's direct neighbours see their label histograms or load
-/// penalties change (or receive its first migration announcement before any
-/// message could wake them), so one hop is exactly the set whose next score
-/// can differ; everything farther is reachable only through migration
-/// announcements, which wake parked vertices through the normal path.
-fn expand_frontier(graph: &UndirectedGraph, touched: Vec<bool>) -> Vec<bool> {
-    let mut out = touched.clone();
-    for (v, &t) in touched.iter().enumerate() {
-        if t {
-            for &n in graph.neighbors(v as VertexId).0 {
-                out[n as usize] = true;
-            }
-        }
-    }
-    out
 }
 
 /// True when a run halted with every message folded: its vertex states are
@@ -1670,17 +1610,15 @@ mod tests {
         /// affected flags (and so `adapt_with_delta` or `elastic` whenever
         /// the window ran on the hash placement or the load view is
         /// synchronous), and the same supersteps, visits, messages and
-        /// records: both start seeded.
-        /// Frontier delta windows park vertices and have no cold twin; they
-        /// are held to the recount path below. A session resumed from
-        /// `state()` before each window recounts every histogram and must
-        /// report the same window, wall clock aside. Debug builds check the
-        /// mass law before every seeded run.
+        /// records: both start seeded. A session resumed from `state()`
+        /// before each window recounts every histogram and must report the
+        /// same window, wall clock aside. Debug builds check the mass law
+        /// before every seeded run.
         #[test]
         fn warm_windows_equal_their_cold_driver(
             graph_seed in 0u64..1000,
             stream_seed in 0u64..1000,
-            arm in 0u32..16,
+            arm in 0u32..8,
             k in 2u32..5,
             workers in 1usize..5,
         ) {
@@ -1697,11 +1635,10 @@ mod tests {
             cfg.num_threads = 1;
             cfg.max_iterations = 15;
             cfg.async_worker_loads = arm & 1 == 0;
-            cfg.frontier_windows = arm & 2 != 0;
-            if arm & 4 != 0 {
+            if arm & 2 != 0 {
                 cfg.restart_scope = RestartScope::AffectedOnly;
             }
-            if arm & 8 != 0 {
+            if arm & 4 != 0 {
                 cfg.placement_feedback = Some(0.4);
             }
             let mut session = StreamSession::new(g0, cfg);
@@ -1720,46 +1657,42 @@ mod tests {
                 };
                 let (graph, cold_cfg, labels, affected) = cold_inputs(&session, &event);
                 let placement = session.placement_for(&labels);
-                let frontier = session.cfg.frontier_windows
-                    && matches!(event, StreamEvent::Delta(_));
                 let mut twin = StreamSession::from_state(session.state());
 
                 let warm = session.apply(event.clone()).clone();
                 prop_assert!(session.states_exact, "a clean window leaves exact states");
-                if !frontier {
-                    let mut engine =
-                        stages::build_engine(&graph, &cold_cfg, &placement, &labels, &affected);
-                    let summary = engine.run();
-                    let cold = stages::collect(&cold_cfg, &engine, &summary, &graph);
-                    let global = session.engine.as_ref().expect("built by apply").global();
-                    prop_assert_eq!(session.labels(), cold.labels.as_slice());
-                    prop_assert_eq!(warm.iterations(), cold.iterations);
-                    prop_assert_eq!(&global.history, &cold.history);
-                    prop_assert_eq!(global.halted_steady, cold.halted_steady);
-                    prop_assert_eq!(warm.phi().to_bits(), cold.quality.phi.to_bits());
-                    prop_assert_eq!(warm.rho().to_bits(), cold.quality.rho.to_bits());
-                    prop_assert_eq!(warm.supersteps(), cold.supersteps);
-                    prop_assert_eq!(warm.computed(), cold.totals.computed);
-                    prop_assert_eq!(warm.messages(), cold.totals.messages);
-                    prop_assert_eq!(warm.sent_local_records(), cold.totals.local_records);
-                    prop_assert_eq!(warm.sent_remote_records(), cold.totals.remote_records);
-                    let hashed = placement == stages::placement(graph.num_vertices(), &cold_cfg);
-                    if hashed || !cold_cfg.async_worker_loads {
-                        let driver = match &event {
-                            StreamEvent::Delta(delta) => {
-                                let previous = twin.labels();
-                                Some(adapt_with_delta(&graph, previous, delta, &cold_cfg))
-                            }
-                            StreamEvent::Resize { .. } => {
-                                let old_k = twin.k();
-                                Some(elastic(&graph, twin.labels(), old_k, &cold_cfg))
-                            }
-                            StreamEvent::WorkerLoss { .. } => None,
-                        };
-                        if let Some(driver) = driver {
-                            prop_assert_eq!(&driver.labels, &cold.labels);
-                            prop_assert_eq!(&driver.history, &cold.history);
+                let mut engine =
+                    stages::build_engine(&graph, &cold_cfg, &placement, &labels, &affected);
+                let summary = engine.run();
+                let cold = stages::collect(&cold_cfg, &engine, &summary, &graph);
+                let global = session.engine.as_ref().expect("built by apply").global();
+                prop_assert_eq!(session.labels(), cold.labels.as_slice());
+                prop_assert_eq!(warm.iterations(), cold.iterations);
+                prop_assert_eq!(&global.history, &cold.history);
+                prop_assert_eq!(global.halted_steady, cold.halted_steady);
+                prop_assert_eq!(warm.phi().to_bits(), cold.quality.phi.to_bits());
+                prop_assert_eq!(warm.rho().to_bits(), cold.quality.rho.to_bits());
+                prop_assert_eq!(warm.supersteps(), cold.supersteps);
+                prop_assert_eq!(warm.computed(), cold.totals.computed);
+                prop_assert_eq!(warm.messages(), cold.totals.messages);
+                prop_assert_eq!(warm.sent_local_records(), cold.totals.local_records);
+                prop_assert_eq!(warm.sent_remote_records(), cold.totals.remote_records);
+                let hashed = placement == stages::placement(graph.num_vertices(), &cold_cfg);
+                if hashed || !cold_cfg.async_worker_loads {
+                    let driver = match &event {
+                        StreamEvent::Delta(delta) => {
+                            let previous = twin.labels();
+                            Some(adapt_with_delta(&graph, previous, delta, &cold_cfg))
                         }
+                        StreamEvent::Resize { .. } => {
+                            let old_k = twin.k();
+                            Some(elastic(&graph, twin.labels(), old_k, &cold_cfg))
+                        }
+                        StreamEvent::WorkerLoss { .. } => None,
+                    };
+                    if let Some(driver) = driver {
+                        prop_assert_eq!(&driver.labels, &cold.labels);
+                        prop_assert_eq!(&driver.history, &cold.history);
                     }
                 }
                 twin.apply(event);

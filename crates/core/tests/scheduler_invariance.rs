@@ -146,7 +146,6 @@ fn stream_cfg(k: u32, dense_scan: bool) -> SpinnerConfig {
     cfg.num_threads = 2;
     cfg.max_iterations = 30;
     cfg.async_worker_loads = false;
-    cfg.frontier_windows = true;
     cfg.dense_scan = dense_scan;
     cfg
 }
@@ -154,10 +153,10 @@ fn stream_cfg(k: u32, dense_scan: bool) -> SpinnerConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random delta streams under frontier-seeded windows: the active-set
-    /// arm must be bit-identical to the dense-scan arm window by window —
-    /// same labels, same quality bits, same computed counts — while the
-    /// frontier seeding keeps delta windows from re-running the full graph.
+    /// Random delta streams: the active-set arm must be bit-identical to the
+    /// dense-scan arm window by window — same labels, same quality bits,
+    /// same computed counts — while sleeping keeps delta windows from
+    /// re-running the full graph.
     #[test]
     fn active_set_stream_matches_dense_scan_stream(
         graph_seed in 0u64..1000,
@@ -191,9 +190,9 @@ proptest! {
                 "window {} diverged across scan modes",
                 d.window()
             );
-            // Frontier-seeded delta windows park the untouched bulk of the
-            // graph halted, so neither arm re-computes the full vertex set
-            // every superstep.
+            // A vertex whose score margin holds sleeps after the window's
+            // first scores superstep, so neither arm re-computes the full
+            // vertex set every superstep.
             if d.window() >= 2 {
                 prop_assert!(
                     d.active_fraction() < 1.0,

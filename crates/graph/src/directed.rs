@@ -1,5 +1,6 @@
 //! Directed graph in compressed sparse row (CSR) form.
 
+use crate::error::GraphError;
 use crate::ids::VertexId;
 
 /// An immutable directed graph stored in CSR form.
@@ -36,6 +37,47 @@ impl DirectedGraph {
         let g = Self { offsets, targets };
         g.debug_check();
         g
+    }
+
+    /// Builds a graph from CSR arrays read from outside the program (a
+    /// decoded file, say), checking what the crate's own builders only
+    /// debug-assert: the offsets run from 0 up to `targets.len()` without
+    /// descending, every row ascends strictly and every target is below the
+    /// vertex count. It also checks that no vertex lists itself.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::VertexOutOfRange`] for a target at or beyond the vertex
+    /// count; [`GraphError::InvalidArgument`] for bad offsets, for more than
+    /// `VertexId::MAX` vertices, and for a row that is not strictly
+    /// ascending or names its own vertex.
+    pub fn try_from_csr(offsets: Vec<u64>, targets: Vec<VertexId>) -> Result<Self, GraphError> {
+        let invalid = |what: &str| Err(GraphError::InvalidArgument(format!("CSR: {what}")));
+        let n = offsets.len().saturating_sub(1);
+        if offsets.first() != Some(&0) || n > VertexId::MAX as usize {
+            return invalid("offsets must start at 0 and name at most VertexId::MAX vertices");
+        }
+        let len = targets.len() as u64;
+        if offsets[n] != len {
+            return invalid("the last offset must equal the target count");
+        }
+        for (v, ends) in offsets.windows(2).enumerate() {
+            if ends[0] > ends[1] || ends[1] > len {
+                return invalid("offsets must not descend");
+            }
+            let row = &targets[ends[0] as usize..ends[1] as usize];
+            if let Some(&t) = row.iter().find(|&&t| t as usize >= n) {
+                let (vertex, num_vertices) = (u64::from(t), n as u64);
+                return Err(GraphError::VertexOutOfRange { vertex, num_vertices });
+            }
+            if row.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return invalid("a row must ascend strictly");
+            }
+            if row.binary_search(&(v as VertexId)).is_ok() {
+                return invalid("a row must not name its own vertex");
+            }
+        }
+        Ok(Self { offsets, targets })
     }
 
     /// Rewrites the graph in place: `write` gets the CSR arrays and must
@@ -116,6 +158,7 @@ impl DirectedGraph {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::builder::GraphBuilder;
 
     #[test]
@@ -143,6 +186,31 @@ mod tests {
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.edges().count(), 0);
+    }
+
+    #[test]
+    fn checked_csr_accepts_a_built_graph_and_rejects_each_broken_invariant() {
+        let g = GraphBuilder::new(4).add_edges([(0, 1), (0, 2), (1, 2), (3, 0)]).build();
+        let (offsets, targets) = g.as_csr();
+        assert_eq!(DirectedGraph::try_from_csr(offsets.to_vec(), targets.to_vec()).unwrap(), g);
+        assert_eq!(
+            DirectedGraph::try_from_csr(vec![0], vec![]).unwrap(),
+            DirectedGraph::default()
+        );
+        let out_of_range = DirectedGraph::try_from_csr(vec![0, 1, 1], vec![2]);
+        assert!(matches!(out_of_range, Err(GraphError::VertexOutOfRange { vertex: 2, .. })));
+        for (offsets, targets) in [
+            (vec![], vec![]),
+            (vec![1, 1], vec![0]),
+            (vec![0, 2], vec![1]),
+            (vec![0, 2, 1], vec![1]),
+            (vec![0, 2, 2, 2], vec![2, 1]),
+            (vec![0, 2, 2, 2], vec![1, 1]),
+            (vec![0, 1, 1], vec![0]),
+        ] {
+            let err = DirectedGraph::try_from_csr(offsets.clone(), targets).unwrap_err();
+            assert!(matches!(err, GraphError::InvalidArgument(_)), "{offsets:?}: {err}");
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub struct WindowPoint {
     pub lost_fraction: f64,
     /// Mean fraction of vertices actually computed per superstep — the
     /// active-set scheduler's cost series. 1.0 means every superstep
-    /// visited the whole graph (a dense restart); frontier-seeded delta
-    /// windows should sit far below it, scaling the window's cost with
-    /// churn rather than |V|.
+    /// visited the whole graph; delta windows, whose settled vertices sleep
+    /// after the first scores superstep, should sit below it, scaling the
+    /// window's cost with churn rather than |V|.
     pub active_fraction: f64,
     /// Frames the reliable transport layer re-published during the window
     /// (0 on a clean wire or the direct in-memory path), so lossy-wire
@@ -211,8 +211,8 @@ mod tests {
         assert_eq!(t.mean_migration_fraction(), 0.0);
     }
 
-    /// Frontier-seeded delta windows keep the active series far below the
-    /// dense bootstrap; both aggregates skip the bootstrap window, whose
+    /// Delta windows keep the active series far below the dense bootstrap;
+    /// both aggregates skip the bootstrap window, whose
     /// full sweep is structural.
     #[test]
     fn active_fraction_aggregates_skip_the_bootstrap() {

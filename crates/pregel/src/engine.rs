@@ -456,7 +456,7 @@ impl<P: Program> Engine<P> {
         rows: Rows,
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
         weight_at: impl Fn(VertexId, usize) -> u8,
-        mut init_v: impl FnMut(VertexId) -> P::V,
+        init_v: impl FnMut(VertexId) -> P::V,
         init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) -> Self {
         let num_workers = placement.num_workers();
@@ -483,15 +483,7 @@ impl<P: Program> Engine<P> {
             rows,
             spare: patch::Spare::default(),
         };
-        engine.load_topology(
-            n,
-            placement,
-            rows,
-            neighbors,
-            weight_at,
-            |v| (init_v(v), false),
-            init_e,
-        );
+        engine.load_topology(n, placement, rows, neighbors, weight_at, init_v, init_e);
         engine
     }
 
@@ -513,11 +505,8 @@ impl<P: Program> Engine<P> {
     /// reload when a vertex moved or the vertex set shrank. Both leave the
     /// same arrays.
     ///
-    /// `init_v` yields each vertex's initial value and halted flag, so a
-    /// caller that already knows which vertices have work (e.g. a frontier
-    /// derived from a graph delta) can start the run with everything else
-    /// parked — the active-set scheduler then never visits a parked vertex
-    /// unless a message wakes it. Pair with [`Self::set_global`] /
+    /// `init_v` yields each vertex's initial value; every vertex starts the
+    /// run awake. Pair with [`Self::set_global`] /
     /// [`Self::set_aggregate`] when the program's warm-up phases are skipped
     /// and their outputs seeded directly. `init_e(src, dst, weight)`
     /// produces edge values, as in [`Self::from_undirected`].
@@ -529,7 +518,7 @@ impl<P: Program> Engine<P> {
         program: P,
         graph: &UndirectedGraph,
         placement: &Placement,
-        init_v: impl FnMut(VertexId) -> (P::V, bool),
+        init_v: impl FnMut(VertexId) -> P::V,
         init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) {
         assert_eq!(placement.num_vertices(), graph.num_vertices(), "placement size mismatch");
@@ -571,7 +560,7 @@ impl<P: Program> Engine<P> {
     /// (Re)loads vertices, values, and adjacency into the workers `placement`
     /// names, reusing every existing allocation. Shared by the cold
     /// [`Self::build`] path and [`Self::warm_reset_undirected`].
-    /// `vertex_init` yields each vertex's value and halted flag;
+    /// `vertex_init` yields each vertex's value;
     /// `edge_init(src, dst, weight)` yields each edge's value, where the
     /// weight of the `i`-th edge of `src` is `weight_at(src, i)`.
     /// `rows` says whether the rows are symmetric, which decides where each
@@ -584,7 +573,7 @@ impl<P: Program> Engine<P> {
         rows: Rows,
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
         weight_at: impl Fn(VertexId, usize) -> u8,
-        mut vertex_init: impl FnMut(VertexId) -> (P::V, bool),
+        mut vertex_init: impl FnMut(VertexId) -> P::V,
         mut edge_init: impl FnMut(VertexId, VertexId, u8) -> P::E,
     ) {
         let num_workers = self.workers.len();
@@ -600,7 +589,7 @@ impl<P: Program> Engine<P> {
         for w in &mut self.workers {
             w.clear_topology();
         }
-        // First pass: assign vertices, values, and halted flags.
+        // First pass: assign vertices and values.
         self.host_vertices(placement, &mut vertex_init);
         debug_assert_eq!(self.num_vertices, u64::from(n));
         // Second pass, worker by worker: the CSR, the broadcast plan, and
@@ -743,13 +732,13 @@ impl<P: Program> Engine<P> {
     /// Hosts the vertices `placement` adds beyond the `num_vertices` already
     /// hosted — each on its worker, after the ones there, so every worker
     /// keeps its vertices in ascending global id and local indices ascend
-    /// with global id — and (re)fills every vertex's value and halted flag
-    /// from `vertex_init`, called once per vertex in ascending id. The
-    /// vertices already hosted must keep their workers.
+    /// with global id — and (re)fills every vertex's value from
+    /// `vertex_init`, called once per vertex in ascending id. Every vertex
+    /// starts awake. The vertices already hosted must keep their workers.
     fn host_vertices(
         &mut self,
         placement: &Placement,
-        vertex_init: &mut impl FnMut(VertexId) -> (P::V, bool),
+        vertex_init: &mut impl FnMut(VertexId) -> P::V,
     ) {
         let (old_n, n) = (self.num_vertices as usize, placement.num_vertices() as usize);
         self.worker_of.extend_from_slice(&placement.as_slice()[old_n..]);
@@ -765,10 +754,8 @@ impl<P: Program> Engine<P> {
                 self.local_idx[v] = w.global_ids.len() as u32;
                 w.global_ids.push(v as VertexId);
             }
-            let (value, halted) = vertex_init(v as VertexId);
-            w.values.push(value);
-            w.halted.push(halted);
-            w.num_halted += u64::from(halted);
+            w.values.push(vertex_init(v as VertexId));
+            w.halted.push(false);
         }
         self.num_vertices = n as u64;
     }

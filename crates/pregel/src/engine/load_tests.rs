@@ -387,7 +387,7 @@ proptest! {
                     engine = Some(e);
                 }
                 Some(engine) => {
-                    let awake = |_| ((), false);
+                    let awake = |_| ();
                     engine.warm_reset_undirected(Stamped, &g, &placement, awake, |_, _, w| w);
                 }
             }
@@ -584,7 +584,7 @@ fn patch_chain<P: Program<V = (), E = u8>>(
         }
         placement = grown(&placement, next_n, mask, draws);
         prop_assert!(engine.keeps_hosts(&placement), "the re-host patches");
-        let awake = |_| ((), false);
+        let awake = |_| ();
         engine.warm_patch_undirected(make(), &next, &placement, &changed, awake, weight);
         let fresh =
             Engine::from_undirected(make(), &next, &placement, cfg.clone(), none, weight);
@@ -647,7 +647,7 @@ proptest! {
         let v = moved.index(n as usize);
         worker_of[v] = (worker_of[v] + 1) % workers as WorkerId;
         let moved = Placement::explicit(worker_of, workers);
-        let awake = |_| ((), false);
+        let awake = |_| ();
         prop_assert!(!engine.keeps_hosts(&moved), "a moved vertex reloads");
         engine.warm_patch_undirected(Stamped, &g, &moved, &[], awake, weight);
         let fresh = Engine::from_undirected(Stamped, &g, &moved, cfg.clone(), none, weight);
@@ -677,7 +677,7 @@ fn a_missed_addition_panics() {
     let mut engine = Engine::from_undirected(Stamped, &g, &placement, cfg, none, weight);
     // Vertex 1 gains neighbour 2, but no pair says so.
     let next = to_weighted_undirected(&directed(3, &[(0, 1), (1, 2)]));
-    let awake = |_| ((), false);
+    let awake = |_| ();
     engine.warm_patch_undirected(Stamped, &next, &placement, &[], awake, weight);
 }
 
@@ -713,7 +713,7 @@ fn patched_rehost_matches_a_fresh_load_at_benchmark_scale() {
         let changed: Vec<_> = patch.added.iter().chain(&patch.removed).copied().collect();
         let placement = Placement::hashed(patch.graph.num_vertices(), workers, 11);
         assert!(engine.keeps_hosts(&placement), "every window patches");
-        let awake = |_| ((), false);
+        let awake = |_| ();
         engine.warm_patch_undirected(
             Stamped,
             &patch.graph,

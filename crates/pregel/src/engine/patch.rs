@@ -85,7 +85,7 @@ impl<P: Program> Engine<P> {
         graph: &UndirectedGraph,
         placement: &Placement,
         changed: &[(VertexId, VertexId)],
-        mut init_v: impl FnMut(VertexId) -> (P::V, bool),
+        mut init_v: impl FnMut(VertexId) -> P::V,
         mut init_e: impl FnMut(VertexId, VertexId, EdgeWeight) -> P::E,
     ) {
         assert_eq!(placement.num_vertices(), graph.num_vertices(), "placement size mismatch");
@@ -204,12 +204,7 @@ impl<P: Program> Engine<P> {
     #[cfg(debug_assertions)]
     fn check_against_a_full_load(&mut self, graph: &UndirectedGraph, placement: &Placement) {
         let kept: Vec<Loaded> = self.workers.iter().map(Loaded::of).collect();
-        let halted: Vec<bool> = (0..self.num_vertices as usize)
-            .map(|v| {
-                self.workers[self.worker_of[v] as usize].halted[self.local_idx[v] as usize]
-            })
-            .collect();
-        let mut values = self.take_values().into_iter().zip(halted);
+        let mut values = self.take_values().into_iter();
         let edges: Vec<P::E> =
             self.workers.iter_mut().flat_map(|w| w.edge_values.drain(..)).collect();
         let mut edges = edges.into_iter();

@@ -145,8 +145,8 @@ pub struct Worker<P: Program> {
     pub(crate) msgs: Vec<P::M>,
     /// Active list: sorted local indices of the non-halted vertices, i.e.
     /// exactly the set the dense scan would compute. Rebuilt by every
-    /// delivery phase as the merge of `survivors` and `woken`; seeded from
-    /// `halted` at (re)load time.
+    /// delivery phase as the merge of `survivors` and `woken`; every hosted
+    /// vertex at (re)load time.
     active: Vec<u32>,
     /// Compute-phase scratch: vertices that computed and did not halt, in
     /// ascending order (the compute loop itself is ascending).
@@ -321,13 +321,13 @@ impl<P: Program> Worker<P> {
         // first delivery bumps it again, so stamps written by the *previous*
         // topology can never alias a future inbox either.)
         self.epoch += 1;
-        // Seed the active list from the load-time halted flags; the
-        // scheduler scratch is sized once here so the per-superstep merge
-        // never allocates (each list is bounded by n_local).
+        // Every hosted vertex starts awake; the scheduler scratch is sized
+        // once here so the per-superstep merge never allocates (each list
+        // is bounded by n_local).
+        debug_assert_eq!(self.num_halted, 0, "a vertex is hosted awake");
         self.active.clear();
         self.active.reserve(n_local);
-        self.active
-            .extend(self.halted.iter().enumerate().filter(|(_, &h)| !h).map(|(i, _)| i as u32));
+        self.active.extend(0..n_local as u32);
         self.survivors.clear();
         self.survivors.reserve(n_local);
         self.woken.clear();

@@ -77,7 +77,7 @@ fn engine_over(g: &UndirectedGraph, workers: usize, threads: usize) -> Engine<Mi
 
 /// Resets `engine` onto `g` and `placement` with every vertex awake.
 fn reset(engine: &mut Engine<MinLabel>, g: &UndirectedGraph, placement: &Placement) {
-    engine.warm_reset_undirected(MinLabel, g, placement, |_| (u32::MAX, false), |_, _, w| w);
+    engine.warm_reset_undirected(MinLabel, g, placement, |_| u32::MAX, |_, _, w| w);
 }
 
 fn trace(summary: &RunSummary) -> Vec<(u64, u64, u64, u64)> {
@@ -165,8 +165,7 @@ fn fabric_stays_warm_across_many_windows() {
 
 /// The warm reset is the one way to re-host an engine: a reset onto a
 /// label-derived placement runs exactly like a cold engine built on that
-/// placement, without fabric growth, and a vertex seeded halted stays
-/// parked unless a message wakes it.
+/// placement, without fabric growth.
 #[test]
 fn warm_reset_rehosts_onto_a_new_placement() {
     let g = grown_graph(200, 40);
@@ -178,20 +177,6 @@ fn warm_reset_rehosts_onto_a_new_placement() {
         // Re-place by the computed component labels (Spinner's §V-F move).
         let by_label = Placement::from_labels_balanced(&values, workers);
         assert_ne!(by_label, Placement::hashed(g.num_vertices(), workers, 9));
-
-        // Every vertex seeded halted with its converged value: the run
-        // computes nothing and hands the values back unchanged.
-        engine.warm_reset_undirected(
-            MinLabel,
-            &g,
-            &by_label,
-            |v| (values[v as usize], true),
-            |_, _, w| w,
-        );
-        let idle = engine.run();
-        assert_eq!((idle.halt, idle.supersteps), (HaltReason::AllHalted, 1));
-        assert_eq!(idle.metrics[0].computed_total(), 0);
-        assert_eq!(engine.collect_values(), values);
 
         // A fresh run on the new placement behaves exactly like a cold
         // engine built there, inside the preserved and reserved capacities.

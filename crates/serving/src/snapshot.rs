@@ -10,7 +10,7 @@
 
 use spinner_core::config::{BalanceObjective, RestartScope};
 use spinner_core::{SessionState, SpinnerConfig, WindowReport, WindowReportParts};
-use spinner_graph::GraphBuilder;
+use spinner_graph::{DirectedGraph, VertexId};
 use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
 use spinner_pregel::{RetryConfig, TransportKind, WireFormat};
 use std::time::Duration;
@@ -18,7 +18,7 @@ use std::time::Duration;
 /// Magic prefix of a snapshot file (versioned; bump on layout change —
 /// `SPNRSNP2` added `lost_vertices` to the window-report record;
 /// `SPNRSNP3` added `computed` to the window-report record and the
-/// scheduler knobs — `frontier_windows`, `work_stealing`, `steal_chunk`,
+/// scheduler knobs — the frontier-window flag, `work_stealing`, `steal_chunk`,
 /// `dense_scan` — to the config record; `SPNRSNP4` added the message-fabric
 /// knobs — `transport`, `wire_format`, `sender_fold` — to the config record
 /// and the wire counters — `wire_bytes`, `wire_frames`, `wire_folded` — to
@@ -26,8 +26,10 @@ use std::time::Duration;
 /// knobs — `transport_retry` — to the config record and the resilience
 /// counters — `retransmits`, `lanes_degraded`, `lanes_dead` — to the
 /// window-report record; `SPNRSNP6` dropped the `transport_retry.reliable`
-/// byte from the config record, as the reliability layer is always on).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP6";
+/// byte from the config record, as the reliability layer is always on;
+/// `SPNRSNP7` dropped the frontier-window byte from the config record, as
+/// every delta window restarts its vertices as the driver does).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP7";
 
 /// Encodes `state` into a self-verifying snapshot byte vector.
 pub fn encode_state(state: &SessionState) -> Vec<u8> {
@@ -93,21 +95,35 @@ pub fn decode_state(bytes: &[u8]) -> Result<SessionState> {
     let mut r = ByteReader::new(payload);
     let cfg = read_config(&mut r)?;
     let n = read_u32(&mut r, "graph vertex count")?;
-    let mut builder = GraphBuilder::new(n);
-    for v in 0..n {
+    // A counting pass sizes the CSR arrays exactly; the rows are stored in
+    // ascending order, so the second pass writes them where they belong.
+    let mut count = ByteReader::new(&payload[r.position()..]);
+    let mut num_edges = 0u64;
+    for _ in 0..n {
+        let degree = count.varint("vertex degree")?;
+        for _ in 0..degree {
+            count.varint("neighbour gap")?;
+        }
+        num_edges += degree;
+    }
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    let mut targets = Vec::with_capacity(num_edges as usize);
+    offsets.push(0);
+    for _ in 0..n {
         let degree = r.varint("vertex degree")?;
         let mut prev = 0u64;
         for _ in 0..degree {
             prev = prev.saturating_add(r.varint("neighbour gap")?);
-            // An id past the vertex count would grow the graph to fit it.
-            let d = u32::try_from(prev)
-                .ok()
-                .filter(|&d| d < n)
-                .ok_or(CorruptError { context: "neighbour id" })?;
-            builder.add_edge(v, d);
+            targets.push(
+                VertexId::try_from(prev)
+                    .map_err(|_| CorruptError { context: "neighbour id" })?,
+            );
         }
+        offsets.push(targets.len() as u64);
     }
-    let graph = builder.build();
+    // An id past the vertex count, a repeated neighbour or a self-loop.
+    let graph = DirectedGraph::try_from_csr(offsets, targets)
+        .map_err(|_| CorruptError { context: "neighbour id" })?;
 
     let labels = read_u32_list(&mut r, "labels")?;
     let placement_raw = read_u32_list(&mut r, "placement")?;
@@ -189,7 +205,6 @@ fn put_config(w: &mut ByteWriter, cfg: &SpinnerConfig) {
     }
     w.put_u8(u8::from(cfg.broadcast_fabric));
     w.put_u8(u8::from(cfg.exhaustive_candidate_scan));
-    w.put_u8(u8::from(cfg.frontier_windows));
     w.put_u8(u8::from(cfg.work_stealing));
     w.put_varint(cfg.steal_chunk as u64);
     w.put_u8(u8::from(cfg.dense_scan));
@@ -254,7 +269,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
     };
     cfg.broadcast_fabric = read_bool(r, "config broadcast_fabric")?;
     cfg.exhaustive_candidate_scan = read_bool(r, "config exhaustive_candidate_scan")?;
-    cfg.frontier_windows = read_bool(r, "config frontier_windows")?;
     cfg.work_stealing = read_bool(r, "config work_stealing")?;
     cfg.steal_chunk = usize::try_from(r.varint("config steal_chunk")?)
         .map_err(|_| CorruptError { context: "config steal_chunk" })?;
@@ -366,7 +380,7 @@ mod tests {
     use super::*;
     use spinner_core::{StreamEvent, StreamSession};
     use spinner_graph::generators::{planted_partition, SbmConfig};
-    use spinner_graph::GraphDelta;
+    use spinner_graph::{GraphBuilder, GraphDelta};
 
     fn sample_state() -> SessionState {
         let graph = planted_partition(SbmConfig {
@@ -484,8 +498,11 @@ mod tests {
         assert_eq!(genuine.graph.edges().collect::<Vec<_>>(), vec![(0, 1), (1, 2)]);
         let far = [[3, 1, 1, 1].as_slice(), &varint(u64::from(u32::MAX)), &[0]].concat();
         let beyond_u32 = [[3, 1, 1, 1].as_slice(), &varint(1 << 32), &[0]].concat();
-        // Vertex 1's only neighbour: id 3 == n, id u32::MAX, id 2^32.
-        for graph in [vec![3, 1, 1, 1, 3, 0], far, beyond_u32] {
+        // Vertex 1's only neighbour: id 3 == n, id u32::MAX, id 2^32; vertex
+        // 1 naming neighbour 2 twice; vertex 1 naming itself.
+        let repeated = vec![3, 1, 1, 2, 2, 0, 0];
+        let itself = vec![3, 1, 1, 1, 1, 0];
+        for graph in [vec![3, 1, 1, 1, 3, 0], far, beyond_u32, repeated, itself] {
             let err = decode_state(&reframe(&[&config, &graph, &rest])).unwrap_err();
             assert_eq!(err.context, "neighbour id");
         }
