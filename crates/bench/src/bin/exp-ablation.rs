@@ -6,17 +6,11 @@
 //! 3. Balance penalty (Eq. 8) on/off → plain LPA's unbalance.
 //! 4. Probabilistic migrations (Eq. 14) on/off → capacity violations and
 //!    convergence stability.
-//! 5. Restart scope on incremental adaptation (§III-D): the paper's full
-//!    restart vs the affected-only alternative.
 
-use spinner_bench::{f2, f3, load_dataset, pct1, scale_from_env, spinner_cfg, Table};
-use spinner_core::config::RestartScope;
-use spinner_core::{adapt_with_delta, partition};
-use spinner_graph::conversion::{
-    from_undirected_edges, to_naive_undirected, to_weighted_undirected,
-};
-use spinner_graph::mutation::{apply_delta, sample_new_edges};
-use spinner_graph::{Dataset, GraphDelta};
+use spinner_bench::{f2, f3, load_dataset, scale_from_env, spinner_cfg, Table};
+use spinner_core::partition;
+use spinner_graph::conversion::{to_naive_undirected, to_weighted_undirected};
+use spinner_graph::Dataset;
 
 fn main() {
     let scale = scale_from_env();
@@ -81,36 +75,4 @@ fn main() {
     }
     println!("{t3}");
     println!("(expected: dropping the penalty or the probabilistic step inflates rho)\n");
-
-    // --- 5. restart scope on incremental adaptation ---
-    let tu_directed = Dataset::Tuenti.build_directed(scale);
-    let tu = from_undirected_edges(&tu_directed);
-    let base = partition(&tu, &spinner_cfg(32, 42));
-    let new_edges = sample_new_edges(
-        &tu_directed,
-        (tu_directed.num_edges() / 200) as usize, // 0.5% new edges
-        0.8,
-        7,
-    );
-    let delta = GraphDelta::additions(new_edges);
-    let changed = from_undirected_edges(&apply_delta(&tu_directed, &delta));
-    let mut t5 = Table::new("Ablation 5: restart scope on 0.5% graph change (Tuenti, k=32)")
-        .header(["strategy", "vertex computations", "phi", "moved"]);
-    for (name, scope) in [
-        ("full restart (paper)", RestartScope::All),
-        ("affected-only", RestartScope::AffectedOnly),
-    ] {
-        let mut cfg = spinner_cfg(32, 42);
-        cfg.restart_scope = scope;
-        let r = adapt_with_delta(&changed, &base.labels, &delta, &cfg);
-        let moved = spinner_metrics::partitioning_difference(&base.labels, &r.labels);
-        t5.row([
-            name.to_string(),
-            r.totals.computed.to_string(),
-            f2(r.quality.phi),
-            pct1(100.0 * moved),
-        ]);
-    }
-    println!("{t5}");
-    println!("(paper chose the full restart for quality; affected-only minimises compute)");
 }

@@ -21,7 +21,7 @@ fn first_iteration_seconds(g: &UndirectedGraph, cfg: &SpinnerConfig) -> f64 {
     cfg.ignore_halting = true;
     let n = g.num_vertices();
     let labels = random_labels(n, cfg.k, cfg.seed);
-    let mut engine = stages::build_engine(g, &cfg, &stages::placement(n, &cfg), &labels, &[]);
+    let mut engine = stages::build_engine(g, &cfg, &stages::placement(n, &cfg), &labels);
     // The run starts seeded at ComputeScores: its first two supersteps are
     // the pair, then one more scores superstep reaches the halt check.
     let summary = engine.run();

@@ -14,20 +14,6 @@ pub enum BalanceObjective {
     Vertices,
 }
 
-/// Which vertices restart migrations upon incremental adaptation (§III-D
-/// describes both strategies; the paper opts for `All`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartScope {
-    /// Every vertex participates ("increases the likelihood that the
-    /// algorithm jumps out of a local optimum") — the paper's choice.
-    #[default]
-    All,
-    /// Only vertices affected by the change (plus any vertex later woken by
-    /// a neighbour's migration) participate — "minimizes the amount of
-    /// computation to adapt".
-    AffectedOnly,
-}
-
 /// Tunable parameters of the Spinner algorithm.
 ///
 /// The paper's evaluation settings (§V-A) are the defaults: `c = 1.05`,
@@ -79,8 +65,6 @@ pub struct SpinnerConfig {
     /// (length `k`, positive): partition `l` gets capacity
     /// `c · total · w_l / Σw`. `None` means the paper's homogeneous setup.
     pub capacity_weights: Option<Vec<f64>>,
-    /// Restart scope for incremental adaptation (§III-D).
-    pub restart_scope: RestartScope,
     /// Label-driven placement feedback for streaming sessions (§V-F: "we
     /// plug a hash function that uses only the l_j field"). `Some(t)`:
     /// whenever a window converges with a remote-message share above `t`,
@@ -172,7 +156,6 @@ impl SpinnerConfig {
             in_engine_conversion: false,
             objective: BalanceObjective::default(),
             capacity_weights: None,
-            restart_scope: RestartScope::default(),
             placement_feedback: None,
             broadcast_fabric: true,
             exhaustive_candidate_scan: false,

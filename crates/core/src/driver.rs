@@ -11,7 +11,6 @@ use crate::config::SpinnerConfig;
 use crate::state::{Label, NO_LABEL};
 use spinner_graph::conversion::to_weighted_undirected;
 use spinner_graph::rng::{vertex_stream, SplitMix64};
-use spinner_graph::GraphDelta;
 use spinner_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
 use spinner_pregel::metrics::RunTotals;
@@ -63,7 +62,7 @@ pub struct PartitionResult {
 /// labels (§III-A).
 pub fn partition(graph: &UndirectedGraph, cfg: &SpinnerConfig) -> PartitionResult {
     let labels = random_labels(graph.num_vertices(), cfg.k, cfg.seed);
-    run_placed(graph, cfg, &stages::placement(graph.num_vertices(), cfg), &labels, &[])
+    run_placed(graph, cfg, &stages::placement(graph.num_vertices(), cfg), &labels)
 }
 
 /// Like [`partition`], but hosting the computation on an explicit
@@ -84,7 +83,7 @@ pub fn partition_with_placement(
         "placement must cover the graph's vertex set"
     );
     let labels = random_labels(graph.num_vertices(), cfg.k, cfg.seed);
-    run_placed(graph, cfg, placement, &labels, &[])
+    run_placed(graph, cfg, placement, &labels)
 }
 
 /// Partitions a directed graph: converts it to the weighted undirected form
@@ -101,7 +100,7 @@ pub fn partition_directed(graph: &DirectedGraph, cfg: &SpinnerConfig) -> Partiti
     let n = undirected.num_vertices();
     let labels = random_labels(n, cfg.k, cfg.seed);
     let mut engine =
-        stages::build_engine(&undirected, cfg, &stages::placement(n, cfg), &labels, &[]);
+        stages::build_engine(&undirected, cfg, &stages::placement(n, cfg), &labels);
     let run = engine.run();
     // One summary over both runs, halting as the Spinner run did.
     summary.supersteps += run.supersteps;
@@ -120,49 +119,13 @@ pub fn adapt(
     previous: &[Label],
     cfg: &SpinnerConfig,
 ) -> PartitionResult {
-    // Without delta information only the appended vertices are known to be
-    // affected (relevant under `RestartScope::AffectedOnly`).
-    adapt_with_delta(graph, previous, &GraphDelta::default(), cfg)
-}
-
-/// Like [`adapt`], but with the explicit [`GraphDelta`] that produced
-/// `graph`, so the affected-only restart strategy (§III-D,
-/// [`crate::config::RestartScope::AffectedOnly`]) knows which vertices the
-/// change touched (endpoints of added/removed edges plus new vertices).
-pub fn adapt_with_delta(
-    graph: &UndirectedGraph,
-    previous: &[Label],
-    delta: &GraphDelta,
-    cfg: &SpinnerConfig,
-) -> PartitionResult {
     assert!(
         previous.len() <= graph.num_vertices() as usize,
         "previous labelling covers more vertices than the graph has"
     );
     let n = graph.num_vertices();
     let labels = least_loaded_labels(graph, previous, &[], cfg.k);
-    let affected = delta_affected(n, previous.len() as VertexId, delta);
-    run_placed(graph, cfg, &stages::placement(n, cfg), &labels, &affected)
-}
-
-/// The affected-vertex flags a [`GraphDelta`] induces: endpoints of every
-/// added/removed edge plus all appended vertices. Shared by the one-shot
-/// [`adapt_with_delta`] path and the streaming session so the two stay
-/// bit-identical (the warm==cold guarantee is pinned by tests in
-/// [`crate::stream`]).
-pub(crate) fn delta_affected(n: VertexId, old_n: VertexId, delta: &GraphDelta) -> Vec<bool> {
-    let mut affected = vec![false; n as usize];
-    for v in old_n..n {
-        affected[v as usize] = true;
-    }
-    for &(a, b) in delta.added_edges.iter().chain(&delta.removed_edges) {
-        for v in [a, b] {
-            if let Some(flag) = affected.get_mut(v as usize) {
-                *flag = true;
-            }
-        }
-    }
-    affected
+    run_placed(graph, cfg, &stages::placement(n, cfg), &labels)
 }
 
 /// Adapts a previous `old_k`-way partitioning to `cfg.k` partitions
@@ -178,7 +141,7 @@ pub fn elastic(
 ) -> PartitionResult {
     assert_eq!(previous.len(), graph.num_vertices() as usize);
     let labels = elastic_labels(previous, old_k, cfg.k, cfg.seed);
-    run_placed(graph, cfg, &stages::placement(graph.num_vertices(), cfg), &labels, &[])
+    run_placed(graph, cfg, &stages::placement(graph.num_vertices(), cfg), &labels)
 }
 
 /// Random initial labels (scratch initialisation).
@@ -267,9 +230,8 @@ fn run_placed(
     cfg: &SpinnerConfig,
     placement: &Placement,
     labels: &[Label],
-    affected: &[bool],
 ) -> PartitionResult {
-    let mut engine = stages::build_engine(graph, cfg, placement, labels, affected);
+    let mut engine = stages::build_engine(graph, cfg, placement, labels);
     let summary = engine.run();
     stages::collect(cfg, &engine, &summary, graph)
 }
@@ -467,7 +429,7 @@ mod tests {
             let placement = stages::placement(g.num_vertices(), &base);
             let labels = random_labels(g.num_vertices(), base.k, base.seed);
             for cfg in &arms {
-                let mut engine = stages::build_engine(&g, cfg, &placement, &labels, &[]);
+                let mut engine = stages::build_engine(&g, cfg, &placement, &labels);
                 assert_eq!(engine.run().halt, HaltReason::Master);
                 let checked = crate::program::recount_histograms(&engine);
                 assert_eq!(checked, Ok(()), "{iterations} iterations, {cfg:?}");
@@ -621,9 +583,8 @@ mod tests {
 #[cfg(test)]
 mod extension_tests {
     use super::*;
-    use crate::config::{BalanceObjective, RestartScope};
+    use crate::config::BalanceObjective;
     use spinner_graph::generators::{planted_partition, rmat, RmatConfig, SbmConfig};
-    use spinner_graph::mutation::{apply_delta, sample_new_edges};
 
     fn community_graph(n: u32, communities: u32, seed: u64) -> UndirectedGraph {
         to_weighted_undirected(&planted_partition(SbmConfig {
@@ -730,55 +691,6 @@ mod extension_tests {
         assert_eq!((slept, woke), (2_055_461, 2_511_463), "visits sleeping, waking");
     }
 
-    /// The affected-only restart against the full one after a 0.2 % edge
-    /// change. Both start seeded, and both visit every vertex in the first
-    /// scores superstep. After that the full restart's settled vertices
-    /// sleep, while the affected-only bystanders stay awake into the
-    /// migration superstep, which halts them. So the affected-only run
-    /// visits more vertices, not fewer.
-    #[test]
-    fn affected_only_restart_is_stable_and_pinned() {
-        let directed = planted_partition(SbmConfig {
-            n: 3000,
-            communities: 6,
-            internal_degree: 10.0,
-            external_degree: 1.0,
-            skew: None,
-            seed: 77,
-        });
-        let g = to_weighted_undirected(&directed);
-        let cfg = small_cfg(6);
-        let initial = partition(&g, &cfg);
-
-        let new_edges = sample_new_edges(&directed, 60, 0.8, 5); // 0.2% change
-        let delta = spinner_graph::GraphDelta::additions(new_edges);
-        let changed = apply_delta(&directed, &delta);
-        let g2 = to_weighted_undirected(&changed);
-
-        let mut scoped = cfg.clone();
-        scoped.restart_scope = RestartScope::AffectedOnly;
-        let affected_run = adapt_with_delta(&g2, &initial.labels, &delta, &scoped);
-        let full_run = adapt_with_delta(&g2, &initial.labels, &delta, &cfg);
-
-        // Visits, pinned: the full restart pays n once and nothing after;
-        // the affected-only one pays n once plus its bystanders' trip into
-        // the migration superstep.
-        assert_eq!((affected_run.totals.computed, full_run.totals.computed), (5886, 3000));
-        // Quality stays comparable.
-        assert!(
-            affected_run.quality.phi > full_run.quality.phi - 0.1,
-            "phi {} vs {}",
-            affected_run.quality.phi,
-            full_run.quality.phi
-        );
-        // And it is at least as stable.
-        let moved_affected =
-            spinner_metrics::partitioning_difference(&initial.labels, &affected_run.labels);
-        let moved_full =
-            spinner_metrics::partitioning_difference(&initial.labels, &full_run.labels);
-        assert!(moved_affected <= moved_full + 0.01);
-    }
-
     /// The optimised candidate scan (weight-sorted histogram, early exit,
     /// one min-penalty label) against the paper's all-k scan: on a graph
     /// with no isolated vertex they are the same run, label for label and
@@ -854,7 +766,7 @@ mod extension_tests {
         let run = |cfg: &SpinnerConfig| {
             let labels = random_labels(g.num_vertices(), cfg.k, cfg.seed);
             let placement = stages::placement(g.num_vertices(), cfg);
-            let mut engine = stages::build_engine(&g, cfg, &placement, &labels, &[]);
+            let mut engine = stages::build_engine(&g, cfg, &placement, &labels);
             let summary = engine.run();
             for step in summary.metrics.iter().filter(|s| s.superstep >= 2) {
                 let grown: u64 = step.per_worker.iter().map(|w| w.fabric_reallocs).sum();

@@ -1,15 +1,14 @@
 //! The seeded start against the paper's: every driver call equals an
 //! engine built on the literal `SpinnerProgram { start_phase:
 //! Phase::Initialize }` with fresh vertex states, as the repo benchmark's
-//! cold replica builds it, from the same labels, placement and affected
-//! flags.
+//! cold replica builds it, from the same labels and placement.
 
 use super::*;
-use crate::config::RestartScope;
 use crate::program::SpinnerProgram;
 use crate::state::{EdgeState, Phase, VertexState};
 use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::mutation::{apply_delta, sample_new_edges, sample_removed_edges};
+use spinner_graph::GraphDelta;
 use spinner_pregel::engine::Engine;
 use spinner_pregel::{TransportKind, WireFormat};
 
@@ -18,7 +17,6 @@ fn reference(
     graph: &UndirectedGraph,
     cfg: &SpinnerConfig,
     labels: &[Label],
-    affected: &[bool],
 ) -> PartitionResult {
     let placement = stages::placement(graph.num_vertices(), cfg);
     let mut engine = Engine::from_undirected(
@@ -26,12 +24,7 @@ fn reference(
         graph,
         &placement,
         stages::engine_config(cfg),
-        |v| {
-            VertexState::new(
-                labels[v as usize],
-                affected.get(v as usize).copied().unwrap_or(true),
-            )
-        },
+        |v| VertexState::new(labels[v as usize], true),
         |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
     );
     let summary = engine.run();
@@ -60,8 +53,8 @@ fn assert_reference(
 
 /// Every lane and scan arm on 1 and 2 threads, through `partition`
 /// (halting by the ε/w rule and at a fixed iteration count), the
-/// exhaustive and dense-scan arms, an affected-only `adapt_with_delta` and
-/// an `elastic` resize.
+/// exhaustive and dense-scan arms, an `adapt` to a changed graph and an
+/// `elastic` resize.
 #[test]
 fn driver_runs_equal_the_initialize_reference() {
     let directed = planted_partition(SbmConfig {
@@ -116,7 +109,7 @@ fn driver_runs_equal_the_initialize_reference() {
             &what("partition"),
             &graph,
             &halting,
-            &reference(&graph, &cfg, &random, &[]),
+            &reference(&graph, &cfg, &random),
         );
         halted_steady += usize::from(halting.halted_steady);
 
@@ -126,22 +119,19 @@ fn driver_runs_equal_the_initialize_reference() {
         fixed.exhaustive_candidate_scan = arm % 2 == 0;
         fixed.dense_scan = arm % 2 == 1;
         let driver = partition(&graph, &fixed);
-        let expect = reference(&graph, &fixed, &random, &[]);
+        let expect = reference(&graph, &fixed, &random);
         assert_reference(&what("partition, scan arm"), &graph, &driver, &expect);
 
-        let mut scoped = cfg.clone();
-        scoped.restart_scope = RestartScope::AffectedOnly;
-        let driver = adapt_with_delta(&grown, &halting.labels, &delta, &scoped);
+        let driver = adapt(&grown, &halting.labels, &cfg);
         let labels = least_loaded_labels(&grown, &halting.labels, &[], cfg.k);
-        let affected = delta_affected(n, n, &delta);
-        let expect = reference(&grown, &scoped, &labels, &affected);
-        assert_reference(&what("adapt_with_delta"), &grown, &driver, &expect);
+        let expect = reference(&grown, &cfg, &labels);
+        assert_reference(&what("adapt"), &grown, &driver, &expect);
 
         let mut resized = cfg.clone();
         resized.k = 6;
         let driver = elastic(&graph, &halting.labels, cfg.k, &resized);
         let labels = elastic_labels(&halting.labels, cfg.k, resized.k, cfg.seed);
-        let expect = reference(&graph, &resized, &labels, &[]);
+        let expect = reference(&graph, &resized, &labels);
         assert_reference(&what("elastic"), &graph, &driver, &expect);
     }
     assert!(halted_steady > 0, "no run halted by the ε/w rule");

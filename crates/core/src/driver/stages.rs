@@ -20,7 +20,7 @@
 //! let cfg = SpinnerConfig::new(4);
 //! let labels = random_labels(graph.num_vertices(), cfg.k, cfg.seed);
 //! let placement = stages::placement(graph.num_vertices(), &cfg);
-//! let mut engine = stages::build_engine(&graph, &cfg, &placement, &labels, &[]);
+//! let mut engine = stages::build_engine(&graph, &cfg, &placement, &labels);
 //! let summary = engine.run();
 //! let result = stages::collect(&cfg, &engine, &summary, &graph);
 //! assert_eq!(result.labels, partition(&graph, &cfg).labels);
@@ -29,19 +29,18 @@
 //! # Bit-identity contract
 //!
 //! [`crate::partition`], [`crate::partition_with_placement`],
-//! [`crate::partition_directed`], [`crate::adapt`],
-//! [`crate::adapt_with_delta`], [`crate::elastic`] and every
-//! [`crate::StreamSession`] window (bootstrap, delta, resize, worker loss,
-//! transport escalation, the first after a resume) are these stages around
-//! one [`Engine::run`]. A resumed session builds its engine with
+//! [`crate::partition_directed`], [`crate::adapt`], [`crate::elastic`] and
+//! every [`crate::StreamSession`] window (bootstrap, delta, resize, worker
+//! loss, transport escalation, the first after a resume) are these stages
+//! around one [`Engine::run`]. A resumed session builds its engine with
 //! [`build_engine`] from its saved labels and placement when its first
 //! window starts (or a fault injection needs it), not when it is restored;
 //! that window then warm-resets the engine like any other, so deferring
 //! the build changes no result. A caller that builds an engine here from
-//! the same graph, config, placement, labels and affected flags, runs it, and
-//! collects it gets the same labels, per-iteration history, iteration and
-//! superstep counts and message totals as the driver call, bit for bit;
-//! only wall-clock fields differ.
+//! the same graph, config, placement and labels, runs it, and collects it
+//! gets the same labels, per-iteration history, iteration and superstep
+//! counts and message totals as the driver call, bit for bit; only
+//! wall-clock fields differ.
 //!
 //! Every run starts seeded at `ComputeScores`: [`build_engine`] counts each
 //! vertex's degree and label histogram from the labels it is given, and a
@@ -113,20 +112,16 @@ pub fn placement(n: VertexId, cfg: &SpinnerConfig) -> Placement {
 /// and the partition loads are summed from them into both the persistent
 /// loads aggregator and the master's state — what the reference
 /// `Initialize` superstep and the first histogram fold would have left, so
-/// the run skips that superstep and its announcement round. `affected`
-/// marks the vertices that restart migrations under
-/// [`crate::config::RestartScope::AffectedOnly`]; an empty slice marks
-/// every vertex affected.
+/// the run skips that superstep and its announcement round.
 pub fn build_engine(
     graph: &UndirectedGraph,
     cfg: &SpinnerConfig,
     placement: &Placement,
     labels: &[Label],
-    affected: &[bool],
 ) -> Engine<SpinnerProgram> {
     let mut states = recount_states(graph, placement, labels, cfg.num_threads);
     let mut built = None;
-    seed(cfg, &mut states, affected, |program, init_v| {
+    seed(cfg, &mut states, |program, init_v| {
         let config = engine_config(cfg);
         built.insert(Engine::from_undirected(program, graph, placement, config, init_v, edge))
     });
@@ -151,8 +146,6 @@ pub fn build_engine(
 /// `graph` when a vertex moved or the vertex set shrank (see
 /// [`Engine::warm_patch_undirected`]).
 ///
-/// `affected` marks the vertices that restart migrations under
-/// [`crate::config::RestartScope::AffectedOnly`] (empty marks every vertex).
 /// Debug builds first check the states against `graph`: every degree, and
 /// the mass law Σ_v hist_v\[l\] = Σ_{u : label(u) = l} deg_w(u) for every
 /// label.
@@ -163,14 +156,13 @@ pub fn warm_reset(
     cfg: &SpinnerConfig,
     placement: &Placement,
     states: &mut Vec<VertexState>,
-    affected: &[bool],
 ) {
     assert_eq!(states.len(), graph.num_vertices() as usize, "one vertex state per vertex");
     #[cfg(debug_assertions)]
     if let Err(e) = crate::program::check_mass_law(graph, states) {
         panic!("seeded label histograms out of sync with the graph: {e}");
     }
-    seed(cfg, states, affected, |program, init_v| {
+    seed(cfg, states, |program, init_v| {
         engine.warm_patch_undirected(program, graph, placement, changed, init_v, edge);
         engine
     });
@@ -178,15 +170,13 @@ pub fn warm_reset(
 
 /// The seeded start every run shares. Sums the partition loads from
 /// `states`, hands `host` the program starting at `ComputeScores` and each
-/// vertex's state — its candidate and locality count cleared and its
-/// `affected` flag set — and installs the loads into the engine `host`
-/// returns: the persistent loads aggregator, which the migration phase
-/// folds its load deltas into, and the master's state. `states` is left
-/// empty.
+/// vertex's state — its candidate and locality count cleared — and
+/// installs the loads into the engine `host` returns: the persistent loads
+/// aggregator, which the migration phase folds its load deltas into, and
+/// the master's state. `states` is left empty.
 fn seed<'e>(
     cfg: &SpinnerConfig,
     states: &mut Vec<VertexState>,
-    affected: &[bool],
     host: impl FnOnce(
         SpinnerProgram,
         &mut dyn FnMut(VertexId) -> VertexState,
@@ -202,7 +192,6 @@ fn seed<'e>(
         let mut state = std::mem::replace(&mut states[v], VertexState::new(0, false));
         state.candidate = NO_LABEL;
         state.counted = NOT_COUNTED;
-        state.affected = affected.get(v).copied().unwrap_or(true);
         state
     });
     states.clear();
@@ -301,8 +290,6 @@ pub fn collect(
     let loads: Vec<u64> = global.loads.iter().map(|&l| l.max(0) as u64).collect();
     let rho = rho_of(&global.loads, &global.capacities, cfg.c);
     let last = global.history.last();
-    // Per-iteration aggregates only cover vertices that computed in that
-    // superstep; under `RestartScope::AffectedOnly` most vertices sleep.
     let phi = spinner_metrics::phi(graph, &labels);
     let quality = PartitionQuality { phi, rho, score: last.map_or(0.0, |h| h.score), loads };
     PartitionResult {

@@ -53,8 +53,8 @@ pub mod theory;
 
 pub use config::SpinnerConfig;
 pub use driver::{
-    adapt, adapt_with_delta, elastic, partition, partition_directed, partition_with_placement,
-    IterationStats, PartitionResult,
+    adapt, elastic, partition, partition_directed, partition_with_placement, IterationStats,
+    PartitionResult,
 };
 pub use state::{Label, MAX_K, NO_LABEL};
 pub use stream::{SessionState, StreamEvent, StreamSession, WindowReport, WindowReportParts};

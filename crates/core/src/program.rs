@@ -1,7 +1,7 @@
 //! The Spinner vertex program (paper §IV), expressed against the Pregel
 //! engine: phases, score maximisation, and decentralised migrations.
 
-use crate::config::{BalanceObjective, RestartScope, SpinnerConfig};
+use crate::config::{BalanceObjective, SpinnerConfig};
 use crate::driver::IterationStats;
 use crate::state::{
     sort_by_weight, EdgeState, GlobalState, Label, MigrationMsg, Phase, VertexState,
@@ -191,14 +191,8 @@ impl SpinnerProgram {
         }
         ctx.value.candidate = NO_LABEL;
 
-        // (v) Sleep. A settled bystander of an affected-only restart stays
-        // awake into the migration superstep, which halts it where it
-        // always has, so the ε/w normaliser counts it out at the same step.
-        if self.cfg.restart_scope == RestartScope::AffectedOnly && !ctx.value.affected {
-            return;
-        }
-        // Anyone else skips the migration superstep, which has nothing for
-        // a non-candidate (key 0 wakes it at the next scores superstep).
+        // (v) Sleep. A non-candidate skips the migration superstep, which
+        // has nothing for it (key 0 wakes it at the next scores superstep).
         // With a strict margin m over every alternative it sleeps longer:
         // no penalty moves by more than the drift D adds plus the
         // asynchronous views' excursions (its own now, e_s, and the a-priori
@@ -407,12 +401,6 @@ impl SpinnerProgram {
     fn compute_migrations(&self, ctx: &mut VertexContext<'_, Self>) {
         let candidate = ctx.value.candidate;
         if candidate == NO_LABEL {
-            // Under the affected-only restart strategy, settled bystanders
-            // halt until a neighbour's migration wakes them.
-            if self.cfg.restart_scope == RestartScope::AffectedOnly && !ctx.value.affected {
-                uncount_locality(ctx);
-                ctx.vote_to_halt();
-            }
             return;
         }
         ctx.value.candidate = NO_LABEL;
@@ -424,7 +412,6 @@ impl SpinnerProgram {
         let old = ctx.value.label;
         let load = load_of(self.cfg.objective, ctx.value.degree) as i64;
         ctx.value.label = candidate;
-        ctx.value.affected = true; // A mover keeps optimising.
         ctx.agg.add_vec_i64(AGG_LOADS, old as usize, -load);
         ctx.agg.add_vec_i64(AGG_LOADS, candidate as usize, load);
         if ctx.value.counted != NOT_COUNTED {
@@ -572,19 +559,6 @@ fn count_locality(ctx: &mut VertexContext<'_, SpinnerProgram>, weight: u64) {
     ctx.agg.add_i64(AGG_LOCAL_WEIGHT, i64::from(weight) - i64::from(old_weight));
     ctx.agg.add_i64(AGG_SCORE, locality_fixed(weight, value.degree) - old_fixed);
     value.counted = weight;
-}
-
-/// Takes a halting vertex out of the persistent locality aggregates: a
-/// halted vertex is left out, as it was when these sums covered only the
-/// vertices computed in a scores superstep.
-fn uncount_locality(ctx: &mut VertexContext<'_, SpinnerProgram>) {
-    let value = &mut *ctx.value;
-    if value.counted != NOT_COUNTED {
-        ctx.agg.add_i64(AGG_LOCAL_WEIGHT, -i64::from(value.counted));
-        ctx.agg.add_i64(AGG_SCORE, -locality_fixed(value.counted, value.degree));
-        ctx.agg.add_vec_i64(AGG_COUNTS, value.label as usize, -1);
-        value.counted = NOT_COUNTED;
-    }
 }
 
 /// Applies every announced label change to `hist` through the dense

@@ -28,10 +28,6 @@ pub struct VertexState {
     /// The label this vertex is a candidate to migrate to (set in
     /// ComputeScores, consumed in ComputeMigrations), or [`NO_LABEL`].
     pub candidate: Label,
-    /// Whether this vertex participates in migration restarts under
-    /// [`crate::config::RestartScope::AffectedOnly`]; always `true` for the
-    /// paper's full-restart strategy.
-    pub affected: bool,
     /// Histogram of adjacent labels: summed edge weight per distinct
     /// neighbour label (entries are strictly positive; zeroed entries are
     /// removed). Maintained incrementally by the ComputeScores message fold
@@ -47,8 +43,8 @@ pub struct VertexState {
     /// The weight of the vertex's own label in its histogram as the
     /// persistent locality aggregates last counted it, or [`NOT_COUNTED`]
     /// while they do not count the vertex (before its first scores visit
-    /// of a run, and after it halted). A sleeping vertex keeps its count,
-    /// so the aggregates stay exact without visiting it.
+    /// of a run). A sleeping vertex keeps its count, so the aggregates stay
+    /// exact without visiting it.
     pub(crate) counted: u32,
 }
 
@@ -122,13 +118,15 @@ pub(crate) fn label_histogram_scan(
 impl VertexState {
     /// Fresh state with the given initial label (degree and the label
     /// histogram are seeded before a run, or fill in during the reference
-    /// Initialize/ComputeScores supersteps).
-    pub fn new(label: Label, affected: bool) -> Self {
+    /// Initialize/ComputeScores supersteps). The second argument is
+    /// ignored: it stays until the repo benchmark's cold replica, which
+    /// still passes it, builds through [`crate::driver::stages`] instead
+    /// (ROADMAP item 0(b)).
+    pub fn new(label: Label, _: bool) -> Self {
         Self {
             label,
             degree: 0,
             candidate: NO_LABEL,
-            affected,
             label_weights: Vec::new(),
             counted: NOT_COUNTED,
         }

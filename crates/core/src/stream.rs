@@ -35,9 +35,9 @@
 //! unaffected; with `async_worker_loads = false` they are bit-identical to
 //! a feedback-free run.
 
-use crate::config::{RestartScope, SpinnerConfig};
+use crate::config::SpinnerConfig;
 use crate::driver::{
-    delta_affected, elastic_labels, least_loaded_labels, random_labels, stages, PartitionResult,
+    elastic_labels, least_loaded_labels, random_labels, stages, PartitionResult,
 };
 use crate::program::SpinnerProgram;
 use crate::state::{label_histogram, Label, VertexState};
@@ -65,10 +65,10 @@ pub enum StreamEvent {
     },
     /// A worker failed and its partition state was lost (the paper's §V
     /// failure scenario). The vertices the engine hosted on that worker are
-    /// reseeded with balanced labels, restarted as the only affected set,
-    /// and re-converged warm; the window then re-places all vertices by
-    /// computed label onto the worker slot's replacement. The graph and
-    /// `k` are untouched — only labels and placement recover.
+    /// reseeded with balanced labels and every vertex restarts, warm, as in
+    /// a delta window; the window then re-places all vertices by computed
+    /// label onto the worker slot's replacement. The graph and `k` are
+    /// untouched — only labels and placement recover.
     WorkerLoss {
         /// The worker slot whose hosted state was lost.
         worker: WorkerId,
@@ -451,7 +451,7 @@ impl StreamSession {
         let n = undirected.num_vertices();
         let labels = random_labels(n, cfg.k, cfg.seed);
         let placement = stages::placement(n, &cfg);
-        let mut engine = stages::build_engine(&undirected, &cfg, &placement, &labels, &[]);
+        let mut engine = stages::build_engine(&undirected, &cfg, &placement, &labels);
         let summary = engine.run();
         let result = stages::collect(&cfg, &engine, &summary, &undirected);
         let lanes_degraded = engine.transport_health_counts().0;
@@ -542,7 +542,7 @@ impl StreamSession {
     ///
     /// The labels, iterations and per-iteration history are bit-identical
     /// to what the cold-start driver would produce for the same state:
-    /// [`crate::adapt_with_delta`] for [`StreamEvent::Delta`],
+    /// [`crate::adapt`] for [`StreamEvent::Delta`],
     /// [`crate::elastic`] for [`StreamEvent::Resize`]. Like the driver, the
     /// window starts seeded at `ComputeScores`, so its supersteps and
     /// messages equal the driver's too; the paper's `Initialize` start
@@ -552,9 +552,6 @@ impl StreamSession {
         // Out of `self` for the window; put back before the report.
         let mut engine = self.engine.take().unwrap_or_else(|| self.build_engine());
         let old_n = self.labels.len();
-        // Which vertices restart migrations (only consulted under
-        // `RestartScope::AffectedOnly`; empty marks everyone affected).
-        let mut affected: Vec<bool> = Vec::new();
         let mut lost_vertices = 0u64;
         // A delta window carries the previous run's vertex states when they
         // are exact, patched by the delta; every other window recounts them.
@@ -576,9 +573,6 @@ impl StreamSession {
                 std::mem::swap(&mut self.graph, &mut self.spare_graph);
                 std::mem::swap(&mut self.undirected, &mut self.spare_view);
                 let n = self.undirected.num_vertices();
-                if self.cfg.restart_scope == RestartScope::AffectedOnly {
-                    affected = delta_affected(n, old_n as VertexId, delta);
-                }
                 let labels =
                     least_loaded_labels(&self.undirected, &self.labels, &[], self.cfg.k);
                 if self.states_exact {
@@ -606,13 +600,11 @@ impl StreamSession {
                     "lost worker {worker} out of range for {} workers",
                     self.cfg.num_workers
                 );
-                // Recovery windows always restart only the lost vertices,
-                // regardless of the configured scope: recovery cost must
-                // scale with the lost fraction, not the graph (survivors
-                // still adapt passively — they recompute scores as
-                // neighbors move).
-                let (labels, lost, count) = self.reseed_hosted_by(*worker, &self.labels);
-                (affected, lost_vertices) = (lost, count);
+                // Every vertex restarts, as in a delta window: the lost ones
+                // from least-loaded labels, the survivors from their own.
+                // The survivors start settled, so few of them move.
+                let (labels, count) = self.reseed_hosted_by(*worker, &self.labels);
+                lost_vertices = count;
                 labels
             }
         };
@@ -624,7 +616,7 @@ impl StreamSession {
                 stages::recount_states(&self.undirected, &placement, &labels, threads);
         }
         let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
-        stages::warm_reset(&mut engine, und, &changed, cfg, &placement, states, &affected);
+        stages::warm_reset(&mut engine, und, &changed, cfg, &placement, states);
         self.placement = placement;
         let mut summary = engine.run();
 
@@ -635,7 +627,7 @@ impl StreamSession {
         // worker — its outbound state is unreachable, which is
         // operationally the same as the worker being gone — and drives the
         // exact [`StreamEvent::WorkerLoss`] recovery path: reseed the
-        // vertices it hosted, dense warm reset restarting only those, and
+        // vertices it hosted, warm reset restarting every vertex, and
         // re-run. [`Engine::run`] resets the transport on entry (the
         // replacement worker connects fresh), and scripted fault plans keep
         // their per-lane frame clocks across resets (consumed faults stay
@@ -646,16 +638,15 @@ impl StreamSession {
         // A sender reseeded earlier in the window whose lane dies again is
         // the same loss, not a new one: the re-run started from the
         // recovery's labels, so the failure cost only that re-run's
-        // progress. The recovery is replayed as it was (same labels,
-        // placement and restarted vertices) and nothing is counted lost
-        // twice, however many of one sender's lanes die in different
-        // supersteps.
+        // progress. The recovery is replayed as it was (same labels and
+        // placement) and nothing is counted lost twice, however many of one
+        // sender's lanes die in different supersteps.
         let mut transport_lost = 0u64;
         let mut lanes_degraded = 0u64;
         let mut lanes_dead = 0u64;
         let mut failed_metrics = Vec::new();
         let mut reseeded: Vec<WorkerId> = Vec::new();
-        let mut escalation: Option<(Vec<Label>, Vec<bool>)> = None;
+        let mut escalation: Option<Vec<Label>> = None;
         while let HaltReason::TransportFailed(err) = summary.halt {
             let (degraded, dead) = engine.transport_health_counts();
             lanes_degraded = lanes_degraded.max(degraded);
@@ -663,19 +654,19 @@ impl StreamSession {
             failed_metrics.append(&mut summary.metrics);
             let sender = err.sender() as WorkerId;
             if !reseeded.contains(&sender) {
-                let seed = escalation.as_ref().map_or(&labels, |(relabeled, _)| relabeled);
-                let (relabeled, lost, count) = self.reseed_hosted_by(sender, seed);
+                let seed = escalation.as_ref().unwrap_or(&labels);
+                let (relabeled, count) = self.reseed_hosted_by(sender, seed);
                 transport_lost += count;
                 reseeded.push(sender);
-                escalation = Some((relabeled, lost));
+                escalation = Some(relabeled);
             }
-            let (relabeled, lost) = escalation.as_ref().expect("a reseeded sender");
+            let relabeled = escalation.as_ref().expect("a reseeded sender");
             let placement = self.placement_for(relabeled);
             let threads = self.cfg.num_threads;
             self.states =
                 stages::recount_states(&self.undirected, &placement, relabeled, threads);
             let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
-            stages::warm_reset(&mut engine, und, &[], cfg, &placement, states, lost);
+            stages::warm_reset(&mut engine, und, &[], cfg, &placement, states);
             self.placement = placement;
             summary = engine.run();
         }
@@ -708,16 +699,12 @@ impl StreamSession {
         self.windows.last().expect("window just pushed")
     }
 
-    /// The vertices the engine hosts on `worker` (flags, and their count),
-    /// with the least-loaded reseed of `labels` that recovers them.
-    fn reseed_hosted_by(
-        &self,
-        worker: WorkerId,
-        labels: &[Label],
-    ) -> (Vec<Label>, Vec<bool>, u64) {
+    /// The least-loaded reseed of `labels` that recovers the vertices the
+    /// engine hosts on `worker`, and how many those are.
+    fn reseed_hosted_by(&self, worker: WorkerId, labels: &[Label]) -> (Vec<Label>, u64) {
         let lost: Vec<bool> = self.placement.as_slice().iter().map(|&w| w == worker).collect();
         let count = lost.iter().filter(|&&f| f).count() as u64;
-        (least_loaded_labels(&self.undirected, labels, &lost, self.cfg.k), lost, count)
+        (least_loaded_labels(&self.undirected, labels, &lost, self.cfg.k), count)
     }
 
     /// Appends the report of the window that converged to `result`.
@@ -796,7 +783,7 @@ impl StreamSession {
     /// The engine [`Self::from_state`] defers: built on the session's view,
     /// labels and placement, as an eager build would have made it.
     fn build_engine(&self) -> Engine<SpinnerProgram> {
-        stages::build_engine(&self.undirected, &self.cfg, &self.placement, &self.labels, &[])
+        stages::build_engine(&self.undirected, &self.cfg, &self.placement, &self.labels)
     }
 
     /// The placement for a window starting from `labels`: hash placement
@@ -1055,9 +1042,7 @@ fn fabric_reallocs(summary: &spinner_pregel::RunSummary) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{
-        adapt_with_delta, elastic, least_loaded_labels, partition, IterationStats,
-    };
+    use crate::driver::{adapt, elastic, least_loaded_labels, partition, IterationStats};
     use crate::program::check_mass_law;
     use proptest::prelude::*;
     use spinner_graph::conversion::patch_undirected_edges;
@@ -1130,9 +1115,6 @@ mod tests {
             cfg.max_iterations = 20;
             cfg.ignore_halting = seed % 2 == 0;
             cfg.async_worker_loads = seed % 4 != 3;
-            if seed % 5 == 4 {
-                cfg.restart_scope = RestartScope::AffectedOnly;
-            }
             let deltas = DeltaStream::new(
                 g0.clone(),
                 DeltaStreamConfig {
@@ -1159,7 +1141,7 @@ mod tests {
         // The margin sleepers must exist for the comparison to mean anything
         // ... and the sleep schedule is deterministic: any change to a wake
         // key or clock shows here, even one that changes no label.
-        assert_eq!((slept, woke), (589_546, 679_741), "visits sleeping, waking");
+        assert_eq!((slept, woke), (598_730, 688_075), "visits sleeping, waking");
     }
 
     #[test]
@@ -1176,8 +1158,7 @@ mod tests {
             new_vertices: 0,
         };
         let g1 = apply_delta(&g0, &delta);
-        let cold =
-            adapt_with_delta(&from_undirected_edges(&g1), &cold_initial.labels, &delta, &cfg);
+        let cold = adapt(&from_undirected_edges(&g1), &cold_initial.labels, &cfg);
         session.apply(StreamEvent::Delta(delta));
         assert_eq!(session.labels(), cold.labels.as_slice(), "warm adapt diverged from cold");
         let w = session.last();
@@ -1443,10 +1424,11 @@ mod tests {
         assert!(deferred.transport_chaos_counts().0 > 0, "the plan injected no fault");
     }
 
-    /// Worker-loss recovery: reseeding + affected-only re-convergence must
-    /// keep label migration proportional to the lost fraction (not the
-    /// graph), land a valid labelling, and be deterministic across a
-    /// `state()`/`from_state()` process boundary.
+    /// Worker-loss recovery reseeds the lost vertices and restarts every
+    /// vertex; the labels that move must stay proportional to the lost
+    /// fraction (below twice the lost count, not the graph), land a valid
+    /// labelling, and be deterministic across a `state()`/`from_state()`
+    /// process boundary.
     #[test]
     fn worker_loss_recovery_is_scoped_and_deterministic() {
         let g0 = base(2500, 11);
@@ -1570,33 +1552,27 @@ mod tests {
     }
 
     /// What a cold run of the window `event` would start from on `s`: the
-    /// graph, config, labels and affected flags its driver call passes to
+    /// graph, config and labels its driver call passes to
     /// `stages::build_engine`.
     fn cold_inputs(
         s: &StreamSession,
         event: &StreamEvent,
-    ) -> (UndirectedGraph, SpinnerConfig, Vec<Label>, Vec<bool>) {
+    ) -> (UndirectedGraph, SpinnerConfig, Vec<Label>) {
         let mut cfg = s.cfg.clone();
         match event {
             StreamEvent::Delta(delta) => {
                 let graph = from_undirected_edges(&apply_delta(&s.graph, delta));
                 let labels = least_loaded_labels(&graph, &s.labels, &[], cfg.k);
-                let affected = match cfg.restart_scope {
-                    RestartScope::AffectedOnly => {
-                        delta_affected(graph.num_vertices(), s.labels.len() as VertexId, delta)
-                    }
-                    RestartScope::All => Vec::new(),
-                };
-                (graph, cfg, labels, affected)
+                (graph, cfg, labels)
             }
             StreamEvent::Resize { k } => {
                 let labels = elastic_labels(&s.labels, cfg.k, *k, cfg.seed);
                 cfg.k = *k;
-                (s.undirected.clone(), cfg, labels, Vec::new())
+                (s.undirected.clone(), cfg, labels)
             }
             StreamEvent::WorkerLoss { worker } => {
-                let (labels, lost, _) = s.reseed_hosted_by(*worker, &s.labels);
-                (s.undirected.clone(), cfg, labels, lost)
+                let (labels, _) = s.reseed_hosted_by(*worker, &s.labels);
+                (s.undirected.clone(), cfg, labels)
             }
         }
     }
@@ -1606,19 +1582,18 @@ mod tests {
 
         /// Every warm window equals its cold driver call: the same labels,
         /// iterations, per-iteration history and halting flag as an engine
-        /// built cold on the window's graph, config, placement, labels and
-        /// affected flags (and so `adapt_with_delta` or `elastic` whenever
-        /// the window ran on the hash placement or the load view is
-        /// synchronous), and the same supersteps, visits, messages and
-        /// records: both start seeded. A session resumed from `state()`
-        /// before each window recounts every histogram and must report the
-        /// same window, wall clock aside. Debug builds check the mass law
-        /// before every seeded run.
+        /// built cold on the window's graph, config, placement and labels
+        /// (and so `adapt` or `elastic` whenever the window ran on the hash
+        /// placement or the load view is synchronous), and the same
+        /// supersteps, visits, messages and records: both start seeded. A
+        /// session resumed from `state()` before each window recounts every
+        /// histogram and must report the same window, wall clock aside.
+        /// Debug builds check the mass law before every seeded run.
         #[test]
         fn warm_windows_equal_their_cold_driver(
             graph_seed in 0u64..1000,
             stream_seed in 0u64..1000,
-            arm in 0u32..8,
+            arm in 0u32..4,
             k in 2u32..5,
             workers in 1usize..5,
         ) {
@@ -1636,9 +1611,6 @@ mod tests {
             cfg.max_iterations = 15;
             cfg.async_worker_loads = arm & 1 == 0;
             if arm & 2 != 0 {
-                cfg.restart_scope = RestartScope::AffectedOnly;
-            }
-            if arm & 4 != 0 {
                 cfg.placement_feedback = Some(0.4);
             }
             let mut session = StreamSession::new(g0, cfg);
@@ -1655,14 +1627,13 @@ mod tests {
                     },
                     _ => StreamEvent::Delta(random_delta(&mut rng, &session.graph)),
                 };
-                let (graph, cold_cfg, labels, affected) = cold_inputs(&session, &event);
+                let (graph, cold_cfg, labels) = cold_inputs(&session, &event);
                 let placement = session.placement_for(&labels);
                 let mut twin = StreamSession::from_state(session.state());
 
                 let warm = session.apply(event.clone()).clone();
                 prop_assert!(session.states_exact, "a clean window leaves exact states");
-                let mut engine =
-                    stages::build_engine(&graph, &cold_cfg, &placement, &labels, &affected);
+                let mut engine = stages::build_engine(&graph, &cold_cfg, &placement, &labels);
                 let summary = engine.run();
                 let cold = stages::collect(&cold_cfg, &engine, &summary, &graph);
                 let global = session.engine.as_ref().expect("built by apply").global();
@@ -1680,10 +1651,7 @@ mod tests {
                 let hashed = placement == stages::placement(graph.num_vertices(), &cold_cfg);
                 if hashed || !cold_cfg.async_worker_loads {
                     let driver = match &event {
-                        StreamEvent::Delta(delta) => {
-                            let previous = twin.labels();
-                            Some(adapt_with_delta(&graph, previous, delta, &cold_cfg))
-                        }
+                        StreamEvent::Delta(_) => Some(adapt(&graph, twin.labels(), &cold_cfg)),
                         StreamEvent::Resize { .. } => {
                             let old_k = twin.k();
                             Some(elastic(&graph, twin.labels(), old_k, &cold_cfg))

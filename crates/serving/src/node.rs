@@ -830,6 +830,36 @@ mod tests {
         assert_eq!(node.unpersisted_windows(), 0);
     }
 
+    /// A snapshot in a retired format resumes to a typed version error that
+    /// names its magic; any other foreign prefix stays corrupt.
+    #[test]
+    fn retired_snapshot_magic_is_an_unsupported_version() {
+        use crate::fault::StoreFile;
+        let disk = MemStorage::new();
+        let session = StreamSession::new(ring(200), cfg(3));
+        ServingNode::with_storage(session, Box::new(disk.clone())).expect("create");
+        let snapshot = disk.dump(StoreFile::Snapshot).expect("snapshot written");
+        for (magic, retired) in [
+            (b"SPNRSNP7", true),
+            (b"SPNRSNP1", true),
+            (b"SPNRSNP9", false),
+            (b"SPNRSNQ7", false),
+        ] {
+            let store = MemStorage::new();
+            store.plant(StoreFile::Snapshot, [magic.as_slice(), &snapshot[8..]].concat());
+            match (ServingNode::resume_from_storage(Box::new(store)), retired) {
+                (Err(PersistError::UnsupportedVersion { found }), true) => {
+                    assert_eq!(&found, magic)
+                }
+                (Err(PersistError::Corrupt(e)), false) => {
+                    assert_eq!(e.context, "snapshot magic")
+                }
+                (Err(e), _) => panic!("{}: wrong error {e}", magic.escape_ascii()),
+                (Ok(_), _) => panic!("{}: resumed a foreign snapshot", magic.escape_ascii()),
+            }
+        }
+    }
+
     #[test]
     fn dead_storage_poisons_after_the_grace_window_and_serving_survives() {
         let disk = MemStorage::new();

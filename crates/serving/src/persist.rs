@@ -10,7 +10,7 @@ use spinner_graph::DirectedGraph;
 use spinner_pregel::codec::CorruptError;
 
 use crate::fault::{DiskStorage, Storage, StoreFile};
-use crate::snapshot::{decode_state, encode_state};
+use crate::snapshot::{decode_state, encode_state, retired_magic, SNAPSHOT_MAGIC};
 use crate::wal::{read_wal, WalRecord};
 
 /// Snapshot file name inside a disk-backed store directory.
@@ -25,6 +25,12 @@ pub enum PersistError {
     Io(io::Error),
     /// The stored bytes are corrupt beyond the recoverable WAL tail.
     Corrupt(CorruptError),
+    /// The snapshot was written in a retired format version, which this
+    /// build no longer reads.
+    UnsupportedVersion {
+        /// The snapshot's magic.
+        found: [u8; 8],
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -32,6 +38,12 @@ impl fmt::Display for PersistError {
         match self {
             Self::Io(e) => write!(f, "session store I/O error: {e}"),
             Self::Corrupt(e) => write!(f, "session store corrupt: {e}"),
+            Self::UnsupportedVersion { found } => write!(
+                f,
+                "session store snapshot format {} is retired; this build reads {}",
+                found.escape_ascii(),
+                SNAPSHOT_MAGIC.escape_ascii()
+            ),
         }
     }
 }
@@ -126,6 +138,9 @@ impl SessionStore {
                 format!("no snapshot in session store at {}", storage.describe()),
             )
         })?;
+        if let Some(found) = retired_magic(&snapshot_bytes) {
+            return Err(PersistError::UnsupportedVersion { found });
+        }
         // Neither file's bytes outlive its decoding: the replay below holds
         // only the decoded state and records.
         let mut state = decode_state(&snapshot_bytes)?;

@@ -8,7 +8,7 @@
 //! delta-encoded sorted neighbour gaps (CSR order is already sorted), which
 //! keeps the file a small multiple of the in-memory CSR.
 
-use spinner_core::config::{BalanceObjective, RestartScope};
+use spinner_core::config::BalanceObjective;
 use spinner_core::{SessionState, SpinnerConfig, WindowReport, WindowReportParts};
 use spinner_graph::{DirectedGraph, VertexId};
 use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
@@ -28,8 +28,18 @@ use std::time::Duration;
 /// window-report record; `SPNRSNP6` dropped the `transport_retry.reliable`
 /// byte from the config record, as the reliability layer is always on;
 /// `SPNRSNP7` dropped the frontier-window byte from the config record, as
-/// every delta window restarts its vertices as the driver does).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP7";
+/// every delta window restarts its vertices as the driver does; `SPNRSNP8`
+/// dropped the restart-scope byte from the config record, as every window
+/// restarts every vertex).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP8";
+
+/// The magic `bytes` begins with when it is a snapshot of a retired format
+/// version, `SPNRSNP1` up to the one before [`SNAPSHOT_MAGIC`].
+pub(crate) fn retired_magic(bytes: &[u8]) -> Option<[u8; 8]> {
+    let (family, version) = SNAPSHOT_MAGIC.split_at(7);
+    let found: [u8; 8] = bytes.get(..8)?.try_into().ok()?;
+    (found.starts_with(family) && (b'1'..version[0]).contains(&found[7])).then_some(found)
+}
 
 /// Encodes `state` into a self-verifying snapshot byte vector.
 pub fn encode_state(state: &SessionState) -> Vec<u8> {
@@ -192,10 +202,6 @@ fn put_config(w: &mut ByteWriter, cfg: &SpinnerConfig) {
             }
         }
     }
-    w.put_u8(match cfg.restart_scope {
-        RestartScope::All => 0,
-        RestartScope::AffectedOnly => 1,
-    });
     match cfg.placement_feedback {
         None => w.put_u8(0),
         Some(threshold) => {
@@ -256,11 +262,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
             Some(weights)
         }
         _ => return Err(CorruptError { context: "config capacity tag" }),
-    };
-    cfg.restart_scope = match r.u8("config restart_scope")? {
-        0 => RestartScope::All,
-        1 => RestartScope::AffectedOnly,
-        _ => return Err(CorruptError { context: "config restart_scope" }),
     };
     cfg.placement_feedback = match r.u8("config feedback tag")? {
         0 => None,
@@ -454,17 +455,59 @@ mod tests {
     /// starts `window, k, num_vertices, num_edges` (one byte each), then
     /// three 8-byte floats, then `iterations` at byte 28.
     fn tiny_state() -> SessionState {
-        let mut report = sample_state().windows[0].to_parts();
-        (report.window, report.k, report.num_vertices, report.num_edges) = (0, 2, 3, 2);
-        report.iterations = 5;
+        let report = WindowReportParts {
+            window: 0,
+            k: 2,
+            num_vertices: 3,
+            num_edges: 2,
+            phi: 0.5,
+            rho: 1.02,
+            migration_fraction: 1.0,
+            iterations: 5,
+            supersteps: 10,
+            messages: 9,
+            sent_local: 5,
+            sent_remote: 4,
+            sent_local_records: 5,
+            sent_remote_records: 3,
+            placement_moved: 1,
+            computed: 17,
+            wall_ns: 123_456,
+            fabric_reallocs: 2,
+            lost_vertices: 1,
+            wire_bytes: 77,
+            wire_frames: 6,
+            wire_folded: 1,
+            retransmits: 1,
+            lanes_degraded: 1,
+            lanes_dead: 0,
+        };
         SessionState {
-            cfg: SpinnerConfig::new(2),
+            cfg: SpinnerConfig { num_threads: 1, ..SpinnerConfig::new(2) },
             graph: GraphBuilder::new(3).add_edges([(0, 1), (1, 2)]).build(),
             labels: vec![0, 1, 0],
             placement: vec![0, 0, 0],
             label_assignment: None,
             windows: vec![WindowReport::from_parts(report)],
         }
+    }
+
+    /// The format version and an FNV-1a digest of [`tiny_state`]'s snapshot.
+    const TINY_SNAPSHOT: (&[u8; 8], u64) = (b"SPNRSNP8", 0x305a_3e27_e66f_b148);
+
+    /// A layout change that keeps the magic fails here, not at a resume of
+    /// a store an older build wrote.
+    #[test]
+    fn snapshot_bytes_are_pinned_to_their_magic() {
+        let digest =
+            encode_state(&tiny_state()).iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(
+            (SNAPSHOT_MAGIC, digest),
+            TINY_SNAPSHOT,
+            "format changed: bump SNAPSHOT_MAGIC and re-pin (digest {digest:#018x})"
+        );
     }
 
     /// Splits `state`'s snapshot payload into (config, graph, rest).

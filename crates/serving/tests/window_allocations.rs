@@ -144,9 +144,8 @@ fn a_resume_allocates_less_than_one_engine_build() {
         ingest(&mut node, delta);
     }
     let s = node.session();
-    let (_, build, _) = counted(|| {
-        stages::build_engine(s.undirected(), s.config(), s.placement(), s.labels(), &[])
-    });
+    let (_, build, _) =
+        counted(|| stages::build_engine(s.undirected(), s.config(), s.placement(), s.labels()));
     let (resumed, resume, _) = counted(|| ServingNode::resume_from(&dir).expect("resume"));
     let (resumed, _) = resumed;
     assert_eq!(resumed.session().labels(), node.session().labels());

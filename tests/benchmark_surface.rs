@@ -169,7 +169,7 @@ fn stages_replica_matches_partition_on_both_transports() {
         let n = graph.num_vertices();
         let initial: Vec<Label> = random_labels(n, cfg.k, cfg.seed);
         let placement: Placement = stages::placement(n, &cfg);
-        let mut engine = stages::build_engine(graph, &cfg, &placement, &initial, &[]);
+        let mut engine = stages::build_engine(graph, &cfg, &placement, &initial);
         let summary: RunSummary = engine.run();
         let replica: PartitionResult = stages::collect(&cfg, &engine, &summary, graph);
         assert_eq!(replica.labels, mono.labels, "{transport:?}: stages labels");
