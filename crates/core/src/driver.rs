@@ -624,6 +624,29 @@ mod extension_tests {
         }
     }
 
+    /// Each iteration's φ is local weight over the total weighted degree
+    /// under either objective, so the last one is the final labels' φ, bit
+    /// for bit, on a cold and on an elastic run.
+    #[test]
+    fn last_iteration_phi_is_the_final_phi_under_both_objectives() {
+        let g = community_graph(4000, 8, 3);
+        for objective in [BalanceObjective::Edges, BalanceObjective::Vertices] {
+            let cfg = |k: u32| {
+                let mut cfg = small_cfg(k);
+                cfg.objective = objective;
+                cfg
+            };
+            let cold = partition(&g, &cfg(8));
+            let grown = elastic(&g, &cold.labels, 8, &cfg(10));
+            for (run, r) in [("partition", &cold), ("elastic", &grown)] {
+                let last = r.history.last().expect("an iteration").phi;
+                let exact = spinner_metrics::phi(&g, &r.labels);
+                assert_eq!(last.to_bits(), exact.to_bits(), "{run}, {objective:?}");
+                assert_eq!(r.quality.phi.to_bits(), exact.to_bits(), "{run}, {objective:?}");
+            }
+        }
+    }
+
     #[test]
     fn vertex_objective_balances_vertex_counts_on_skewed_graph() {
         let g = to_weighted_undirected(&rmat(RmatConfig::graph500(11, 12, 5)));

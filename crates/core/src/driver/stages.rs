@@ -75,7 +75,7 @@ use crate::state::{
 use spinner_graph::{UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
 use spinner_pregel::engine::{Engine, EngineConfig};
-use spinner_pregel::{AggValue, Placement, RunSummary};
+use spinner_pregel::{AggValue, HaltReason, Placement, RunSummary};
 
 /// The engine settings a run derives from its config.
 pub fn engine_config(cfg: &SpinnerConfig) -> EngineConfig {
@@ -183,8 +183,10 @@ fn seed<'e>(
     ) -> &'e mut Engine<SpinnerProgram>,
 ) {
     let mut loads = vec![0i64; cfg.k as usize];
+    let mut total_weight = 0u64;
     for s in states.iter() {
         loads[s.label as usize] += load_of(cfg.objective, s.degree) as i64;
+        total_weight += s.degree;
     }
     let program = SpinnerProgram { cfg: cfg.clone(), start_phase: Phase::ComputeScores };
     let engine = host(program, &mut |v| {
@@ -196,7 +198,7 @@ fn seed<'e>(
     });
     states.clear();
     engine.set_aggregate(AGG_LOADS, AggValue::VecI64(loads.clone()));
-    engine.set_global(seeded_global(cfg, loads));
+    engine.set_global(seeded_global(cfg, loads, total_weight));
 }
 
 /// Vertices below which [`recount_states`] counts on one thread: spawning
@@ -266,8 +268,9 @@ fn edge(_: VertexId, _: VertexId, weight: u8) -> EdgeState {
 
 /// Reads a [`PartitionResult`] out of a finished engine without consuming
 /// it (a streaming session keeps the engine warm for the next window). φ is
-/// recomputed exactly from the final labels on `graph`, the graph the
-/// engine ran on.
+/// the last iteration's when the master halted the run, which is exactly
+/// φ of the final labels on `graph`, the graph the engine ran on (debug
+/// builds check it); after any other halt it is recomputed from them.
 pub fn collect(
     cfg: &SpinnerConfig,
     engine: &Engine<SpinnerProgram>,
@@ -277,10 +280,7 @@ pub fn collect(
     // Debug builds recount every histogram from the final labels after a
     // clean halt, when every announcement sent has been folded.
     #[cfg(debug_assertions)]
-    if matches!(
-        summary.halt,
-        spinner_pregel::HaltReason::Master | spinner_pregel::HaltReason::AllHalted
-    ) {
+    if matches!(summary.halt, HaltReason::Master | HaltReason::AllHalted) {
         if let Err(e) = crate::program::recount_histograms(engine) {
             panic!("label histograms out of sync with the final labels: {e}");
         }
@@ -290,7 +290,20 @@ pub fn collect(
     let loads: Vec<u64> = global.loads.iter().map(|&l| l.max(0) as u64).collect();
     let rho = rho_of(&global.loads, &global.capacities, cfg.c);
     let last = global.history.last();
-    let phi = spinner_metrics::phi(graph, &labels);
+    // A master halt comes from the scores superstep, whose history entry
+    // divides the exact locality sum of the final labels by the total
+    // weighted degree: φ itself. Every other halt scores the labels again.
+    let phi = match (&summary.halt, last) {
+        (HaltReason::Master, Some(last)) => {
+            debug_assert_eq!(
+                last.phi.to_bits(),
+                spinner_metrics::phi(graph, &labels).to_bits(),
+                "the last iteration's φ is not the final labels' φ"
+            );
+            last.phi
+        }
+        _ => spinner_metrics::phi(graph, &labels),
+    };
     let quality = PartitionQuality { phi, rho, score: last.map_or(0.0, |h| h.score), loads };
     PartitionResult {
         labels,

@@ -60,6 +60,9 @@ pub const AGG_MIGRATIONS: usize = 4;
 /// Aggregator: n_l, the vertices per label the locality aggregates count,
 /// persistent (VecSumI64, length k).
 pub const AGG_COUNTS: usize = 5;
+/// Aggregator: Σ_v deg_w(v), summed by the reference `Initialize` superstep
+/// only (SumI64).
+pub const AGG_DEGREE: usize = 6;
 
 /// Wake-clock ticks per unit of penalty: keys and clocks are D + … values
 /// rounded down to 1/512, so a sleeper wakes at most one tick early and a
@@ -504,23 +507,27 @@ impl SpinnerProgram {
 }
 
 /// Builds the [`GlobalState`] the master's `Initialize` step would have
-/// produced from the given per-partition loads — the same total-weight,
-/// capacity, and load math, phase set to `ComputeScores`. Used by every
-/// seeded run, which skips the Initialize superstep entirely: vertex
+/// produced from the given per-partition loads and total weighted degree —
+/// the same capacity and load math, phase set to `ComputeScores`. Used by
+/// every seeded run, which skips the Initialize superstep entirely: vertex
 /// degrees, histograms, and the persistent loads aggregator are seeded on
 /// the engine side, and this supplies the matching master state.
-pub(crate) fn seeded_global(cfg: &SpinnerConfig, loads: Vec<i64>) -> GlobalState {
+pub(crate) fn seeded_global(
+    cfg: &SpinnerConfig,
+    loads: Vec<i64>,
+    total_weight: u64,
+) -> GlobalState {
     let mut g = GlobalState::new(Phase::ComputeScores, cfg.k);
-    install_loads(&mut g, cfg, loads);
+    install_loads(&mut g, cfg, loads, total_weight);
     g
 }
 
-/// Installs the initial partition loads and what the master derives from
-/// them: the total weight and the capacities — homogeneous `C = c·total/k`,
-/// or proportional to the configured heterogeneous weights.
-fn install_loads(g: &mut GlobalState, cfg: &SpinnerConfig, loads: Vec<i64>) {
+/// Installs the initial partition loads, the total weighted degree, and
+/// the capacities the master derives from the loads — homogeneous
+/// `C = c·Σb/k`, or proportional to the configured heterogeneous weights.
+fn install_loads(g: &mut GlobalState, cfg: &SpinnerConfig, loads: Vec<i64>, total_weight: u64) {
     let total: i64 = loads.iter().sum();
-    g.total_weight = total as u64;
+    g.total_weight = total_weight;
     g.capacities = match &cfg.capacity_weights {
         Some(weights) => {
             let sum: f64 = weights.iter().sum();
@@ -709,6 +716,7 @@ impl Program for SpinnerProgram {
             AggregatorSpec::persistent("local-weight", AggOp::SumI64, 0),
             AggregatorSpec::regular("migrations", AggOp::SumI64, 0),
             AggregatorSpec::persistent("counts", AggOp::VecSumI64, k),
+            AggregatorSpec::regular("degree", AggOp::SumI64, 0),
         ]
     }
 
@@ -723,6 +731,7 @@ impl Program for SpinnerProgram {
                 debug_assert!(label < ctx.global.k);
                 let load = load_of(self.cfg.objective, degw) as i64;
                 ctx.agg.add_vec_i64(AGG_LOADS, label as usize, load);
+                ctx.agg.add_i64(AGG_DEGREE, degw as i64);
                 ctx.broadcast(MigrationMsg::announce(NO_LABEL, label));
             }
             Phase::ComputeScores => self.compute_scores(ctx, messages),
@@ -790,7 +799,8 @@ impl Program for SpinnerProgram {
         match ctx.global.phase {
             Phase::Initialize => {
                 let loads = ctx.read(AGG_LOADS).as_vec_i64().to_vec();
-                install_loads(ctx.global, &self.cfg, loads);
+                let total_weight = ctx.read(AGG_DEGREE).as_i64() as u64;
+                install_loads(ctx.global, &self.cfg, loads, total_weight);
                 ctx.global.phase = Phase::ComputeScores;
             }
             Phase::ComputeScores => self.master_scores(ctx),

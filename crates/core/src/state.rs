@@ -337,7 +337,10 @@ pub struct GlobalState {
     /// systems; proportional to the configured weights otherwise), set by
     /// the seeded start or after the reference Initialize.
     pub capacities: Vec<f64>,
-    /// Total edge weight Σ_l b(l) (= 2·|directed edges|).
+    /// Total weighted degree Σ_v deg_w(v), the denominator of each
+    /// iteration's φ (2·|directed edges| after the Eq. 3 conversion). Kept
+    /// apart from the loads Σ_l b(l), which under
+    /// [`crate::config::BalanceObjective::Vertices`] count vertices.
     pub total_weight: u64,
     /// Current partition loads b(l) (from the persistent aggregator).
     pub loads: Vec<i64>,

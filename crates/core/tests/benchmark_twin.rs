@@ -75,6 +75,9 @@ fn stream_churn_windows_visit_an_eighth_of_the_graph() {
             n,
             w.supersteps()
         );
+        // The window's φ is its last iteration's: the final labels' φ.
+        let phi = spinner_metrics::phi(session.undirected(), session.labels());
+        assert_eq!(session.last().phi().to_bits(), phi.to_bits(), "window {} φ", w.window());
         let labels = digest(session.labels().iter().map(|&l| u64::from(l)));
         steps.push((w.supersteps(), w.messages(), labels));
     }

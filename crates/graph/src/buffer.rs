@@ -43,6 +43,15 @@ impl Fit {
             Self::Recycled => refit(buf, len),
         }
     }
+
+    /// Gives up the room `buf` was sized with beyond its length, when it is
+    /// a result allocated for the caller: a writer that sized it by an
+    /// upper bound leaves it at exactly its final length.
+    pub(crate) fn trim<T>(self, buf: &mut Vec<T>) {
+        if self == Self::Exact {
+            buf.shrink_to_fit();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -68,5 +77,10 @@ mod tests {
         Fit::Exact.size(&mut buf, 10);
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), 10);
+        buf.extend(0..4);
+        Fit::Recycled.trim(&mut buf);
+        assert_eq!(buf.capacity(), 10);
+        Fit::Exact.trim(&mut buf);
+        assert_eq!(buf.capacity(), 4);
     }
 }

@@ -92,11 +92,16 @@ pub struct ViewPatch {
 /// returns exactly `from_undirected_edges(next)`, with the pairs whose edge
 /// appeared and vanished.
 ///
-/// Only the pairs `delta` names can change, so each is looked up before (in
-/// `prev`) and after (both directions in `next`); the pairs that appeared or
-/// vanished, in both orientations, are merged into `prev`'s rows by the same
-/// kernel as [`crate::mutation::apply_delta`]. Cost is
-/// `O(|V| + |E| + |Δ| log |Δ|)` with no conversion pass.
+/// Only the pairs `delta` names can change. A pair the delta adds an edge
+/// to has one afterwards; one it only removes edges from keeps one exactly
+/// when `next` still has the reverse of a removed edge, a lookup made in
+/// one ascending sweep over the sorted removals. Both kinds of pair, in
+/// both orientations, are merged into `prev`'s rows by the same kernel as
+/// [`crate::mutation::apply_delta`], which reads where it lands whether
+/// `prev` had the pair: adding a pair `prev` has, or removing one it lacks,
+/// changes nothing, and neither pair is listed. The total weight follows
+/// from `prev`'s and the listed pairs, with no pass over the weights. Cost
+/// is `O(|V| + |E| + |Δ| log |Δ|)` with no conversion pass.
 pub fn patch_undirected_edges(
     prev: &UndirectedGraph,
     next: &DirectedGraph,
@@ -128,24 +133,23 @@ fn write_patch(
     out: &mut UndirectedGraph,
     fit: Fit,
 ) -> (Pairs, Pairs) {
-    let (prev_n, n) = (prev.num_vertices(), next.num_vertices());
-    let (mut added, mut removed) = (Vec::new(), Vec::new());
-    for &(u, v) in delta.added_edges.iter().chain(&delta.removed_edges) {
-        if u == v || u >= n || v >= n {
-            continue;
-        }
-        let before = u < prev_n && v < prev_n && prev.edge_weight(u, v).is_some();
-        let after = next.has_edge(u, v) || next.has_edge(v, u);
-        match (before, after) {
-            (false, true) => added.push((u.min(v), u.max(v))),
-            (true, false) => removed.push((u.min(v), u.max(v))),
-            _ => {}
-        }
-    }
-    for pairs in [&mut added, &mut removed] {
-        pairs.sort_unstable();
-        pairs.dedup();
-    }
+    let n = next.num_vertices();
+    let in_range = |&&(u, v): &&(VertexId, VertexId)| u != v && u < n && v < n;
+    let pair = |(u, v): (VertexId, VertexId)| (u.min(v), u.max(v));
+    // A pair the delta adds an edge to has one in `next`.
+    let mut add: Pairs = delta.added_edges.iter().filter(in_range).map(|&e| pair(e)).collect();
+    add.sort_unstable();
+    add.dedup();
+    // A pair the delta removes `(u, v)` from keeps an edge only through
+    // `(v, u)`, or through an addition, which `add` holds and which wins in
+    // the merge. The reverse edges are looked up in one ascending sweep.
+    let mut remove: Pairs =
+        delta.removed_edges.iter().filter(in_range).map(|&(u, v)| (v, u)).collect();
+    remove.sort_unstable();
+    remove.retain(|&(v, u)| !next.has_edge(v, u));
+    remove.iter_mut().for_each(|e| *e = pair(*e));
+    remove.sort_unstable();
+    remove.dedup();
     // Each pair is merged into both its rows: the orientations that point
     // down, `(b, a)`, sorted apart from the pairs themselves.
     let down = |pairs: &[(VertexId, VertexId)]| {
@@ -153,16 +157,30 @@ fn write_patch(
         down.sort_unstable();
         down
     };
-    let (added_down, removed_down) = (down(&added), down(&removed));
+    let (add_down, remove_down) = (down(&add), down(&remove));
+    // The merge hears each pair that changed once from each of its rows;
+    // the upward orientation, in row `a`, lists it.
+    let (mut added, mut removed) =
+        (Vec::with_capacity(add.len()), Vec::with_capacity(remove.len()));
     out.rewrite(|offsets, targets, weights| {
-        let m = prev.num_adjacency_entries() as usize + 2 * added.len() - 2 * removed.len();
         fit.size(offsets, n as usize + 1);
-        fit.size(targets, m);
-        fit.size(weights, m);
+        fit.size(targets, prev.num_adjacency_entries() as usize + 2 * add.len());
         let (prev_offsets, prev_targets, _) = prev.as_csr();
-        let (csr, out) = ((prev_offsets, prev_targets), (offsets, targets));
-        merge_rows(csr, n as usize, [&added_down, &added], [&removed_down, &removed], out);
-        weights.resize(m, 1);
+        let (csr, out) = ((prev_offsets, prev_targets), (&mut *offsets, &mut *targets));
+        let (adds, removes) = ([&add_down[..], &add], [&remove_down[..], &remove]);
+        merge_rows(csr, n as usize, adds, removes, out, |a, b, was_added| {
+            match (a < b, was_added) {
+                (true, true) => added.push((a, b)),
+                (true, false) => removed.push((a, b)),
+                (false, _) => {}
+            }
+        });
+        fit.trim(targets);
+        fit.size(weights, targets.len());
+        weights.resize(targets.len(), 1);
+        // Every weight is 1: each pair that came or went moves the total by
+        // its two entries.
+        prev.total_weight() + 2 * added.len() as u64 - 2 * removed.len() as u64
     });
     (added, removed)
 }

@@ -91,9 +91,11 @@ impl GraphDelta {
 /// any addition whose endpoint lies past that range.
 ///
 /// Cost is `O(|V| + |E| + |Δ| log |Δ|)`: only the delta is sorted, and each
-/// CSR row is written once, as a merge of the old row with that row's
-/// removals and additions (rows the delta does not touch are block copies).
-/// The result's arrays are allocated once, at exactly their final size.
+/// CSR row is written once, as the old row copied in slices between that
+/// row's edits (rows the delta does not touch are block copies). Whether an
+/// edit takes effect is read where the merge lands on it, with no lookup
+/// of its own. The result's arrays are allocated once, the targets for
+/// every addition taking effect and then shrunk to their final size.
 pub fn apply_delta(g: &DirectedGraph, delta: &GraphDelta) -> DirectedGraph {
     let mut out = DirectedGraph::default();
     write_delta(g, delta, &mut out, Fit::Exact);
@@ -110,26 +112,22 @@ pub fn apply_delta_into(g: &DirectedGraph, delta: &GraphDelta, out: &mut Directe
 
 fn write_delta(g: &DirectedGraph, delta: &GraphDelta, out: &mut DirectedGraph, fit: Fit) {
     let old_n = g.num_vertices();
-    let present = |&(u, v): &(VertexId, VertexId)| u < old_n && g.has_edge(u, v);
     let mut added: Vec<(VertexId, VertexId)> =
         delta.added_edges.iter().copied().filter(|&(u, v)| u != v).collect();
     added.sort_unstable();
     added.dedup();
-    let mut removed: Vec<(VertexId, VertexId)> = delta
-        .removed_edges
-        .iter()
-        .copied()
-        .filter(|e| present(e) && added.binary_search(e).is_err())
-        .collect();
+    // A removal from a row past the old range is of an absent edge.
+    let mut removed: Vec<(VertexId, VertexId)> =
+        delta.removed_edges.iter().copied().filter(|&(u, _)| u < old_n).collect();
     removed.sort_unstable();
     removed.dedup();
     let n = added.iter().fold(old_n + delta.new_vertices, |n, &(u, v)| n.max(u.max(v) + 1));
-    added.retain(|e| !present(e));
     out.rewrite(|offsets, targets| {
-        let m = g.num_edges() as usize + added.len() - removed.len();
         fit.size(offsets, n as usize + 1);
-        fit.size(targets, m);
-        merge_rows(g.as_csr(), n as usize, [&[], &added], [&[], &removed], (offsets, targets));
+        fit.size(targets, g.num_edges() as usize + added.len());
+        let (csr, out) = (g.as_csr(), (&mut *offsets, &mut *targets));
+        merge_rows(csr, n as usize, [&[], &added], [&[], &removed], out, |_, _, _| {});
+        fit.trim(targets);
     });
 }
 
@@ -145,26 +143,29 @@ pub(crate) type Edits<'a> = [&'a [(VertexId, VertexId)]; 2];
 /// The row-merge kernel behind [`apply_delta`] and
 /// [`crate::conversion::patch_undirected_edges`]: writes into the empty
 /// `out` the CSR `(offsets, targets)` over `n` rows (rows past the old range
-/// start empty), row `u` becoming its old row minus its removals plus its
-/// additions.
+/// start empty), row `u` becoming its old row with its additions put in and
+/// its removals taken out.
 ///
-/// Every removed edge is present and every added edge absent, so the output
-/// length is known up front: the caller sizes `out` for `n + 1` offsets and
-/// `targets.len()` plus the additions minus the removals targets, and
-/// nothing grows. Runs of rows the edits do not touch are copied as one
-/// block.
+/// The edits are requests, resolved where the merge lands on them: adding
+/// an edge the old row has, or removing one it lacks, is a no-op, and an
+/// addition wins over a removal of the same edge. `changed` hears every
+/// edit that took effect, as `(row, target, added)`, in ascending
+/// `(row, target)` order within each list. The caller sizes `out` for
+/// `n + 1` offsets and for `targets.len()` plus the additions targets, an
+/// upper bound on the result, so nothing grows. Runs of rows the edits do
+/// not touch are copied as one block.
 pub(crate) fn merge_rows(
     (offsets, targets): (&[u64], &[VertexId]),
     n: usize,
     mut added: Edits<'_>,
     mut removed: Edits<'_>,
     (out_offsets, out_targets): (&mut Vec<u64>, &mut Vec<VertexId>),
+    mut changed: impl FnMut(VertexId, VertexId, bool),
 ) {
     let old_n = offsets.len() - 1;
-    let count = |edits: &Edits<'_>| edits[0].len() + edits[1].len();
-    let m = targets.len() + count(&added) - count(&removed);
     debug_assert!(out_offsets.is_empty() && out_targets.is_empty());
-    debug_assert!(out_offsets.capacity() > n && out_targets.capacity() >= m);
+    let bound = targets.len() + added[0].len() + added[1].len();
+    debug_assert!(out_offsets.capacity() > n && out_targets.capacity() >= bound);
     out_offsets.push(0);
     let mut u = 0;
     while u < n {
@@ -191,45 +192,64 @@ pub(crate) fn merge_rows(
         // merges with its own runs.
         let split =
             a0.last().max(r0.last()).map_or(0, |e| old_row.partition_point(|&t| t <= e.1));
-        merge_row(&old_row[..split], r0, a0, out_targets);
-        merge_row(&old_row[split..], r1, a1, out_targets);
+        merge_row(&old_row[..split], a0, r0, out_targets, &mut changed);
+        merge_row(&old_row[split..], a1, r1, out_targets, &mut changed);
         out_offsets.push(out_targets.len() as u64);
         u = next + 1;
     }
-    debug_assert_eq!(out_targets.len(), m, "an added edge was present or a removed one absent");
+    debug_assert!(out_targets.len() <= bound);
 }
 
-/// Splits row `row`'s run off the front of `edits`.
+/// Splits row `row`'s run off the front of `edits`. A run is a few edits
+/// long, so it is counted from the front, not searched for.
 fn split_row<'a>(
     edits: &mut &'a [(VertexId, VertexId)],
     row: usize,
 ) -> &'a [(VertexId, VertexId)] {
-    let (run, rest) = edits.split_at(edits.partition_point(|e| e.0 as usize == row));
+    let len = edits.iter().take_while(|e| e.0 as usize == row).count();
+    let (run, rest) = edits.split_at(len);
     *edits = rest;
     run
 }
 
-/// Writes `(old \ removed) ∪ added` for one row, by target: `old` sorted,
-/// `removed ⊆ old` and `added` disjoint from `old`, both sorted.
+/// Writes one row's part `old` (sorted) with the row's `added` put in and
+/// `removed` taken out (both sorted by target), as [`merge_rows`] resolves
+/// them. The old row goes over in slices: each edit's position is a
+/// binary search of what is left of it, and everything before that
+/// position is copied whole.
 fn merge_row(
-    old: &[VertexId],
-    removed: &[(VertexId, VertexId)],
-    added: &[(VertexId, VertexId)],
+    mut old: &[VertexId],
+    mut added: &[(VertexId, VertexId)],
+    mut removed: &[(VertexId, VertexId)],
     out: &mut Vec<VertexId>,
+    changed: &mut impl FnMut(VertexId, VertexId, bool),
 ) {
-    let (mut r, mut a) = (0, 0);
-    for &t in old {
-        while a < added.len() && added[a].1 < t {
-            out.push(added[a].1);
-            a += 1;
-        }
-        if r < removed.len() && removed[r].1 == t {
-            r += 1;
-        } else {
+    loop {
+        let ((row, t), add) = match (added.first(), removed.first()) {
+            (None, None) => break,
+            (Some(&a), Some(&r)) if r.1 < a.1 => (r, false),
+            (Some(&a), _) => (a, true),
+            (None, Some(&r)) => (r, false),
+        };
+        let at = old.partition_point(|&x| x < t);
+        out.extend_from_slice(&old[..at]);
+        let present = old.get(at) == Some(&t);
+        if add {
+            added = &added[1..];
+            // An addition wins over a removal of the same edge.
+            if removed.first().is_some_and(|r| r.1 == t) {
+                removed = &removed[1..];
+            }
             out.push(t);
+        } else {
+            removed = &removed[1..];
         }
+        if present != add {
+            changed(row, t, add);
+        }
+        old = &old[at + usize::from(present)..];
     }
-    out.extend(added[a..].iter().map(|e| e.1));
+    out.extend_from_slice(old);
 }
 
 /// The `GraphBuilder` rebuild `apply_delta` used before the row merge

@@ -42,29 +42,35 @@ impl UndirectedGraph {
         targets: Vec<VertexId>,
         weights: Vec<EdgeWeight>,
     ) -> Self {
-        let mut g = Self { offsets, targets, weights, total_weight: 0 };
-        g.seal();
+        let total_weight = weights.iter().map(|&w| u64::from(w)).sum();
+        let g = Self { offsets, targets, weights, total_weight };
+        g.debug_check();
         g
     }
 
     /// Rewrites the graph in place: `write` gets the CSR arrays `(offsets,
-    /// targets, weights)` and must leave in them arrays [`Self::from_csr`]
-    /// accepts, so a caller that rebuilds a graph every round can reuse this
-    /// one's buffers.
+    /// targets, weights)`, must leave in them arrays [`Self::from_csr`]
+    /// accepts and returns their total weight, so a caller that rebuilds a
+    /// graph every round can reuse this one's buffers and carry the total
+    /// over instead of summing it again.
     pub(crate) fn rewrite(
         &mut self,
-        write: impl FnOnce(&mut Vec<u64>, &mut Vec<VertexId>, &mut Vec<EdgeWeight>),
+        write: impl FnOnce(&mut Vec<u64>, &mut Vec<VertexId>, &mut Vec<EdgeWeight>) -> u64,
     ) {
-        write(&mut self.offsets, &mut self.targets, &mut self.weights);
-        self.seal();
+        self.total_weight = write(&mut self.offsets, &mut self.targets, &mut self.weights);
+        self.debug_check();
     }
 
-    /// Sums the total weight of freshly written arrays and checks their
-    /// invariants in debug builds.
-    fn seal(&mut self) {
+    /// The invariants of freshly written arrays and their total weight,
+    /// checked in debug builds.
+    fn debug_check(&self) {
         debug_assert_eq!(self.targets.len(), self.weights.len());
         debug_assert_eq!(*self.offsets.last().unwrap() as usize, self.targets.len());
-        self.total_weight = self.weights.iter().map(|&w| w as u64).sum();
+        debug_assert_eq!(
+            self.total_weight,
+            self.weights.iter().map(|&w| u64::from(w)).sum::<u64>(),
+            "total weight out of sync with the weights"
+        );
         #[cfg(debug_assertions)]
         self.check_symmetry();
     }

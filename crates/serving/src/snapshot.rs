@@ -41,12 +41,40 @@ pub(crate) fn retired_magic(bytes: &[u8]) -> Option<[u8; 8]> {
     (found.starts_with(family) && (b'1'..version[0]).contains(&found[7])).then_some(found)
 }
 
-/// Encodes `state` into a self-verifying snapshot byte vector.
+/// The most bytes [`put_config`] writes besides the capacity weights: 11
+/// varints, 3 `f64`s and 17 single bytes, rounded up.
+const CONFIG_BYTES: usize = 192;
+
+/// The most bytes [`put_report`] writes: 22 varints and 3 `f64`s.
+const REPORT_BYTES: usize = 22 * VARINT_BYTES + 3 * 8;
+
+/// The most bytes a varint takes; one of a `u32` takes at most 5.
+const VARINT_BYTES: usize = 10;
+
+/// Encodes `state` into a self-verifying snapshot byte vector. The vector
+/// is allocated once, at an upper bound read off the record counts, and
+/// the magic, payload and checksum are written into it in place.
 pub fn encode_state(state: &SessionState) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let graph = &state.graph;
+    let assignment = state.label_assignment.as_ref().map_or(0, Vec::len);
+    let ids = graph.num_vertices() as usize
+        + graph.num_edges() as usize
+        + state.labels.len()
+        + state.placement.len()
+        + assignment;
+    let weights = state.cfg.capacity_weights.as_ref().map_or(0, Vec::len);
+    let bound = SNAPSHOT_MAGIC.len()
+        + CONFIG_BYTES
+        + 8 * weights
+        + 5 * VARINT_BYTES
+        + 5 * ids
+        + REPORT_BYTES * state.windows.len()
+        + 4;
+    let mut buf = Vec::with_capacity(bound);
+    buf.extend_from_slice(SNAPSHOT_MAGIC);
+    let mut w = ByteWriter::wrap(buf);
     put_config(&mut w, &state.cfg);
     // Graph: vertex count, then degree + neighbour gaps per vertex.
-    let graph = &state.graph;
     w.put_varint(u64::from(graph.num_vertices()));
     for v in graph.vertices() {
         let neighbors = graph.out_neighbors(v);
@@ -80,11 +108,10 @@ pub fn encode_state(state: &SessionState) -> Vec<u8> {
         put_report(&mut w, &report.to_parts());
     }
 
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    let mut out = w.into_bytes();
+    let crc = crc32(&out[SNAPSHOT_MAGIC.len()..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    debug_assert!(out.len() <= bound, "a snapshot outgrew its {bound}-byte bound");
     out
 }
 
