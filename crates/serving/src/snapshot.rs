@@ -63,6 +63,8 @@ pub fn encode_state(state: &SessionState) -> Vec<u8> {
         + state.placement.len()
         + assignment;
     let weights = state.cfg.capacity_weights.as_ref().map_or(0, Vec::len);
+    // Five counts, then one `u32`-sized varint per degree, neighbour gap,
+    // label, placement and assignment entry.
     let bound = SNAPSHOT_MAGIC.len()
         + CONFIG_BYTES
         + 8 * weights
