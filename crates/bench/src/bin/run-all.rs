@@ -35,7 +35,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp-ablation",
     "exp-theory",
     "exp-stream",
-    "exp-serving",
 ];
 
 struct Args {

@@ -116,9 +116,8 @@ pub struct SpinnerConfig {
     /// transports; only the wire counters change.
     pub transport: TransportKind,
     /// Frame encoding on a serialising transport (ignored on the direct
-    /// path): [`WireFormat::Compact`] (default) uses delta+varint ids and
-    /// payload-specialised values, [`WireFormat::Raw`] fixed-width
-    /// records — the size-comparison arm.
+    /// path): [`WireFormat::Compact`], the only one, uses delta+varint ids
+    /// and payload-specialised values.
     pub wire_format: WireFormat,
     /// Sender-side combiner folding on a serialising transport: fold
     /// same-destination records through the program's combiner before
@@ -191,13 +190,6 @@ impl SpinnerConfig {
         self
     }
 
-    /// Builder-style worker-count override.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1);
-        self.num_workers = workers;
-        self
-    }
-
     /// Builder-style broadcast-lane override (the per-edge unicast arm is
     /// the verification baseline; see [`Self::broadcast_fabric`]).
     pub fn with_broadcast_fabric(mut self, enabled: bool) -> Self {
@@ -228,12 +220,6 @@ impl SpinnerConfig {
     /// Builder-style transport override (see [`Self::transport`]).
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Builder-style wire-format override (see [`Self::wire_format`]).
-    pub fn with_wire_format(mut self, format: WireFormat) -> Self {
-        self.wire_format = format;
         self
     }
 
@@ -314,12 +300,8 @@ mod tests {
         assert_eq!(cfg.transport, TransportKind::Direct);
         assert_eq!(cfg.wire_format, WireFormat::Compact);
         assert!(cfg.sender_fold, "fold is on whenever a wire path runs");
-        let cfg = cfg
-            .with_transport(TransportKind::Ring)
-            .with_wire_format(WireFormat::Raw)
-            .with_sender_fold(false);
+        let cfg = cfg.with_transport(TransportKind::Ring).with_sender_fold(false);
         assert_eq!(cfg.transport, TransportKind::Ring);
-        assert_eq!(cfg.wire_format, WireFormat::Raw);
         assert!(!cfg.sender_fold);
     }
 

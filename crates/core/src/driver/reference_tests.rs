@@ -10,7 +10,7 @@ use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::mutation::{apply_delta, sample_new_edges, sample_removed_edges};
 use spinner_graph::GraphDelta;
 use spinner_pregel::engine::Engine;
-use spinner_pregel::{TransportKind, WireFormat};
+use spinner_pregel::TransportKind;
 
 /// The reference run: the `Initialize` start on `cfg`'s hash placement.
 fn reference(
@@ -72,13 +72,8 @@ fn driver_runs_equal_the_initialize_reference() {
         new_vertices: 0,
     };
     let grown = to_weighted_undirected(&apply_delta(&directed, &delta));
-    let lanes = [
-        (TransportKind::Direct, WireFormat::Compact),
-        (TransportKind::Ring, WireFormat::Compact),
-        (TransportKind::Ring, WireFormat::Raw),
-    ];
     let mut arms = Vec::new();
-    for lane in lanes {
+    for lane in [TransportKind::Direct, TransportKind::Ring] {
         for broadcast in [true, false] {
             for async_loads in [true, false] {
                 for threads in [1, 2] {
@@ -88,13 +83,10 @@ fn driver_runs_equal_the_initialize_reference() {
         }
     }
     let mut halted_steady = 0;
-    for (arm, ((transport, format), broadcast, async_loads, threads)) in
-        arms.into_iter().enumerate()
-    {
+    for (arm, (transport, broadcast, async_loads, threads)) in arms.into_iter().enumerate() {
         let mut cfg = SpinnerConfig::new(4)
             .with_seed(arm as u64)
             .with_transport(transport)
-            .with_wire_format(format)
             .with_broadcast_fabric(broadcast);
         cfg.num_workers = 3;
         cfg.num_threads = threads;

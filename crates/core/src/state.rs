@@ -297,19 +297,11 @@ impl MigrationMsg {
 }
 
 impl WirePayload for MigrationMsg {
-    const WIDTH: usize = <(u32, u32)>::WIDTH;
-    fn write_fixed(&self, w: &mut ByteWriter) {
-        (self.change, self.label).write_fixed(w);
+    fn write(&self, w: &mut ByteWriter) {
+        (self.change, self.label).write(w);
     }
-    fn read_fixed(r: &mut ByteReader<'_>) -> spinner_pregel::codec::Result<Self> {
-        let (change, label) = <(u32, u32)>::read_fixed(r)?;
-        Ok(Self { change, label })
-    }
-    fn write_compact(&self, w: &mut ByteWriter) {
-        (self.change, self.label).write_compact(w);
-    }
-    fn read_compact(r: &mut ByteReader<'_>) -> spinner_pregel::codec::Result<Self> {
-        let (change, label) = <(u32, u32)>::read_compact(r)?;
+    fn read(r: &mut ByteReader<'_>) -> spinner_pregel::codec::Result<Self> {
+        let (change, label) = <(u32, u32)>::read(r)?;
         Ok(Self { change, label })
     }
 }
@@ -639,12 +631,10 @@ mod tests {
             m.stamp(2);
             assert_eq!((m.old(), m.new_label(), m.weight()), (old, new, 2));
             let mut w = ByteWriter::new();
-            m.write_fixed(&mut w);
-            m.write_compact(&mut w);
+            m.write(&mut w);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            assert_eq!(MigrationMsg::read_fixed(&mut r), Ok(m));
-            assert_eq!(MigrationMsg::read_compact(&mut r), Ok(m));
+            assert_eq!(MigrationMsg::read(&mut r), Ok(m));
             assert!(r.is_exhausted());
             m.stamp(1);
             assert_eq!((m.old(), m.new_label(), m.weight()), (old, new, 1));

@@ -609,16 +609,7 @@ impl StreamSession {
             }
         };
 
-        let placement = self.placement_for(&labels);
-        if !carried {
-            let threads = self.cfg.num_threads;
-            self.states =
-                stages::recount_states(&self.undirected, &placement, &labels, threads);
-        }
-        let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
-        stages::warm_reset(&mut engine, und, &changed, cfg, &placement, states);
-        self.placement = placement;
-        let mut summary = engine.run();
+        let mut summary = self.rehost_and_run(&mut engine, &labels, &changed, carried);
 
         // Lane-health escalation: when the transport declares a lane dead
         // (retry budget exhausted or take deadline hit), the engine aborts
@@ -661,14 +652,7 @@ impl StreamSession {
                 escalation = Some(relabeled);
             }
             let relabeled = escalation.as_ref().expect("a reseeded sender");
-            let placement = self.placement_for(relabeled);
-            let threads = self.cfg.num_threads;
-            self.states =
-                stages::recount_states(&self.undirected, &placement, relabeled, threads);
-            let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
-            stages::warm_reset(&mut engine, und, &[], cfg, &placement, states);
-            self.placement = placement;
-            summary = engine.run();
+            summary = self.rehost_and_run(&mut engine, relabeled, &[], false);
         }
         if !failed_metrics.is_empty() {
             failed_metrics.append(&mut summary.metrics);
@@ -697,6 +681,28 @@ impl StreamSession {
         let lost = lost_vertices + transport_lost;
         self.push_window(&result, &summary, migration_fraction, placement_moved, lost, lanes);
         self.windows.last().expect("window just pushed")
+    }
+
+    /// Places the vertices by `labels`, seeds their states (recounted
+    /// unless `carried` holds the delta-patched previous ones), re-hosts
+    /// `engine` on the result, patching its topology by the `changed` pairs,
+    /// and runs it.
+    fn rehost_and_run(
+        &mut self,
+        engine: &mut Engine<SpinnerProgram>,
+        labels: &[Label],
+        changed: &[(VertexId, VertexId)],
+        carried: bool,
+    ) -> RunSummary {
+        let placement = self.placement_for(labels);
+        if !carried {
+            let threads = self.cfg.num_threads;
+            self.states = stages::recount_states(&self.undirected, &placement, labels, threads);
+        }
+        let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
+        stages::warm_reset(engine, und, changed, cfg, &placement, states);
+        self.placement = placement;
+        engine.run()
     }
 
     /// The least-loaded reseed of `labels` that recovers the vertices the
@@ -843,17 +849,6 @@ impl StreamSession {
         self.placement = placement;
         self.label_to_worker = Some(assignment);
         moved
-    }
-
-    /// Runs a whole stream of events, returning the final report.
-    pub fn run_stream(
-        &mut self,
-        events: impl IntoIterator<Item = StreamEvent>,
-    ) -> &WindowReport {
-        for event in events {
-            self.apply(event);
-        }
-        self.windows.last().expect("bootstrap window always present")
     }
 
     /// The current labelling.

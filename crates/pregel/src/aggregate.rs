@@ -3,8 +3,7 @@
 //! Pregel aggregators let vertices contribute values during a superstep and
 //! read the merged result in the next superstep. Giraph shards each
 //! aggregator across workers for scalability; in shared memory the
-//! equivalent is a per-worker partial merged at the barrier in worker order
-//! (which also keeps floating-point sums deterministic).
+//! equivalent is a per-worker partial merged at the barrier in worker order.
 //!
 //! Spinner relies on *persistent* aggregators (Giraph's
 //! `registerPersistentAggregator`) for the partition loads `b(l)`: vertices
@@ -16,18 +15,10 @@
 pub enum AggOp {
     /// Sum of `i64`.
     SumI64,
-    /// Sum of `f64`.
-    SumF64,
     /// Element-wise sum of a fixed-length `i64` vector.
     VecSumI64,
-    /// Element-wise sum of a fixed-length `f64` vector.
-    VecSumF64,
     /// Maximum of `i64`.
     MaxI64,
-    /// Maximum of `f64`.
-    MaxF64,
-    /// Logical OR.
-    Or,
 }
 
 /// A (name, operator, persistence) registration, one per aggregator.
@@ -37,7 +28,7 @@ pub struct AggregatorSpec {
     pub name: &'static str,
     /// Reduction operator.
     pub op: AggOp,
-    /// Vector length for the `VecSum*` ops; ignored otherwise.
+    /// Vector length for [`AggOp::VecSumI64`]; ignored otherwise.
     pub vec_len: usize,
     /// Persistent aggregators accumulate across supersteps; regular ones
     /// reset to the identity at each superstep start.
@@ -59,12 +50,8 @@ impl AggregatorSpec {
     pub fn identity(&self) -> AggValue {
         match self.op {
             AggOp::SumI64 => AggValue::I64(0),
-            AggOp::SumF64 => AggValue::F64(0.0),
             AggOp::VecSumI64 => AggValue::VecI64(vec![0; self.vec_len]),
-            AggOp::VecSumF64 => AggValue::VecF64(vec![0.0; self.vec_len]),
             AggOp::MaxI64 => AggValue::I64(i64::MIN),
-            AggOp::MaxF64 => AggValue::F64(f64::NEG_INFINITY),
-            AggOp::Or => AggValue::Bool(false),
         }
     }
 
@@ -74,12 +61,8 @@ impl AggregatorSpec {
     pub fn reset_to_identity(&self, acc: &mut AggValue) {
         match (self.op, &mut *acc) {
             (AggOp::SumI64, AggValue::I64(a)) => *a = 0,
-            (AggOp::SumF64, AggValue::F64(a)) => *a = 0.0,
             (AggOp::VecSumI64, AggValue::VecI64(a)) if a.len() == self.vec_len => a.fill(0),
-            (AggOp::VecSumF64, AggValue::VecF64(a)) if a.len() == self.vec_len => a.fill(0.0),
             (AggOp::MaxI64, AggValue::I64(a)) => *a = i64::MIN,
-            (AggOp::MaxF64, AggValue::F64(a)) => *a = f64::NEG_INFINITY,
-            (AggOp::Or, AggValue::Bool(a)) => *a = false,
             _ => *acc = self.identity(),
         }
     }
@@ -88,20 +71,12 @@ impl AggregatorSpec {
     pub fn merge(&self, acc: &mut AggValue, other: &AggValue) {
         match (self.op, acc, other) {
             (AggOp::SumI64, AggValue::I64(a), AggValue::I64(b)) => *a += b,
-            (AggOp::SumF64, AggValue::F64(a), AggValue::F64(b)) => *a += b,
             (AggOp::VecSumI64, AggValue::VecI64(a), AggValue::VecI64(b)) => {
                 for (x, y) in a.iter_mut().zip(b) {
                     *x += y;
                 }
             }
-            (AggOp::VecSumF64, AggValue::VecF64(a), AggValue::VecF64(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-            }
             (AggOp::MaxI64, AggValue::I64(a), AggValue::I64(b)) => *a = (*a).max(*b),
-            (AggOp::MaxF64, AggValue::F64(a), AggValue::F64(b)) => *a = a.max(*b),
-            (AggOp::Or, AggValue::Bool(a), AggValue::Bool(b)) => *a |= b,
             (op, acc, other) => {
                 panic!("aggregator type mismatch: op {op:?}, acc {acc:?}, other {other:?}")
             }
@@ -114,14 +89,8 @@ impl AggregatorSpec {
 pub enum AggValue {
     /// Scalar integer.
     I64(i64),
-    /// Scalar float.
-    F64(f64),
     /// Integer vector (element-wise ops).
     VecI64(Vec<i64>),
-    /// Float vector (element-wise ops).
-    VecF64(Vec<f64>),
-    /// Boolean.
-    Bool(bool),
 }
 
 impl AggValue {
@@ -133,35 +102,11 @@ impl AggValue {
         }
     }
 
-    /// The scalar float, panicking on type mismatch.
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            AggValue::F64(v) => *v,
-            other => panic!("expected F64 aggregate, got {other:?}"),
-        }
-    }
-
     /// The integer vector, panicking on type mismatch.
     pub fn as_vec_i64(&self) -> &[i64] {
         match self {
             AggValue::VecI64(v) => v,
             other => panic!("expected VecI64 aggregate, got {other:?}"),
-        }
-    }
-
-    /// The float vector, panicking on type mismatch.
-    pub fn as_vec_f64(&self) -> &[f64] {
-        match self {
-            AggValue::VecF64(v) => v,
-            other => panic!("expected VecF64 aggregate, got {other:?}"),
-        }
-    }
-
-    /// The boolean, panicking on type mismatch.
-    pub fn as_bool(&self) -> bool {
-        match self {
-            AggValue::Bool(v) => *v,
-            other => panic!("expected Bool aggregate, got {other:?}"),
         }
     }
 }
@@ -189,19 +134,15 @@ mod tests {
     }
 
     #[test]
-    fn max_and_or() {
-        let mx = AggregatorSpec::regular("m", AggOp::MaxF64, 0);
+    fn max_keeps_the_largest() {
+        let mx = AggregatorSpec::regular("m", AggOp::MaxI64, 0);
         let mut acc = mx.identity();
-        mx.merge(&mut acc, &AggValue::F64(1.5));
-        mx.merge(&mut acc, &AggValue::F64(-2.0));
-        assert_eq!(acc.as_f64(), 1.5);
-
-        let or = AggregatorSpec::regular("o", AggOp::Or, 0);
-        let mut acc = or.identity();
-        assert!(!acc.as_bool());
-        or.merge(&mut acc, &AggValue::Bool(true));
-        or.merge(&mut acc, &AggValue::Bool(false));
-        assert!(acc.as_bool());
+        mx.merge(&mut acc, &AggValue::I64(-7));
+        mx.merge(&mut acc, &AggValue::I64(15));
+        mx.merge(&mut acc, &AggValue::I64(-2));
+        assert_eq!(acc.as_i64(), 15);
+        mx.reset_to_identity(&mut acc);
+        assert_eq!(acc.as_i64(), i64::MIN);
     }
 
     #[test]
@@ -209,12 +150,12 @@ mod tests {
     fn mismatched_merge_panics() {
         let spec = AggregatorSpec::regular("s", AggOp::SumI64, 0);
         let mut acc = spec.identity();
-        spec.merge(&mut acc, &AggValue::F64(1.0));
+        spec.merge(&mut acc, &AggValue::VecI64(vec![1]));
     }
 
     #[test]
-    #[should_panic(expected = "expected F64")]
+    #[should_panic(expected = "expected VecI64")]
     fn accessor_mismatch_panics() {
-        AggValue::I64(3).as_f64();
+        AggValue::I64(3).as_vec_i64();
     }
 }

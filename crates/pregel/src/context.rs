@@ -232,48 +232,12 @@ impl<'a> AggCtx<'a> {
         }
     }
 
-    /// Adds to a `SumF64` aggregator.
-    #[inline]
-    pub fn add_f64(&mut self, id: usize, v: f64) {
-        match &mut self.partial[id] {
-            AggValue::F64(acc) => *acc += v,
-            other => panic!("aggregator {id} is not F64: {other:?}"),
-        }
-    }
-
     /// Adds to one element of a `VecSumI64` aggregator.
     #[inline]
     pub fn add_vec_i64(&mut self, id: usize, index: usize, v: i64) {
         match &mut self.partial[id] {
             AggValue::VecI64(acc) => acc[index] += v,
             other => panic!("aggregator {id} is not VecI64: {other:?}"),
-        }
-    }
-
-    /// Adds to one element of a `VecSumF64` aggregator.
-    #[inline]
-    pub fn add_vec_f64(&mut self, id: usize, index: usize, v: f64) {
-        match &mut self.partial[id] {
-            AggValue::VecF64(acc) => acc[index] += v,
-            other => panic!("aggregator {id} is not VecF64: {other:?}"),
-        }
-    }
-
-    /// ORs into an `Or` aggregator.
-    #[inline]
-    pub fn or_bool(&mut self, id: usize, v: bool) {
-        match &mut self.partial[id] {
-            AggValue::Bool(acc) => *acc |= v,
-            other => panic!("aggregator {id} is not Bool: {other:?}"),
-        }
-    }
-
-    /// Merges a maximum into a `MaxF64` aggregator.
-    #[inline]
-    pub fn max_f64(&mut self, id: usize, v: f64) {
-        match &mut self.partial[id] {
-            AggValue::F64(acc) => *acc = acc.max(v),
-            other => panic!("aggregator {id} is not F64: {other:?}"),
         }
     }
 

@@ -108,8 +108,7 @@ pub struct EngineConfig {
     /// bit-identical across transports; only bytes and buffers differ.
     pub transport: TransportKind,
     /// Frame encoding used when `transport` serialises
-    /// ([`WireFormat::Compact`] by default; [`WireFormat::Raw`] is the
-    /// byte-hungry verification arm). Ignored on the direct path.
+    /// ([`WireFormat::Compact`], the only one). Ignored on the direct path.
     pub wire_format: WireFormat,
     /// Sender-side combiner folding on the wire path: records to the same
     /// destination vertex are folded through [`Program::combine`] in the

@@ -465,14 +465,8 @@ impl<P: Program> Worker<P> {
             }
             if self.halted[i] {
                 debug_assert!(dense_scan, "active list never holds a halted vertex");
-                if m_len == 0 {
-                    continue;
-                }
-                // Delivery wakes messaged vertices, so this is unreachable
-                // today; kept so the halted counter stays correct if the
-                // wake-up ever moves.
-                self.halted[i] = false;
-                self.num_halted -= 1;
+                debug_assert_eq!(m_len, 0, "delivery wakes every messaged vertex");
+                continue;
             }
             self.metrics.computed += 1;
             let lo = self.offsets[i] as usize;
@@ -721,7 +715,7 @@ impl<P: Program> Worker<P> {
     /// Logical receive accounting is fabric- and fold-invariant: a broadcast
     /// record counts its fan-out width, and a wire frame's trailer carries
     /// its *pre-fold* unicast count — so `recv_remote` matches bit-for-bit
-    /// across every transport × format × fold arm.
+    /// across every transport × fold arm.
     ///
     /// On a typed failure the remaining sources are still delivered and the
     /// tail still runs — buffer and scheduler state stay consistent for the

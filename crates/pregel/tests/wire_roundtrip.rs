@@ -1,12 +1,13 @@
 //! Wire-format and transport properties: arbitrary record batches must
-//! round-trip bit-identically through `encode_frame`/`decode_frame` in both
-//! formats, torn or corrupted frames must surface as typed errors (never a
+//! round-trip bit-identically through `encode_frame`/`decode_frame`, torn,
+//! corrupted or unknown-format frames must surface as typed errors (never a
 //! panic), and a full engine run must produce bit-identical results across
-//! every `{transport} x {wire format} x {sender fold}` arm.
+//! every `{transport} x {sender fold}` arm.
 
 use proptest::prelude::*;
 use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::DirectedGraph;
+use spinner_pregel::codec::crc32;
 use spinner_pregel::engine::{Engine, EngineConfig, HaltReason};
 use spinner_pregel::program::Program;
 use spinner_pregel::wire::{decode_frame, encode_frame, WireError, WireRecord};
@@ -34,11 +35,10 @@ fn batch() -> impl Strategy<Value = Vec<WireRecord<u64>>> {
 }
 
 fn roundtrip(
-    format: WireFormat,
     records: &[WireRecord<u64>],
     unicast_logical: u64,
 ) -> (Vec<u8>, Vec<WireRecord<u64>>, u64) {
-    let frame = encode_frame(format, records, unicast_logical, Vec::new());
+    let frame = encode_frame(WireFormat::Compact, records, unicast_logical, Vec::new());
     let mut scratch = Vec::new();
     let mut out = Vec::new();
     let logical =
@@ -50,35 +50,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Every batch — any mix of broadcast and unicast, ids across the full
-    /// `u64` range — decodes back to exactly the input, in order, in both
-    /// formats, with the logical-count trailer intact.
+    /// `u64` range — decodes back to exactly the input, in order, with the
+    /// logical-count trailer intact. The same frame with format byte 0 and
+    /// a valid checksum is `UnknownFormat(0)`.
     #[test]
     fn arbitrary_batches_round_trip(records in batch(), logical in any::<u64>()) {
-        for format in [WireFormat::Raw, WireFormat::Compact] {
-            let (_, decoded, got_logical) = roundtrip(format, &records, logical);
-            prop_assert_eq!(&decoded, &records);
-            prop_assert_eq!(got_logical, logical);
-        }
+        let (mut frame, decoded, got_logical) = roundtrip(&records, logical);
+        prop_assert_eq!(&decoded, &records);
+        prop_assert_eq!(got_logical, logical);
+        let body = frame.len() - 4;
+        frame[0] = 0;
+        let crc = crc32(&frame[..body]);
+        frame[body..].copy_from_slice(&crc.to_le_bytes());
+        let err = decode_frame::<u64>(&frame, &mut Vec::new(), &mut Vec::new());
+        prop_assert_eq!(err, Err(WireError::UnknownFormat(0)));
     }
 
     /// Every strict prefix of a valid frame is a typed error — truncation
     /// can never panic or decode to records.
     #[test]
     fn torn_frames_are_typed_errors(records in batch()) {
-        for format in [WireFormat::Raw, WireFormat::Compact] {
-            let (frame, _, _) = roundtrip(format, &records, records.len() as u64);
-            let mut scratch = Vec::new();
-            let mut out = Vec::new();
-            for len in 0..frame.len() {
-                let err = decode_frame::<u64>(&frame[..len], &mut scratch, &mut out)
-                    .expect_err("torn frame must not decode");
-                prop_assert!(matches!(
-                    err,
-                    WireError::Truncated
-                        | WireError::ChecksumMismatch
-                        | WireError::Corrupt(_)
-                ));
-            }
+        let (frame, _, _) = roundtrip(&records, records.len() as u64);
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        for len in 0..frame.len() {
+            let err = decode_frame::<u64>(&frame[..len], &mut scratch, &mut out)
+                .expect_err("torn frame must not decode");
+            prop_assert!(matches!(
+                err,
+                WireError::Truncated | WireError::ChecksumMismatch | WireError::Corrupt(_)
+            ));
         }
     }
 
@@ -90,22 +91,20 @@ proptest! {
         byte_pick in any::<u64>(),
         bit in 0u8..8,
     ) {
-        for format in [WireFormat::Raw, WireFormat::Compact] {
-            let (frame, _, _) = roundtrip(format, &records, 7);
-            let mut bad = frame.clone();
-            let pos = (byte_pick % frame.len() as u64) as usize;
-            bad[pos] ^= 1 << bit;
-            let mut scratch = Vec::new();
-            let mut out = Vec::new();
-            prop_assert!(decode_frame::<u64>(&bad, &mut scratch, &mut out).is_err());
-        }
+        let (frame, _, _) = roundtrip(&records, 7);
+        let mut bad = frame.clone();
+        let pos = (byte_pick % frame.len() as u64) as usize;
+        bad[pos] ^= 1 << bit;
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        prop_assert!(decode_frame::<u64>(&bad, &mut scratch, &mut out).is_err());
     }
 
     /// Appending garbage after the checksum is rejected, not ignored: a
     /// frame is a complete unit.
     #[test]
     fn trailing_bytes_are_rejected(records in batch(), extra in 1u8..16) {
-        let (mut frame, _, _) = roundtrip(WireFormat::Compact, &records, 0);
+        let (mut frame, _, _) = roundtrip(&records, 0);
         frame.extend(std::iter::repeat_n(0xABu8, extra as usize));
         let mut scratch = Vec::new();
         let mut out = Vec::new();
@@ -117,8 +116,8 @@ proptest! {
         ));
     }
 
-    /// Fixed-width payloads (f64 here) survive bit-exactly, including NaN
-    /// payload bits and signed zeros, in both formats.
+    /// Float payloads (f64 here) survive bit-exactly, including NaN
+    /// payload bits and signed zeros.
     #[test]
     fn float_payloads_round_trip_bit_exact(bits in prop::collection::vec(any::<u64>(), 1..40)) {
         let records: Vec<WireRecord<f64>> = bits
@@ -130,17 +129,15 @@ proptest! {
                 msg: f64::from_bits(b),
             })
             .collect();
-        for format in [WireFormat::Raw, WireFormat::Compact] {
-            let frame = encode_frame(format, &records, 0, Vec::new());
-            let mut scratch = Vec::new();
-            let mut out = Vec::new();
-            decode_frame::<f64>(&frame, &mut scratch, &mut out).expect("valid frame");
-            prop_assert_eq!(out.len(), records.len());
-            for (got, want) in out.iter().zip(&records) {
-                prop_assert_eq!(got.broadcast, want.broadcast);
-                prop_assert_eq!(got.id, want.id);
-                prop_assert_eq!(got.msg.to_bits(), want.msg.to_bits());
-            }
+        let frame = encode_frame(WireFormat::Compact, &records, 0, Vec::new());
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        decode_frame::<f64>(&frame, &mut scratch, &mut out).expect("valid frame");
+        prop_assert_eq!(out.len(), records.len());
+        for (got, want) in out.iter().zip(&records) {
+            prop_assert_eq!(got.broadcast, want.broadcast);
+            prop_assert_eq!(got.id, want.id);
+            prop_assert_eq!(got.msg.to_bits(), want.msg.to_bits());
         }
     }
 }
@@ -227,7 +224,6 @@ struct Trace {
 
 struct Arm {
     transport: TransportKind,
-    format: WireFormat,
     fold: bool,
 }
 
@@ -239,7 +235,6 @@ fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> T
         max_supersteps: 200,
         seed: 3,
         transport: arm.transport,
-        wire_format: arm.format,
         sender_fold: arm.fold,
         ..EngineConfig::default()
     };
@@ -270,21 +265,18 @@ fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> T
     }
 }
 
-/// The full `{transport} x {format} x {fold}` grid, with and without a
-/// combiner, unicast and broadcast sends, serial and pooled: values and the
-/// logical message history must be bit-identical to the direct path
-/// everywhere, while the wire arms actually serialise (bytes > 0), Compact
-/// beats Raw, and folding only ever removes records the combiner would have
-/// folded on the receiver anyway — and, with a combiner, shrinks the frames
-/// of both formats.
+/// The full `{transport} x {fold}` grid, with and without a combiner,
+/// unicast and broadcast sends, serial and pooled: values and the logical
+/// message history must be bit-identical to the direct path everywhere,
+/// while the wire arms actually serialise (bytes > 0), and folding only
+/// ever removes records the combiner would have folded on the receiver
+/// anyway — and, with a combiner, shrinks the frames.
 #[test]
 fn wire_arms_are_bit_identical_to_direct() {
     let g = sbm();
     let arms = [
-        Arm { transport: TransportKind::Ring, format: WireFormat::Raw, fold: false },
-        Arm { transport: TransportKind::Ring, format: WireFormat::Raw, fold: true },
-        Arm { transport: TransportKind::Ring, format: WireFormat::Compact, fold: false },
-        Arm { transport: TransportKind::Ring, format: WireFormat::Compact, fold: true },
+        Arm { transport: TransportKind::Ring, fold: false },
+        Arm { transport: TransportKind::Ring, fold: true },
     ];
     for &combine in &[false, true] {
         for &broadcast in &[false, true] {
@@ -293,21 +285,17 @@ fn wire_arms_are_bit_identical_to_direct() {
                     &g,
                     threads,
                     MinLabel { combine, broadcast },
-                    &Arm {
-                        transport: TransportKind::Direct,
-                        format: WireFormat::Compact,
-                        fold: true,
-                    },
+                    &Arm { transport: TransportKind::Direct, fold: true },
                 );
                 assert_eq!(direct.wire_bytes, 0, "direct path never serialises");
-                // Frame bytes by `[format][fold]`.
-                let mut bytes = [[0u64; 2]; 2];
+                // Frame bytes by `[fold]`.
+                let mut bytes = [0u64; 2];
                 for arm in &arms {
                     let t = run_arm(&g, threads, MinLabel { combine, broadcast }, arm);
                     let tag = format!(
                         "combine={combine} broadcast={broadcast} threads={threads} \
-                         format={:?} fold={}",
-                        arm.format, arm.fold
+                         fold={}",
+                        arm.fold
                     );
                     assert_eq!(t.values, direct.values, "values diverged: {tag}");
                     assert_eq!(t.history, direct.history, "history diverged: {tag}");
@@ -326,13 +314,10 @@ fn wire_arms_are_bit_identical_to_direct() {
                     // allocates nothing — the tail supersteps are all zero.
                     let tail: u64 = t.reallocs.iter().skip(3).sum();
                     assert_eq!(tail, 0, "fabric must stop allocating: {tag}");
-                    bytes[arm.format as usize][usize::from(arm.fold)] = t.wire_bytes;
+                    bytes[usize::from(arm.fold)] = t.wire_bytes;
                 }
-                let [raw, compact] = bytes;
-                let tag = format!("combine={combine} broadcast={broadcast}");
-                assert!(compact[0] < raw[0], "compact must beat raw: {tag}");
                 if combine {
-                    assert!(raw[1] < raw[0] && compact[1] < compact[0], "no fold gain: {tag}");
+                    assert!(bytes[1] < bytes[0], "no fold gain: combine broadcast={broadcast}");
                 }
             }
         }

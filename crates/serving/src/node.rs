@@ -542,6 +542,11 @@ mod tests {
             resumed.session().placement().as_slice(),
             live.session().placement().as_slice()
         );
+        // The resumed node serves every vertex as the live one does: same
+        // worker, same epoch.
+        for v in 0..live.session().labels().len() as u32 {
+            assert_eq!(resumed.lookup(v), live.lookup(v), "lookup({v})");
+        }
 
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -247,10 +247,7 @@ fn put_config(w: &mut ByteWriter, cfg: &SpinnerConfig) {
         TransportKind::Direct => 0,
         TransportKind::Ring => 1,
     });
-    w.put_u8(match cfg.wire_format {
-        WireFormat::Raw => 0,
-        WireFormat::Compact => 1,
-    });
+    w.put_u8(cfg.wire_format as u8);
     w.put_u8(u8::from(cfg.sender_fold));
     w.put_varint(u64::from(cfg.transport_retry.max_retransmits));
     w.put_varint(cfg.transport_retry.backoff_base.as_micros() as u64);
@@ -309,7 +306,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
         _ => return Err(CorruptError { context: "config transport" }),
     };
     cfg.wire_format = match r.u8("config wire_format")? {
-        0 => WireFormat::Raw,
         1 => WireFormat::Compact,
         _ => return Err(CorruptError { context: "config wire_format" }),
     };
@@ -468,6 +464,23 @@ mod tests {
         let mut state = sample_state();
         state.cfg.num_threads = 0;
         assert!(decode_state(&encode_state(&state)).is_err());
+    }
+
+    #[test]
+    fn unknown_wire_format_byte_is_corrupt() {
+        // The wire-format byte follows the transport byte, the one byte two
+        // records that differ only in their transport disagree on.
+        let record = |transport| {
+            let mut w = ByteWriter::new();
+            put_config(&mut w, &SpinnerConfig::new(4).with_transport(transport));
+            w.into_bytes()
+        };
+        let (mut bytes, ring) = (record(TransportKind::Direct), record(TransportKind::Ring));
+        let at = bytes.iter().zip(&ring).position(|(a, b)| a != b).expect("transport") + 1;
+        assert_eq!(bytes[at], WireFormat::Compact as u8);
+        bytes[at] = 0;
+        let err = read_config(&mut ByteReader::new(&bytes)).expect_err("format byte 0");
+        assert_eq!(err, CorruptError { context: "config wire_format" });
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //! while one writer publishes a long sequence of growing placements. Every
 //! lookup must be internally consistent with *some* published epoch — never
 //! a torn mix of two — and no staler than the head the reader itself
-//! observed around the call.
+//! observed around the call. The last test runs the staleness check on a
+//! [`ServingNode`] whose epochs come from ingesting stream windows.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use spinner_core::{SpinnerConfig, StreamEvent, StreamSession};
+use spinner_graph::generators::{planted_partition, SbmConfig};
+use spinner_graph::{DeltaStream, DeltaStreamConfig};
 use spinner_pregel::WorkerId;
-use spinner_serving::RoutingTable;
+use spinner_serving::{RoutingTable, ServingNode};
 
 /// Deterministic worker for `(epoch, v)` — lets readers verify a lookup
 /// against the publishing epoch without sharing the placement vectors.
@@ -196,4 +200,71 @@ fn preallocated_table_publishes_without_growing() {
         table.publish_at(epoch, &placement(epoch, len_at(epoch)));
     }
     assert_eq!(table.reallocs(), baseline, "publishes within capacity must not allocate");
+}
+
+/// Readers hammer a serving node's routing while it ingests delta windows
+/// and a resize, each publishing one epoch: every hit comes from an epoch
+/// that was head at some instant during the call. Once ingest stops, every
+/// lookup serves the head and the session's placement.
+#[test]
+fn node_lookups_stay_between_the_heads_around_them_while_it_ingests() {
+    const READERS: usize = 2;
+    let base = planted_partition(SbmConfig {
+        n: 1_200,
+        communities: 20,
+        internal_degree: 10.0,
+        external_degree: 4.0,
+        skew: None,
+        seed: 5,
+    });
+    let stream = DeltaStreamConfig { windows: 4, seed: 5, ..DeltaStreamConfig::default() };
+    let mut events: Vec<StreamEvent> =
+        DeltaStream::new(base.clone(), stream).map(StreamEvent::Delta).collect();
+    events.insert(2, StreamEvent::Resize { k: 6 });
+    let windows = events.len() as u64;
+    let mut cfg = SpinnerConfig::new(4).with_seed(5);
+    cfg.num_workers = 8;
+    cfg.num_threads = 1;
+    let mut node = ServingNode::new(StreamSession::new(base, cfg));
+
+    let done = Arc::new(AtomicBool::new(false));
+    let mut handles = Vec::new();
+    for t in 0..READERS {
+        let reader = node.reader();
+        let done = Arc::clone(&done);
+        handles.push(std::thread::spawn(move || {
+            let mut verified = 0u64;
+            let mut rng = 0x853C_49E6_748F_EA9B_u64 ^ (t as u64) << 48;
+            while !done.load(Ordering::Relaxed) {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let head_before = reader.head();
+                // The stream only adds vertices, so a vertex any epoch knows
+                // resolves at every later one.
+                let v = (rng >> 33) as u32 % reader.len() as u32;
+                let hit = reader.lookup(v).expect("a published vertex resolves");
+                let head_after = reader.head();
+                assert!(
+                    hit.epoch() >= head_before && hit.epoch() <= head_after,
+                    "epoch {} outside [{head_before}, {head_after}]",
+                    hit.epoch()
+                );
+                verified += 1;
+            }
+            verified
+        }));
+    }
+
+    for event in events {
+        node.ingest(event).expect("ingest");
+    }
+    done.store(true, Ordering::Relaxed);
+    let verified: u64 = handles.into_iter().map(|h| h.join().expect("reader panicked")).sum();
+    assert!(verified > 0, "readers never ran");
+
+    let head = node.epoch();
+    assert_eq!(head, 1 + windows, "one epoch per window after the bootstrap");
+    for (v, &w) in node.session().placement().as_slice().iter().enumerate() {
+        let hit = node.lookup(v as u32).expect("published");
+        assert_eq!((hit.epoch(), hit.worker()), (head, w), "lookup({v})");
+    }
 }

@@ -8,7 +8,8 @@
 //!   allocates scales with |E|;
 //! - resuming a node from its store allocates less than one
 //!   `stages::build_engine` of the same session, because the resumed
-//!   session builds its engine at its first ingest, not at the resume.
+//!   session builds its engine at its first ingest, not at the resume;
+//! - a batch of routing lookups allocates nothing.
 //!
 //! Debug builds re-check every patched window against a full reload, which
 //! allocates whole copies of the topology, so the window count runs in
@@ -151,5 +152,20 @@ fn a_resume_allocates_less_than_one_engine_build() {
     assert_eq!(resumed.session().labels(), node.session().labels());
     assert_eq!(resumed.session().placement(), node.session().placement());
     assert!(resume < build, "the resume allocated {resume} bytes, one engine build {build}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn routing_lookups_allocate_nothing() {
+    let dir = scratch_dir("lookups");
+    let (mut node, deltas) = node(&dir, 1);
+    for delta in deltas {
+        ingest(&mut node, delta);
+    }
+    let reader = node.reader();
+    let n = reader.len() as u32;
+    let (served, bytes, _) = counted(|| (0..n).filter(|&v| reader.lookup(v).is_some()).count());
+    assert_eq!(served, n as usize, "every vertex resolves");
+    assert_eq!(bytes, 0, "{n} lookups allocated {bytes} bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }
