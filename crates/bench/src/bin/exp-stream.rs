@@ -33,7 +33,7 @@ use spinner_bench::{emit_metric, f2, f3, pct1, scale_from_env, threads_from_env,
 use spinner_core::{partition, SpinnerConfig, StreamEvent, StreamSession, WindowReport};
 use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::{Dataset, DeltaStream, DeltaStreamConfig, GraphDelta, Scale};
-use spinner_metrics::{partitioning_difference, Trajectory, WindowPoint};
+use spinner_metrics::partitioning_difference;
 use std::process::ExitCode;
 
 /// Delta windows in the stream (the resize events ride on two of them).
@@ -132,21 +132,6 @@ fn main() -> ExitCode {
         rows.push(WindowRow { report, event: event.clone(), migration_scratch });
     }
 
-    let trajectory: Trajectory = rows
-        .iter()
-        .map(|r| WindowPoint {
-            window: r.report.window(),
-            phi: r.report.phi(),
-            rho: r.report.rho(),
-            migration_fraction: r.report.migration_fraction(),
-            local_share: r.report.local_share(),
-            lost_fraction: r.report.lost_vertices() as f64
-                / f64::from(r.report.num_vertices().max(1)),
-            active_fraction: r.report.active_fraction(),
-            retransmits: r.report.retransmits(),
-        })
-        .collect();
-
     let mut t = Table::new(format!(
         "Streaming trajectory: {DELTA_WINDOWS} delta windows + elastic grow/shrink \
          (Tuenti analogue, k={k})"
@@ -166,12 +151,12 @@ fn main() -> ExitCode {
     }
     println!("{t}");
 
-    write_json(&rows, &trajectory, scale, k);
+    write_json(&rows, scale, k);
 
-    emit_metric("phi_final", trajectory.last().expect("windows").phi);
-    emit_metric("phi_min", trajectory.min_phi());
-    emit_metric("rho_max", trajectory.max_rho());
-    emit_metric("migration_mean", trajectory.mean_migration_fraction());
+    emit_metric("phi_final", rows.last().expect("windows").report.phi());
+    emit_metric("phi_min", phi_min(&rows));
+    emit_metric("rho_max", rho_max(&rows));
+    emit_metric("migration_mean", migration_mean(&rows));
     // Locality accounting (already counted per window by the engine): the
     // stream's total local/remote split as *logical* deliveries — lane-
     // independent, so these stay comparable whether the broadcast fabric
@@ -319,9 +304,54 @@ fn converged_probe(num_threads: usize) -> WindowReport {
     session.apply(StreamEvent::Delta(probe)).clone()
 }
 
+/// The worst (smallest) φ across all windows (1.0 when there are none).
+fn phi_min(rows: &[WindowRow]) -> f64 {
+    rows.iter().map(|r| r.report.phi()).fold(1.0, f64::min)
+}
+
+/// The worst (largest) ρ across all windows (1.0 when there are none).
+fn rho_max(rows: &[WindowRow]) -> f64 {
+    rows.iter().map(|r| r.report.rho()).fold(1.0, f64::max)
+}
+
+/// Mean migration fraction over the windows after the bootstrap, whose
+/// fraction is 1 by construction (0.0 when there are none).
+fn migration_mean(rows: &[WindowRow]) -> f64 {
+    let tail = &rows[rows.len().min(1)..];
+    if tail.is_empty() {
+        return 0.0;
+    }
+    tail.iter().map(|r| r.report.migration_fraction()).sum::<f64>() / tail.len() as f64
+}
+
+/// The per-window φ/ρ/migration series as a JSON array.
+fn trajectory_json(rows: &[WindowRow]) -> String {
+    let mut out = String::from("[\n");
+    for (i, r) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        let report = &r.report;
+        out.push_str(&format!(
+            "    {{\"window\": {}, \"phi\": {:.6}, \"rho\": {:.6}, \
+             \"migration_fraction\": {:.6}, \"local_share\": {:.6}, \
+             \"lost_fraction\": {:.6}, \"active_fraction\": {:.6}, \
+             \"retransmits\": {}}}{sep}\n",
+            report.window(),
+            report.phi(),
+            report.rho(),
+            report.migration_fraction(),
+            report.local_share(),
+            report.lost_vertices() as f64 / f64::from(report.num_vertices().max(1)),
+            report.active_fraction(),
+            report.retransmits()
+        ));
+    }
+    out.push_str("  ]");
+    out
+}
+
 /// Writes the per-window trajectory report (hand-rolled JSON like the suite
 /// reports; no JSON dependency in the workspace).
-fn write_json(rows: &[WindowRow], trajectory: &Trajectory, scale: Scale, k0: u32) {
+fn write_json(rows: &[WindowRow], scale: Scale, k0: u32) {
     let path = std::env::var("SPINNER_STREAM_JSON")
         .unwrap_or_else(|_| "bench-out/STREAM_TRAJECTORY.json".to_string());
     let scale_name = match scale {
@@ -333,13 +363,10 @@ fn write_json(rows: &[WindowRow], trajectory: &Trajectory, scale: Scale, k0: u32
     out.push_str("  \"experiment\": \"exp-stream\",\n");
     out.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
     out.push_str(&format!("  \"k0\": {k0},\n"));
-    out.push_str(&format!("  \"rho_max\": {:.6},\n", trajectory.max_rho()));
-    out.push_str(&format!("  \"phi_min\": {:.6},\n", trajectory.min_phi()));
-    out.push_str(&format!(
-        "  \"migration_mean\": {:.6},\n",
-        trajectory.mean_migration_fraction()
-    ));
-    out.push_str(&format!("  \"trajectory\": {},\n", trajectory.to_json()));
+    out.push_str(&format!("  \"rho_max\": {:.6},\n", rho_max(rows)));
+    out.push_str(&format!("  \"phi_min\": {:.6},\n", phi_min(rows)));
+    out.push_str(&format!("  \"migration_mean\": {:.6},\n", migration_mean(rows)));
+    out.push_str(&format!("  \"trajectory\": {},\n", trajectory_json(rows)));
     out.push_str("  \"windows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
@@ -379,4 +406,83 @@ fn write_json(rows: &[WindowRow], trajectory: &Trajectory, scale: Scale, k0: u32
     }
     std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote trajectory to {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spinner_core::WindowReportParts;
+
+    /// A window with the given φ, ρ and migration fraction, a quarter of
+    /// its messages local, every vertex computed in each superstep, and no
+    /// lost vertex or retransmit.
+    fn row(window: u32, phi: f64, rho: f64, moved: f64) -> WindowRow {
+        let report = WindowReport::from_parts(WindowReportParts {
+            window,
+            k: 4,
+            num_vertices: 10,
+            num_edges: 20,
+            phi,
+            rho,
+            migration_fraction: moved,
+            iterations: 3,
+            supersteps: 6,
+            messages: 4,
+            sent_local: 1,
+            sent_remote: 3,
+            sent_local_records: 1,
+            sent_remote_records: 3,
+            placement_moved: 0,
+            computed: 60,
+            wall_ns: 0,
+            fabric_reallocs: 0,
+            lost_vertices: 0,
+            wire_bytes: 0,
+            wire_frames: 0,
+            wire_folded: 0,
+            retransmits: 0,
+            lanes_degraded: 0,
+            lanes_dead: 0,
+        });
+        WindowRow { report, event: "delta".to_string(), migration_scratch: 1.0 }
+    }
+
+    fn sample() -> Vec<WindowRow> {
+        vec![row(0, 0.70, 1.04, 1.0), row(1, 0.72, 1.08, 0.10), row(2, 0.71, 1.05, 0.06)]
+    }
+
+    #[test]
+    fn aggregates_skip_the_bootstrap_window() {
+        let rows = sample();
+        assert!((rho_max(&rows) - 1.08).abs() < 1e-12);
+        assert!((phi_min(&rows) - 0.70).abs() < 1e-12);
+        // Bootstrap's migration_fraction = 1.0 must not poison the mean.
+        assert!((migration_mean(&rows) - 0.08).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_trajectory_has_neutral_aggregates() {
+        assert_eq!(rho_max(&[]), 1.0);
+        assert_eq!(phi_min(&[]), 1.0);
+        assert_eq!(migration_mean(&[]), 0.0);
+    }
+
+    #[test]
+    fn single_window_has_no_steady_state_tail() {
+        assert_eq!(migration_mean(&[row(0, 0.8, 1.02, 1.0)]), 0.0);
+    }
+
+    #[test]
+    fn json_lists_every_window() {
+        let json = trajectory_json(&sample());
+        assert_eq!(json.matches("\"window\"").count(), 3);
+        assert!(json.contains("\"phi\": 0.700000"));
+        assert!(json.contains("\"migration_fraction\": 0.060000"));
+        assert!(json.contains("\"local_share\": 0.250000"));
+        assert!(json.contains("\"active_fraction\": 1.000000"));
+        assert!(json.contains("\"retransmits\": 0"));
+        assert!(json.starts_with("[\n") && json.ends_with(']'));
+        // Exactly two separators for three entries.
+        assert_eq!(json.matches("},\n").count(), 2);
+    }
 }

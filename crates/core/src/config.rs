@@ -42,7 +42,8 @@ pub struct SpinnerConfig {
     pub seed: u64,
     /// Number of logical Pregel workers hosting the computation.
     pub num_workers: usize,
-    /// Number of OS threads executing the logical workers.
+    /// Number of OS threads executing the logical workers. Not persisted:
+    /// a resumed session runs with the resuming process's value.
     pub num_threads: usize,
     /// §IV-A4 asynchronous per-worker load counters (ablation switch).
     pub async_worker_loads: bool,
@@ -57,7 +58,8 @@ pub struct SpinnerConfig {
     /// run of its own ahead of the Spinner run, instead of offline. Same
     /// partitioning, plus the conversion's Pregel cost: 2 supersteps and
     /// one message per directed edge. Only affects
-    /// [`crate::partition_directed`].
+    /// [`crate::partition_directed`]. Not persisted: a resumed session runs
+    /// with the resuming process's value.
     pub in_engine_conversion: bool,
     /// What to balance: edge load (paper default) or vertex counts.
     pub objective: BalanceObjective,
@@ -85,7 +87,8 @@ pub struct SpinnerConfig {
     /// (`sent_remote_records` vs the logical `sent_remote`) changes, so
     /// `false` is the per-edge verification arm that
     /// `crates/core/tests/broadcast_equivalence.rs` runs against. Default
-    /// `true`.
+    /// `true`. Not persisted: a resumed session runs with the resuming
+    /// process's value.
     pub broadcast_fabric: bool,
     /// Evaluate all `k` labels per vertex, as the paper's implementation
     /// does ("the complexity of the heuristic executed by each vertex is
@@ -99,37 +102,44 @@ pub struct SpinnerConfig {
     /// Work stealing in the engine's pooled superstep loop (see
     /// [`spinner_pregel::engine::EngineConfig::work_stealing`]). Results
     /// are bit-identical either way; `false` is the static-schedule arm.
+    /// Not persisted: a resumed session runs with the resuming process's value.
     pub work_stealing: bool,
     /// Preferred-chunk granularity for the pooled scheduler; `0` keeps the
     /// static schedule's contiguous blocks (see
-    /// [`spinner_pregel::engine::EngineConfig::steal_chunk`]).
+    /// [`spinner_pregel::engine::EngineConfig::steal_chunk`]). Not
+    /// persisted: a resumed session runs with the resuming process's value.
     pub steal_chunk: usize,
     /// Drive compute by a dense per-worker vertex scan instead of the
     /// maintained active list (the verification arm; bit-identical, see
-    /// [`spinner_pregel::engine::EngineConfig::dense_scan`]).
+    /// [`spinner_pregel::engine::EngineConfig::dense_scan`]). Not
+    /// persisted: a resumed session runs with the resuming process's value.
     pub dense_scan: bool,
     /// Message transport between logical workers: the default
     /// [`TransportKind::Direct`] moves outbox buffers by pointer swap
     /// (never serialises), [`TransportKind::Ring`] pushes encoded frames
     /// through in-memory ring channels — the serialisation arm a
     /// distributed deployment would run. Results are bit-identical across
-    /// transports; only the wire counters change.
+    /// transports; only the wire counters change. Not persisted: a resumed
+    /// session runs with the resuming process's value.
     pub transport: TransportKind,
     /// Frame encoding on a serialising transport (ignored on the direct
     /// path): [`WireFormat::Compact`], the only one, uses delta+varint ids
-    /// and payload-specialised values.
+    /// and payload-specialised values. Not persisted: a resumed session runs
+    /// with the resuming process's value.
     pub wire_format: WireFormat,
     /// Sender-side combiner folding on a serialising transport: fold
     /// same-destination records through the program's combiner before
     /// framing. Spinner's messages never combine, so results are
     /// unchanged. Default `true`; `false` is the verification arm.
+    /// Not persisted: a resumed session runs with the resuming process's value.
     pub sender_fold: bool,
     /// Retry/timeout budgets for the transport reliability layer (ignored
     /// on the direct path). A serialising transport always runs under
     /// per-lane sequencing with cumulative-ack retransmission, so
     /// dropped/duplicated/reordered/corrupted frames are masked and a dead
     /// lane surfaces as a typed error the stream session escalates into
-    /// worker-loss recovery.
+    /// worker-loss recovery. Not persisted: a resumed session runs with the
+    /// resuming process's value.
     pub transport_retry: RetryConfig,
 }
 
@@ -197,43 +207,9 @@ impl SpinnerConfig {
         self
     }
 
-    /// Builder-style work-stealing override (`false` pins the static
-    /// schedule; see [`Self::work_stealing`]).
-    pub fn with_work_stealing(mut self, enabled: bool) -> Self {
-        self.work_stealing = enabled;
-        self
-    }
-
-    /// Builder-style steal-chunk override (see [`Self::steal_chunk`]).
-    pub fn with_steal_chunk(mut self, chunk: usize) -> Self {
-        self.steal_chunk = chunk;
-        self
-    }
-
-    /// Builder-style dense-scan override (the active-set verification arm;
-    /// see [`Self::dense_scan`]).
-    pub fn with_dense_scan(mut self, enabled: bool) -> Self {
-        self.dense_scan = enabled;
-        self
-    }
-
     /// Builder-style transport override (see [`Self::transport`]).
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Builder-style sender-fold override (`false` frames every outbox
-    /// record unfolded; see [`Self::sender_fold`]).
-    pub fn with_sender_fold(mut self, enabled: bool) -> Self {
-        self.sender_fold = enabled;
-        self
-    }
-
-    /// Builder-style transport-retry override (see
-    /// [`Self::transport_retry`]).
-    pub fn with_transport_retry(mut self, retry: RetryConfig) -> Self {
-        self.transport_retry = retry;
         self
     }
 
@@ -289,9 +265,6 @@ mod tests {
         assert!(cfg.work_stealing, "stealing is the default schedule");
         assert_eq!(cfg.steal_chunk, 0, "auto chunking by default");
         assert!(!cfg.dense_scan, "active-set driver is the default");
-        let cfg = cfg.with_work_stealing(false).with_steal_chunk(3).with_dense_scan(true);
-        assert!(!cfg.work_stealing && cfg.dense_scan);
-        assert_eq!(cfg.steal_chunk, 3);
     }
 
     #[test]
@@ -300,18 +273,14 @@ mod tests {
         assert_eq!(cfg.transport, TransportKind::Direct);
         assert_eq!(cfg.wire_format, WireFormat::Compact);
         assert!(cfg.sender_fold, "fold is on whenever a wire path runs");
-        let cfg = cfg.with_transport(TransportKind::Ring).with_sender_fold(false);
+        let cfg = cfg.with_transport(TransportKind::Ring);
         assert_eq!(cfg.transport, TransportKind::Ring);
-        assert!(!cfg.sender_fold);
     }
 
     #[test]
     fn transport_retry_defaults_to_the_reliable_layer() {
         let cfg = SpinnerConfig::new(4);
         assert_eq!(cfg.transport_retry, RetryConfig::default());
-        let retry = RetryConfig { max_retransmits: 2, ..RetryConfig::default() };
-        let cfg = cfg.with_transport_retry(retry);
-        assert_eq!(cfg.transport_retry.max_retransmits, 2);
     }
 
     #[test]

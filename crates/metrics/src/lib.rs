@@ -10,17 +10,13 @@
 //!   heuristic.
 //! - *partitioning difference* (§V-D) — the fraction of vertices whose
 //!   partition changed between two partitionings (stability).
-//! - [`Trajectory`] — per-window φ/ρ/migration time series for streaming
-//!   (dynamic-graph) workloads.
 
 pub mod difference;
 pub mod quality;
 pub mod table;
-pub mod timeseries;
 
 pub use difference::partitioning_difference;
 pub use quality::{
     partition_loads, phi, quality, rho, rho_from_loads, score, PartitionQuality,
 };
 pub use table::Table;
-pub use timeseries::{Trajectory, WindowPoint};

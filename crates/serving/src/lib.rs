@@ -13,7 +13,10 @@
 //!   append-only, CRC-framed write-ahead log. A restarted process calls
 //!   [`ServingNode::resume_from`] (or `StreamSession::resume_from` via the
 //!   [`SessionPersist`] trait) and gets labels bit-identical to the run
-//!   that died, without re-running any label propagation.
+//!   that died, without re-running any label propagation. The store keeps
+//!   only the settings that decide labels; to resume onto other threads or
+//!   another transport, set them on the state [`SessionStore::load`]
+//!   returns and call [`ServingNode::resume`].
 //! - [`ServingNode`] — the front-end tying both together: one ingest
 //!   thread applies stream windows and publishes epochs; any number of
 //!   lookup threads answer routing queries from cloned readers.

@@ -222,15 +222,13 @@ impl ServingNode {
 
     /// Restarts a node from `dir`: loads the snapshot, replays the WAL
     /// (dropping a torn tail — [`ResumeStats::truncated_bytes`] says how
-    /// much was lost), restores the session and publishes the recovered
-    /// placement. Labels and placement are bit-identical to the node that
-    /// wrote the store. The session's engine is not built here: the first
-    /// [`Self::ingest`] (or [`Self::inject_transport_faults`]) builds it,
-    /// exactly as an eager build would (see [`StreamSession::from_state`]),
-    /// so the node serves lookups as soon as the store is decoded.
+    /// much was lost) and resumes onto the recovered state with
+    /// [`Self::resume`]. Labels and placement are bit-identical to the node
+    /// that wrote the store; the runtime settings are this process's
+    /// defaults.
     pub fn resume_from(dir: impl AsRef<Path>) -> Result<(Self, ResumeStats), PersistError> {
         let (state, store, stats) = SessionStore::load(dir)?;
-        Ok((Self::resumed(state, store), stats))
+        Ok((Self::resume(state, store), stats))
     }
 
     /// Like [`Self::resume_from`], over an arbitrary [`Storage`] backend.
@@ -238,12 +236,21 @@ impl ServingNode {
         storage: Box<dyn Storage>,
     ) -> Result<(Self, ResumeStats), PersistError> {
         let (state, store, stats) = SessionStore::load_on(storage)?;
-        Ok((Self::resumed(state, store), stats))
+        Ok((Self::resume(state, store), stats))
     }
 
-    fn resumed(state: spinner_core::SessionState, store: SessionStore) -> Self {
-        let session = StreamSession::from_state(state);
-        let mut node = Self::new(session);
+    /// Resumes a node onto `state` and the `store` it was loaded from (see
+    /// [`SessionStore::load`]) and publishes the recovered placement. A
+    /// store keeps only the settings that decide labels, so `state.cfg`
+    /// carries this process's defaults for the runtime ones (threads,
+    /// transport, scheduler); a caller that wants others sets them on
+    /// `state.cfg` first. The session's engine is not built here: the
+    /// first [`Self::ingest`] (or [`Self::inject_transport_faults`]) builds
+    /// it, exactly as an eager build would (see
+    /// [`StreamSession::from_state`]), so the node serves lookups as soon
+    /// as the store is decoded.
+    pub fn resume(state: spinner_core::SessionState, store: SessionStore) -> Self {
+        let mut node = Self::new(StreamSession::from_state(state));
         node.store = Some(store);
         node
     }
@@ -845,10 +852,10 @@ mod tests {
         ServingNode::with_storage(session, Box::new(disk.clone())).expect("create");
         let snapshot = disk.dump(StoreFile::Snapshot).expect("snapshot written");
         for (magic, retired) in [
-            (b"SPNRSNP7", true),
+            (b"SPNRSNP8", true),
             (b"SPNRSNP1", true),
-            (b"SPNRSNP9", false),
-            (b"SPNRSNQ7", false),
+            (b"SPNRSNPA", false),
+            (b"SPNRSNQ8", false),
         ] {
             let store = MemStorage::new();
             store.plant(StoreFile::Snapshot, [magic.as_slice(), &snapshot[8..]].concat());
@@ -863,6 +870,72 @@ mod tests {
                 (Ok(_), _) => panic!("{}: resumed a foreign snapshot", magic.escape_ascii()),
             }
         }
+    }
+
+    /// Runtime knobs decide no label, so a store does not keep them: two
+    /// states that differ only in those encode to the same bytes, and both
+    /// decode to this process's defaults.
+    #[test]
+    fn runtime_knobs_leave_no_trace_in_the_snapshot() {
+        use spinner_pregel::{RetryConfig, TransportKind};
+        let mut plain = StreamSession::new(ring(200), cfg(3)).state();
+        plain.cfg.num_threads = 1;
+        plain.cfg.transport = TransportKind::Direct;
+        let mut tuned = plain.clone();
+        tuned.cfg.num_threads = 3;
+        tuned.cfg.transport = TransportKind::Ring;
+        tuned.cfg.work_stealing = false;
+        tuned.cfg.steal_chunk = 7;
+        tuned.cfg.dense_scan = true;
+        tuned.cfg.sender_fold = false;
+        tuned.cfg.broadcast_fabric = false;
+        tuned.cfg.in_engine_conversion = true;
+        tuned.cfg.transport_retry = RetryConfig {
+            max_retransmits: 2,
+            backoff_base: Duration::from_micros(7),
+            take_deadline: Duration::from_millis(90),
+        };
+        let bytes = crate::snapshot::encode_state(&plain);
+        assert_eq!(bytes, crate::snapshot::encode_state(&tuned));
+
+        // Every field, label settings and runtime defaults alike.
+        let decoded = crate::snapshot::decode_state(&bytes).expect("decodes").cfg;
+        assert_eq!(format!("{decoded:?}"), format!("{:?}", cfg(3)));
+    }
+
+    /// A store written by a direct, single-threaded node resumes onto the
+    /// Ring transport and two threads; its next window equals the live
+    /// node's, and it did run on the wire.
+    #[test]
+    fn resume_runs_on_the_runtime_settings_it_is_given() {
+        use spinner_pregel::TransportKind;
+        let disk = MemStorage::new();
+        let mut direct = cfg(4);
+        direct.num_threads = 1;
+        direct.transport = TransportKind::Direct;
+        let session = StreamSession::new(ring(300), direct);
+        let mut live =
+            ServingNode::with_storage(session, Box::new(disk.clone())).expect("store");
+        live.ingest(delta(0, 300)).expect("ingest");
+
+        let (mut state, store, _) = SessionStore::load_on(Box::new(disk)).expect("load");
+        state.cfg.transport = TransportKind::Ring;
+        state.cfg.num_threads = 2;
+        let mut resumed = ServingNode::resume(state, store);
+        let resumed_cfg = resumed.session().config();
+        assert_eq!((resumed_cfg.transport, resumed_cfg.num_threads), (TransportKind::Ring, 2));
+
+        let want = live.ingest(delta(1, 305)).expect("live ingest");
+        let got = resumed.ingest(delta(1, 305)).expect("resumed ingest");
+        assert_eq!(resumed.session().labels(), live.session().labels());
+        assert_eq!(
+            resumed.session().placement().as_slice(),
+            live.session().placement().as_slice()
+        );
+        let bits = |r: &IngestReport| (r.report().phi().to_bits(), r.report().rho().to_bits());
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(want.report().wire_frames(), 0, "the live node moves no frames");
+        assert!(got.report().wire_frames() > 0, "the resumed node ran on the wire");
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //! CRC-32 of the payload. The graph is stored as per-vertex degree plus
 //! delta-encoded sorted neighbour gaps (CSR order is already sorted), which
 //! keeps the file a small multiple of the in-memory CSR.
+//!
+//! The config record keeps only what decides labels or placement: `k`,
+//! `c`, `epsilon`, `window`, `max_iterations`, `ignore_halting`, `seed`,
+//! `num_workers`, `async_worker_loads`, `balance_penalty`,
+//! `probabilistic_migration`, `objective`, `capacity_weights`,
+//! `placement_feedback` and `exhaustive_candidate_scan`. Every other
+//! [`SpinnerConfig`] field decodes to [`SpinnerConfig::new`]'s value in the
+//! reading process; labels are bit-identical across all of them, and a
+//! process that resumes onto other runtime settings sets them on the loaded
+//! state before it resumes (see `ServingNode::resume`).
 
 use spinner_core::config::BalanceObjective;
 use spinner_core::{SessionState, SpinnerConfig, WindowReport, WindowReportParts};
 use spinner_graph::{DirectedGraph, VertexId};
 use spinner_pregel::codec::{crc32, ByteReader, ByteWriter, CorruptError, Result};
-use spinner_pregel::{RetryConfig, TransportKind, WireFormat};
-use std::time::Duration;
 
 /// Magic prefix of a snapshot file (versioned; bump on layout change —
 /// `SPNRSNP2` added `lost_vertices` to the window-report record;
@@ -30,8 +38,12 @@ use std::time::Duration;
 /// `SPNRSNP7` dropped the frontier-window byte from the config record, as
 /// every delta window restarts its vertices as the driver does; `SPNRSNP8`
 /// dropped the restart-scope byte from the config record, as every window
-/// restarts every vertex).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP8";
+/// restarts every vertex; `SPNRSNP9` dropped the runtime knobs —
+/// `num_threads`, `in_engine_conversion`, `broadcast_fabric`,
+/// `work_stealing`, `steal_chunk`, `dense_scan`, `transport`, `wire_format`,
+/// `sender_fold` and the three `transport_retry` budgets — from the config
+/// record, as none of them decides a label).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPNRSNP9";
 
 /// The magic `bytes` begins with when it is a snapshot of a retired format
 /// version, `SPNRSNP1` up to the one before [`SNAPSHOT_MAGIC`].
@@ -41,9 +53,9 @@ pub(crate) fn retired_magic(bytes: &[u8]) -> Option<[u8; 8]> {
     (found.starts_with(family) && (b'1'..version[0]).contains(&found[7])).then_some(found)
 }
 
-/// The most bytes [`put_config`] writes besides the capacity weights: 11
-/// varints, 3 `f64`s and 17 single bytes, rounded up.
-const CONFIG_BYTES: usize = 192;
+/// The most bytes [`put_config`] writes besides the capacity weights: 6
+/// varints, 3 `f64`s and 8 single bytes.
+const CONFIG_BYTES: usize = 6 * VARINT_BYTES + 3 * 8 + 8;
 
 /// The most bytes [`put_report`] writes: 22 varints and 3 `f64`s.
 const REPORT_BYTES: usize = 22 * VARINT_BYTES + 3 * 8;
@@ -212,11 +224,9 @@ fn put_config(w: &mut ByteWriter, cfg: &SpinnerConfig) {
     w.put_u8(u8::from(cfg.ignore_halting));
     w.put_varint(cfg.seed);
     w.put_varint(cfg.num_workers as u64);
-    w.put_varint(cfg.num_threads as u64);
     w.put_u8(u8::from(cfg.async_worker_loads));
     w.put_u8(u8::from(cfg.balance_penalty));
     w.put_u8(u8::from(cfg.probabilistic_migration));
-    w.put_u8(u8::from(cfg.in_engine_conversion));
     w.put_u8(match cfg.objective {
         BalanceObjective::Edges => 0,
         BalanceObjective::Vertices => 1,
@@ -238,22 +248,11 @@ fn put_config(w: &mut ByteWriter, cfg: &SpinnerConfig) {
             w.put_f64(threshold);
         }
     }
-    w.put_u8(u8::from(cfg.broadcast_fabric));
     w.put_u8(u8::from(cfg.exhaustive_candidate_scan));
-    w.put_u8(u8::from(cfg.work_stealing));
-    w.put_varint(cfg.steal_chunk as u64);
-    w.put_u8(u8::from(cfg.dense_scan));
-    w.put_u8(match cfg.transport {
-        TransportKind::Direct => 0,
-        TransportKind::Ring => 1,
-    });
-    w.put_u8(cfg.wire_format as u8);
-    w.put_u8(u8::from(cfg.sender_fold));
-    w.put_varint(u64::from(cfg.transport_retry.max_retransmits));
-    w.put_varint(cfg.transport_retry.backoff_base.as_micros() as u64);
-    w.put_varint(cfg.transport_retry.take_deadline.as_millis() as u64);
 }
 
+/// Reads a record appended by [`put_config`]; every field it does not hold
+/// keeps [`SpinnerConfig::new`]'s value.
 fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
     let k = u32::try_from(r.varint("config k")?)
         .ok()
@@ -267,11 +266,9 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
     cfg.ignore_halting = read_bool(r, "config ignore_halting")?;
     cfg.seed = r.varint("config seed")?;
     cfg.num_workers = read_count(r, "config num_workers")?;
-    cfg.num_threads = read_count(r, "config num_threads")?;
     cfg.async_worker_loads = read_bool(r, "config async_worker_loads")?;
     cfg.balance_penalty = read_bool(r, "config balance_penalty")?;
     cfg.probabilistic_migration = read_bool(r, "config probabilistic_migration")?;
-    cfg.in_engine_conversion = read_bool(r, "config in_engine_conversion")?;
     cfg.objective = match r.u8("config objective")? {
         0 => BalanceObjective::Edges,
         1 => BalanceObjective::Vertices,
@@ -294,27 +291,7 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<SpinnerConfig> {
         1 => Some(r.f64("config feedback threshold")?),
         _ => return Err(CorruptError { context: "config feedback tag" }),
     };
-    cfg.broadcast_fabric = read_bool(r, "config broadcast_fabric")?;
     cfg.exhaustive_candidate_scan = read_bool(r, "config exhaustive_candidate_scan")?;
-    cfg.work_stealing = read_bool(r, "config work_stealing")?;
-    cfg.steal_chunk = usize::try_from(r.varint("config steal_chunk")?)
-        .map_err(|_| CorruptError { context: "config steal_chunk" })?;
-    cfg.dense_scan = read_bool(r, "config dense_scan")?;
-    cfg.transport = match r.u8("config transport")? {
-        0 => TransportKind::Direct,
-        1 => TransportKind::Ring,
-        _ => return Err(CorruptError { context: "config transport" }),
-    };
-    cfg.wire_format = match r.u8("config wire_format")? {
-        1 => WireFormat::Compact,
-        _ => return Err(CorruptError { context: "config wire_format" }),
-    };
-    cfg.sender_fold = read_bool(r, "config sender_fold")?;
-    cfg.transport_retry = RetryConfig {
-        max_retransmits: read_u32(r, "config retry max_retransmits")?,
-        backoff_base: Duration::from_micros(r.varint("config retry backoff_base")?),
-        take_deadline: Duration::from_millis(r.varint("config retry take_deadline")?),
-    };
     Ok(cfg)
 }
 
@@ -322,7 +299,7 @@ fn read_u32(r: &mut ByteReader<'_>, context: &'static str) -> Result<u32> {
     u32::try_from(r.varint(context)?).map_err(|_| CorruptError { context })
 }
 
-/// Reads a worker/thread count: 1..=2^16 (worker ids are `u16`). Keeps a
+/// Reads a worker count: 1..=2^16 (worker ids are `u16`). Keeps a
 /// corrupt-but-CRC-valid snapshot from panicking downstream (e.g. in
 /// `Placement::explicit`'s asserts) or allocating per a huge bogus count.
 fn read_count(r: &mut ByteReader<'_>, context: &'static str) -> Result<usize> {
@@ -461,26 +438,6 @@ mod tests {
             let err = decode_state(&bytes).expect_err("bogus num_workers must not decode");
             assert!(format!("{err}").contains("num_workers"), "unexpected error: {err}");
         }
-        let mut state = sample_state();
-        state.cfg.num_threads = 0;
-        assert!(decode_state(&encode_state(&state)).is_err());
-    }
-
-    #[test]
-    fn unknown_wire_format_byte_is_corrupt() {
-        // The wire-format byte follows the transport byte, the one byte two
-        // records that differ only in their transport disagree on.
-        let record = |transport| {
-            let mut w = ByteWriter::new();
-            put_config(&mut w, &SpinnerConfig::new(4).with_transport(transport));
-            w.into_bytes()
-        };
-        let (mut bytes, ring) = (record(TransportKind::Direct), record(TransportKind::Ring));
-        let at = bytes.iter().zip(&ring).position(|(a, b)| a != b).expect("transport") + 1;
-        assert_eq!(bytes[at], WireFormat::Compact as u8);
-        bytes[at] = 0;
-        let err = read_config(&mut ByteReader::new(&bytes)).expect_err("format byte 0");
-        assert_eq!(err, CorruptError { context: "config wire_format" });
     }
 
     #[test]
@@ -525,7 +482,7 @@ mod tests {
             lanes_dead: 0,
         };
         SessionState {
-            cfg: SpinnerConfig { num_threads: 1, ..SpinnerConfig::new(2) },
+            cfg: SpinnerConfig::new(2),
             graph: GraphBuilder::new(3).add_edges([(0, 1), (1, 2)]).build(),
             labels: vec![0, 1, 0],
             placement: vec![0, 0, 0],
@@ -535,7 +492,7 @@ mod tests {
     }
 
     /// The format version and an FNV-1a digest of [`tiny_state`]'s snapshot.
-    const TINY_SNAPSHOT: (&[u8; 8], u64) = (b"SPNRSNP8", 0x305a_3e27_e66f_b148);
+    const TINY_SNAPSHOT: (&[u8; 8], u64) = (b"SPNRSNP9", 0x769e_c681_d34f_91bc);
 
     /// A layout change that keeps the magic fails here, not at a resume of
     /// a store an older build wrote.

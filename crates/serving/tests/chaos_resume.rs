@@ -22,7 +22,8 @@ use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::{DirectedGraph, GraphBuilder, GraphDelta};
 use spinner_pregel::{TransportFault, TransportFaultPlan, TransportKind, WorkerId};
 use spinner_serving::{
-    Fault, FaultPlan, FaultyStorage, Health, MemStorage, RetryPolicy, ServingNode, SessionStore,
+    Fault, FaultPlan, FaultyStorage, Health, MemStorage, PersistError, ResumeStats,
+    RetryPolicy, ServingNode, SessionStore,
 };
 
 const WORKERS: usize = 8;
@@ -100,6 +101,15 @@ fn check_window(node: &ServingNode, disk: &MemStorage) -> Result<(), TestCaseErr
         prop_assert_eq!(state.placement.as_slice(), placement);
     }
     Ok(())
+}
+
+/// Resumes a node from `disk` onto the Ring transport and two threads,
+/// the runtime settings of [`cfg`], which a store does not keep.
+fn resume_on_the_wire(disk: &MemStorage) -> Result<(ServingNode, ResumeStats), PersistError> {
+    let (mut state, store, stats) = SessionStore::load_on(Box::new(disk.clone()))?;
+    state.cfg.transport = TransportKind::Ring;
+    state.cfg.num_threads = 2;
+    Ok((ServingNode::resume(state, store), stats))
 }
 
 /// Worker losses that reseeded state, resizes that changed `k`, and
@@ -189,7 +199,7 @@ proptest! {
 
             // Restart over the same medium and finish the stream.
             let (mut node, start) =
-                match ServingNode::resume_from_storage(Box::new(disk.clone())) {
+                match resume_on_the_wire(&disk) {
                     Ok((node, stats)) => {
                         prop_assert_eq!(
                             stats.replayed_windows, durable,
@@ -239,8 +249,7 @@ proptest! {
 
             // And the finished store itself resumes clean — the recovery
             // left no torn or stale bytes behind.
-            let (again, stats) =
-                ServingNode::resume_from_storage(Box::new(disk)).expect("final resume");
+            let (again, stats) = resume_on_the_wire(&disk).expect("final resume");
             prop_assert!(!stats.truncated_tail);
             prop_assert_eq!(again.session().labels(), reference.labels());
         }

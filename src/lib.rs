@@ -33,7 +33,6 @@ pub mod prelude {
     pub use spinner_graph::{
         DirectedGraph, GraphBuilder, GraphDelta, UndirectedGraph, VertexId,
     };
-    pub use spinner_metrics::Trajectory;
     pub use spinner_pregel::{
         LaneHealth, Placement, RetryConfig, TransportFault, TransportFaultPlan, TransportKind,
         WireFormat, WorkerId,
