@@ -578,6 +578,52 @@ mod tests {
             balanced.quality.rho
         );
     }
+
+    /// The engine's loaded topology, counted in bytes on `stream_churn`'s
+    /// shape at a tenth of its scale (6 000 vertices, 16 workers). Spinner's
+    /// edge values are one byte per adjacency entry, the Eq. 3 weight: an
+    /// engine with no edge value on the same load holds exactly that much
+    /// less.
+    #[test]
+    fn engine_topology_holds_one_edge_byte_per_adjacency_entry() {
+        struct NoEdgeValue;
+        impl spinner_pregel::Program for NoEdgeValue {
+            type V = ();
+            type E = ();
+            type M = ();
+            type G = ();
+            type WorkerState = ();
+            fn init_global(&self) {}
+            fn init_worker(&self, _: &(), _: spinner_pregel::WorkerId) {}
+            fn compute(&self, _: &mut spinner_pregel::VertexContext<'_, Self>, _: &[()]) {}
+        }
+        let g = to_weighted_undirected(&planted_partition(SbmConfig {
+            n: 6_000,
+            communities: 100,
+            internal_degree: 40.0,
+            external_degree: 16.0,
+            skew: None,
+            seed: 7,
+        }));
+        let mut cfg = SpinnerConfig::new(16).with_seed(7);
+        cfg.num_workers = 16;
+        cfg.num_threads = 1;
+        let placement = stages::placement(g.num_vertices(), &cfg);
+        let labels = random_labels(g.num_vertices(), cfg.k, cfg.seed);
+        let spinner = stages::build_engine(&g, &cfg, &placement, &labels);
+        let config = stages::engine_config(&cfg);
+        let bare = spinner_pregel::Engine::from_undirected(
+            NoEdgeValue,
+            &g,
+            &placement,
+            config,
+            |_| (),
+            |_, _, _| (),
+        );
+        let entries = g.num_adjacency_entries() as usize;
+        assert_eq!(spinner.memory_bytes() - bare.memory_bytes(), entries);
+        assert_eq!((entries, spinner.memory_bytes()), (454_716, 5_192_332));
+    }
 }
 
 #[cfg(test)]

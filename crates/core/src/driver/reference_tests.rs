@@ -5,7 +5,7 @@
 
 use super::*;
 use crate::program::SpinnerProgram;
-use crate::state::{EdgeState, Phase, VertexState};
+use crate::state::{Phase, VertexState};
 use spinner_graph::generators::{planted_partition, SbmConfig};
 use spinner_graph::mutation::{apply_delta, sample_new_edges, sample_removed_edges};
 use spinner_graph::GraphDelta;
@@ -25,7 +25,7 @@ fn reference(
         &placement,
         stages::engine_config(cfg),
         |v| VertexState::new(labels[v as usize], true),
-        |_, _, w| EdgeState { weight: w, neighbor_label: NO_LABEL },
+        |_, _, w| w,
     );
     let summary = engine.run();
     stages::collect(cfg, &engine, &summary, graph)

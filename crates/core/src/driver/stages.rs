@@ -69,9 +69,7 @@
 use super::PartitionResult;
 use crate::config::SpinnerConfig;
 use crate::program::{load_of, rho_of, seeded_global, SpinnerProgram, AGG_LOADS};
-use crate::state::{
-    label_histogram, EdgeState, Label, Phase, VertexState, NOT_COUNTED, NO_LABEL,
-};
+use crate::state::{label_histogram, Label, Phase, VertexState, NOT_COUNTED, NO_LABEL};
 use spinner_graph::{UndirectedGraph, VertexId};
 use spinner_metrics::PartitionQuality;
 use spinner_pregel::engine::{Engine, EngineConfig};
@@ -262,8 +260,9 @@ pub fn recount_states(
     states
 }
 
-fn edge(_: VertexId, _: VertexId, weight: u8) -> EdgeState {
-    EdgeState { weight, neighbor_label: NO_LABEL }
+/// Spinner's edge value: the Eq. 3 weight.
+fn edge(_: VertexId, _: VertexId, weight: u8) -> u8 {
+    weight
 }
 
 /// Reads a [`PartitionResult`] out of a finished engine without consuming

@@ -4,8 +4,8 @@
 use crate::config::{BalanceObjective, SpinnerConfig};
 use crate::driver::IterationStats;
 use crate::state::{
-    sort_by_weight, EdgeState, GlobalState, Label, MigrationMsg, Phase, VertexState,
-    WorkerState, NOT_COUNTED, NO_LABEL,
+    sort_by_weight, GlobalState, Label, MigrationMsg, Phase, VertexState, WorkerState,
+    NOT_COUNTED, NO_LABEL,
 };
 use spinner_graph::rng::vertex_stream;
 use spinner_graph::VertexId;
@@ -621,7 +621,7 @@ pub(crate) fn recount_histograms(
             return Err(format!("vertex {v}: histogram out of weight order: {hist:?}"));
         }
         let (targets, edges) = engine.adjacency(v as u32);
-        let neighbours = targets.iter().zip(edges).map(|(&t, e)| (t, e.weight));
+        let neighbours = targets.iter().copied().zip(edges.iter().copied());
         let (mut expect, degree) = crate::state::label_histogram_scan(neighbours, &labels);
         expect.sort_unstable();
         let mut got = hist.clone();
@@ -685,7 +685,8 @@ pub(crate) fn rho_of(loads: &[i64], capacities: &[f64], c: f64) -> f64 {
 
 impl Program for SpinnerProgram {
     type V = VertexState;
-    type E = EdgeState;
+    /// The Eq. 3 weight w(u, v) ∈ {1, 2} of the edge.
+    type E = u8;
     type M = MigrationMsg;
     type G = GlobalState;
     type WorkerState = WorkerState;
@@ -725,7 +726,7 @@ impl Program for SpinnerProgram {
             Phase::Initialize => {
                 // Weighted degree over the adjacency; aggregate the initial
                 // load and announce the label.
-                let degw: u64 = ctx.edges.values.iter().map(|e| e.weight as u64).sum();
+                let degw: u64 = ctx.edges.values.iter().map(|&w| u64::from(w)).sum();
                 ctx.value.degree = degw;
                 let label = ctx.value.label;
                 debug_assert!(label < ctx.global.k);
@@ -787,8 +788,8 @@ impl Program for SpinnerProgram {
     // Eq. 3 weights are 1 or 2.
     const STAMP_BITS: u32 = 2;
 
-    fn edge_weight(edge: &EdgeState) -> u8 {
-        edge.weight
+    fn edge_weight(weight: &u8) -> u8 {
+        *weight
     }
 
     fn stamp(msg: &mut MigrationMsg, weight: u8) {

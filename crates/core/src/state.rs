@@ -217,22 +217,31 @@ impl VertexState {
     }
 }
 
-/// Per-edge state: the Eq. 3 weight, plus a neighbour-label field that no
-/// phase reads.
+/// The input of the repo benchmark's cold replica, which spells out an
+/// `EdgeState { weight, neighbor_label }` literal for each edge value it
+/// hands [`spinner_pregel::Engine::from_undirected`].
 ///
-/// The paper stores each neighbour's label in the value of the connecting
-/// edge (§IV-A2), because a Giraph vertex can only read its own edges.
-/// Here a [`MigrationMsg`] carries the label change and the edge weight
-/// itself, so scoring reads only [`VertexState::label_weights`] and never
-/// searches the adjacency. `neighbor_label` is kept only because the repo
-/// benchmark's cold replica still spells out `EdgeState` literals with
-/// both fields.
+/// The engine keeps only the Eq. 3 weight: Spinner's edge value is a `u8`
+/// (see [`crate::program::SpinnerProgram`]), and `From<EdgeState> for u8`
+/// converts the literal. The paper stores each neighbour's label in the
+/// value of the connecting edge (§IV-A2), because a Giraph vertex can only
+/// read its own edges; here a [`MigrationMsg`] carries the label change
+/// and the edge weight itself, so nothing reads `neighbor_label`. This type
+/// and its conversion go when the benchmark stops spelling the literal
+/// (ROADMAP item 0(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeState {
     /// w(u, v) ∈ {1, 2}.
     pub weight: u8,
     /// Unused: set it to [`NO_LABEL`] (or anything else; nothing reads it).
     pub neighbor_label: Label,
+}
+
+impl From<EdgeState> for u8 {
+    #[inline]
+    fn from(edge: EdgeState) -> u8 {
+        edge.weight
+    }
 }
 
 /// A Spinner message, 8 bytes.
@@ -258,6 +267,12 @@ pub struct MigrationMsg {
 // The inbox holds one message per adjacency entry: a wider message costs
 // memory on every edge.
 const _: () = assert!(std::mem::size_of::<MigrationMsg>() == 8);
+
+// The engine keeps one edge value per adjacency entry: a wider edge value
+// costs memory on every adjacency entry.
+const _: () = assert!(
+    std::mem::size_of::<<crate::program::SpinnerProgram as spinner_pregel::Program>::E>() == 1
+);
 
 impl MigrationMsg {
     /// A label change `old → new` ([`NO_LABEL`] for no previous label),

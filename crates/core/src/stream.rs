@@ -696,6 +696,11 @@ impl StreamSession {
     ) -> RunSummary {
         let placement = self.placement_for(labels);
         if !carried {
+            // Free the engine's states, histograms included, before the
+            // recount allocates their replacements, so it can reuse their
+            // blocks instead of leaving both sets resident.
+            engine.take_values_into(&mut self.states);
+            self.states.clear();
             let threads = self.cfg.num_threads;
             self.states = stages::recount_states(&self.undirected, &placement, labels, threads);
         }

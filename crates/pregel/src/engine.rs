@@ -396,14 +396,17 @@ fn row_destinations(
 impl<P: Program> Engine<P> {
     /// Builds an engine over a weighted undirected graph (each edge present
     /// in both adjacency lists). `init_v` produces initial vertex values;
-    /// `init_e(src, dst, weight)` produces edge values.
-    pub fn from_undirected(
+    /// `init_e(src, dst, weight)` produces edge values, converted with
+    /// `Into`: it may return `P::E` itself or any type that converts into
+    /// it, so a caller written against a wider edge type keeps compiling
+    /// when a program narrows its `E`.
+    pub fn from_undirected<X: Into<P::E>>(
         program: P,
         graph: &UndirectedGraph,
         placement: &Placement,
         config: EngineConfig,
         init_v: impl FnMut(VertexId) -> P::V,
-        init_e: impl FnMut(VertexId, VertexId, u8) -> P::E,
+        mut init_e: impl FnMut(VertexId, VertexId, u8) -> X,
     ) -> Self {
         assert_eq!(placement.num_vertices(), graph.num_vertices(), "placement size mismatch");
         Self::build(
@@ -415,7 +418,7 @@ impl<P: Program> Engine<P> {
             |v| graph.neighbors(v).0,
             |v, i| graph.neighbors(v).1[i],
             init_v,
-            init_e,
+            |src, dst, w| init_e(src, dst, w).into(),
         )
     }
 
@@ -1201,6 +1204,29 @@ impl<P: Program> Engine<P> {
                 f(&w.values[self.local_idx[v] as usize])
             })
             .collect()
+    }
+
+    /// Bytes the workers' loaded topology holds: each array's length times
+    /// its element size, summed over every worker's hosted ids, CSR
+    /// (offsets, targets, edge values), broadcast plan and fan-out index.
+    /// It counts what is loaded, not what is reserved, so it is a pure
+    /// function of the graph, the placement and the program's types.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of_val as bytes;
+        let worker = |w: &Worker<P>| {
+            bytes(&w.global_ids[..])
+                + bytes(&w.offsets[..])
+                + bytes(&w.targets[..])
+                + bytes(&w.edge_values[..])
+                + bytes(&w.plan_offsets[..])
+                + bytes(&w.plan_workers[..])
+                + bytes(&w.plan_lone[..])
+                + bytes(&w.plan_local[..])
+                + bytes(&w.plan_remote[..])
+                + bytes(&w.fan_offsets[..])
+                + bytes(&w.fan_targets[..])
+        };
+        self.workers.iter().map(worker).sum()
     }
 
     /// Vertex `v`'s engine adjacency — sorted targets and the edge values
