@@ -117,7 +117,8 @@ pub fn build_engine(
     placement: &Placement,
     labels: &[Label],
 ) -> Engine<SpinnerProgram> {
-    let mut states = recount_states(graph, placement, labels, cfg.num_threads);
+    let mut states = Vec::new();
+    recount_states(graph, placement, labels, cfg.num_threads, &mut states);
     let mut built = None;
     seed(cfg, &mut states, |program, init_v| {
         let config = engine_config(cfg);
@@ -203,20 +204,27 @@ fn seed<'e>(
 /// a thread costs more than counting a few thousand small rows.
 const MIN_RECOUNT_RUN: usize = 4096;
 
-/// Every vertex's state for a run starting from `labels`: the label, the
-/// weighted degree and the label histogram counted from `graph`, on up to
-/// `threads` threads. The vertices are counted in the order the engine
-/// hosted on `placement` visits them — by worker, then ascending id — one
-/// contiguous run of that order per thread, so each thread allocates its
-/// histograms in visit order and a scores superstep walks them through
-/// memory front to back.
+/// Fills `states` with every vertex's state for a run starting from
+/// `labels`: the label, the weighted degree and the label histogram counted
+/// from `graph`, on up to `threads` threads. The vertices are counted in
+/// the order the engine hosted on `placement` visits them — by worker, then
+/// ascending id — one contiguous run of that order per thread, so each
+/// thread allocates its histograms in visit order and a scores superstep
+/// walks them through memory front to back.
+///
+/// `states` is emptied before the count, so the histograms it held are
+/// freed before their replacements are allocated, and it is refilled in
+/// its own block while that has room: a window that recounts the states
+/// its engine hands back keeps one set resident, not two.
 pub fn recount_states(
     graph: &UndirectedGraph,
     placement: &Placement,
     labels: &[Label],
     threads: usize,
-) -> Vec<VertexState> {
+    states: &mut Vec<VertexState>,
+) {
     assert_eq!(labels.len(), graph.num_vertices() as usize, "one label per vertex");
+    states.clear();
     // The vertices by worker, ascending id within each: a counting pass
     // over the placement.
     let mut next = vec![0usize; placement.num_workers() + 1];
@@ -250,14 +258,12 @@ pub fn recount_states(
         }
         counted
     });
-    let mut states: Vec<VertexState> =
-        labels.iter().map(|&l| VertexState::new(l, true)).collect();
+    states.extend(labels.iter().map(|&l| VertexState::new(l, true)));
     for (&v, (hist, degree)) in order.iter().zip(counted.into_iter().flatten()) {
         let state = &mut states[v as usize];
         state.label_weights = hist;
         state.degree = degree;
     }
-    states
 }
 
 /// Spinner's edge value: the Eq. 3 weight.

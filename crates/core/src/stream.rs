@@ -696,13 +696,11 @@ impl StreamSession {
     ) -> RunSummary {
         let placement = self.placement_for(labels);
         if !carried {
-            // Free the engine's states, histograms included, before the
-            // recount allocates their replacements, so it can reuse their
-            // blocks instead of leaving both sets resident.
+            // Recount into the states the engine hands back: their
+            // histograms are freed before the new ones are counted.
             engine.take_values_into(&mut self.states);
-            self.states.clear();
-            let threads = self.cfg.num_threads;
-            self.states = stages::recount_states(&self.undirected, &placement, labels, threads);
+            let (und, threads) = (&self.undirected, self.cfg.num_threads);
+            stages::recount_states(und, &placement, labels, threads, &mut self.states);
         }
         let (und, cfg, states) = (&self.undirected, &self.cfg, &mut self.states);
         stages::warm_reset(engine, und, changed, cfg, &placement, states);
