@@ -99,15 +99,9 @@ pub struct SpinnerConfig {
     /// they can only differ in tie-breaks among equally-penalised
     /// non-adjacent labels.
     pub exhaustive_candidate_scan: bool,
-    /// Work stealing in the engine's pooled superstep loop (see
-    /// [`spinner_pregel::engine::EngineConfig::work_stealing`]). Results
-    /// are bit-identical either way; `false` is the static-schedule arm.
-    /// Not persisted: a resumed session runs with the resuming process's value.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub work_stealing: bool,
-    /// Preferred-chunk granularity for the pooled scheduler; `0` keeps the
-    /// static schedule's contiguous blocks (see
-    /// [`spinner_pregel::engine::EngineConfig::steal_chunk`]). Not
-    /// persisted: a resumed session runs with the resuming process's value.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub steal_chunk: usize,
     /// Drive compute by a dense per-worker vertex scan instead of the
     /// maintained active list (the verification arm; bit-identical, see
@@ -122,16 +116,9 @@ pub struct SpinnerConfig {
     /// transports; only the wire counters change. Not persisted: a resumed
     /// session runs with the resuming process's value.
     pub transport: TransportKind,
-    /// Frame encoding on a serialising transport (ignored on the direct
-    /// path): [`WireFormat::Compact`], the only one, uses delta+varint ids
-    /// and payload-specialised values. Not persisted: a resumed session runs
-    /// with the resuming process's value.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub wire_format: WireFormat,
-    /// Sender-side combiner folding on a serialising transport: fold
-    /// same-destination records through the program's combiner before
-    /// framing. Spinner's messages never combine, so results are
-    /// unchanged. Default `true`; `false` is the verification arm.
-    /// Not persisted: a resumed session runs with the resuming process's value.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub sender_fold: bool,
     /// Retry/timeout budgets for the transport reliability layer (ignored
     /// on the direct path). A serialising transport always runs under
@@ -260,19 +247,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_knobs_default_to_fast_arms() {
-        let cfg = SpinnerConfig::new(4);
-        assert!(cfg.work_stealing, "stealing is the default schedule");
-        assert_eq!(cfg.steal_chunk, 0, "auto chunking by default");
-        assert!(!cfg.dense_scan, "active-set driver is the default");
+    fn dense_scan_defaults_off() {
+        assert!(!SpinnerConfig::new(4).dense_scan, "active-set driver is the default");
     }
 
     #[test]
     fn fabric_knobs_default_to_the_direct_path() {
         let cfg = SpinnerConfig::new(4);
         assert_eq!(cfg.transport, TransportKind::Direct);
-        assert_eq!(cfg.wire_format, WireFormat::Compact);
-        assert!(cfg.sender_fold, "fold is on whenever a wire path runs");
         let cfg = cfg.with_transport(TransportKind::Ring);
         assert_eq!(cfg.transport, TransportKind::Ring);
     }

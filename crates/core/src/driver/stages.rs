@@ -84,17 +84,13 @@ pub fn engine_config(cfg: &SpinnerConfig) -> EngineConfig {
         max_supersteps: 2 * cfg.max_iterations as u64 + 8,
         seed: cfg.seed,
         broadcast_fabric: cfg.broadcast_fabric,
-        work_stealing: cfg.work_stealing,
-        steal_chunk: cfg.steal_chunk,
         dense_scan: cfg.dense_scan,
         transport: cfg.transport,
-        wire_format: cfg.wire_format,
-        sender_fold: cfg.sender_fold,
         transport_retry: cfg.transport_retry,
-        // Fault plans are transient chaos apparatus, injected through
-        // `Engine::inject_transport_faults` / `StreamSession::
+        // No fault plan: plans are transient chaos apparatus, injected
+        // through `Engine::inject_transport_faults` / `StreamSession::
         // inject_transport_faults` — never part of a persisted config.
-        transport_faults: None,
+        ..EngineConfig::default()
     }
 }
 

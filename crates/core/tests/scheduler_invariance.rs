@@ -1,7 +1,6 @@
-//! Scheduler invariance: *how* supersteps are executed — static contiguous
-//! worker blocks vs work-stealing chunk claims, any chunk size, any
-//! worker × thread grid, dense vertex scans vs the incremental active
-//! list — is pure plumbing. With the §IV-A4 asynchronous load view
+//! Scheduler invariance: *how* supersteps are executed — any worker × thread
+//! grid of the work-stealing pool, dense vertex scans vs the incremental
+//! active list — is pure plumbing. With the §IV-A4 asynchronous load view
 //! disabled, every combination must produce bit-identical labels **and**
 //! history (φ/ρ/score per iteration, compared by raw f64 bits), plus
 //! identical `computed` counts: the active list is by construction exactly
@@ -49,16 +48,11 @@ fn digest(r: &PartitionResult) -> (&[u32], &[spinner_core::IterationStats], u32,
     (&r.labels, &r.history, r.iterations, r.supersteps, r.totals.computed)
 }
 
-/// The scheduler arms under test: (work_stealing, steal_chunk). Chunk size
-/// only matters when stealing; 0 means "auto" (contiguous blocks, the old
-/// static split, now claimable by idle threads).
-const SCHEDULERS: &[(bool, usize)] = &[(false, 0), (true, 0), (true, 1), (true, 5)];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Random community graphs: one serial dense reference per case; every
-    /// scheduler × chunk × grid × scan-mode combination must match it.
+    /// grid × scan-mode combination must match it.
     #[test]
     fn any_scheduler_yields_identical_labels_and_history(
         graph_seed in 0u64..1000,
@@ -71,21 +65,17 @@ proptest! {
             partition_with_placement(&g, &ref_cfg, &Placement::contiguous(500, 1));
         prop_assert!(reference.iterations > 0);
         for &(workers, threads) in &[(3usize, 2usize), (5, 4), (8, 3)] {
-            for &(stealing, chunk) in SCHEDULERS {
-                for dense in [false, true] {
-                    let mut cfg = sync_cfg(k, threads);
-                    cfg.work_stealing = stealing;
-                    cfg.steal_chunk = chunk;
-                    cfg.dense_scan = dense;
-                    let p = Placement::hashed(500, workers, 11);
-                    let r = partition_with_placement(&g, &cfg, &p);
-                    prop_assert_eq!(
-                        digest(&r),
-                        digest(&reference),
-                        "diverged: stealing={} chunk={} dense={} workers={} threads={}",
-                        stealing, chunk, dense, workers, threads
-                    );
-                }
+            for dense in [false, true] {
+                let mut cfg = sync_cfg(k, threads);
+                cfg.dense_scan = dense;
+                let p = Placement::hashed(500, workers, 11);
+                let r = partition_with_placement(&g, &cfg, &p);
+                prop_assert_eq!(
+                    digest(&r),
+                    digest(&reference),
+                    "diverged: dense={} workers={} threads={}",
+                    dense, workers, threads
+                );
             }
         }
     }
@@ -106,18 +96,14 @@ fn scheduler_grid_anchor_on_skewed_hubs() {
         (0.36125031320471057, 1.0647707341518415)
     );
     for &(workers, threads) in &[(8usize, 4usize), (16, 8), (7, 3)] {
-        for &(stealing, chunk) in SCHEDULERS {
-            let mut cfg = sync_cfg(6, threads);
-            cfg.work_stealing = stealing;
-            cfg.steal_chunk = chunk;
-            let p = Placement::contiguous(2000, workers);
-            let r = partition_with_placement(&g, &cfg, &p);
-            assert_eq!(
-                digest(&r),
-                digest(&reference),
-                "diverged: stealing={stealing} chunk={chunk} workers={workers} threads={threads}"
-            );
-        }
+        let cfg = sync_cfg(6, threads);
+        let p = Placement::contiguous(2000, workers);
+        let r = partition_with_placement(&g, &cfg, &p);
+        assert_eq!(
+            digest(&r),
+            digest(&reference),
+            "diverged: workers={workers} threads={threads}"
+        );
     }
 }
 

@@ -64,14 +64,6 @@ pub fn read_edge_list_file(path: impl AsRef<Path>) -> Result<DirectedGraph, Grap
     read_edge_list(std::fs::File::open(path)?)
 }
 
-/// Writes a directed graph to an edge-list file.
-pub fn write_edge_list_file(
-    g: &DirectedGraph,
-    path: impl AsRef<Path>,
-) -> Result<(), GraphError> {
-    write_edge_list(g, std::fs::File::create(path)?)
-}
-
 /// Writes a partitioning assignment as `vertex partition` lines — the output
 /// format the paper describes feeding into Giraph ("a list of pairs
 /// (v_i, l_j)", §V-F).

@@ -94,11 +94,6 @@ impl DeltaStream {
         self.window
     }
 
-    /// Consumes the stream, returning the final graph.
-    pub fn into_graph(self) -> DirectedGraph {
-        self.graph
-    }
-
     /// One attachment target for a new vertex: a degree-proportional
     /// endpoint with probability `hub_bias` (a uniformly random CSR slot's
     /// target has in-degree-proportional distribution), uniform otherwise.

@@ -8,10 +8,10 @@ use spinner_graph::VertexId;
 
 /// View over a vertex's adjacency: immutable targets, mutable edge values.
 ///
-/// Targets are sorted, so [`Edges::index_of`] is a binary search. A message
-/// handler that needs the value of the edge a message arrived over need not
-/// search at all when the sender broadcasts: [`Program::stamp`] hands the
-/// receiver that edge's weight inside the message.
+/// Targets are sorted. A message handler that needs the value of the edge a
+/// message arrived over need not search at all when the sender broadcasts:
+/// [`Program::stamp`] hands the receiver that edge's weight inside the
+/// message.
 ///
 /// [`Program::stamp`]: crate::program::Program::stamp
 pub struct Edges<'a, E> {
@@ -32,12 +32,6 @@ impl<'a, E> Edges<'a, E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
-    }
-
-    /// Position of `target` in the adjacency, if present.
-    #[inline]
-    pub fn index_of(&self, target: VertexId) -> Option<usize> {
-        self.targets.binary_search(&target).ok()
     }
 
     /// Iterates `(target, &value)`.

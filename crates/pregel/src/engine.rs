@@ -25,8 +25,9 @@
 //! barrier-driven protocol replaces the per-superstep thread
 //! spawn/join of earlier versions. Within each phase
 //! the logical workers are claimed through atomic tokens rather than
-//! statically partitioned, so idle threads steal work from skewed ones
-//! (see [`EngineConfig::work_stealing`]); compute itself walks each
+//! statically partitioned: each thread runs its own contiguous block
+//! first, then steals what its siblings have not claimed (see
+//! `Engine::run_pooled`); compute itself walks each
 //! worker's maintained active list instead of every vertex (see
 //! [`EngineConfig::dense_scan`] for the dense verification arm). All
 //! message buffers are reused across supersteps, so the steady-state
@@ -77,20 +78,9 @@ pub struct EngineConfig {
     /// broadcast, since the lane's load-time structures cost an extra
     /// O(E) build pass and O(V) offsets per worker). Default `true`.
     pub broadcast_fabric: bool,
-    /// Enable work stealing in the pooled superstep loop: logical workers
-    /// are claimed per phase through atomic tokens, so a thread that
-    /// finishes its preferred chunk steals whatever its siblings have not
-    /// claimed yet instead of idling at the barrier. Results are identical
-    /// either way — a worker's phase runs exactly once on exactly one
-    /// thread, and all cross-worker merges happen in worker order on the
-    /// engine thread. `false` pins every worker to its static owner
-    /// (the pre-stealing schedule). Default `true`.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub work_stealing: bool,
-    /// Preferred-chunk granularity for the pooled scheduler: worker `w`'s
-    /// preferred thread is `(w / steal_chunk) % threads`. `0` (the default)
-    /// picks `num_workers.div_ceil(threads)` — the contiguous blocks of the
-    /// static schedule. Smaller chunks interleave ownership, which spreads
-    /// hot workers across threads even before stealing kicks in.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub steal_chunk: usize,
     /// Drive the compute phase by a dense `0..n_local` scan (with a
     /// halted/empty-inbox skip) instead of the maintained active list. Both
@@ -107,16 +97,9 @@ pub struct EngineConfig {
     /// boundary a distributed (TCP/UDS) backend plugs into. Results are
     /// bit-identical across transports; only bytes and buffers differ.
     pub transport: TransportKind,
-    /// Frame encoding used when `transport` serialises
-    /// ([`WireFormat::Compact`], the only one). Ignored on the direct path.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub wire_format: WireFormat,
-    /// Sender-side combiner folding on the wire path: records to the same
-    /// destination vertex are folded through [`Program::combine`] in the
-    /// outbox before framing. Bit-identical for a combiner that is
-    /// associative and always folds (the fold regroups the receiver's own
-    /// combine calls), so it defaults to `true`; `false` is the
-    /// verification arm, and the exact arm for a float or partial
-    /// combiner. Ignored on the direct path.
+    /// Ignored; deleted with ROADMAP item 0(b).
     pub sender_fold: bool,
     /// Retry/timeout budgets for the transport reliability layer. Every
     /// serialising transport is wrapped in
@@ -918,16 +901,15 @@ impl<P: Program> Engine<P> {
     /// assigned: `claims[w]` holds the next unclaimed phase token
     /// (`2 x superstep` for compute, `2 x superstep + 1` for delivery), and
     /// a thread takes worker `w` by compare-exchanging the token forward.
-    /// Every thread first walks its preferred chunks (worker `w` prefers
-    /// thread `(w / chunk) % threads`, reproducing the old contiguous
-    /// blocks when `steal_chunk` is 0), then — with `work_stealing` on —
-    /// sweeps the remaining workers from the high end, picking up whatever
-    /// slower siblings have not claimed. Exactly-once execution per phase
-    /// is guaranteed by the CAS; cross-phase visibility by the barriers
-    /// (a claim sweep completes before its thread's barrier wait, so every
-    /// worker's phase has run when the barrier releases). All cross-worker
-    /// merges happen in worker order on the engine thread, so the schedule
-    /// — static, stolen, or interleaved — never affects results. Transport
+    /// Thread `t` first walks its own block of
+    /// `num_workers.div_ceil(threads)` workers from `t x block`, then sweeps
+    /// all workers from the high end, stealing whatever slower siblings
+    /// have not claimed. Exactly-once execution per phase is guaranteed by
+    /// the CAS; cross-phase visibility by the barriers (a claim sweep
+    /// completes before its thread's barrier wait, so every worker's phase
+    /// has run when the barrier releases). All cross-worker merges happen
+    /// in worker order on the engine thread, so which thread ran a worker
+    /// never affects results. Transport
     /// errors are picked the same way (first publish-phase error in worker
     /// order, else first delivery-phase error), so the failure a run
     /// surfaces is independent of the thread count too.
@@ -948,22 +930,13 @@ impl<P: Program> Engine<P> {
         let max_supersteps = self.config.max_supersteps;
         let num_vertices = self.num_vertices;
         let dense_scan = self.config.dense_scan;
-        let work_stealing = self.config.work_stealing;
         // Shared by every pool thread (the grid and the transport are both
         // `Sync`).
         let fabric = match self.transport.as_deref() {
-            Some(transport) => Fabric::Wire {
-                transport,
-                format: self.config.wire_format,
-                fold: self.config.sender_fold,
-            },
+            Some(transport) => Fabric::Wire(transport),
             None => Fabric::Grid(&self.mail_grid),
         };
-        let chunk = if self.config.steal_chunk == 0 {
-            num_workers.div_ceil(threads)
-        } else {
-            self.config.steal_chunk
-        };
+        let block = num_workers.div_ceil(threads);
         // Split borrows: the worker cells move into the pool threads while
         // the engine thread keeps the master-owned state.
         let program = &self.program;
@@ -1005,24 +978,14 @@ impl<P: Program> Engine<P> {
                     .compare_exchange(token, token + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             };
-            // Walks this thread's preferred chunks, then (stealing on) the
-            // rest from the high end — farthest first from the low-indexed
-            // chunks the static schedule starts on.
+            // Walks this thread's own block, then steals the rest from the
+            // high end — farthest first from the low-indexed blocks the
+            // other threads start on.
             let sweep = |token: u64, run: &mut dyn FnMut(usize)| {
-                let mut start = t * chunk;
-                while start < num_workers {
-                    for w in start..(start + chunk).min(num_workers) {
-                        if claim(w, token) {
-                            run(w);
-                        }
-                    }
-                    start += threads * chunk;
-                }
-                if work_stealing {
-                    for w in (0..num_workers).rev() {
-                        if claim(w, token) {
-                            run(w);
-                        }
+                let own = t * block..((t + 1) * block).min(num_workers);
+                for w in own.chain((0..num_workers).rev()) {
+                    if claim(w, token) {
+                        run(w);
                     }
                 }
             };
@@ -1043,7 +1006,7 @@ impl<P: Program> Engine<P> {
                         lane_open,
                         dense_scan,
                     );
-                    if let Err(e) = w.publish(program, &fabric) {
+                    if let Err(e) = w.publish(&fabric) {
                         slots[wi].lock().expect("step slot").publish_error.get_or_insert(e);
                     }
                 });

@@ -45,8 +45,7 @@
 //! alone for a single-threaded run) created once per [`Engine::run`]
 //! drives the phases through a barrier protocol (no per-superstep thread
 //! spawns), claiming
-//! workers through atomic tokens so idle threads steal from skewed ones
-//! (see [`engine::EngineConfig::work_stealing`]).
+//! workers through atomic tokens so idle threads steal from skewed ones.
 //! Steady-state supersteps perform no heap allocation on the message path;
 //! [`WorkerMetrics::fabric_reallocs`] counts (and tests pin) any buffer
 //! growth.

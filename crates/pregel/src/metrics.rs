@@ -51,11 +51,6 @@ pub struct WorkerMetrics {
     /// Encoded frames published through the transport (at most one per
     /// destination worker per superstep).
     pub frames_sent: u64,
-    /// Outbox records eliminated by sender-side combiner folding before
-    /// framing (records to the same destination vertex merged through
-    /// [`crate::Program::combine`] — exactly the fold the receiver's
-    /// delivery would have applied, so results are unchanged).
-    pub wire_folded: u64,
     /// Frames the transport reliability layer re-published to recover a
     /// detected gap while delivering to this worker. Zero on the direct
     /// path and on any fault-free run — the delivery-overhead figure the
@@ -140,11 +135,6 @@ impl SuperstepMetrics {
         self.per_worker.iter().map(|w| w.frames_sent).sum()
     }
 
-    /// Total records eliminated by sender-side combiner folding.
-    pub fn wire_folded(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.wire_folded).sum()
-    }
-
     /// Total reliability-layer retransmissions during delivery.
     pub fn retransmits(&self) -> u64 {
         self.per_worker.iter().map(|w| w.retransmits).sum()
@@ -173,7 +163,8 @@ pub struct RunTotals {
     pub wire_bytes: u64,
     /// Total frames moved through the transport.
     pub wire_frames: u64,
-    /// Total outbox records eliminated by sender-side combiner folding.
+    /// Always 0: no record is folded before framing. Deleted with ROADMAP
+    /// item 0(b).
     pub wire_folded: u64,
     /// Total frames the transport reliability layer retransmitted (zero on
     /// the direct path and on fault-free runs).
@@ -193,7 +184,6 @@ impl RunTotals {
             t.wall_ns += s.wall_ns;
             t.wire_bytes += s.bytes_sent();
             t.wire_frames += s.frames_sent();
-            t.wire_folded += s.wire_folded();
             t.retransmits += s.retransmits();
         }
         t
@@ -218,18 +208,6 @@ impl RunTotals {
             0.0
         } else {
             self.wire_bytes as f64 / self.remote_messages as f64
-        }
-    }
-
-    /// Sender-side fold ratio: outbox records per record actually framed
-    /// (1.0 when nothing folded — direct path, fold disabled, or no
-    /// combiner; > 1.0 when the sender's combiner fold shrank the batch).
-    pub fn fold_ratio(&self) -> f64 {
-        let framed = self.remote_records.saturating_sub(self.wire_folded);
-        if framed == 0 {
-            1.0
-        } else {
-            self.remote_records as f64 / framed as f64
         }
     }
 
@@ -326,31 +304,25 @@ mod tests {
         let mut w = wm(0, 8);
         w.bytes_sent = 40;
         w.frames_sent = 2;
-        w.wire_folded = 1;
         w.retransmits = 1;
         let s =
             SuperstepMetrics { superstep: 0, per_worker: vec![w], wall_ns: 1, active_after: 0 };
         assert_eq!(s.bytes_sent(), 40);
         assert_eq!(s.frames_sent(), 2);
-        assert_eq!(s.wire_folded(), 1);
         assert_eq!(s.retransmits(), 1);
         let t = RunTotals::from_supersteps(&[s]);
         assert_eq!(t.wire_bytes, 40);
         assert_eq!(t.wire_frames, 2);
-        assert_eq!(t.wire_folded, 1);
         assert_eq!(t.retransmits, 1);
         assert!((t.retransmit_ratio() - 0.5).abs() < 1e-12);
         // 8 remote logical messages, 40 bytes => 5 bytes/message.
         assert!((t.wire_bytes_per_remote_message() - 5.0).abs() < 1e-12);
-        // 4 outbox records, 1 folded => 4/3.
-        assert!((t.fold_ratio() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn direct_path_ratios_are_neutral() {
         let t = RunTotals::default();
         assert_eq!(t.wire_bytes_per_remote_message(), 0.0);
-        assert_eq!(t.fold_ratio(), 1.0);
         assert_eq!(t.retransmit_ratio(), 0.0);
     }
 }

@@ -512,7 +512,7 @@ mod tests {
 
         let mut sender = Worker::<Wcc>::new(0, 2);
         sender.outboxes[1].push(false, 1, 7);
-        assert_eq!(sender.publish(&Wcc, &fabric), lane);
+        assert_eq!(sender.publish(&fabric), lane);
         assert!(sender.outboxes[1].is_empty(), "a failed publish still empties the outbox");
 
         let mut receiver = Worker::<Wcc>::new(1, 2);

@@ -22,17 +22,16 @@
 //! The broadcast flag rides in the **section header** — the wire form of
 //! the marks an in-memory batch keeps beside its records — so ids are full
 //! `u64` on the wire.
-//! The trailing `unicast_logical` varint carries the *pre-fold* logical
-//! unicast record count, so receiver-side `recv_remote` accounting is
-//! invariant under sender-side combiner folding. The CRC-32 covers every
+//! The trailing `unicast_logical` varint carries the count of the unicast
+//! records in the frame, which the receiver adds to its `recv_remote`
+//! accounting. The CRC-32 covers every
 //! preceding byte and is validated before anything is interpreted, so a
 //! torn or corrupted frame yields a typed [`WireError`], never a panic.
 //!
 //! Encoders split a unicast run defensively whenever the next id is
 //! smaller than the previous one, so arbitrary (unsorted) batches still
 //! round-trip bit-identically; the engine sorts runs by destination before
-//! encoding, which both maximizes delta compression and makes same-
-//! destination records adjacent for combiner folding.
+//! encoding, which maximizes delta compression.
 
 use crate::codec::{crc32, ByteReader, ByteWriter, CorruptError};
 use std::fmt;
@@ -159,10 +158,9 @@ pub struct WireRecord<M> {
 /// Encodes `records` into a frame, appending to `buf` (which the caller
 /// typically recycles via the transport so its capacity persists).
 ///
-/// `unicast_logical` is the *pre-fold* count of logical unicast records the
-/// batch represents; it rides in the frame trailer so receiver-side
-/// accounting is invariant under sender-side folding. Records are split
-/// into sections at every broadcast-flag change and at any descending
+/// `unicast_logical` is the count of the unicast records in the frame; it
+/// rides in the frame trailer for the receiver's accounting. Records are
+/// split into sections at every broadcast-flag change and at any descending
 /// unicast id, so unsorted input still round-trips.
 pub fn encode_frame<M: WirePayload>(
     format: WireFormat,
@@ -212,8 +210,8 @@ pub fn encode_frame<M: WirePayload>(
 pub const MIN_FRAME_LEN: usize = 7;
 
 /// Decodes a frame produced by [`encode_frame`], appending the records to
-/// `out` in their encoded order and returning the pre-fold logical unicast
-/// count from the trailer.
+/// `out` in their encoded order and returning the unicast count from the
+/// trailer.
 ///
 /// The CRC is validated **first**, before any field is interpreted; torn,
 /// truncated, or corrupted frames return a typed [`WireError`] and never

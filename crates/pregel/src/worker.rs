@@ -47,12 +47,12 @@ use spinner_graph::VertexId;
 use std::time::Instant;
 
 /// Where cross-worker batches go and come from: the in-memory `OutboxGrid`
-/// (zero-copy buffer swaps) or a serialising [`Transport`] (folded, framed
+/// (zero-copy buffer swaps) or a serialising [`Transport`] (framed
 /// batches). [`Worker::publish`] and [`Worker::deliver`] differ between the
 /// two only where they hand over or obtain a batch.
 pub(crate) enum Fabric<'a, M> {
     Grid(&'a OutboxGrid<M>),
-    Wire { transport: &'a dyn Transport, format: WireFormat, fold: bool },
+    Wire(&'a dyn Transport),
 }
 
 /// The per-superstep message volumes `load_topology` sizes one worker's
@@ -215,10 +215,10 @@ pub struct Worker<P: Program> {
     /// Current delivery epoch (bumped once per delivery phase).
     epoch: u64,
     /// Outboxes indexed by destination worker; handed to the [`Fabric`] at
-    /// the end of the compute phase (swapped into the grid, or folded and
+    /// the end of the compute phase (swapped into the grid, or sorted and
     /// encoded into transport frames).
     pub(crate) outboxes: Vec<Batch<P::M>>,
-    /// Wire publish scratch: the sorted/folded records of one frame.
+    /// Wire publish scratch: the sorted records of one frame.
     wire_stage: Vec<WireRecord<P::M>>,
     /// Wire publish scratch: `(id << 32) | position` sort keys — unique by
     /// position, so `sort_unstable` yields a *stable* by-destination order
@@ -369,11 +369,6 @@ impl<P: Program> Worker<P> {
             && self.local.marks.capacity() >= b.marks[self.id as usize]
             && self.outboxes.iter().zip(&b.marks).all(|(o, &n)| o.marks.capacity() >= n)
             && self.sort_keys.capacity() >= b.sort_keys
-    }
-
-    /// Number of vertices hosted here.
-    pub fn num_local_vertices(&self) -> usize {
-        self.global_ids.len()
     }
 
     /// Number of halted vertices (maintained, O(1)).
@@ -631,7 +626,7 @@ impl<P: Program> Worker<P> {
     /// On the grid each non-empty outbox is swapped with its (drained) cell,
     /// records and marks together — the capacities double-buffer between
     /// sender and grid, so neither side reallocates in the steady state. On
-    /// the wire each is folded, sorted and encoded into one frame (see
+    /// the wire each is sorted and encoded into one frame (see
     /// [`stage_frame`]) and published through the transport.
     ///
     /// Every outbox is emptied even when a publish fails, and the first
@@ -639,11 +634,7 @@ impl<P: Program> Worker<P> {
     /// metric state consistent for the abort path. A grid cell poisoned by
     /// a panicked peer reports [`TransportError::PeerPanicked`], exactly as
     /// a poisoned ring channel does.
-    pub(crate) fn publish(
-        &mut self,
-        program: &P,
-        fabric: &Fabric<'_, P::M>,
-    ) -> Result<(), TransportError> {
+    pub(crate) fn publish(&mut self, fabric: &Fabric<'_, P::M>) -> Result<(), TransportError> {
         let Self { id, outboxes, wire_stage, sort_keys, metrics, .. } = self;
         let me = *id as usize;
         let num_workers = outboxes.len();
@@ -663,12 +654,12 @@ impl<P: Program> Worker<P> {
                     }
                     Err(_) => Err(TransportError::PeerPanicked { src: me, dst }),
                 },
-                Fabric::Wire { transport, format, fold } => {
-                    let unicast_logical =
-                        stage_frame(program, outbox, fold, wire_stage, sort_keys, metrics);
+                Fabric::Wire(transport) => {
+                    let unicast_logical = stage_frame(outbox, wire_stage, sort_keys);
                     let buf = transport.begin(me, dst);
                     let cap = buf.capacity();
-                    let frame = encode_frame(format, wire_stage, unicast_logical, buf);
+                    let frame =
+                        encode_frame(WireFormat::Compact, wire_stage, unicast_logical, buf);
                     metrics.bytes_sent += frame.len() as u64;
                     metrics.frames_sent += 1;
                     // Frame-buffer growth is fabric growth: recycling keeps
@@ -712,10 +703,10 @@ impl<P: Program> Worker<P> {
     /// weight ([`Program::stamp`]) on its way into the inbox. Messages keep
     /// (source-worker, send-order) order per vertex.
     ///
-    /// Logical receive accounting is fabric- and fold-invariant: a broadcast
-    /// record counts its fan-out width, and a wire frame's trailer carries
-    /// its *pre-fold* unicast count — so `recv_remote` matches bit-for-bit
-    /// across every transport × fold arm.
+    /// Logical receive accounting is fabric-invariant: a broadcast record
+    /// counts its fan-out width, and a wire frame's trailer carries its
+    /// unicast count — so `recv_remote` matches bit-for-bit across
+    /// transports.
     ///
     /// On a typed failure the remaining sources are still delivered and the
     /// tail still runs — buffer and scheduler state stay consistent for the
@@ -764,7 +755,7 @@ impl<P: Program> Worker<P> {
         };
 
         let mut failure: Option<TransportError> = None;
-        if let Fabric::Wire { transport, .. } = *fabric {
+        if let Fabric::Wire(transport) = *fabric {
             // `take` consumes frames, so the superstep's frames are decoded
             // up front, straight into the one buffer both passes read.
             let retransmits_before = transport.recv_stats(me).retransmits;
@@ -815,7 +806,7 @@ impl<P: Program> Worker<P> {
                         failure.get_or_insert(TransportError::PeerPanicked { src, dst: me });
                     }
                 },
-                Fabric::Wire { .. } => {
+                Fabric::Wire(_) => {
                     for rec in &wire_recv[wire_bounds[src]..wire_bounds[src + 1]] {
                         let expanded = count(rec.broadcast, rec.id);
                         // Unicasts were counted from the frame trailer.
@@ -903,7 +894,7 @@ impl<P: Program> Worker<P> {
                         cell.drain(&mut scatter);
                     }
                 }
-                Fabric::Wire { .. } => {
+                Fabric::Wire(_) => {
                     let len = wire_bounds[src + 1] - wire_bounds[src];
                     for rec in wire.by_ref().take(len) {
                         scatter(rec.broadcast, rec.id, rec.msg);
@@ -1127,31 +1118,21 @@ impl SleepQueue {
 }
 
 /// Copies one outbox into `stage` as the records of one wire frame and
-/// returns its pre-fold unicast count (the frame trailer's logical count).
+/// returns its unicast record count (the frame trailer's logical count).
 ///
 /// Within each maximal unicast run (broadcast records — the marked
 /// positions — are never crossed), records are stably sorted by destination
-/// id and consecutive same-destination records are folded through
-/// [`Program::combine`] when `fold` is on. Folding regroups the combiner's
-/// calls: a receiver whose inbox already holds `p` gets `p ⊕ (m1 ⊕ m2)`
-/// where an unfolded frame would give `(p ⊕ m1) ⊕ m2`. Results are
-/// therefore bit-identical for a combiner that is associative and always
-/// folds (integer min or sum), not for a float sum or a partial combiner
-/// (one that may return `false`); the `fabric_grid` delivery oracle pins
-/// the exact cases. Sorting only permutes records *across* destinations
-/// inside a run, never within one (the sort keys embed the original
-/// position), so per-vertex delivery order is preserved exactly.
-fn stage_frame<P: Program>(
-    program: &P,
-    outbox: &Batch<P::M>,
-    fold: bool,
-    stage: &mut Vec<WireRecord<P::M>>,
+/// id, so the frame's ids delta-encode. Sorting only permutes records
+/// *across* destinations inside a run, never within one (the sort keys
+/// embed the original position), so per-vertex delivery order is preserved
+/// exactly.
+fn stage_frame<M: Clone>(
+    outbox: &Batch<M>,
+    stage: &mut Vec<WireRecord<M>>,
     sort_keys: &mut Vec<u64>,
-    metrics: &mut WorkerMetrics,
 ) -> u64 {
     let Batch { records, marks } = outbox;
     stage.clear();
-    let mut unicast_logical = 0u64;
     let mut mi = 0usize;
     let mut pos = 0usize;
     while pos < records.len() {
@@ -1168,30 +1149,19 @@ fn stage_frame<P: Program>(
         }
         let run_end = if mi < marks.len() { marks[mi] as usize } else { records.len() };
         let run = &records[pos..run_end];
-        unicast_logical += run.len() as u64;
         sort_keys.clear();
         for (k, &(idv, _)) in run.iter().enumerate() {
             sort_keys.push((u64::from(idv) << 32) | k as u64);
         }
         sort_keys.sort_unstable();
         for &key in sort_keys.iter() {
-            let idv = key >> 32;
             let msg = run[(key & 0xFFFF_FFFF) as usize].1.clone();
-            if fold {
-                if let Some(last) = stage.last_mut() {
-                    if !last.broadcast && last.id == idv && program.combine(&mut last.msg, &msg)
-                    {
-                        metrics.wire_folded += 1;
-                        continue;
-                    }
-                }
-            }
-            stage.push(WireRecord { broadcast: false, id: idv, msg });
+            stage.push(WireRecord { broadcast: false, id: key >> 32, msg });
         }
         pos = run_end;
     }
     debug_assert_eq!(mi, marks.len());
-    unicast_logical
+    (records.len() - marks.len()) as u64
 }
 
 /// The local indices one inbound record delivers to, each shifted left by
@@ -1218,7 +1188,7 @@ fn record_targets<'a>(
 }
 
 /// Takes every frame `src` sent `me` this superstep and decodes it onto the
-/// end of `out`. Returns the frames' summed pre-fold unicast count and the
+/// end of `out`. Returns the frames' summed unicast count and the
 /// first failure, which ends the source: a frame that does not decode —
 /// only a corruption the reliability layer's CRC misses, as it NACKs every
 /// frame that fails the check — is dropped whole (typed, not a panic).

@@ -394,7 +394,7 @@ fn concat(acc: &mut Run, msg: &Run) {
     acc.1 += msg.1;
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 enum Combiner {
     Off,
     /// Always concatenates.
@@ -524,9 +524,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every vertex's inbox, every superstep, equals the naive reference on
-    /// both fabrics, with and without sender folding, the broadcast lane and
-    /// a total or partial combiner — random unicasts and broadcasts, local
-    /// and remote.
+    /// both fabrics, with and without the broadcast lane and a total or
+    /// partial combiner — random unicasts and broadcasts, local and remote.
     #[test]
     fn inboxes_match_a_naive_walk_of_the_sources(
         seed in any::<u64>(),
@@ -542,24 +541,13 @@ proptest! {
         for combiner in [Combiner::Off, Combiner::Total, Combiner::Partial] {
             let program = Traffic { seed, combiner, steps: 5 };
             let expect = reference_inboxes(&g, &placement, &program);
-            for (transport, sender_fold) in [
-                (TransportKind::Direct, false),
-                (TransportKind::Ring, false),
-                (TransportKind::Ring, true),
-            ] {
-                // Sender folding regroups a partial combiner's calls (it
-                // folds a run before the receiver sees its first message),
-                // so only total combiners are exact under it.
-                if sender_fold && combiner == Combiner::Partial {
-                    continue;
-                }
+            for transport in [TransportKind::Direct, TransportKind::Ring] {
                 for broadcast_fabric in [true, false] {
                     let cfg = EngineConfig {
                         num_threads: threads,
                         max_supersteps: 20,
                         seed: 1,
                         transport,
-                        sender_fold,
                         broadcast_fabric,
                         ..EngineConfig::default()
                     };
@@ -575,9 +563,8 @@ proptest! {
                     prop_assert_eq!(
                         engine.collect_values(),
                         expect.clone(),
-                        "{:?} fold={} lane={} {:?}",
+                        "{:?} lane={} {:?}",
                         transport,
-                        sender_fold,
                         broadcast_fabric,
                         combiner
                     );

@@ -1,8 +1,8 @@
 //! Wire-format and transport properties: arbitrary record batches must
 //! round-trip bit-identically through `encode_frame`/`decode_frame`, torn,
 //! corrupted or unknown-format frames must surface as typed errors (never a
-//! panic), and a full engine run must produce bit-identical results across
-//! every `{transport} x {sender fold}` arm.
+//! panic), and a full engine run must produce bit-identical results on
+//! either transport.
 
 use proptest::prelude::*;
 use spinner_graph::generators::{planted_partition, SbmConfig};
@@ -214,9 +214,9 @@ struct Trace {
     values: Vec<u32>,
     history: Vec<HistoryRow>,
     halt_supersteps: u64,
-    /// Remote records per framed record after sender-side folding.
-    fold_ratio: f64,
     wire_bytes: u64,
+    wire_frames: u64,
+    remote_records: u64,
     wire_folded: u64,
     /// Fabric growth events per superstep, to pin the steady state.
     reallocs: Vec<u64>,
@@ -224,20 +224,26 @@ struct Trace {
 
 struct Arm {
     transport: TransportKind,
-    fold: bool,
+    /// Sets the fields the engine ignores (`sender_fold`, `work_stealing`,
+    /// `steal_chunk`) away from their defaults.
+    ignored_fields: bool,
 }
 
 fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> Trace {
     let workers = 4;
     let placement = Placement::hashed(g.num_vertices(), workers, 9);
-    let cfg = EngineConfig {
+    let mut cfg = EngineConfig {
         num_threads: threads,
         max_supersteps: 200,
         seed: 3,
         transport: arm.transport,
-        sender_fold: arm.fold,
         ..EngineConfig::default()
     };
+    if arm.ignored_fields {
+        cfg.sender_fold = false;
+        cfg.work_stealing = false;
+        cfg.steal_chunk = 7;
+    }
     let mut engine =
         Engine::from_directed(program, g, &placement, cfg, |_| u32::MAX, |_, _, _| ());
     let summary = engine.run();
@@ -254,8 +260,9 @@ fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> T
             })
             .collect(),
         halt_supersteps: summary.supersteps,
-        fold_ratio: totals.fold_ratio(),
         wire_bytes: totals.wire_bytes,
+        wire_frames: totals.wire_frames,
+        remote_records: totals.remote_records,
         wire_folded: totals.wire_folded,
         reallocs: summary
             .metrics
@@ -265,60 +272,45 @@ fn run_arm(g: &DirectedGraph, threads: usize, program: MinLabel, arm: &Arm) -> T
     }
 }
 
-/// The full `{transport} x {fold}` grid, with and without a combiner,
-/// unicast and broadcast sends, serial and pooled: values and the logical
-/// message history must be bit-identical to the direct path everywhere,
-/// while the wire arms actually serialise (bytes > 0), and folding only
-/// ever removes records the combiner would have folded on the receiver
-/// anyway — and, with a combiner, shrinks the frames.
+/// Both transports, with and without a combiner, unicast and broadcast
+/// sends, serial and pooled: values and the logical message history must be
+/// bit-identical to the direct path everywhere, while the wire arms actually
+/// serialise (bytes > 0) and fold nothing. The last Ring arm sets the fields
+/// the engine ignores away from their defaults; its values and wire counters
+/// must equal the default Ring run's exactly.
 #[test]
 fn wire_arms_are_bit_identical_to_direct() {
     let g = sbm();
-    let arms = [
-        Arm { transport: TransportKind::Ring, fold: false },
-        Arm { transport: TransportKind::Ring, fold: true },
-    ];
+    let ring = |ignored_fields| Arm { transport: TransportKind::Ring, ignored_fields };
     for &combine in &[false, true] {
         for &broadcast in &[false, true] {
             for &threads in &[1usize, 3] {
-                let direct = run_arm(
-                    &g,
-                    threads,
-                    MinLabel { combine, broadcast },
-                    &Arm { transport: TransportKind::Direct, fold: true },
-                );
+                let run =
+                    |arm: &Arm| run_arm(&g, threads, MinLabel { combine, broadcast }, arm);
+                let direct =
+                    run(&Arm { transport: TransportKind::Direct, ignored_fields: false });
                 assert_eq!(direct.wire_bytes, 0, "direct path never serialises");
-                // Frame bytes by `[fold]`.
-                let mut bytes = [0u64; 2];
-                for arm in &arms {
-                    let t = run_arm(&g, threads, MinLabel { combine, broadcast }, arm);
+                let [plain, ignored] = [ring(false), ring(true)].map(|arm| {
+                    let t = run(&arm);
                     let tag = format!(
                         "combine={combine} broadcast={broadcast} threads={threads} \
-                         fold={}",
-                        arm.fold
+                         ignored_fields={}",
+                        arm.ignored_fields
                     );
                     assert_eq!(t.values, direct.values, "values diverged: {tag}");
                     assert_eq!(t.history, direct.history, "history diverged: {tag}");
                     assert_eq!(t.halt_supersteps, direct.halt_supersteps, "{tag}");
                     assert!(t.wire_bytes > 0, "wire arm must serialise: {tag}");
-                    if combine && arm.fold {
-                        assert!(t.wire_folded > 0, "combiner fold must engage: {tag}");
-                        // Broadcast records never fold; only the unicasts do.
-                        let ratio =
-                            if broadcast { 1.0023658139878753 } else { 2.159163319019255 };
-                        assert_eq!(t.fold_ratio, ratio, "{tag}");
-                    } else {
-                        assert_eq!(t.wire_folded, 0, "nothing to fold: {tag}");
-                    }
+                    assert_eq!(t.wire_folded, 0, "no record is folded: {tag}");
                     // Steady state: once capacities warm up the wire path
                     // allocates nothing — the tail supersteps are all zero.
                     let tail: u64 = t.reallocs.iter().skip(3).sum();
                     assert_eq!(tail, 0, "fabric must stop allocating: {tag}");
-                    bytes[usize::from(arm.fold)] = t.wire_bytes;
-                }
-                if combine {
-                    assert!(bytes[1] < bytes[0], "no fold gain: combine broadcast={broadcast}");
-                }
+                    t
+                });
+                let counters = |t: &Trace| (t.wire_bytes, t.wire_frames, t.remote_records);
+                assert_eq!(ignored.values, plain.values, "ignored fields moved a value");
+                assert_eq!(counters(&ignored), counters(&plain), "ignored fields moved a byte");
             }
         }
     }

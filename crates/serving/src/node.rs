@@ -884,10 +884,7 @@ mod tests {
         let mut tuned = plain.clone();
         tuned.cfg.num_threads = 3;
         tuned.cfg.transport = TransportKind::Ring;
-        tuned.cfg.work_stealing = false;
-        tuned.cfg.steal_chunk = 7;
         tuned.cfg.dense_scan = true;
-        tuned.cfg.sender_fold = false;
         tuned.cfg.broadcast_fabric = false;
         tuned.cfg.in_engine_conversion = true;
         tuned.cfg.transport_retry = RetryConfig {
