@@ -622,7 +622,7 @@ mod tests {
         );
         let entries = g.num_adjacency_entries() as usize;
         assert_eq!(spinner.memory_bytes() - bare.memory_bytes(), entries);
-        assert_eq!((entries, spinner.memory_bytes()), (454_716, 5_192_332));
+        assert_eq!((entries, spinner.memory_bytes()), (454_716, 5_168_332));
     }
 }
 

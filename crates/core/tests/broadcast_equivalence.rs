@@ -198,6 +198,6 @@ fn ring_stream_matches_direct_stream() {
     }
     let bytes: Vec<u64> =
         sessions.iter().map(|s| s.windows().iter().map(|w| w.wire_bytes()).sum()).collect();
-    assert_eq!(bytes, [0, 63_417], "direct, ring");
+    assert_eq!(bytes, [0, 62_469], "direct, ring");
     assert_eq!(direct.last().phi(), 0.33836978131212725);
 }

@@ -6,12 +6,10 @@
 //! also the engine's primary correctness tests, since their fixpoints are
 //! independently checkable.
 
-mod degree;
 mod pagerank;
 mod sssp;
 mod wcc;
 
-pub use degree::{run_degree_count, DegreeCount};
 pub use pagerank::{run_pagerank, PageRank};
 pub use sssp::{run_sssp, Sssp, UNREACHED};
 pub use wcc::{run_wcc, Wcc};

@@ -348,32 +348,58 @@ fn fan_entry<P: Program>(li: usize, weight: u8) -> u32 {
     (li as u32) << P::STAMP_BITS | weight
 }
 
-/// Lists the destination workers of one row in first-occurrence order,
-/// each as `(worker, adjacency position of its first entry, entry count)`,
-/// into `dests`. `dst_count` is zeroed scratch of one slot per worker and
-/// is left zeroed.
-fn row_destinations(
+/// Scratch for [`plan_row`]: `dst_count` holds one zeroed slot per worker,
+/// and `dests` a row's destination workers, each with the adjacency
+/// position of its first entry.
+#[derive(Default)]
+struct PlanScratch {
+    dst_count: Vec<u32>,
+    dests: Vec<(WorkerId, u32)>,
+}
+
+/// Appends the broadcast plan of one row of a vertex on worker `me`: one
+/// entry per destination worker of the row, in first-occurrence order, to
+/// `workers`, and beside it to `lone` the adjacency position of the one
+/// neighbour the row has there, or `BROADCAST_MULTI` when it has several.
+/// Returns the row's entries on `me`.
+fn plan_row(
+    me: WorkerId,
     row: &[VertexId],
     worker_of: &[WorkerId],
-    dst_count: &mut [u32],
-    dests: &mut Vec<(WorkerId, u32, u32)>,
-) {
+    scratch: &mut PlanScratch,
+    workers: &mut Vec<WorkerId>,
+    lone: &mut Vec<u32>,
+) -> u32 {
+    let PlanScratch { dst_count, dests } = scratch;
     // Every entry is written at the cursor, which only a first occurrence
     // advances: no branch on the (unpredictable) first occurrences.
     dests.clear();
-    dests.resize(row.len().min(dst_count.len()) + 1, (0, 0, 0));
+    dests.resize(row.len().min(dst_count.len()) + 1, (0, 0));
     let mut len = 0;
     for (i, &t) in row.iter().enumerate() {
         let dst = worker_of[t as usize];
         let count = &mut dst_count[dst as usize];
-        dests[len] = (dst, i as u32, 0);
+        dests[len] = (dst, i as u32);
         len += usize::from(*count == 0);
         *count += 1;
     }
-    dests.truncate(len);
-    for (dst, _, count) in dests.iter_mut() {
-        *count = std::mem::take(&mut dst_count[*dst as usize]);
-    }
+    let dests = &dests[..len];
+    workers.extend(dests.iter().map(|&(dst, _)| dst));
+    let mut local = 0;
+    // A lone neighbour on a worker ships as a unicast. Reading each count
+    // zeroes its slot for the next row.
+    lone.extend(dests.iter().map(|&(dst, first)| {
+        let count = std::mem::take(&mut dst_count[dst as usize]);
+        if dst == me {
+            local = count;
+        }
+        if count == 1 {
+            first
+        } else {
+            BROADCAST_MULTI
+        }
+    }));
+    local
 }
 
 impl<P: Program> Engine<P> {
@@ -577,31 +603,11 @@ impl<P: Program> Engine<P> {
         // First pass: assign vertices and values.
         self.host_vertices(placement, &mut vertex_init);
         debug_assert_eq!(self.num_vertices, u64::from(n));
-        // Second pass, worker by worker: the CSR, the broadcast plan, and
-        // the counts that bound the message fabric. Each row's plan is built
-        // in two phases: first every entry's destination worker and the
-        // count per destination, then one plan entry per destination, in
-        // first-occurrence order.
+        // Second pass, worker by worker: the CSR and the broadcast plan.
         let build_fanout = self.config.broadcast_fabric;
-        let wired = self.transport.is_some();
         let worker_of = &self.worker_of;
-        // `inbound[dst]`: adjacency entries addressed to `dst` from other
-        // workers, the delivery volume one send-along-edges superstep brings.
-        let mut inbound = vec![0usize; num_workers];
-        // `plan_in[dst]`: plan entries addressed to `dst` from other workers
-        // — the records one all-broadcast superstep ships to `dst`, which
-        // bounds its decoded wire records.
-        let mut plan_in = vec![0usize; num_workers];
-        // `lone[dst]`: the current worker's lone-neighbour plan entries for
-        // `dst` — the unicast records of one all-broadcast superstep's frame
-        // to `dst`, which bound that frame's wire sort keys.
-        let mut lone = vec![0usize; num_workers];
-        let mut dests: Vec<(WorkerId, u32, u32)> = Vec::new();
-        let mut dst_count = vec![0u32; num_workers];
+        let mut scratch = PlanScratch { dst_count: vec![0; num_workers], dests: Vec::new() };
         for w in &mut self.workers {
-            let me = w.id as usize;
-            w.bounds.reset(num_workers);
-            lone.fill(0);
             let mut edge_count = 0usize;
             for &gid in &w.global_ids {
                 edge_count += neighbors(gid).len();
@@ -619,50 +625,19 @@ impl<P: Program> Engine<P> {
                 w.edge_values.extend(
                     ts.iter().enumerate().map(|(i, &t)| edge_init(gid, t, weight_at(gid, i))),
                 );
-                row_destinations(ts, worker_of, &mut dst_count, &mut dests);
-                let mut local_count = 0u32;
-                for &(dst, first, count) in &dests {
-                    let d = dst as usize;
-                    if d == me {
-                        local_count = count;
-                    } else {
-                        inbound[d] += count as usize;
-                    }
-                    if build_fanout {
-                        w.plan_workers.push(dst);
-                        plan_in[d] += usize::from(d != me);
-                        if count == 1 {
-                            // A lone neighbour on `dst` ships as a unicast.
-                            w.plan_lone.push(first);
-                            lone[d] += 1;
-                        } else {
-                            w.plan_lone.push(BROADCAST_MULTI);
-                            w.bounds.marks[d] += 1;
-                        }
-                    }
-                }
-                w.bounds.local += local_count as usize;
                 w.offsets.push(w.targets.len() as u64);
                 if build_fanout {
+                    let (workers, lone) = (&mut w.plan_workers, &mut w.plan_lone);
+                    let local = plan_row(w.id, ts, worker_of, &mut scratch, workers, lone);
+                    w.plan_local.push(local);
                     w.plan_offsets.push(w.plan_workers.len() as u32);
-                    w.plan_local.push(local_count);
-                    w.plan_remote.push(ts.len() as u32 - local_count);
                 }
             }
             // Lengths only grow, so the `as u32` offsets above were exact
             // if the final one is.
-            checked_u32(me, "broadcast plan entries", w.plan_workers.len());
-            if wired {
-                // A warm run may reach its all-broadcast superstep only
-                // late, so the sort keys of its largest outbound frame are
-                // reserved at load rather than grown then.
-                let others = lone.iter().enumerate().filter(|&(dst, _)| dst != me);
-                w.bounds.sort_keys = others.map(|(_, &n)| n).max().unwrap_or(0);
-            }
+            checked_u32(w.id as usize, "broadcast plan entries", w.plan_workers.len());
         }
-        for ((w, inb), plan_inb) in self.workers.iter_mut().zip(inbound).zip(plan_in) {
-            w.bounds.set_inbound(inb, plan_inb, wired, build_fanout);
-        }
+        self.count_bounds();
         self.size_fabric();
         if build_fanout {
             // Each worker's fan-out index is the transpose of its in-rows.
@@ -743,6 +718,78 @@ impl<P: Program> Engine<P> {
             w.halted.push(false);
         }
         self.num_vertices = n as u64;
+    }
+
+    /// Counts every worker's [`Worker::bounds`] from the loaded topology:
+    /// the per-superstep message volumes its fabric is sized for. On
+    /// symmetric rows with the broadcast lane on they are read off the
+    /// plan, since the entries other workers address to a worker are then
+    /// its own rows' remote entries; otherwise the adjacency entries are
+    /// counted by destination in one pass over the loaded targets.
+    fn count_bounds(&mut self) {
+        let num_workers = self.workers.len();
+        let (lane, wired) = (self.config.broadcast_fabric, self.transport.is_some());
+        let from_plan = lane && self.rows == Rows::Symmetric;
+        let worker_of = &self.worker_of;
+        // `inbound[dst]`: adjacency entries addressed to `dst` from other
+        // workers, the delivery volume one send-along-edges superstep brings.
+        let mut inbound = vec![0usize; num_workers];
+        // `plan_in[dst]`: plan entries addressed to `dst` from other workers
+        // — the records one all-broadcast superstep ships to `dst`, which
+        // bounds its decoded wire records.
+        let mut plan_in = vec![0usize; num_workers];
+        // `lone[dst]`: the current worker's lone-neighbour plan entries for
+        // `dst` — the unicast records of one all-broadcast superstep's frame
+        // to `dst`, which bound that frame's wire sort keys.
+        let mut lone = vec![0usize; num_workers];
+        for w in &mut self.workers {
+            let me = w.id as usize;
+            let b = &mut w.bounds;
+            b.reset(num_workers);
+            lone.fill(0);
+            for (&dst, &first) in w.plan_workers.iter().zip(&w.plan_lone) {
+                let d = dst as usize;
+                plan_in[d] += usize::from(d != me);
+                if first == BROADCAST_MULTI {
+                    b.marks[d] += 1;
+                } else {
+                    lone[d] += 1;
+                }
+            }
+            if from_plan {
+                b.local = w.plan_local.iter().map(|&c| c as usize).sum();
+                inbound[me] = w.targets.len() - b.local;
+            } else {
+                for &t in &w.targets {
+                    let d = worker_of[t as usize] as usize;
+                    if d == me {
+                        b.local += 1;
+                    } else {
+                        inbound[d] += 1;
+                    }
+                }
+            }
+            if wired {
+                // A warm run may reach its all-broadcast superstep only
+                // late, so the sort keys of its largest outbound frame are
+                // reserved at load rather than grown then.
+                lone[me] = 0;
+                b.sort_keys = lone.iter().copied().max().unwrap_or(0);
+            }
+        }
+        for w in &mut self.workers {
+            let me = w.id as usize;
+            // The flat inbox sees every message; the fast-path queue only
+            // the worker-local ones; the wire only the others, as one record
+            // per plan entry when every sender broadcasts (a unicast-only
+            // program's first wired superstep grows it to `inbound`).
+            w.bounds.inbox = inbound[me] + w.bounds.local;
+            w.bounds.wire_records = match (wired, lane) {
+                (false, _) => 0,
+                (true, true) => plan_in[me],
+                (true, false) => inbound[me],
+            };
+        }
     }
 
     /// Resets every worker's message fabric for its hosted vertices and
@@ -1185,7 +1232,6 @@ impl<P: Program> Engine<P> {
                 + bytes(&w.plan_workers[..])
                 + bytes(&w.plan_lone[..])
                 + bytes(&w.plan_local[..])
-                + bytes(&w.plan_remote[..])
                 + bytes(&w.fan_offsets[..])
                 + bytes(&w.fan_targets[..])
         };

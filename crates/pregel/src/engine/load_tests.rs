@@ -79,7 +79,6 @@ struct Topology {
     plan_workers: Vec<WorkerId>,
     plan_lone: Vec<u32>,
     plan_local: Vec<u32>,
-    plan_remote: Vec<u32>,
     fan_offsets: Vec<u32>,
     fan_targets: Vec<u32>,
     bounds: FabricBounds,
@@ -125,7 +124,6 @@ fn reference(load: &Load<'_>, d: usize) -> Topology {
         plan_workers: Vec::new(),
         plan_lone: Vec::new(),
         plan_local: Vec::new(),
-        plan_remote: Vec::new(),
         fan_offsets: Vec::new(),
         fan_targets: Vec::new(),
         bounds: FabricBounds { marks: vec![0; num_workers], ..FabricBounds::default() },
@@ -165,7 +163,6 @@ fn reference(load: &Load<'_>, d: usize) -> Topology {
         }
         t.plan_offsets.push(t.plan_workers.len() as u32);
         t.plan_local.push(local);
-        t.plan_remote.push(row.len() as u32 - local);
     }
     let mut from_others = 0;
     let mut plan_entries_from_others = 0;
@@ -218,7 +215,6 @@ fn loaded<P: Program<E = u8>>(engine: &Engine<P>, d: usize) -> Topology {
         plan_workers: w.plan_workers.clone(),
         plan_lone: w.plan_lone.clone(),
         plan_local: w.plan_local.clone(),
-        plan_remote: w.plan_remote.clone(),
         fan_offsets: w.fan_offsets.clone(),
         fan_targets: w.fan_targets.clone(),
         bounds: w.bounds.clone(),
@@ -318,8 +314,9 @@ proptest! {
     }
 
     /// A cold build from a directed graph loads exactly the reference
-    /// arrays: each fan-out entry lists a sender's out-neighbour and keeps
-    /// the weight of the sender's own edge value.
+    /// arrays, with and without the broadcast lane: each fan-out entry
+    /// lists a sender's out-neighbour and keeps the weight of the sender's
+    /// own edge value.
     #[test]
     fn directed_load_matches_the_reference(
         n in 1u32..40,
@@ -335,27 +332,29 @@ proptest! {
             .map(|s| g.out_neighbors(s).iter().map(|&t| (t, directed_value(s, t))).collect())
             .collect();
         for transport in TRANSPORTS {
-            let load = Load {
-                rows: &rows,
-                worker_of: placement.as_slice(),
-                num_workers: workers,
-                stamp_bits: 2,
-                broadcast: true,
-                wired: transport == TransportKind::Ring,
-            };
-            let cfg = config(workers, transport, true);
-            let engine = Engine::from_directed(
-                Stamped,
-                &g,
-                &placement,
-                cfg.clone(),
-                |_| (),
-                |s, t, _| directed_value(s, t),
-            );
-            check(&engine, &load)?;
-            let value = |s, t, _| directed_value(s, t);
-            let engine = Engine::from_directed(Plain, &g, &placement, cfg, |_| (), value);
-            check(&engine, &Load { stamp_bits: 0, ..load })?;
+            for broadcast in [true, false] {
+                let load = Load {
+                    rows: &rows,
+                    worker_of: placement.as_slice(),
+                    num_workers: workers,
+                    stamp_bits: 2,
+                    broadcast,
+                    wired: transport == TransportKind::Ring,
+                };
+                let cfg = config(workers, transport, broadcast);
+                let engine = Engine::from_directed(
+                    Stamped,
+                    &g,
+                    &placement,
+                    cfg.clone(),
+                    |_| (),
+                    |s, t, _| directed_value(s, t),
+                );
+                check(&engine, &load)?;
+                let value = |s, t, _| directed_value(s, t);
+                let engine = Engine::from_directed(Plain, &g, &placement, cfg, |_| (), value);
+                check(&engine, &Load { stamp_bits: 0, ..load })?;
+            }
         }
     }
 

@@ -18,9 +18,9 @@
 //! graph after every patched re-host and assert that every per-worker array
 //! and bound came out the same.
 
-use super::{check_fan_locals, checked_u32, fan_entry, row_destinations, Engine, Rows};
+use super::{check_fan_locals, checked_u32, fan_entry, plan_row, Engine, PlanScratch, Rows};
 use crate::program::Program;
-use crate::types::{WorkerId, BROADCAST_MULTI};
+use crate::types::WorkerId;
 use crate::worker::Worker;
 use crate::Placement;
 use spinner_graph::buffer::refit;
@@ -53,8 +53,7 @@ struct PlanSpare {
     offsets: Vec<u32>,
     workers: Vec<WorkerId>,
     lone: Vec<u32>,
-    dests: Vec<(WorkerId, u32, u32)>,
-    dst_count: Vec<u32>,
+    scratch: PlanScratch,
 }
 
 impl<P: Program> Engine<P> {
@@ -97,6 +96,7 @@ impl<P: Program> Engine<P> {
         self.restart(program);
         self.host_vertices(placement, &mut init_v);
         self.patch_rows(graph, old_n, changed, &mut init_e);
+        self.count_bounds();
         self.size_fabric();
         #[cfg(debug_assertions)]
         self.check_against_a_full_load(graph, placement);
@@ -114,8 +114,7 @@ impl<P: Program> Engine<P> {
     }
 
     /// Merges `changed` and the vertices hosted beyond the first `old_n`
-    /// into every worker's loaded arrays, then recounts the bounds its
-    /// message fabric is sized for.
+    /// into every worker's loaded arrays.
     fn patch_rows(
         &mut self,
         graph: &UndirectedGraph,
@@ -150,51 +149,11 @@ impl<P: Program> Engine<P> {
             .collect();
         let room = rooms.iter().fold(Room::default(), |room, &own| room.max(own));
         let spare = &mut self.spare;
-        spare.plan.dst_count.resize(num_workers, 0);
+        spare.plan.scratch.dst_count.resize(num_workers, 0);
         for ((w, edits), own) in self.workers.iter_mut().zip(&changes).zip(rooms) {
             let (worker_of, local_idx) = (&self.worker_of[..], &self.local_idx[..]);
             let patch = Patch { graph, worker_of, local_idx, old_n, lane, edits, room, own };
             patch.apply(w, init_e, spare);
-        }
-        // The bounds, from the patched plan (or rows, without the lane).
-        // On symmetric rows the entries other workers address to a worker
-        // are its own rows' remote entries.
-        let wired = self.transport.is_some();
-        let mut plan_in = vec![0usize; num_workers];
-        let mut inbound = vec![0usize; num_workers];
-        let mut lone = vec![0usize; num_workers];
-        for w in &mut self.workers {
-            let me = w.id as usize;
-            w.bounds.reset(num_workers);
-            let (local, remote) = if lane {
-                lone.fill(0);
-                for (&dst, &first) in w.plan_workers.iter().zip(&w.plan_lone) {
-                    let d = dst as usize;
-                    plan_in[d] += usize::from(d != me);
-                    if first == BROADCAST_MULTI {
-                        w.bounds.marks[d] += 1;
-                    } else {
-                        lone[d] += 1;
-                    }
-                }
-                let sum = |counts: &[u32]| counts.iter().map(|&c| c as usize).sum::<usize>();
-                (sum(&w.plan_local), sum(&w.plan_remote))
-            } else {
-                let worker_of = &self.worker_of;
-                let local = w.targets.iter().filter(|&&t| worker_of[t as usize] as usize == me);
-                let local = local.count();
-                (local, w.targets.len() - local)
-            };
-            w.bounds.local = local;
-            inbound[me] = remote;
-            if wired {
-                let others = lone.iter().enumerate().filter(|&(dst, _)| dst != me);
-                w.bounds.sort_keys = others.map(|(_, &n)| n).max().unwrap_or(0);
-            }
-        }
-        for w in &mut self.workers {
-            let me = w.id as usize;
-            w.bounds.set_inbound(inbound[me], plan_in[me], wired, lane);
         }
     }
 
@@ -332,7 +291,6 @@ impl Patch<'_> {
             plan_workers,
             plan_lone,
             plan_local,
-            plan_remote,
             ..
         } = &mut *w;
         // Row by row: runs of unchanged rows are copied whole, their offsets
@@ -378,8 +336,8 @@ impl Patch<'_> {
                 continue;
             }
             stamp_ops::<P>(li, &s.row_ops, &edge_values[lo..], &mut s.fan_ops);
-            plan_local[li] = self.derive_plan(me, row, &mut s.plan);
-            plan_remote[li] = row.len() as u32 - plan_local[li];
+            let PlanSpare { workers, lone, scratch, .. } = &mut s.plan;
+            plan_local[li] = plan_row(me, row, self.worker_of, scratch, workers, lone);
             s.plan.offsets.push(s.plan.workers.len() as u32);
         }
         for (li, &gid) in global_ids.iter().enumerate().skip(old_hosted) {
@@ -392,9 +350,8 @@ impl Patch<'_> {
                 s.row_ops.clear();
                 s.row_ops.extend(row.iter().enumerate().map(|(i, &u)| (u, Some(i))));
                 stamp_ops::<P>(li, &s.row_ops, &edge_values[lo..], &mut s.fan_ops);
-                let local = self.derive_plan(me, row, &mut s.plan);
-                plan_local.push(local);
-                plan_remote.push(row.len() as u32 - local);
+                let PlanSpare { workers, lone, scratch, .. } = &mut s.plan;
+                plan_local.push(plan_row(me, row, self.worker_of, scratch, workers, lone));
                 s.plan.offsets.push(s.plan.workers.len() as u32);
             }
         }
@@ -413,23 +370,6 @@ impl Patch<'_> {
         }
         std::mem::swap(&mut w.offsets, &mut s.offsets);
         std::mem::swap(&mut w.targets, &mut s.targets);
-    }
-
-    /// Derives one row's plan afresh, as a full load does, appending it to
-    /// `s`; returns the row's entries on worker `me`.
-    fn derive_plan(&self, me: WorkerId, row: &[VertexId], s: &mut PlanSpare) -> u32 {
-        row_destinations(row, self.worker_of, &mut s.dst_count, &mut s.dests);
-        s.workers.extend(s.dests.iter().map(|d| d.0));
-        // A lone neighbour on a worker ships as a unicast.
-        let lone = |&(_, first, count): &(WorkerId, u32, u32)| {
-            if count == 1 {
-                first
-            } else {
-                BROADCAST_MULTI
-            }
-        };
-        s.lone.extend(s.dests.iter().map(lone));
-        s.dests.iter().find(|d| d.0 == me).map_or(0, |d| d.2)
     }
 }
 
@@ -562,7 +502,6 @@ struct Loaded {
     plan_workers: Vec<WorkerId>,
     plan_lone: Vec<u32>,
     plan_local: Vec<u32>,
-    plan_remote: Vec<u32>,
     fan_offsets: Vec<u32>,
     fan_targets: Vec<u32>,
     bounds: crate::worker::FabricBounds,
@@ -579,7 +518,6 @@ impl Loaded {
             plan_workers: w.plan_workers.clone(),
             plan_lone: w.plan_lone.clone(),
             plan_local: w.plan_local.clone(),
-            plan_remote: w.plan_remote.clone(),
             fan_offsets: w.fan_offsets.clone(),
             fan_targets: w.fan_targets.clone(),
             bounds: w.bounds.clone(),

@@ -11,7 +11,7 @@
 //! # Frame layout
 //!
 //! ```text
-//! [format: u8 = 1] [section]* [0x00 terminator] [varint unicast_logical] [crc32 LE u32]
+//! [format: u8 = 1] [section]* [0x00 terminator] [crc32 LE u32]
 //!
 //! section := varint h = (record_count << 1) | broadcast_flag   (count ≥ 1 ⇒ h ≥ 2)
 //!            ids (columnar)                                     payloads (columnar)
@@ -21,11 +21,7 @@
 //!
 //! The broadcast flag rides in the **section header** — the wire form of
 //! the marks an in-memory batch keeps beside its records — so ids are full
-//! `u64` on the wire.
-//! The trailing `unicast_logical` varint carries the count of the unicast
-//! records in the frame, which the receiver adds to its `recv_remote`
-//! accounting. The CRC-32 covers every
-//! preceding byte and is validated before anything is interpreted, so a
+//! `u64` on the wire. The CRC-32 covers every preceding byte and is validated before anything is interpreted, so a
 //! torn or corrupted frame yields a typed [`WireError`], never a panic.
 //!
 //! Encoders split a unicast run defensively whenever the next id is
@@ -50,7 +46,7 @@ pub enum WireFormat {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Frame shorter than the minimal envelope (format byte + terminator +
-    /// logical count + CRC).
+    /// CRC).
     Truncated,
     /// CRC-32 over the frame body does not match the stored check value.
     ChecksumMismatch,
@@ -58,8 +54,8 @@ pub enum WireError {
     UnknownFormat(u8),
     /// A field inside the (checksum-valid) body failed to parse.
     Corrupt(CorruptError),
-    /// Bytes remain after the logical-count trailer — the body is longer
-    /// than its own structure claims.
+    /// Bytes remain after the section terminator — the body is longer than
+    /// its own structure claims.
     TrailingBytes,
 }
 
@@ -158,14 +154,13 @@ pub struct WireRecord<M> {
 /// Encodes `records` into a frame, appending to `buf` (which the caller
 /// typically recycles via the transport so its capacity persists).
 ///
-/// `unicast_logical` is the count of the unicast records in the frame; it
-/// rides in the frame trailer for the receiver's accounting. Records are
+/// `_unicast_logical`: Ignored; deleted with ROADMAP item 0(b). Records are
 /// split into sections at every broadcast-flag change and at any descending
 /// unicast id, so unsorted input still round-trips.
 pub fn encode_frame<M: WirePayload>(
     format: WireFormat,
     records: &[WireRecord<M>],
-    unicast_logical: u64,
+    _unicast_logical: u64,
     buf: Vec<u8>,
 ) -> Vec<u8> {
     let mut w = ByteWriter::wrap(buf);
@@ -198,20 +193,18 @@ pub fn encode_frame<M: WirePayload>(
         i = j;
     }
     w.put_varint(0); // section terminator
-    w.put_varint(unicast_logical);
     let crc = crc32(w.as_slice());
     w.put_u32(crc);
     w.into_bytes()
 }
 
 /// Smallest well-formed frame: format byte + section-terminator varint +
-/// logical-count varint + 4-byte CRC. Transport decorators use this bound
-/// to reject torn frames before structural decoding.
-pub const MIN_FRAME_LEN: usize = 7;
+/// 4-byte CRC. Transport decorators use this bound to reject torn frames
+/// before structural decoding.
+pub const MIN_FRAME_LEN: usize = 6;
 
 /// Decodes a frame produced by [`encode_frame`], appending the records to
-/// `out` in their encoded order and returning the unicast count from the
-/// trailer.
+/// `out` in their encoded order.
 ///
 /// The CRC is validated **first**, before any field is interpreted; torn,
 /// truncated, or corrupted frames return a typed [`WireError`] and never
@@ -221,7 +214,7 @@ pub fn decode_frame<M: WirePayload>(
     bytes: &[u8],
     id_scratch: &mut Vec<u64>,
     out: &mut Vec<WireRecord<M>>,
-) -> Result<u64, WireError> {
+) -> Result<(), WireError> {
     if bytes.len() < MIN_FRAME_LEN {
         return Err(WireError::Truncated);
     }
@@ -275,11 +268,10 @@ pub fn decode_frame<M: WirePayload>(
             out.push(WireRecord { broadcast, id, msg: M::read(&mut r)? });
         }
     }
-    let unicast_logical = r.varint("logical unicast count")?;
     if !r.is_exhausted() {
         return Err(WireError::TrailingBytes);
     }
-    Ok(unicast_logical)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -288,19 +280,16 @@ mod tests {
 
     fn roundtrip<M: WirePayload + PartialEq + Copy + std::fmt::Debug>(
         records: &[WireRecord<M>],
-        logical: u64,
-    ) -> Vec<u8> {
-        let frame = encode_frame(WireFormat::Compact, records, logical, Vec::new());
+    ) {
+        let frame = encode_frame(WireFormat::Compact, records, 0, Vec::new());
         let mut out = Vec::new();
-        let got = decode_frame::<M>(&frame, &mut Vec::new(), &mut out).expect("decodes");
-        assert_eq!(got, logical);
+        decode_frame::<M>(&frame, &mut Vec::new(), &mut out).expect("decodes");
         assert_eq!(out, records);
-        frame
     }
 
     #[test]
     fn empty_batch_round_trips() {
-        roundtrip::<u64>(&[], 0);
+        roundtrip::<u64>(&[]);
     }
 
     #[test]
@@ -313,7 +302,7 @@ mod tests {
             WireRecord { broadcast: true, id: 2, msg: 14 },
             WireRecord { broadcast: false, id: 7, msg: 15 },
         ];
-        roundtrip(&records, 4);
+        roundtrip(&records);
     }
 
     #[test]
@@ -325,7 +314,7 @@ mod tests {
             WireRecord { broadcast: false, id: (1 << 31) + 5, msg: 3 },
             WireRecord { broadcast: false, id: u64::MAX - 1, msg: 4 },
         ];
-        roundtrip(&records, 2);
+        roundtrip(&records);
     }
 
     #[test]
@@ -334,7 +323,7 @@ mod tests {
         let records: Vec<WireRecord<u32>> = (0..20)
             .map(|i| WireRecord { broadcast: false, id: (19 - i) * 7, msg: i as u32 })
             .collect();
-        roundtrip(&records, 20);
+        roundtrip(&records);
     }
 
     #[test]
@@ -344,16 +333,16 @@ mod tests {
         let records: Vec<WireRecord<u32>> = (0..100)
             .map(|i| WireRecord { broadcast: false, id: 1000 + i, msg: 1u32 })
             .collect();
-        let frame = encode_frame(WireFormat::Compact, &records, 100, Vec::new());
+        let frame = encode_frame(WireFormat::Compact, &records, 0, Vec::new());
         // format 1 + header 2 + first id 2 + 99 deltas + 100 payloads +
-        // terminator 1 + logical count 1 + CRC 4.
-        assert_eq!(frame.len(), 210);
+        // terminator 1 + CRC 4.
+        assert_eq!(frame.len(), 209);
     }
 
     #[test]
     fn torn_and_corrupt_frames_are_typed_errors() {
         let records = [WireRecord { broadcast: false, id: 42, msg: 7u64 }];
-        let frame = encode_frame(WireFormat::Compact, &records, 1, Vec::new());
+        let frame = encode_frame(WireFormat::Compact, &records, 0, Vec::new());
         // Every proper prefix fails (truncation tears the CRC).
         for len in 0..frame.len() {
             let err = decode_frame::<u64>(&frame[..len], &mut Vec::new(), &mut Vec::new())

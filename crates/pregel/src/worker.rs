@@ -55,8 +55,9 @@ pub(crate) enum Fabric<'a, M> {
     Wire(&'a dyn Transport),
 }
 
-/// The per-superstep message volumes `load_topology` sizes one worker's
-/// message fabric for, counted from the loaded adjacency and broadcast plan.
+/// The per-superstep message volumes one worker's message fabric is sized
+/// for, counted by `Engine::count_bounds` from the loaded adjacency and
+/// broadcast plan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct FabricBounds {
     /// Messages the flat inbox receives when every vertex sends along every
@@ -87,29 +88,6 @@ impl FabricBounds {
         marks.clear();
         marks.resize(num_workers, 0);
         *self = Self { marks, ..Self::default() };
-    }
-
-    /// Sets the inbox and wire bounds once `local` is counted: `inbound` is
-    /// the adjacency entries addressed to this worker from other workers,
-    /// `plan_in` the plan entries among them, `wired` whether a transport
-    /// serialises and `lane` whether the broadcast lane is on.
-    pub(crate) fn set_inbound(
-        &mut self,
-        inbound: usize,
-        plan_in: usize,
-        wired: bool,
-        lane: bool,
-    ) {
-        // The flat inbox sees every message; the fast-path queue only the
-        // worker-local ones; the wire only the others, as one record per
-        // plan entry when every sender broadcasts (a unicast-only
-        // program's first wired superstep grows it to `inbound`).
-        self.inbox = inbound + self.local;
-        self.wire_records = match (wired, lane) {
-            (false, _) => 0,
-            (true, true) => plan_in,
-            (true, false) => inbound,
-        };
     }
 }
 
@@ -189,18 +167,16 @@ pub struct Worker<P: Program> {
     /// marked broadcast records. Empty when the broadcast lane is disabled.
     pub(crate) fan_offsets: Vec<u32>,
     pub(crate) fan_targets: Vec<u32>,
-    /// Broadcast *plan* (the send side of the broadcast lane), also built
-    /// by `load_topology`: for local vertex `li`,
-    /// `plan_workers[plan_offsets[li]..plan_offsets[li + 1]]` lists the
-    /// distinct destination workers of its adjacency (first-occurrence
-    /// order, one record each), and `plan_local[li]`/`plan_remote[li]` the
-    /// logical local/remote delivery counts one broadcast implies — so
-    /// [`Mailer::broadcast`] costs O(distinct workers), not O(degree). The
-    /// load builds a row's entries in two phases: first every entry's
-    /// destination worker and the count per destination, then one entry per
-    /// destination in first-occurrence order, a lone neighbour or a
-    /// fanned-out record by that count. Empty (all five) when the broadcast
-    /// lane is disabled.
+    /// Broadcast *plan* (the send side of the broadcast lane), derived row
+    /// by row by the engine's `plan_row` at every (re)load and patch: for
+    /// local vertex `li`, `plan_workers[plan_offsets[li]..plan_offsets[li +
+    /// 1]]` lists the distinct destination workers of its adjacency
+    /// (first-occurrence order, one record each), and `plan_local[li]` the
+    /// logical local delivery count one broadcast implies (the rest of the
+    /// row is remote) — so [`Mailer::broadcast`] costs O(distinct workers),
+    /// not O(degree). Each entry ships as a lone neighbour or a fanned-out
+    /// record by its worker's count of the row's entries. Empty (all four)
+    /// when the broadcast lane is disabled.
     pub(crate) plan_offsets: Vec<u32>,
     pub(crate) plan_workers: Vec<WorkerId>,
     /// Parallel to `plan_workers`: the lone neighbour's adjacency position
@@ -208,7 +184,6 @@ pub struct Worker<P: Program> {
     /// otherwise.
     pub(crate) plan_lone: Vec<u32>,
     pub(crate) plan_local: Vec<u32>,
-    pub(crate) plan_remote: Vec<u32>,
     /// What the last (re)load sized the message fabric for (see
     /// [`Self::reserve_fabric`]).
     pub(crate) bounds: FabricBounds,
@@ -268,7 +243,6 @@ impl<P: Program> Worker<P> {
             plan_workers: Vec::new(),
             plan_lone: Vec::new(),
             plan_local: Vec::new(),
-            plan_remote: Vec::new(),
             bounds: FabricBounds::default(),
             epoch: 0,
             outboxes: (0..num_workers).map(|_| Batch::default()).collect(),
@@ -298,7 +272,6 @@ impl<P: Program> Worker<P> {
         self.plan_workers.clear();
         self.plan_lone.clear();
         self.plan_local.clear();
-        self.plan_remote.clear();
     }
 
     /// (Re)sizes the per-vertex fabric state once the vertex set is known.
@@ -475,7 +448,7 @@ impl<P: Program> Worker<P> {
                     &self.plan_workers[p_lo..p_hi],
                     &self.plan_lone[p_lo..p_hi],
                     self.plan_local[i],
-                    self.plan_remote[i],
+                    (hi - lo) as u32 - self.plan_local[i],
                 )
             } else {
                 (&[][..], &[][..], 0, 0)
@@ -655,11 +628,10 @@ impl<P: Program> Worker<P> {
                     Err(_) => Err(TransportError::PeerPanicked { src: me, dst }),
                 },
                 Fabric::Wire(transport) => {
-                    let unicast_logical = stage_frame(outbox, wire_stage, sort_keys);
+                    stage_frame(outbox, wire_stage, sort_keys);
                     let buf = transport.begin(me, dst);
                     let cap = buf.capacity();
-                    let frame =
-                        encode_frame(WireFormat::Compact, wire_stage, unicast_logical, buf);
+                    let frame = encode_frame(WireFormat::Compact, wire_stage, 0, buf);
                     metrics.bytes_sent += frame.len() as u64;
                     metrics.frames_sent += 1;
                     // Frame-buffer growth is fabric growth: recycling keeps
@@ -704,9 +676,9 @@ impl<P: Program> Worker<P> {
     /// (source-worker, send-order) order per vertex.
     ///
     /// Logical receive accounting is fabric-invariant: a broadcast record
-    /// counts its fan-out width, and a wire frame's trailer carries its
-    /// unicast count — so `recv_remote` matches bit-for-bit across
-    /// transports.
+    /// counts its fan-out width and a unicast one, whether it came from a
+    /// grid cell or a decoded frame — so `recv_remote` matches bit-for-bit
+    /// across transports.
     ///
     /// On a typed failure the remaining sources are still delivered and the
     /// tail still runs — buffer and scheduler state stay consistent for the
@@ -761,10 +733,7 @@ impl<P: Program> Worker<P> {
             let retransmits_before = transport.recv_stats(me).retransmits;
             for (src, end) in wire_bounds[1..].iter_mut().enumerate() {
                 if src != me {
-                    let (unicast_logical, error) =
-                        decode_source(transport, src, me, wire_ids, wire_recv);
-                    metrics.recv_remote += unicast_logical;
-                    if let Some(e) = error {
+                    if let Err(e) = decode_source(transport, src, me, wire_ids, wire_recv) {
                         failure.get_or_insert(e);
                     }
                 }
@@ -808,11 +777,7 @@ impl<P: Program> Worker<P> {
                 },
                 Fabric::Wire(_) => {
                     for rec in &wire_recv[wire_bounds[src]..wire_bounds[src + 1]] {
-                        let expanded = count(rec.broadcast, rec.id);
-                        // Unicasts were counted from the frame trailer.
-                        if rec.broadcast {
-                            metrics.recv_remote += expanded;
-                        }
+                        metrics.recv_remote += count(rec.broadcast, rec.id);
                     }
                 }
             }
@@ -1117,8 +1082,7 @@ impl SleepQueue {
     }
 }
 
-/// Copies one outbox into `stage` as the records of one wire frame and
-/// returns its unicast record count (the frame trailer's logical count).
+/// Copies one outbox into `stage` as the records of one wire frame.
 ///
 /// Within each maximal unicast run (broadcast records — the marked
 /// positions — are never crossed), records are stably sorted by destination
@@ -1130,7 +1094,7 @@ fn stage_frame<M: Clone>(
     outbox: &Batch<M>,
     stage: &mut Vec<WireRecord<M>>,
     sort_keys: &mut Vec<u64>,
-) -> u64 {
+) {
     let Batch { records, marks } = outbox;
     stage.clear();
     let mut mi = 0usize;
@@ -1161,7 +1125,6 @@ fn stage_frame<M: Clone>(
         pos = run_end;
     }
     debug_assert_eq!(mi, marks.len());
-    (records.len() - marks.len()) as u64
 }
 
 /// The local indices one inbound record delivers to, each shifted left by
@@ -1188,33 +1151,25 @@ fn record_targets<'a>(
 }
 
 /// Takes every frame `src` sent `me` this superstep and decodes it onto the
-/// end of `out`. Returns the frames' summed unicast count and the
-/// first failure, which ends the source: a frame that does not decode —
-/// only a corruption the reliability layer's CRC misses, as it NACKs every
-/// frame that fails the check — is dropped whole (typed, not a panic).
+/// end of `out`. The first failure ends the source: a frame that does not
+/// decode — only a corruption the reliability layer's CRC misses, as it
+/// NACKs every frame that fails the check — is dropped whole (typed, not a
+/// panic).
 fn decode_source<M: WirePayload>(
     transport: &dyn Transport,
     src: usize,
     me: usize,
     ids: &mut Vec<u64>,
     out: &mut Vec<WireRecord<M>>,
-) -> (u64, Option<TransportError>) {
-    let mut unicast_logical = 0;
-    loop {
-        let frame = match transport.take(src, me) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return (unicast_logical, None),
-            Err(e) => return (unicast_logical, Some(e)),
-        };
+) -> Result<(), TransportError> {
+    while let Some(frame) = transport.take(src, me)? {
         let mark = out.len();
         let decoded = decode_frame::<M>(&frame, ids, out);
         transport.recycle(src, me, frame);
-        match decoded {
-            Ok(n) => unicast_logical += n,
-            Err(_) => {
-                out.truncate(mark);
-                return (unicast_logical, Some(TransportError::Corrupt { src, dst: me }));
-            }
+        if decoded.is_err() {
+            out.truncate(mark);
+            return Err(TransportError::Corrupt { src, dst: me });
         }
     }
+    Ok(())
 }

@@ -34,30 +34,24 @@ fn batch() -> impl Strategy<Value = Vec<WireRecord<u64>>> {
     prop::collection::vec(record(), 0..80)
 }
 
-fn roundtrip(
-    records: &[WireRecord<u64>],
-    unicast_logical: u64,
-) -> (Vec<u8>, Vec<WireRecord<u64>>, u64) {
-    let frame = encode_frame(WireFormat::Compact, records, unicast_logical, Vec::new());
+fn roundtrip(records: &[WireRecord<u64>]) -> (Vec<u8>, Vec<WireRecord<u64>>) {
+    let frame = encode_frame(WireFormat::Compact, records, 0, Vec::new());
     let mut scratch = Vec::new();
     let mut out = Vec::new();
-    let logical =
-        decode_frame::<u64>(&frame, &mut scratch, &mut out).expect("valid frame decodes");
-    (frame, out, logical)
+    decode_frame::<u64>(&frame, &mut scratch, &mut out).expect("valid frame decodes");
+    (frame, out)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Every batch — any mix of broadcast and unicast, ids across the full
-    /// `u64` range — decodes back to exactly the input, in order, with the
-    /// logical-count trailer intact. The same frame with format byte 0 and
-    /// a valid checksum is `UnknownFormat(0)`.
+    /// `u64` range — decodes back to exactly the input, in order. The same
+    /// frame with format byte 0 and a valid checksum is `UnknownFormat(0)`.
     #[test]
-    fn arbitrary_batches_round_trip(records in batch(), logical in any::<u64>()) {
-        let (mut frame, decoded, got_logical) = roundtrip(&records, logical);
+    fn arbitrary_batches_round_trip(records in batch()) {
+        let (mut frame, decoded) = roundtrip(&records);
         prop_assert_eq!(&decoded, &records);
-        prop_assert_eq!(got_logical, logical);
         let body = frame.len() - 4;
         frame[0] = 0;
         let crc = crc32(&frame[..body]);
@@ -70,7 +64,7 @@ proptest! {
     /// can never panic or decode to records.
     #[test]
     fn torn_frames_are_typed_errors(records in batch()) {
-        let (frame, _, _) = roundtrip(&records, records.len() as u64);
+        let (frame, _) = roundtrip(&records);
         let mut scratch = Vec::new();
         let mut out = Vec::new();
         for len in 0..frame.len() {
@@ -91,7 +85,7 @@ proptest! {
         byte_pick in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let (frame, _, _) = roundtrip(&records, 7);
+        let (frame, _) = roundtrip(&records);
         let mut bad = frame.clone();
         let pos = (byte_pick % frame.len() as u64) as usize;
         bad[pos] ^= 1 << bit;
@@ -104,7 +98,7 @@ proptest! {
     /// frame is a complete unit.
     #[test]
     fn trailing_bytes_are_rejected(records in batch(), extra in 1u8..16) {
-        let (mut frame, _, _) = roundtrip(&records, 0);
+        let (mut frame, _) = roundtrip(&records);
         frame.extend(std::iter::repeat_n(0xABu8, extra as usize));
         let mut scratch = Vec::new();
         let mut out = Vec::new();

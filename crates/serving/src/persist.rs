@@ -209,12 +209,6 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Where the store lives (a directory path, or `<mem>` for the
-    /// in-memory backend).
-    pub fn location(&self) -> String {
-        self.storage.describe()
-    }
-
     /// Current WAL size in bytes.
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
